@@ -60,6 +60,16 @@ class BatchReport:
         }
 
 
+def _failed(job_id, exc, wall_time_s=0.0) -> JobOutcome:
+    return JobOutcome(
+        job_id=job_id,
+        status="failed",
+        error="".join(traceback.format_exception_only(type(exc), exc)).strip(),
+        wall_time_s=wall_time_s,
+        artifacts=(),
+    )
+
+
 def execute_job(job: JobSpec, output_dir, cache_dir) -> JobOutcome:
     """Run one job end to end; exceptions become a failed outcome, never a crash."""
     started = time.perf_counter()
@@ -117,13 +127,15 @@ def execute_job(job: JobSpec, output_dir, cache_dir) -> JobOutcome:
             artifacts=tuple(str(p) for p in artifacts),
         )
     except Exception as exc:
-        return JobOutcome(
-            job_id=job.job_id,
-            status="failed",
-            error="".join(traceback.format_exception_only(type(exc), exc)).strip(),
-            wall_time_s=time.perf_counter() - started,
-            artifacts=(),
-        )
+        return _failed(job.job_id, exc, time.perf_counter() - started)
+
+
+def _collect(job: JobSpec, future) -> JobOutcome:
+    """A future's outcome; a worker that died (BrokenProcessPool) fails its jobs, not the batch."""
+    try:
+        return future.result()
+    except Exception as exc:
+        return _failed(job.job_id, exc)
 
 
 def run_batch(jobs, parallelism: int = 1, output_dir="fairbench_out",
@@ -138,7 +150,7 @@ def run_batch(jobs, parallelism: int = 1, output_dir="fairbench_out",
     else:
         with ProcessPoolExecutor(max_workers=min(parallelism, len(jobs))) as pool:
             futures = [pool.submit(execute_job, job, output_dir, cache_dir) for job in jobs]
-            outcomes = [f.result() for f in futures]
+            outcomes = [_collect(job, future) for job, future in zip(jobs, futures)]
 
     report = BatchReport(
         outcomes=tuple(outcomes),

@@ -1,6 +1,6 @@
 """Ingestion, encoding, splitting, caching, and synthetic fixtures."""
 
-from .cache import cache_key, cache_load, cache_path, cache_store
+from .cache import cache_key, cache_load, cache_path, cache_store, content_key
 from .encode import encode
 from .schema import DatasetSchema, GroupSpec, load_schema, schema_from_dict
 from .split import SplitSpec, split, split_indices
@@ -19,6 +19,7 @@ __all__ = [
     "cache_load",
     "cache_path",
     "cache_store",
+    "content_key",
     "datasets_equal",
     "encode",
     "load_csv",

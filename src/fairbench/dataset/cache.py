@@ -1,32 +1,40 @@
 """Content-addressed dataset cache.
 
-Entries are self-describing columnar text files (`<cache_root>/<hex key>.fpds`)
-with an 8-byte magic header and a version line. Reals are serialized as C99
-float hex so a round-trip is bit-identical. Writes go to a temp file in the
-same directory followed by an atomic rename, so concurrent batch jobs never
-observe a partial entry.
+Entries are binary files (`<cache_root>/<hex key>.fpds`): an 8-byte magic, the
+byte length of a JSON header (version, n, d, feature names, provenance), the
+header, then the raw little-endian arrays features (n x d float64, row-major),
+labels and protected (int64) and weights (float64). A round-trip is therefore
+bit-identical. An original dataset is keyed on the sha256 of its own entry
+bytes, so a hit means the same arrays, names and provenance, the protected
+column included; a processed dataset is keyed on (original key, method,
+parameters, seed). Writes go to a temp file in the same directory, are fsynced
+and then atomically renamed, so concurrent batch jobs never observe a partial
+entry. An entry that cannot be read back is a miss, with a warning.
 """
 
 import hashlib
 import json
 import os
+import struct
 import tempfile
+import warnings
 from pathlib import Path
-from urllib.parse import quote, unquote
 
 import numpy as np
 
-from ..errors import DataFormatError
+from ..errors import DataFormatError, FairbenchError, FairbenchWarning
 from .tabular import TabularDataset
 
-MAGIC = b"FPDSTXT\n"
-VERSION = 1
+MAGIC = b"FPDSBIN\n"
+VERSION = 2
+_HEADER_LEN = struct.Struct("<Q")
+_ARRAYS = (("features", "<f8"), ("labels", "<i8"), ("protected", "<i8"), ("weights", "<f8"))
 
 
-def cache_key(dataset_name, method_name, params, seed) -> str:
-    """Content hash of (dataset, method, parameters, seed); hex, stable across runs."""
+def cache_key(dataset_key, method_name, params, seed) -> str:
+    """Hash of (dataset key, method, parameters, seed); hex, stable across runs."""
     blob = json.dumps(
-        {"dataset": str(dataset_name), "method": str(method_name),
+        {"dataset": str(dataset_key), "method": str(method_name),
          "params": params or {}, "seed": int(seed)},
         sort_keys=True,
         separators=(",", ":"),
@@ -34,65 +42,54 @@ def cache_key(dataset_name, method_name, params, seed) -> str:
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()
 
 
+def content_key(ds: TabularDataset) -> str:
+    """sha256 of the dataset's cache entry bytes; the key of an original dataset."""
+    return hashlib.sha256(dumps(ds)).hexdigest()
+
+
 def cache_path(cache_root, key) -> Path:
     return Path(cache_root) / f"{key}.fpds"
 
 
-def _hex_line(values):
-    return " ".join(float(v).hex() for v in values)
-
-
 def dumps(ds: TabularDataset) -> bytes:
-    lines = [
-        f"version {VERSION}",
-        f"provenance {quote(ds.provenance)}",
-        f"n {ds.n}",
-        f"d {ds.dim}",
-        "feature_names " + " ".join(quote(name) for name in ds.feature_names),
-        "labels " + " ".join(str(int(v)) for v in ds.labels),
-        "protected " + " ".join(str(int(v)) for v in ds.protected),
-        "weights " + _hex_line(ds.weights),
-    ]
-    for j in range(ds.dim):
-        lines.append(f"feature {j} " + _hex_line(ds.features[:, j]))
-    lines.append("end")
-    return MAGIC + "\n".join(lines).encode("utf-8") + b"\n"
+    header = json.dumps(
+        {"version": VERSION, "n": ds.n, "d": ds.dim,
+         "feature_names": list(ds.feature_names), "provenance": ds.provenance},
+        sort_keys=True,
+        separators=(",", ":"),
+    ).encode("utf-8")
+    arrays = [np.ascontiguousarray(getattr(ds, name), dtype=dtype).tobytes() for name, dtype in _ARRAYS]
+    return b"".join([MAGIC, _HEADER_LEN.pack(len(header)), header, *arrays])
 
 
 def loads(blob: bytes) -> TabularDataset:
-    if blob[:8] != MAGIC:
-        raise DataFormatError("not a dataset cache entry (bad magic)")
-    lines = blob[8:].decode("utf-8").splitlines()
-    fields = {}
-    feature_cols = {}
-    for line in lines:
-        if line == "end":
-            break
-        tag, _, rest = line.partition(" ")
-        if tag == "feature":
-            j, _, data = rest.partition(" ")
-            feature_cols[int(j)] = data
-        else:
-            fields[tag] = rest
-    else:
-        raise DataFormatError("cache entry truncated (no end marker)")
-
-    if int(fields.get("version", -1)) != VERSION:
-        raise DataFormatError(f"unsupported cache version {fields.get('version')!r}")
+    """Parse one entry; a wrong magic, version or length raises DataFormatError."""
+    if blob[:len(MAGIC)] != MAGIC:
+        raise DataFormatError("not a binary dataset cache entry (bad magic)")
+    start = len(MAGIC) + _HEADER_LEN.size
+    if len(blob) < start:
+        raise DataFormatError(f"cache entry truncated at {len(blob)} bytes")
+    (header_len,) = _HEADER_LEN.unpack_from(blob, len(MAGIC))
     try:
-        n, d = int(fields["n"]), int(fields["d"])
-        names = tuple(unquote(t) for t in fields["feature_names"].split())
-        labels = np.fromiter((int(t) for t in fields["labels"].split()), dtype=np.int64, count=n)
-        protected = np.fromiter((int(t) for t in fields["protected"].split()), dtype=np.int64, count=n)
-        weights = np.fromiter((float.fromhex(t) for t in fields["weights"].split()), dtype=np.float64, count=n)
-        features = np.empty((n, d), dtype=np.float64)
-        for j in range(d):
-            features[:, j] = np.fromiter(
-                (float.fromhex(t) for t in feature_cols[j].split()), dtype=np.float64, count=n
-            )
-    except (KeyError, ValueError) as exc:
-        raise DataFormatError(f"corrupt cache entry: {exc!r}") from exc
-    return TabularDataset(features, labels, protected, weights, names, unquote(fields.get("provenance", "")))
+        header = json.loads(blob[start:start + header_len])
+        version, n, d = header["version"], int(header["n"]), int(header["d"])
+        names, provenance = tuple(header["feature_names"]), str(header["provenance"])
+    except (KeyError, TypeError, ValueError) as exc:
+        raise DataFormatError(f"corrupt cache entry header: {exc!r}") from exc
+    if version != VERSION:
+        raise DataFormatError(f"unsupported cache version {version!r}")
+    dtypes = [np.dtype(dtype) for _, dtype in _ARRAYS]
+    counts = (n * d, n, n, n)
+    expected = start + header_len + sum(dt.itemsize * c for dt, c in zip(dtypes, counts))
+    if n < 1 or d < 1 or len(blob) != expected:
+        raise DataFormatError(f"cache entry has {len(blob)} bytes, expected {expected} for n={n}, d={d}")
+    offset = start + header_len
+    arrays = []
+    for dtype, count in zip(dtypes, counts):
+        arrays.append(np.frombuffer(blob, dtype=dtype, count=count, offset=offset))
+        offset += dtype.itemsize * count
+    features, labels, protected, weights = arrays
+    return TabularDataset(features.reshape(n, d), labels, protected, weights, names, provenance)
 
 
 def cache_store(ds: TabularDataset, key: str, cache_root) -> Path:
@@ -115,10 +112,19 @@ def cache_store(ds: TabularDataset, key: str, cache_root) -> Path:
 
 
 def cache_load(key: str, cache_root):
-    """Return the cached dataset, or None on a miss (absence is not an error)."""
+    """Return the cached dataset, or None on a miss.
+
+    An absent entry is a silent miss; a truncated, corrupt or old-format entry
+    is a miss with a FairbenchWarning naming the file, so the caller recomputes
+    and rewrites it.
+    """
     target = cache_path(cache_root, key)
     try:
         blob = target.read_bytes()
     except FileNotFoundError:
         return None
-    return loads(blob)
+    try:
+        return loads(blob)
+    except FairbenchError as exc:
+        warnings.warn(f"ignoring unreadable cache entry {target}: {exc}", FairbenchWarning)
+        return None

@@ -6,6 +6,7 @@ counts, and the empirical difference are deliberately unweighted — reweighing
 must move the weighted rates to parity while leaving them untouched.
 """
 
+import hashlib
 import math
 import warnings
 from dataclasses import dataclass
@@ -118,18 +119,16 @@ def _zscore(features):
     return (features - mu) / sd
 
 
-def _knn_label_means_exact(z, labels, k):
-    """Full pairwise kNN with (distance, index) ordering; fine up to a few thousand rows."""
-    n = z.shape[0]
-    sq = (z * z).sum(axis=1)
-    d2 = sq[:, None] + sq[None, :] - 2.0 * (z @ z.T)
-    np.fill_diagonal(d2, np.inf)
-    means = np.empty(n)
-    idx = np.arange(n)
-    for i in range(n):
-        order = np.lexsort((idx, d2[i]))
-        means[i] = labels[order[:k]].mean()
-    return means
+# consistency value by _consistency_key; one entry per distinct (features, labels, k)
+_CONSISTENCY_MEMO = {}
+
+
+def _consistency_key(features, labels, k):
+    # TabularDataset holds C-contiguous arrays, which hashlib reads without a copy
+    h = hashlib.sha256(repr((features.shape, features.dtype.str, labels.dtype.str, k)).encode("utf-8"))
+    h.update(features)
+    h.update(labels)
+    return h.digest()
 
 
 def _knn_label_means_blocked(z, labels, k, block=512, extra=32):
@@ -165,17 +164,19 @@ def consistency(ds: TabularDataset, k: int = 5) -> float:
 
     1 - mean |y_i - mean(y of kNN(i))| with Euclidean distance on z-scored
     features, self excluded, distance ties broken toward the lowest row index.
-    Unweighted.
+    Unweighted. Values are memoized in-process by content, so a dataset seen
+    before (the same original in every job, or RW's output, which keeps the
+    original's features and labels) costs one hash instead of a kNN pass.
     """
     if not 1 <= k < ds.n:
         raise UndefinedMetricError(f"consistency needs 1 <= k < n, got k={k}, n={ds.n}")
-    z = _zscore(ds.features)
-    labels = ds.labels.astype(np.float64)
-    if ds.n <= 2048:
-        means = _knn_label_means_exact(z, labels, k)
-    else:
+    key = _consistency_key(ds.features, ds.labels, k)
+    if key not in _CONSISTENCY_MEMO:
+        z = _zscore(ds.features)
+        labels = ds.labels.astype(np.float64)
         means = _knn_label_means_blocked(z, labels, k)
-    return float(1.0 - np.abs(labels - means).mean())
+        _CONSISTENCY_MEMO[key] = float(1.0 - np.abs(labels - means).mean())
+    return _CONSISTENCY_MEMO[key]
 
 
 def dataset_metrics(ds: TabularDataset, consistency_k: int = 5) -> DatasetMetrics:

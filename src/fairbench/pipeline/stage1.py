@@ -3,7 +3,7 @@
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
-from ..dataset import TabularDataset, cache_key, cache_load, cache_store, encode, load_csv
+from ..dataset import TabularDataset, cache_key, cache_load, cache_store, content_key, encode, load_csv
 from ..metrics.dataset_metrics import DatasetMetrics, dataset_metrics
 from ..preproc import METHOD_NAMES, apply_method
 from ..errors import FairbenchError
@@ -64,8 +64,10 @@ def run_prep_stage(dataset, schema, method: str, params=None, seed: int = 0,
     """Load/encode, transform the full dataset, compute both metric bundles, cache both.
 
     `dataset` may be a CSV path (with `schema`) or an already encoded
-    TabularDataset (schema optional). A warm cache short-circuits the
-    transform: the processed dataset is loaded back instead of re-fitted.
+    TabularDataset (schema optional). The original is keyed on its own content
+    and written only when no readable entry holds it. A warm cache
+    short-circuits the transform: the processed dataset is loaded back instead
+    of re-fitted.
     """
     if method not in METHOD_NAMES:
         raise FairbenchError(f"unknown method {method!r}; expected one of {METHOD_NAMES}")
@@ -73,10 +75,11 @@ def run_prep_stage(dataset, schema, method: str, params=None, seed: int = 0,
     ds = load_dataset(dataset, schema)
     name = dataset_name or (schema.name if schema is not None else ds.provenance or "dataset")
 
-    key_orig = cache_key(name, "original", {}, seed)
-    key_proc = cache_key(name, method, params, seed)
+    key_orig = content_key(ds)
+    key_proc = cache_key(key_orig, method, params, seed)
 
-    cache_store(ds, key_orig, cache_dir)
+    if cache_load(key_orig, cache_dir) is None:
+        cache_store(ds, key_orig, cache_dir)
     processed = cache_load(key_proc, cache_dir)
     if processed is None:
         processed = apply_method(method, ds, params, seed)

@@ -1,13 +1,15 @@
 """Batch matrices: parsing, expansion, isolation, parallel and warm-cache determinism."""
 
 import filecmp
+import json
+import os
 from pathlib import Path
 
 import pytest
 import yaml
 
-from fairbench.batch import expand_jobs, parse_batch_yaml, run_batch
-from fairbench.errors import SchemaError
+from fairbench.batch import expand_jobs, parse_batch_yaml, run_batch, runner
+from fairbench.errors import FairbenchWarning, SchemaError
 
 MINIMAL = """
 datasets:
@@ -115,6 +117,16 @@ def job_files(root: Path):
     return out
 
 
+_execute_job = runner.execute_job
+
+
+def _exit_on_synth_b_dir(job, output_dir, cache_dir):
+    """Kills the pool worker that runs the synth_b DIR job (module level, so it pickles)."""
+    if job.dataset.name == "synth_b" and job.method == "DIR":
+        os._exit(1)
+    return _execute_job(job, output_dir, cache_dir)
+
+
 class TestRun:
     def test_four_jobs_with_one_failure_isolated(self, tmp_path):
         text = MATRIX.replace(
@@ -166,3 +178,38 @@ class TestRun:
         assert report.exit_code == 0
         doc = yaml.safe_load((tmp_path / "out" / "batch_report.json").read_text())
         assert doc["jobs"][0]["status"] == "ok"
+
+    def test_damaged_cache_entries_are_recomputed(self, tmp_path):
+        jobs, _ = expand_jobs(parse_batch_yaml(MATRIX))
+        cache = tmp_path / "cache"
+        first_report = run_batch(jobs, parallelism=1, output_dir=tmp_path / "first", cache_dir=cache)
+        summary = json.loads((tmp_path / "first" / jobs[0].job_id / "summary.json").read_text())
+        original = cache / f"{summary['stage1']['original_cache_key']}.fpds"
+        processed = cache / f"{summary['stage1']['processed_cache_key']}.fpds"
+        original_bytes, processed_bytes = original.read_bytes(), processed.read_bytes()
+        original.write_bytes(original_bytes[: len(original_bytes) // 2])
+        processed.write_bytes(b"FPDSTXT\nversion 1\n")
+
+        with pytest.warns(FairbenchWarning, match=original.name):
+            report = run_batch(jobs, parallelism=1, output_dir=tmp_path / "second", cache_dir=cache)
+        assert first_report.exit_code == report.exit_code == 0
+        assert original.read_bytes() == original_bytes
+        assert processed.read_bytes() == processed_bytes
+        first = job_files(tmp_path / "first")
+        second = job_files(tmp_path / "second")
+        assert set(first) == set(second)
+        for rel in first:
+            assert filecmp.cmp(first[rel], second[rel], shallow=False), rel
+
+    def test_dead_worker_fails_its_job_not_the_batch(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(runner, "execute_job", _exit_on_synth_b_dir)
+        jobs, _ = expand_jobs(parse_batch_yaml(MATRIX))
+        report = run_batch(jobs, parallelism=2, output_dir=tmp_path / "out")
+        assert [o.job_id for o in report.outcomes] == [j.job_id for j in jobs]
+        for job, outcome in zip(jobs, report.outcomes):
+            if job.dataset.name == "synth_b" and job.method == "DIR":
+                assert outcome.status == "failed"
+                assert "BrokenProcessPool" in outcome.error
+            assert outcome.status == "ok" or outcome.error
+        doc = json.loads((tmp_path / "out" / "batch_report.json").read_text())
+        assert [j["status"] for j in doc["jobs"]] == [o.status for o in report.outcomes]

@@ -10,6 +10,7 @@ from fairbench.dataset import (
     cache_key,
     cache_load,
     cache_store,
+    content_key,
     datasets_equal,
     encode,
     load_csv,
@@ -230,7 +231,7 @@ class TestSplit:
 class TestCache:
     def test_round_trip_bit_identical(self, tmp_path):
         ds = make_synthetic(seed=5, n=50, disparity=0.3)
-        # adversarial reals survive the hex round-trip
+        # adversarial reals survive the binary round-trip
         features = ds.features.copy()
         features[0, 0] = 1.0 / 3.0
         features[1, 1] = 1e-308
@@ -264,6 +265,24 @@ class TestCache:
         ds = make_synthetic(seed=1, n=10, disparity=0.0)
         cache_store(ds, cache_key("a", "b", {}, 0), tmp_path)
         assert not list(tmp_path.glob("*.tmp"))
+
+    @pytest.mark.parametrize("damage", ["truncated", "bad_magic", "old_format"])
+    def test_unreadable_entry_is_a_warned_miss(self, tmp_path, damage):
+        ds = make_synthetic(seed=1, n=20, disparity=0.0)
+        path = cache_store(ds, content_key(ds), tmp_path)
+        blob = path.read_bytes()
+        path.write_bytes({
+            "truncated": blob[:len(blob) - 8],
+            "bad_magic": b"XXXXXXXX" + blob[8:],
+            "old_format": b"FPDSTXT\nversion 1\nn 20\nd 2\nend\n",
+        }[damage])
+        with pytest.warns(FairbenchWarning, match=path.name):
+            assert cache_load(content_key(ds), tmp_path) is None
+
+    def test_content_key_covers_the_protected_column(self):
+        ds = make_synthetic(seed=1, n=20, disparity=0.0)
+        assert content_key(ds) == content_key(ds.replace())
+        assert content_key(ds.replace(protected=1 - ds.protected)) != content_key(ds)
 
     def test_key_depends_on_all_parts(self):
         base = cache_key("d", "m", {"x": 1}, 0)

@@ -1,5 +1,6 @@
 """Metric correctness against hand values and the brute-force oracles."""
 
+import importlib
 import math
 
 import numpy as np
@@ -195,31 +196,73 @@ class TestConsistency:
                 oracle_consistency(features.tolist(), labels.tolist(), k), abs=TOL
             )
 
-    def test_blocked_path_matches_exact_path(self):
-        from fairbench.metrics.dataset_metrics import _knn_label_means_blocked, _knn_label_means_exact, _zscore
+    @staticmethod
+    def _blocked_consistency(features, labels, k, block):
+        from fairbench.metrics.dataset_metrics import _knn_label_means_blocked, _zscore
 
+        y = np.asarray(labels, dtype=float)
+        means = _knn_label_means_blocked(_zscore(features), y, k, block=block)
+        return float(1.0 - np.abs(y - means).mean())
+
+    def test_blocked_path_matches_oracle(self):
+        # several blocks of 64 rows, so distances are assembled block by block
         rng = np.random.default_rng(3)
         features = rng.normal(size=(300, 4))
-        labels = rng.integers(0, 2, 300).astype(float)
-        z = _zscore(features)
-        assert np.allclose(
-            _knn_label_means_exact(z, labels, 5), _knn_label_means_blocked(z, labels, 5, block=64), atol=TOL
+        labels = rng.integers(0, 2, 300)
+        assert self._blocked_consistency(features, labels, 5, block=64) == pytest.approx(
+            oracle_consistency(features.tolist(), labels.tolist(), 5), abs=TOL
         )
 
     def test_blocked_path_survives_tie_groups_beyond_candidate_set(self):
         # duplicate coordinates produce tie groups far larger than the
         # argpartition candidate budget; the spill fallback must keep the
         # lowest-index rule exact
-        from fairbench.metrics.dataset_metrics import _knn_label_means_blocked, _knn_label_means_exact, _zscore
-
         rng = np.random.default_rng(5)
         features = np.array([[0.0], [1.0], [1.0], [2.0]] * 75)
-        labels = rng.integers(0, 2, 300).astype(float)
-        z = _zscore(features)
+        labels = rng.integers(0, 2, 300)
         for k in (1, 3, 5):
-            assert np.array_equal(
-                _knn_label_means_exact(z, labels, k), _knn_label_means_blocked(z, labels, k, block=32)
+            assert self._blocked_consistency(features, labels, k, block=32) == pytest.approx(
+                oracle_consistency(features.tolist(), labels.tolist(), k), abs=TOL
             )
+
+    def test_duplicate_heavy_one_hot_matches_oracle(self):
+        # two one-hot attributes with distinct level frequencies: most rows
+        # have exact duplicates, as encoded categorical data does at sizes
+        # that fit one block
+        rng = np.random.default_rng(7)
+        n = 240
+        a = rng.permutation(np.repeat([0, 1, 2], [30, 80, 130]))
+        b = rng.permutation(np.repeat([0, 1], [70, 170]))
+        features = np.column_stack([np.eye(3)[a], np.eye(2)[b]])
+        labels = (rng.uniform(size=n) < 0.3 + 0.2 * b).astype(int)
+        ds = mk(labels, rng.integers(0, 2, n), features=features)
+        for k in (1, 5):
+            assert consistency(ds, k=k) == pytest.approx(
+                oracle_consistency(features.tolist(), labels.tolist(), k), abs=TOL
+            )
+
+    def test_memo_reuses_equal_content_and_recomputes_new_labels(self, monkeypatch):
+        # the module, not the function that `fairbench.metrics` re-exports under its name
+        dm = importlib.import_module("fairbench.metrics.dataset_metrics")
+        calls = []
+        knn = dm._knn_label_means_blocked
+        monkeypatch.setattr(dm, "_CONSISTENCY_MEMO", {})
+        monkeypatch.setattr(dm, "_knn_label_means_blocked", lambda *a, **kw: calls.append(1) or knn(*a, **kw))
+        rng = np.random.default_rng(11)
+        features = rng.normal(size=(40, 3))
+        labels = rng.integers(0, 2, 40)
+        first = consistency(mk(labels, [0, 1] * 20, features=features))
+        # equal content in fresh arrays, with other groups and weights
+        again = consistency(mk(labels.copy(), [1, 0] * 20, weights=np.full(40, 2.0), features=features.copy()))
+        assert again == first
+        assert len(calls) == 1
+        flipped = 1 - labels
+        assert consistency(mk(flipped, [0, 1] * 20, features=features)) == pytest.approx(
+            oracle_consistency(features.tolist(), flipped.tolist(), 5), abs=TOL
+        )
+        assert len(calls) == 2
+        consistency(mk(labels, [0, 1] * 20, features=features), k=3)
+        assert len(calls) == 3
 
     def test_constant_feature_column_tolerated(self):
         features = np.column_stack([np.ones(8), np.arange(8.0)])

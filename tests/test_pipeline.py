@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from fairbench.dataset import SplitSpec, cache_load, make_synthetic
+from fairbench.dataset import SplitSpec, cache_load, make_synthetic, schema_from_dict
 from fairbench.errors import FairbenchError
 from fairbench.metrics import classification_metrics
 from fairbench.metrics.classification import ClassificationMetrics
@@ -175,6 +175,38 @@ class TestPrepStage:
         monkeypatch.setattr(stage1_mod, "apply_method", boom)
         second = run_prep_stage(ds, None, "RW", {}, seed=0, cache_dir=tmp_path, dataset_name="syn")
         assert second == first
+
+    def test_same_name_and_seed_with_other_sensitive_attribute_do_not_collide(self, tmp_path, monkeypatch):
+        rng = np.random.default_rng(0)
+        n = 200
+        sex = rng.choice(["M", "F"], n)
+        age = rng.choice(["old", "young"], n)
+        x = rng.normal(size=n)
+        income = np.where(x + (sex == "M") > 0.5, "high", "low")
+        csv = tmp_path / "toy.csv"
+        csv.write_text("x,sex,age_group,income\n" + "".join(
+            f"{float(x[i])!r},{sex[i]},{age[i]},{income[i]}\n" for i in range(n)), encoding="utf-8")
+        doc = {
+            "name": "toy",
+            "label": {"column": "income", "favorable": "high"},
+            "sensitive_options": {"sex": {"column": "sex", "privileged": ["M"]},
+                                  "age": {"column": "age_group", "privileged": ["old"]}},
+            "features": {"numeric": ["x"]},
+        }
+        cache = tmp_path / "cache"
+        by_sex = run_prep_stage(csv, schema_from_dict(doc, sensitive="sex"), "RW", seed=0,
+                                cache_dir=cache, dataset_name="toy")
+        by_age = run_prep_stage(csv, schema_from_dict(doc, sensitive="age"), "RW", seed=0,
+                                cache_dir=cache, dataset_name="toy")
+        assert by_sex.original_cache_key != by_age.original_cache_key
+        assert by_sex.processed_cache_key != by_age.processed_cache_key
+
+        import fairbench.pipeline.stage2 as stage2_mod
+        loaded = []
+        monkeypatch.setattr(stage2_mod, "cache_load",
+                            lambda key, root: loaded.append(cache_load(key, root)) or loaded[-1])
+        run_bench_stage(by_sex, split_spec=SplitSpec(seed=0), cache_dir=cache)
+        assert np.array_equal(loaded[0].protected, (sex == "M").astype(np.int64))
 
     def test_unknown_method_rejected(self, tmp_path):
         ds = make_synthetic(seed=0, n=50, disparity=0.0)
