@@ -10,7 +10,6 @@ seeding and an atomic on-disk dataset cache.
 
 from .dataset import (
     DatasetSchema,
-    GroupSpec,
     RawTable,
     SplitSpec,
     TabularDataset,
@@ -53,7 +52,6 @@ __all__ = [
     "FairbenchError",
     "FairbenchWarning",
     "FitError",
-    "GroupSpec",
     "LogRegConfig",
     "RawTable",
     "SchemaError",

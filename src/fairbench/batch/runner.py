@@ -10,7 +10,9 @@ import json
 import time
 import traceback
 from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
+from multiprocessing import get_context
 from pathlib import Path
 
 from ..dataset import SplitSpec, load_schema, make_synthetic
@@ -70,10 +72,35 @@ def _failed(job_id, exc, wall_time_s=0.0) -> JobOutcome:
     )
 
 
+def write_job_artifacts(stage1, bench, job_dir, **summary_fields) -> list:
+    """Write a job's artifact set under `job_dir`; returns the paths written.
+
+    `stage1.csv`, `sweep_<arm>_<split>.csv` and `sweep_<arm>.svg` per arm
+    that ran, and `summary.json`, which holds `summary_fields` next to the
+    stage-1 report, the arm summaries and the arm errors.
+    """
+    job_dir = Path(job_dir)
+    job_dir.mkdir(parents=True, exist_ok=True)
+    artifacts = [write_stage1_csv(stage1_rows(stage1), job_dir / "stage1.csv")]
+    arms = {}
+    for arm in ("original", "processed"):
+        result = getattr(bench, arm)
+        if result is None:
+            continue
+        for split_name in ("validation", "test"):
+            artifacts.append(write_sweep_csv(
+                result.records(split_name), job_dir / f"sweep_{arm}_{split_name}.csv"
+            ))
+        artifacts.append(write_sweep_svg(result, job_dir / f"sweep_{arm}.svg"))
+        arms[arm] = sweep_summary(result)
+    summary = dict(summary_fields, stage1=stage1.to_dict(), arms=arms, arm_errors=bench.errors)
+    artifacts.append(write_summary_json(summary, job_dir / "summary.json"))
+    return artifacts
+
+
 def execute_job(job: JobSpec, output_dir, cache_dir) -> JobOutcome:
     """Run one job end to end; exceptions become a failed outcome, never a crash."""
     started = time.perf_counter()
-    job_dir = Path(output_dir) / job.job_id
     try:
         effective_seed = derive_seed(job.seed, job.job_id)
         if job.dataset.synthetic is not None:
@@ -98,27 +125,10 @@ def execute_job(job: JobSpec, output_dir, cache_dir) -> JobOutcome:
             cache_dir=cache_dir,
         )
 
-        job_dir.mkdir(parents=True, exist_ok=True)
-        artifacts = [write_stage1_csv(stage1_rows(stage1), job_dir / "stage1.csv")]
-        arms = {}
-        for arm in ("original", "processed"):
-            result = getattr(bench, arm)
-            if result is None:
-                continue
-            for split_name in ("validation", "test"):
-                artifacts.append(write_sweep_csv(
-                    result.records(split_name), job_dir / f"sweep_{arm}_{split_name}.csv"
-                ))
-            artifacts.append(write_sweep_svg(result, job_dir / f"sweep_{arm}.svg"))
-            arms[arm] = sweep_summary(result)
-        summary = {
-            "job": json.loads(job.canonical()),
-            "job_id": job.job_id,
-            "stage1": stage1.to_dict(),
-            "arms": arms,
-            "arm_errors": bench.errors,
-        }
-        artifacts.append(write_summary_json(summary, job_dir / "summary.json"))
+        artifacts = write_job_artifacts(
+            stage1, bench, Path(output_dir) / job.job_id,
+            job=json.loads(job.canonical()), job_id=job.job_id,
+        )
         return JobOutcome(
             job_id=job.job_id,
             status="ok",
@@ -131,7 +141,7 @@ def execute_job(job: JobSpec, output_dir, cache_dir) -> JobOutcome:
 
 
 def _collect(job: JobSpec, future) -> JobOutcome:
-    """A future's outcome; a worker that died (BrokenProcessPool) fails its jobs, not the batch."""
+    """A future's outcome; a worker that died (BrokenProcessPool) fails the job, not the batch."""
     try:
         return future.result()
     except Exception as exc:
@@ -151,6 +161,13 @@ def run_batch(jobs, parallelism: int = 1, output_dir="fairbench_out",
         with ProcessPoolExecutor(max_workers=min(parallelism, len(jobs))) as pool:
             futures = [pool.submit(execute_job, job, output_dir, cache_dir) for job in jobs]
             outcomes = [_collect(job, future) for job, future in zip(jobs, futures)]
+        # a dead worker breaks the pool, which then fails every unfinished job;
+        # each of those runs again in a one-worker pool of its own, so only a
+        # job whose own worker dies stays failed
+        for i, (job, future) in enumerate(zip(jobs, futures)):
+            if isinstance(future.exception(), BrokenProcessPool):
+                with ProcessPoolExecutor(max_workers=1, mp_context=get_context("spawn")) as pool:
+                    outcomes[i] = _collect(job, pool.submit(execute_job, job, output_dir, cache_dir))
 
     report = BatchReport(
         outcomes=tuple(outcomes),

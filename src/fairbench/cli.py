@@ -6,10 +6,11 @@ import sys
 from pathlib import Path
 
 from .batch import expand_jobs, parse_batch_yaml, run_batch
+from .batch.runner import write_job_artifacts
 from .dataset import SplitSpec, load_schema, make_synthetic
 from .errors import FairbenchError
 from .pipeline import StageOneReport, run_bench_stage, run_prep_stage
-from .report import stage1_rows, sweep_summary, write_stage1_csv, write_summary_json, write_sweep_csv, write_sweep_svg
+from .report import stage1_rows, write_stage1_csv
 
 
 def _parse_params(pairs):
@@ -70,25 +71,15 @@ def _cmd_bench(args):
         stage1, model_name=args.model, model_params=_parse_params(args.param),
         split_spec=split, selection_metric=args.select_metric, cache_dir=args.cache_dir,
     )
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    arms = {}
+    write_job_artifacts(stage1, bench, args.out)
     for arm in ("original", "processed"):
         result = getattr(bench, arm)
         if result is None:
             print(f"  {arm} arm FAILED: {bench.errors.get(arm)}", file=sys.stderr)
-            continue
-        for split_name in ("validation", "test"):
-            write_sweep_csv(result.records(split_name), out / f"sweep_{arm}_{split_name}.csv")
-        write_sweep_svg(result, out / f"sweep_{arm}.svg")
-        arms[arm] = sweep_summary(result)
-        print(f"  {arm}: optimal threshold {result.optimal_threshold:.2f} "
-              f"(selected on validation by {result.selection_metric})")
-    write_summary_json(
-        {"stage1": stage1.to_dict(), "arms": arms, "arm_errors": bench.errors},
-        out / "summary.json",
-    )
-    print(f"benchmark outputs in {out}")
+        else:
+            print(f"  {arm}: optimal threshold {result.optimal_threshold:.2f} "
+                  f"(selected on validation by {result.selection_metric})")
+    print(f"benchmark outputs in {args.out}")
     return 1 if bench.errors else 0
 
 

@@ -2,7 +2,7 @@
 
 from .cache import cache_key, cache_load, cache_path, cache_store, content_key
 from .encode import encode
-from .schema import DatasetSchema, GroupSpec, load_schema, schema_from_dict
+from .schema import DatasetSchema, load_schema, schema_from_dict
 from .split import SplitSpec, split, split_indices
 from .synthetic import make_synthetic
 from .table import RawTable, load_csv
@@ -10,7 +10,6 @@ from .tabular import TabularDataset, apply_standardization, datasets_equal, stan
 
 __all__ = [
     "DatasetSchema",
-    "GroupSpec",
     "RawTable",
     "SplitSpec",
     "TabularDataset",

@@ -65,19 +65,6 @@ class BinarizationRule:
 
 
 @dataclass(frozen=True)
-class GroupSpec:
-    """Names the sensitive attribute and pins the encoding conventions.
-
-    Exactly two groups (privileged encoded 1, unprivileged 0) and two label
-    values (favorable encoded 1).
-    """
-
-    protected_attribute: str
-    privileged_value: int = 1
-    favorable_value: int = 1
-
-
-@dataclass(frozen=True)
 class DatasetSchema:
     name: str
     label_column: str
@@ -124,9 +111,6 @@ class DatasetSchema:
         cols |= {r.source for r in self.binarize}
         return cols - self.derived_columns()
 
-    def group_spec(self) -> GroupSpec:
-        return GroupSpec(protected_attribute=self.sensitive_attribute)
-
 
 def _parse_rules(column, source, raw_rules, where):
     rules = []
@@ -149,6 +133,17 @@ def _parse_rules(column, source, raw_rules, where):
         else:
             rules.append(BinarizationRule(column, source, op, arg, str(entry["value"])))
     return rules
+
+
+def _sensitive_options(doc: dict) -> dict:
+    """Declared sensitive attribute name -> its block: `protected` first, then `sensitive_options`."""
+    options = {}
+    if doc.get("protected"):
+        blk = doc["protected"]
+        options[str(blk.get("attribute", blk.get("column", "")))] = blk
+    for attr, blk in (doc.get("sensitive_options") or {}).items():
+        options[str(attr)] = blk
+    return options
 
 
 def schema_from_dict(doc: dict, sensitive: str = None, source: str = "<schema>") -> DatasetSchema:
@@ -176,13 +171,7 @@ def schema_from_dict(doc: dict, sensitive: str = None, source: str = "<schema>")
     if "column" not in label or "favorable" not in label:
         raise SchemaError(f"{source}: label needs 'column' and 'favorable'")
 
-    options = {}
-    if "protected" in doc:
-        blk = doc["protected"]
-        attr = str(blk.get("attribute", blk.get("column", "")))
-        options[attr] = blk
-    for attr, blk in (doc.get("sensitive_options") or {}).items():
-        options[str(attr)] = blk
+    options = _sensitive_options(doc)
     if not options:
         raise SchemaError(f"{source}: no protected attribute declared")
 
@@ -246,9 +235,4 @@ def declared_sensitive_attributes(path):
     """Attribute names a schema file declares (for batch expansion validity checks)."""
     with open(path, "r", encoding="utf-8") as fh:
         doc = yaml.safe_load(fh) or {}
-    names = []
-    blk = doc.get("protected")
-    if blk:
-        names.append(str(blk.get("attribute", blk.get("column", ""))))
-    names.extend(str(a) for a in (doc.get("sensitive_options") or {}))
-    return [n for n in names if n]
+    return [name for name in _sensitive_options(doc) if name]

@@ -29,13 +29,6 @@ class RawTable:
     def n(self):
         return len(self.rows)
 
-    def column(self, name):
-        try:
-            j = self.columns.index(name)
-        except ValueError:
-            raise DataFormatError(f"column {name!r} not in table") from None
-        return [row[j] for row in self.rows]
-
 
 def load_csv(path, schema: DatasetSchema) -> RawTable:
     """Read a CSV file and check it provides every column the schema references.

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..errors import FairbenchWarning, UndefinedMetricError
-from ..dataset.tabular import TabularDataset
+from ..dataset.tabular import TabularDataset, standardize
 
 # legal red-line for the disparate impact ratio
 DI_THRESHOLD = 0.8
@@ -112,13 +112,6 @@ def empirical_difference(ds: TabularDataset) -> float:
     return float(worst)
 
 
-def _zscore(features):
-    mu = features.mean(axis=0)
-    sd = features.std(axis=0)
-    sd = np.where(sd > 0, sd, 1.0)  # constant columns standardize to zeros
-    return (features - mu) / sd
-
-
 # consistency value by _consistency_key; one entry per distinct (features, labels, k)
 _CONSISTENCY_MEMO = {}
 
@@ -172,7 +165,7 @@ def consistency(ds: TabularDataset, k: int = 5) -> float:
         raise UndefinedMetricError(f"consistency needs 1 <= k < n, got k={k}, n={ds.n}")
     key = _consistency_key(ds.features, ds.labels, k)
     if key not in _CONSISTENCY_MEMO:
-        z = _zscore(ds.features)
+        z = standardize(ds)[0].features
         labels = ds.labels.astype(np.float64)
         means = _knn_label_means_blocked(z, labels, k)
         _CONSISTENCY_MEMO[key] = float(1.0 - np.abs(labels - means).mean())

@@ -23,7 +23,6 @@ class LogRegConfig:
     max_iter: int = 5000
     tol: float = 1e-6
     standardize: bool = True
-    seed: int = 0
 
     def __post_init__(self):
         if self.l2 < 0:

@@ -46,7 +46,6 @@ def _logreg_factory(train, params, seed):
         max_iter=int(known["max_iter"]),
         tol=float(known["tol"]),
         standardize=bool(known["standardize"]),
-        seed=seed,
     )
     return _LogRegScorer(train_logreg(train, cfg))
 

@@ -59,8 +59,7 @@ def load_dataset(source, schema=None) -> TabularDataset:
 
 
 def run_prep_stage(dataset, schema, method: str, params=None, seed: int = 0,
-                   cache_dir="fairbench_cache", dataset_name: str = None,
-                   consistency_k: int = 5) -> StageOneReport:
+                   cache_dir="fairbench_cache", dataset_name: str = None) -> StageOneReport:
     """Load/encode, transform the full dataset, compute both metric bundles, cache both.
 
     `dataset` may be a CSV path (with `schema`) or an already encoded
@@ -90,8 +89,8 @@ def run_prep_stage(dataset, schema, method: str, params=None, seed: int = 0,
         method=method,
         params=params,
         seed=seed,
-        original_metrics=dataset_metrics(ds, consistency_k=consistency_k),
-        processed_metrics=dataset_metrics(processed, consistency_k=consistency_k),
+        original_metrics=dataset_metrics(ds),
+        processed_metrics=dataset_metrics(processed),
         original_cache_key=key_orig,
         processed_cache_key=key_proc,
     )

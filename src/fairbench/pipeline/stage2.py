@@ -34,15 +34,12 @@ def _hash_indices(parts):
     return h.hexdigest()
 
 
-def _run_arm(arm, train, val, test, model_name, model_params, seed, selection_metric,
-             grid, use_eval_weights, split_hash):
+def _run_arm(arm, train, val, test, model_name, model_params, seed, selection_metric, split_hash):
     scorer = fit_model(model_name, train, model_params, seed)
-    sweeps = {}
-    for split_name, ds in (("validation", val), ("test", test)):
-        weights = ds.weights if use_eval_weights else None
-        sweeps[split_name] = sweep_thresholds(
-            ds.labels, scorer.score(ds), ds.protected, weights, grid
-        )
+    sweeps = {
+        split_name: sweep_thresholds(ds.labels, scorer.score(ds), ds.protected)
+        for split_name, ds in (("validation", val), ("test", test))
+    }
     best_t = select_optimal_threshold(sweeps["validation"], selection_metric)
     at_optimal = next(rec.metrics for rec in sweeps["test"] if rec.threshold == best_t)
     return SweepResult(
@@ -58,8 +55,7 @@ def _run_arm(arm, train, val, test, model_name, model_params, seed, selection_me
 
 def run_bench_stage(stage1: StageOneReport, model_name: str = "logreg", model_params=None,
                     split_spec: SplitSpec = None, selection_metric: str = "SPD",
-                    cache_dir="fairbench_cache", grid=None,
-                    use_eval_weights: bool = False) -> BenchStageResult:
+                    cache_dir="fairbench_cache") -> BenchStageResult:
     """Benchmark the original arm against the re-fitted transform arm.
 
     A failure in one arm is recorded and does not abort the other; at least one
@@ -80,7 +76,7 @@ def run_bench_stage(stage1: StageOneReport, model_name: str = "logreg", model_pa
     try:
         results["original"] = _run_arm(
             "original", orig_train, orig_val, orig_test, model_name, model_params,
-            stage1.seed, selection_metric, grid, use_eval_weights, split_hash,
+            stage1.seed, selection_metric, split_hash,
         )
     except Exception as exc:  # isolated per arm
         results["original"] = None
@@ -91,7 +87,7 @@ def run_bench_stage(stage1: StageOneReport, model_name: str = "logreg", model_pa
         results["processed"] = _run_arm(
             "processed", fitted.train, fitted.transform_eval(orig_val),
             fitted.transform_eval(orig_test), model_name, model_params,
-            stage1.seed, selection_metric, grid, use_eval_weights, split_hash,
+            stage1.seed, selection_metric, split_hash,
         )
     except Exception as exc:
         results["processed"] = None

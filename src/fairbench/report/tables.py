@@ -47,33 +47,24 @@ def _stage1_row(dataset, method, m: DatasetMetrics):
     )
 
 
-def stage1_rows(report: StageOneReport, include_original: bool = True):
-    """(dataset, method, metrics) rows for a report; original first when included."""
-    rows = []
-    if include_original:
-        rows.append((report.dataset, "original", report.original_metrics))
-    rows.append((report.dataset, report.method, report.processed_metrics))
-    return rows
+def stage1_rows(report: StageOneReport):
+    """(dataset, method, metrics) rows for a report: the original, then the processed side."""
+    return [
+        (report.dataset, "original", report.original_metrics),
+        (report.dataset, report.method, report.processed_metrics),
+    ]
 
 
-def write_stage1_csv(items, path) -> Path:
-    """One data row per item; items are StageOneReports (their processed side)
-    or explicit (dataset, method, DatasetMetrics) rows."""
-    if not items:
-        raise FairbenchError("no stage-1 reports to write")
-    rows = []
-    for item in items:
-        if isinstance(item, StageOneReport):
-            rows.append(_stage1_row(item.dataset, item.method, item.processed_metrics))
-        else:
-            dataset, method, metrics = item
-            rows.append(_stage1_row(dataset, method, metrics))
+def write_stage1_csv(rows, path) -> Path:
+    """One data row per (dataset, method, DatasetMetrics) row."""
+    if not rows:
+        raise FairbenchError("no stage-1 rows to write")
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(",".join(STAGE1_HEADER) + "\n")
-        for row in rows:
-            fh.write(",".join(row) + "\n")
+        for dataset, method, metrics in rows:
+            fh.write(",".join(_stage1_row(dataset, method, metrics)) + "\n")
     return path
 
 

@@ -210,6 +210,8 @@ class TestRun:
             if job.dataset.name == "synth_b" and job.method == "DIR":
                 assert outcome.status == "failed"
                 assert "BrokenProcessPool" in outcome.error
-            assert outcome.status == "ok" or outcome.error
+            else:
+                # jobs the broken pool failed run again in a pool of their own
+                assert outcome.status == "ok", (job.job_id, outcome.error)
         doc = json.loads((tmp_path / "out" / "batch_report.json").read_text())
         assert [j["status"] for j in doc["jobs"]] == [o.status for o in report.outcomes]

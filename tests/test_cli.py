@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from fairbench.batch import expand_jobs, parse_batch_yaml, run_batch
 from fairbench.cli import main
 
 GERMAN_MINI = """checking_status,duration,credit_history,purpose,credit_amount,savings_status,employment,installment_commitment,personal_status,other_parties,residence_since,property_magnitude,age,other_payment_plans,housing,existing_credits,job,num_dependents,own_telephone,foreign_worker,credit_risk
@@ -57,6 +58,38 @@ def test_prep_then_bench_on_synthetic(tmp_path, capsys):
         assert (out / name).is_file(), name
     summary = json.loads((out / "summary.json").read_text())
     assert summary["arms"]["original"]["n_thresholds"]["test"] == 99
+
+
+def test_bench_writes_the_artifact_set_of_a_batch_job(tmp_path):
+    cache = tmp_path / "cache"
+    assert main([
+        "prep", "--dataset", "synthetic:n=300,disparity=0.3,seed=2", "--method", "DIR",
+        "--out", str(tmp_path / "prep"), "--cache-dir", str(cache),
+    ]) == 0
+    report_path, = (tmp_path / "prep").glob("*.json")
+    assert main([
+        "bench", "--from", str(report_path), "--out", str(tmp_path / "bench"),
+        "--cache-dir", str(cache),
+    ]) == 0
+
+    jobs, _ = expand_jobs(parse_batch_yaml("""
+datasets:
+  - name: synth
+    synthetic: {n: 300, disparity: 0.3, seed: 2}
+methods: [DIR]
+models: [logreg]
+seeds: [0]
+"""))
+    batch = run_batch(jobs, output_dir=tmp_path / "batch", cache_dir=cache)
+    job_dir = tmp_path / "batch" / jobs[0].job_id
+    assert batch.exit_code == 0
+
+    cli_files = sorted(p.name for p in (tmp_path / "bench").iterdir())
+    assert cli_files == sorted(p.name for p in job_dir.iterdir())
+    assert "stage1.csv" in cli_files
+    cli_summary = json.loads((tmp_path / "bench" / "summary.json").read_text())
+    job_summary = json.loads((job_dir / "summary.json").read_text())
+    assert set(cli_summary) == set(job_summary) - {"job", "job_id"}
 
 
 def test_prep_on_csv_with_schema(tmp_path, capsys):

@@ -1,10 +1,11 @@
-"""Smaller contract surfaces: debug dumps, the model registry, group conventions."""
+"""Smaller contract surfaces: debug dumps, the model registry, public exports."""
+
+import importlib
 
 import numpy as np
 import pytest
 
-from fairbench.dataset import GroupSpec, load_schema, make_synthetic, standardize
-from fairbench.dataset.recipes import schema_path
+from fairbench.dataset import make_synthetic, standardize
 from fairbench.errors import SchemaError
 from fairbench.model import fit_model, model_names, register_model
 from fairbench.preproc import OppConfig, lfr_fit, opp_fit
@@ -67,12 +68,11 @@ class TestModelRegistry:
             fit_model("logreg", ds, {"penalty": "l1"})
 
 
-class TestGroupConventions:
-    def test_group_spec_encodings(self):
-        spec = GroupSpec(protected_attribute="sex")
-        assert spec.privileged_value == 1
-        assert spec.favorable_value == 1
-
-    def test_schema_exposes_group_spec(self):
-        schema = load_schema(schema_path("german"), sensitive="age")
-        assert schema.group_spec().protected_attribute == "age"
+@pytest.mark.parametrize("package", [
+    "fairbench", "fairbench.batch", "fairbench.dataset", "fairbench.metrics",
+    "fairbench.model", "fairbench.pipeline", "fairbench.preproc", "fairbench.report",
+])
+def test_every_exported_name_resolves(package):
+    module = importlib.import_module(package)
+    missing = [name for name in module.__all__ if not hasattr(module, name)]
+    assert not missing, f"{package}.__all__ names missing attributes: {missing}"

@@ -18,7 +18,7 @@ from oracles import (
     oracle_theil,
 )
 
-from fairbench.dataset import TabularDataset
+from fairbench.dataset import TabularDataset, standardize
 from fairbench.errors import FairbenchWarning, UndefinedMetricError
 from fairbench.metrics import (
     DI_THRESHOLD,
@@ -198,10 +198,11 @@ class TestConsistency:
 
     @staticmethod
     def _blocked_consistency(features, labels, k, block):
-        from fairbench.metrics.dataset_metrics import _knn_label_means_blocked, _zscore
+        from fairbench.metrics.dataset_metrics import _knn_label_means_blocked
 
         y = np.asarray(labels, dtype=float)
-        means = _knn_label_means_blocked(_zscore(features), y, k, block=block)
+        z = standardize(mk(labels, np.zeros(len(labels)), features=features))[0].features
+        means = _knn_label_means_blocked(z, y, k, block=block)
         return float(1.0 - np.abs(y - means).mean())
 
     def test_blocked_path_matches_oracle(self):

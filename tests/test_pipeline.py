@@ -265,19 +265,6 @@ class TestBenchStage:
         with pytest.raises(FairbenchError, match="not cached"):
             run_bench_stage(report, cache_dir=tmp_path / "elsewhere")
 
-    def test_eval_weighting_switch(self, tmp_path):
-        # evaluation metrics default to unit weights; the switch makes them
-        # honor the split's instance weights
-        ds = make_synthetic(seed=10, n=400, disparity=0.3)
-        weighted = ds.replace(weights=np.random.default_rng(0).uniform(0.5, 2.0, 400))
-        report = run_prep_stage(weighted, None, "DIR", {}, seed=0, cache_dir=tmp_path, dataset_name="w")
-        plain = run_bench_stage(report, split_spec=SplitSpec(seed=0), cache_dir=tmp_path)
-        honored = run_bench_stage(report, split_spec=SplitSpec(seed=0), cache_dir=tmp_path,
-                                  use_eval_weights=True)
-        a = [r.metrics.balanced_accuracy for r in plain.original.test]
-        b = [r.metrics.balanced_accuracy for r in honored.original.test]
-        assert a != b
-
     @pytest.mark.parametrize("method,params", [
         ("LFR", {"prototypes": 4, "max_iter": 150}),
         ("OPP", {"bins": 3, "max_iter": 150}),

@@ -57,13 +57,6 @@ class TestStage1Csv:
         path = write_stage1_csv(rows, tmp_path / "s1.csv")
         assert len(path.read_text().strip().split("\n")) == 3
 
-    def test_report_object_yields_processed_row(self, tmp_path, bench_result):
-        report, _ = bench_result
-        path = write_stage1_csv([report], tmp_path / "s1.csv")
-        lines = path.read_text().strip().split("\n")
-        assert len(lines) == 2
-        assert lines[1].split(",")[1] == "RW"
-
     def test_non_finite_rendered_undefined(self, tmp_path):
         path = write_stage1_csv(
             [("x", "RW", sample_metrics(disparate_impact=math.inf))], tmp_path / "s1.csv"
