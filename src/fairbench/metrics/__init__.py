@@ -8,24 +8,20 @@ from .classification import (
     classification_metrics,
     equal_opportunity_difference,
     group_confusion,
-    prediction_rate,
     theil_index,
 )
 from .dataset_metrics import (
-    DI_THRESHOLD,
     DatasetMetrics,
     base_rate,
     consistency,
     count_labels,
     dataset_metrics,
-    di_violation,
     disparate_impact,
     empirical_difference,
     statistical_parity_difference,
 )
 
 __all__ = [
-    "DI_THRESHOLD",
     "ClassificationMetrics",
     "DatasetMetrics",
     "GroupConfusion",
@@ -36,12 +32,10 @@ __all__ = [
     "consistency",
     "count_labels",
     "dataset_metrics",
-    "di_violation",
     "disparate_impact",
     "empirical_difference",
     "equal_opportunity_difference",
     "group_confusion",
-    "prediction_rate",
     "statistical_parity_difference",
     "theil_index",
 ]

@@ -30,13 +30,11 @@ class GroupConfusion:
             "fnr": (c["fn"], c["tp"] + c["fn"]),
             "fpr": (c["fp"], c["fp"] + c["tn"]),
             "tnr": (c["tn"], c["fp"] + c["tn"]),
+            "prediction": (c["tp"] + c["fp"], c["tp"] + c["fp"] + c["tn"] + c["fn"]),
         }[which]
         if den <= 0:
             raise UndefinedMetricError(f"{which} undefined for group {group!r}: empty denominator")
         return float(num / den)
-
-    def rates(self, group="all") -> dict:
-        return {name: self.rate(name, group) for name in _RATE_NAMES}
 
 
 def group_confusion(y_true, y_pred, protected, weights=None) -> GroupConfusion:
@@ -50,21 +48,16 @@ def group_confusion(y_true, y_pred, protected, weights=None) -> GroupConfusion:
     w = np.ones(n) if weights is None else np.asarray(weights, dtype=float)
     if len(w) != n:
         raise ValueError("weights length mismatch")
+    if not all(np.isin(v, (0, 1)).all() for v in (y_true, y_pred, protected)):
+        raise ValueError("y_true, y_pred, protected must be 0/1")
 
-    def mass(mask):
-        return {
-            "tp": float(w[mask & (y_true == 1) & (y_pred == 1)].sum()),
-            "fp": float(w[mask & (y_true == 0) & (y_pred == 1)].sum()),
-            "tn": float(w[mask & (y_true == 0) & (y_pred == 0)].sum()),
-            "fn": float(w[mask & (y_true == 1) & (y_pred == 0)].sum()),
-        }
-
-    everything = np.ones(n, dtype=bool)
-    return GroupConfusion(cells={
-        0: mass(protected == 0),
-        1: mass(protected == 1),
-        "all": mass(everything),
-    })
+    # one tally over bins group * 4 + truth * 2 + prediction
+    bins = protected.astype(np.int64) * 4 + y_true.astype(np.int64) * 2 + y_pred.astype(np.int64)
+    tally = np.bincount(bins, weights=w, minlength=8).reshape(2, 2, 2)
+    cells = {g: {"tn": float(tally[g, 0, 0]), "fp": float(tally[g, 0, 1]),
+                 "fn": float(tally[g, 1, 0]), "tp": float(tally[g, 1, 1])} for g in (0, 1)}
+    cells["all"] = {name: cells[0][name] + cells[1][name] for name in cells[0]}
+    return GroupConfusion(cells=cells)
 
 
 def balanced_accuracy(confusion: GroupConfusion) -> float:
@@ -83,18 +76,6 @@ def average_odds_difference(confusion: GroupConfusion) -> float:
         (confusion.rate("fpr", 0) - confusion.rate("fpr", 1))
         + (confusion.rate("tpr", 0) - confusion.rate("tpr", 1))
     )
-
-
-def prediction_rate(y_pred, protected, weights, group) -> float:
-    """Weighted favorable-prediction rate within one group."""
-    y_pred = np.asarray(y_pred)
-    protected = np.asarray(protected)
-    w = np.ones(len(y_pred)) if weights is None else np.asarray(weights, dtype=float)
-    mask = protected == group
-    total = w[mask].sum()
-    if total <= 0:
-        raise UndefinedMetricError(f"prediction rate undefined: group {group} is empty")
-    return float(w[mask & (y_pred == 1)].sum() / total)
 
 
 def theil_index(y_true, y_pred) -> float:
@@ -155,11 +136,11 @@ def classification_metrics(y_true, scores, threshold, protected, weights=None) -
     conf = group_confusion(y_true, y_pred, protected, weights)
 
     def spd():
-        return prediction_rate(y_pred, protected, weights, 0) - prediction_rate(y_pred, protected, weights, 1)
+        return conf.rate("prediction", 0) - conf.rate("prediction", 1)
 
     def di():
-        r1 = prediction_rate(y_pred, protected, weights, 1)
-        r0 = prediction_rate(y_pred, protected, weights, 0)
+        r1 = conf.rate("prediction", 1)
+        r0 = conf.rate("prediction", 0)
         if r1 == 0.0:
             return math.nan if r0 == 0.0 else math.inf
         return r0 / r1

@@ -16,15 +16,6 @@ import numpy as np
 from ..errors import FairbenchWarning, UndefinedMetricError
 from ..dataset.tabular import TabularDataset, standardize
 
-# legal red-line for the disparate impact ratio
-DI_THRESHOLD = 0.8
-
-
-def di_violation(di: float) -> bool:
-    """True when a disparate impact ratio crosses the 0.8 red line."""
-    return di <= DI_THRESHOLD
-
-
 @dataclass(frozen=True)
 class DatasetMetrics:
     """The seven data-level metrics in reporting order."""

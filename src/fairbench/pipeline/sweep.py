@@ -38,13 +38,11 @@ class SweepResult:
         return {"validation": self.validation, "test": self.test}[split]
 
 
-def sweep_thresholds(y_true, scores, protected, weights=None, grid=None):
+def sweep_thresholds(y_true, scores, protected):
     """One SweepRecord per grid threshold; undefined metrics ride along as None."""
-    grid = default_grid() if grid is None else tuple(grid)
     scores = np.asarray(scores, dtype=float)
     return tuple(
-        SweepRecord(t, classification_metrics(y_true, scores, t, protected, weights))
-        for t in grid
+        SweepRecord(t, classification_metrics(y_true, scores, t, protected)) for t in default_grid()
     )
 
 

@@ -8,6 +8,7 @@ for evaluation splits that keeps the true labels).
 from dataclasses import dataclass
 
 from ..errors import SchemaError
+from ..dataset.cache import content_key
 from ..dataset.tabular import TabularDataset, apply_standardization, standardize
 from ..util import derive_seed
 from .lfr import LfrModel, lfr_fit, lfr_gradients, lfr_objective, lfr_transform
@@ -34,7 +35,7 @@ def _dir_config(params):
     return DirConfig(repair_level=float(p["repair_level"]), grid_size=int(p["grid_size"]), columns=columns)
 
 
-def _opp_config(params, seed):
+def _opp_config(params):
     p = _take(
         params,
         {"epsilon": 0.05, "distortion_budget": 0.25, "bins": 5, "max_iter": 500,
@@ -47,7 +48,6 @@ def _opp_config(params, seed):
         distortion_budget=float(p["distortion_budget"]),
         bins=int(p["bins"]),
         max_iter=int(p["max_iter"]),
-        seed=seed,
         rho_fair=float(p["rho_fair"]),
         rho_dist=float(p["rho_dist"]),
         label_flip_cost=float(p["label_flip_cost"]),
@@ -105,11 +105,11 @@ def fit_method(name: str, train: TabularDataset, params=None, seed: int = 0) -> 
         return FittedMethod(name, lfr_transform(model, std_train), eval_lfr)
 
     if name == "OPP":
-        cfg = _opp_config(params, seed)
-        mapping = opp_fit(train, cfg)
+        mapping = opp_fit(train, _opp_config(params))
 
         def eval_opp(ds, _m=mapping, _seed=seed):
-            out = opp_transform(_m, ds, seed=derive_seed(_seed, "opp-eval", ds.n))
+            # seeded by content: equal-sized validation and test splits must not share draws
+            out = opp_transform(_m, ds, seed=derive_seed(_seed, "opp-eval", content_key(ds)))
             return out.replace(labels=ds.labels)
 
         return FittedMethod(name, opp_transform(mapping, train, seed=seed), eval_opp)

@@ -25,25 +25,12 @@ class LfrModel:
     weight_reconstruction: float # A_x
     weight_label: float          # A_y
     objective_trace: tuple
-    seed: int
 
     def __post_init__(self):
         if self.prototypes.shape[0] < 2:
             raise FitError("need at least 2 prototypes")
         if len(self.objective_trace) >= 2 and self.objective_trace[-1] > self.objective_trace[0]:
             raise FitError("objective trace increased; fit is invalid")
-
-    def dump_debug(self, path):
-        """Versioned text dump of the fitted model for inspection."""
-        lines = ["fairbench-model-dump v1", "kind lfr",
-                 f"K {self.prototypes.shape[0]}", f"d {self.prototypes.shape[1]}",
-                 f"weights A_z={self.weight_parity} A_x={self.weight_reconstruction} A_y={self.weight_label}",
-                 f"seed {self.seed}",
-                 "trace " + " ".join(f"{v:.10g}" for v in self.objective_trace)]
-        for k, (v, w) in enumerate(zip(self.prototypes, self.label_weights)):
-            lines.append(f"prototype {k} w={w!r} " + " ".join(repr(float(x)) for x in v))
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write("\n".join(lines) + "\n")
 
 
 def _soft_assignments(x, prototypes):
@@ -163,7 +150,6 @@ def lfr_fit(ds: TabularDataset, n_prototypes: int = 10, a_z: float = 50.0,
         weight_reconstruction=a_x,
         weight_label=a_y,
         objective_trace=tuple(trace),
-        seed=seed,
     )
 
 

@@ -26,7 +26,6 @@ class OppConfig:
     distortion_budget: float = 0.25
     bins: int = 5
     max_iter: int = 500
-    seed: int = 0
     rho_fair: float = 100.0
     rho_dist: float = 100.0
     label_flip_cost: float = 1.0
@@ -57,34 +56,20 @@ class OppMap:
     fairness_residual: float
     distortion_residual: float
     row_sum_drift: float       # max |row sum - 1| seen over all iterations
-    seed: int
 
     def __post_init__(self):
         sums = self.table.sum(axis=1)
         if (self.table < 0).any() or np.abs(sums - 1.0).max() > 1e-9:
             raise FitError("conditional table rows must be distributions (sum 1, non-negative)")
 
-    def dump_debug(self, path):
-        """Versioned text dump of the fitted map for inspection."""
-        lines = ["fairbench-model-dump v1", "kind opp",
-                 f"columns {' '.join(self.column_names)}",
-                 f"epsilon {self.epsilon!r}", f"budget {self.distortion_budget!r}",
-                 f"residuals fair={self.fairness_residual!r} dist={self.distortion_residual!r}",
-                 f"seed {self.seed}",
-                 "trace " + " ".join(f"{v:.10g}" for v in self.penalty_trace)]
-        for r, key in enumerate(self.row_keys):
-            lines.append(f"row {key} " + " ".join(repr(float(v)) for v in self.table[r]))
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write("\n".join(lines) + "\n")
-
 
 def _discretize_columns(ds, cfg):
-    """Per-column binning structures and the per-record cell tuples."""
+    """Per-column binning structures: kind, edges or levels, and bin values."""
     names = list(cfg.columns) if cfg.columns is not None else list(ds.feature_names)
     missing = set(names) - set(ds.feature_names)
     if missing:
         raise FitError(f"unknown OPP column(s): {sorted(missing)}")
-    kinds, edges_list, values_list, codes = [], [], [], []
+    kinds, edges_list, values_list = [], [], []
     for name in names:
         col = ds.features[:, ds.feature_names.index(name)]
         uniq = np.unique(col)
@@ -92,8 +77,6 @@ def _discretize_columns(ds, cfg):
             kinds.append("levels")
             edges_list.append(tuple(float(u) for u in uniq))
             values_list.append(tuple(float(u) for u in uniq))
-            level_pos = {u: i for i, u in enumerate(uniq)}
-            codes.append(np.array([level_pos[v] for v in col], dtype=np.int64))
         else:
             qs = np.quantile(col, np.linspace(0, 1, cfg.bins + 1)[1:-1])
             interior = np.unique(qs)
@@ -105,23 +88,41 @@ def _discretize_columns(ds, cfg):
                 members = col[code == b]
                 medians.append(float(np.median(members)) if len(members) else float(col.mean()))
             values_list.append(tuple(medians))
-            codes.append(code)
-    cell_per_record = [tuple(int(c[i]) for c in codes) for i in range(ds.n)]
-    return names, tuple(kinds), tuple(edges_list), tuple(values_list), cell_per_record
+    return names, tuple(kinds), tuple(edges_list), tuple(values_list)
 
 
-def _distortion_matrix(row_keys, target_keys, cells, n_cols, flip_cost):
-    cell_arr = np.array(cells, dtype=np.int64).reshape(len(cells), n_cols)
-    row_cells = np.array([k[0] for k in row_keys])
-    row_labels = np.array([k[1] for k in row_keys])
-    tgt_cells = np.array([k[0] for k in target_keys])
-    tgt_labels = np.array([k[1] for k in target_keys])
-    if n_cols:
-        diff = cell_arr[row_cells][:, None, :] != cell_arr[tgt_cells][None, :, :]
-        hamming = diff.sum(axis=2) / n_cols
-    else:
-        hamming = np.zeros((len(row_keys), len(target_keys)))
-    flips = (row_labels[:, None] != tgt_labels[None, :]).astype(float)
+def _cell_codes(ds: TabularDataset, names, kinds, edges_list):
+    """(n, columns) cell codes under a binning; values off the levels clamp to the nearest."""
+    codes = np.empty((ds.n, len(names)), dtype=np.int64)
+    clamped = 0
+    for j, (name, kind, edges) in enumerate(zip(names, kinds, edges_list)):
+        if name not in ds.feature_names:
+            raise FitError(f"dataset lacks fitted column {name!r}")
+        col = ds.features[:, ds.feature_names.index(name)]
+        edges = np.asarray(edges)
+        if kind == "binned":
+            codes[:, j] = np.searchsorted(edges, col, side="right")
+        else:
+            # an exact hit is the nearest level, so this clamps only the misses
+            codes[:, j] = np.abs(col[:, None] - edges[None, :]).argmin(axis=1)
+            clamped += int((edges[codes[:, j]] != col).sum())
+    if clamped:
+        warnings.warn(f"{clamped} value(s) outside the fitted levels clamped to the nearest", FairbenchWarning)
+    return codes
+
+
+def _unique_rows(matrix):
+    """Lexicographically sorted distinct rows and each input row's index among them."""
+    rows, inverse = np.unique(matrix, axis=0, return_inverse=True)
+    # the inverse's shape differs across numpy 2.x releases
+    return rows, inverse.ravel()
+
+
+def _distortion_matrix(row_keys, target_keys, cells, flip_cost):
+    """Hamming distance between cells plus the label-flip cost, per (row, target)."""
+    diff = cells[row_keys[:, 0]][:, None, :] != cells[target_keys[:, 0]][None, :, :]
+    hamming = diff.sum(axis=2) / max(cells.shape[1], 1)  # no columns: every distance is 0
+    flips = (row_keys[:, 1][:, None] != target_keys[:, 1][None, :]).astype(float)
     return hamming + flip_cost * flips
 
 
@@ -132,35 +133,27 @@ def opp_fit(ds: TabularDataset, cfg: OppConfig = OppConfig()) -> OppMap:
     is non-increasing by construction. If no table drives both penalties to
     zero the best-effort table is returned with the residuals recorded.
     """
-    names, kinds, edges, values, cell_per_record = _discretize_columns(ds, cfg)
+    names, kinds, edges, values = _discretize_columns(ds, cfg)
     domain = 1
     for vals in values:
         domain *= len(vals)
     if domain * 2 > _MAX_DOMAIN_CELLS:
         raise FitError(
-            f"discretized domain too large: {domain} cells x 2 labels > {_MAX_DOMAIN_CELLS}"
+            f"discretized domain too large: {domain} cells x 2 labels > {_MAX_DOMAIN_CELLS} "
+            f"from {len(names)} discretized column(s); set the OPP parameter `columns` "
+            "to a few low-cardinality feature columns"
         )
-    cells = tuple(sorted(set(cell_per_record)))
-    cell_index = {c: i for i, c in enumerate(cells)}
+    cells, cell_of = _unique_rows(_cell_codes(ds, names, kinds, edges))
+    row_keys, row_of = _unique_rows(np.column_stack([cell_of, ds.labels, ds.protected]))
+    target_keys, target_of = _unique_rows(np.column_stack([cell_of, ds.labels]))
     w = ds.weights / ds.weights.sum()
+    p_row = np.bincount(row_of, weights=w)
+    p_target = np.bincount(target_of, weights=w)
 
-    row_prob, target_prob = {}, {}
-    for i in range(ds.n):
-        cell = cell_index[cell_per_record[i]]
-        row_prob[(cell, int(ds.labels[i]), int(ds.protected[i]))] = (
-            row_prob.get((cell, int(ds.labels[i]), int(ds.protected[i])), 0.0) + w[i]
-        )
-        target_prob[(cell, int(ds.labels[i]))] = target_prob.get((cell, int(ds.labels[i])), 0.0) + w[i]
-    row_keys = tuple(sorted(row_prob))
-    target_keys = tuple(sorted(target_prob))
-    p_row = np.array([row_prob[k] for k in row_keys])
-    p_target = np.array([target_prob[k] for k in target_keys])
+    dist = _distortion_matrix(row_keys, target_keys, cells, cfg.label_flip_cost)
 
-    n_cols = len(names)
-    dist = _distortion_matrix(row_keys, target_keys, cells, n_cols, cfg.label_flip_cost)
-
-    y1 = np.array([k[1] == 1 for k in target_keys], dtype=float)           # targets with favorable label
-    row_group = np.array([k[2] for k in row_keys])
+    y1 = (target_keys[:, 1] == 1).astype(float)           # targets with favorable label
+    row_group = row_keys[:, 2]
     p_group = np.array([p_row[row_group == s].sum() for s in (0, 1)])
     if (p_group <= 0).any():
         raise FitError("both groups must be present")
@@ -245,9 +238,9 @@ def opp_fit(ds: TabularDataset, cfg: OppConfig = OppConfig()) -> OppMap:
         column_kinds=kinds,
         bin_edges=edges,
         bin_values=values,
-        cells=cells,
-        row_keys=row_keys,
-        target_keys=target_keys,
+        cells=tuple(map(tuple, cells.tolist())),
+        row_keys=tuple(map(tuple, row_keys.tolist())),
+        target_keys=tuple(map(tuple, target_keys.tolist())),
         table=table,
         epsilon=cfg.epsilon,
         distortion_budget=cfg.distortion_budget,
@@ -255,79 +248,63 @@ def opp_fit(ds: TabularDataset, cfg: OppConfig = OppConfig()) -> OppMap:
         fairness_residual=fair_residual,
         distortion_residual=dist_residual,
         row_sum_drift=drift,
-        seed=cfg.seed,
     )
 
 
-def _encode_record_cells(mapping: OppMap, ds: TabularDataset):
-    """Cell tuple per record under the fitted binning; out-of-domain levels clamp."""
-    clamped = 0
-    per_col_codes = []
-    for name, kind, edges, values in zip(
-        mapping.column_names, mapping.column_kinds, mapping.bin_edges, mapping.bin_values
-    ):
-        if name not in ds.feature_names:
-            raise FitError(f"dataset lacks fitted column {name!r}")
-        col = ds.features[:, ds.feature_names.index(name)]
-        if kind == "binned":
-            per_col_codes.append(np.searchsorted(np.asarray(edges), col, side="right"))
-        else:
-            levels = np.asarray(edges)
-            codes = np.empty(len(col), dtype=np.int64)
-            for i, v in enumerate(col):
-                hits = np.flatnonzero(levels == v)
-                if len(hits):
-                    codes[i] = hits[0]
-                else:
-                    codes[i] = int(np.abs(levels - v).argmin())
-                    clamped += 1
-            per_col_codes.append(codes)
-    if clamped:
-        warnings.warn(f"{clamped} value(s) outside the fitted levels clamped to the nearest", FairbenchWarning)
-    return [tuple(int(c[i]) for c in per_col_codes) for i in range(ds.n)]
+def _lookup(keys, queries):
+    """Index of each query row among the sorted distinct rows `keys`, or -1 when absent."""
+    found, inverse = _unique_rows(np.concatenate([keys, queries]))
+    position = np.full(len(found), -1)
+    position[inverse[: len(keys)]] = np.arange(len(keys))
+    return position[inverse[len(keys):]]
 
 
-def opp_transform(mapping: OppMap, ds: TabularDataset, seed: int = None) -> TabularDataset:
+def opp_transform(mapping: OppMap, ds: TabularDataset, seed: int) -> TabularDataset:
     """Resample each record's cell and label from the fitted conditional table.
 
     Numeric columns take their target bin's training median; group membership
-    and weights are preserved. Deterministic for a given seed.
+    and weights are preserved. Deterministic for a given seed: the draws are
+    those of one `rng.choice(p=row)` per record, in record order.
     """
-    rng = np.random.default_rng(mapping.seed if seed is None else seed)
-    cell_index = {c: i for i, c in enumerate(mapping.cells)}
-    record_cells = _encode_record_cells(mapping, ds)
-    row_index = {k: r for r, k in enumerate(mapping.row_keys)}
+    rng = np.random.default_rng(seed)
+    cells = np.array(mapping.cells, dtype=np.int64).reshape(len(mapping.cells), len(mapping.column_names))
+    row_keys = np.array(mapping.row_keys, dtype=np.int64)
+    target_keys = np.array(mapping.target_keys, dtype=np.int64)
 
-    cell_arr = np.array(mapping.cells, dtype=np.int64)
-    clamped_rows = 0
+    record_cells = _cell_codes(ds, mapping.column_names, mapping.column_kinds, mapping.bin_edges)
+    cell = _lookup(cells, record_cells)
+    unseen_cells = np.flatnonzero(cell < 0)
+    for i in unseen_cells:
+        # unseen combination: snap to the nearest observed cell by Hamming distance
+        cell[i] = (cells != record_cells[i]).sum(axis=1).argmin()
+    keys = np.column_stack([cell, ds.labels, ds.protected])
+    row = _lookup(row_keys, keys)
+    unseen_keys = np.flatnonzero(row < 0)
+    for i in unseen_keys:
+        # (cell, label, group) unseen in training: prefer rows sharing the
+        # label and group, then the group alone (fitting needs both groups)
+        key_cell, label, group = keys[i]
+        same_group = row_keys[:, 2] == group
+        candidates = np.flatnonzero(same_group & (row_keys[:, 1] == label))
+        if not len(candidates):
+            candidates = np.flatnonzero(same_group)
+        row[i] = candidates[np.abs(row_keys[candidates, 0] - key_cell).argmin()]
+    clamped_rows = len(unseen_cells) + len(unseen_keys)
+
+    # inverse-CDF draws, computed as Generator.choice computes them
+    cdf = mapping.table.cumsum(axis=1)
+    cdf /= cdf[:, -1:]
+    u = rng.random(ds.n)
+    target = np.empty(ds.n, dtype=np.int64)
+    for r in np.unique(row):
+        at = row == r
+        target[at] = cdf[r].searchsorted(u[at], side="right")
+
+    target_cells = cells[target_keys[target, 0]]
     features = ds.features.copy()
-    labels = ds.labels.copy()
-    col_pos = [ds.feature_names.index(n) for n in mapping.column_names]
-
-    for i in range(ds.n):
-        cell = cell_index.get(record_cells[i])
-        if cell is None:
-            # unseen combination: snap to the nearest observed cell by Hamming distance
-            diffs = (cell_arr != np.array(record_cells[i])).sum(axis=1)
-            cell = int(diffs.argmin())
-            clamped_rows += 1
-        key = (cell, int(ds.labels[i]), int(ds.protected[i]))
-        row = row_index.get(key)
-        if row is None:
-            # (cell, label, group) unseen in training: prefer rows sharing the
-            # label and group, then the group alone, then anything
-            for match in (lambda k: k[1:] == key[1:], lambda k: k[2] == key[2], lambda k: True):
-                candidates = [r for r, k in enumerate(mapping.row_keys) if match(k)]
-                if candidates:
-                    break
-            row = min(candidates, key=lambda r: abs(mapping.row_keys[r][0] - cell))
-            clamped_rows += 1
-        t = rng.choice(len(mapping.target_keys), p=mapping.table[row])
-        tgt_cell, tgt_label = mapping.target_keys[t]
-        labels[i] = tgt_label
-        for j, name_pos in enumerate(col_pos):
-            features[i, name_pos] = mapping.bin_values[j][mapping.cells[tgt_cell][j]]
+    for j, name in enumerate(mapping.column_names):
+        features[:, ds.feature_names.index(name)] = np.asarray(mapping.bin_values[j])[target_cells[:, j]]
     if clamped_rows:
         warnings.warn(f"{clamped_rows} record(s) outside the fitted domain snapped to the nearest cell", FairbenchWarning)
 
-    return ds.replace(features=features, labels=labels).with_provenance_step("opp")
+    return ds.replace(features=features, labels=target_keys[target, 1]).with_provenance_step("opp")

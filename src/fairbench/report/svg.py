@@ -118,28 +118,26 @@ def _panel(out, index, title, records, optimal_t):
                 )
 
 
-def render_sweep_svg(result: SweepResult, arm_label: str = None, split: str = "test") -> str:
-    """Render one arm's sweep; returns the SVG document as a string."""
-    records = result.records(split)
-    label = arm_label or result.arm
+def render_sweep_svg(result: SweepResult) -> str:
+    """Render one arm's test-split sweep; returns the SVG document as a string."""
     width = _PANEL_W * len(PANEL_METRICS)
     height = _PANEL_H + 28
     out = [
         '<?xml version="1.0" encoding="UTF-8"?>',
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
         f'viewBox="0 0 {width} {height}" font-family="sans-serif">',
-        f'<text x="8" y="16" font-size="13">{label} ({split} split)</text>',
+        f'<text x="8" y="16" font-size="13">{result.arm} (test split)</text>',
         f'<text x="8" y="{_PANEL_H + 16}" font-size="11" fill="{_BLUE}">balanced accuracy (left axis)</text>',
         f'<text x="240" y="{_PANEL_H + 16}" font-size="11" fill="{_RED}">fairness metric (right axis)</text>',
     ]
     for i, (title, _) in enumerate(PANEL_METRICS):
-        _panel(out, i, title, records, result.optimal_threshold)
+        _panel(out, i, title, result.test, result.optimal_threshold)
     out.append("</svg>")
     return "\n".join(out) + "\n"
 
 
-def write_sweep_svg(result: SweepResult, path, arm_label: str = None, split: str = "test"):
+def write_sweep_svg(result: SweepResult, path):
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(render_sweep_svg(result, arm_label, split), encoding="utf-8")
+    path.write_text(render_sweep_svg(result), encoding="utf-8")
     return path

@@ -169,3 +169,54 @@ def oracle_classification(y_true, scores, threshold, protected, weights):
         "theil_index": oracle_theil(y_true, y_pred),
         "rates": {0: g0, 1: g1, "all": pooled},
     }
+
+
+def oracle_opp_transform(mapping, ds, seed):
+    """OPP's sampler one record at a time: dict lookups, then one
+    `rng.choice(len(targets), p=table[row])` per record, in record order.
+    numpy is used only for that generator.
+
+    Returns (features, labels, paths), where paths counts each fallback taken:
+    values clamped to the nearest level, cells snapped to the nearest
+    observed cell, and (cell, label, group) keys unseen in training.
+    """
+    import numpy as np
+
+    rng = np.random.default_rng(seed)
+    cell_index = {c: i for i, c in enumerate(mapping.cells)}
+    row_index = {k: r for r, k in enumerate(mapping.row_keys)}
+    col_pos = [ds.feature_names.index(name) for name in mapping.column_names]
+    features = ds.features.copy()
+    labels = ds.labels.copy()
+    paths = {"clamped": 0, "snapped": 0, "unseen_key": 0}
+    for i in range(ds.n):
+        record = []
+        for j, pos in enumerate(col_pos):
+            v, edges = float(ds.features[i, pos]), mapping.bin_edges[j]
+            if mapping.column_kinds[j] == "binned":
+                record.append(sum(1 for e in edges if e <= v))
+            elif v in edges:
+                record.append(edges.index(v))
+            else:
+                record.append(min(range(len(edges)), key=lambda k: abs(edges[k] - v)))
+                paths["clamped"] += 1
+        record = tuple(record)
+        cell = cell_index.get(record)
+        if cell is None:
+            cell = min(range(len(mapping.cells)),
+                       key=lambda c: sum(a != b for a, b in zip(mapping.cells[c], record)))
+            paths["snapped"] += 1
+        key = (cell, int(ds.labels[i]), int(ds.protected[i]))
+        row = row_index.get(key)
+        if row is None:
+            for match in (lambda k: k[1:] == key[1:], lambda k: k[2] == key[2], lambda k: True):
+                candidates = [r for r, k in enumerate(mapping.row_keys) if match(k)]
+                if candidates:
+                    break
+            row = min(candidates, key=lambda r: abs(mapping.row_keys[r][0] - cell))
+            paths["unseen_key"] += 1
+        t = rng.choice(len(mapping.target_keys), p=mapping.table[row])
+        target_cell, labels[i] = mapping.target_keys[t]
+        for j, pos in enumerate(col_pos):
+            features[i, pos] = mapping.bin_values[j][mapping.cells[target_cell][j]]
+    return features, labels, paths

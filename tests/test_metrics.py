@@ -21,14 +21,12 @@ from oracles import (
 from fairbench.dataset import TabularDataset, standardize
 from fairbench.errors import FairbenchWarning, UndefinedMetricError
 from fairbench.metrics import (
-    DI_THRESHOLD,
     balanced_accuracy,
     base_rate,
     classification_metrics,
     consistency,
     count_labels,
     dataset_metrics,
-    di_violation,
     disparate_impact,
     empirical_difference,
     equal_opportunity_difference,
@@ -95,11 +93,6 @@ class TestDisparateImpactAndSpd:
             ds = mk(labels, protected, weights)
             expected = base_rate(ds, 0) - base_rate(ds, 1)
             assert statistical_parity_difference(ds) == pytest.approx(expected, abs=TOL)
-
-    def test_di_red_line(self):
-        assert di_violation(0.8) and di_violation(0.5)
-        assert not di_violation(0.81)
-        assert DI_THRESHOLD == 0.8
 
 
 class TestCounts:
@@ -302,6 +295,12 @@ class TestGroupConfusion:
         conf = group_confusion(np.array([1, 1]), np.array([1, 0]), np.array([0, 0]))
         with pytest.raises(UndefinedMetricError, match="fpr.*group 0"):
             conf.rate("fpr", 0)
+
+    def test_non_binary_inputs_rejected(self):
+        y = np.array([1, 0, 1, 0])
+        for y_true, y_pred, protected in ((y + 1, y, y), (y, 2 * y, y), (y, y, np.array([0, 1, 2, 1]))):
+            with pytest.raises(ValueError, match="must be 0/1"):
+                group_confusion(y_true, y_pred, protected)
 
 
 class TestBundledScalars:

@@ -110,7 +110,7 @@ class TestTransform:
             prototypes=prototypes,
             label_weights=np.array([0.9, 0.1, 0.5, 0.7]),
             weight_parity=1.0, weight_reconstruction=1.0, weight_label=1.0,
-            objective_trace=(1.0, 0.5), seed=0,
+            objective_trace=(1.0, 0.5),
         )
         from fairbench.dataset import TabularDataset
         features = prototypes.copy() + rng.normal(scale=1e-9, size=prototypes.shape)

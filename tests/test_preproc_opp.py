@@ -3,10 +3,12 @@
 import numpy as np
 import pytest
 
+from oracles import oracle_opp_transform
+
 from fairbench.dataset import TabularDataset
-from fairbench.errors import FitError
+from fairbench.errors import FairbenchWarning, FitError
 from fairbench.metrics import base_rate, disparate_impact, statistical_parity_difference
-from fairbench.preproc import OppConfig, opp_fit, opp_transform
+from fairbench.preproc import OppConfig, fit_method, opp_fit, opp_transform
 
 
 def surrogate(seed=7, n=1500, rate0=0.2, rate1=0.8):
@@ -57,13 +59,13 @@ class TestFit:
         ds = TabularDataset(features, rng.integers(0, 2, 300),
                             np.array([0, 1] * 150), np.ones(300),
                             tuple(f"c{i}" for i in range(8)), "t")
-        with pytest.raises(FitError, match="domain too large"):
+        with pytest.raises(FitError, match=r"domain too large.* from 8 discretized column\(s\); set .*`columns`"):
             opp_fit(ds, OppConfig(bins=5))
 
     def test_deterministic_fit(self):
         ds = surrogate(seed=5, n=400)
-        a = opp_fit(ds, OppConfig(epsilon=0.1, distortion_budget=0.3, bins=3, max_iter=100, seed=9))
-        b = opp_fit(ds, OppConfig(epsilon=0.1, distortion_budget=0.3, bins=3, max_iter=100, seed=9))
+        a = opp_fit(ds, OppConfig(epsilon=0.1, distortion_budget=0.3, bins=3, max_iter=100))
+        b = opp_fit(ds, OppConfig(epsilon=0.1, distortion_budget=0.3, bins=3, max_iter=100))
         assert np.array_equal(a.table, b.table)
 
 
@@ -148,6 +150,50 @@ class TestTransform:
         assert np.array_equal(a.labels, b.labels)
         c = opp_transform(mapping, ds, seed=6)
         assert not (np.array_equal(a.labels, c.labels) and np.array_equal(a.features, c.features))
+
+    def test_matches_per_record_reference_sampler(self):
+        # training ties x to b and never pairs b=1, label 1 with group 0, so
+        # the evaluation records below reach unseen cells and unseen keys
+        rng = np.random.default_rng(21)
+        b = rng.integers(0, 2, 300).astype(float)
+        protected = rng.integers(0, 2, 300)
+        labels = rng.integers(0, 2, 300) * ((b == 0) | (protected == 1))
+        x = rng.normal(3.0 * b, 0.5)
+        train = TabularDataset(np.column_stack([b, x]), labels, protected, np.ones(300), ("b", "x"), "t")
+        mapping = opp_fit(train, OppConfig(epsilon=0.1, distortion_budget=0.3, bins=3, max_iter=150))
+
+        b = rng.integers(0, 2, 200).astype(float)
+        b[:7] = 0.4  # off the fitted levels: clamped to the nearest
+        evaluation = TabularDataset(np.column_stack([b, rng.normal(1.5, 2.0, 200)]),
+                                    rng.integers(0, 2, 200), rng.integers(0, 2, 200), np.ones(200),
+                                    ("b", "x"), "e")
+        for ds in (train, evaluation):
+            for seed in (0, 1, 2):
+                features, labels, paths = oracle_opp_transform(mapping, ds, seed)
+                if ds is evaluation:
+                    assert min(paths.values()) > 0, paths
+                    with pytest.warns(FairbenchWarning, match="clamped"):
+                        out = opp_transform(mapping, ds, seed)
+                else:
+                    assert paths == {"clamped": 0, "snapped": 0, "unseen_key": 0}
+                    out = opp_transform(mapping, ds, seed)
+                assert np.array_equal(out.features, features)
+                assert np.array_equal(out.labels, labels)
+
+    def test_equal_sized_eval_splits_draw_apart(self):
+        # the splits differ only in a column OPP does not discretize
+        train = surrogate(seed=11, n=600)
+        fitted = fit_method("OPP", train, {"columns": ["x"], "epsilon": 0.1, "distortion_budget": 0.3,
+                                           "bins": 3, "max_iter": 150}, seed=0)
+        base = surrogate(seed=12, n=200)
+
+        def with_z(z):
+            return TabularDataset(np.column_stack([base.features[:, 0], z]), base.labels, base.protected,
+                                  base.weights, ("x", "z"), "e")
+
+        validation = fitted.transform_eval(with_z(np.zeros(200)))
+        test = fitted.transform_eval(with_z(np.ones(200)))
+        assert not np.array_equal(validation.features[:, 0], test.features[:, 0])
 
     def test_group_and_weights_preserved(self):
         ds = surrogate(seed=10)
