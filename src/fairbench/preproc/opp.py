@@ -153,8 +153,10 @@ def opp_fit(ds: TabularDataset, cfg: OppConfig = OppConfig()) -> OppMap:
     dist = _distortion_matrix(row_keys, target_keys, cells, cfg.label_flip_cost)
 
     y1 = (target_keys[:, 1] == 1).astype(float)           # targets with favorable label
-    row_group = row_keys[:, 2]
-    p_group = np.array([p_row[row_group == s].sum() for s in (0, 1)])
+    # each group's table rows and their masses, selected once per fit
+    group_rows = [np.flatnonzero(row_keys[:, 2] == s) for s in (0, 1)]
+    p_row_group = [p_row[rows] for rows in group_rows]
+    p_group = np.array([p.sum() for p in p_row_group])
     if (p_group <= 0).any():
         raise FitError("both groups must be present")
     target_rate = float((ds.weights * (ds.labels == 1)).sum() / ds.weights.sum())
@@ -170,7 +172,7 @@ def opp_fit(ds: TabularDataset, cfg: OppConfig = OppConfig()) -> OppMap:
             logs = np.where(p_hat > 0, np.log(np.where(p_hat > 0, p_hat, 1.0) / p_target), 0.0)
         kl = float((p_hat * logs).sum())
         rates = np.array([
-            float((p_row[row_group == s] @ tab[row_group == s]) @ y1) / p_group[s] for s in (0, 1)
+            float((p_row_group[s] @ tab[group_rows[s]]) @ y1) / p_group[s] for s in (0, 1)
         ])
         ratios = rates / target_rate
         hinges = np.maximum(0.0, np.abs(ratios - 1.0) - cfg.epsilon)
@@ -192,7 +194,7 @@ def opp_fit(ds: TabularDataset, cfg: OppConfig = OppConfig()) -> OppMap:
         for s in (0, 1):
             if active[s]:
                 sign = math.copysign(1.0, ratios[s] - 1.0)
-                grad[row_group == s] += cfg.rho_fair * sign * y1[None, :] / (p_group[s] * target_rate)
+                grad[group_rows[s]] += cfg.rho_fair * sign * y1[None, :] / (p_group[s] * target_rate)
         if dist_hinge > 0:
             grad += cfg.rho_dist * dist
 

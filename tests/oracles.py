@@ -89,6 +89,18 @@ def oracle_consistency(features, labels, k):
     return 1.0 - total / n
 
 
+def oracle_soft_assignments(x, prototypes):
+    """Row-wise softmax over -||x_i - v_k||^2, each distance summed coordinate by coordinate."""
+    out = []
+    for row in x:
+        logits = [-sum((row[c] - v[c]) ** 2 for c in range(len(row))) for v in prototypes]
+        top = max(logits)
+        e = [math.exp(a - top) for a in logits]
+        total = sum(e)
+        out.append([v / total for v in e])
+    return out
+
+
 def oracle_confusion_rates(y_true, y_pred, protected, weights, group):
     tp = fp = tn = fn = 0.0
     for i in range(len(y_true)):

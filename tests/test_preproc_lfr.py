@@ -1,13 +1,17 @@
 """Fair representation learning: gradient exactness, monotone descent, transform behavior."""
 
+import tracemalloc
+import warnings
+
 import numpy as np
 import pytest
+from oracles import oracle_soft_assignments
 
-from fairbench.dataset import make_synthetic, standardize
-from fairbench.errors import FitError
+from fairbench.dataset import TabularDataset, make_synthetic, standardize
+from fairbench.errors import FairbenchWarning, FitError
 from fairbench.metrics import consistency
-from fairbench.preproc import lfr_fit, lfr_transform
-from fairbench.preproc.lfr import lfr_gradients, lfr_objective
+from fairbench.preproc import lfr as lfr_module, lfr_fit, lfr_transform
+from fairbench.preproc.lfr import _soft_assignments, lfr_gradients, lfr_objective
 
 
 def std_synthetic(seed=0, n=200, disparity=0.3):
@@ -54,6 +58,27 @@ class TestGradients:
             assert finite_difference_check(rng) <= 1e-4
 
 
+class TestSoftAssignments:
+    @pytest.mark.parametrize("case", ["z_scored", "record_on_prototype", "saturated"])
+    def test_matches_loop_oracle(self, case):
+        rng = np.random.default_rng(21)
+        if case == "z_scored":
+            x = rng.normal(size=(40, 6))
+            x = (x - x.mean(axis=0)) / x.std(axis=0)
+            prototypes = x[rng.choice(40, size=5, replace=False)] + rng.normal(scale=0.3, size=(5, 6))
+        elif case == "record_on_prototype":
+            # the distance to the record's own prototype cancels to zero
+            prototypes = rng.normal(scale=3.0, size=(4, 5))
+            x = np.vstack([prototypes, prototypes[2] + 1e-9, rng.normal(size=(6, 5))])
+        else:
+            # prototypes hundreds of units apart push every row to one-hot
+            prototypes = np.array([[0.0, 0.0, 0.0], [300.0, 0.0, 0.0], [0.0, -300.0, 0.0]])
+            x = prototypes[rng.integers(0, 3, 12)] + rng.normal(size=(12, 3))
+        got = _soft_assignments(x, prototypes)
+        want = np.array(oracle_soft_assignments(x.tolist(), prototypes.tolist()))
+        assert np.abs(got - want).max() <= 1e-12
+
+
 class TestFit:
     def test_objective_trace_non_increasing(self):
         model = lfr_fit(std_synthetic(), n_prototypes=5, seed=1, max_iter=300, tol=1e-9)
@@ -88,6 +113,49 @@ class TestFit:
         ds = std_synthetic(n=20)
         with pytest.raises(FitError, match="fewer prototypes"):
             lfr_fit(ds, n_prototypes=20)
+
+    def test_each_candidate_assigned_once(self, monkeypatch):
+        # the gradient reuses the accepted candidate's forward pass, so every
+        # soft assignment belongs to one objective evaluation
+        calls = {"assign": 0, "forward": 0}
+        real_assign, real_forward = lfr_module._soft_assignments, lfr_module._forward
+
+        def assign(*args):
+            calls["assign"] += 1
+            return real_assign(*args)
+
+        def forward(*args):
+            calls["forward"] += 1
+            return real_forward(*args)
+
+        monkeypatch.setattr(lfr_module, "_soft_assignments", assign)
+        monkeypatch.setattr(lfr_module, "_forward", forward)
+        model = lfr_fit(std_synthetic(seed=3), n_prototypes=5, seed=1, max_iter=100)
+        assert calls["forward"] >= len(model.objective_trace) > 2
+        assert calls["assign"] == calls["forward"]
+
+    @pytest.mark.filterwarnings("ignore::fairbench.errors.FairbenchWarning")
+    def test_peak_memory_below_half_the_broadcast_tensor(self):
+        n, d, k = 2000, 200, 10
+        rng = np.random.default_rng(5)
+        ds = TabularDataset(rng.normal(size=(n, d)), rng.integers(0, 2, n), rng.integers(0, 2, n),
+                            np.ones(n), tuple(f"f{j}" for j in range(d)), "mem")
+        tracemalloc.start()
+        try:
+            lfr_fit(ds, n_prototypes=k, seed=0, max_iter=5)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < n * k * d * 8 / 2
+
+    def test_warns_when_max_iter_is_reached(self):
+        ds = std_synthetic()
+        with pytest.warns(FairbenchWarning, match=r"max_iter=3 steps: last relative objective drop"):
+            model = lfr_fit(ds, n_prototypes=5, seed=1, max_iter=3)
+        assert len(model.objective_trace) == 4
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", FairbenchWarning)
+            lfr_fit(ds, n_prototypes=5, seed=1)  # converges within the default max_iter
 
     def test_deterministic_given_seed(self):
         ds = std_synthetic(seed=2, n=120)
