@@ -4,6 +4,8 @@ An adapter takes (train dataset, params dict, seed) and returns an object with
 a `score(ds) -> array in [0,1]` method.
 """
 
+import dataclasses
+
 from ..errors import SchemaError
 from .logreg import LogRegConfig, TrainedModel, predict_scores, train_logreg
 
@@ -36,17 +38,12 @@ class _LogRegScorer:
 
 
 def _logreg_factory(train, params, seed):
-    known = {"l2": 1e-4, "max_iter": 5000, "tol": 1e-6, "standardize": True}
+    known = {f.name: f for f in dataclasses.fields(LogRegConfig)}
     unknown = set(params) - set(known)
     if unknown:
         raise SchemaError(f"logreg: unknown parameter(s) {sorted(unknown)} (accepts {sorted(known)})")
-    known.update(params)
-    cfg = LogRegConfig(
-        l2=float(known["l2"]),
-        max_iter=int(known["max_iter"]),
-        tol=float(known["tol"]),
-        standardize=bool(known["standardize"]),
-    )
+    # each default's type (float, int, bool) converts the YAML value
+    cfg = LogRegConfig(**{name: type(f.default)(params.get(name, f.default)) for name, f in known.items()})
     return _LogRegScorer(train_logreg(train, cfg))
 
 

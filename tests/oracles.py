@@ -232,3 +232,50 @@ def oracle_opp_transform(mapping, ds, seed):
         for j, pos in enumerate(col_pos):
             features[i, pos] = mapping.bin_values[j][mapping.cells[target_cell][j]]
     return features, labels, paths
+
+
+def oracle_gd_logreg(train, cfg):
+    """`train_logreg` by full-batch gradient descent, the solver Newton replaced.
+
+    Same standardization, zero start and stop rule (gradient max-norm <= tol);
+    each step backtracks from twice the last accepted length until the loss
+    falls by 1e-4 * length * |g|^2. Returns a TrainedModel.
+    """
+    import numpy as np
+
+    from fairbench.model.logreg import TrainedModel, loss_and_gradient
+
+    y = train.labels.astype(np.float64)
+    w = train.weights / train.weights.sum()
+    means = w @ train.features
+    variances = w @ (train.features - means) ** 2
+    scales = np.where(variances > 0, np.sqrt(variances), 1.0)
+    if not cfg.standardize:
+        means, scales = np.zeros(train.dim), np.ones(train.dim)
+    x = (train.features - means) / scales
+
+    coef = np.zeros(train.dim)
+    intercept = 0.0
+    loss, grad_coef, grad_b = loss_and_gradient(x, y, w, coef, intercept, cfg.l2)
+    step = 1.0
+    iterations = 0
+    while max(float(np.abs(grad_coef).max()), abs(grad_b)) > cfg.tol and iterations < cfg.max_iter:
+        gsq = float(grad_coef @ grad_coef) + grad_b * grad_b
+        trial = step
+        for _ in range(60):
+            cand_coef = coef - trial * grad_coef
+            cand_b = intercept - trial * grad_b
+            cand_loss, cand_gc, cand_gb = loss_and_gradient(x, y, w, cand_coef, cand_b, cfg.l2)
+            if cand_loss <= loss - 1e-4 * trial * gsq:
+                break
+            trial *= 0.5
+        else:
+            break
+        coef, intercept = cand_coef, cand_b
+        loss, grad_coef, grad_b = cand_loss, cand_gc, cand_gb
+        step = trial * 2.0
+        iterations += 1
+    return TrainedModel(coefficients=coef, intercept=float(intercept), feature_means=means,
+                        feature_scales=scales, final_loss=loss,
+                        final_gradient_norm=max(float(np.abs(grad_coef).max()), abs(grad_b)),
+                        iterations=iterations)
