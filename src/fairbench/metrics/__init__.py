@@ -1,15 +1,6 @@
 """Group fairness and utility metrics for datasets and predictions."""
 
-from .classification import (
-    ClassificationMetrics,
-    GroupConfusion,
-    average_odds_difference,
-    balanced_accuracy,
-    classification_metrics,
-    equal_opportunity_difference,
-    group_confusion,
-    theil_index,
-)
+from .classification import ClassificationMetrics, classification_metrics
 from .dataset_metrics import (
     DatasetMetrics,
     base_rate,
@@ -24,9 +15,6 @@ from .dataset_metrics import (
 __all__ = [
     "ClassificationMetrics",
     "DatasetMetrics",
-    "GroupConfusion",
-    "average_odds_difference",
-    "balanced_accuracy",
     "base_rate",
     "classification_metrics",
     "consistency",
@@ -34,8 +22,5 @@ __all__ = [
     "dataset_metrics",
     "disparate_impact",
     "empirical_difference",
-    "equal_opportunity_difference",
-    "group_confusion",
     "statistical_parity_difference",
-    "theil_index",
 ]

@@ -1,101 +1,21 @@
 """Prediction-level utility and fairness metrics (stage 2).
 
-All rates follow the weighted convention; the Theil index is unweighted. A
-metric whose denominator is empty raises UndefinedMetricError; the bundle
-builder converts that to a per-field None so one undefined rate does not void
-the rest of the record.
+`classification_metrics` scores the rule y_hat = [score >= t] at one threshold
+or at a whole vector of them from a single tally. All rates follow the
+weighted convention; the Theil index is unweighted. A rate whose denominator
+mass is empty (<= 0) is carried as None, and so is every field built from it,
+so one undefined rate does not void the rest of the record.
 """
 
-import math
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
-from ..errors import FairbenchWarning, UndefinedMetricError
+from ..errors import FairbenchWarning
 
 _RATE_NAMES = ("tpr", "fpr", "tnr", "fnr")
-
-
-@dataclass(frozen=True)
-class GroupConfusion:
-    """Weighted confusion mass per group and pooled; rates computed on demand."""
-
-    cells: dict  # (group or "all") -> dict with tp/fp/tn/fn weighted mass
-
-    def rate(self, which: str, group="all") -> float:
-        c = self.cells[group]
-        num, den = {
-            "tpr": (c["tp"], c["tp"] + c["fn"]),
-            "fnr": (c["fn"], c["tp"] + c["fn"]),
-            "fpr": (c["fp"], c["fp"] + c["tn"]),
-            "tnr": (c["tn"], c["fp"] + c["tn"]),
-            "prediction": (c["tp"] + c["fp"], c["tp"] + c["fp"] + c["tn"] + c["fn"]),
-        }[which]
-        if den <= 0:
-            raise UndefinedMetricError(f"{which} undefined for group {group!r}: empty denominator")
-        return float(num / den)
-
-
-def group_confusion(y_true, y_pred, protected, weights=None) -> GroupConfusion:
-    """Weighted confusion masses for each group and pooled."""
-    y_true = np.asarray(y_true)
-    y_pred = np.asarray(y_pred)
-    protected = np.asarray(protected)
-    n = len(y_true)
-    if not (len(y_pred) == len(protected) == n):
-        raise ValueError("y_true, y_pred, protected must have equal lengths")
-    w = np.ones(n) if weights is None else np.asarray(weights, dtype=float)
-    if len(w) != n:
-        raise ValueError("weights length mismatch")
-    if not all(np.isin(v, (0, 1)).all() for v in (y_true, y_pred, protected)):
-        raise ValueError("y_true, y_pred, protected must be 0/1")
-
-    # one tally over bins group * 4 + truth * 2 + prediction
-    bins = protected.astype(np.int64) * 4 + y_true.astype(np.int64) * 2 + y_pred.astype(np.int64)
-    tally = np.bincount(bins, weights=w, minlength=8).reshape(2, 2, 2)
-    cells = {g: {"tn": float(tally[g, 0, 0]), "fp": float(tally[g, 0, 1]),
-                 "fn": float(tally[g, 1, 0]), "tp": float(tally[g, 1, 1])} for g in (0, 1)}
-    cells["all"] = {name: cells[0][name] + cells[1][name] for name in cells[0]}
-    return GroupConfusion(cells=cells)
-
-
-def balanced_accuracy(confusion: GroupConfusion) -> float:
-    """(TPR + TNR) / 2 on the pooled confusion."""
-    return 0.5 * (confusion.rate("tpr") + confusion.rate("tnr"))
-
-
-def equal_opportunity_difference(confusion: GroupConfusion) -> float:
-    """Unprivileged TPR minus privileged TPR."""
-    return confusion.rate("tpr", 0) - confusion.rate("tpr", 1)
-
-
-def average_odds_difference(confusion: GroupConfusion) -> float:
-    """Mean of the group FPR gap and the group TPR gap."""
-    return 0.5 * (
-        (confusion.rate("fpr", 0) - confusion.rate("fpr", 1))
-        + (confusion.rate("tpr", 0) - confusion.rate("tpr", 1))
-    )
-
-
-def theil_index(y_true, y_pred) -> float:
-    """Generalized entropy (alpha = 1) of the benefits b = y_pred - y_true + 1.
-
-    Zero exactly when all benefits are equal; unweighted. An all-false-negative
-    input has zero mean benefit and is defined as 0 with a degeneracy warning.
-    """
-    y_true = np.asarray(y_true, dtype=float)
-    y_pred = np.asarray(y_pred, dtype=float)
-    if len(y_true) < 1 or len(y_true) != len(y_pred):
-        raise ValueError("need equal-length non-empty label vectors")
-    b = y_pred - y_true + 1.0
-    mu = b.mean()
-    if mu == 0.0:
-        warnings.warn("theil index degenerate: every prediction is a false negative", FairbenchWarning)
-        return 0.0
-    ratio = b / mu
-    terms = np.where(ratio > 0, ratio * np.log(np.where(ratio > 0, ratio, 1.0)), 0.0)
-    return float(terms.mean())
+_GROUPS = (0, 1, "all")
 
 
 @dataclass(frozen=True)
@@ -120,41 +40,97 @@ class ClassificationMetrics:
         }[metric]
 
 
-def _carried(fn):
-    try:
-        return fn()
-    except UndefinedMetricError:
-        return None
+def _by_prediction(tally):
+    """Split mass per (..., records clearing c of the m thresholds), c = 0..m,
+    into the (predicted 0, predicted 1) mass at each threshold."""
+    below = np.cumsum(tally, axis=-1)[..., :-1]
+    above = np.cumsum(tally[..., ::-1], axis=-1)[..., -2::-1]
+    return below, above
 
 
-def classification_metrics(y_true, scores, threshold, protected, weights=None) -> ClassificationMetrics:
-    """Evaluate the bundle at one threshold with the rule y_hat = [score >= t]."""
-    if not 0.0 < threshold < 1.0:
-        raise ValueError(f"threshold must be in (0,1), got {threshold}")
+def _ratio(num, den):
+    """num / den, NaN where the denominator is empty."""
+    return np.divide(num, den, out=np.full(np.shape(num), np.nan), where=den > 0)
+
+
+def _carried(values):
+    """Python floats, None where a value is undefined (NaN)."""
+    return [None if v != v else v for v in values.tolist()]
+
+
+def classification_metrics(y_true, scores, threshold, protected, weights=None):
+    """The bundle under y_hat = [score >= t]; a NaN score is never positive.
+
+    A float threshold gives one ClassificationMetrics; a 1-D sequence gives a
+    tuple of them in input order, all from one tally of how many thresholds
+    each record clears.
+    """
+    thresholds = np.asarray(threshold)
+    if (thresholds.dtype.kind not in "iuf" or thresholds.ndim > 1
+            or not ((thresholds > 0.0) & (thresholds < 1.0)).all()):
+        raise ValueError(f"threshold must be in (0,1), as a number or a 1-D sequence, got {threshold!r}")
+    y_true = np.asarray(y_true)
     scores = np.asarray(scores, dtype=float)
-    y_pred = (scores >= threshold).astype(np.int64)
-    conf = group_confusion(y_true, y_pred, protected, weights)
+    protected = np.asarray(protected)
+    n = len(y_true)
+    if n == 0:
+        raise ValueError("need at least one record")
+    if not (len(scores) == len(protected) == n):
+        raise ValueError("y_true, scores, protected must have equal lengths")
+    if weights is not None and len(weights) != n:
+        raise ValueError("weights length mismatch")
+    if not (np.isin(y_true, (0, 1)).all() and np.isin(protected, (0, 1)).all()):
+        raise ValueError("y_true and protected must be 0/1")
 
-    def spd():
-        return conf.rate("prediction", 0) - conf.rate("prediction", 1)
+    grid, position = np.unique(thresholds.astype(float), return_inverse=True)
+    m = len(grid)
+    cleared = np.searchsorted(grid, scores, side="right")
+    cleared[np.isnan(scores)] = 0
+    bins = (protected.astype(np.int64) * 2 + y_true.astype(np.int64)) * (m + 1) + cleared
+    counts = np.bincount(bins, minlength=4 * (m + 1)).reshape(2, 2, m + 1)
+    mass = counts if weights is None else np.bincount(
+        bins, weights=np.asarray(weights, dtype=float), minlength=4 * (m + 1)
+    ).reshape(2, 2, m + 1)
 
-    def di():
-        r1 = conf.rate("prediction", 1)
-        r0 = conf.rate("prediction", 0)
-        if r1 == 0.0:
-            return math.nan if r0 == 0.0 else math.inf
-        return r0 / r1
+    # rows: group 0, group 1, pooled; columns: thresholds
+    (tn, fn), (fp, tp) = (np.moveaxis(side, 1, 0) for side in _by_prediction(mass))
+    tn, fn, fp, tp = (np.vstack([c, c[0] + c[1]]) for c in (tn, fn, fp, tp))
+    rates = {"tpr": _ratio(tp, tp + fn), "fpr": _ratio(fp, fp + tn),
+             "tnr": _ratio(tn, fp + tn), "fnr": _ratio(fn, tp + fn)}
+    tpr, fpr = rates["tpr"], rates["fpr"]
+    r0, r1 = _ratio(tp + fp, tp + fp + tn + fn)[:2]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        di = np.where(r1 == 0.0, np.where(r0 == 0.0, np.nan, np.inf), r0 / r1)
 
-    rates = {}
-    for g in (0, 1, "all"):
-        rates[g] = {name: _carried(lambda name=name, g=g: conf.rate(name, g)) for name in _RATE_NAMES}
+    # Theil over the unweighted benefits b = y_hat - y + 1: 0 on a false
+    # negative, 2 on a false positive, 1 elsewhere
+    (_, false_neg), (false_pos, _) = (side.sum(axis=0) for side in _by_prediction(counts))
+    mu = (n - false_neg + false_pos) / n
+    degenerate = mu == 0.0
+    if degenerate.any():
+        warnings.warn("theil index degenerate: every prediction is a false negative", FairbenchWarning)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        one, two = 1.0 / mu, 2.0 / mu
+        theil = ((n - false_neg - false_pos) * (one * np.log(one)) + false_pos * (two * np.log(two))) / n
+    theil = np.where(degenerate, 0.0, theil)
 
-    return ClassificationMetrics(
-        balanced_accuracy=_carried(lambda: balanced_accuracy(conf)),
-        statistical_parity_difference=_carried(spd),
-        disparate_impact=_carried(di),
-        equal_opportunity_difference=_carried(lambda: equal_opportunity_difference(conf)),
-        average_odds_difference=_carried(lambda: average_odds_difference(conf)),
-        theil_index=float(theil_index(y_true, y_pred)),
-        group_rates=rates,
-    )
+    columns = {
+        "balanced_accuracy": _carried(0.5 * (tpr[2] + rates["tnr"][2])),
+        "statistical_parity_difference": _carried(r0 - r1),
+        "disparate_impact": [None if undefined else v
+                             for v, undefined in zip(di.tolist(), (np.isnan(r0) | np.isnan(r1)).tolist())],
+        "equal_opportunity_difference": _carried(tpr[0] - tpr[1]),
+        "average_odds_difference": _carried(0.5 * ((fpr[0] - fpr[1]) + (tpr[0] - tpr[1]))),
+        "theil_index": theil.tolist(),
+    }
+    group_rates = {(g, name): _carried(rates[name][row]) for row, g in enumerate(_GROUPS) for name in _RATE_NAMES}
+    bundles = [
+        ClassificationMetrics(
+            **{field: values[k] for field, values in columns.items()},
+            group_rates={g: {name: group_rates[g, name][k] for name in _RATE_NAMES} for g in _GROUPS},
+        )
+        for k in range(m)
+    ]
+    if thresholds.ndim == 0:
+        return bundles[0]
+    return tuple(bundles[i] for i in position)

@@ -3,8 +3,6 @@
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from ..errors import FairbenchError
 from ..metrics.classification import ClassificationMetrics, classification_metrics
 
@@ -39,11 +37,10 @@ class SweepResult:
 
 
 def sweep_thresholds(y_true, scores, protected):
-    """One SweepRecord per grid threshold; undefined metrics ride along as None."""
-    scores = np.asarray(scores, dtype=float)
-    return tuple(
-        SweepRecord(t, classification_metrics(y_true, scores, t, protected)) for t in default_grid()
-    )
+    """One SweepRecord per grid threshold, all from one classification_metrics
+    call; undefined metrics ride along as None."""
+    grid = default_grid()
+    return tuple(map(SweepRecord, grid, classification_metrics(y_true, scores, grid, protected)))
 
 
 def _deviation(metrics: ClassificationMetrics, metric_name: str):

@@ -21,7 +21,6 @@ from oracles import (
 from fairbench.dataset import TabularDataset, standardize
 from fairbench.errors import FairbenchWarning, UndefinedMetricError
 from fairbench.metrics import (
-    balanced_accuracy,
     base_rate,
     classification_metrics,
     consistency,
@@ -29,14 +28,18 @@ from fairbench.metrics import (
     dataset_metrics,
     disparate_impact,
     empirical_difference,
-    equal_opportunity_difference,
-    average_odds_difference,
-    group_confusion,
     statistical_parity_difference,
-    theil_index,
 )
+from fairbench.pipeline import default_grid
 
 TOL = 1e-12
+
+
+def at_half(y_true, y_pred, protected=None):
+    """The stage-2 bundle for hard 0/1 predictions: scores = y_pred at t = 0.5."""
+    y_true = np.asarray(y_true)
+    protected = np.zeros(len(y_true), dtype=int) if protected is None else protected
+    return classification_metrics(y_true, np.asarray(y_pred, dtype=float), 0.5, protected)
 
 
 def mk(labels, protected, weights=None, features=None):
@@ -270,37 +273,34 @@ class TestConsistency:
 
 
 class TestGroupConfusion:
+    """Per-group and pooled confusion rates, read from the bundle's group_rates."""
+
     def test_perfect_predictions(self):
         y = np.array([1, 0, 1, 0])
-        conf = group_confusion(y, y, np.array([0, 0, 1, 1]))
+        rates = at_half(y, y, np.array([0, 0, 1, 1])).group_rates
         for g in (0, 1, "all"):
-            assert conf.rate("tpr", g) == 1.0
-            assert conf.rate("fpr", g) == 0.0
+            assert rates[g]["tpr"] == 1.0
+            assert rates[g]["fpr"] == 0.0
 
     def test_all_positive_predictions(self):
         y = np.array([1, 0, 1, 0])
-        conf = group_confusion(y, np.ones(4, dtype=int), np.array([0, 0, 1, 1]))
-        assert conf.rate("tpr") == 1.0
-        assert conf.rate("fpr") == 1.0
+        rates = at_half(y, np.ones(4, dtype=int), np.array([0, 0, 1, 1])).group_rates
+        assert rates["all"]["tpr"] == 1.0
+        assert rates["all"]["fpr"] == 1.0
 
     def test_four_cell_unit_weights(self):
         # one group holding (TP, FP, FN, TN) exactly
         y_true = np.array([1, 0, 1, 0])
         y_pred = np.array([1, 1, 0, 0])
-        conf = group_confusion(y_true, y_pred, np.zeros(4, dtype=int))
-        assert conf.rate("tpr", 0) == 0.5
-        assert conf.rate("fpr", 0) == 0.5
-
-    def test_zero_denominator_names_group_and_rate(self):
-        conf = group_confusion(np.array([1, 1]), np.array([1, 0]), np.array([0, 0]))
-        with pytest.raises(UndefinedMetricError, match="fpr.*group 0"):
-            conf.rate("fpr", 0)
+        rates = at_half(y_true, y_pred).group_rates
+        assert rates[0]["tpr"] == 0.5
+        assert rates[0]["fpr"] == 0.5
 
     def test_non_binary_inputs_rejected(self):
         y = np.array([1, 0, 1, 0])
-        for y_true, y_pred, protected in ((y + 1, y, y), (y, 2 * y, y), (y, y, np.array([0, 1, 2, 1]))):
+        for y_true, protected in ((y + 1, y), (y, np.array([0, 1, 2, 1])), (y - 1, y)):
             with pytest.raises(ValueError, match="must be 0/1"):
-                group_confusion(y_true, y_pred, protected)
+                classification_metrics(y_true, np.full(4, 0.5), 0.5, protected)
 
 
 class TestBundledScalars:
@@ -308,20 +308,19 @@ class TestBundledScalars:
         y_true = np.array([1] * 5 + [0] * 5)
         # TPR 0.8, TNR 0.6 -> 0.7
         y_pred = np.array([1, 1, 1, 1, 0, 1, 1, 0, 0, 0])
-        conf = group_confusion(y_true, y_pred, np.array([0, 1] * 5))
-        assert balanced_accuracy(conf) == pytest.approx(0.7, abs=TOL)
+        m = at_half(y_true, y_pred, np.array([0, 1] * 5))
+        assert m.balanced_accuracy == pytest.approx(0.7, abs=TOL)
 
     def test_constant_classifier_half(self):
         y_true = np.array([1, 1, 0, 0, 1, 0])
-        conf = group_confusion(y_true, np.ones(6, dtype=int), np.array([0, 1] * 3))
-        assert balanced_accuracy(conf) == pytest.approx(0.5, abs=TOL)
+        m = at_half(y_true, np.ones(6, dtype=int), np.array([0, 1] * 3))
+        assert m.balanced_accuracy == pytest.approx(0.5, abs=TOL)
 
     def test_equal_opportunity_difference(self):
         y_true = np.array([1] * 10 + [1] * 10 + [0, 0])
         protected = np.array([0] * 10 + [1] * 10 + [0, 1])
         y_pred = np.concatenate([np.repeat([1, 0], [6, 4]), np.repeat([1, 0], [9, 1]), [0, 0]])
-        conf = group_confusion(y_true, y_pred, protected)
-        assert equal_opportunity_difference(conf) == pytest.approx(-0.3, abs=TOL)
+        assert at_half(y_true, y_pred, protected).equal_opportunity_difference == pytest.approx(-0.3, abs=TOL)
 
     def test_average_odds_difference_hand_case(self):
         # TPR diff -0.2 and FPR diff +0.1 -> -0.05
@@ -331,43 +330,37 @@ class TestBundledScalars:
             np.repeat([1, 0], [6, 4]), np.repeat([1, 0], [3, 7]),
             np.repeat([1, 0], [8, 2]), np.repeat([1, 0], [2, 8]),
         ])
-        conf = group_confusion(y_true, y_pred, protected)
-        assert average_odds_difference(conf) == pytest.approx(-0.05, abs=TOL)
-
-    def test_perfect_classifier_zero_differences(self):
-        y = np.array([1, 0, 1, 0, 1, 0])
-        conf = group_confusion(y, y, np.array([0, 0, 0, 1, 1, 1]))
-        assert equal_opportunity_difference(conf) == 0.0
-        assert average_odds_difference(conf) == 0.0
+        assert at_half(y_true, y_pred, protected).average_odds_difference == pytest.approx(-0.05, abs=TOL)
 
 
 class TestTheil:
     def test_perfect_predictions_zero(self):
         y = np.array([1, 0, 1, 1, 0])
-        assert theil_index(y, y) == 0.0
+        assert at_half(y, y).theil_index == 0.0
 
     def test_hand_case_ln2(self):
         # b = (0, 1), mean 0.5: (1/2)(0 + 2 ln 2) = ln 2
-        assert theil_index(np.array([1, 0]), np.array([0, 0])) == pytest.approx(math.log(2), abs=TOL)
+        assert at_half(np.array([1, 0]), np.array([0, 0])).theil_index == pytest.approx(math.log(2), abs=TOL)
 
     def test_permutation_invariant(self):
         rng = np.random.default_rng(4)
         y_true = rng.integers(0, 2, 15)
         y_pred = rng.integers(0, 2, 15)
-        base = theil_index(y_true, y_pred)
+        base = at_half(y_true, y_pred).theil_index
         perm = rng.permutation(15)
-        assert theil_index(y_true[perm], y_pred[perm]) == pytest.approx(base, abs=TOL)
+        assert at_half(y_true[perm], y_pred[perm]).theil_index == pytest.approx(base, abs=TOL)
 
     def test_degenerate_all_false_negatives(self):
         with pytest.warns(FairbenchWarning, match="degenerate"):
-            assert theil_index(np.ones(4), np.zeros(4)) == 0.0
+            assert at_half(np.ones(4), np.zeros(4)).theil_index == 0.0
 
     def test_nonnegative_zero_iff_equal_benefits(self):
         rng = np.random.default_rng(5)
-        for _ in range(30):
-            y_true = rng.integers(0, 2, 12)
-            y_pred = rng.integers(0, 2, 12)
-            value = theil_index(y_true, y_pred)
+        # the random draws, then all benefits 2 (every prediction a false positive)
+        cases = [(rng.integers(0, 2, 12), rng.integers(0, 2, 12)) for _ in range(30)]
+        cases.append((np.zeros(12, dtype=int), np.ones(12, dtype=int)))
+        for y_true, y_pred in cases:
+            value = at_half(y_true, y_pred).theil_index
             assert value >= 0.0
             benefits = y_pred - y_true + 1
             if len(np.unique(benefits)) == 1:
@@ -397,6 +390,11 @@ class TestBundles:
         assert m.equal_opportunity_difference == 0.0
         assert m.average_odds_difference == 0.0
         assert m.theil_index == 0.0
+        # hard predictions equal to the labels, groups of unequal base rate
+        y = np.array([1, 0, 1, 0, 1, 0])
+        m = at_half(y, y, np.array([0, 0, 0, 1, 1, 1]))
+        assert m.equal_opportunity_difference == 0.0
+        assert m.average_odds_difference == 0.0
 
     def test_undefined_field_does_not_void_bundle(self):
         # no negatives in group 0: its fpr is undefined, others still computed
@@ -408,10 +406,78 @@ class TestBundles:
         assert m.average_odds_difference is None
         assert m.balanced_accuracy is not None
         assert m.equal_opportunity_difference is not None
+        # one group, no negatives: exactly the rates over negatives are None
+        m = at_half(np.array([1, 1]), np.array([1, 0]))
+        assert m.group_rates[0] == {"tpr": 0.5, "fpr": None, "tnr": None, "fnr": 0.5}
+        assert m.group_rates[1] == dict.fromkeys(("tpr", "fpr", "tnr", "fnr"))
+        assert m.balanced_accuracy is None
+        assert m.statistical_parity_difference is None
+        assert m.disparate_impact is None
 
     def test_threshold_validated(self):
-        with pytest.raises(ValueError):
-            classification_metrics(np.array([1, 0]), np.array([0.5, 0.5]), 1.0, np.array([0, 1]))
+        y, scores, protected = np.array([1, 0]), np.array([0.5, 0.5]), np.array([0, 1])
+        for threshold in (1.0, 0.0, -0.2, math.nan, [0.5, 1.0], (0.2, math.nan), [[0.5]], "0.5", None):
+            with pytest.raises(ValueError, match="threshold"):
+                classification_metrics(y, scores, threshold, protected)
+
+    def test_inputs_validated(self):
+        y, scores, protected = np.array([1, 0, 1]), np.array([0.2, 0.6, 0.9]), np.array([0, 1, 1])
+        cases = (
+            ("at least one record", np.array([], dtype=int), np.array([]), np.array([], dtype=int), None),
+            ("equal lengths", y, scores[:2], protected, None),
+            ("equal lengths", y, scores, protected[:2], None),
+            ("weights length", y, scores, protected, np.ones(2)),
+        )
+        for message, y_true, s, p, w in cases:
+            for threshold in (0.5, default_grid()):
+                with pytest.raises(ValueError, match=message):
+                    classification_metrics(y_true, s, threshold, p, w)
+
+
+class TestThresholdVector:
+    def test_every_grid_threshold_matches_oracle(self):
+        # scores sitting exactly on grid points, between them, NaN and +-inf
+        rng = np.random.default_rng(24)
+        grid = default_grid()
+        for _ in range(20):
+            n = int(rng.integers(8, 40))
+            labels = rng.integers(0, 2, n)
+            protected = rng.integers(0, 2, n)
+            weights = rng.uniform(0.2, 3.0, n)
+            scores = np.where(rng.uniform(size=n) < 0.5, rng.integers(1, 100, n) / 100.0, rng.uniform(size=n))
+            scores[rng.choice(n, 3, replace=False)] = (math.nan, math.inf, -math.inf)
+            for w in (None, weights):
+                bundles = classification_metrics(labels, scores, grid, protected, w)
+                assert len(bundles) == len(grid)
+                ref_weights = (np.ones(n) if w is None else w).tolist()
+                for t, ours in zip(grid, bundles):
+                    ref = oracle_classification(labels.tolist(), scores.tolist(), t, protected.tolist(), ref_weights)
+                    for field in ("balanced_accuracy", "statistical_parity_difference",
+                                  "equal_opportunity_difference", "average_odds_difference", "theil_index"):
+                        want, got = ref[field], getattr(ours, field)
+                        if want is None:
+                            assert got is None, (t, field)
+                        else:
+                            assert got == pytest.approx(want, abs=TOL), (t, field)
+                    want, got = ref["disparate_impact"], ours.disparate_impact
+                    if math.isfinite(want):
+                        assert got == pytest.approx(want, abs=TOL), t
+                    else:
+                        assert math.isnan(got) if math.isnan(want) else got == want, t
+                    for g in (0, 1, "all"):
+                        for rate, want in ref["rates"][g].items():
+                            got = ours.group_rates[g][rate]
+                            assert got is None if want is None else got == pytest.approx(want, abs=TOL), (t, g)
+
+    def test_unsorted_duplicates_in_input_order(self):
+        y, scores, protected = (np.array(v) for v in ([1, 0, 1, 0, 1, 1], [0.7, 0.2, 0.45, 0.9, 0.1, 0.2], [0, 0, 1, 1, 0, 1]))
+        thresholds = [0.7, 0.2, 0.7, 0.45, 0.2, 0.05]
+        bundles = classification_metrics(y, scores, thresholds, protected)
+        assert isinstance(bundles, tuple)
+        assert list(bundles) == [classification_metrics(y, scores, t, protected) for t in thresholds]
+        assert bundles[0] == bundles[2] and bundles[1] == bundles[4]
+        assert bundles[0] != bundles[1]
+        assert classification_metrics(y, scores, np.array(thresholds), protected) == bundles
 
 
 class TestOracleEquivalence:

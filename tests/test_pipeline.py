@@ -59,11 +59,26 @@ class TestSweep:
         records = sweep_thresholds(y, scores, protected)
         assert len(records) == 99
 
-    def test_record_at_half_equals_one_shot_call(self):
+    def test_every_record_equals_one_shot_call(self):
+        # bit for bit: unweighted masses are integer counts whichever way they are summed
         y, scores, protected = scored_fixture(seed=1)
         records = sweep_thresholds(y, scores, protected)
-        at_half = next(r for r in records if r.threshold == 0.5)
-        assert at_half.metrics == classification_metrics(y, scores, 0.5, protected)
+        assert [r.threshold for r in records] == list(default_grid())
+        for rec in records:
+            assert rec.metrics == classification_metrics(y, scores, rec.threshold, protected), rec.threshold
+
+    def test_weighted_grid_call_matches_one_shot_calls(self):
+        # weighted masses are summed in another order, so agreement is to rounding
+        y, scores, protected = scored_fixture(seed=3)
+        weights = np.random.default_rng(3).uniform(0.1, 4.0, len(y))
+        bundles = classification_metrics(y, scores, default_grid(), protected, weights)
+        for t, grid_m in zip(default_grid(), bundles):
+            one_m = classification_metrics(y, scores, t, protected, weights)
+            for field in ("balanced_accuracy", "statistical_parity_difference", "disparate_impact",
+                          "equal_opportunity_difference", "average_odds_difference", "theil_index"):
+                assert getattr(grid_m, field) == pytest.approx(getattr(one_m, field), abs=1e-12), (t, field)
+            for g, rates in one_m.group_rates.items():
+                assert grid_m.group_rates[g] == pytest.approx(rates, abs=1e-12), (t, g)
 
     def test_perfect_scores_step_positions(self):
         # positives at 0.9, negatives at 0.1: balanced accuracy 1 on (0.1, 0.9]
