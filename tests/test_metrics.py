@@ -296,6 +296,15 @@ class TestGroupConfusion:
         assert rates[0]["tpr"] == 0.5
         assert rates[0]["fpr"] == 0.5
 
+    def test_zero_denominator_names_group_and_rate(self):
+        # one group, no negatives: exactly the rates over negatives are None
+        m = at_half(np.array([1, 1]), np.array([1, 0]))
+        assert m.group_rates[0] == {"tpr": 0.5, "fpr": None, "tnr": None, "fnr": 0.5}
+        assert m.group_rates[1] == dict.fromkeys(("tpr", "fpr", "tnr", "fnr"))
+        assert m.balanced_accuracy is None
+        assert m.statistical_parity_difference is None
+        assert m.disparate_impact is None
+
     def test_non_binary_inputs_rejected(self):
         y = np.array([1, 0, 1, 0])
         for y_true, protected in ((y + 1, y), (y, np.array([0, 1, 2, 1])), (y - 1, y)):
@@ -331,6 +340,13 @@ class TestBundledScalars:
             np.repeat([1, 0], [8, 2]), np.repeat([1, 0], [2, 8]),
         ])
         assert at_half(y_true, y_pred, protected).average_odds_difference == pytest.approx(-0.05, abs=TOL)
+
+    def test_perfect_classifier_zero_differences(self):
+        # hard predictions equal to the labels, groups of unequal base rate
+        y = np.array([1, 0, 1, 0, 1, 0])
+        m = at_half(y, y, np.array([0, 0, 0, 1, 1, 1]))
+        assert m.equal_opportunity_difference == 0.0
+        assert m.average_odds_difference == 0.0
 
 
 class TestTheil:
@@ -390,11 +406,6 @@ class TestBundles:
         assert m.equal_opportunity_difference == 0.0
         assert m.average_odds_difference == 0.0
         assert m.theil_index == 0.0
-        # hard predictions equal to the labels, groups of unequal base rate
-        y = np.array([1, 0, 1, 0, 1, 0])
-        m = at_half(y, y, np.array([0, 0, 0, 1, 1, 1]))
-        assert m.equal_opportunity_difference == 0.0
-        assert m.average_odds_difference == 0.0
 
     def test_undefined_field_does_not_void_bundle(self):
         # no negatives in group 0: its fpr is undefined, others still computed
@@ -406,13 +417,6 @@ class TestBundles:
         assert m.average_odds_difference is None
         assert m.balanced_accuracy is not None
         assert m.equal_opportunity_difference is not None
-        # one group, no negatives: exactly the rates over negatives are None
-        m = at_half(np.array([1, 1]), np.array([1, 0]))
-        assert m.group_rates[0] == {"tpr": 0.5, "fpr": None, "tnr": None, "fnr": 0.5}
-        assert m.group_rates[1] == dict.fromkeys(("tpr", "fpr", "tnr", "fnr"))
-        assert m.balanced_accuracy is None
-        assert m.statistical_parity_difference is None
-        assert m.disparate_impact is None
 
     def test_threshold_validated(self):
         y, scores, protected = np.array([1, 0]), np.array([0.5, 0.5]), np.array([0, 1])
