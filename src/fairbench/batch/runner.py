@@ -6,7 +6,10 @@ results do not depend on the parallelism degree, execution order, or on which
 other jobs exist in the batch.
 """
 
+import ctypes
+import functools
 import json
+import os
 import time
 import traceback
 from concurrent.futures import ProcessPoolExecutor
@@ -148,17 +151,66 @@ def _collect(job: JobSpec, future) -> JobOutcome:
         return _failed(job.job_id, exc)
 
 
+@functools.cache
+def _openblas_threads():
+    """(get, set) of the thread count of the OpenBLAS numpy has loaded, or None.
+
+    The library is found by path in this process's memory map, so only Linux
+    builds that link OpenBLAS are pinned; elsewhere this is None.
+    """
+    try:
+        with open("/proc/self/maps", encoding="utf-8") as fh:
+            paths = sorted({line.split(None, 5)[-1].strip() for line in fh if "openblas" in line})
+    except OSError:
+        return None
+    for path in paths:
+        try:
+            lib = ctypes.CDLL(path, mode=os.RTLD_NOLOAD)
+        except OSError:
+            continue
+        for name in ("scipy_openblas_{}64_", "scipy_openblas_{}", "openblas_{}64_", "openblas_{}"):
+            get = getattr(lib, name.format("get_num_threads"), None)
+            set_ = getattr(lib, name.format("set_num_threads"), None)
+            if get is not None and set_ is not None:
+                get.argtypes, get.restype = (), ctypes.c_int
+                set_.argtypes, set_.restype = (ctypes.c_int,), None
+                return get, set_
+    return None
+
+
+def _set_blas_threads(count):
+    """Set numpy's OpenBLAS thread count; returns the one it replaced (None: no OpenBLAS)."""
+    threads = _openblas_threads()
+    if threads is None:
+        return None
+    get, set_ = threads
+    previous = get()
+    set_(count)
+    return previous
+
+
 def run_batch(jobs, parallelism: int = 1, output_dir="fairbench_out",
               cache_dir=None, skipped_expansions: int = 0) -> BatchReport:
-    """Run all jobs, at most `parallelism` at a time; failures never stop the batch."""
+    """Run all jobs, at most `parallelism` at a time; failures never stop the batch.
+
+    Every job runs with one BLAS thread, on every path: two pool workers with
+    threaded BLAS on two cores wait on each other, and the thread count
+    changes the last bits of BLAS products, which artifacts must not depend on.
+    """
     output_dir = Path(output_dir)
     output_dir.mkdir(parents=True, exist_ok=True)
     cache_dir = Path(cache_dir) if cache_dir else output_dir / "cache"
 
     if parallelism <= 1 or len(jobs) <= 1:
-        outcomes = [execute_job(job, output_dir, cache_dir) for job in jobs]
+        previous = _set_blas_threads(1)
+        try:
+            outcomes = [execute_job(job, output_dir, cache_dir) for job in jobs]
+        finally:
+            if previous is not None:
+                _set_blas_threads(previous)
     else:
-        with ProcessPoolExecutor(max_workers=min(parallelism, len(jobs))) as pool:
+        with ProcessPoolExecutor(max_workers=min(parallelism, len(jobs)),
+                                 initializer=_set_blas_threads, initargs=(1,)) as pool:
             futures = [pool.submit(execute_job, job, output_dir, cache_dir) for job in jobs]
             outcomes = [_collect(job, future) for job, future in zip(jobs, futures)]
         # a dead worker breaks the pool, which then fails every unfinished job;
@@ -166,7 +218,9 @@ def run_batch(jobs, parallelism: int = 1, output_dir="fairbench_out",
         # job whose own worker dies stays failed
         for i, (job, future) in enumerate(zip(jobs, futures)):
             if isinstance(future.exception(), BrokenProcessPool):
-                with ProcessPoolExecutor(max_workers=1, mp_context=get_context("spawn")) as pool:
+                # a spawned interpreter starts at OpenBLAS's default count
+                with ProcessPoolExecutor(max_workers=1, mp_context=get_context("spawn"),
+                                         initializer=_set_blas_threads, initargs=(1,)) as pool:
                     outcomes[i] = _collect(job, pool.submit(execute_job, job, output_dir, cache_dir))
 
     report = BatchReport(

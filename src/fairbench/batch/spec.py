@@ -77,6 +77,13 @@ class JobSpec:
             object.__setattr__(self, "job_id", digest)
 
 
+def _integer(value, key):
+    """`value` if it is an integer; YAML booleans, floats and strings are a SchemaError naming `key`."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise SchemaError(f"{key}: must be an integer, got {value!r}")
+    return value
+
+
 def _named_entries(raw, key):
     """Normalize 'RW' / {name: RW} / {name: RW, params: {...}} into (name, params)."""
     if not isinstance(raw, list) or not raw:
@@ -163,13 +170,13 @@ def parse_batch_yaml(text: str) -> BatchSpec:
     seeds = doc["seeds"]
     if not isinstance(seeds, list) or not seeds:
         raise SchemaError("seeds: must be a non-empty list of integers")
-    seeds = tuple(int(s) for s in seeds)
+    seeds = tuple(_integer(s, f"seeds[{i}]") for i, s in enumerate(seeds))
 
     selection = str(doc.get("selection_metric", "SPD"))
     if selection not in FAIRNESS_METRICS:
         raise SchemaError(f"selection_metric: {selection!r} not in {FAIRNESS_METRICS}")
 
-    parallelism = int(doc.get("parallelism", 1))
+    parallelism = _integer(doc.get("parallelism", 1), "parallelism")
     if parallelism < 1:
         raise SchemaError("parallelism: must be >= 1")
 

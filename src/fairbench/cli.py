@@ -26,6 +26,17 @@ def _parse_params(pairs):
     return params
 
 
+def _parallelism(text):
+    """--parallelism: an integer >= 1, as a batch config's `parallelism` must be."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"must be an integer, got {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
 def _cmd_prep(args):
     params = _parse_params(args.param)
     if args.dataset.startswith("synthetic"):
@@ -130,7 +141,7 @@ def build_parser():
 
     batch = sub.add_parser("batch", help="run a YAML experiment matrix")
     batch.add_argument("--config", required=True)
-    batch.add_argument("--parallelism", type=int, default=None)
+    batch.add_argument("--parallelism", type=_parallelism, default=None)
     batch.add_argument("--out", default=None)
     batch.add_argument("--cache-dir", default=None)
     batch.set_defaults(func=_cmd_batch)

@@ -93,8 +93,10 @@ def _cholesky_solve(lower, b):
     """The x with lower @ lower.T @ x = b, by forward then back substitution.
 
     numpy has no triangular solve. Its general solve would factor again, and
-    from 100 unknowns OpenBLAS runs that threaded: in a batch whose other pool
-    worker held the second core, two such solves took 15 ms a step, not 0.4.
+    from 100 unknowns OpenBLAS runs that threaded: with another process on the
+    second core, two such solves took 15 ms a step, not 0.4. Batch jobs run
+    with one BLAS thread, so this now matters only to direct callers; the
+    loops stay because `np.linalg.solve` would change the fits' last bits.
     """
     y = np.empty_like(b)
     for i in range(len(b)):

@@ -5,6 +5,7 @@ import json
 import os
 from pathlib import Path
 
+import numpy as np
 import pytest
 import yaml
 
@@ -69,6 +70,16 @@ class TestParse:
         with pytest.raises(SchemaError, match="selection_metric"):
             parse_batch_yaml(MINIMAL + "\nselection_metric: accuracy\n")
 
+    @pytest.mark.parametrize("lines, key", [
+        ("seeds: [0]\nparallelism: two", "parallelism"),
+        ("seeds: [0]\nparallelism: 2.9", "parallelism"),
+        ("seeds: [0]\nparallelism: true", "parallelism"),
+        ("seeds: [0, x]", r"seeds\[1\]"),
+    ])
+    def test_non_integer_rejected_with_its_key(self, lines, key):
+        with pytest.raises(SchemaError, match=key):
+            parse_batch_yaml(MINIMAL.replace("seeds: [0]", lines))
+
     def test_csv_dataset_requires_schema(self):
         bad = """
 datasets:
@@ -127,6 +138,51 @@ def _exit_on_synth_b_dir(job, output_dir, cache_dir):
     return _execute_job(job, output_dir, cache_dir)
 
 
+_IMPORT_PID = os.getpid()
+
+
+def _in_fork_pool():
+    """True in a forked pool worker; a spawned interpreter imports this module afresh."""
+    return os.getpid() != _IMPORT_PID
+
+
+def _exit_forked_on_synth_b_dir(job, output_dir, cache_dir):
+    """Kills the fork-pool worker that runs synth_b DIR, so that job runs again in the spawn pool."""
+    if _in_fork_pool() and job.dataset.name == "synth_b" and job.method == "DIR":
+        os._exit(1)
+    return _execute_job(job, output_dir, cache_dir)
+
+
+def _record_blas_threads(job, output_dir, cache_dir):
+    """Writes the BLAS thread count the job runs with to `<output_dir>/<job id>.threads`."""
+    get, _ = runner._openblas_threads()
+    (Path(output_dir) / f"{job.job_id}.threads").write_text(str(get()), encoding="utf-8")
+    return runner.JobOutcome(job_id=job.job_id, status="ok", error="", wall_time_s=0.0, artifacts=())
+
+
+def _record_blas_threads_outside_fork_pool(job, output_dir, cache_dir):
+    """Kills every fork-pool worker, so each job records its count in the spawn re-run pool."""
+    if _in_fork_pool():
+        os._exit(1)
+    return _record_blas_threads(job, output_dir, cache_dir)
+
+
+@pytest.fixture
+def caller_blas_threads():
+    """This process's OpenBLAS thread count getter, with the count set to 3 and restored after.
+
+    A worker that inherited 3 cannot pass for one that was pinned to 1.
+    """
+    threads = runner._openblas_threads()
+    if threads is None:
+        pytest.skip("numpy does not use OpenBLAS here")
+    get, set_ = threads
+    previous = get()
+    set_(3)
+    yield get
+    set_(previous)
+
+
 class TestRun:
     def test_four_jobs_with_one_failure_isolated(self, tmp_path):
         text = MATRIX.replace(
@@ -155,6 +211,18 @@ class TestRun:
         assert len(serial) >= 4 * 8  # stage1 + 4 sweep csvs + 2 svgs + summary per job
         for rel in serial:
             assert filecmp.cmp(serial[rel], parallel[rel], shallow=False), rel
+
+    def test_spawn_rerun_byte_identical_to_serial(self, tmp_path, monkeypatch):
+        jobs, _ = expand_jobs(parse_batch_yaml(MATRIX))
+        run_batch(jobs, parallelism=1, output_dir=tmp_path / "serial")
+        monkeypatch.setattr(runner, "execute_job", _exit_forked_on_synth_b_dir)
+        report = run_batch(jobs, parallelism=2, output_dir=tmp_path / "rerun")
+        assert report.exit_code == 0, [o.error for o in report.failures]
+        serial = job_files(tmp_path / "serial")
+        rerun = job_files(tmp_path / "rerun")
+        assert set(serial) == set(rerun)
+        for rel in serial:
+            assert filecmp.cmp(serial[rel], rerun[rel], shallow=False), rel
 
     def test_warm_cache_rerun_reproduces_outputs(self, tmp_path):
         jobs, _ = expand_jobs(parse_batch_yaml(MATRIX))
@@ -215,3 +283,32 @@ class TestRun:
                 assert outcome.status == "ok", (job.job_id, outcome.error)
         doc = json.loads((tmp_path / "out" / "batch_report.json").read_text())
         assert [j["status"] for j in doc["jobs"]] == [o.status for o in report.outcomes]
+
+
+class TestBlasThreads:
+    def test_openblas_found_when_numpy_links_it(self):
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]["name"]
+        if "openblas" not in blas:
+            pytest.skip(f"numpy links {blas}, not OpenBLAS")
+        assert runner._openblas_threads() is not None
+
+    @pytest.mark.parametrize("parallelism", [1, 2])
+    def test_jobs_run_with_one_thread_and_caller_keeps_its_count(
+            self, tmp_path, monkeypatch, caller_blas_threads, parallelism):
+        monkeypatch.setattr(runner, "execute_job", _record_blas_threads)
+        jobs, _ = expand_jobs(parse_batch_yaml(MATRIX))
+        report = run_batch(jobs, parallelism=parallelism, output_dir=tmp_path)
+        assert report.exit_code == 0, [o.error for o in report.failures]
+        assert [(tmp_path / f"{j.job_id}.threads").read_text() for j in jobs] == ["1"] * len(jobs)
+        assert caller_blas_threads() == 3
+
+    def test_spawn_rerun_pool_runs_with_one_thread(self, tmp_path, monkeypatch, caller_blas_threads):
+        # a spawned interpreter reads this when OpenBLAS loads; without the pin
+        # it would run at OpenBLAS's default, the core count
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "3")
+        monkeypatch.setattr(runner, "execute_job", _record_blas_threads_outside_fork_pool)
+        jobs, _ = expand_jobs(parse_batch_yaml(MATRIX))
+        report = run_batch(jobs, parallelism=2, output_dir=tmp_path)
+        assert report.exit_code == 0, [o.error for o in report.failures]
+        assert [(tmp_path / f"{j.job_id}.threads").read_text() for j in jobs] == ["1"] * len(jobs)
+        assert caller_blas_threads() == 3

@@ -128,6 +128,14 @@ output: UNUSED
     assert (out / "batch_report.json").is_file()
 
 
+@pytest.mark.parametrize("value", ["-4", "0", "two"])
+def test_batch_cli_rejects_bad_parallelism(tmp_path, capsys, value):
+    with pytest.raises(SystemExit) as exc:
+        main(["batch", "--config", str(tmp_path / "unread.yaml"), "--parallelism", value])
+    assert exc.value.code == 2
+    assert "--parallelism" in capsys.readouterr().err
+
+
 def test_batch_cli_failure_exit_code(tmp_path, capsys):
     config = tmp_path / "batch.yaml"
     config.write_text(
