@@ -1,30 +1,33 @@
 """Execute expanded jobs with isolated failures and a shared atomic cache.
 
-Each job runs stage 1 then stage 2 and writes its artifacts under
-`<out>/<job id>/`. Per-job randomness derives from (job seed, job id), so
-results do not depend on the parallelism degree, execution order, or on which
-other jobs exist in the batch.
+Each distinct (dataset, sensitive attribute) is ingested, cached and measured
+once; each job then runs the rest of stage 1 and stage 2 and writes its
+artifacts under `<out>/<job id>/`. Per-job randomness derives from (job seed,
+job id), so results do not depend on the parallelism degree, execution order,
+or on which other jobs exist in the batch.
 """
 
 import ctypes
 import functools
 import json
 import os
+import signal
 import time
 import traceback
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import Future, ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from multiprocessing import get_context
 from pathlib import Path
 
 from ..dataset import SplitSpec, load_schema, make_synthetic
-from ..pipeline.stage1 import run_prep_stage
+from ..dataset.cache import remove_partial_writes
+from ..pipeline.stage1 import prepare_original, run_prep_stage
 from ..pipeline.stage2 import run_bench_stage
 from ..report.svg import write_sweep_svg
 from ..report.tables import stage1_rows, sweep_summary, write_stage1_csv, write_summary_json, write_sweep_csv
 from ..util import derive_seed
-from .spec import JobSpec
+from .spec import DatasetEntry, JobSpec
 
 
 @dataclass(frozen=True)
@@ -65,14 +68,12 @@ class BatchReport:
         }
 
 
-def _failed(job_id, exc, wall_time_s=0.0) -> JobOutcome:
-    return JobOutcome(
-        job_id=job_id,
-        status="failed",
-        error="".join(traceback.format_exception_only(type(exc), exc)).strip(),
-        wall_time_s=wall_time_s,
-        artifacts=(),
-    )
+def _error_text(exc) -> str:
+    return "".join(traceback.format_exception_only(type(exc), exc)).strip()
+
+
+def _failed(job_id, error: str, wall_time_s=0.0) -> JobOutcome:
+    return JobOutcome(job_id=job_id, status="failed", error=error, wall_time_s=wall_time_s, artifacts=())
 
 
 def write_job_artifacts(stage1, bench, job_dir, **summary_fields) -> list:
@@ -101,19 +102,43 @@ def write_job_artifacts(stage1, bench, job_dir, **summary_fields) -> list:
     return artifacts
 
 
+def _source(dataset: DatasetEntry, sensitive):
+    """(source, schema) of a dataset entry, as `run_prep_stage` takes them."""
+    if dataset.synthetic is not None:
+        return make_synthetic(**dataset.synthetic), None
+    return dataset.csv, load_schema(dataset.schema, sensitive=sensitive)
+
+
+def _original_of(job: JobSpec):
+    """The (dataset entry, sensitive attribute) whose preparation the job shares."""
+    return job.dataset.name, job.dataset.source_token(), job.dataset.schema, job.sensitive
+
+
+def _prepare(dataset: DatasetEntry, sensitive, cache_dir):
+    """The PreparedOriginal of one (dataset entry, sensitive attribute), or the error text that fails its jobs."""
+    try:
+        return prepare_original(*_source(dataset, sensitive), cache_dir, dataset.name)
+    except Exception as exc:
+        return _error_text(exc)
+
+
+def _run_prepared(job: JobSpec, prepared, output_dir, cache_dir) -> JobOutcome:
+    """execute_job on the job with its prepared original; a failed preparation fails the job."""
+    if isinstance(prepared, str):
+        return _failed(job.job_id, prepared)
+    return execute_job(replace(job, prepared=prepared), output_dir, cache_dir)
+
+
 def execute_job(job: JobSpec, output_dir, cache_dir) -> JobOutcome:
-    """Run one job end to end; exceptions become a failed outcome, never a crash."""
+    """Run one job end to end; exceptions become a failed outcome, never a crash.
+
+    A job that carries a prepared original reads it back from the cache; one
+    without ingests and measures the original itself.
+    """
     started = time.perf_counter()
     try:
         effective_seed = derive_seed(job.seed, job.job_id)
-        if job.dataset.synthetic is not None:
-            ds = make_synthetic(**job.dataset.synthetic)
-            schema = None
-            source = ds
-        else:
-            schema = load_schema(job.dataset.schema, sensitive=job.sensitive)
-            source = job.dataset.csv
-
+        source, schema = (job.prepared, None) if job.prepared is not None else _source(job.dataset, job.sensitive)
         stage1 = run_prep_stage(
             source, schema, job.method, job.method_params,
             seed=effective_seed, cache_dir=cache_dir, dataset_name=job.dataset.name,
@@ -140,7 +165,21 @@ def execute_job(job: JobSpec, output_dir, cache_dir) -> JobOutcome:
             artifacts=tuple(str(p) for p in artifacts),
         )
     except Exception as exc:
-        return _failed(job.job_id, exc, time.perf_counter() - started)
+        return _failed(job.job_id, _error_text(exc), time.perf_counter() - started)
+
+
+def _submit(pool, job: JobSpec, preparation, output_dir, cache_dir):
+    """The future of a job's pool task, submitted once its original is prepared.
+
+    A pool that broke before or during that gives a future that holds the
+    BrokenProcessPool, so the job runs again like every job the pool failed.
+    """
+    try:
+        return pool.submit(_run_prepared, job, preparation.result(), output_dir, cache_dir)
+    except BrokenProcessPool as exc:
+        broken = Future()
+        broken.set_exception(exc)
+        return broken
 
 
 def _collect(job: JobSpec, future) -> JobOutcome:
@@ -148,7 +187,7 @@ def _collect(job: JobSpec, future) -> JobOutcome:
     try:
         return future.result()
     except Exception as exc:
-        return _failed(job.job_id, exc)
+        return _failed(job.job_id, _error_text(exc))
 
 
 @functools.cache
@@ -189,9 +228,27 @@ def _set_blas_threads(count):
     return previous
 
 
+def _init_worker():
+    """Pool worker set-up: one BLAS thread, and a SIGTERM that leaves no half-written cache entry."""
+    _set_blas_threads(1)
+    signal.signal(signal.SIGTERM, _exit_on_sigterm)
+
+
+def _exit_on_sigterm(signum, frame):
+    # a broken pool terminates its other workers, which may be mid-way
+    # through a cache write
+    remove_partial_writes()
+    os._exit(128 + signum)
+
+
 def run_batch(jobs, parallelism: int = 1, output_dir="fairbench_out",
               cache_dir=None, skipped_expansions: int = 0) -> BatchReport:
     """Run all jobs, at most `parallelism` at a time; failures never stop the batch.
+
+    Each distinct (dataset entry, sensitive attribute) is first prepared once:
+    ingested, cached and measured, serially or as tasks of the same pool. Its
+    jobs then read the original back from the cache, and one whose
+    preparation failed fails with its error text.
 
     Every job runs with one BLAS thread, on every path: two pool workers with
     threaded BLAS on two cores wait on each other, and the thread count
@@ -200,27 +257,35 @@ def run_batch(jobs, parallelism: int = 1, output_dir="fairbench_out",
     output_dir = Path(output_dir)
     output_dir.mkdir(parents=True, exist_ok=True)
     cache_dir = Path(cache_dir) if cache_dir else output_dir / "cache"
+    originals = {}
+    for job in jobs:
+        originals.setdefault(_original_of(job), job)
 
     if parallelism <= 1 or len(jobs) <= 1:
         previous = _set_blas_threads(1)
         try:
-            outcomes = [execute_job(job, output_dir, cache_dir) for job in jobs]
+            prepared = {key: _prepare(job.dataset, job.sensitive, cache_dir) for key, job in originals.items()}
+            outcomes = [_run_prepared(job, prepared[_original_of(job)], output_dir, cache_dir) for job in jobs]
         finally:
             if previous is not None:
                 _set_blas_threads(previous)
     else:
         with ProcessPoolExecutor(max_workers=min(parallelism, len(jobs)),
-                                 initializer=_set_blas_threads, initargs=(1,)) as pool:
-            futures = [pool.submit(execute_job, job, output_dir, cache_dir) for job in jobs]
+                                 initializer=_init_worker) as pool:
+            preparations = {key: pool.submit(_prepare, job.dataset, job.sensitive, cache_dir)
+                            for key, job in originals.items()}
+            futures = [_submit(pool, job, preparations[_original_of(job)], output_dir, cache_dir)
+                       for job in jobs]
             outcomes = [_collect(job, future) for job, future in zip(jobs, futures)]
-        # a dead worker breaks the pool, which then fails every unfinished job;
-        # each of those runs again in a one-worker pool of its own, so only a
-        # job whose own worker dies stays failed
+        # a dead worker breaks the pool, which then fails every unfinished
+        # preparation and job; each of those jobs runs again, preparing its
+        # own original, in a one-worker pool of its own, so only a job whose
+        # own worker dies stays failed
         for i, (job, future) in enumerate(zip(jobs, futures)):
             if isinstance(future.exception(), BrokenProcessPool):
                 # a spawned interpreter starts at OpenBLAS's default count
                 with ProcessPoolExecutor(max_workers=1, mp_context=get_context("spawn"),
-                                         initializer=_set_blas_threads, initargs=(1,)) as pool:
+                                         initializer=_init_worker) as pool:
                     outcomes[i] = _collect(job, pool.submit(execute_job, job, output_dir, cache_dir))
 
     report = BatchReport(

@@ -56,6 +56,9 @@ class JobSpec:
     split: dict
     selection_metric: str
     job_id: str = field(default="")
+    # the PreparedOriginal of (dataset, sensitive) that run_batch hands the
+    # job; run-time state, not part of the job's identity
+    prepared: object = field(default=None, compare=False, repr=False)
 
     def canonical(self):
         return canonical_json({
@@ -82,6 +85,13 @@ def _integer(value, key):
     if isinstance(value, bool) or not isinstance(value, int):
         raise SchemaError(f"{key}: must be an integer, got {value!r}")
     return value
+
+
+def _number(value, key):
+    """`value` as a float if it is a YAML integer or float; booleans and strings are a SchemaError naming `key`."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise SchemaError(f"{key}: must be a number, got {value!r}")
+    return float(value)
 
 
 def _named_entries(raw, key):
@@ -132,11 +142,15 @@ def parse_batch_yaml(text: str) -> BatchSpec:
             raise SchemaError(f"datasets[{i}]: unknown keys {sorted(unknown)}")
         if "synthetic" in entry:
             syn = entry["synthetic"] or {}
+            key = f"datasets[{i}].synthetic"
+            if not isinstance(syn, dict):
+                raise SchemaError(f"{key}: must be a mapping")
             bad = set(syn) - {"n", "disparity", "seed"}
             if bad:
-                raise SchemaError(f"datasets[{i}].synthetic: unknown keys {sorted(bad)}")
-            syn = {"n": int(syn.get("n", 1000)), "disparity": float(syn.get("disparity", 0.0)),
-                   "seed": int(syn.get("seed", 0))}
+                raise SchemaError(f"{key}: unknown keys {sorted(bad)}")
+            syn = {"n": _integer(syn.get("n", 1000), f"{key}.n"),
+                   "disparity": _number(syn.get("disparity", 0.0), f"{key}.disparity"),
+                   "seed": _integer(syn.get("seed", 0), f"{key}.seed")}
             datasets.append(DatasetEntry(name=str(entry["name"]), synthetic=syn))
         else:
             if "csv" not in entry or "schema" not in entry:
@@ -159,7 +173,7 @@ def parse_batch_yaml(text: str) -> BatchSpec:
         bad = set(raw_split) - set(_DEFAULT_SPLIT)
         if bad:
             raise SchemaError(f"split: unknown keys {sorted(bad)} (use train/validation/test)")
-        split.update({k: float(v) for k, v in raw_split.items()})
+        split.update({k: _number(v, f"split.{k}") for k, v in raw_split.items()})
     total = sum(split.values())
     if abs(total - 1.0) > 1e-9:
         raise SchemaError(f"split: train+validation+test must sum to 1, got {total}")

@@ -92,12 +92,17 @@ def loads(blob: bytes) -> TabularDataset:
     return TabularDataset(features.reshape(n, d), labels, protected, weights, names, provenance)
 
 
+# temp files of the entries this process is writing, for remove_partial_writes
+_WRITING = set()
+
+
 def cache_store(ds: TabularDataset, key: str, cache_root) -> Path:
     """Write atomically; storing twice under one key leaves a single entry (last wins)."""
     root = Path(cache_root)
     root.mkdir(parents=True, exist_ok=True)
     target = cache_path(root, key)
     fd, tmp = tempfile.mkstemp(dir=root, prefix=".fpds-", suffix=".tmp")
+    _WRITING.add(tmp)
     try:
         with os.fdopen(fd, "wb") as fh:
             fh.write(dumps(ds))
@@ -108,7 +113,18 @@ def cache_store(ds: TabularDataset, key: str, cache_root) -> Path:
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
+    finally:
+        _WRITING.discard(tmp)
     return target
+
+
+def remove_partial_writes():
+    """Delete the temp files of the entries this process is writing, before it exits mid-write."""
+    for tmp in list(_WRITING):
+        try:
+            os.unlink(tmp)
+        except FileNotFoundError:  # renamed into place just now
+            pass
 
 
 def cache_load(key: str, cache_root):

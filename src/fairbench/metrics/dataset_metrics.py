@@ -115,16 +115,33 @@ def _consistency_key(features, labels, k):
     return h.digest()
 
 
-def _knn_label_means_blocked(z, labels, k, block=512, extra=32):
-    """Chunked GEMM distances + candidate refinement; ties still break on lowest index."""
+def _knn_label_means_blocked(z, labels, k, block=None, extra=32):
+    """Chunked GEMM distances + candidate refinement; ties still break on lowest index.
+
+    Each block of rows fills two (rows, n) buffers allocated once: the Gram
+    block, doubled in place, and (sq_i + sq_j) - 2 G, the same operations in
+    the same order as the one-expression form, so the distances are
+    bit-identical to it. Rows per block come from a budget of about 2 MiB per
+    buffer, but never fewer than 64: skinnier products lose more in the GEMM
+    than they gain in cache.
+    """
     n = z.shape[0]
+    if block is None:
+        block = max(64, (2 << 20) // (8 * n))
+    block = min(block, n)
     sq = (z * z).sum(axis=1)
     means = np.empty(n)
     cand = min(n - 1, k + extra)
     idx_all = np.arange(n)
+    gram = np.empty((block, n))
+    dist = np.empty((block, n))
     for start in range(0, n, block):
         stop = min(start + block, n)
-        d2 = sq[start:stop, None] + sq[None, :] - 2.0 * (z[start:stop] @ z.T)
+        g, d2 = gram[:stop - start], dist[:stop - start]
+        np.matmul(z[start:stop], z.T, out=g)
+        g *= 2.0
+        np.add(sq[start:stop, None], sq[None, :], out=d2)
+        d2 -= g
         d2[np.arange(stop - start), np.arange(start, stop)] = np.inf
         part = np.sort(np.argpartition(d2, cand - 1, axis=1)[:, :cand], axis=1)
         cand_d = np.take_along_axis(d2, part, axis=1)
@@ -161,6 +178,11 @@ def consistency(ds: TabularDataset, k: int = 5) -> float:
         means = _knn_label_means_blocked(z, labels, k)
         _CONSISTENCY_MEMO[key] = float(1.0 - np.abs(labels - means).mean())
     return _CONSISTENCY_MEMO[key]
+
+
+def remember_consistency(ds: TabularDataset, value: float, k: int = 5):
+    """Memoize a consistency value measured for `ds`'s content elsewhere, such as in another process."""
+    _CONSISTENCY_MEMO[_consistency_key(ds.features, ds.labels, k)] = value
 
 
 def dataset_metrics(ds: TabularDataset, consistency_k: int = 5) -> DatasetMetrics:

@@ -3,6 +3,9 @@
 import filecmp
 import json
 import os
+import signal
+import time
+from multiprocessing import get_context
 from pathlib import Path
 
 import numpy as np
@@ -10,6 +13,7 @@ import pytest
 import yaml
 
 from fairbench.batch import expand_jobs, parse_batch_yaml, run_batch, runner
+from fairbench.dataset import cache_store, make_synthetic
 from fairbench.errors import FairbenchWarning, SchemaError
 
 MINIMAL = """
@@ -79,6 +83,21 @@ class TestParse:
     def test_non_integer_rejected_with_its_key(self, lines, key):
         with pytest.raises(SchemaError, match=key):
             parse_batch_yaml(MINIMAL.replace("seeds: [0]", lines))
+
+    @pytest.mark.parametrize("old, new, key", [
+        ("n: 200", "n: abc", r"datasets\[0\]\.synthetic\.n"),
+        ("n: 200", "n: 200.7", r"datasets\[0\]\.synthetic\.n"),
+        ("n: 200", "n: true", r"datasets\[0\]\.synthetic\.n"),
+        ("seed: 11", "seed: 1.5", r"datasets\[0\]\.synthetic\.seed"),
+        ("disparity: 0.3", "disparity: high", r"datasets\[0\]\.synthetic\.disparity"),
+        ("disparity: 0.3", "disparity: false", r"datasets\[0\]\.synthetic\.disparity"),
+        ("{n: 200, disparity: 0.3, seed: 11}", "[200]", r"datasets\[0\]\.synthetic"),
+        ("seeds: [0]", "seeds: [0]\nsplit: {train: x, validation: 0.15, test: 0.15}", r"split\.train"),
+        ("seeds: [0]", "seeds: [0]\nsplit: {train: 0.7, validation: true, test: 0.15}", r"split\.validation"),
+    ])
+    def test_non_number_rejected_with_its_key(self, old, new, key):
+        with pytest.raises(SchemaError, match=key):
+            parse_batch_yaml(MINIMAL.replace(old, new))
 
     def test_csv_dataset_requires_schema(self):
         bad = """
@@ -151,6 +170,28 @@ def _exit_forked_on_synth_b_dir(job, output_dir, cache_dir):
     if _in_fork_pool() and job.dataset.name == "synth_b" and job.method == "DIR":
         os._exit(1)
     return _execute_job(job, output_dir, cache_dir)
+
+
+_prepare_original = runner.prepare_original
+
+
+def _exit_forked_preparing_synth_b(source, schema, cache_dir, dataset_name):
+    """Kills the fork-pool worker that prepares synth_b's original."""
+    if _in_fork_pool() and dataset_name == "synth_b":
+        os._exit(1)
+    return _prepare_original(source, schema, cache_dir, dataset_name)
+
+
+def _store_stalling_in_fsync(cache_dir, writing):
+    """A pool worker's set-up, then a cache write that stalls before its rename (runs in a forked child)."""
+    runner._init_worker()
+
+    def stall(fd):
+        writing.set()
+        time.sleep(60)
+
+    os.fsync = stall
+    cache_store(make_synthetic(seed=0, n=50, disparity=0.0), "key", cache_dir)
 
 
 def _record_blas_threads(job, output_dir, cache_dir):
@@ -268,6 +309,52 @@ class TestRun:
         assert set(first) == set(second)
         for rel in first:
             assert filecmp.cmp(first[rel], second[rel], shallow=False), rel
+
+    @pytest.mark.parametrize("parallelism", [1, 2])
+    def test_missing_csv_fails_its_jobs_with_the_ingest_error(self, tmp_path, parallelism):
+        schema = Path(runner.__file__).parents[1] / "dataset" / "schemas" / "german.yaml"
+        text = MATRIX.replace(
+            "  - name: synth_b\n    synthetic: {n: 240, disparity: 0.1, seed: 12}",
+            f"  - name: missing\n    csv: {tmp_path / 'absent.csv'}\n    schema: {schema}",
+        )
+        jobs, _ = expand_jobs(parse_batch_yaml(text))
+        report = run_batch(jobs, parallelism=parallelism, output_dir=tmp_path / "out")
+        for job, outcome in zip(jobs, report.outcomes):
+            if job.dataset.name == "missing":
+                # the text of a job that ingests the dataset itself
+                alone = runner.execute_job(job, tmp_path / "alone", tmp_path / "alone" / "cache")
+                assert outcome.status == alone.status == "failed"
+                assert outcome.error == alone.error
+                assert "absent.csv" in outcome.error
+            else:
+                assert outcome.status == "ok", (job.job_id, outcome.error)
+
+    def test_dead_worker_in_preparation_fails_no_job(self, tmp_path, monkeypatch):
+        jobs, _ = expand_jobs(parse_batch_yaml(MATRIX))
+        run_batch(jobs, parallelism=1, output_dir=tmp_path / "serial")
+        monkeypatch.setattr(runner, "prepare_original", _exit_forked_preparing_synth_b)
+        # the broken pool terminates the other worker, which may leave a
+        # temp file in the cache, so the cache sits outside the compared tree
+        report = run_batch(jobs, parallelism=2, output_dir=tmp_path / "rerun", cache_dir=tmp_path / "cache")
+        # synth_b's jobs prepare their original themselves in the re-run pool
+        assert report.exit_code == 0, [o.error for o in report.failures]
+        serial = job_files(tmp_path / "serial")
+        rerun = job_files(tmp_path / "rerun")
+        assert set(serial) == set(rerun)
+        for rel in serial:
+            assert filecmp.cmp(serial[rel], rerun[rel], shallow=False), rel
+
+    def test_worker_terminated_mid_write_leaves_no_temp_file(self, tmp_path):
+        # what a broken pool does to the workers still running
+        context = get_context("fork")
+        writing = context.Event()
+        worker = context.Process(target=_store_stalling_in_fsync, args=(tmp_path, writing))
+        worker.start()
+        assert writing.wait(30)
+        worker.terminate()
+        worker.join(30)
+        assert worker.exitcode == 128 + signal.SIGTERM
+        assert list(tmp_path.iterdir()) == []
 
     def test_dead_worker_fails_its_job_not_the_batch(self, tmp_path, monkeypatch):
         monkeypatch.setattr(runner, "execute_job", _exit_on_synth_b_dir)

@@ -136,6 +136,18 @@ def test_batch_cli_rejects_bad_parallelism(tmp_path, capsys, value):
     assert "--parallelism" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("line, key", [
+    ("    synthetic: {n: abc}", "datasets[0].synthetic.n"),
+    ("    synthetic: {n: 200}\nsplit: {train: x}", "split.train"),
+])
+def test_batch_cli_rejects_bad_numbers_in_config(tmp_path, capsys, line, key):
+    config = tmp_path / "batch.yaml"
+    config.write_text(f"datasets:\n  - name: synth\n{line}\nmethods: [RW]\nmodels: [logreg]\nseeds: [0]\n",
+                      encoding="utf-8")
+    assert main(["batch", "--config", str(config), "--out", str(tmp_path / "o")]) == 2
+    assert key in capsys.readouterr().err
+
+
 def test_batch_cli_failure_exit_code(tmp_path, capsys):
     config = tmp_path / "batch.yaml"
     config.write_text(

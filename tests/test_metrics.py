@@ -272,6 +272,63 @@ class TestConsistency:
             consistency(ds, k=6)
 
 
+    @staticmethod
+    def _one_expression_knn_means(z, labels, k, block=512, extra=32):
+        """The kNN label means with each block's distances as one expression, the form the buffers replace."""
+        n = z.shape[0]
+        sq = (z * z).sum(axis=1)
+        means = np.empty(n)
+        cand = min(n - 1, k + extra)
+        for start in range(0, n, block):
+            stop = min(start + block, n)
+            d2 = sq[start:stop, None] + sq[None, :] - 2.0 * (z[start:stop] @ z.T)
+            d2[np.arange(stop - start), np.arange(start, stop)] = np.inf
+            part = np.sort(np.argpartition(d2, cand - 1, axis=1)[:, :cand], axis=1)
+            cand_d = np.take_along_axis(d2, part, axis=1)
+            order = np.argsort(cand_d, axis=1, kind="stable")
+            sorted_d = np.take_along_axis(cand_d, order, axis=1)
+            means[start:stop] = labels[np.take_along_axis(part, order[:, :k], axis=1)].mean(axis=1)
+            for r in np.flatnonzero(sorted_d[:, k - 1] >= sorted_d[:, -1]):
+                means[start + r] = labels[np.lexsort((np.arange(n), d2[r]))[:k]].mean()
+        return means
+
+    def test_buffered_distances_equal_one_expression_form_bit_for_bit(self):
+        # duplicate-heavy one-hot rows tie exactly, so equal means pin the
+        # lowest-index tie rule; blocks of 64 and the size-derived default
+        # (374 rows at n=700) both run, against the parent's 512-row blocks
+        from fairbench.metrics.dataset_metrics import _knn_label_means_blocked
+
+        rng = np.random.default_rng(17)
+        n = 700
+        a = rng.permutation(np.repeat([0, 1, 2, 3], [60, 140, 200, 300]))
+        b = rng.permutation(np.repeat([0, 1, 2], [150, 250, 300]))
+        features = np.column_stack([np.eye(4)[a], np.eye(3)[b], rng.integers(0, 3, n)])
+        labels = rng.integers(0, 2, n)
+        z = standardize(mk(labels, np.zeros(n), features=features))[0].features
+        y = labels.astype(float)
+        for k in (1, 5):
+            expected = self._one_expression_knn_means(z, y, k)
+            for block in (None, 64):
+                assert np.array_equal(_knn_label_means_blocked(z, y, k, block=block), expected), (k, block)
+
+    def test_adult_sized_call_peaks_below_16_mib(self, monkeypatch):
+        # four 512-row (512, n) temporaries per block took 4 x 512 x 4000 x 8 B
+        import tracemalloc
+
+        dm = importlib.import_module("fairbench.metrics.dataset_metrics")
+        monkeypatch.setattr(dm, "_CONSISTENCY_MEMO", {})
+        rng = np.random.default_rng(19)
+        n, d = 4000, 105
+        ds = mk(rng.integers(0, 2, n), rng.integers(0, 2, n), features=rng.integers(0, 2, (n, d)).astype(float))
+        tracemalloc.start()
+        try:
+            consistency(ds)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20, peak
+
+
 class TestGroupConfusion:
     """Per-group and pooled confusion rates, read from the bundle's group_rates."""
 

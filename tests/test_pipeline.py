@@ -1,6 +1,7 @@
 """Two-stage protocol: sweep grid, composite selection, arm isolation, determinism."""
 
 import dataclasses
+import importlib
 import math
 
 import numpy as np
@@ -222,6 +223,32 @@ class TestPrepStage:
                             lambda key, root: loaded.append(cache_load(key, root)) or loaded[-1])
         run_bench_stage(by_sex, split_spec=SplitSpec(seed=0), cache_dir=cache)
         assert np.array_equal(loaded[0].protected, (sex == "M").astype(np.int64))
+
+    def test_prepared_original_gives_the_same_report_without_a_knn_pass(self, tmp_path, monkeypatch):
+        from fairbench.pipeline.stage1 import prepare_original
+
+        # the module, not the function that `fairbench.metrics` re-exports under its name
+        dm = importlib.import_module("fairbench.metrics.dataset_metrics")
+        ds = make_synthetic(seed=10, n=300, disparity=0.3)
+        prepared = prepare_original(ds, None, tmp_path, "syn")
+        expected = {method: run_prep_stage(ds, None, method, {}, seed=1, cache_dir=tmp_path / "direct",
+                                           dataset_name="syn") for method in ("RW", "DIR")}
+        # a fresh process: nothing memoized, and the original comes from the cache entry
+        monkeypatch.setattr(dm, "_CONSISTENCY_MEMO", {})
+        knn_calls = []
+        knn = dm._knn_label_means_blocked
+        monkeypatch.setattr(dm, "_knn_label_means_blocked", lambda *a, **kw: knn_calls.append(1) or knn(*a, **kw))
+        assert run_prep_stage(prepared, None, "RW", {}, seed=1, cache_dir=tmp_path) == expected["RW"]
+        assert knn_calls == []  # RW keeps the original's features and labels
+        assert run_prep_stage(prepared, None, "DIR", {}, seed=1, cache_dir=tmp_path) == expected["DIR"]
+        assert knn_calls == [1]
+
+    def test_prepared_original_needs_its_cache_entry(self, tmp_path):
+        from fairbench.pipeline.stage1 import prepare_original
+
+        prepared = prepare_original(make_synthetic(seed=11, n=100, disparity=0.2), None, tmp_path, "syn")
+        with pytest.raises(FairbenchError, match="no longer readable"):
+            run_prep_stage(prepared, None, "RW", {}, cache_dir=tmp_path / "elsewhere")
 
     def test_unknown_method_rejected(self, tmp_path):
         ds = make_synthetic(seed=0, n=50, disparity=0.0)
