@@ -1,6 +1,6 @@
 """YAML experiment matrices: parse, expand, execute."""
 
-from .runner import BatchReport, JobOutcome, execute_job, run_batch
+from .runner import BatchReport, JobOutcome, run_batch
 from .spec import BatchSpec, DatasetEntry, JobSpec, expand_jobs, parse_batch_yaml
 
 __all__ = [
@@ -9,7 +9,6 @@ __all__ = [
     "DatasetEntry",
     "JobOutcome",
     "JobSpec",
-    "execute_job",
     "expand_jobs",
     "parse_batch_yaml",
     "run_batch",

@@ -7,6 +7,7 @@ job id), so results do not depend on the parallelism degree, execution order,
 or on which other jobs exist in the batch.
 """
 
+import contextlib
 import ctypes
 import functools
 import json
@@ -14,9 +15,9 @@ import os
 import signal
 import time
 import traceback
-from concurrent.futures import Future, ProcessPoolExecutor
+from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from multiprocessing import get_context
 from pathlib import Path
 
@@ -102,13 +103,6 @@ def write_job_artifacts(stage1, bench, job_dir, **summary_fields) -> list:
     return artifacts
 
 
-def _source(dataset: DatasetEntry, sensitive):
-    """(source, schema) of a dataset entry, as `run_prep_stage` takes them."""
-    if dataset.synthetic is not None:
-        return make_synthetic(**dataset.synthetic), None
-    return dataset.csv, load_schema(dataset.schema, sensitive=sensitive)
-
-
 def _original_of(job: JobSpec):
     """The (dataset entry, sensitive attribute) whose preparation the job shares."""
     return job.dataset.name, job.dataset.source_token(), job.dataset.schema, job.sensitive
@@ -117,32 +111,22 @@ def _original_of(job: JobSpec):
 def _prepare(dataset: DatasetEntry, sensitive, cache_dir):
     """The PreparedOriginal of one (dataset entry, sensitive attribute), or the error text that fails its jobs."""
     try:
-        return prepare_original(*_source(dataset, sensitive), cache_dir, dataset.name)
+        if dataset.synthetic is not None:
+            source, schema = make_synthetic(**dataset.synthetic), None
+        else:
+            source, schema = dataset.csv, load_schema(dataset.schema, sensitive=sensitive)
+        return prepare_original(source, schema, cache_dir, dataset.name)
     except Exception as exc:
         return _error_text(exc)
 
 
-def _run_prepared(job: JobSpec, prepared, output_dir, cache_dir) -> JobOutcome:
-    """execute_job on the job with its prepared original; a failed preparation fails the job."""
-    if isinstance(prepared, str):
-        return _failed(job.job_id, prepared)
-    return execute_job(replace(job, prepared=prepared), output_dir, cache_dir)
-
-
-def execute_job(job: JobSpec, output_dir, cache_dir) -> JobOutcome:
-    """Run one job end to end; exceptions become a failed outcome, never a crash.
-
-    A job that carries a prepared original reads it back from the cache; one
-    without ingests and measures the original itself.
-    """
+def execute_job(job: JobSpec, prepared, output_dir, cache_dir) -> JobOutcome:
+    """Run one job from the PreparedOriginal of its dataset; exceptions become a failed outcome, never a crash."""
     started = time.perf_counter()
     try:
         effective_seed = derive_seed(job.seed, job.job_id)
-        source, schema = (job.prepared, None) if job.prepared is not None else _source(job.dataset, job.sensitive)
-        stage1 = run_prep_stage(
-            source, schema, job.method, job.method_params,
-            seed=effective_seed, cache_dir=cache_dir, dataset_name=job.dataset.name,
-        )
+        stage1 = run_prep_stage(prepared, None, job.method, job.method_params,
+                                seed=effective_seed, cache_dir=cache_dir)
         split_spec = SplitSpec(
             train=job.split["train"], validation=job.split["validation"],
             test=job.split["test"], seed=effective_seed,
@@ -168,26 +152,40 @@ def execute_job(job: JobSpec, output_dir, cache_dir) -> JobOutcome:
         return _failed(job.job_id, _error_text(exc), time.perf_counter() - started)
 
 
-def _submit(pool, job: JobSpec, preparation, output_dir, cache_dir):
-    """The future of a job's pool task, submitted once its original is prepared.
+def _run_tasks(fn, tasks, pool):
+    """[fn(*args) for args in tasks], as tasks of `pool` or, when it is None, in this process.
 
-    A pool that broke before or during that gives a future that holds the
-    BrokenProcessPool, so the job runs again like every job the pool failed.
+    Every task runs with one BLAS thread: two pool workers with threaded BLAS
+    on two cores wait on each other, and the thread count changes the last
+    bits of BLAS products, which artifacts must not depend on. A dead worker
+    breaks the pool, which then fails every unfinished task with
+    BrokenProcessPool; each of those runs once more, with the same arguments,
+    alone in a one-worker spawn pool. A task that raises in a pool gives its
+    error text.
     """
-    try:
-        return pool.submit(_run_prepared, job, preparation.result(), output_dir, cache_dir)
-    except BrokenProcessPool as exc:
-        broken = Future()
-        broken.set_exception(exc)
-        return broken
-
-
-def _collect(job: JobSpec, future) -> JobOutcome:
-    """A future's outcome; a worker that died (BrokenProcessPool) fails the job, not the batch."""
-    try:
-        return future.result()
-    except Exception as exc:
-        return _failed(job.job_id, _error_text(exc))
+    if pool is None:
+        previous = _set_blas_threads(1)
+        try:
+            return [fn(*args) for args in tasks]
+        finally:
+            if previous is not None:
+                _set_blas_threads(previous)
+    futures = []
+    for args in tasks:
+        try:
+            futures.append(pool.submit(fn, *args))
+        except BrokenProcessPool:
+            futures.append(None)
+    results = []
+    for args, future in zip(tasks, futures):
+        if future is None or isinstance(future.exception(), BrokenProcessPool):
+            # a spawned interpreter starts at OpenBLAS's default count
+            with ProcessPoolExecutor(max_workers=1, mp_context=get_context("spawn"),
+                                     initializer=_init_worker) as alone:
+                future = alone.submit(fn, *args)
+        error = future.exception()
+        results.append(future.result() if error is None else _error_text(error))
+    return results
 
 
 @functools.cache
@@ -246,47 +244,30 @@ def run_batch(jobs, parallelism: int = 1, output_dir="fairbench_out",
     """Run all jobs, at most `parallelism` at a time; failures never stop the batch.
 
     Each distinct (dataset entry, sensitive attribute) is first prepared once:
-    ingested, cached and measured, serially or as tasks of the same pool. Its
-    jobs then read the original back from the cache, and one whose
-    preparation failed fails with its error text.
-
-    Every job runs with one BLAS thread, on every path: two pool workers with
-    threaded BLAS on two cores wait on each other, and the thread count
-    changes the last bits of BLAS products, which artifacts must not depend on.
+    ingested, cached and measured. Its jobs then run from that preparation and
+    read the original back from the cache; the jobs of a preparation that
+    failed fail with its error text. Preparations and jobs run in this process
+    or as tasks of one pool.
     """
     output_dir = Path(output_dir)
     output_dir.mkdir(parents=True, exist_ok=True)
     cache_dir = Path(cache_dir) if cache_dir else output_dir / "cache"
     originals = {}
     for job in jobs:
-        originals.setdefault(_original_of(job), job)
+        originals.setdefault(_original_of(job), (job.dataset, job.sensitive, cache_dir))
 
-    if parallelism <= 1 or len(jobs) <= 1:
-        previous = _set_blas_threads(1)
-        try:
-            prepared = {key: _prepare(job.dataset, job.sensitive, cache_dir) for key, job in originals.items()}
-            outcomes = [_run_prepared(job, prepared[_original_of(job)], output_dir, cache_dir) for job in jobs]
-        finally:
-            if previous is not None:
-                _set_blas_threads(previous)
-    else:
-        with ProcessPoolExecutor(max_workers=min(parallelism, len(jobs)),
-                                 initializer=_init_worker) as pool:
-            preparations = {key: pool.submit(_prepare, job.dataset, job.sensitive, cache_dir)
-                            for key, job in originals.items()}
-            futures = [_submit(pool, job, preparations[_original_of(job)], output_dir, cache_dir)
-                       for job in jobs]
-            outcomes = [_collect(job, future) for job, future in zip(jobs, futures)]
-        # a dead worker breaks the pool, which then fails every unfinished
-        # preparation and job; each of those jobs runs again, preparing its
-        # own original, in a one-worker pool of its own, so only a job whose
-        # own worker dies stays failed
-        for i, (job, future) in enumerate(zip(jobs, futures)):
-            if isinstance(future.exception(), BrokenProcessPool):
-                # a spawned interpreter starts at OpenBLAS's default count
-                with ProcessPoolExecutor(max_workers=1, mp_context=get_context("spawn"),
-                                         initializer=_init_worker) as pool:
-                    outcomes[i] = _collect(job, pool.submit(execute_job, job, output_dir, cache_dir))
+    workers = min(parallelism, len(jobs))
+    with (ProcessPoolExecutor(max_workers=workers, initializer=_init_worker) if workers > 1
+          else contextlib.nullcontext()) as pool:
+        prepared = dict(zip(originals, _run_tasks(_prepare, list(originals.values()), pool)))
+        ready = [job for job in jobs if not isinstance(prepared[_original_of(job)], str)]
+        done = iter(_run_tasks(execute_job, [(job, prepared[_original_of(job)], output_dir, cache_dir)
+                                             for job in ready], pool))
+    outcomes = []
+    for job in jobs:
+        result = prepared[_original_of(job)]
+        result = result if isinstance(result, str) else next(done)
+        outcomes.append(_failed(job.job_id, result) if isinstance(result, str) else result)
 
     report = BatchReport(
         outcomes=tuple(outcomes),

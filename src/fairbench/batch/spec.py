@@ -8,7 +8,7 @@ import yaml
 from ..errors import SchemaError
 from ..dataset.schema import declared_sensitive_attributes
 from ..pipeline.sweep import FAIRNESS_METRICS
-from ..util import canonical_json
+from ..util import canonical_json, integer, number
 
 _TOP_KEYS = {
     "datasets", "sensitive_attributes", "methods", "models", "seeds",
@@ -56,9 +56,6 @@ class JobSpec:
     split: dict
     selection_metric: str
     job_id: str = field(default="")
-    # the PreparedOriginal of (dataset, sensitive) that run_batch hands the
-    # job; run-time state, not part of the job's identity
-    prepared: object = field(default=None, compare=False, repr=False)
 
     def canonical(self):
         return canonical_json({
@@ -80,18 +77,16 @@ class JobSpec:
             object.__setattr__(self, "job_id", digest)
 
 
-def _integer(value, key):
-    """`value` if it is an integer; YAML booleans, floats and strings are a SchemaError naming `key`."""
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise SchemaError(f"{key}: must be an integer, got {value!r}")
-    return value
-
-
-def _number(value, key):
-    """`value` as a float if it is a YAML integer or float; booleans and strings are a SchemaError naming `key`."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise SchemaError(f"{key}: must be a number, got {value!r}")
-    return float(value)
+def synthetic_params(raw, key, seed=0):
+    """A `synthetic` block as make_synthetic's {n, disparity, seed}; a bad key or value is a SchemaError naming `key`."""
+    if not isinstance(raw, dict):
+        raise SchemaError(f"{key}: must be a mapping")
+    bad = set(raw) - {"n", "disparity", "seed"}
+    if bad:
+        raise SchemaError(f"{key}: unknown keys {sorted(bad)}")
+    return {"n": integer(raw.get("n", 1000), f"{key}.n"),
+            "disparity": number(raw.get("disparity", 0.0), f"{key}.disparity"),
+            "seed": integer(raw.get("seed", seed), f"{key}.seed")}
 
 
 def _named_entries(raw, key):
@@ -141,16 +136,7 @@ def parse_batch_yaml(text: str) -> BatchSpec:
         if unknown:
             raise SchemaError(f"datasets[{i}]: unknown keys {sorted(unknown)}")
         if "synthetic" in entry:
-            syn = entry["synthetic"] or {}
-            key = f"datasets[{i}].synthetic"
-            if not isinstance(syn, dict):
-                raise SchemaError(f"{key}: must be a mapping")
-            bad = set(syn) - {"n", "disparity", "seed"}
-            if bad:
-                raise SchemaError(f"{key}: unknown keys {sorted(bad)}")
-            syn = {"n": _integer(syn.get("n", 1000), f"{key}.n"),
-                   "disparity": _number(syn.get("disparity", 0.0), f"{key}.disparity"),
-                   "seed": _integer(syn.get("seed", 0), f"{key}.seed")}
+            syn = synthetic_params(entry["synthetic"] or {}, f"datasets[{i}].synthetic")
             datasets.append(DatasetEntry(name=str(entry["name"]), synthetic=syn))
         else:
             if "csv" not in entry or "schema" not in entry:
@@ -162,7 +148,10 @@ def parse_batch_yaml(text: str) -> BatchSpec:
     raw_sensitive = doc.get("sensitive_attributes") or {}
     if not isinstance(raw_sensitive, dict):
         raise SchemaError("sensitive_attributes: must map dataset name -> list of attributes")
+    names = {d.name for d in datasets}
     for ds_name, attrs in raw_sensitive.items():
+        if str(ds_name) not in names:
+            raise SchemaError(f"sensitive_attributes.{ds_name}: no dataset of that name in datasets")
         if not isinstance(attrs, list) or not attrs:
             raise SchemaError(f"sensitive_attributes.{ds_name}: must be a non-empty list")
         sensitive[str(ds_name)] = [str(a) for a in attrs]
@@ -170,10 +159,12 @@ def parse_batch_yaml(text: str) -> BatchSpec:
     split = dict(_DEFAULT_SPLIT)
     if "split" in doc:
         raw_split = doc["split"] or {}
+        if not isinstance(raw_split, dict):
+            raise SchemaError(f"split: must map train/validation/test to fractions, got {raw_split!r}")
         bad = set(raw_split) - set(_DEFAULT_SPLIT)
         if bad:
             raise SchemaError(f"split: unknown keys {sorted(bad)} (use train/validation/test)")
-        split.update({k: _number(v, f"split.{k}") for k, v in raw_split.items()})
+        split.update({k: number(v, f"split.{k}") for k, v in raw_split.items()})
     total = sum(split.values())
     if abs(total - 1.0) > 1e-9:
         raise SchemaError(f"split: train+validation+test must sum to 1, got {total}")
@@ -184,13 +175,13 @@ def parse_batch_yaml(text: str) -> BatchSpec:
     seeds = doc["seeds"]
     if not isinstance(seeds, list) or not seeds:
         raise SchemaError("seeds: must be a non-empty list of integers")
-    seeds = tuple(_integer(s, f"seeds[{i}]") for i, s in enumerate(seeds))
+    seeds = tuple(integer(s, f"seeds[{i}]") for i, s in enumerate(seeds))
 
     selection = str(doc.get("selection_metric", "SPD"))
     if selection not in FAIRNESS_METRICS:
         raise SchemaError(f"selection_metric: {selection!r} not in {FAIRNESS_METRICS}")
 
-    parallelism = _integer(doc.get("parallelism", 1), "parallelism")
+    parallelism = integer(doc.get("parallelism", 1), "parallelism")
     if parallelism < 1:
         raise SchemaError("parallelism: must be >= 1")
 

@@ -7,9 +7,11 @@ from pathlib import Path
 
 from .batch import expand_jobs, parse_batch_yaml, run_batch
 from .batch.runner import write_job_artifacts
+from .batch.spec import synthetic_params
 from .dataset import SplitSpec, load_schema, make_synthetic
 from .errors import FairbenchError
-from .pipeline import StageOneReport, run_bench_stage, run_prep_stage
+from .pipeline import FAIRNESS_METRICS, StageOneReport, run_bench_stage, run_prep_stage
+from .preproc import METHOD_NAMES
 from .report import stage1_rows, write_stage1_csv
 
 
@@ -41,10 +43,7 @@ def _cmd_prep(args):
     params = _parse_params(args.param)
     if args.dataset.startswith("synthetic"):
         syn = _parse_params(args.dataset.split(":", 1)[1].split(",")) if ":" in args.dataset else {}
-        source = make_synthetic(
-            seed=int(syn.get("seed", args.seed)), n=int(syn.get("n", 1000)),
-            disparity=float(syn.get("disparity", 0.0)),
-        )
+        source = make_synthetic(**synthetic_params(syn, "synthetic", seed=args.seed))
         schema = None
     else:
         if not args.csv:
@@ -119,7 +118,7 @@ def build_parser():
     prep.add_argument("--schema", help="dataset schema YAML")
     prep.add_argument("--csv", help="prepared CSV path")
     prep.add_argument("--sensitive", help="sensitive attribute option declared in the schema")
-    prep.add_argument("--method", required=True, choices=["RW", "LFR", "DIR", "OPP"])
+    prep.add_argument("--method", required=True, choices=METHOD_NAMES)
     prep.add_argument("--param", action="append", metavar="k=v", help="method parameter")
     prep.add_argument("--seed", type=int, default=0)
     prep.add_argument("--out", default="fairbench_out")
@@ -130,7 +129,7 @@ def build_parser():
     bench.add_argument("--from", dest="from_report", required=True, help="stage-1 report JSON")
     bench.add_argument("--model", default="logreg")
     bench.add_argument("--param", action="append", metavar="k=v", help="model parameter")
-    bench.add_argument("--select-metric", default="SPD", choices=["SPD", "DI", "EOD", "AOD", "Theil"])
+    bench.add_argument("--select-metric", default="SPD", choices=FAIRNESS_METRICS)
     bench.add_argument("--train", type=float, default=0.70)
     bench.add_argument("--validation", type=float, default=0.15)
     bench.add_argument("--test", type=float, default=0.15)

@@ -4,9 +4,8 @@ An adapter takes (train dataset, params dict, seed) and returns an object with
 a `score(ds) -> array in [0,1]` method.
 """
 
-import dataclasses
-
 from ..errors import SchemaError
+from ..util import config_from
 from .logreg import LogRegConfig, TrainedModel, predict_scores, train_logreg
 
 _REGISTRY = {}
@@ -38,13 +37,7 @@ class _LogRegScorer:
 
 
 def _logreg_factory(train, params, seed):
-    known = {f.name: f for f in dataclasses.fields(LogRegConfig)}
-    unknown = set(params) - set(known)
-    if unknown:
-        raise SchemaError(f"logreg: unknown parameter(s) {sorted(unknown)} (accepts {sorted(known)})")
-    # each default's type (float, int, bool) converts the YAML value
-    cfg = LogRegConfig(**{name: type(f.default)(params.get(name, f.default)) for name, f in known.items()})
-    return _LogRegScorer(train_logreg(train, cfg))
+    return _LogRegScorer(train_logreg(train, config_from(LogRegConfig, params, "logreg")))
 
 
 register_model("logreg", _logreg_factory)

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 from ..errors import SchemaError
 from ..dataset.cache import content_key
 from ..dataset.tabular import TabularDataset, apply_standardization, standardize
-from ..util import derive_seed
+from ..util import checked_params, config_from, derive_seed
 from .lfr import LfrModel, lfr_fit, lfr_gradients, lfr_objective, lfr_transform
 from .opp import OppConfig, OppMap, opp_fit, opp_transform
 from .repair import DirConfig, dir_repair
@@ -19,44 +19,8 @@ from .reweigh import ReweighResult, reweigh
 METHOD_NAMES = ("RW", "LFR", "DIR", "OPP")
 
 
-def _take(params, defaults, method):
-    params = dict(params or {})
-    unknown = set(params) - set(defaults)
-    if unknown:
-        raise SchemaError(f"{method}: unknown parameter(s) {sorted(unknown)} (accepts {sorted(defaults)})")
-    merged = dict(defaults)
-    merged.update(params)
-    return merged
-
-
-def _dir_config(params):
-    p = _take(params, {"repair_level": 1.0, "grid_size": 100, "columns": None}, "DIR")
-    columns = tuple(p["columns"]) if p["columns"] is not None else None
-    return DirConfig(repair_level=float(p["repair_level"]), grid_size=int(p["grid_size"]), columns=columns)
-
-
-def _opp_config(params):
-    p = _take(
-        params,
-        {"epsilon": 0.05, "distortion_budget": 0.25, "bins": 5, "max_iter": 500,
-         "rho_fair": 100.0, "rho_dist": 100.0, "label_flip_cost": 1.0, "columns": None},
-        "OPP",
-    )
-    columns = tuple(p["columns"]) if p["columns"] is not None else None
-    return OppConfig(
-        epsilon=float(p["epsilon"]),
-        distortion_budget=float(p["distortion_budget"]),
-        bins=int(p["bins"]),
-        max_iter=int(p["max_iter"]),
-        rho_fair=float(p["rho_fair"]),
-        rho_dist=float(p["rho_dist"]),
-        label_flip_cost=float(p["label_flip_cost"]),
-        columns=columns,
-    )
-
-
 def _lfr_params(params):
-    return _take(
+    return checked_params(
         params,
         {"prototypes": 10, "a_z": 50.0, "a_x": 0.01, "a_y": 1.0, "max_iter": 5000, "tol": 1e-6},
         "LFR",
@@ -78,12 +42,12 @@ class FittedMethod:
 
 def fit_method(name: str, train: TabularDataset, params=None, seed: int = 0) -> FittedMethod:
     if name == "RW":
-        _take(params, {}, "RW")
+        checked_params(params, {}, "RW")
         out = reweigh(train).dataset
         return FittedMethod(name, out, lambda ds: ds)
 
     if name == "DIR":
-        cfg = _dir_config(params)
+        cfg = config_from(DirConfig, params, "DIR")
         # the repair has no train/apply separation: each split is repaired
         # against its own group distributions
         return FittedMethod(name, dir_repair(train, cfg), lambda ds: dir_repair(ds, cfg))
@@ -93,9 +57,8 @@ def fit_method(name: str, train: TabularDataset, params=None, seed: int = 0) -> 
         std_train, means, scales = standardize(train)
         model = lfr_fit(
             std_train,
-            n_prototypes=int(p["prototypes"]),
-            a_z=float(p["a_z"]), a_x=float(p["a_x"]), a_y=float(p["a_y"]),
-            seed=seed, max_iter=int(p["max_iter"]), tol=float(p["tol"]),
+            n_prototypes=p["prototypes"], a_z=p["a_z"], a_x=p["a_x"], a_y=p["a_y"],
+            seed=seed, max_iter=p["max_iter"], tol=p["tol"],
         )
 
         def eval_lfr(ds, _model=model, _mu=means, _sd=scales):
@@ -105,7 +68,7 @@ def fit_method(name: str, train: TabularDataset, params=None, seed: int = 0) -> 
         return FittedMethod(name, lfr_transform(model, std_train), eval_lfr)
 
     if name == "OPP":
-        mapping = opp_fit(train, _opp_config(params))
+        mapping = opp_fit(train, config_from(OppConfig, params, "OPP"))
 
         def eval_opp(ds, _m=mapping, _seed=seed):
             # seeded by content: equal-sized validation and test splits must not share draws

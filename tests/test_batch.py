@@ -94,6 +94,8 @@ class TestParse:
         ("{n: 200, disparity: 0.3, seed: 11}", "[200]", r"datasets\[0\]\.synthetic"),
         ("seeds: [0]", "seeds: [0]\nsplit: {train: x, validation: 0.15, test: 0.15}", r"split\.train"),
         ("seeds: [0]", "seeds: [0]\nsplit: {train: 0.7, validation: true, test: 0.15}", r"split\.validation"),
+        ("seeds: [0]", "seeds: [0]\nsplit: 0.7", "split"),
+        ("seeds: [0]", "seeds: [0]\nsensitive_attributes: {synht_a: [group]}", r"sensitive_attributes\.synht_a"),
     ])
     def test_non_number_rejected_with_its_key(self, old, new, key):
         with pytest.raises(SchemaError, match=key):
@@ -138,6 +140,24 @@ class TestExpand:
             expand_jobs(spec)
 
 
+def _toy_csv_entry(tmp_path):
+    """A `datasets` entry for a 240-row CSV and its schema, both written under `tmp_path`."""
+    rng = np.random.default_rng(5)
+    sex = rng.choice(["M", "F"], 240)
+    x = rng.normal(size=240)
+    income = np.where(x + (sex == "M") > 0.5, "high", "low")
+    csv, schema = tmp_path / "toy.csv", tmp_path / "toy.yaml"
+    csv.write_text("x,sex,income\n" + "".join(
+        f"{float(v)!r},{s},{y}\n" for v, s, y in zip(x, sex, income)), encoding="utf-8")
+    schema.write_text(yaml.safe_dump({
+        "name": "toy",
+        "label": {"column": "income", "favorable": "high"},
+        "sensitive_options": {"sex": {"column": "sex", "privileged": ["M"]}},
+        "features": {"numeric": ["x"]},
+    }), encoding="utf-8")
+    return f"  - name: toy\n    csv: {csv}\n    schema: {schema}"
+
+
 def job_files(root: Path):
     """Per-job artifact files, relative path -> absolute, batch report excluded."""
     out = {}
@@ -150,11 +170,11 @@ def job_files(root: Path):
 _execute_job = runner.execute_job
 
 
-def _exit_on_synth_b_dir(job, output_dir, cache_dir):
+def _exit_on_synth_b_dir(job, prepared, output_dir, cache_dir):
     """Kills the pool worker that runs the synth_b DIR job (module level, so it pickles)."""
     if job.dataset.name == "synth_b" and job.method == "DIR":
         os._exit(1)
-    return _execute_job(job, output_dir, cache_dir)
+    return _execute_job(job, prepared, output_dir, cache_dir)
 
 
 _IMPORT_PID = os.getpid()
@@ -165,11 +185,19 @@ def _in_fork_pool():
     return os.getpid() != _IMPORT_PID
 
 
-def _exit_forked_on_synth_b_dir(job, output_dir, cache_dir):
+def _exit_forked_on_synth_b_dir(job, prepared, output_dir, cache_dir):
     """Kills the fork-pool worker that runs synth_b DIR, so that job runs again in the spawn pool."""
     if _in_fork_pool() and job.dataset.name == "synth_b" and job.method == "DIR":
         os._exit(1)
-    return _execute_job(job, output_dir, cache_dir)
+    return _execute_job(job, prepared, output_dir, cache_dir)
+
+
+def _exit_forked_deleting_toy_csv(job, prepared, output_dir, cache_dir):
+    """Deletes the toy CSV in the fork-pool worker that runs toy DIR, then kills that worker."""
+    if _in_fork_pool() and job.dataset.name == "toy" and job.method == "DIR":
+        os.remove(job.dataset.csv)
+        os._exit(1)
+    return _execute_job(job, prepared, output_dir, cache_dir)
 
 
 _prepare_original = runner.prepare_original
@@ -180,6 +208,16 @@ def _exit_forked_preparing_synth_b(source, schema, cache_dir, dataset_name):
     if _in_fork_pool() and dataset_name == "synth_b":
         os._exit(1)
     return _prepare_original(source, schema, cache_dir, dataset_name)
+
+
+_prepare = runner._prepare
+
+
+def _exit_preparing_synth_b(dataset, sensitive, cache_dir):
+    """Kills every pool worker, forked or spawned, that prepares synth_b's original."""
+    if dataset.name == "synth_b":
+        os._exit(1)
+    return _prepare(dataset, sensitive, cache_dir)
 
 
 def _store_stalling_in_fsync(cache_dir, writing):
@@ -194,18 +232,18 @@ def _store_stalling_in_fsync(cache_dir, writing):
     cache_store(make_synthetic(seed=0, n=50, disparity=0.0), "key", cache_dir)
 
 
-def _record_blas_threads(job, output_dir, cache_dir):
+def _record_blas_threads(job, prepared, output_dir, cache_dir):
     """Writes the BLAS thread count the job runs with to `<output_dir>/<job id>.threads`."""
     get, _ = runner._openblas_threads()
     (Path(output_dir) / f"{job.job_id}.threads").write_text(str(get()), encoding="utf-8")
     return runner.JobOutcome(job_id=job.job_id, status="ok", error="", wall_time_s=0.0, artifacts=())
 
 
-def _record_blas_threads_outside_fork_pool(job, output_dir, cache_dir):
+def _record_blas_threads_outside_fork_pool(job, prepared, output_dir, cache_dir):
     """Kills every fork-pool worker, so each job records its count in the spawn re-run pool."""
     if _in_fork_pool():
         os._exit(1)
-    return _record_blas_threads(job, output_dir, cache_dir)
+    return _record_blas_threads(job, prepared, output_dir, cache_dir)
 
 
 @pytest.fixture
@@ -321,10 +359,8 @@ class TestRun:
         report = run_batch(jobs, parallelism=parallelism, output_dir=tmp_path / "out")
         for job, outcome in zip(jobs, report.outcomes):
             if job.dataset.name == "missing":
-                # the text of a job that ingests the dataset itself
-                alone = runner.execute_job(job, tmp_path / "alone", tmp_path / "alone" / "cache")
-                assert outcome.status == alone.status == "failed"
-                assert outcome.error == alone.error
+                assert outcome.status == "failed"
+                assert outcome.error == runner._prepare(job.dataset, job.sensitive, tmp_path / "alone")
                 assert "absent.csv" in outcome.error
             else:
                 assert outcome.status == "ok", (job.job_id, outcome.error)
@@ -336,13 +372,42 @@ class TestRun:
         # the broken pool terminates the other worker, which may leave a
         # temp file in the cache, so the cache sits outside the compared tree
         report = run_batch(jobs, parallelism=2, output_dir=tmp_path / "rerun", cache_dir=tmp_path / "cache")
-        # synth_b's jobs prepare their original themselves in the re-run pool
+        # synth_b's preparation runs again in the spawn pool
         assert report.exit_code == 0, [o.error for o in report.failures]
         serial = job_files(tmp_path / "serial")
         rerun = job_files(tmp_path / "rerun")
         assert set(serial) == set(rerun)
         for rel in serial:
             assert filecmp.cmp(serial[rel], rerun[rel], shallow=False), rel
+
+    def test_rerun_job_reads_its_prepared_original_not_the_csv(self, tmp_path, monkeypatch):
+        text = MATRIX.replace("  - name: synth_b\n    synthetic: {n: 240, disparity: 0.1, seed: 12}",
+                              _toy_csv_entry(tmp_path))
+        jobs, _ = expand_jobs(parse_batch_yaml(text))
+        run_batch(jobs, parallelism=1, output_dir=tmp_path / "serial")
+        monkeypatch.setattr(runner, "execute_job", _exit_forked_deleting_toy_csv)
+        report = run_batch(jobs, parallelism=2, output_dir=tmp_path / "rerun", cache_dir=tmp_path / "cache")
+        assert not (tmp_path / "toy.csv").exists()
+        assert report.exit_code == 0, [o.error for o in report.failures]
+        serial = job_files(tmp_path / "serial")
+        rerun = job_files(tmp_path / "rerun")
+        assert set(serial) == set(rerun)
+        for rel in serial:
+            assert filecmp.cmp(serial[rel], rerun[rel], shallow=False), rel
+
+    def test_preparation_whose_every_worker_dies_fails_only_its_jobs(self, tmp_path, monkeypatch):
+        text = MATRIX.replace("  - name: synth_a\n    synthetic: {n: 240, disparity: 0.3, seed: 11}",
+                              _toy_csv_entry(tmp_path))
+        monkeypatch.setattr(runner, "_prepare", _exit_preparing_synth_b)
+        jobs, _ = expand_jobs(parse_batch_yaml(text))
+        report = run_batch(jobs, parallelism=2, output_dir=tmp_path / "out", cache_dir=tmp_path / "cache")
+        assert [o.job_id for o in report.outcomes] == [j.job_id for j in jobs]
+        for job, outcome in zip(jobs, report.outcomes):
+            if job.dataset.name == "synth_b":
+                assert outcome.status == "failed"
+                assert "BrokenProcessPool" in outcome.error
+            else:
+                assert outcome.status == "ok", (job.job_id, outcome.error)
 
     def test_worker_terminated_mid_write_leaves_no_temp_file(self, tmp_path):
         # what a broken pool does to the workers still running

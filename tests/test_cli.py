@@ -139,6 +139,8 @@ def test_batch_cli_rejects_bad_parallelism(tmp_path, capsys, value):
 @pytest.mark.parametrize("line, key", [
     ("    synthetic: {n: abc}", "datasets[0].synthetic.n"),
     ("    synthetic: {n: 200}\nsplit: {train: x}", "split.train"),
+    ("    synthetic: {n: 200}\nsplit: 0.7", "split:"),
+    ("    synthetic: {n: 200}\nsensitive_attributes: {synht: [group]}", "sensitive_attributes.synht"),
 ])
 def test_batch_cli_rejects_bad_numbers_in_config(tmp_path, capsys, line, key):
     config = tmp_path / "batch.yaml"
@@ -165,6 +167,20 @@ seeds: [0]
     code = main(["batch", "--config", str(config), "--out", str(tmp_path / "o")])
     assert code == 1
     assert "FAILED" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("spec, message", [
+    ("n=abc", "synthetic.n: must be an integer"),
+    ("n=1.5", "synthetic.n: must be an integer"),
+    ("n=[1]", "synthetic.n: must be an integer"),
+    ("disparity=x", "synthetic.disparity: must be a number"),
+    ("size=5", "synthetic: unknown keys ['size']"),
+])
+def test_prep_rejects_a_bad_synthetic_spec_as_a_batch_config_would(tmp_path, capsys, spec, message):
+    code = main(["prep", "--dataset", f"synthetic:{spec}", "--method", "RW",
+                 "--out", str(tmp_path), "--cache-dir", str(tmp_path)])
+    assert code == 2
+    assert f"error: {message}" in capsys.readouterr().err
 
 
 def test_error_reported_not_raised(tmp_path, capsys):

@@ -1,13 +1,16 @@
 """Smaller contract surfaces: the model registry, public exports."""
 
 import importlib
+import re
 
 import numpy as np
 import pytest
 
 from fairbench.dataset import make_synthetic
 from fairbench.errors import SchemaError
-from fairbench.model import fit_model, model_names, register_model
+from fairbench.model import LogRegConfig, fit_model, model_names, register_model
+from fairbench.preproc import DirConfig, OppConfig, fit_method
+from fairbench.util import config_from
 
 
 class TestModelRegistry:
@@ -37,6 +40,31 @@ class TestModelRegistry:
         ds = make_synthetic(seed=0, n=40, disparity=0.1)
         with pytest.raises(SchemaError, match="penalty"):
             fit_model("logreg", ds, {"penalty": "l1"})
+
+
+class TestParameters:
+    @pytest.mark.parametrize("fit, name, params, key", [
+        (fit_method, "DIR", {"grid_size": 2.7}, "DIR.grid_size"),
+        (fit_method, "DIR", {"repair_level": "full"}, "DIR.repair_level"),
+        (fit_method, "DIR", {"columns": "x0"}, "DIR.columns"),
+        (fit_method, "OPP", {"bins": 2.5}, "OPP.bins"),
+        (fit_method, "OPP", {"max_iter": 3.9}, "OPP.max_iter"),
+        (fit_method, "LFR", {"prototypes": 2.5}, "LFR.prototypes"),
+        (fit_model, "logreg", {"max_iter": 2.5}, "logreg.max_iter"),
+        (fit_model, "logreg", {"standardize": "no"}, "logreg.standardize"),
+    ])
+    def test_value_of_the_wrong_kind_rejected_with_its_name(self, fit, name, params, key):
+        ds = make_synthetic(seed=0, n=40, disparity=0.1)
+        with pytest.raises(SchemaError, match=re.escape(key)):
+            fit(name, ds, params)
+
+    def test_valid_values_build_the_config_they_name(self):
+        assert config_from(DirConfig, {"repair_level": 1, "grid_size": 50, "columns": ["x0"]}, "DIR") == \
+            DirConfig(repair_level=1.0, grid_size=50, columns=("x0",))
+        assert config_from(OppConfig, {"epsilon": 1, "bins": 3, "columns": None}, "OPP") == \
+            OppConfig(epsilon=1.0, bins=3)
+        assert config_from(LogRegConfig, {"l2": 0, "standardize": False}, "logreg") == \
+            LogRegConfig(l2=0.0, standardize=False)
 
 
 @pytest.mark.parametrize("package", [
