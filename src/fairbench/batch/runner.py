@@ -7,7 +7,6 @@ job id), so results do not depend on the parallelism degree, execution order,
 or on which other jobs exist in the batch.
 """
 
-import contextlib
 import ctypes
 import functools
 import json
@@ -15,6 +14,7 @@ import os
 import signal
 import time
 import traceback
+import warnings
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
@@ -152,28 +152,26 @@ def execute_job(job: JobSpec, prepared, output_dir, cache_dir) -> JobOutcome:
         return _failed(job.job_id, _error_text(exc), time.perf_counter() - started)
 
 
-def _run_tasks(fn, tasks, pool):
-    """[fn(*args) for args in tasks], as tasks of `pool` or, when it is None, in this process.
+def _call(fn, args):
+    """A pool task: fn(*args), and each warning its worker's filters let through as (message, category, file, line)."""
+    with warnings.catch_warnings(record=True) as caught:
+        result = fn(*args)
+    return result, [(str(w.message), w.category, w.filename, w.lineno) for w in caught]
 
-    Every task runs with one BLAS thread: two pool workers with threaded BLAS
-    on two cores wait on each other, and the thread count changes the last
-    bits of BLAS products, which artifacts must not depend on. A dead worker
-    breaks the pool, which then fails every unfinished task with
-    BrokenProcessPool; each of those runs once more, with the same arguments,
-    alone in a one-worker spawn pool. A task that raises in a pool gives its
-    error text.
+
+def _run_tasks(fn, tasks, pool):
+    """[fn(*args) for args in tasks], each run as a task of `pool`, whose workers `_init_worker` set up.
+
+    A dead worker breaks the pool, which then fails every unfinished task
+    with BrokenProcessPool; each of those runs once more, with the same
+    arguments, alone in a one-worker spawn pool. A task that raised, or whose
+    re-run worker died too, gives its error text. The warnings a task raised
+    are issued again in this process, task by task in order.
     """
-    if pool is None:
-        previous = _set_blas_threads(1)
-        try:
-            return [fn(*args) for args in tasks]
-        finally:
-            if previous is not None:
-                _set_blas_threads(previous)
     futures = []
     for args in tasks:
         try:
-            futures.append(pool.submit(fn, *args))
+            futures.append(pool.submit(_call, fn, args))
         except BrokenProcessPool:
             futures.append(None)
     results = []
@@ -182,9 +180,12 @@ def _run_tasks(fn, tasks, pool):
             # a spawned interpreter starts at OpenBLAS's default count
             with ProcessPoolExecutor(max_workers=1, mp_context=get_context("spawn"),
                                      initializer=_init_worker) as alone:
-                future = alone.submit(fn, *args)
+                future = alone.submit(_call, fn, args)
         error = future.exception()
-        results.append(future.result() if error is None else _error_text(error))
+        result, caught = future.result() if error is None else (_error_text(error), ())
+        for message, category, filename, lineno in caught:
+            warnings.warn_explicit(message, category, filename, lineno)
+        results.append(result)
     return results
 
 
@@ -215,20 +216,16 @@ def _openblas_threads():
     return None
 
 
-def _set_blas_threads(count):
-    """Set numpy's OpenBLAS thread count; returns the one it replaced (None: no OpenBLAS)."""
-    threads = _openblas_threads()
-    if threads is None:
-        return None
-    get, set_ = threads
-    previous = get()
-    set_(count)
-    return previous
-
-
 def _init_worker():
-    """Pool worker set-up: one BLAS thread, and a SIGTERM that leaves no half-written cache entry."""
-    _set_blas_threads(1)
+    """Pool worker set-up: one BLAS thread, and a SIGTERM that leaves no half-written cache entry.
+
+    Threaded BLAS in two workers on two cores waits on the other's core, and
+    the thread count moves the last bits of BLAS products, on which artifacts must not depend.
+    """
+    threads = _openblas_threads()
+    if threads is not None:
+        _, set_threads = threads
+        set_threads(1)
     signal.signal(signal.SIGTERM, _exit_on_sigterm)
 
 
@@ -246,8 +243,8 @@ def run_batch(jobs, parallelism: int = 1, output_dir="fairbench_out",
     Each distinct (dataset entry, sensitive attribute) is first prepared once:
     ingested, cached and measured. Its jobs then run from that preparation and
     read the original back from the cache; the jobs of a preparation that
-    failed fail with its error text. Preparations and jobs run in this process
-    or as tasks of one pool.
+    failed fail with its error text. Preparations and jobs run as tasks of one
+    process pool, at parallelism 1 too, so a dying worker never ends the batch.
     """
     output_dir = Path(output_dir)
     output_dir.mkdir(parents=True, exist_ok=True)
@@ -256,9 +253,8 @@ def run_batch(jobs, parallelism: int = 1, output_dir="fairbench_out",
     for job in jobs:
         originals.setdefault(_original_of(job), (job.dataset, job.sensitive, cache_dir))
 
-    workers = min(parallelism, len(jobs))
-    with (ProcessPoolExecutor(max_workers=workers, initializer=_init_worker) if workers > 1
-          else contextlib.nullcontext()) as pool:
+    workers = max(1, min(parallelism, len(jobs)))
+    with ProcessPoolExecutor(max_workers=workers, initializer=_init_worker) as pool:
         prepared = dict(zip(originals, _run_tasks(_prepare, list(originals.values()), pool)))
         ready = [job for job in jobs if not isinstance(prepared[_original_of(job)], str)]
         done = iter(_run_tasks(execute_job, [(job, prepared[_original_of(job)], output_dir, cache_dir)

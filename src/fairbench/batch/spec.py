@@ -199,16 +199,17 @@ def parse_batch_yaml(text: str) -> BatchSpec:
 
 
 def _valid_attributes(entry: DatasetEntry):
-    """Declared attribute names, or None when the schema cannot be read yet.
+    """Declared attribute names, the default first, or None when the schema cannot be read yet.
 
-    An unreadable schema is a job-level failure, not an expansion failure:
-    the jobs are still created and fail individually at execution time.
+    An unreadable schema (missing, invalid YAML, no mapping, an undeclared
+    default) is a job-level failure: the jobs are still created and fail with
+    `load_schema`'s error.
     """
     if entry.synthetic is not None:
         return [SYNTHETIC_ATTRIBUTE]
     try:
         return declared_sensitive_attributes(entry.schema)
-    except OSError:
+    except (OSError, yaml.YAMLError, AttributeError, SchemaError):
         return None
 
 
@@ -224,7 +225,7 @@ def expand_jobs(spec: BatchSpec):
         valid = None if declared is None else set(declared)
         wanted = spec.sensitive_attributes.get(entry.name)
         if not wanted:
-            wanted = sorted(valid)[:1] if valid else [""]
+            wanted = declared[:1] if declared else [""]
         for attr in wanted:
             if valid is not None and attr not in valid:
                 skipped += len(spec.methods) * len(spec.models) * len(spec.seeds)

@@ -23,6 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from ..errors import DataFormatError, FairbenchError, FairbenchWarning
+from ..util import canonical_json
 from .tabular import TabularDataset
 
 MAGIC = b"FPDSBIN\n"
@@ -33,12 +34,8 @@ _ARRAYS = (("features", "<f8"), ("labels", "<i8"), ("protected", "<i8"), ("weigh
 
 def cache_key(dataset_key, method_name, params, seed) -> str:
     """Hash of (dataset key, method, parameters, seed); hex, stable across runs."""
-    blob = json.dumps(
-        {"dataset": str(dataset_key), "method": str(method_name),
-         "params": params or {}, "seed": int(seed)},
-        sort_keys=True,
-        separators=(",", ":"),
-    )
+    blob = canonical_json({"dataset": str(dataset_key), "method": str(method_name),
+                           "params": params or {}, "seed": int(seed)})
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()
 
 
@@ -52,12 +49,9 @@ def cache_path(cache_root, key) -> Path:
 
 
 def dumps(ds: TabularDataset) -> bytes:
-    header = json.dumps(
-        {"version": VERSION, "n": ds.n, "d": ds.dim,
-         "feature_names": list(ds.feature_names), "provenance": ds.provenance},
-        sort_keys=True,
-        separators=(",", ":"),
-    ).encode("utf-8")
+    header = canonical_json({"version": VERSION, "n": ds.n, "d": ds.dim,
+                             "feature_names": list(ds.feature_names),
+                             "provenance": ds.provenance}).encode("utf-8")
     arrays = [np.ascontiguousarray(getattr(ds, name), dtype=dtype).tobytes() for name, dtype in _ARRAYS]
     return b"".join([MAGIC, _HEADER_LEN.pack(len(header)), header, *arrays])
 

@@ -232,7 +232,14 @@ def load_schema(path, sensitive: str = None) -> DatasetSchema:
 
 
 def declared_sensitive_attributes(path):
-    """Attribute names a schema file declares (for batch expansion validity checks)."""
+    """Attribute names a schema file declares, the one `load_schema` picks by default first.
+
+    A `default_sensitive` that names no declared attribute is a SchemaError, as in `load_schema`.
+    """
     with open(path, "r", encoding="utf-8") as fh:
         doc = yaml.safe_load(fh) or {}
-    return [name for name in _sensitive_options(doc) if name]
+    names = [name for name in _sensitive_options(doc) if name]
+    default = doc.get("default_sensitive")
+    if default and default not in names:
+        raise SchemaError(f"{path}: default_sensitive {default!r} not declared (have {sorted(names)})")
+    return sorted(names, key=lambda name: name != default)

@@ -2,6 +2,7 @@
 
 import filecmp
 import json
+import multiprocessing
 import os
 import signal
 import time
@@ -13,7 +14,7 @@ import pytest
 import yaml
 
 from fairbench.batch import expand_jobs, parse_batch_yaml, run_batch, runner
-from fairbench.dataset import cache_store, make_synthetic
+from fairbench.dataset import cache_store, load_schema, make_synthetic
 from fairbench.errors import FairbenchWarning, SchemaError
 
 MINIMAL = """
@@ -134,6 +135,15 @@ class TestExpand:
         canon = [j.canonical() for j in a]
         assert canon == sorted(canon)
 
+    @pytest.mark.parametrize("dataset", ["german", "adult"])
+    def test_default_attribute_is_the_one_load_schema_picks(self, dataset):
+        schema = Path(runner.__file__).parents[1] / "dataset" / "schemas" / f"{dataset}.yaml"
+        text = MINIMAL.replace("    synthetic: {n: 200, disparity: 0.3, seed: 11}",
+                               f"    csv: {dataset}.csv\n    schema: {schema}")
+        jobs, skipped = expand_jobs(parse_batch_yaml(text))
+        assert skipped == 0
+        assert [j.sensitive for j in jobs] == [load_schema(schema).sensitive_attribute] == ["sex"]
+
     def test_empty_expansion_is_error(self):
         spec = parse_batch_yaml(MINIMAL + "\nsensitive_attributes: {synth_a: [nope]}\n")
         with pytest.raises(SchemaError, match="zero jobs"):
@@ -183,6 +193,13 @@ _IMPORT_PID = os.getpid()
 def _in_fork_pool():
     """True in a forked pool worker; a spawned interpreter imports this module afresh."""
     return os.getpid() != _IMPORT_PID
+
+
+def _exit_in_pool_on_synth_b_dir(job, prepared, output_dir, cache_dir):
+    """Kills every pool worker, forked or spawned, that runs synth_b DIR; in the caller's own process it runs the job."""
+    if multiprocessing.parent_process() is not None and job.dataset.name == "synth_b" and job.method == "DIR":
+        os._exit(1)
+    return _execute_job(job, prepared, output_dir, cache_dir)
 
 
 def _exit_forked_on_synth_b_dir(job, prepared, output_dir, cache_dir):
@@ -334,19 +351,22 @@ class TestRun:
         original = cache / f"{summary['stage1']['original_cache_key']}.fpds"
         processed = cache / f"{summary['stage1']['processed_cache_key']}.fpds"
         original_bytes, processed_bytes = original.read_bytes(), processed.read_bytes()
-        original.write_bytes(original_bytes[: len(original_bytes) // 2])
-        processed.write_bytes(b"FPDSTXT\nversion 1\n")
-
-        with pytest.warns(FairbenchWarning, match=original.name):
-            report = run_batch(jobs, parallelism=1, output_dir=tmp_path / "second", cache_dir=cache)
-        assert first_report.exit_code == report.exit_code == 0
-        assert original.read_bytes() == original_bytes
-        assert processed.read_bytes() == processed_bytes
         first = job_files(tmp_path / "first")
-        second = job_files(tmp_path / "second")
-        assert set(first) == set(second)
-        for rel in first:
-            assert filecmp.cmp(first[rel], second[rel], shallow=False), rel
+
+        # the warning is raised in a pool worker and issued again in this process
+        for parallelism in (1, 2):
+            original.write_bytes(original_bytes[: len(original_bytes) // 2])
+            processed.write_bytes(b"FPDSTXT\nversion 1\n")
+            with pytest.warns(FairbenchWarning, match=original.name):
+                report = run_batch(jobs, parallelism=parallelism, output_dir=tmp_path / f"second-{parallelism}",
+                                   cache_dir=cache)
+            assert first_report.exit_code == report.exit_code == 0
+            assert original.read_bytes() == original_bytes
+            assert processed.read_bytes() == processed_bytes
+            second = job_files(tmp_path / f"second-{parallelism}")
+            assert set(first) == set(second)
+            for rel in first:
+                assert filecmp.cmp(first[rel], second[rel], shallow=False), rel
 
     @pytest.mark.parametrize("parallelism", [1, 2])
     def test_missing_csv_fails_its_jobs_with_the_ingest_error(self, tmp_path, parallelism):
@@ -364,6 +384,27 @@ class TestRun:
                 assert "absent.csv" in outcome.error
             else:
                 assert outcome.status == "ok", (job.job_id, outcome.error)
+
+    @pytest.mark.parametrize("document, error", [
+        ("name: [unclosed\n", "invalid YAML"),
+        ("- name: toy\n", "schema document must be a mapping"),
+        ("name: toy\nlabel: {column: income, favorable: high}\ndefault_sensitive: gender\n"
+         "sensitive_options: {sex: {column: sex, privileged: [M]}}\nfeatures: {numeric: [x]}\n",
+         "sensitive attribute 'gender' not declared"),
+    ], ids=["invalid-yaml", "list-document", "undeclared-default"])
+    def test_malformed_schema_fails_its_jobs_not_the_expansion(self, tmp_path, document, error):
+        schema = tmp_path / "bad.yaml"
+        schema.write_text(document, encoding="utf-8")
+        text = MINIMAL.replace("    synthetic: {n: 200, disparity: 0.3, seed: 11}",
+                               f"    csv: {tmp_path / 'bad.csv'}\n    schema: {schema}")
+        jobs, skipped = expand_jobs(parse_batch_yaml(text))
+        assert (len(jobs), skipped) == (1, 0)
+        report = run_batch(jobs, parallelism=1, output_dir=tmp_path / "out")
+        [outcome] = report.outcomes
+        assert outcome.status == "failed"
+        with pytest.raises(SchemaError, match=error) as raised:
+            load_schema(schema)
+        assert outcome.error == runner._error_text(raised.value)
 
     def test_dead_worker_in_preparation_fails_no_job(self, tmp_path, monkeypatch):
         jobs, _ = expand_jobs(parse_batch_yaml(MATRIX))
@@ -420,6 +461,20 @@ class TestRun:
         worker.join(30)
         assert worker.exitcode == 128 + signal.SIGTERM
         assert list(tmp_path.iterdir()) == []
+
+    def test_dead_worker_at_parallelism_one_fails_its_job_not_the_batch(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(runner, "execute_job", _exit_in_pool_on_synth_b_dir)
+        jobs, _ = expand_jobs(parse_batch_yaml(MATRIX))
+        report = run_batch(jobs, parallelism=1, output_dir=tmp_path / "out", cache_dir=tmp_path / "cache")
+        for job, outcome in zip(jobs, report.outcomes):
+            if job.dataset.name == "synth_b" and job.method == "DIR":
+                # its re-run worker in the spawn pool dies too
+                assert outcome.status == "failed"
+                assert "BrokenProcessPool" in outcome.error
+            else:
+                assert outcome.status == "ok", (job.job_id, outcome.error)
+        doc = json.loads((tmp_path / "out" / "batch_report.json").read_text())
+        assert [j["status"] for j in doc["jobs"]] == [o.status for o in report.outcomes]
 
     def test_dead_worker_fails_its_job_not_the_batch(self, tmp_path, monkeypatch):
         monkeypatch.setattr(runner, "execute_job", _exit_on_synth_b_dir)
