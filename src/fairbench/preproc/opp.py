@@ -5,7 +5,10 @@ P(target cell, target label | cell, label, group) is fitted by mirror descent
 on the per-row probability simplices. The objective keeps the transformed
 joint close to the original (KL), group favorable rates close to a target
 distribution (the overall label distribution, within a tolerance), and the
-expected per-record distortion under a budget.
+expected per-record distortion under a budget. Every mirror-descent iterate is
+fixed by four parameters (a distortion scale, one weight per target and one
+favorable-label weight per group), so the fit carries those and builds the
+table once.
 """
 
 import math
@@ -38,6 +41,10 @@ class OppConfig:
             raise FitError("distortion budget must be non-negative")
         if self.bins < 2:
             raise FitError("need at least 2 bins")
+        for name in ("max_iter", "rho_fair", "rho_dist", "label_flip_cost"):
+            # a negative flip cost or distortion weight would let exp(-c * dist) grow without bound
+            if not getattr(self, name) >= 0:
+                raise FitError(f"{name} must be non-negative, got {getattr(self, name)!r}")
 
 
 @dataclass(frozen=True)
@@ -55,7 +62,7 @@ class OppMap:
     penalty_trace: tuple
     fairness_residual: float
     distortion_residual: float
-    row_sum_drift: float       # max |row sum - 1| seen over all iterations
+    row_sum_drift: float       # max |row sum - 1| of the table
 
     def __post_init__(self):
         sums = self.table.sum(axis=1)
@@ -118,20 +125,21 @@ def _unique_rows(matrix):
     return rows, inverse.ravel()
 
 
-def _distortion_matrix(row_keys, target_keys, cells, flip_cost):
-    """Hamming distance between cells plus the label-flip cost, per (row, target)."""
-    diff = cells[row_keys[:, 0]][:, None, :] != cells[target_keys[:, 0]][None, :, :]
-    hamming = diff.sum(axis=2) / max(cells.shape[1], 1)  # no columns: every distance is 0
-    flips = (row_keys[:, 1][:, None] != target_keys[:, 1][None, :]).astype(float)
-    return hamming + flip_cost * flips
-
-
 def opp_fit(ds: TabularDataset, cfg: OppConfig = OppConfig()) -> OppMap:
     """Fit the conditional transformation table by line-searched mirror descent.
 
-    Every iteration renormalizes each row onto the simplex; the penalty trace
-    is non-increasing by construction. If no table drives both penalties to
-    zero the best-effort table is returned with the residuals recorded.
+    A mirror step multiplies row r by exp(-step * grad_r) and renormalizes it,
+    where grad_r = log(p_hat / p_target) + 1 + a_g * y1 + b * dist_r for the
+    row's group g. So every iterate is
+    table[r, t] = exp(-c * dist[r, t] - u[t] - A_g * y1[t]) / Z_r, and the fit
+    carries the scalar c, the target vector u and A_0, A_1; the table is
+    built once, at the end. A trial step costs a few products with one
+    (cells, cells) kernel, not passes over the (rows, targets) table, and
+    halves when a row's Z_r is not positive. The penalty trace is
+    non-increasing by construction. The fit stops on a relative objective
+    drop below 1e-12, when the line search finds no lower objective, or after
+    `max_iter` steps, which warns. If no table drives both penalties to zero
+    the best-effort table is returned with the residuals recorded.
     """
     names, kinds, edges, values = _discretize_columns(ds, cfg)
     domain = 1
@@ -150,81 +158,107 @@ def opp_fit(ds: TabularDataset, cfg: OppConfig = OppConfig()) -> OppMap:
     p_row = np.bincount(row_of, weights=w)
     p_target = np.bincount(target_of, weights=w)
 
-    dist = _distortion_matrix(row_keys, target_keys, cells, cfg.label_flip_cost)
-
+    # The distortion of row r to target t is the Hamming fraction between their
+    # cells plus the label-flip cost. Rows fall in four blocks, one per (group,
+    # label), and every row of a block flips the same targets' labels: the
+    # flip's factor exp(-c * flip_cost) joins the block's target weights W_b,
+    # which leaves the kernel K = exp(-c * Hamming fraction) over cell pairs.
+    # Shifted to max 1, W_b keeps every Z_r >= exp(-c).
+    fraction = np.arange(cells.shape[1] + 1) / max(cells.shape[1], 1)  # no columns: Hamming 0
+    hamming = (cells[:, None, :] != cells[None, :, :]).sum(axis=2)
+    block_group, block_label = np.array([0, 0, 1, 1]), np.array([0, 1, 0, 1])
+    block_flip = (target_keys[:, 1] != block_label[:, None]) * cfg.label_flip_cost
+    row_block, row_cell = 2 * row_keys[:, 2] + row_keys[:, 1], row_keys[:, 0]
+    row_at = row_block * len(cells) + row_cell            # index into a (blocks, cells) array
+    target_cell = target_keys[:, 0]
+    cell_start = np.flatnonzero(np.diff(target_cell, prepend=-1))  # targets are sorted by cell
     y1 = (target_keys[:, 1] == 1).astype(float)           # targets with favorable label
-    # each group's table rows and their masses, selected once per fit
-    group_rows = [np.flatnonzero(row_keys[:, 2] == s) for s in (0, 1)]
-    p_row_group = [p_row[rows] for rows in group_rows]
-    p_group = np.array([p.sum() for p in p_row_group])
+    p_group = np.bincount(row_keys[:, 2], weights=p_row, minlength=2)
     if (p_group <= 0).any():
         raise FitError("both groups must be present")
     target_rate = float((ds.weights * (ds.labels == 1)).sum() / ds.weights.sum())
     if target_rate <= 0:
         raise FitError("target label distribution degenerate: no favorable labels")
 
-    table = np.exp(-4.0 * dist)
-    table /= table.sum(axis=1, keepdims=True)
+    def kernels(c):
+        """exp(-c * Hamming fraction) between cells, and that times the fraction."""
+        k = np.exp(-c * fraction)
+        return k[hamming], (k * fraction)[hamming]
 
-    def evaluate(tab):
-        p_hat = p_row @ tab
-        with np.errstate(divide="ignore"):
+    def evaluate(c, u, a, kern):
+        """Objective terms of the table the parameters give; None when a row has no mass.
+
+        Where the parameters leave a row almost no representable mass the
+        terms overflow; the objective is then not finite, and the trial halves.
+        """
+        k, kh = kern
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            exponent = -u - a[block_group, None] * y1 - c * block_flip
+            exponent -= exponent.max(axis=1, keepdims=True)  # the shift cancels in Z
+            weights = np.exp(exponent)
+            # per block and cell, summed over the cell's targets; as K is
+            # symmetric, K @ x for each block's x is a row of x @ K
+            cell_weights = np.add.reduceat(weights, cell_start, axis=1)
+            flip_weights = np.add.reduceat(weights * block_flip, cell_start, axis=1)
+            z = (cell_weights @ k).ravel()[row_at]
+            if (z <= 0).any():
+                return None
+            # p_row / Z_r at each row's block and cell
+            q = np.bincount(row_at, weights=p_row / z, minlength=4 * len(cells)).reshape(4, -1)
+            block_hat = weights * (q @ k)[:, target_cell]
+            p_hat = block_hat.sum(axis=0)
+            rates = np.bincount(block_group, weights=block_hat @ y1)
+            expected = float((q * (cell_weights @ kh + flip_weights @ k)).sum())
             logs = np.where(p_hat > 0, np.log(np.where(p_hat > 0, p_hat, 1.0) / p_target), 0.0)
-        kl = float((p_hat * logs).sum())
-        rates = np.array([
-            float((p_row_group[s] @ tab[group_rows[s]]) @ y1) / p_group[s] for s in (0, 1)
-        ])
-        ratios = rates / target_rate
+            kl = float((p_hat * logs).sum())
+        ratios = rates / p_group / target_rate
         hinges = np.maximum(0.0, np.abs(ratios - 1.0) - cfg.epsilon)
-        expected = float((p_row[:, None] * tab * dist).sum())
         dist_hinge = max(0.0, expected - cfg.distortion_budget)
         j = kl + cfg.rho_fair * float(hinges.sum()) + cfg.rho_dist * dist_hinge
-        return j, logs, ratios, hinges, expected, dist_hinge
+        return j, logs, ratios, hinges, expected, dist_hinge, weights, z
 
-    obj, logs, ratios, hinges, expected, dist_hinge = evaluate(table)
+    c, u, a = 4.0, np.zeros(len(y1)), np.zeros(2)
+    kern = kernels(c)
+    state = evaluate(c, u, a, kern)
+    obj, logs, ratios, hinges, expected, dist_hinge = state[:6]
     if not math.isfinite(obj):
         raise FitError(f"non-finite objective at initialization: {obj}")
     trace = [float(obj)]
-    drift = float(np.abs(table.sum(axis=1) - 1.0).max())
+    rel_drop = math.inf
     eta = 1.0
     for _ in range(cfg.max_iter):
-        # gradient per row, normalized by the row mass
-        grad = (logs + 1.0)[None, :].repeat(len(row_keys), axis=0)
-        active = hinges > 0
-        for s in (0, 1):
-            if active[s]:
-                sign = math.copysign(1.0, ratios[s] - 1.0)
-                grad[group_rows[s]] += cfg.rho_fair * sign * y1[None, :] / (p_group[s] * target_rate)
-        if dist_hinge > 0:
-            grad += cfg.rho_dist * dist
+        # the gradient's group part (favorable targets only) and distortion part;
+        # its per-target part is logs, the +1 cancelling in Z
+        step_a = np.where(hinges > 0, cfg.rho_fair * np.sign(ratios - 1.0) / (p_group * target_rate), 0.0)
+        step_c = cfg.rho_dist if dist_hinge > 0 else 0.0
 
-        accepted = False
         trial = eta
         for _ in range(60):
-            # mirror step; the per-row exponent shift keeps exp in range and
-            # cancels in the normalization
-            exponent = -trial * grad
-            exponent -= exponent.max(axis=1, keepdims=True)
-            cand = table * np.exp(exponent)
-            row_mass = cand.sum(axis=1, keepdims=True)
-            if (row_mass <= 0).any():
-                trial *= 0.5
-                continue
-            cand /= row_mass
-            cand_obj, c_logs, c_ratios, c_hinges, c_expected, c_dist_hinge = evaluate(cand)
-            if math.isfinite(cand_obj) and cand_obj < obj:
-                accepted = True
+            cand_c = c + trial * step_c
+            cand_kern = kern if cand_c == c else kernels(cand_c)
+            cand_u, cand_a = u + trial * logs, a + trial * step_a
+            cand = evaluate(cand_c, cand_u, cand_a, cand_kern)
+            if cand is not None and math.isfinite(cand[0]) and cand[0] < obj:
                 break
             trial *= 0.5
-        if not accepted:
+        else:
             break
-        table = cand
-        drift = max(drift, float(np.abs(table.sum(axis=1) - 1.0).max()))
-        obj, logs, ratios, hinges, expected, dist_hinge = cand_obj, c_logs, c_ratios, c_hinges, c_expected, c_dist_hinge
+        c, u, a, kern, state = cand_c, cand_u, cand_a, cand_kern, cand
+        rel_drop = (obj - state[0]) / max(abs(obj), 1.0)
+        obj, logs, ratios, hinges, expected, dist_hinge = state[:6]
         trace.append(float(obj))
         eta = min(trial * 2.0, 1000.0)
-        if len(trace) >= 2 and (trace[-2] - trace[-1]) < 1e-12 * max(abs(trace[-2]), 1.0):
+        if rel_drop < 1e-12:
             break
+    else:
+        warnings.warn(
+            f"optimized pre-processing stopped at max_iter={cfg.max_iter} steps: "
+            f"last relative objective drop {rel_drop:.4g} >= 1e-12",
+            FairbenchWarning,
+        )
+
+    weights, z = state[6:]
+    table = kern[0][row_cell][:, target_cell] * weights[row_block] / z[:, None]
 
     fair_residual = float(np.maximum(0.0, np.abs(ratios - 1.0) - cfg.epsilon).max())
     dist_residual = float(max(0.0, expected - cfg.distortion_budget))
@@ -249,7 +283,7 @@ def opp_fit(ds: TabularDataset, cfg: OppConfig = OppConfig()) -> OppMap:
         penalty_trace=tuple(trace),
         fairness_residual=fair_residual,
         distortion_residual=dist_residual,
-        row_sum_drift=drift,
+        row_sum_drift=float(np.abs(table.sum(axis=1) - 1.0).max()),
     )
 
 

@@ -279,3 +279,117 @@ def oracle_gd_logreg(train, cfg):
                         feature_scales=scales, final_loss=loss,
                         final_gradient_norm=max(float(np.abs(grad_coef).max()), abs(grad_b)),
                         iterations=iterations)
+
+
+def oracle_opp_fit(ds, cfg):
+    """`opp_fit` with the mirror-descent state held as the (rows, targets) table,
+    the form the four-parameter loop replaced.
+
+    Each step multiplies every table row by exp(-step * gradient) in place and
+    renormalizes it, so an entry that underflows to 0 stays 0. Same objective,
+    line search, step doubling and stop rule; `row_sum_drift` is the max
+    |row sum - 1| seen over all iterations. Returns an OppMap.
+    """
+    import math
+
+    import numpy as np
+
+    from fairbench.errors import FitError
+    from fairbench.preproc.opp import OppMap, _cell_codes, _discretize_columns, _unique_rows
+
+    names, kinds, edges, values = _discretize_columns(ds, cfg)
+    cells, cell_of = _unique_rows(_cell_codes(ds, names, kinds, edges))
+    row_keys, row_of = _unique_rows(np.column_stack([cell_of, ds.labels, ds.protected]))
+    target_keys, target_of = _unique_rows(np.column_stack([cell_of, ds.labels]))
+    w = ds.weights / ds.weights.sum()
+    p_row = np.bincount(row_of, weights=w)
+    p_target = np.bincount(target_of, weights=w)
+
+    # Hamming distance between cells plus the label-flip cost, per (row, target)
+    diff = cells[row_keys[:, 0]][:, None, :] != cells[target_keys[:, 0]][None, :, :]
+    hamming = diff.sum(axis=2) / max(cells.shape[1], 1)
+    flips = (row_keys[:, 1][:, None] != target_keys[:, 1][None, :]).astype(float)
+    dist = hamming + cfg.label_flip_cost * flips
+
+    y1 = (target_keys[:, 1] == 1).astype(float)
+    group_rows = [np.flatnonzero(row_keys[:, 2] == s) for s in (0, 1)]
+    p_row_group = [p_row[rows] for rows in group_rows]
+    p_group = np.array([p.sum() for p in p_row_group])
+    target_rate = float((ds.weights * (ds.labels == 1)).sum() / ds.weights.sum())
+
+    table = np.exp(-4.0 * dist)
+    table /= table.sum(axis=1, keepdims=True)
+
+    def evaluate(tab):
+        p_hat = p_row @ tab
+        with np.errstate(divide="ignore"):
+            logs = np.where(p_hat > 0, np.log(np.where(p_hat > 0, p_hat, 1.0) / p_target), 0.0)
+        kl = float((p_hat * logs).sum())
+        rates = np.array([
+            float((p_row_group[s] @ tab[group_rows[s]]) @ y1) / p_group[s] for s in (0, 1)
+        ])
+        ratios = rates / target_rate
+        hinges = np.maximum(0.0, np.abs(ratios - 1.0) - cfg.epsilon)
+        expected = float((p_row[:, None] * tab * dist).sum())
+        dist_hinge = max(0.0, expected - cfg.distortion_budget)
+        j = kl + cfg.rho_fair * float(hinges.sum()) + cfg.rho_dist * dist_hinge
+        return j, logs, ratios, hinges, expected, dist_hinge
+
+    obj, logs, ratios, hinges, expected, dist_hinge = evaluate(table)
+    if not math.isfinite(obj):
+        raise FitError(f"non-finite objective at initialization: {obj}")
+    trace = [float(obj)]
+    drift = float(np.abs(table.sum(axis=1) - 1.0).max())
+    eta = 1.0
+    for _ in range(cfg.max_iter):
+        grad = (logs + 1.0)[None, :].repeat(len(row_keys), axis=0)
+        active = hinges > 0
+        for s in (0, 1):
+            if active[s]:
+                sign = math.copysign(1.0, ratios[s] - 1.0)
+                grad[group_rows[s]] += cfg.rho_fair * sign * y1[None, :] / (p_group[s] * target_rate)
+        if dist_hinge > 0:
+            grad += cfg.rho_dist * dist
+
+        accepted = False
+        trial = eta
+        for _ in range(60):
+            exponent = -trial * grad
+            exponent -= exponent.max(axis=1, keepdims=True)
+            cand = table * np.exp(exponent)
+            row_mass = cand.sum(axis=1, keepdims=True)
+            if (row_mass <= 0).any():
+                trial *= 0.5
+                continue
+            cand /= row_mass
+            cand_obj, c_logs, c_ratios, c_hinges, c_expected, c_dist_hinge = evaluate(cand)
+            if math.isfinite(cand_obj) and cand_obj < obj:
+                accepted = True
+                break
+            trial *= 0.5
+        if not accepted:
+            break
+        table = cand
+        drift = max(drift, float(np.abs(table.sum(axis=1) - 1.0).max()))
+        obj, logs, ratios, hinges, expected, dist_hinge = cand_obj, c_logs, c_ratios, c_hinges, c_expected, c_dist_hinge
+        trace.append(float(obj))
+        eta = min(trial * 2.0, 1000.0)
+        if len(trace) >= 2 and (trace[-2] - trace[-1]) < 1e-12 * max(abs(trace[-2]), 1.0):
+            break
+
+    return OppMap(
+        column_names=tuple(names),
+        column_kinds=kinds,
+        bin_edges=edges,
+        bin_values=values,
+        cells=tuple(map(tuple, cells.tolist())),
+        row_keys=tuple(map(tuple, row_keys.tolist())),
+        target_keys=tuple(map(tuple, target_keys.tolist())),
+        table=table,
+        epsilon=cfg.epsilon,
+        distortion_budget=cfg.distortion_budget,
+        penalty_trace=tuple(trace),
+        fairness_residual=float(np.maximum(0.0, np.abs(ratios - 1.0) - cfg.epsilon).max()),
+        distortion_residual=float(max(0.0, expected - cfg.distortion_budget)),
+        row_sum_drift=drift,
+    )

@@ -1,9 +1,11 @@
 """Probabilistic pre-processing: simplex invariants, endpoints, oracle gap, direction."""
 
+import warnings
+
 import numpy as np
 import pytest
 
-from oracles import oracle_opp_transform
+from oracles import oracle_opp_fit, oracle_opp_transform
 
 from fairbench.dataset import TabularDataset
 from fairbench.errors import FairbenchWarning, FitError
@@ -25,6 +27,36 @@ def surrogate(seed=7, n=1500, rate0=0.2, rate1=0.8):
     return TabularDataset(features, labels, protected, np.ones(n), ("x",), "surrogate")
 
 
+def minority_fixture():
+    """A 5% unprivileged minority with rates 0.3 against 0.7 and one numeric column.
+
+    The table-space fit multiplies 32 of its entries down to exact zeros and
+    then stalls for 500 steps at fairness residual 0.41.
+    """
+    n = 800
+    rng = np.random.default_rng(0)
+    protected = (rng.random(n) >= 0.05).astype(np.int64)
+    labels = (rng.random(n) < np.where(protected == 1, 0.7, 0.3)).astype(np.int64)
+    features = rng.normal(labels, 1.0)[:, None]
+    return TabularDataset(features, labels, protected, np.ones(n), ("x",), "minority")
+
+
+# the surrogate fits of this file that stop on an objective drop well above
+# rounding; at seed 1's budget-0 identity fit both forms end near 1e-15, where
+# a last step's acceptance turns on the objective's rounding
+ORACLE_FITS = {
+    "simplex": (dict(seed=2), OppConfig(epsilon=0.05, distortion_budget=0.3, bins=3, max_iter=200)),
+    "trace": (dict(seed=3), OppConfig(epsilon=0.05, distortion_budget=0.25, bins=4, max_iter=300)),
+    "deterministic": (dict(seed=5, n=400), OppConfig(epsilon=0.1, distortion_budget=0.3, bins=3, max_iter=100)),
+    "label-only": (dict(seed=6, n=1000, rate0=0.2, rate1=0.8),
+                   OppConfig(epsilon=0.05, distortion_budget=0.4, bins=2, max_iter=2000, columns=())),
+    "identity": (dict(seed=8, n=500, rate0=0.5, rate1=0.5),
+                 OppConfig(epsilon=100.0, distortion_budget=0.0, bins=4, max_iter=300)),
+    "transform": (dict(seed=9), OppConfig(epsilon=0.1, distortion_budget=0.3, bins=3, max_iter=150)),
+    "eval-splits": (dict(seed=11, n=600), OppConfig(epsilon=0.1, distortion_budget=0.3, bins=3, max_iter=150)),
+}
+
+
 class TestFit:
     def test_identity_when_distortion_budget_zero(self):
         ds = surrogate(seed=1, n=600, rate0=0.45, rate1=0.55)
@@ -44,7 +76,8 @@ class TestFit:
         sums = mapping.table.sum(axis=1)
         assert np.abs(sums - 1.0).max() <= 1e-9
         assert (mapping.table >= 0).all()
-        assert mapping.row_sum_drift <= 1e-9  # held at every iteration, not just the last
+        # the fit carries parameters and normalizes the table once, at the end
+        assert mapping.row_sum_drift <= 1e-9
 
     def test_penalty_trace_non_increasing(self):
         ds = surrogate(seed=3)
@@ -67,6 +100,56 @@ class TestFit:
         a = opp_fit(ds, OppConfig(epsilon=0.1, distortion_budget=0.3, bins=3, max_iter=100))
         b = opp_fit(ds, OppConfig(epsilon=0.1, distortion_budget=0.3, bins=3, max_iter=100))
         assert np.array_equal(a.table, b.table)
+
+    @pytest.mark.parametrize("fixture", sorted(ORACLE_FITS))
+    def test_matches_table_space_oracle(self, fixture):
+        kwargs, cfg = ORACLE_FITS[fixture]
+        ds = surrogate(**kwargs)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", FairbenchWarning)  # both warn alike on an unmet budget
+            fitted, oracle = opp_fit(ds, cfg), oracle_opp_fit(ds, cfg)
+        assert len(fitted.penalty_trace) == len(oracle.penalty_trace)
+        # relative on the stop rule's scale, max(|objective|, 1)
+        trace, expected = np.array(fitted.penalty_trace), np.array(oracle.penalty_trace)
+        assert (np.abs(trace - expected) <= 1e-12 * np.maximum(np.abs(expected), 1.0)).all()
+        assert np.abs(fitted.table - oracle.table).max() <= 1e-12
+
+    def test_underflowed_entries_do_not_stall_the_fit(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", FairbenchWarning)
+            mapping = opp_fit(minority_fixture(), OppConfig(bins=4))
+        assert mapping.fairness_residual <= 1e-3
+        assert mapping.distortion_residual <= 1e-3
+
+    def test_trial_that_leaves_a_row_no_mass_halves(self):
+        # the first trial sets the distortion scale to 4 + 730, where
+        # exp(-scale) is below the smallest normal float: some rows' masses
+        # underflow and their terms overflow, which must halve the trial
+        rng = np.random.default_rng(15)
+        n = 200
+        protected = (rng.random(n) >= 0.2).astype(np.int64)
+        labels = (rng.random(n) < np.where(protected == 1, 0.7, 0.3)).astype(np.int64)
+        b = (rng.random(n) < 0.1 + 0.8 * labels).astype(float)
+        ds = TabularDataset(np.column_stack([b, rng.normal(labels, 1.0)]), labels, protected, np.ones(n),
+                            ("b", "x"), "t")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            warnings.simplefilter("ignore", FairbenchWarning)  # the budget of 0 is not met
+            mapping = opp_fit(ds, OppConfig(bins=3, rho_dist=730.0, distortion_budget=0.0))
+        trace = np.array(mapping.penalty_trace)
+        assert len(trace) >= 2 and np.isfinite(trace).all()
+        assert (np.diff(trace) < 0).all()
+
+    def test_warns_when_max_iter_ends_the_fit(self):
+        ds = minority_fixture()
+        with pytest.warns(FairbenchWarning, match=r"stopped at max_iter=5 steps: last relative objective drop \S+"):
+            mapping = opp_fit(ds, OppConfig(bins=4, max_iter=5))
+        assert len(mapping.penalty_trace) == 6
+
+    @pytest.mark.parametrize("field", ["max_iter", "rho_fair", "rho_dist", "label_flip_cost"])
+    def test_config_rejects_negative_values(self, field):
+        with pytest.raises(FitError, match=f"{field} must be non-negative"):
+            OppConfig(**{field: -1})
 
 
 class TestToyOracle:
