@@ -7,6 +7,7 @@ job id), so results do not depend on the parallelism degree, execution order,
 or on which other jobs exist in the batch.
 """
 
+import contextlib
 import ctypes
 import functools
 import json
@@ -159,28 +160,27 @@ def _call(fn, args):
     return result, [(str(w.message), w.category, w.filename, w.lineno) for w in caught]
 
 
-def _run_tasks(fn, tasks, pool):
+def _run_tasks(fn, tasks, pool, workers):
     """[fn(*args) for args in tasks], each run as a task of `pool`, whose workers `_init_worker` set up.
 
-    A dead worker breaks the pool, which then fails every unfinished task
-    with BrokenProcessPool; each of those runs once more, with the same
-    arguments, alone in a one-worker spawn pool. A task that raised, or whose
-    re-run worker died too, gives its error text. The warnings a task raised
-    are issued again in this process, task by task in order.
+    A dead worker breaks the pool, which fails every unfinished task with BrokenProcessPool. Those
+    run again together in a spawn pool of `workers`; each that breaks it too runs alone in a one-worker
+    spawn pool. A task that raised, or whose last worker died, gives its error text. The warnings a
+    task raised are issued again in this process, task by task in order.
     """
-    futures = []
-    for args in tasks:
-        try:
-            futures.append(pool.submit(_call, fn, args))
-        except BrokenProcessPool:
-            futures.append(None)
-    results = []
-    for args, future in zip(tasks, futures):
-        if future is None or isinstance(future.exception(), BrokenProcessPool):
+    futures, groups = [None] * len(tasks), [range(len(tasks))]
+    for size in (0, workers, 1):
+        for group in groups:
             # a spawned interpreter starts at OpenBLAS's default count
-            with ProcessPoolExecutor(max_workers=1, mp_context=get_context("spawn"),
-                                     initializer=_init_worker) as alone:
-                future = alone.submit(_call, fn, args)
+            with contextlib.nullcontext(pool) if size == 0 else ProcessPoolExecutor(
+                    max_workers=size, mp_context=get_context("spawn"), initializer=_init_worker) as runner:
+                for i in group:
+                    with contextlib.suppress(BrokenProcessPool):
+                        futures[i] = runner.submit(_call, fn, tasks[i])
+        again = [i for i, f in enumerate(futures) if f is None or isinstance(f.exception(), BrokenProcessPool)]
+        groups = [again] if size == 0 and again else [[i] for i in again]
+    results = []
+    for future in futures:
         error = future.exception()
         result, caught = future.result() if error is None else (_error_text(error), ())
         for message, category, filename, lineno in caught:
@@ -255,10 +255,10 @@ def run_batch(jobs, parallelism: int = 1, output_dir="fairbench_out",
 
     workers = max(1, min(parallelism, len(jobs)))
     with ProcessPoolExecutor(max_workers=workers, initializer=_init_worker) as pool:
-        prepared = dict(zip(originals, _run_tasks(_prepare, list(originals.values()), pool)))
+        prepared = dict(zip(originals, _run_tasks(_prepare, list(originals.values()), pool, workers)))
         ready = [job for job in jobs if not isinstance(prepared[_original_of(job)], str)]
         done = iter(_run_tasks(execute_job, [(job, prepared[_original_of(job)], output_dir, cache_dir)
-                                             for job in ready], pool))
+                                             for job in ready], pool, workers))
     outcomes = []
     for job in jobs:
         result = prepared[_original_of(job)]

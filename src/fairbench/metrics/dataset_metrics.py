@@ -115,49 +115,214 @@ def _consistency_key(features, labels, k):
     return h.digest()
 
 
-def _knn_label_means_blocked(z, labels, k, block=None, extra=32):
-    """Chunked GEMM distances + candidate refinement; ties still break on lowest index.
+# the screen's thresholds come from every STRIDE-th column; a row that keeps
+# more than HEAVY columns after that is screened again in a frame centred on
+# its cluster, at most LOCAL_FRAMES times per block
+STRIDE = 8
+HEAVY = 128
+LOCAL_FRAMES = 8
+_U64 = 2.0 ** -53
 
-    Each block of rows fills two (rows, n) buffers allocated once: the Gram
-    block, doubled in place, and (sq_i + sq_j) - 2 G, the same operations in
-    the same order as the one-expression form, so the distances are
-    bit-identical to it. Rows per block come from a budget of about 2 MiB per
-    buffer, but never fewer than 64: skinnier products lose more in the GEMM
-    than they gain in cache.
+
+def _gamma(count, unit):
+    """Higham's gamma: the relative error bound of `count` roundings of unit roundoff `unit`."""
+    return count * unit / (1 - count * unit)
+
+
+def _floor(x, dtype):
+    """Values of `dtype` at or below the float64 values `x`, allowing for the one rounding that made `x`."""
+    x = np.nextafter(x, -np.inf)
+    t = x.astype(dtype)
+    return np.where(t > x, np.nextafter(t, -np.inf), t)
+
+
+def _duplicate_groups(z):
+    """Each row's group of bitwise-equal rows, groups numbered in order of their lowest row.
+
+    Rows are sorted by one fixed projection; only rows whose projections tie
+    are compared column by column, after a lexicographic sort of each tie run.
     """
-    n = z.shape[0]
+    n, d = z.shape
+    proj = z @ np.random.default_rng(0).standard_normal(d)
+    order = np.argsort(proj, kind="stable")
+    tie = np.flatnonzero(proj[order[1:]] == proj[order[:-1]])
+    if tie.size:
+        run = np.union1d(tie, tie + 1)
+        rows = order[run]
+        order[run] = rows[np.lexsort(tuple(z[rows].T[::-1]) + (proj[rows],))]
+    same = np.zeros(n - 1, dtype=bool)
+    same[tie] = (z[order[tie]] == z[order[tie + 1]]).all(axis=1)
+    first = np.r_[True, ~same]
+    rank = np.empty(int(first.sum()), dtype=np.intp)
+    rank[np.argsort(order[first])] = np.arange(len(rank))
+    group = np.empty(n, dtype=np.intp)
+    group[order] = rank[np.cumsum(first) - 1]
+    return group
+
+
+def _qth_largest(r, v, rows, q):
+    """The q-th largest of the values `v` of each row 0..rows-1 (`r` ascending); -inf where a row has fewer."""
+    counts = np.bincount(r, minlength=rows)
+    pad = np.full((rows, max(counts.max(initial=0), q)), -np.inf, dtype=v.dtype)
+    pad[r, np.arange(len(r)) - (np.cumsum(counts) - counts)[r]] = v
+    return np.partition(pad, -q, axis=1)[:, -q]
+
+
+class _Frame:
+    """Points y[index] set up for a GEMM screen in `dtype` with a rigorous per-pair error bound.
+
+    The key of rows i and j is y_i.y_j - |y_j|^2 / 2 = (|y_i|^2 - |y_i - y_j|^2) / 2,
+    so a larger key is a nearer j. One GEMM of the augmented rows
+    [y_i, 1, g |y_i|] . [y_j, (g - 1) |y_j|^2 / 2, |y_j|] gives the key plus
+    g E_ij, where E_ij = |y_i| |y_j| + |y_j|^2 / 2 bounds the sum of the
+    products' magnitudes. g covers the GEMM's d + 4 roundings in `dtype`
+    (Higham's gamma) twice over, plus the float64 rounding of the difference
+    form that ranks the survivors and of the translation into this frame.
+    So the computed value U is never below the exact key of the ranked
+    distance minus `slack_i`, and U - 2 g E_ij - slack_i is never above it,
+    with room to spare for the float64 arithmetic of these bounds. `slack_i`
+    covers underflow, and the ranking's and translation's errors that scale
+    with |y_i|^2.
+    """
+
+    def __init__(self, y, index, dtype):
+        d = y.shape[1]
+        info = np.finfo(dtype)
+        self.y, self.index, self.dtype = y, index, dtype
+        self.sq = np.einsum("ij,ij->i", y, y)[index]
+        self.norm = np.sqrt(self.sq)
+        self.g = 2 * _gamma(d + 5, info.eps / 2) + 9 * _gamma(2 * d + 10, _U64)
+        self.slack = (2 * (d + 3) * info.smallest_normal * info.eps * (1 + self.norm.max())
+                      + _gamma(d + 5, _U64) * self.sq)
+        self.cols = self._augmented(np.arange(len(index)), (self.g - 1) * self.sq / 2, self.norm)
+
+    def _augmented(self, idx, second, third):
+        out = np.empty((len(idx), self.y.shape[1] + 2), dtype=self.dtype)
+        for s in range(0, len(idx), 1024):  # gathered in slices, not as one float64 copy
+            out[s:s + 1024, :-2] = self.y[self.index[idx[s:s + 1024]]]
+        out[:, -2] = second
+        out[:, -1] = third
+        return out
+
+    def rows(self, idx):
+        return self._augmented(idx, 1.0, self.g * self.norm[idx])
+
+    def survivors(self, idx, keys, q):
+        """Candidates in `keys` = rows(idx) @ cols.T that include each row's q nearest columns.
+
+        The first threshold is the q-th largest lower bound among every
+        STRIDE-th column; columns whose upper bound reaches it survive. A row
+        that keeps at most HEAVY columns then takes the q-th largest lower
+        bound among them as a second threshold, and its survivors come back
+        as pairs (r, c). The other rows come back as positions `heavy`, with
+        their survivor counts and the union of their survivors, a column mask.
+        """
+        n_rows, m = keys.shape
+        if m <= q:
+            r, c = np.divmod(np.arange(n_rows * m), m)
+            return r, c, r[:0], r[:0], np.zeros(m, dtype=bool)
+        norm, sq, g, slack = self.norm, self.sq, self.g, self.slack[idx]
+        s = STRIDE if m >= STRIDE * q else 1
+        low = np.multiply.outer(norm[idx], norm[::s])
+        low += sq[::s] / 2
+        low *= -2 * g
+        low += keys[:, ::s]
+        low.partition(-q, axis=1)
+        mask = keys >= _floor(low[:, -q] - 2 * slack, self.dtype)[:, None]
+        counts = np.add.reduce(mask.view(np.uint8), axis=1, dtype=np.uint32)
+        heavy = np.flatnonzero(counts > HEAVY)
+        union = mask[heavy].any(axis=0)
+        mask[heavy] = False
+        r, c = np.divmod(np.flatnonzero(mask), m)
+        kv = keys[r, c]
+        low = kv - 2 * g * (norm[idx[r]] * norm[c] + sq[c] / 2) - slack[r]
+        keep = kv >= _floor(_qth_largest(r, low, n_rows, q) - slack, self.dtype)[r]
+        return r[keep], c[keep], heavy, counts[heavy], union
+
+
+def _candidates(z, rep, lo, hi, frame, keys, q):
+    """(row - lo, unique row) pairs that include the q nearest unique rows of each of rows lo..hi-1.
+
+    A float32 screen in the frame of the standardized data first. Rows it
+    leaves with many candidates, such as members of a cluster of
+    near-duplicates that float32 cannot resolve, are screened again in
+    float64, in a frame centred on the one with the most candidates, over the
+    union of their candidates; that repeats while it removes candidates.
+    Rows still left with many are paired with every column of that union.
+    """
+    np.matmul(frame.rows(np.arange(lo, hi)), frame.cols.T, out=keys)
+    r, c, heavy, counts, union = frame.survivors(np.arange(lo, hi), keys, q)
+    for _ in range(LOCAL_FRAMES):
+        if not heavy.size:
+            break
+        union[lo + heavy] = True
+        cols = np.flatnonzero(union)
+        y = z[rep[cols]] - z[rep[lo + heavy[np.argmax(counts)]]]
+        local = _Frame(y, np.arange(len(cols)), np.float64)
+        at = np.searchsorted(cols, lo + heavy)
+        r2, c2, heavy2, counts2, union2 = local.survivors(at, local.rows(at) @ local.cols.T, q)
+        if len(r2) + counts2.sum() >= counts.sum():
+            break
+        r, c = np.r_[r, heavy[r2]], np.r_[c, cols[c2]]
+        heavy, counts = heavy[heavy2], counts2
+        union = np.zeros(len(rep), dtype=bool)
+        union[cols[union2]] = True
+    if heavy.size:
+        union[lo + heavy] = True
+        cols = np.flatnonzero(union)
+        r, c = np.r_[r, np.repeat(heavy, len(cols))], np.r_[c, np.tile(cols, len(heavy))]
+    order = np.argsort(r, kind="stable")
+    return r[order], c[order]
+
+
+def _knn_label_means_blocked(z, labels, k, block=None):
+    """Mean label of each row's k nearest other rows: screen in float32, rank in float64.
+
+    Rank is by the difference form sum_c (z_ic - z_jc)^2, the oracle's
+    formula, with ties broken toward the lowest row index. Bitwise-equal rows
+    are grouped first and the search runs over one row per group, `block`
+    rows at a time: a float32 GEMM screen with a rigorous error bound keeps a
+    superset of each row's k + 1 nearest (the row itself included), the
+    survivors are ranked exactly, and each surviving group stands for its
+    k + 1 lowest rows. A row's neighbours are then its group's k + 1 nearest
+    rows without itself, or the first k of them when it is not among them.
+    The float32 key block takes about 1 MiB (at least 128 rows).
+    """
+    n, d = z.shape
+    q = k + 1
+    group = _duplicate_groups(z)
+    members = np.argsort(group, kind="stable")
+    count = np.bincount(group)
+    start = np.cumsum(count) - count
+    m = len(count)
+    rep = members[start]
     if block is None:
-        block = max(64, (2 << 20) // (8 * n))
-    block = min(block, n)
-    sq = (z * z).sum(axis=1)
-    means = np.empty(n)
-    cand = min(n - 1, k + extra)
-    idx_all = np.arange(n)
-    gram = np.empty((block, n))
-    dist = np.empty((block, n))
-    for start in range(0, n, block):
-        stop = min(start + block, n)
-        g, d2 = gram[:stop - start], dist[:stop - start]
-        np.matmul(z[start:stop], z.T, out=g)
-        g *= 2.0
-        np.add(sq[start:stop, None], sq[None, :], out=d2)
-        d2 -= g
-        d2[np.arange(stop - start), np.arange(start, stop)] = np.inf
-        part = np.sort(np.argpartition(d2, cand - 1, axis=1)[:, :cand], axis=1)
-        cand_d = np.take_along_axis(d2, part, axis=1)
-        # candidates are in ascending index order, so a stable distance sort
-        # resolves exact ties toward the lowest index
-        order = np.argsort(cand_d, axis=1, kind="stable")
-        sorted_d = np.take_along_axis(cand_d, order, axis=1)
-        neighbors = np.take_along_axis(part, order[:, :k], axis=1)
-        means[start:stop] = labels[neighbors].mean(axis=1)
-        # a tie at the k-th distance that reaches the candidate horizon may
-        # continue past it; those rows get an exact full-row resolution
-        spill = np.flatnonzero(sorted_d[:, k - 1] >= sorted_d[:, -1])
-        for r in spill:
-            full_order = np.lexsort((idx_all, d2[r]))[:k]
-            means[start + r] = labels[full_order].mean()
-    return means
+        block = max(128, (1 << 20) // (4 * m))
+    block = min(block, m)
+    frame = _Frame(z, rep, np.float32)
+    keys = np.empty((block, m), dtype=np.float32)
+    nearest = np.empty((m, q), dtype=np.intp)
+    step = max(1, (1 << 15) // d)
+    for lo in range(0, m, block):
+        hi = min(lo + block, m)
+        r, c = _candidates(z, rep, lo, hi, frame, keys[:hi - lo], q)
+        dist = np.empty(len(r))
+        for s in range(0, len(r), step):
+            diff = z[rep[lo + r[s:s + step]]] - z[rep[c[s:s + step]]]
+            dist[s:s + step] = np.einsum("ij,ij->i", diff, diff)
+        keep = -dist >= _qth_largest(r, -dist, hi - lo, q)[r]
+        r, c, dist = r[keep], c[keep], dist[keep]
+        # each surviving group stands for its q lowest rows
+        take = np.minimum(count[c], q)
+        pair = np.repeat(np.arange(len(r)), take)
+        rows = members[start[c[pair]] + np.arange(len(pair)) - np.repeat(np.cumsum(take) - take, take)]
+        order = np.lexsort((rows, dist[pair], r[pair]))
+        first = np.searchsorted(r[pair][order], np.arange(hi - lo))
+        nearest[lo:hi] = rows[order[first[:, None] + np.arange(q)]]
+    near = nearest[group]
+    own = (near == np.arange(n)[:, None]).any(axis=1)
+    near_labels = labels[near]
+    return np.where(own, near_labels.sum(axis=1) - labels, near_labels[:, :k].sum(axis=1)) / k
 
 
 def consistency(ds: TabularDataset, k: int = 5) -> float:
@@ -165,7 +330,12 @@ def consistency(ds: TabularDataset, k: int = 5) -> float:
 
     1 - mean |y_i - mean(y of kNN(i))| with Euclidean distance on z-scored
     features, self excluded, distance ties broken toward the lowest row index.
-    Unweighted. Values are memoized in-process by content, so a dataset seen
+    Unweighted. The squared distance is the float64 sum of squared coordinate
+    differences, the oracle's formula; a float32 GEMM with a rigorous error
+    bound only screens candidates for it, so the neighbours are exactly the
+    ones that formula ranks first (see `_knn_label_means_blocked`). Rows that
+    are bitwise equal are searched once as a group. Values are memoized
+    in-process by content, so a dataset seen
     before (the same original in every job, or RW's output, which keeps the
     original's features and labels) costs one hash instead of a kNN pass.
     """

@@ -421,6 +421,24 @@ class TestRun:
         for rel in serial:
             assert filecmp.cmp(serial[rel], rerun[rel], shallow=False), rel
 
+    def test_dead_preparing_worker_reruns_the_rest_in_one_parallel_pool(self, tmp_path, monkeypatch):
+        sizes = []
+
+        class RecordingPool(runner.ProcessPoolExecutor):
+            def __init__(self, max_workers=None, **kwargs):
+                sizes.append(max_workers)
+                super().__init__(max_workers=max_workers, **kwargs)
+
+        jobs, _ = expand_jobs(parse_batch_yaml(MATRIX.replace("seeds: [3]", "seeds: [3, 4]")))
+        assert len(jobs) == 8
+        monkeypatch.setattr(runner, "prepare_original", _exit_forked_preparing_synth_b)
+        monkeypatch.setattr(runner, "ProcessPoolExecutor", RecordingPool)
+        report = run_batch(jobs, parallelism=2, output_dir=tmp_path / "out", cache_dir=tmp_path / "cache")
+        assert report.exit_code == 0, [o.error for o in report.failures]
+        # the fork pool, then one two-worker spawn pool for the preparations it
+        # failed and one for the jobs it could no longer take; no task runs alone
+        assert sizes == [2, 2, 2]
+
     def test_rerun_job_reads_its_prepared_original_not_the_csv(self, tmp_path, monkeypatch):
         text = MATRIX.replace("  - name: synth_b\n    synthetic: {n: 240, disparity: 0.1, seed: 12}",
                               _toy_csv_entry(tmp_path))

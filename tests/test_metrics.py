@@ -328,6 +328,74 @@ class TestConsistency:
             tracemalloc.stop()
         assert peak < 16 * 2**20, peak
 
+    @staticmethod
+    def _float64_reference_means(z, labels, k):
+        """Each row's k nearest other rows by the float64 difference form, ties toward the lowest index."""
+        n = len(z)
+        means = np.empty(n)
+        for i in range(n):
+            d2 = ((z - z[i]) ** 2).sum(axis=1)
+            d2[i] = np.inf
+            means[i] = labels[np.lexsort((np.arange(n), d2))[:k]].mean()
+        return means
+
+    @staticmethod
+    def _near_tie_line(n, seed):
+        # the neighbours i - 1 and i + 1 of row i differ in squared distance by
+        # about 1e-11, far below float32's resolution of keys near 1, so only
+        # the screen's slack keeps the nearer one
+        rng = np.random.default_rng(seed)
+        x = np.arange(n) / n + 1e-9 * rng.uniform(-1.0, 1.0, n)
+        return x[:, None], rng.integers(0, 2, n)
+
+    def _assert_ranks_like_float64(self, features, labels, ks, block):
+        from fairbench.metrics.dataset_metrics import _knn_label_means_blocked
+
+        z = standardize(mk(labels, np.zeros(len(labels)), features=features))[0].features
+        y = labels.astype(float)
+        for k in ks:
+            got = _knn_label_means_blocked(z, y, k, block=block)
+            assert np.array_equal(got, self._float64_reference_means(z, y, k)), k
+
+    def test_near_ties_below_float32_resolution_rank_like_float64(self):
+        features, labels = self._near_tie_line(400, 23)
+        self._assert_ranks_like_float64(features, labels, (1, 3, 5), block=64)
+
+    def test_outlier_column_widens_the_screen_of_its_row(self):
+        # one record alone in its category stands sqrt(n - 1) from the rest in
+        # that column; its own keys carry errors about 20 times larger
+        features, labels = self._near_tie_line(400, 29)
+        rare = np.zeros(400)
+        rare[137] = 1.0
+        features = np.column_stack([features, rare])
+        z = standardize(mk(labels, np.zeros(400), features=features))[0].features
+        assert np.abs(z[:, 1]).max() == pytest.approx(math.sqrt(399))
+        self._assert_ranks_like_float64(features, labels, (1, 3, 5), block=None)
+        assert self._blocked_consistency(features, labels, 1, block=None) == pytest.approx(
+            oracle_consistency(features.tolist(), labels.tolist(), 1), abs=TOL
+        )
+
+    @pytest.mark.parametrize("distinct", [1, 5])
+    def test_duplicate_rows_rank_as_groups(self, distinct):
+        # all-identical rows, or rows drawn from a few vectors: each group of
+        # equal rows is searched once and stands for its lowest rows
+        from fairbench.metrics.dataset_metrics import _knn_label_means_blocked
+
+        rng = np.random.default_rng(31)
+        vectors = rng.normal(size=(distinct, 62))
+        features = vectors[rng.integers(0, distinct, 1000)]
+        labels = rng.integers(0, 2, 1000)
+        z = standardize(mk(labels, np.zeros(1000), features=features))[0].features
+        y = labels.astype(float)
+        for k in (1, 5):
+            expected = self._one_expression_knn_means(z, y, k)
+            assert np.array_equal(_knn_label_means_blocked(z, y, k), expected), k
+            assert np.array_equal(_knn_label_means_blocked(z, y, k, block=2), expected), k
+            # the loop oracle costs about 10 s at n=1000, so it checks the first 200 rows
+            assert self._blocked_consistency(features[:200], labels[:200], k, block=None) == pytest.approx(
+                oracle_consistency(features[:200].tolist(), labels[:200].tolist(), k), abs=TOL
+            )
+
 
 class TestGroupConfusion:
     """Per-group and pooled confusion rates, read from the bundle's group_rates."""
