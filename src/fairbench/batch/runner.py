@@ -160,25 +160,39 @@ def _call(fn, args):
     return result, [(str(w.message), w.category, w.filename, w.lineno) for w in caught]
 
 
-def _run_tasks(fn, tasks, pool, workers):
-    """[fn(*args) for args in tasks], each run as a task of `pool`, whose workers `_init_worker` set up.
+def _spawn_pool(size):
+    # a spawned interpreter starts at OpenBLAS's default count
+    return ProcessPoolExecutor(max_workers=size, mp_context=get_context("spawn"), initializer=_init_worker)
+
+
+def _submit(pool, fn, tasks, futures, indices):
+    for i in indices:
+        with contextlib.suppress(BrokenProcessPool):
+            futures[i] = pool.submit(_call, fn, tasks[i])
+
+
+def _broken(futures):
+    return [i for i, f in enumerate(futures) if f is None or isinstance(f.exception(), BrokenProcessPool)]
+
+
+def _run_tasks(fn, tasks, pools, workers):
+    """[fn(*args) for args in tasks], each run as a task of `pools[-1]`, whose workers `_init_worker` set up.
 
     A dead worker breaks the pool, which fails every unfinished task with BrokenProcessPool. Those
-    run again together in a spawn pool of `workers`; each that breaks it too runs alone in a one-worker
-    spawn pool. A task that raised, or whose last worker died, gives its error text. The warnings a
-    task raised are issued again in this process, task by task in order.
+    run again together in a spawn pool of `workers`, appended to `pools` so that the next call's
+    tasks go to it; each that breaks it too runs alone in a one-worker spawn pool. A task that
+    raised, or whose last worker died, gives its error text. The warnings a task raised are issued
+    again in this process, task by task in order.
     """
-    futures, groups = [None] * len(tasks), [range(len(tasks))]
-    for size in (0, workers, 1):
-        for group in groups:
-            # a spawned interpreter starts at OpenBLAS's default count
-            with contextlib.nullcontext(pool) if size == 0 else ProcessPoolExecutor(
-                    max_workers=size, mp_context=get_context("spawn"), initializer=_init_worker) as runner:
-                for i in group:
-                    with contextlib.suppress(BrokenProcessPool):
-                        futures[i] = runner.submit(_call, fn, tasks[i])
-        again = [i for i, f in enumerate(futures) if f is None or isinstance(f.exception(), BrokenProcessPool)]
-        groups = [again] if size == 0 and again else [[i] for i in again]
+    futures = [None] * len(tasks)
+    _submit(pools[-1], fn, tasks, futures, range(len(tasks)))
+    again = _broken(futures)
+    if again:
+        pools.append(_spawn_pool(workers))
+        _submit(pools[-1], fn, tasks, futures, again)
+        for i in _broken(futures):
+            with _spawn_pool(1) as alone:
+                _submit(alone, fn, tasks, futures, [i])
     results = []
     for future in futures:
         error = future.exception()
@@ -244,7 +258,8 @@ def run_batch(jobs, parallelism: int = 1, output_dir="fairbench_out",
     ingested, cached and measured. Its jobs then run from that preparation and
     read the original back from the cache; the jobs of a preparation that
     failed fail with its error text. Preparations and jobs run as tasks of one
-    process pool, at parallelism 1 too, so a dying worker never ends the batch.
+    process pool, at parallelism 1 too, so a dying worker never ends the batch;
+    once a dead worker has broken it, the spawn pool that replaced it takes the rest.
     """
     output_dir = Path(output_dir)
     output_dir.mkdir(parents=True, exist_ok=True)
@@ -254,11 +269,15 @@ def run_batch(jobs, parallelism: int = 1, output_dir="fairbench_out",
         originals.setdefault(_original_of(job), (job.dataset, job.sensitive, cache_dir))
 
     workers = max(1, min(parallelism, len(jobs)))
-    with ProcessPoolExecutor(max_workers=workers, initializer=_init_worker) as pool:
-        prepared = dict(zip(originals, _run_tasks(_prepare, list(originals.values()), pool, workers)))
+    pools = [ProcessPoolExecutor(max_workers=workers, initializer=_init_worker)]
+    try:
+        prepared = dict(zip(originals, _run_tasks(_prepare, list(originals.values()), pools, workers)))
         ready = [job for job in jobs if not isinstance(prepared[_original_of(job)], str)]
         done = iter(_run_tasks(execute_job, [(job, prepared[_original_of(job)], output_dir, cache_dir)
-                                             for job in ready], pool, workers))
+                                             for job in ready], pools, workers))
+    finally:
+        for pool in pools:
+            pool.shutdown()
     outcomes = []
     for job in jobs:
         result = prepared[_original_of(job)]

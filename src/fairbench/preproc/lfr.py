@@ -51,73 +51,94 @@ def _soft_assignments(x, prototypes):
     return e / e.sum(axis=1, keepdims=True)
 
 
-def _groups(s):
-    """The parity term's per-fit constants: the group-1 column mask and each group's rows."""
-    return (s == 1)[:, None], np.flatnonzero(s == 1), np.flatnonzero(s == 0)
+def _assignments(pxt, sq_norms):
+    """(K, n) soft assignments from P x^T and the prototypes' squared norms: a softmax down each column.
 
-
-def _forward(x, y, groups, prototypes, label_weights, a_z, a_x, a_y):
-    """Objective, its three components, and the intermediates its gradient needs.
-
-    The intermediates are the soft assignments m, the group-mean gap of m, the
-    residual m v - x, and the raw and clipped label predictions.
+    The same softmax as `_soft_assignments`, with each record's logits in one
+    column, so the max and the sum reduce over K contiguous rows.
     """
-    _, rows1, rows0 = groups
-    n = x.shape[0]
-    m = _soft_assignments(x, prototypes)
-    gap = m[rows1].mean(axis=0) - m[rows0].mean(axis=0)
-    resid = m @ prototypes
-    resid -= x
-    yhat_raw = m @ label_weights
-    yhat = np.clip(yhat_raw, _PROB_CLIP, 1.0 - _PROB_CLIP)
-    l_parity = np.abs(gap).sum()
-    l_recon = (resid ** 2).sum() / n
-    l_label = -(y * np.log(yhat) + (1.0 - y) * np.log(1.0 - yhat)).mean()
-    objective = a_z * l_parity + a_x * l_recon + a_y * l_label
-    return objective, (l_parity, l_recon, l_label), (m, gap, resid, yhat_raw, yhat)
+    a = pxt * 2.0
+    a -= sq_norms[:, None]
+    a -= a.max(axis=0)
+    np.exp(a, out=a)
+    a /= a.sum(axis=0)
+    return a
 
 
-def _gradients(x, y, groups, prototypes, label_weights, a_z, a_x, a_y, intermediates):
-    """Analytic gradients at the point whose `_forward` gave `intermediates`."""
-    in1, rows1, rows0 = groups
-    m, gap, resid, yhat_raw, yhat = intermediates
-    n = x.shape[0]
+class _Problem:
+    """One fit's data and weights; evaluates the objective in prototype space.
 
-    # dL/dM for each component
-    sign_parity = np.sign(gap)
-    g_parity = np.where(in1, sign_parity / len(rows1), -sign_parity / len(rows0))
+    A point is given by its products P x^T (K, n) and P P^T (K, K), so no
+    evaluation touches x. With M the (K, n) soft assignments, the
+    reconstruction loss is ||M^T P - x||^2 = sum M * (P P^T M) - 2 sum M * P x^T + ||x||^2.
+    """
 
-    g_recon = (2.0 / n) * (resid @ prototypes.T)
+    def __init__(self, x, y, s, a_z, a_x, a_y):
+        self.x, self.y = x, y
+        self.n = x.shape[0]
+        # M @ parity is the gap between the groups' mean assignments
+        self.parity = (s == 1) / np.count_nonzero(s == 1) - (s == 0) / np.count_nonzero(s == 0)
+        self.x_sq = float(np.vdot(x, x))
+        self.a_z, self.a_x, self.a_y = a_z, a_x, a_y
 
-    clipped = (yhat_raw < _PROB_CLIP) | (yhat_raw > 1.0 - _PROB_CLIP)
-    dldy = (yhat - y) / (yhat * (1.0 - yhat)) / n
-    dldy[clipped] = 0.0
-    g_label = dldy[:, None] * label_weights[None, :]
+    def at(self, prototypes, label_weights):
+        """`evaluate` at explicit prototypes, which takes one product with x."""
+        return self.evaluate(prototypes @ self.x.T, prototypes @ prototypes.T, label_weights)
 
-    g_total = a_z * g_parity + a_x * g_recon + a_y * g_label
+    def evaluate(self, pxt, ppt, label_weights):
+        """Objective, its three components, and the state the gradient needs."""
+        m = _assignments(pxt, np.diagonal(ppt))
+        mg = ppt @ m
+        gap = m @ self.parity
+        yhat_raw = label_weights @ m
+        yhat = np.clip(yhat_raw, _PROB_CLIP, 1.0 - _PROB_CLIP)
+        y = self.y
+        l_parity = np.abs(gap).sum()
+        l_recon = (np.vdot(m, mg) - 2.0 * np.vdot(m, pxt) + self.x_sq) / self.n
+        l_label = -(y * np.log(yhat) + (1.0 - y) * np.log(1.0 - yhat)).mean()
+        objective = self.a_z * l_parity + self.a_x * l_recon + self.a_y * l_label
+        return objective, (l_parity, l_recon, l_label), (m, mg, pxt, ppt, gap, yhat_raw, yhat)
 
-    # back through the softmax: H = M * (G - sum_k G M), then through -||x-v||^2
-    row_dot = (g_total * m).sum(axis=1, keepdims=True)
-    h = m * (g_total - row_dot)
-    grad_v = 2.0 * (h.T @ x - h.sum(axis=0)[:, None] * prototypes)
-    # direct dependence of the reconstruction term on the prototypes
-    grad_v += a_x * (2.0 / n) * (m.T @ resid)
+    def gradients(self, state, prototypes, label_weights):
+        """Analytic gradients w.r.t. prototypes and label weights at the point `state` describes.
 
-    grad_w = a_y * (m.T @ dldy)
-    return grad_v, grad_w
+        One (K, n) @ (n, d) product: with c = 2 a_x / n and H the gradient
+        back through the softmax, grad P = (2H - cM) x + (c M M^T - 2 diag(sum H)) P.
+        """
+        m, mg, pxt, _, gap, yhat_raw, yhat = state
+        c = 2.0 * self.a_x / self.n
+        clipped = (yhat_raw < _PROB_CLIP) | (yhat_raw > 1.0 - _PROB_CLIP)
+        dldy = (yhat - self.y) / (yhat * (1.0 - yhat)) / self.n
+        dldy[clipped] = 0.0
+
+        # dL/dM: reconstruction (2/n)(P P^T M - P x^T), parity and label terms
+        g = mg - pxt
+        g *= c
+        g += np.outer(self.a_z * np.sign(gap), self.parity)
+        g += np.outer(self.a_y * label_weights, dldy)
+        # back through the softmax, in place: H = M * (G - sum_k G M)
+        h = g
+        h -= (g * m).sum(axis=0)
+        h *= m
+        # then through -||x-v||^2, plus the reconstruction's direct dependence on P
+        grad_v = (2.0 * h - c * m) @ self.x
+        grad_v += (c * (m @ m.T) - np.diag(2.0 * h.sum(axis=1))) @ prototypes
+
+        grad_w = self.a_y * (m @ dldy)
+        return grad_v, grad_w
 
 
 def lfr_objective(x, y, s, prototypes, label_weights, a_z, a_x, a_y):
     """Objective value and its three components at the given parameters."""
-    objective, parts, _ = _forward(x, y, _groups(s), prototypes, label_weights, a_z, a_x, a_y)
+    objective, parts, _ = _Problem(x, y, s, a_z, a_x, a_y).at(prototypes, label_weights)
     return objective, parts
 
 
 def lfr_gradients(x, y, s, prototypes, label_weights, a_z, a_x, a_y):
     """Analytic gradients of the objective w.r.t. prototypes and label weights."""
-    groups = _groups(s)
-    *_, intermediates = _forward(x, y, groups, prototypes, label_weights, a_z, a_x, a_y)
-    return _gradients(x, y, groups, prototypes, label_weights, a_z, a_x, a_y, intermediates)
+    problem = _Problem(x, y, s, a_z, a_x, a_y)
+    *_, state = problem.at(prototypes, label_weights)
+    return problem.gradients(state, prototypes, label_weights)
 
 
 def lfr_fit(ds: TabularDataset, n_prototypes: int = 10, a_z: float = 50.0,
@@ -127,10 +148,20 @@ def lfr_fit(ds: TabularDataset, n_prototypes: int = 10, a_z: float = 50.0,
 
     Prototypes start at K records sampled by seed. Stops when the relative
     objective decrease falls below `tol` or after `max_iter` accepted steps;
-    the latter warns that the fit did not converge. Each candidate of the line
-    search takes one forward pass, and the accepted one's gives the next
-    gradient.
+    the latter warns that the fit did not converge.
+
+    The fit runs in prototype space. x enters two products per step, the
+    gradient's and G x^T for the step direction G; a line-search trial at
+    length t takes P x^T - t G x^T and P P^T - t (P G^T + G P^T) + t^2 G G^T,
+    so it costs O(K n + K^2 n) and the accepted one's state gives the next
+    gradient. The Gram form of the reconstruction loss cancels: its rounding
+    error is about eps * (|sum M P P^T M| + 2 |sum M P x^T| + ||x||^2), small
+    against the loss unless K prototypes reconstruct x almost exactly.
     """
+    for name, value in (("a_z", a_z), ("a_x", a_x), ("a_y", a_y), ("tol", tol), ("max_iter", max_iter)):
+        # a negative weight makes the fit maximize its term
+        if not value >= 0:
+            raise FitError(f"{name} must be non-negative, got {value!r}")
     x = ds.features
     y = ds.labels.astype(np.float64)
     s = ds.protected
@@ -145,22 +176,27 @@ def lfr_fit(ds: TabularDataset, n_prototypes: int = 10, a_z: float = 50.0,
     rng = np.random.default_rng(seed)
     prototypes = x[rng.choice(n, size=n_prototypes, replace=False)].copy()
     label_weights = rng.random(n_prototypes)
-    groups = _groups(s)
+    problem = _Problem(x, y, s, a_z, a_x, a_y)
 
-    obj, _, state = _forward(x, y, groups, prototypes, label_weights, a_z, a_x, a_y)
+    obj, _, state = problem.at(prototypes, label_weights)
     if not math.isfinite(obj):
         raise FitError(f"non-finite objective at initialization: {obj}")
     trace = [float(obj)]
     step = 1.0
     rel_drop = math.inf
     for _ in range(max_iter):
-        grad_v, grad_w = _gradients(x, y, groups, prototypes, label_weights, a_z, a_x, a_y, state)
+        grad_v, grad_w = problem.gradients(state, prototypes, label_weights)
+        _, _, pxt, ppt, *_ = state
+        gxt = grad_v @ x.T
+        pgt = prototypes @ grad_v.T
+        cross = pgt + pgt.T
+        ggt = grad_v @ grad_v.T
         accepted = False
         trial = step
         for _ in range(60):
-            cand_v = prototypes - trial * grad_v
             cand_w = np.clip(label_weights - trial * grad_w, 0.0, 1.0)
-            cand_obj, _, cand_state = _forward(x, y, groups, cand_v, cand_w, a_z, a_x, a_y)
+            cand_obj, _, cand_state = problem.evaluate(
+                pxt - trial * gxt, ppt - trial * cross + (trial * trial) * ggt, cand_w)
             if not math.isfinite(cand_obj):
                 raise FitError(f"non-finite objective during fit: {cand_obj}")
             if cand_obj < obj:
@@ -169,7 +205,7 @@ def lfr_fit(ds: TabularDataset, n_prototypes: int = 10, a_z: float = 50.0,
             trial *= 0.5
         if not accepted:
             break
-        prototypes, label_weights, state = cand_v, cand_w, cand_state
+        prototypes, label_weights, state = prototypes - trial * grad_v, cand_w, cand_state
         rel_drop = (obj - cand_obj) / max(abs(obj), 1e-30)
         obj = cand_obj
         trace.append(float(obj))

@@ -393,3 +393,135 @@ def oracle_opp_fit(ds, cfg):
         distortion_residual=float(max(0.0, expected - cfg.distortion_budget)),
         row_sum_drift=drift,
     )
+
+
+def _lfr_groups(s):
+    """The parity term's per-fit constants: the group-1 column mask and each group's rows."""
+    import numpy as np
+
+    return (s == 1)[:, None], np.flatnonzero(s == 1), np.flatnonzero(s == 0)
+
+
+def _lfr_forward(x, y, groups, prototypes, label_weights, a_z, a_x, a_y):
+    """Objective, its three components, and the intermediates its gradient needs.
+
+    The intermediates are the soft assignments m, the group-mean gap of m, the
+    residual m v - x, and the raw and clipped label predictions.
+    """
+    import numpy as np
+
+    from fairbench.preproc.lfr import _PROB_CLIP, _soft_assignments
+
+    _, rows1, rows0 = groups
+    n = x.shape[0]
+    m = _soft_assignments(x, prototypes)
+    gap = m[rows1].mean(axis=0) - m[rows0].mean(axis=0)
+    resid = m @ prototypes
+    resid -= x
+    yhat_raw = m @ label_weights
+    yhat = np.clip(yhat_raw, _PROB_CLIP, 1.0 - _PROB_CLIP)
+    l_parity = np.abs(gap).sum()
+    l_recon = (resid ** 2).sum() / n
+    l_label = -(y * np.log(yhat) + (1.0 - y) * np.log(1.0 - yhat)).mean()
+    objective = a_z * l_parity + a_x * l_recon + a_y * l_label
+    return objective, (l_parity, l_recon, l_label), (m, gap, resid, yhat_raw, yhat)
+
+
+def _lfr_gradients(x, y, groups, prototypes, label_weights, a_z, a_x, a_y, intermediates):
+    """Analytic gradients at the point whose `_lfr_forward` gave `intermediates`."""
+    import numpy as np
+
+    from fairbench.preproc.lfr import _PROB_CLIP
+
+    in1, rows1, rows0 = groups
+    m, gap, resid, yhat_raw, yhat = intermediates
+    n = x.shape[0]
+
+    # dL/dM for each component
+    sign_parity = np.sign(gap)
+    g_parity = np.where(in1, sign_parity / len(rows1), -sign_parity / len(rows0))
+
+    g_recon = (2.0 / n) * (resid @ prototypes.T)
+
+    clipped = (yhat_raw < _PROB_CLIP) | (yhat_raw > 1.0 - _PROB_CLIP)
+    dldy = (yhat - y) / (yhat * (1.0 - yhat)) / n
+    dldy[clipped] = 0.0
+    g_label = dldy[:, None] * label_weights[None, :]
+
+    g_total = a_z * g_parity + a_x * g_recon + a_y * g_label
+
+    # back through the softmax: H = M * (G - sum_k G M), then through -||x-v||^2
+    row_dot = (g_total * m).sum(axis=1, keepdims=True)
+    h = m * (g_total - row_dot)
+    grad_v = 2.0 * (h.T @ x - h.sum(axis=0)[:, None] * prototypes)
+    # direct dependence of the reconstruction term on the prototypes
+    grad_v += a_x * (2.0 / n) * (m.T @ resid)
+
+    grad_w = a_y * (m.T @ dldy)
+    return grad_v, grad_w
+
+
+def oracle_lfr_point(x, y, s, prototypes, label_weights, a_z, a_x, a_y):
+    """LFR's objective, its three components and both gradients, from the (n, d) residual m v - x."""
+    groups = _lfr_groups(s)
+    objective, parts, state = _lfr_forward(x, y, groups, prototypes, label_weights, a_z, a_x, a_y)
+    grad_v, grad_w = _lfr_gradients(x, y, groups, prototypes, label_weights, a_z, a_x, a_y, state)
+    return objective, parts, grad_v, grad_w
+
+
+def oracle_lfr_fit(ds, n_prototypes=10, a_z=50.0, a_x=0.01, a_y=1.0, seed=0, max_iter=5000, tol=1e-6):
+    """`lfr_fit` in record space, the form the prototype-space loop replaced.
+
+    Every line-search candidate takes a forward pass over the (n, d) residual;
+    same initialization, line search, step doubling and stop rule. It does not
+    warn at `max_iter`. Returns an LfrModel.
+    """
+    import math
+
+    import numpy as np
+
+    from fairbench.preproc.lfr import LfrModel
+
+    x = ds.features
+    y = ds.labels.astype(np.float64)
+    n = x.shape[0]
+    rng = np.random.default_rng(seed)
+    prototypes = x[rng.choice(n, size=n_prototypes, replace=False)].copy()
+    label_weights = rng.random(n_prototypes)
+    groups = _lfr_groups(ds.protected)
+
+    obj, _, state = _lfr_forward(x, y, groups, prototypes, label_weights, a_z, a_x, a_y)
+    trace = [float(obj)]
+    step = 1.0
+    for _ in range(max_iter):
+        grad_v, grad_w = _lfr_gradients(x, y, groups, prototypes, label_weights, a_z, a_x, a_y, state)
+        accepted = False
+        trial = step
+        for _ in range(60):
+            cand_v = prototypes - trial * grad_v
+            cand_w = np.clip(label_weights - trial * grad_w, 0.0, 1.0)
+            cand_obj, _, cand_state = _lfr_forward(x, y, groups, cand_v, cand_w, a_z, a_x, a_y)
+            if not math.isfinite(cand_obj):
+                raise ValueError(f"non-finite objective during fit: {cand_obj}")
+            if cand_obj < obj:
+                accepted = True
+                break
+            trial *= 0.5
+        if not accepted:
+            break
+        prototypes, label_weights, state = cand_v, cand_w, cand_state
+        rel_drop = (obj - cand_obj) / max(abs(obj), 1e-30)
+        obj = cand_obj
+        trace.append(float(obj))
+        step = trial * 2.0
+        if rel_drop < tol:
+            break
+
+    return LfrModel(
+        prototypes=prototypes,
+        label_weights=label_weights,
+        weight_parity=a_z,
+        weight_reconstruction=a_x,
+        weight_label=a_y,
+        objective_trace=tuple(trace),
+    )

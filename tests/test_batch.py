@@ -436,8 +436,8 @@ class TestRun:
         report = run_batch(jobs, parallelism=2, output_dir=tmp_path / "out", cache_dir=tmp_path / "cache")
         assert report.exit_code == 0, [o.error for o in report.failures]
         # the fork pool, then one two-worker spawn pool for the preparations it
-        # failed and one for the jobs it could no longer take; no task runs alone
-        assert sizes == [2, 2, 2]
+        # failed and for every job; no task runs alone
+        assert sizes == [2, 2]
 
     def test_rerun_job_reads_its_prepared_original_not_the_csv(self, tmp_path, monkeypatch):
         text = MATRIX.replace("  - name: synth_b\n    synthetic: {n: 240, disparity: 0.1, seed: 12}",

@@ -18,22 +18,19 @@ def _bench_module(name):
     return module
 
 
-@pytest.mark.parametrize("parallelism", [1, 2])
-def test_traced_batch_records_every_layer_and_one_ingest_per_original(tmp_path, parallelism):
+def _traced_batch(tmp_path, draws, methods, parallelism, **matrix):
+    """(result, per-layer metrics, problems) of one traced batch over German n=200 CSVs, one per draw."""
     gen, spans = _bench_module("gen"), _bench_module("spans")
     schema = ROOT / "src" / "fairbench" / "dataset" / "schemas" / "german.yaml"
     datasets = []
-    for draw in (0, 1):
+    for draw in draws:
         csv = tmp_path / f"german-{draw}.csv"
         gen.write_german(csv, 200, 5, draw)
         datasets.append({"name": f"german-{draw}", "csv": str(csv), "schema": str(schema)})
-    methods = ["RW", "DIR"]
     config = tmp_path / "batch.yaml"
     config.write_text(json.dumps({  # JSON is YAML
-        "datasets": datasets,
-        # three distinct (dataset, sensitive) originals under six jobs
-        "sensitive_attributes": {"german-0": ["sex", "age"], "german-1": ["sex"]},
-        "methods": methods, "models": ["logreg"], "seeds": [0], "parallelism": parallelism,
+        "datasets": datasets, "methods": methods, "models": ["logreg"], "seeds": [0],
+        "parallelism": parallelism, **matrix,
     }), encoding="utf-8")
     result_path, span_dir = tmp_path / "result.json", tmp_path / "spans"
     subprocess.run(
@@ -42,9 +39,26 @@ def test_traced_batch_records_every_layer_and_one_ingest_per_original(tmp_path, 
         cwd=ROOT, check=True, timeout=300,
     )
     result = json.loads(result_path.read_text(encoding="utf-8"))
-    assert [job["status"] for job in result["jobs"]] == ["ok"] * 6, result["jobs"]
-
     metrics, problems = spans.summarize(spans.load_records(span_dir), result["start"], result["wall_s"],
                                         parallelism, result["cpu_s"], methods)
+    return result, metrics, problems
+
+
+@pytest.mark.parametrize("parallelism", [1, 2])
+def test_traced_batch_records_every_layer_and_one_ingest_per_original(tmp_path, parallelism):
+    # three distinct (dataset, sensitive) originals under six jobs
+    result, metrics, problems = _traced_batch(
+        tmp_path, (0, 1), ["RW", "DIR"], parallelism,
+        sensitive_attributes={"german-0": ["sex", "age"], "german-1": ["sex"]})
+    assert [job["status"] for job in result["jobs"]] == ["ok"] * 6, result["jobs"]
     assert problems == []
     assert metrics["dataset.ingest_calls"] == 3
+
+
+def test_traced_lfr_fit_reports_its_time_and_steps(tmp_path):
+    # the tracer patches `fairbench.preproc.lfr_fit` and counts `objective_trace`
+    result, metrics, problems = _traced_batch(tmp_path, (0,), ["LFR"], 1)
+    assert [job["status"] for job in result["jobs"]] == ["ok"], result["jobs"]
+    assert problems == []
+    assert metrics["preproc.fit_s.LFR"] > 0
+    assert metrics["preproc.lfr_iterations"] > 0
