@@ -201,15 +201,15 @@ def parse_batch_yaml(text: str) -> BatchSpec:
 def _valid_attributes(entry: DatasetEntry):
     """Declared attribute names, the default first, or None when the schema cannot be read yet.
 
-    An unreadable schema (missing, invalid YAML, no mapping, an undeclared
-    default) is a job-level failure: the jobs are still created and fail with
-    `load_schema`'s error.
+    An unreadable schema (missing, invalid YAML, no mapping, a mistyped block,
+    an undeclared default) is a job-level failure: the jobs are still created
+    and fail with `load_schema`'s error.
     """
     if entry.synthetic is not None:
         return [SYNTHETIC_ATTRIBUTE]
     try:
         return declared_sensitive_attributes(entry.schema)
-    except (OSError, yaml.YAMLError, AttributeError, SchemaError):
+    except (OSError, SchemaError):
         return None
 
 

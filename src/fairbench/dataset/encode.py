@@ -1,6 +1,7 @@
-"""Turn a RawTable into a numeric TabularDataset under a DatasetSchema."""
+"""Turn a RawTable into a numeric TabularDataset under a DatasetSchema, column by column."""
 
 import warnings
+from itertools import compress
 
 import numpy as np
 
@@ -10,54 +11,20 @@ from .table import RawTable
 from .tabular import TabularDataset
 
 
-def _apply_binarization(columns, rows, schema):
-    """Apply first-match rewrite rules; derived columns are appended."""
-    by_target = {}
-    for rule in schema.binarize:
-        by_target.setdefault((rule.column, rule.source), []).append(rule)
-    if not by_target:
-        return columns, rows
-
-    columns = list(columns)
-    rows = [list(r) for r in rows]
-    for (target, source), rules in by_target.items():
-        if source not in columns:
-            raise DataFormatError(f"binarization source column {source!r} not in table")
-        src_idx = columns.index(source)
-        if target in columns:
-            dst_idx = columns.index(target)
-        else:
-            dst_idx = len(columns)
-            columns.append(target)
-            for row in rows:
-                row.append("")
-        for i, row in enumerate(rows):
-            cell = row[src_idx]
-            for rule in rules:
-                if rule.matches(cell):
-                    row[dst_idx] = rule.output
-                    break
-            else:
-                raise DataFormatError(
-                    f"row {i + 2}, column {source!r}: value {cell!r} matches no binarization rule"
-                )
-    return tuple(columns), [tuple(r) for r in rows]
+def _per_value(cells, fn, dtype):
+    """`fn` evaluated once per distinct cell, in first-seen order, and spread back over the rows."""
+    index = {cell: k for k, cell in enumerate(dict.fromkeys(cells))}
+    values = np.array([fn(cell) for cell in index], dtype=dtype)
+    return values[np.fromiter(map(index.__getitem__, cells), dtype=np.intp, count=len(cells))]
 
 
-def _drop_missing(columns, rows, schema):
-    if not schema.drop_missing_rows or not schema.missing_tokens:
-        return rows
-    tokens = schema.missing_tokens
-    watched = [j for j, c in enumerate(columns) if c in schema.referenced_columns() | schema.derived_columns()]
-    kept = [r for r in rows if not any(str(r[j]).strip() in tokens for j in watched)]
-    dropped = len(rows) - len(kept)
-    if dropped:
-        warnings.warn(
-            f"{schema.name}: dropped {dropped} row(s) with missing values", FairbenchWarning
-        )
-    if not kept:
-        raise DataFormatError(f"{schema.name}: all rows dropped as missing")
-    return kept
+def _number(cell, cells, col):
+    try:
+        return float(cell)
+    except ValueError:
+        raise DataFormatError(
+            f"row {cells.index(cell) + 2}, column {col!r}: non-numeric cell {cell!r} in a numeric column"
+        ) from None
 
 
 def encode(table: RawTable, schema: DatasetSchema) -> TabularDataset:
@@ -68,87 +35,73 @@ def encode(table: RawTable, schema: DatasetSchema) -> TabularDataset:
     first-seen order unless the schema pins them (then unseen values get an
     all-zero row plus a warning). The protected column is excluded from the
     feature matrix unless the schema overrides that. Weights start at 1.
+    The table is read column by column: each binarization rule, label and group
+    match and level lookup runs once per distinct cell of a column.
     """
-    columns, rows = _apply_binarization(table.columns, table.rows, schema)
-    rows = _drop_missing(columns, rows, schema)
-    col_index = {c: j for j, c in enumerate(columns)}
-    n = len(rows)
+    watched = schema.referenced_columns() | schema.derived_columns()
+    names = list(table.columns)
+    cols = {name: cells for name, cells in zip(names, zip(*table.rows)) if name in watched}
 
-    labels = np.fromiter(
-        (1 if cells_match(r[col_index[schema.label_column]], schema.favorable_value) else 0 for r in rows),
-        dtype=np.int64,
-        count=n,
-    )
-    protected = np.fromiter(
-        (
-            1 if any(cells_match(r[col_index[schema.protected_column]], v) for v in schema.privileged_values) else 0
-            for r in rows
-        ),
-        dtype=np.int64,
-        count=n,
-    )
+    by_target = {}  # first-match rules per (target, source); a derived target is appended
+    for rule in schema.binarize:
+        by_target.setdefault((rule.column, rule.source), []).append(rule)
+    for (target, source), rules in by_target.items():
+        if source not in cols:
+            raise DataFormatError(f"binarization source column {source!r} not in table")
+        cells, output = cols[source], {}
+        for cell in dict.fromkeys(cells):
+            output[cell] = next((rule.output for rule in rules if rule.matches(cell)), None)
+            if output[cell] is None:
+                raise DataFormatError(
+                    f"row {cells.index(cell) + 2}, column {source!r}: value {cell!r} matches no binarization rule"
+                )
+        cols[target] = tuple(map(output.__getitem__, cells))
+        if target not in names:
+            names.append(target)
 
-    feature_order = [
-        c
-        for c in columns
-        if (c in schema.numeric_columns or c in schema.categorical_columns)
-        and c not in schema.drop_columns
-        and c != schema.label_column
-        and (c != schema.protected_column or schema.keep_protected_in_features)
-    ]
+    if schema.drop_missing_rows and schema.missing_tokens:
+        is_token = schema.missing_tokens.__contains__
+        missing = np.any([_per_value(cells, is_token, bool) for cells in cols.values()], axis=0)
+        if missing.any():
+            warnings.warn(f"{schema.name}: dropped {missing.sum()} row(s) with missing values", FairbenchWarning)
+            if missing.all():
+                raise DataFormatError(f"{schema.name}: all rows dropped as missing")
+            keep = (~missing).tolist()
+            cols = {name: tuple(compress(cells, keep)) for name, cells in cols.items()}
+
+    labels = _per_value(cols[schema.label_column], lambda cell: cells_match(cell, schema.favorable_value), np.int64)
+    protected = _per_value(cols[schema.protected_column],
+                           lambda cell: any(cells_match(cell, v) for v in schema.privileged_values), np.int64)
+
+    excluded = {schema.label_column, *schema.drop_columns}
+    if not schema.keep_protected_in_features:
+        excluded.add(schema.protected_column)
+    roles = schema.numeric_columns | schema.categorical_columns
+    feature_order = [c for c in names if c in roles and c not in excluded]
     if not feature_order:
         raise SchemaError(f"{schema.name}: no feature columns present")
 
-    blocks, names = [], []
+    n = len(labels)
+    blocks, feature_names = [], []
     for col in feature_order:
-        j = col_index[col]
-        cells = [r[j] for r in rows]
+        cells = cols[col]
         if col in schema.numeric_columns:
-            values = np.empty(n, dtype=np.float64)
-            for i, cell in enumerate(cells):
-                try:
-                    values[i] = float(str(cell).strip())
-                except ValueError:
-                    raise DataFormatError(
-                        f"row {i + 2}, column {col!r}: non-numeric cell {cell!r} in a numeric column"
-                    ) from None
-            blocks.append(values[:, None])
-            names.append(col)
-        else:
-            pinned = schema.categories.get(col)
-            if pinned is not None:
-                levels = list(pinned)
-            else:
-                levels, seen = [], set()
-                for cell in cells:
-                    key = str(cell).strip()
-                    if key not in seen:
-                        seen.add(key)
-                        levels.append(key)
-            level_pos = {lv: k for k, lv in enumerate(levels)}
-            onehot = np.zeros((n, len(levels)), dtype=np.float64)
-            unseen = 0
-            for i, cell in enumerate(cells):
-                k = level_pos.get(str(cell).strip())
-                if k is None:
-                    unseen += 1
-                else:
-                    onehot[i, k] = 1.0
-            if unseen:
-                warnings.warn(
-                    f"{schema.name}: column {col!r}: {unseen} value(s) outside the pinned "
-                    "levels encoded as all-zero",
-                    FairbenchWarning,
-                )
-            blocks.append(onehot)
-            names.extend(f"{col}={lv}" for lv in levels)
+            blocks.append(_per_value(cells, lambda cell: _number(cell, cells, col), np.float64)[:, None])
+            feature_names.append(col)
+            continue
+        levels = schema.categories.get(col)
+        if levels is None:
+            levels = list(dict.fromkeys(cells))
+        level_pos = {lv: k for k, lv in enumerate(levels)}
+        level = _per_value(cells, lambda cell: level_pos.get(cell, -1), np.intp)
+        seen = level >= 0
+        onehot = np.zeros((n, len(levels)))
+        onehot[seen, level[seen]] = 1.0
+        if not seen.all():
+            message = f"column {col!r}: {n - seen.sum()} value(s) outside the pinned levels encoded as all-zero"
+            warnings.warn(f"{schema.name}: {message}", FairbenchWarning)
+        blocks.append(onehot)
+        feature_names.extend(f"{col}={lv}" for lv in levels)
 
-    features = np.hstack(blocks)
-    return TabularDataset(
-        features=features,
-        labels=labels,
-        protected=protected,
-        weights=np.ones(n),
-        feature_names=tuple(names),
-        provenance=f"{schema.name}[{schema.sensitive_attribute}]",
-    )
+    return TabularDataset(np.hstack(blocks), labels, protected, np.ones(n), tuple(feature_names),
+                          f"{schema.name}[{schema.sensitive_attribute}]")

@@ -16,7 +16,7 @@ _PREDICATE_OPS = ("<", "<=", ">", ">=", "==", "in", "default")
 
 
 def _cell_key(value):
-    """Canonical comparison key for a raw cell: numeric when parseable, else stripped text."""
+    """Canonical comparison key for a raw cell or schema value: numeric when parseable, else stripped text."""
     if isinstance(value, (int, float)) and not isinstance(value, bool):
         return float(value)
     text = str(value).strip()
@@ -117,9 +117,9 @@ def _parse_rules(column, source, raw_rules, where):
     for i, entry in enumerate(raw_rules):
         if not isinstance(entry, dict) or "when" not in entry or "value" not in entry:
             raise SchemaError(f"{where}[{i}]: rule needs 'when' and 'value'")
-        when = str(entry["when"]).strip()
+        when, output = str(entry["when"]).strip(), str(entry["value"]).strip()
         if when == "default":
-            rules.append(BinarizationRule(column, source, "default", None, str(entry["value"])))
+            rules.append(BinarizationRule(column, source, "default", None, output))
             continue
         parts = when.split(None, 1)
         if len(parts) != 2 or parts[0] not in _PREDICATE_OPS:
@@ -129,20 +129,40 @@ def _parse_rules(column, source, raw_rules, where):
             values = [v.strip() for v in arg.strip("[] ").split(",") if v.strip()]
             if not values:
                 raise SchemaError(f"{where}[{i}]: empty 'in' list")
-            rules.append(BinarizationRule(column, source, op, tuple(values), str(entry["value"])))
-        else:
-            rules.append(BinarizationRule(column, source, op, arg, str(entry["value"])))
+            rules.append(BinarizationRule(column, source, op, tuple(values), output))
+            continue
+        if op != "==" and isinstance(_cell_key(arg), str):
+            raise SchemaError(f"{where}[{i}]: {op!r} needs a number, got {arg!r}")
+        rules.append(BinarizationRule(column, source, op, arg, output))
     return rules
 
 
-def _sensitive_options(doc: dict) -> dict:
+def _mapping(value, where):
+    """`value` as a mapping, {} when absent; any other YAML type is a SchemaError naming `where`."""
+    if value is None:
+        return {}
+    if not isinstance(value, dict):
+        raise SchemaError(f"{where} must be a mapping, got {type(value).__name__}")
+    return value
+
+
+def _list(value, where):
+    """`value` as a list, [] when absent; a string or any other YAML type is a SchemaError naming `where`."""
+    if value is None:
+        return []
+    if not isinstance(value, (list, tuple)):
+        raise SchemaError(f"{where} must be a list, got {type(value).__name__}")
+    return value
+
+
+def _sensitive_options(doc: dict, source: str) -> dict:
     """Declared sensitive attribute name -> its block: `protected` first, then `sensitive_options`."""
     options = {}
-    if doc.get("protected"):
-        blk = doc["protected"]
+    blk = _mapping(doc.get("protected"), f"{source}: protected")
+    if blk:
         options[str(blk.get("attribute", blk.get("column", "")))] = blk
-    for attr, blk in (doc.get("sensitive_options") or {}).items():
-        options[str(attr)] = blk
+    for attr, blk in _mapping(doc.get("sensitive_options"), f"{source}: sensitive_options").items():
+        options[str(attr)] = _mapping(blk, f"{source}: sensitive_options.{attr}")
     return options
 
 
@@ -167,11 +187,11 @@ def schema_from_dict(doc: dict, sensitive: str = None, source: str = "<schema>")
     if not name:
         raise SchemaError(f"{source}: 'name' is required")
 
-    label = doc.get("label") or {}
+    label = _mapping(doc.get("label"), f"{source}: label")
     if "column" not in label or "favorable" not in label:
         raise SchemaError(f"{source}: label needs 'column' and 'favorable'")
 
-    options = _sensitive_options(doc)
+    options = _sensitive_options(doc, source)
     if not options:
         raise SchemaError(f"{source}: no protected attribute declared")
 
@@ -187,21 +207,22 @@ def schema_from_dict(doc: dict, sensitive: str = None, source: str = "<schema>")
     if not isinstance(privileged, (list, tuple)):
         privileged = [privileged]
 
-    features = doc.get("features") or {}
-    numeric = frozenset(str(c) for c in features.get("numeric") or ())
-    categorical = frozenset(str(c) for c in features.get("categorical") or ())
+    features = _mapping(doc.get("features"), f"{source}: features")
+    numeric = frozenset(str(c) for c in _list(features.get("numeric"), f"{source}: features.numeric"))
+    categorical = frozenset(str(c) for c in _list(features.get("categorical"), f"{source}: features.categorical"))
 
     rules = []
-    for j, blk_rule in enumerate(doc.get("binarize") or ()):
+    for j, blk_rule in enumerate(_list(doc.get("binarize"), f"{source}: binarize")):
+        blk_rule = _mapping(blk_rule, f"{source}: binarize[{j}]")
         col = blk_rule.get("column")
         if not col:
             raise SchemaError(f"{source}: binarize[{j}] needs 'column'")
         src = str(blk_rule.get("from", col))
-        rules.extend(
-            _parse_rules(str(col), src, blk_rule.get("rules") or (), f"{source}: binarize[{j}].rules")
-        )
+        where = f"{source}: binarize[{j}].rules"
+        rules.extend(_parse_rules(str(col), src, _list(blk_rule.get("rules"), where), where))
 
-    missing = doc.get("missing") or {}
+    missing = _mapping(doc.get("missing"), f"{source}: missing")
+    categories = _mapping(doc.get("categories"), f"{source}: categories")
 
     return DatasetSchema(
         name=str(name),
@@ -211,34 +232,44 @@ def schema_from_dict(doc: dict, sensitive: str = None, source: str = "<schema>")
         privileged_values=frozenset(str(v) for v in privileged),
         numeric_columns=numeric,
         categorical_columns=categorical,
-        drop_columns=frozenset(str(c) for c in doc.get("drop") or ()),
+        drop_columns=frozenset(str(c) for c in _list(doc.get("drop"), f"{source}: drop")),
         binarize=tuple(rules),
-        missing_tokens=frozenset(str(t) for t in missing.get("tokens") or ()),
+        missing_tokens=frozenset(str(t) for t in _list(missing.get("tokens"), f"{source}: missing.tokens")),
         drop_missing_rows=bool(missing.get("drop_rows", False)),
-        categories={str(k): [str(v) for v in vals] for k, vals in (doc.get("categories") or {}).items()},
+        categories={
+            str(k): [str(v) for v in _list(vals, f"{source}: categories.{k}")] for k, vals in categories.items()
+        },
         keep_protected_in_features=bool(doc.get("keep_protected_in_features", False)),
         sensitive_attribute=str(chosen),
     )
 
 
-def load_schema(path, sensitive: str = None) -> DatasetSchema:
-    """Load a dataset schema YAML file; `sensitive` picks a declared attribute option."""
+def _read_schema(path) -> dict:
+    """The YAML mapping of a schema file; invalid YAML or another document type is a SchemaError."""
     with open(path, "r", encoding="utf-8") as fh:
         try:
             doc = yaml.safe_load(fh)
         except yaml.YAMLError as exc:
             raise SchemaError(f"{path}: invalid YAML: {exc}") from exc
-    return schema_from_dict(doc, sensitive=sensitive, source=str(path))
+    if not isinstance(doc, dict):
+        raise SchemaError(f"{path}: schema document must be a mapping")
+    return doc
+
+
+def load_schema(path, sensitive: str = None) -> DatasetSchema:
+    """Load a dataset schema YAML file; `sensitive` picks a declared attribute option."""
+    return schema_from_dict(_read_schema(path), sensitive=sensitive, source=str(path))
 
 
 def declared_sensitive_attributes(path):
     """Attribute names a schema file declares, the one `load_schema` picks by default first.
 
-    A `default_sensitive` that names no declared attribute is a SchemaError, as in `load_schema`.
+    A schema that `load_schema` rejects for its YAML, its document type, a
+    mistyped attribute block or a `default_sensitive` that names no declared
+    attribute is a SchemaError here too.
     """
-    with open(path, "r", encoding="utf-8") as fh:
-        doc = yaml.safe_load(fh) or {}
-    names = [name for name in _sensitive_options(doc) if name]
+    doc = _read_schema(path)
+    names = [name for name in _sensitive_options(doc, str(path)) if name]
     default = doc.get("default_sensitive")
     if default and default not in names:
         raise SchemaError(f"{path}: default_sensitive {default!r} not declared (have {sorted(names)})")

@@ -5,6 +5,13 @@ reductions) so that agreement is evidence, not tautology.
 """
 
 import math
+import warnings
+
+import numpy as np
+
+from fairbench.dataset.schema import cells_match
+from fairbench.dataset.tabular import TabularDataset
+from fairbench.errors import DataFormatError, FairbenchWarning, SchemaError
 
 
 def _wsum(values, weights, predicate):
@@ -524,4 +531,150 @@ def oracle_lfr_fit(ds, n_prototypes=10, a_z=50.0, a_x=0.01, a_y=1.0, seed=0, max
         weight_reconstruction=a_x,
         weight_label=a_y,
         objective_trace=tuple(trace),
+    )
+
+
+def _apply_binarization(columns, rows, schema):
+    """Apply first-match rewrite rules; derived columns are appended."""
+    by_target = {}
+    for rule in schema.binarize:
+        by_target.setdefault((rule.column, rule.source), []).append(rule)
+    if not by_target:
+        return columns, rows
+
+    columns = list(columns)
+    rows = [list(r) for r in rows]
+    for (target, source), rules in by_target.items():
+        if source not in columns:
+            raise DataFormatError(f"binarization source column {source!r} not in table")
+        src_idx = columns.index(source)
+        if target in columns:
+            dst_idx = columns.index(target)
+        else:
+            dst_idx = len(columns)
+            columns.append(target)
+            for row in rows:
+                row.append("")
+        for i, row in enumerate(rows):
+            cell = row[src_idx]
+            for rule in rules:
+                if rule.matches(cell):
+                    row[dst_idx] = rule.output
+                    break
+            else:
+                raise DataFormatError(
+                    f"row {i + 2}, column {source!r}: value {cell!r} matches no binarization rule"
+                )
+    return tuple(columns), [tuple(r) for r in rows]
+
+
+def _drop_missing(columns, rows, schema):
+    if not schema.drop_missing_rows or not schema.missing_tokens:
+        return rows
+    tokens = schema.missing_tokens
+    watched = [j for j, c in enumerate(columns) if c in schema.referenced_columns() | schema.derived_columns()]
+    kept = [r for r in rows if not any(str(r[j]).strip() in tokens for j in watched)]
+    dropped = len(rows) - len(kept)
+    if dropped:
+        warnings.warn(
+            f"{schema.name}: dropped {dropped} row(s) with missing values", FairbenchWarning
+        )
+    if not kept:
+        raise DataFormatError(f"{schema.name}: all rows dropped as missing")
+    return kept
+
+
+def oracle_encode(table, schema):
+    """`encode` row by row, as it was before it read the table column by column.
+
+    Encode labels/protected to {0,1}, one-hot categoricals, pass numerics through.
+
+    Label is 1 iff the raw label equals the schema's favorable value; protected is
+    1 iff the raw value is in the privileged set. Categorical levels are taken in
+    first-seen order unless the schema pins them (then unseen values get an
+    all-zero row plus a warning). The protected column is excluded from the
+    feature matrix unless the schema overrides that. Weights start at 1.
+    """
+    columns, rows = _apply_binarization(table.columns, table.rows, schema)
+    rows = _drop_missing(columns, rows, schema)
+    col_index = {c: j for j, c in enumerate(columns)}
+    n = len(rows)
+
+    labels = np.fromiter(
+        (1 if cells_match(r[col_index[schema.label_column]], schema.favorable_value) else 0 for r in rows),
+        dtype=np.int64,
+        count=n,
+    )
+    protected = np.fromiter(
+        (
+            1 if any(cells_match(r[col_index[schema.protected_column]], v) for v in schema.privileged_values) else 0
+            for r in rows
+        ),
+        dtype=np.int64,
+        count=n,
+    )
+
+    feature_order = [
+        c
+        for c in columns
+        if (c in schema.numeric_columns or c in schema.categorical_columns)
+        and c not in schema.drop_columns
+        and c != schema.label_column
+        and (c != schema.protected_column or schema.keep_protected_in_features)
+    ]
+    if not feature_order:
+        raise SchemaError(f"{schema.name}: no feature columns present")
+
+    blocks, names = [], []
+    for col in feature_order:
+        j = col_index[col]
+        cells = [r[j] for r in rows]
+        if col in schema.numeric_columns:
+            values = np.empty(n, dtype=np.float64)
+            for i, cell in enumerate(cells):
+                try:
+                    values[i] = float(str(cell).strip())
+                except ValueError:
+                    raise DataFormatError(
+                        f"row {i + 2}, column {col!r}: non-numeric cell {cell!r} in a numeric column"
+                    ) from None
+            blocks.append(values[:, None])
+            names.append(col)
+        else:
+            pinned = schema.categories.get(col)
+            if pinned is not None:
+                levels = list(pinned)
+            else:
+                levels, seen = [], set()
+                for cell in cells:
+                    key = str(cell).strip()
+                    if key not in seen:
+                        seen.add(key)
+                        levels.append(key)
+            level_pos = {lv: k for k, lv in enumerate(levels)}
+            onehot = np.zeros((n, len(levels)), dtype=np.float64)
+            unseen = 0
+            for i, cell in enumerate(cells):
+                k = level_pos.get(str(cell).strip())
+                if k is None:
+                    unseen += 1
+                else:
+                    onehot[i, k] = 1.0
+            if unseen:
+                warnings.warn(
+                    f"{schema.name}: column {col!r}: {unseen} value(s) outside the pinned "
+                    "levels encoded as all-zero",
+                    FairbenchWarning,
+                )
+            blocks.append(onehot)
+            names.extend(f"{col}={lv}" for lv in levels)
+
+    features = np.hstack(blocks)
+    return TabularDataset(
+        features=features,
+        labels=labels,
+        protected=protected,
+        weights=np.ones(n),
+        feature_names=tuple(names),
+        provenance=f"{schema.name}[{schema.sensitive_attribute}]",
     )

@@ -391,7 +391,9 @@ class TestRun:
         ("name: toy\nlabel: {column: income, favorable: high}\ndefault_sensitive: gender\n"
          "sensitive_options: {sex: {column: sex, privileged: [M]}}\nfeatures: {numeric: [x]}\n",
          "sensitive attribute 'gender' not declared"),
-    ], ids=["invalid-yaml", "list-document", "undeclared-default"])
+        ("name: toy\nlabel: {column: income, favorable: high}\nsensitive_options: [sex, age]\n"
+         "features: {numeric: [x]}\n", "sensitive_options must be a mapping, got list"),
+    ], ids=["invalid-yaml", "list-document", "undeclared-default", "list-valued-options"])
     def test_malformed_schema_fails_its_jobs_not_the_expansion(self, tmp_path, document, error):
         schema = tmp_path / "bad.yaml"
         schema.write_text(document, encoding="utf-8")

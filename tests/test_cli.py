@@ -188,3 +188,15 @@ def test_error_reported_not_raised(tmp_path, capsys):
                  "--out", str(tmp_path), "--cache-dir", str(tmp_path)])
     assert code == 2
     assert "error:" in capsys.readouterr().err
+
+
+def test_prep_rejects_a_mistyped_schema_block(tmp_path, capsys):
+    schema = tmp_path / "bad.yaml"
+    schema.write_text("name: toy\nlabel: {column: income, favorable: high}\n"
+                      "sensitive_options: [sex, age]\nfeatures: {numeric: [age]}\n", encoding="utf-8")
+    csv_path = tmp_path / "toy.csv"
+    csv_path.write_text("age,sex,income\n30,M,high\n40,F,low\n", encoding="utf-8")
+    code = main(["prep", "--dataset", "toy", "--schema", str(schema), "--csv", str(csv_path),
+                 "--method", "RW", "--out", str(tmp_path / "out"), "--cache-dir", str(tmp_path / "cache")])
+    assert code == 2
+    assert f"error: {schema}: sensitive_options must be a mapping, got list" in capsys.readouterr().err

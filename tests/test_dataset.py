@@ -72,6 +72,50 @@ class TestLoadCsv:
         table = load_csv(path, simple_schema())
         assert "extra" in table.columns
 
+    def test_cells_stripped_once_at_construction(self, tmp_path):
+        path = write(tmp_path, " age ,sex,income,city\n 30 , M ,high,x \n31,F,low,y\n")
+        table = load_csv(path, simple_schema())
+        assert table.columns == ("age", "sex", "income", "city")
+        assert table.rows == (("30", "M", "high", "x"), ("31", "F", "low", "y"))
+
+    def test_repeated_header_names_the_column(self, tmp_path):
+        # at one time binarization read the first `age` and the feature the second
+        path = write(tmp_path, "age,income,age,sex\n30,high,20,M\n20,low,30,F\n")
+        with pytest.raises(DataFormatError, match=f"{path.name}: column 'age' appears twice"):
+            load_csv(path, simple_schema())
+        with pytest.raises(DataFormatError, match="column 'age' appears twice"):
+            RawTable(columns=("age", "income", " age"), rows=(("30", "high", "20"),))
+
+
+class TestSchema:
+    @pytest.mark.parametrize("override, message", [
+        ({"protected": ["sex"]}, "protected must be a mapping, got list"),
+        ({"sensitive_options": ["sex", "age"]}, "sensitive_options must be a mapping, got list"),
+        ({"sensitive_options": {"sex": "M"}}, "sensitive_options.sex must be a mapping, got str"),
+        ({"label": "income"}, "label must be a mapping, got str"),
+        ({"features": ["age"]}, "features must be a mapping, got list"),
+        ({"binarize": ["age"]}, r"binarize\[0\] must be a mapping, got str"),
+        ({"missing": ["?"]}, "missing must be a mapping, got list"),
+        ({"categories": ["city"]}, "categories must be a mapping, got list"),
+        # a string where a list belongs was once read character by character
+        ({"features": {"numeric": "age"}}, "features.numeric must be a list, got str"),
+        ({"features": {"numeric": ["age"], "categorical": "city"}}, "features.categorical must be a list, got str"),
+        ({"drop": "fnlwgt"}, "drop must be a list, got str"),
+        ({"missing": {"tokens": "?"}}, "missing.tokens must be a list, got str"),
+        ({"categories": {"city": "abc"}}, "categories.city must be a list, got str"),
+        ({"binarize": {"column": "g"}}, "binarize must be a list, got dict"),
+        ({"binarize": [{"column": "g", "from": "age", "rules": {"when": "default", "value": "x"}}]},
+         r"binarize\[0\].rules must be a list, got dict"),
+    ])
+    def test_block_of_the_wrong_type_names_its_key(self, override, message):
+        with pytest.raises(SchemaError, match=f"<schema>: {message}"):
+            simple_schema(**override)
+
+    def test_comparison_rule_needs_a_number(self):
+        rules = [{"when": "> abc", "value": "old"}]
+        with pytest.raises(SchemaError, match=r"binarize\[0\].rules\[0\]: '>' needs a number, got 'abc'"):
+            simple_schema(binarize=[{"column": "g", "from": "age", "rules": rules}])
+
 
 class TestEncode:
     def test_label_and_protected_mapping(self, tmp_path):

@@ -1,11 +1,16 @@
 """Smaller contract surfaces: the model registry, public exports."""
 
 import importlib
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import fairbench
 from fairbench.dataset import make_synthetic
 from fairbench.errors import SchemaError
 from fairbench.model import LogRegConfig, fit_model, model_names, register_model
@@ -75,3 +80,16 @@ def test_every_exported_name_resolves(package):
     module = importlib.import_module(package)
     missing = [name for name in module.__all__ if not hasattr(module, name)]
     assert not missing, f"{package}.__all__ names missing attributes: {missing}"
+
+
+@pytest.mark.parametrize("module", [
+    "fairbench.batch", "fairbench.dataset", "fairbench.metrics", "fairbench.model",
+    "fairbench.pipeline", "fairbench.preproc", "fairbench.report", "fairbench.cli",
+])
+def test_each_package_imports_alone_in_a_fresh_interpreter(module):
+    """The top-level package imports nothing, so an import cycle between sub-packages shows here."""
+    src = str(Path(fairbench.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, "-c", f"import {module}"], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
