@@ -18,7 +18,7 @@ import traceback
 import warnings
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from multiprocessing import get_context
 from pathlib import Path
 
@@ -60,13 +60,7 @@ class BatchReport:
             "schema_version": 1,
             "output_dir": self.output_dir,
             "skipped_expansions": self.skipped_expansions,
-            "jobs": [
-                {
-                    "job_id": o.job_id, "status": o.status, "error": o.error,
-                    "wall_time_s": o.wall_time_s, "artifacts": list(o.artifacts),
-                }
-                for o in self.outcomes
-            ],
+            "jobs": [asdict(o) for o in self.outcomes],
         }
 
 

@@ -7,6 +7,7 @@ import yaml
 
 from ..errors import SchemaError
 from ..dataset.schema import declared_sensitive_attributes
+from ..dataset.split import SplitSpec
 from ..pipeline.sweep import FAIRNESS_METRICS
 from ..util import canonical_json, integer, number
 
@@ -14,7 +15,7 @@ _TOP_KEYS = {
     "datasets", "sensitive_attributes", "methods", "models", "seeds",
     "split", "selection_metric", "output", "parallelism",
 }
-_DEFAULT_SPLIT = {"train": 0.70, "validation": 0.15, "test": 0.15}
+_SPLIT_KEYS = ("train", "validation", "test")
 SYNTHETIC_ATTRIBUTE = "group"
 
 
@@ -156,12 +157,12 @@ def parse_batch_yaml(text: str) -> BatchSpec:
             raise SchemaError(f"sensitive_attributes.{ds_name}: must be a non-empty list")
         sensitive[str(ds_name)] = [str(a) for a in attrs]
 
-    split = dict(_DEFAULT_SPLIT)
+    split = {k: getattr(SplitSpec, k) for k in _SPLIT_KEYS}
     if "split" in doc:
         raw_split = doc["split"] or {}
         if not isinstance(raw_split, dict):
             raise SchemaError(f"split: must map train/validation/test to fractions, got {raw_split!r}")
-        bad = set(raw_split) - set(_DEFAULT_SPLIT)
+        bad = set(raw_split) - set(_SPLIT_KEYS)
         if bad:
             raise SchemaError(f"split: unknown keys {sorted(bad)} (use train/validation/test)")
         split.update({k: number(v, f"split.{k}") for k, v in raw_split.items()})

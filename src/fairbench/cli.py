@@ -130,9 +130,9 @@ def build_parser():
     bench.add_argument("--model", default="logreg")
     bench.add_argument("--param", action="append", metavar="k=v", help="model parameter")
     bench.add_argument("--select-metric", default="SPD", choices=FAIRNESS_METRICS)
-    bench.add_argument("--train", type=float, default=0.70)
-    bench.add_argument("--validation", type=float, default=0.15)
-    bench.add_argument("--test", type=float, default=0.15)
+    bench.add_argument("--train", type=float, default=SplitSpec.train)
+    bench.add_argument("--validation", type=float, default=SplitSpec.validation)
+    bench.add_argument("--test", type=float, default=SplitSpec.test)
     bench.add_argument("--split-seed", type=int, default=None)
     bench.add_argument("--out", default="fairbench_out")
     bench.add_argument("--cache-dir", default="fairbench_cache")

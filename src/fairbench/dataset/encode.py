@@ -18,12 +18,12 @@ def _per_value(cells, fn, dtype):
     return values[np.fromiter(map(index.__getitem__, cells), dtype=np.intp, count=len(cells))]
 
 
-def _number(cell, cells, col):
+def _number(cell, cells, col, file_rows):
     try:
         return float(cell)
     except ValueError:
         raise DataFormatError(
-            f"row {cells.index(cell) + 2}, column {col!r}: non-numeric cell {cell!r} in a numeric column"
+            f"row {file_rows[cells.index(cell)]}, column {col!r}: non-numeric cell {cell!r} in a numeric column"
         ) from None
 
 
@@ -59,6 +59,7 @@ def encode(table: RawTable, schema: DatasetSchema) -> TabularDataset:
         if target not in names:
             names.append(target)
 
+    file_rows = range(2, len(table.rows) + 2)  # each kept row's line in the file, for error texts
     if schema.drop_missing_rows and schema.missing_tokens:
         is_token = schema.missing_tokens.__contains__
         missing = np.any([_per_value(cells, is_token, bool) for cells in cols.values()], axis=0)
@@ -68,6 +69,7 @@ def encode(table: RawTable, schema: DatasetSchema) -> TabularDataset:
                 raise DataFormatError(f"{schema.name}: all rows dropped as missing")
             keep = (~missing).tolist()
             cols = {name: tuple(compress(cells, keep)) for name, cells in cols.items()}
+            file_rows = tuple(compress(file_rows, keep))
 
     labels = _per_value(cols[schema.label_column], lambda cell: cells_match(cell, schema.favorable_value), np.int64)
     protected = _per_value(cols[schema.protected_column],
@@ -86,7 +88,7 @@ def encode(table: RawTable, schema: DatasetSchema) -> TabularDataset:
     for col in feature_order:
         cells = cols[col]
         if col in schema.numeric_columns:
-            blocks.append(_per_value(cells, lambda cell: _number(cell, cells, col), np.float64)[:, None])
+            blocks.append(_per_value(cells, lambda cell: _number(cell, cells, col, file_rows), np.float64)[:, None])
             feature_names.append(col)
             continue
         levels = schema.categories.get(col)

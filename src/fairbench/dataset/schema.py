@@ -98,6 +98,11 @@ class DatasetSchema:
             feature_cols -= {self.protected_column}
         if not feature_cols:
             raise SchemaError(f"{self.name}: no feature columns remain after drops")
+        for col, levels in self.categories.items():
+            repeated = [lv for k, lv in enumerate(levels) if lv in levels[:k]]
+            if repeated:
+                # a repeated level would name two one-hot columns alike and leave the first all zero
+                raise SchemaError(f"{self.name}: categories.{col} repeats the level {repeated[0]!r}")
         if not self.sensitive_attribute:
             object.__setattr__(self, "sensitive_attribute", self.protected_column)
 

@@ -6,10 +6,6 @@ import numpy as np
 
 from ..errors import FairbenchError
 
-UNPRIVILEGED = 0
-PRIVILEGED = 1
-FAVORABLE = 1
-
 
 @dataclass(frozen=True)
 class TabularDataset:

@@ -1,8 +1,7 @@
 """Group fairness and utility metrics for datasets and predictions."""
 
-from .classification import ClassificationMetrics, classification_metrics
+from .classification import classification_metrics
 from .dataset_metrics import (
-    DatasetMetrics,
     base_rate,
     consistency,
     count_labels,
@@ -13,8 +12,6 @@ from .dataset_metrics import (
 )
 
 __all__ = [
-    "ClassificationMetrics",
-    "DatasetMetrics",
     "base_rate",
     "classification_metrics",
     "consistency",

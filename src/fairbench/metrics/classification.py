@@ -17,6 +17,15 @@ from ..errors import FairbenchWarning
 _RATE_NAMES = ("tpr", "fpr", "tnr", "fnr")
 _GROUPS = (0, 1, "all")
 
+# the fairness metrics a sweep selects by and plots, each with its bundle field
+FAIRNESS_FIELDS = {
+    "SPD": "statistical_parity_difference",
+    "DI": "disparate_impact",
+    "EOD": "equal_opportunity_difference",
+    "AOD": "average_odds_difference",
+    "Theil": "theil_index",
+}
+
 
 @dataclass(frozen=True)
 class ClassificationMetrics:
@@ -31,13 +40,7 @@ class ClassificationMetrics:
     group_rates: dict  # group -> {tpr, fpr, tnr, fnr}; may hold None per rate
 
     def fairness_value(self, metric: str):
-        return {
-            "SPD": self.statistical_parity_difference,
-            "DI": self.disparate_impact,
-            "EOD": self.equal_opportunity_difference,
-            "AOD": self.average_odds_difference,
-            "Theil": self.theil_index,
-        }[metric]
+        return getattr(self, FAIRNESS_FIELDS[metric])
 
 
 def _by_prediction(tally):

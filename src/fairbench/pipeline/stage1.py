@@ -21,17 +21,7 @@ class StageOneReport:
     processed_cache_key: str
 
     def to_dict(self):
-        return {
-            "schema_version": 1,
-            "dataset": self.dataset,
-            "method": self.method,
-            "params": self.params,
-            "seed": self.seed,
-            "original_metrics": asdict(self.original_metrics),
-            "processed_metrics": asdict(self.processed_metrics),
-            "original_cache_key": self.original_cache_key,
-            "processed_cache_key": self.processed_cache_key,
-        }
+        return {"schema_version": 1, **asdict(self)}
 
     @classmethod
     def from_dict(cls, doc):
@@ -49,15 +39,6 @@ class StageOneReport:
         )
 
 
-def load_dataset(source, schema=None) -> TabularDataset:
-    """Resolve a dataset argument: an encoded dataset passes through, a CSV path loads."""
-    if isinstance(source, TabularDataset):
-        return source
-    if schema is None:
-        raise FairbenchError("loading from a file requires a schema")
-    return encode(load_csv(Path(source), schema), schema)
-
-
 @dataclass(frozen=True)
 class PreparedOriginal:
     """An original dataset that is ingested, cached under `cache_key` and measured.
@@ -73,8 +54,15 @@ class PreparedOriginal:
 
 def prepare_original(dataset, schema=None, cache_dir="fairbench_cache",
                      dataset_name: str = None) -> PreparedOriginal:
-    """Load/encode `dataset`, store its cache entry unless a readable one exists, and measure it."""
-    ds = load_dataset(dataset, schema)
+    """Store `dataset`'s cache entry unless a readable one exists, and measure it.
+
+    An encoded TabularDataset passes through; a CSV path is loaded and encoded under `schema`.
+    """
+    ds = dataset
+    if not isinstance(ds, TabularDataset):
+        if schema is None:
+            raise FairbenchError("loading from a file requires a schema")
+        ds = encode(load_csv(Path(dataset), schema), schema)
     key = content_key(ds)
     if cache_load(key, cache_dir) is None:
         cache_store(ds, key, cache_dir)

@@ -4,9 +4,9 @@ import math
 from dataclasses import dataclass
 
 from ..errors import FairbenchError
-from ..metrics.classification import ClassificationMetrics, classification_metrics
+from ..metrics.classification import FAIRNESS_FIELDS, ClassificationMetrics, classification_metrics
 
-FAIRNESS_METRICS = ("SPD", "DI", "EOD", "AOD", "Theil")
+FAIRNESS_METRICS = tuple(FAIRNESS_FIELDS)
 
 
 def default_grid():

@@ -11,10 +11,10 @@ from ..errors import SchemaError
 from ..dataset.cache import content_key
 from ..dataset.tabular import TabularDataset, apply_standardization, standardize
 from ..util import checked_params, config_from, derive_seed
-from .lfr import LfrModel, lfr_fit, lfr_gradients, lfr_objective, lfr_transform
-from .opp import OppConfig, OppMap, opp_fit, opp_transform
+from .lfr import lfr_fit, lfr_transform
+from .opp import OppConfig, opp_fit, opp_transform
 from .repair import DirConfig, dir_repair
-from .reweigh import ReweighResult, reweigh
+from .reweigh import reweigh
 
 METHOD_NAMES = ("RW", "LFR", "DIR", "OPP")
 
@@ -88,17 +88,11 @@ def apply_method(name: str, ds: TabularDataset, params=None, seed: int = 0) -> T
 __all__ = [
     "METHOD_NAMES",
     "DirConfig",
-    "FittedMethod",
-    "LfrModel",
     "OppConfig",
-    "OppMap",
-    "ReweighResult",
     "apply_method",
     "dir_repair",
     "fit_method",
     "lfr_fit",
-    "lfr_gradients",
-    "lfr_objective",
     "lfr_transform",
     "opp_fit",
     "opp_transform",

@@ -10,15 +10,8 @@ byte-identical output; no external resources are referenced.
 import math
 from pathlib import Path
 
+from ..metrics.classification import FAIRNESS_FIELDS
 from ..pipeline.sweep import SweepResult
-
-PANEL_METRICS = (
-    ("SPD", "statistical_parity_difference"),
-    ("DI", "disparate_impact"),
-    ("EOD", "equal_opportunity_difference"),
-    ("AOD", "average_odds_difference"),
-    ("Theil", "theil_index"),
-)
 
 _PANEL_W = 300
 _PANEL_H = 240
@@ -60,7 +53,7 @@ def _segments(pairs, x_of, y_of):
     return segments
 
 
-def _panel(out, index, title, records, optimal_t):
+def _panel(out, index, title, attr, records, optimal_t):
     x0 = index * _PANEL_W + _MARGIN
     x1 = (index + 1) * _PANEL_W - _MARGIN // 2
     y0 = _TOP
@@ -71,7 +64,6 @@ def _panel(out, index, title, records, optimal_t):
         return x0 + (t - t_lo) / (t_hi - t_lo) * (x1 - x0)
 
     acc_pairs = _series(records, "balanced_accuracy")
-    attr = dict(PANEL_METRICS)[title]
     fair_pairs = _series(records, attr)
     finite_vals = [v for _, v in fair_pairs if v is not None]
     lo = min(finite_vals) if finite_vals else -1.0
@@ -120,7 +112,7 @@ def _panel(out, index, title, records, optimal_t):
 
 def render_sweep_svg(result: SweepResult) -> str:
     """Render one arm's test-split sweep; returns the SVG document as a string."""
-    width = _PANEL_W * len(PANEL_METRICS)
+    width = _PANEL_W * len(FAIRNESS_FIELDS)
     height = _PANEL_H + 28
     out = [
         '<?xml version="1.0" encoding="UTF-8"?>',
@@ -130,8 +122,8 @@ def render_sweep_svg(result: SweepResult) -> str:
         f'<text x="8" y="{_PANEL_H + 16}" font-size="11" fill="{_BLUE}">balanced accuracy (left axis)</text>',
         f'<text x="240" y="{_PANEL_H + 16}" font-size="11" fill="{_RED}">fairness metric (right axis)</text>',
     ]
-    for i, (title, _) in enumerate(PANEL_METRICS):
-        _panel(out, i, title, result.test, result.optimal_threshold)
+    for i, (title, attr) in enumerate(FAIRNESS_FIELDS.items()):
+        _panel(out, i, title, attr, result.test, result.optimal_threshold)
     out.append("</svg>")
     return "\n".join(out) + "\n"
 

@@ -8,10 +8,10 @@ round-trip parse is lossless.
 import json
 import math
 from dataclasses import asdict
+from operator import attrgetter
 from pathlib import Path
 
 from ..errors import FairbenchError
-from ..metrics.dataset_metrics import DatasetMetrics
 from ..pipeline.stage1 import StageOneReport
 from ..pipeline.sweep import SweepResult
 
@@ -28,6 +28,10 @@ SWEEP_HEADER = (
     "tpr_unprivileged", "tpr_privileged", "fpr_unprivileged", "fpr_privileged",
 )
 
+# the header columns read from a DatasetMetrics / ClassificationMetrics by name
+_STAGE1_FIELDS = attrgetter(*STAGE1_HEADER[2:])
+_SWEEP_FIELDS = attrgetter(*SWEEP_HEADER[1:7])
+
 
 def _fmt(value, decimals=3):
     if value is None:
@@ -37,14 +41,6 @@ def _fmt(value, decimals=3):
     if not math.isfinite(value):
         return "undefined"
     return f"{value:.{decimals}f}"
-
-
-def _stage1_row(dataset, method, m: DatasetMetrics):
-    return (
-        dataset, method, _fmt(m.base_rate), _fmt(m.consistency), _fmt(m.disparate_impact),
-        _fmt(m.statistical_parity_difference), str(m.num_positives), str(m.num_negatives),
-        _fmt(m.empirical_difference),
-    )
 
 
 def stage1_rows(report: StageOneReport):
@@ -64,7 +60,8 @@ def write_stage1_csv(rows, path) -> Path:
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(",".join(STAGE1_HEADER) + "\n")
         for dataset, method, metrics in rows:
-            fh.write(",".join(_stage1_row(dataset, method, metrics)) + "\n")
+            cells = (dataset, method, *map(_fmt, _STAGE1_FIELDS(metrics)))
+            fh.write(",".join(cells) + "\n")
     return path
 
 
@@ -80,12 +77,7 @@ def write_sweep_csv(records, path) -> Path:
             m = rec.metrics
             cells = (
                 _fmt(rec.threshold, 2),
-                _fmt(m.balanced_accuracy),
-                _fmt(m.statistical_parity_difference),
-                _fmt(m.disparate_impact),
-                _fmt(m.equal_opportunity_difference),
-                _fmt(m.average_odds_difference),
-                _fmt(m.theil_index),
+                *map(_fmt, _SWEEP_FIELDS(m)),
                 _fmt(m.group_rates[0]["tpr"]),
                 _fmt(m.group_rates[1]["tpr"]),
                 _fmt(m.group_rates[0]["fpr"]),

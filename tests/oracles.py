@@ -569,11 +569,14 @@ def _apply_binarization(columns, rows, schema):
 
 
 def _drop_missing(columns, rows, schema):
+    """(kept rows, the file row number of each: the header is row 1)."""
+    file_rows = [i + 2 for i in range(len(rows))]
     if not schema.drop_missing_rows or not schema.missing_tokens:
-        return rows
+        return rows, file_rows
     tokens = schema.missing_tokens
     watched = [j for j, c in enumerate(columns) if c in schema.referenced_columns() | schema.derived_columns()]
-    kept = [r for r in rows if not any(str(r[j]).strip() in tokens for j in watched)]
+    keep = [not any(str(r[j]).strip() in tokens for j in watched) for r in rows]
+    kept = [r for r, k in zip(rows, keep) if k]
     dropped = len(rows) - len(kept)
     if dropped:
         warnings.warn(
@@ -581,7 +584,7 @@ def _drop_missing(columns, rows, schema):
         )
     if not kept:
         raise DataFormatError(f"{schema.name}: all rows dropped as missing")
-    return kept
+    return kept, [i for i, k in zip(file_rows, keep) if k]
 
 
 def oracle_encode(table, schema):
@@ -596,7 +599,7 @@ def oracle_encode(table, schema):
     feature matrix unless the schema overrides that. Weights start at 1.
     """
     columns, rows = _apply_binarization(table.columns, table.rows, schema)
-    rows = _drop_missing(columns, rows, schema)
+    rows, file_rows = _drop_missing(columns, rows, schema)
     col_index = {c: j for j, c in enumerate(columns)}
     n = len(rows)
 
@@ -636,7 +639,7 @@ def oracle_encode(table, schema):
                     values[i] = float(str(cell).strip())
                 except ValueError:
                     raise DataFormatError(
-                        f"row {i + 2}, column {col!r}: non-numeric cell {cell!r} in a numeric column"
+                        f"row {file_rows[i]}, column {col!r}: non-numeric cell {cell!r} in a numeric column"
                     ) from None
             blocks.append(values[:, None])
             names.append(col)

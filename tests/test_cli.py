@@ -6,6 +6,8 @@ import pytest
 
 from fairbench.batch import expand_jobs, parse_batch_yaml, run_batch
 from fairbench.cli import main
+from fairbench.dataset import SplitSpec
+from fairbench.pipeline import StageOneReport, run_bench_stage
 
 GERMAN_MINI = """checking_status,duration,credit_history,purpose,credit_amount,savings_status,employment,installment_commitment,personal_status,other_parties,residence_since,property_magnitude,age,other_payment_plans,housing,existing_credits,job,num_dependents,own_telephone,foreign_worker,credit_risk
 A11,6,A34,A43,1169,A65,A75,4,A93,A101,4,A121,67,A143,A152,2,A173,1,A192,A201,1
@@ -90,6 +92,29 @@ seeds: [0]
     cli_summary = json.loads((tmp_path / "bench" / "summary.json").read_text())
     job_summary = json.loads((job_dir / "summary.json").read_text())
     assert set(cli_summary) == set(job_summary) - {"job", "job_id"}
+
+
+def test_bench_split_seed_picks_the_split(tmp_path):
+    cache = tmp_path / "cache"
+    assert main([
+        "prep", "--dataset", "synthetic:n=300,disparity=0.3,seed=2", "--method", "RW", "--seed", "3",
+        "--out", str(tmp_path / "prep"), "--cache-dir", str(cache),
+    ]) == 0
+    report_path, = (tmp_path / "prep").glob("*.json")
+    stage1 = StageOneReport.from_dict(json.loads(report_path.read_text()))
+    expected = {seed: run_bench_stage(stage1, split_spec=SplitSpec(seed=seed), cache_dir=cache).original.split_hash
+                for seed in (3, 5)}
+    assert expected[3] != expected[5]
+
+    def split_hashes(out, *options):
+        assert main(["bench", "--from", str(report_path), "--out", str(tmp_path / out),
+                     "--cache-dir", str(cache), *options]) == 0
+        arms = json.loads((tmp_path / out / "summary.json").read_text())["arms"]
+        return {arm["split_hash"] for arm in arms.values()}
+
+    assert split_hashes("seed5", "--split-seed", "5") == {expected[5]}
+    # without the option the split follows the stage-1 report's seed
+    assert split_hashes("default") == {expected[3]}
 
 
 def test_prep_on_csv_with_schema(tmp_path, capsys):

@@ -1,5 +1,7 @@
 """Ingestion, encoding, splitting, caching, synthetic generation."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -106,10 +108,17 @@ class TestSchema:
         ({"binarize": {"column": "g"}}, "binarize must be a list, got dict"),
         ({"binarize": [{"column": "g", "from": "age", "rules": {"when": "default", "value": "x"}}]},
          r"binarize\[0\].rules must be a list, got dict"),
+        # DatasetSchema itself refuses this one, so the text starts with the schema's name
+        ({"name": "<schema>", "categories": {"city": ["a", "b", "a"]}}, "categories.city repeats the level 'a'"),
     ])
     def test_block_of_the_wrong_type_names_its_key(self, override, message):
         with pytest.raises(SchemaError, match=f"<schema>: {message}"):
             simple_schema(**override)
+
+    def test_repeated_pinned_level_is_refused_on_construction(self):
+        schema = simple_schema(categories={"city": ["a", "b"]})
+        with pytest.raises(SchemaError, match="toy: categories.city repeats the level 'b'"):
+            dataclasses.replace(schema, categories={"city": ("b", "a", "b", "b")})
 
     def test_comparison_rule_needs_a_number(self):
         rules = [{"when": "> abc", "value": "old"}]

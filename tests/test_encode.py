@@ -185,3 +185,7 @@ def test_error_texts_name_the_row():
     assert result == "DataFormatError: row 4, column 'age': value '25' matches no binarization rule"
     result, _ = outcome(encode, RawTable(columns=COLUMNS, rows=ROWS), schema_from_dict(TOY))
     assert result == "DataFormatError: row 5, column 'age': non-numeric cell '?' in a numeric column"
+    # file rows 5 and 6 are dropped as missing; the cell 'x' still sits on file row 8
+    overrides, raw = EDGE_CASES["drop-rows-then-non-numeric"]
+    result, _ = outcome(encode, raw, schema_from_dict({**TOY, **overrides}))
+    assert result == "DataFormatError: row 8, column 'age': non-numeric cell 'x' in a numeric column"

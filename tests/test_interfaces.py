@@ -1,5 +1,7 @@
 """Smaller contract surfaces: the model registry, public exports."""
 
+import ast
+import functools
 import importlib
 import os
 import re
@@ -80,6 +82,40 @@ def test_every_exported_name_resolves(package):
     module = importlib.import_module(package)
     missing = [name for name in module.__all__ if not hasattr(module, name)]
     assert not missing, f"{package}.__all__ names missing attributes: {missing}"
+
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+@functools.cache
+def _from_imports():
+    """(importing module, imported module, name) of each `from ... import name` in the Python files
+    under src/, tests/, demos/ and bench/, with relative imports resolved."""
+    found = set()
+    for top in ("src", "tests", "demos", "bench"):
+        for path in (ROOT / top).rglob("*.py"):
+            parts = path.relative_to(ROOT / "src" if top == "src" else ROOT).with_suffix("").parts
+            package = parts[:-1]
+            if parts[-1] == "__init__":
+                parts = package
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+                if not isinstance(node, ast.ImportFrom):
+                    continue
+                source = node.module
+                if node.level:
+                    base = package[:len(package) - node.level + 1]
+                    source = ".".join(base + ((node.module,) if node.module else ()))
+                found.update((".".join(parts), source, alias.name) for alias in node.names)
+    return found
+
+
+@pytest.mark.parametrize("package", ["batch", "dataset", "metrics", "model", "pipeline", "preproc", "report"])
+def test_every_exported_name_is_imported_from_its_package(package):
+    """A sub-package exports only names that some other file imports from it."""
+    module = f"fairbench.{package}"
+    used = {name for importer, source, name in _from_imports() if source == module and importer != module}
+    unused = sorted(set(importlib.import_module(module).__all__) - used)
+    assert not unused, f"{module}.__all__ names no file imports from {module}: {unused}"
 
 
 @pytest.mark.parametrize("module", [
