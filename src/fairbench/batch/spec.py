@@ -5,11 +5,11 @@ from dataclasses import dataclass, field
 
 import yaml
 
-from ..errors import SchemaError
+from ..errors import FairbenchError, SchemaError
 from ..dataset.schema import declared_sensitive_attributes
 from ..dataset.split import SplitSpec
 from ..pipeline.sweep import FAIRNESS_METRICS
-from ..util import canonical_json, integer, number
+from ..util import canonical_json, integer, listing, mapping, number, string
 
 _TOP_KEYS = {
     "datasets", "sensitive_attributes", "methods", "models", "seeds",
@@ -80,11 +80,7 @@ class JobSpec:
 
 def synthetic_params(raw, key, seed=0):
     """A `synthetic` block as make_synthetic's {n, disparity, seed}; a bad key or value is a SchemaError naming `key`."""
-    if not isinstance(raw, dict):
-        raise SchemaError(f"{key}: must be a mapping")
-    bad = set(raw) - {"n", "disparity", "seed"}
-    if bad:
-        raise SchemaError(f"{key}: unknown keys {sorted(bad)}")
+    raw = mapping(raw, key, ("n", "disparity", "seed"))
     return {"n": integer(raw.get("n", 1000), f"{key}.n"),
             "disparity": number(raw.get("disparity", 0.0), f"{key}.disparity"),
             "seed": integer(raw.get("seed", seed), f"{key}.seed")}
@@ -92,23 +88,27 @@ def synthetic_params(raw, key, seed=0):
 
 def _named_entries(raw, key):
     """Normalize 'RW' / {name: RW} / {name: RW, params: {...}} into (name, params)."""
-    if not isinstance(raw, list) or not raw:
-        raise SchemaError(f"{key}: must be a non-empty list")
     out = []
-    for i, entry in enumerate(raw):
-        if isinstance(entry, str):
-            out.append((entry, {}))
-            continue
-        if not isinstance(entry, dict) or "name" not in entry:
+    for i, entry in enumerate(listing(raw, key, required=True)):
+        entry = mapping({"name": entry} if isinstance(entry, str) else entry, f"{key}[{i}]", ("name", "params"))
+        if "name" not in entry:
             raise SchemaError(f"{key}[{i}]: need a name (string or mapping with 'name')")
-        unknown = set(entry) - {"name", "params"}
-        if unknown:
-            raise SchemaError(f"{key}[{i}]: unknown keys {sorted(unknown)}")
-        params = entry.get("params") or {}
-        if not isinstance(params, dict):
-            raise SchemaError(f"{key}[{i}].params: must be a mapping")
-        out.append((str(entry["name"]), params))
+        out.append((str(entry["name"]), mapping(entry.get("params"), f"{key}[{i}].params")))
     return tuple(out)
+
+
+def _dataset_entry(entry, where):
+    """One `datasets` entry: a name with a `synthetic` block, or with `csv` and `schema` paths."""
+    entry = mapping(entry, where, ("name", "csv", "schema", "synthetic"))
+    if "name" not in entry:
+        raise SchemaError(f"{where}: need 'name'")
+    name = str(entry["name"])
+    if "synthetic" in entry:
+        return DatasetEntry(name, synthetic=synthetic_params(entry["synthetic"], f"{where}.synthetic"))
+    if "csv" not in entry or "schema" not in entry:
+        raise SchemaError(f"{where}: need 'csv' and 'schema' (or a 'synthetic' block)")
+    return DatasetEntry(name, csv=string(entry["csv"], f"{where}.csv"),
+                        schema=string(entry["schema"], f"{where}.schema"))
 
 
 def parse_batch_yaml(text: str) -> BatchSpec:
@@ -117,66 +117,26 @@ def parse_batch_yaml(text: str) -> BatchSpec:
         doc = yaml.safe_load(text)
     except yaml.YAMLError as exc:
         raise SchemaError(f"invalid YAML: {exc}") from exc
-    if not isinstance(doc, dict):
-        raise SchemaError("batch config must be a mapping")
-    unknown = set(doc) - _TOP_KEYS
-    if unknown:
-        raise SchemaError(f"unknown top-level key(s): {sorted(unknown)}")
-    for required in ("datasets", "methods", "models", "seeds"):
-        if required not in doc:
-            raise SchemaError(f"{required}: required")
-
-    raw_datasets = doc["datasets"]
-    if not isinstance(raw_datasets, list) or not raw_datasets:
-        raise SchemaError("datasets: must be a non-empty list")
-    datasets = []
-    for i, entry in enumerate(raw_datasets):
-        if not isinstance(entry, dict) or "name" not in entry:
-            raise SchemaError(f"datasets[{i}]: need a mapping with 'name'")
-        unknown = set(entry) - {"name", "csv", "schema", "synthetic"}
-        if unknown:
-            raise SchemaError(f"datasets[{i}]: unknown keys {sorted(unknown)}")
-        if "synthetic" in entry:
-            syn = synthetic_params(entry["synthetic"] or {}, f"datasets[{i}].synthetic")
-            datasets.append(DatasetEntry(name=str(entry["name"]), synthetic=syn))
-        else:
-            if "csv" not in entry or "schema" not in entry:
-                raise SchemaError(f"datasets[{i}]: need 'csv' and 'schema' (or a 'synthetic' block)")
-            datasets.append(DatasetEntry(name=str(entry["name"]), csv=str(entry["csv"]),
-                                         schema=str(entry["schema"])))
+    doc = mapping(doc, "batch config", _TOP_KEYS, required=True)
+    datasets = tuple(_dataset_entry(entry, f"datasets[{i}]")
+                     for i, entry in enumerate(listing(doc.get("datasets"), "datasets", required=True)))
 
     sensitive = {}
-    raw_sensitive = doc.get("sensitive_attributes") or {}
-    if not isinstance(raw_sensitive, dict):
-        raise SchemaError("sensitive_attributes: must map dataset name -> list of attributes")
     names = {d.name for d in datasets}
-    for ds_name, attrs in raw_sensitive.items():
+    for ds_name, attrs in mapping(doc.get("sensitive_attributes"), "sensitive_attributes").items():
+        where = f"sensitive_attributes.{ds_name}"
         if str(ds_name) not in names:
-            raise SchemaError(f"sensitive_attributes.{ds_name}: no dataset of that name in datasets")
-        if not isinstance(attrs, list) or not attrs:
-            raise SchemaError(f"sensitive_attributes.{ds_name}: must be a non-empty list")
-        sensitive[str(ds_name)] = [str(a) for a in attrs]
+            raise SchemaError(f"{where}: no dataset of that name in datasets")
+        sensitive[str(ds_name)] = [str(a) for a in listing(attrs, where, required=True)]
 
     split = {k: getattr(SplitSpec, k) for k in _SPLIT_KEYS}
-    if "split" in doc:
-        raw_split = doc["split"] or {}
-        if not isinstance(raw_split, dict):
-            raise SchemaError(f"split: must map train/validation/test to fractions, got {raw_split!r}")
-        bad = set(raw_split) - set(_SPLIT_KEYS)
-        if bad:
-            raise SchemaError(f"split: unknown keys {sorted(bad)} (use train/validation/test)")
-        split.update({k: number(v, f"split.{k}") for k, v in raw_split.items()})
-    total = sum(split.values())
-    if abs(total - 1.0) > 1e-9:
-        raise SchemaError(f"split: train+validation+test must sum to 1, got {total}")
-    for k, v in split.items():
-        if not 0.0 < v < 1.0:
-            raise SchemaError(f"split.{k}: fraction must be in (0,1), got {v}")
+    split.update({k: number(v, f"split.{k}") for k, v in mapping(doc.get("split"), "split", _SPLIT_KEYS).items()})
+    try:
+        SplitSpec(**split)
+    except FairbenchError as exc:
+        raise SchemaError(f"split: {exc}") from exc
 
-    seeds = doc["seeds"]
-    if not isinstance(seeds, list) or not seeds:
-        raise SchemaError("seeds: must be a non-empty list of integers")
-    seeds = tuple(integer(s, f"seeds[{i}]") for i, s in enumerate(seeds))
+    seeds = tuple(integer(s, f"seeds[{i}]") for i, s in enumerate(listing(doc.get("seeds"), "seeds", required=True)))
 
     selection = str(doc.get("selection_metric", "SPD"))
     if selection not in FAIRNESS_METRICS:
@@ -184,17 +144,17 @@ def parse_batch_yaml(text: str) -> BatchSpec:
 
     parallelism = integer(doc.get("parallelism", 1), "parallelism")
     if parallelism < 1:
-        raise SchemaError("parallelism: must be >= 1")
+        raise SchemaError(f"parallelism must be >= 1, got {parallelism}")
 
     return BatchSpec(
-        datasets=tuple(datasets),
+        datasets=datasets,
         sensitive_attributes=sensitive,
-        methods=_named_entries(doc["methods"], "methods"),
-        models=_named_entries(doc["models"], "models"),
+        methods=_named_entries(doc.get("methods"), "methods"),
+        models=_named_entries(doc.get("models"), "models"),
         seeds=seeds,
         split=split,
         selection_metric=selection,
-        output=str(doc.get("output", "fairbench_out")),
+        output=string(doc.get("output", "fairbench_out"), "output"),
         parallelism=parallelism,
     )
 
@@ -248,7 +208,11 @@ def expand_jobs(spec: BatchSpec):
     if not jobs:
         raise SchemaError(f"batch expands to zero jobs ({skipped} combination(s) skipped)")
     jobs.sort(key=lambda j: j.canonical())
-    ids = [j.job_id for j in jobs]
-    if len(set(ids)) != len(ids):
-        raise SchemaError("job id collision in batch expansion")
+    seen = {}
+    for job in jobs:
+        if seen.setdefault(job.job_id, job) is not job:
+            raise SchemaError(
+                f"job id collision in batch expansion: the job for dataset {job.dataset.name!r}, attribute "
+                f"{job.sensitive!r}, method {job.method!r}, model {job.model!r}, seed {job.seed} repeats "
+                "because an entry is listed twice")
     return jobs, skipped

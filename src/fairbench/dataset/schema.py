@@ -11,8 +11,14 @@ from dataclasses import dataclass, field
 import yaml
 
 from ..errors import SchemaError
+from ..util import listing, mapping
 
 _PREDICATE_OPS = ("<", "<=", ">", ">=", "==", "in", "default")
+_SCHEMA_KEYS = (
+    "name", "label", "protected", "sensitive_options", "default_sensitive",
+    "features", "drop", "binarize", "missing", "categories",
+    "keep_protected_in_features",
+)
 
 
 def _cell_key(value):
@@ -120,7 +126,8 @@ class DatasetSchema:
 def _parse_rules(column, source, raw_rules, where):
     rules = []
     for i, entry in enumerate(raw_rules):
-        if not isinstance(entry, dict) or "when" not in entry or "value" not in entry:
+        entry = mapping(entry, f"{where}[{i}]")
+        if "when" not in entry or "value" not in entry:
             raise SchemaError(f"{where}[{i}]: rule needs 'when' and 'value'")
         when, output = str(entry["when"]).strip(), str(entry["value"]).strip()
         if when == "default":
@@ -142,32 +149,14 @@ def _parse_rules(column, source, raw_rules, where):
     return rules
 
 
-def _mapping(value, where):
-    """`value` as a mapping, {} when absent; any other YAML type is a SchemaError naming `where`."""
-    if value is None:
-        return {}
-    if not isinstance(value, dict):
-        raise SchemaError(f"{where} must be a mapping, got {type(value).__name__}")
-    return value
-
-
-def _list(value, where):
-    """`value` as a list, [] when absent; a string or any other YAML type is a SchemaError naming `where`."""
-    if value is None:
-        return []
-    if not isinstance(value, (list, tuple)):
-        raise SchemaError(f"{where} must be a list, got {type(value).__name__}")
-    return value
-
-
 def _sensitive_options(doc: dict, source: str) -> dict:
     """Declared sensitive attribute name -> its block: `protected` first, then `sensitive_options`."""
     options = {}
-    blk = _mapping(doc.get("protected"), f"{source}: protected")
+    blk = mapping(doc.get("protected"), f"{source}: protected")
     if blk:
         options[str(blk.get("attribute", blk.get("column", "")))] = blk
-    for attr, blk in _mapping(doc.get("sensitive_options"), f"{source}: sensitive_options").items():
-        options[str(attr)] = _mapping(blk, f"{source}: sensitive_options.{attr}")
+    for attr, blk in mapping(doc.get("sensitive_options"), f"{source}: sensitive_options").items():
+        options[str(attr)] = mapping(blk, f"{source}: sensitive_options.{attr}")
     return options
 
 
@@ -177,22 +166,13 @@ def schema_from_dict(doc: dict, sensitive: str = None, source: str = "<schema>")
     `sensitive` picks one entry of `sensitive_options`; default is the
     document's `protected` block (or its `default_sensitive` name).
     """
-    if not isinstance(doc, dict):
-        raise SchemaError(f"{source}: schema document must be a mapping")
-    known = {
-        "name", "label", "protected", "sensitive_options", "default_sensitive",
-        "features", "drop", "binarize", "missing", "categories",
-        "keep_protected_in_features",
-    }
-    unknown = set(doc) - known
-    if unknown:
-        raise SchemaError(f"{source}: unknown keys {sorted(unknown)}")
+    doc = mapping(doc, source, _SCHEMA_KEYS, required=True)
 
     name = doc.get("name")
     if not name:
         raise SchemaError(f"{source}: 'name' is required")
 
-    label = _mapping(doc.get("label"), f"{source}: label")
+    label = mapping(doc.get("label"), f"{source}: label")
     if "column" not in label or "favorable" not in label:
         raise SchemaError(f"{source}: label needs 'column' and 'favorable'")
 
@@ -212,22 +192,22 @@ def schema_from_dict(doc: dict, sensitive: str = None, source: str = "<schema>")
     if not isinstance(privileged, (list, tuple)):
         privileged = [privileged]
 
-    features = _mapping(doc.get("features"), f"{source}: features")
-    numeric = frozenset(str(c) for c in _list(features.get("numeric"), f"{source}: features.numeric"))
-    categorical = frozenset(str(c) for c in _list(features.get("categorical"), f"{source}: features.categorical"))
+    features = mapping(doc.get("features"), f"{source}: features")
+    numeric = frozenset(str(c) for c in listing(features.get("numeric"), f"{source}: features.numeric"))
+    categorical = frozenset(str(c) for c in listing(features.get("categorical"), f"{source}: features.categorical"))
 
     rules = []
-    for j, blk_rule in enumerate(_list(doc.get("binarize"), f"{source}: binarize")):
-        blk_rule = _mapping(blk_rule, f"{source}: binarize[{j}]")
+    for j, blk_rule in enumerate(listing(doc.get("binarize"), f"{source}: binarize")):
+        blk_rule = mapping(blk_rule, f"{source}: binarize[{j}]")
         col = blk_rule.get("column")
         if not col:
             raise SchemaError(f"{source}: binarize[{j}] needs 'column'")
         src = str(blk_rule.get("from", col))
         where = f"{source}: binarize[{j}].rules"
-        rules.extend(_parse_rules(str(col), src, _list(blk_rule.get("rules"), where), where))
+        rules.extend(_parse_rules(str(col), src, listing(blk_rule.get("rules"), where), where))
 
-    missing = _mapping(doc.get("missing"), f"{source}: missing")
-    categories = _mapping(doc.get("categories"), f"{source}: categories")
+    missing = mapping(doc.get("missing"), f"{source}: missing")
+    categories = mapping(doc.get("categories"), f"{source}: categories")
 
     return DatasetSchema(
         name=str(name),
@@ -237,12 +217,12 @@ def schema_from_dict(doc: dict, sensitive: str = None, source: str = "<schema>")
         privileged_values=frozenset(str(v) for v in privileged),
         numeric_columns=numeric,
         categorical_columns=categorical,
-        drop_columns=frozenset(str(c) for c in _list(doc.get("drop"), f"{source}: drop")),
+        drop_columns=frozenset(str(c) for c in listing(doc.get("drop"), f"{source}: drop")),
         binarize=tuple(rules),
-        missing_tokens=frozenset(str(t) for t in _list(missing.get("tokens"), f"{source}: missing.tokens")),
+        missing_tokens=frozenset(str(t) for t in listing(missing.get("tokens"), f"{source}: missing.tokens")),
         drop_missing_rows=bool(missing.get("drop_rows", False)),
         categories={
-            str(k): [str(v) for v in _list(vals, f"{source}: categories.{k}")] for k, vals in categories.items()
+            str(k): [str(v) for v in listing(vals, f"{source}: categories.{k}")] for k, vals in categories.items()
         },
         keep_protected_in_features=bool(doc.get("keep_protected_in_features", False)),
         sensitive_attribute=str(chosen),
@@ -256,9 +236,7 @@ def _read_schema(path) -> dict:
             doc = yaml.safe_load(fh)
         except yaml.YAMLError as exc:
             raise SchemaError(f"{path}: invalid YAML: {exc}") from exc
-    if not isinstance(doc, dict):
-        raise SchemaError(f"{path}: schema document must be a mapping")
-    return doc
+    return mapping(doc, f"{path}: schema document", required=True)
 
 
 def load_schema(path, sensitive: str = None) -> DatasetSchema:

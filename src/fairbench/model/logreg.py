@@ -28,10 +28,11 @@ class LogRegConfig:
     standardize: bool = True
 
     def __post_init__(self):
-        if self.l2 < 0:
-            raise FitError("L2 strength must be non-negative")
-        if self.tol <= 0:
-            raise FitError("gradient tolerance must be positive")
+        # written to fail on NaN, which no comparison satisfies
+        if not 0 <= self.l2 < math.inf:
+            raise FitError(f"l2 must be non-negative and finite, got {self.l2!r}")
+        if not 0 < self.tol < math.inf:
+            raise FitError(f"tol must be positive and finite, got {self.tol!r}")
 
 
 @dataclass(frozen=True)

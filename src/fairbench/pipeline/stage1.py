@@ -1,11 +1,11 @@
 """Stage 1: transform a full dataset and report data-level metrics on both versions."""
 
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
 from ..dataset import TabularDataset, cache_key, cache_load, cache_store, content_key, encode, load_csv
 from ..metrics.dataset_metrics import DatasetMetrics, dataset_metrics, remember_consistency
-from ..preproc import METHOD_NAMES, apply_method
+from ..preproc import apply_method
 from ..errors import FairbenchError
 
 
@@ -27,16 +27,8 @@ class StageOneReport:
     def from_dict(cls, doc):
         if doc.get("schema_version") != 1:
             raise FairbenchError(f"unsupported stage-1 report version {doc.get('schema_version')!r}")
-        return cls(
-            dataset=doc["dataset"],
-            method=doc["method"],
-            params=doc["params"],
-            seed=doc["seed"],
-            original_metrics=DatasetMetrics(**doc["original_metrics"]),
-            processed_metrics=DatasetMetrics(**doc["processed_metrics"]),
-            original_cache_key=doc["original_cache_key"],
-            processed_cache_key=doc["processed_cache_key"],
-        )
+        return cls(**{f.name: DatasetMetrics(**doc[f.name]) if f.type is DatasetMetrics else doc[f.name]
+                      for f in fields(cls)})
 
 
 @dataclass(frozen=True)
@@ -80,8 +72,6 @@ def run_prep_stage(dataset, schema, method: str, params=None, seed: int = 0,
     cache. A warm cache short-circuits the transform: the processed dataset
     is loaded back instead of re-fitted.
     """
-    if method not in METHOD_NAMES:
-        raise FairbenchError(f"unknown method {method!r}; expected one of {METHOD_NAMES}")
     params = dict(params or {})
     prepared = dataset
     if not isinstance(prepared, PreparedOriginal):

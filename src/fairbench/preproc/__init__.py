@@ -19,14 +19,6 @@ from .reweigh import reweigh
 METHOD_NAMES = ("RW", "LFR", "DIR", "OPP")
 
 
-def _lfr_params(params):
-    return checked_params(
-        params,
-        {"prototypes": 10, "a_z": 50.0, "a_x": 0.01, "a_y": 1.0, "max_iter": 5000, "tol": 1e-6},
-        "LFR",
-    )
-
-
 @dataclass(frozen=True)
 class FittedMethod:
     """A transform fitted on one training split."""
@@ -53,7 +45,8 @@ def fit_method(name: str, train: TabularDataset, params=None, seed: int = 0) -> 
         return FittedMethod(name, dir_repair(train, cfg), lambda ds: dir_repair(ds, cfg))
 
     if name == "LFR":
-        p = _lfr_params(params)
+        p = checked_params(params, {"prototypes": 10, "a_z": 50.0, "a_x": 0.01, "a_y": 1.0,
+                                    "max_iter": 5000, "tol": 1e-6}, "LFR")
         std_train, means, scales = standardize(train)
         model = lfr_fit(
             std_train,

@@ -35,16 +35,18 @@ class OppConfig:
     columns: tuple = None          # None = every feature column
 
     def __post_init__(self):
-        if self.epsilon <= 0:
-            raise FitError("epsilon must be positive")
-        if self.distortion_budget < 0:
-            raise FitError("distortion budget must be non-negative")
+        # each check is written to fail on NaN, which no comparison satisfies
+        if not self.epsilon > 0:
+            raise FitError(f"epsilon must be positive, got {self.epsilon!r}")
+        if not self.distortion_budget >= 0:
+            raise FitError(f"distortion_budget must be non-negative, got {self.distortion_budget!r}")
         if self.bins < 2:
             raise FitError("need at least 2 bins")
         for name in ("max_iter", "rho_fair", "rho_dist", "label_flip_cost"):
-            # a negative flip cost or distortion weight would let exp(-c * dist) grow without bound
-            if not getattr(self, name) >= 0:
-                raise FitError(f"{name} must be non-negative, got {getattr(self, name)!r}")
+            # a negative flip cost or distortion weight would let exp(-c * dist) grow without bound,
+            # and an infinite one makes the objective non-finite
+            if not 0 <= getattr(self, name) < math.inf:
+                raise FitError(f"{name} must be non-negative and finite, got {getattr(self, name)!r}")
 
 
 @dataclass(frozen=True)

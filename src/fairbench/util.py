@@ -18,30 +18,72 @@ def derive_seed(*parts) -> int:
     return int.from_bytes(hashlib.sha256(blob).digest()[:8], "big") >> 1
 
 
+# Every shape or kind error reads `<where> must be <kind>, got <type or value>`.
+
+
+def _got(value):
+    """A value's type name, or the value itself when it is empty or None."""
+    return type(value).__name__ if value else repr(value)
+
+
+def mapping(value, where, keys=None, required=False):
+    """`value` as a mapping, {} when absent unless `required`.
+
+    Another YAML type, or a key outside `keys`, is a SchemaError naming `where`.
+    """
+    if value is None and not required:
+        return {}
+    if not isinstance(value, dict):
+        raise SchemaError(f"{where} must be a mapping, got {_got(value)}")
+    if keys is not None and not set(value) <= set(keys):
+        unknown = sorted(set(value) - set(keys), key=str)  # YAML keys may mix strings and numbers
+        raise SchemaError(f"{where}: unknown keys {unknown} (accepts {sorted(keys)})")
+    return value
+
+
+def listing(value, where, required=False):
+    """`value` as a list, [] when absent unless `required`, which also rejects an empty list.
+
+    A string or another YAML type is a SchemaError naming `where`.
+    """
+    if value is None and not required:
+        return []
+    if not isinstance(value, (list, tuple)) or (required and not value):
+        raise SchemaError(f"{where} must be {'a non-empty list' if required else 'a list'}, got {_got(value)}")
+    return value
+
+
+def string(value, where):
+    """`value` if it is a YAML string; a list, mapping or number is a SchemaError naming `where`."""
+    if not isinstance(value, str):
+        raise SchemaError(f"{where} must be a string, got {_got(value)}")
+    return value
+
+
 def integer(value, key):
     """`value` if it is an integer; YAML booleans, floats and strings are a SchemaError naming `key`."""
     if isinstance(value, bool) or not isinstance(value, int):
-        raise SchemaError(f"{key}: must be an integer, got {value!r}")
+        raise SchemaError(f"{key} must be an integer, got {value!r}")
     return value
 
 
 def number(value, key):
     """`value` as a float if it is a YAML integer or float; booleans and strings are a SchemaError naming `key`."""
     if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise SchemaError(f"{key}: must be a number, got {value!r}")
+        raise SchemaError(f"{key} must be a number, got {value!r}")
     return float(value)
 
 
 def _boolean(value, key):
     if not isinstance(value, bool):
-        raise SchemaError(f"{key}: must be true or false, got {value!r}")
+        raise SchemaError(f"{key} must be true or false, got {value!r}")
     return value
 
 
 def _names(value, key):
     """A list of column names as a tuple; None (every column) passes through."""
     if value is not None and not (isinstance(value, list) and all(isinstance(v, str) for v in value)):
-        raise SchemaError(f"{key}: must be a list of column names, got {value!r}")
+        raise SchemaError(f"{key} must be a list of column names, got {value!r}")
     return None if value is None else tuple(value)
 
 
@@ -56,12 +98,8 @@ def checked_params(params, defaults, owner):
     An unknown name or a value of the wrong kind is a SchemaError naming `owner`
     and, for a value, `<owner>.<name>`.
     """
-    params = dict(params or {})
-    unknown = set(params) - set(defaults)
-    if unknown:
-        raise SchemaError(f"{owner}: unknown parameter(s) {sorted(unknown)} (accepts {sorted(defaults)})")
     checked = dict(defaults)
-    for name, value in params.items():
+    for name, value in mapping(params, owner, defaults).items():
         checked[name] = _KINDS[type(defaults[name])](value, f"{owner}.{name}")
     return checked
 

@@ -4,6 +4,7 @@ import filecmp
 import json
 import multiprocessing
 import os
+import re
 import signal
 import time
 from multiprocessing import get_context
@@ -102,6 +103,35 @@ class TestParse:
         with pytest.raises(SchemaError, match=key):
             parse_batch_yaml(MINIMAL.replace(old, new))
 
+    @pytest.mark.parametrize("old, new, message", [
+        ("datasets:\n  - name: synth_a\n    synthetic: {n: 200, disparity: 0.3, seed: 11}", "datasets: {a: 1}",
+         "datasets must be a non-empty list, got dict"),
+        ("methods: [RW]", "methods: [{name: RW, params: [1]}]", "methods[0].params must be a mapping, got list"),
+        ("seeds: [0]", "seeds: [0]\nsensitive_attributes: {synth_a: group}",
+         "sensitive_attributes.synth_a must be a non-empty list, got str"),
+        ("seeds: [0]", "seeds: [0]\nsplit: 0.7", "split must be a mapping, got float"),
+        ("{n: 200, disparity: 0.3, seed: 11}", "[200]", "datasets[0].synthetic must be a mapping, got list"),
+        ("methods: [RW]", "methods: [{name: RW, extra: 1}]",
+         "methods[0]: unknown keys ['extra'] (accepts ['name', 'params'])"),
+        ("methods: [RW]", "methods: [{name: RW, extra: 1, 2: x}]",
+         "methods[0]: unknown keys [2, 'extra'] (accepts ['name', 'params'])"),
+        ("seeds: [0]", "seeds: []", "seeds must be a non-empty list, got []"),
+        ("seeds: [0]", "", "seeds must be a non-empty list, got None"),
+        # a list once named the output directory "['a', 'b']"
+        ("seeds: [0]", "seeds: [0]\noutput: [a, b]", "output must be a string, got list"),
+        ("synthetic: {n: 200, disparity: 0.3, seed: 11}", "csv: [a.csv]\n    schema: s.yaml",
+         "datasets[0].csv must be a string, got list"),
+        ("synthetic: {n: 200, disparity: 0.3, seed: 11}", "csv: a.csv\n    schema: 5",
+         "datasets[0].schema must be a string, got int"),
+    ])
+    def test_block_of_the_wrong_type_names_its_key(self, old, new, message):
+        with pytest.raises(SchemaError, match=re.escape(message)):
+            parse_batch_yaml(MINIMAL.replace(old, new))
+
+    def test_split_rules_are_split_specs(self):
+        with pytest.raises(SchemaError, match=re.escape("split: test fraction must be in (0,1), got 0.0")):
+            parse_batch_yaml(MINIMAL + "\nsplit: {train: 0.7, validation: 0.3, test: 0.0}\n")
+
     def test_csv_dataset_requires_schema(self):
         bad = """
 datasets:
@@ -143,6 +173,18 @@ class TestExpand:
         jobs, skipped = expand_jobs(parse_batch_yaml(text))
         assert skipped == 0
         assert [j.sensitive for j in jobs] == [load_schema(schema).sensitive_attribute] == ["sex"]
+
+    @pytest.mark.parametrize("old, new", [
+        ("seeds: [0]", "seeds: [0, 0]"),
+        ("seeds: [0]", "seeds: [0]\nsensitive_attributes: {synth_a: [group, group]}"),
+        ("methods: [RW]", "methods: [RW, {name: RW}]"),
+    ])
+    def test_repeated_entry_names_the_job(self, old, new):
+        spec = parse_batch_yaml(MINIMAL.replace(old, new))
+        with pytest.raises(SchemaError, match=re.escape(
+                "job id collision in batch expansion: the job for dataset 'synth_a', attribute 'group', "
+                "method 'RW', model 'logreg', seed 0 repeats because an entry is listed twice")):
+            expand_jobs(spec)
 
     def test_empty_expansion_is_error(self):
         spec = parse_batch_yaml(MINIMAL + "\nsensitive_attributes: {synth_a: [nope]}\n")

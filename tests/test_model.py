@@ -7,12 +7,13 @@ import warnings
 
 import numpy as np
 import pytest
+import yaml
 from oracles import oracle_gd_logreg
 
 from fairbench.dataset import TabularDataset, make_synthetic
 from fairbench.errors import FairbenchWarning, FitError
 from fairbench.metrics import classification_metrics
-from fairbench.model import LogRegConfig, loss_and_gradient, predict_scores, train_logreg
+from fairbench.model import LogRegConfig, fit_model, loss_and_gradient, predict_scores, train_logreg
 from fairbench.model import logreg as logreg_module
 
 
@@ -179,6 +180,17 @@ class TestTraining:
         all_pos = ds.replace(labels=np.ones(20, dtype=np.int64))
         with pytest.raises(FitError, match="single class"):
             train_logreg(all_pos)
+
+    @pytest.mark.parametrize("params, message", [
+        ("{tol: .nan}", "tol must be positive and finite, got nan"),
+        ("{tol: .inf}", "tol must be positive and finite, got inf"),
+        ("{l2: .nan}", "l2 must be non-negative and finite, got nan"),
+        ("{l2: .inf}", "l2 must be non-negative and finite, got inf"),
+    ])
+    def test_non_finite_parameter_is_refused_by_its_config(self, params, message):
+        # a NaN tol once ran 0 Newton steps and returned zero coefficients
+        with pytest.raises(FitError, match=message):
+            fit_model("logreg", make_synthetic(seed=0, n=100, disparity=0.2), yaml.safe_load(params))
 
     def test_deterministic(self):
         ds = make_synthetic(seed=7, n=60, disparity=0.2)

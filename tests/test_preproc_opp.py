@@ -4,6 +4,7 @@ import warnings
 
 import numpy as np
 import pytest
+import yaml
 
 from oracles import oracle_opp_fit, oracle_opp_transform
 
@@ -150,6 +151,18 @@ class TestFit:
     def test_config_rejects_negative_values(self, field):
         with pytest.raises(FitError, match=f"{field} must be non-negative"):
             OppConfig(**{field: -1})
+
+
+    @pytest.mark.parametrize("params, message", [
+        ("{distortion_budget: .nan}", "distortion_budget must be non-negative, got nan"),
+        ("{epsilon: .nan}", "epsilon must be positive, got nan"),
+        ("{rho_fair: .inf}", "rho_fair must be non-negative and finite, got inf"),
+        ("{label_flip_cost: .inf}", "label_flip_cost must be non-negative and finite, got inf"),
+    ])
+    def test_non_finite_parameter_is_refused_by_its_config(self, params, message):
+        # a NaN budget once dropped the distortion constraint without a word
+        with pytest.raises(FitError, match=message):
+            fit_method("OPP", minority_fixture(), yaml.safe_load(params))
 
 
 class TestToyOracle:
