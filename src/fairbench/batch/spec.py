@@ -8,6 +8,8 @@ import yaml
 from ..errors import FairbenchError, SchemaError
 from ..dataset.schema import declared_sensitive_attributes
 from ..dataset.split import SplitSpec
+from ..model import model_names
+from ..preproc import METHOD_NAMES
 from ..pipeline.sweep import FAIRNESS_METRICS
 from ..util import canonical_json, integer, listing, mapping, number, string
 
@@ -86,14 +88,20 @@ def synthetic_params(raw, key, seed=0):
             "seed": integer(raw.get("seed", seed), f"{key}.seed")}
 
 
-def _named_entries(raw, key):
-    """Normalize 'RW' / {name: RW} / {name: RW, params: {...}} into (name, params)."""
+def _named_entries(raw, key, kind, known):
+    """Normalize 'RW' / {name: RW} / {name: RW, params: {...}} into (name, params).
+
+    A name outside `known`, the registry's own list, is a SchemaError naming its entry.
+    """
     out = []
     for i, entry in enumerate(listing(raw, key, required=True)):
         entry = mapping({"name": entry} if isinstance(entry, str) else entry, f"{key}[{i}]", ("name", "params"))
         if "name" not in entry:
             raise SchemaError(f"{key}[{i}]: need a name (string or mapping with 'name')")
-        out.append((str(entry["name"]), mapping(entry.get("params"), f"{key}[{i}].params")))
+        name = str(entry["name"])
+        if name not in known:
+            raise SchemaError(f"{key}[{i}].name: unknown {kind} {name!r}; expected one of {list(known)}")
+        out.append((name, mapping(entry.get("params"), f"{key}[{i}].params")))
     return tuple(out)
 
 
@@ -149,8 +157,8 @@ def parse_batch_yaml(text: str) -> BatchSpec:
     return BatchSpec(
         datasets=datasets,
         sensitive_attributes=sensitive,
-        methods=_named_entries(doc.get("methods"), "methods"),
-        models=_named_entries(doc.get("models"), "models"),
+        methods=_named_entries(doc.get("methods"), "methods", "method", METHOD_NAMES),
+        models=_named_entries(doc.get("models"), "models", "model", model_names()),
         seeds=seeds,
         split=split,
         selection_metric=selection,

@@ -6,6 +6,7 @@ picks exactly one, so every `DatasetSchema` instance has a single protected
 column and privileged value set.
 """
 
+import functools
 from dataclasses import dataclass, field
 
 import yaml
@@ -126,7 +127,7 @@ class DatasetSchema:
 def _parse_rules(column, source, raw_rules, where):
     rules = []
     for i, entry in enumerate(raw_rules):
-        entry = mapping(entry, f"{where}[{i}]")
+        entry = mapping(entry, f"{where}[{i}]", ("when", "value"))
         if "when" not in entry or "value" not in entry:
             raise SchemaError(f"{where}[{i}]: rule needs 'when' and 'value'")
         when, output = str(entry["when"]).strip(), str(entry["value"]).strip()
@@ -152,11 +153,11 @@ def _parse_rules(column, source, raw_rules, where):
 def _sensitive_options(doc: dict, source: str) -> dict:
     """Declared sensitive attribute name -> its block: `protected` first, then `sensitive_options`."""
     options = {}
-    blk = mapping(doc.get("protected"), f"{source}: protected")
+    blk = mapping(doc.get("protected"), f"{source}: protected", ("attribute", "column", "privileged"))
     if blk:
         options[str(blk.get("attribute", blk.get("column", "")))] = blk
     for attr, blk in mapping(doc.get("sensitive_options"), f"{source}: sensitive_options").items():
-        options[str(attr)] = mapping(blk, f"{source}: sensitive_options.{attr}")
+        options[str(attr)] = mapping(blk, f"{source}: sensitive_options.{attr}", ("column", "privileged"))
     return options
 
 
@@ -172,7 +173,7 @@ def schema_from_dict(doc: dict, sensitive: str = None, source: str = "<schema>")
     if not name:
         raise SchemaError(f"{source}: 'name' is required")
 
-    label = mapping(doc.get("label"), f"{source}: label")
+    label = mapping(doc.get("label"), f"{source}: label", ("column", "favorable"))
     if "column" not in label or "favorable" not in label:
         raise SchemaError(f"{source}: label needs 'column' and 'favorable'")
 
@@ -192,13 +193,13 @@ def schema_from_dict(doc: dict, sensitive: str = None, source: str = "<schema>")
     if not isinstance(privileged, (list, tuple)):
         privileged = [privileged]
 
-    features = mapping(doc.get("features"), f"{source}: features")
+    features = mapping(doc.get("features"), f"{source}: features", ("numeric", "categorical"))
     numeric = frozenset(str(c) for c in listing(features.get("numeric"), f"{source}: features.numeric"))
     categorical = frozenset(str(c) for c in listing(features.get("categorical"), f"{source}: features.categorical"))
 
     rules = []
     for j, blk_rule in enumerate(listing(doc.get("binarize"), f"{source}: binarize")):
-        blk_rule = mapping(blk_rule, f"{source}: binarize[{j}]")
+        blk_rule = mapping(blk_rule, f"{source}: binarize[{j}]", ("column", "from", "rules"))
         col = blk_rule.get("column")
         if not col:
             raise SchemaError(f"{source}: binarize[{j}] needs 'column'")
@@ -206,8 +207,9 @@ def schema_from_dict(doc: dict, sensitive: str = None, source: str = "<schema>")
         where = f"{source}: binarize[{j}].rules"
         rules.extend(_parse_rules(str(col), src, listing(blk_rule.get("rules"), where), where))
 
-    missing = mapping(doc.get("missing"), f"{source}: missing")
-    categories = mapping(doc.get("categories"), f"{source}: categories")
+    missing = mapping(doc.get("missing"), f"{source}: missing", ("tokens", "drop_rows"))
+    # levels are pinned for categorical columns only; encode ignores any other
+    categories = mapping(doc.get("categories"), f"{source}: categories", categorical)
 
     return DatasetSchema(
         name=str(name),
@@ -230,12 +232,21 @@ def schema_from_dict(doc: dict, sensitive: str = None, source: str = "<schema>")
 
 
 def _read_schema(path) -> dict:
-    """The YAML mapping of a schema file; invalid YAML or another document type is a SchemaError."""
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            doc = yaml.safe_load(fh)
-        except yaml.YAMLError as exc:
-            raise SchemaError(f"{path}: invalid YAML: {exc}") from exc
+    """The YAML mapping of a schema file; invalid YAML or another document type is a SchemaError.
+
+    The file is read every time but parsed once per (path, bytes) in a
+    process; callers must not mutate the shared mapping.
+    """
+    with open(path, "rb") as fh:
+        return _parse_schema(str(path), fh.read())
+
+
+@functools.lru_cache(maxsize=64)
+def _parse_schema(path: str, blob: bytes) -> dict:
+    try:
+        doc = yaml.safe_load(blob)
+    except yaml.YAMLError as exc:
+        raise SchemaError(f"{path}: invalid YAML: {exc}") from exc
     return mapping(doc, f"{path}: schema document", required=True)
 
 

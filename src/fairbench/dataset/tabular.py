@@ -86,15 +86,13 @@ class TabularDataset:
 
 
 def datasets_equal(a: TabularDataset, b: TabularDataset) -> bool:
-    """Field-by-field equality with bit-identical reals."""
+    """Field-by-field equality with bit-identical reals: 0.0 and -0.0 differ."""
     return (
         a.feature_names == b.feature_names
         and a.provenance == b.provenance
         and a.features.shape == b.features.shape
-        and np.array_equal(a.features, b.features)
-        and np.array_equal(a.labels, b.labels)
-        and np.array_equal(a.protected, b.protected)
-        and np.array_equal(a.weights, b.weights)
+        and all(getattr(a, name).tobytes() == getattr(b, name).tobytes()
+                for name in ("features", "labels", "protected", "weights"))
     )
 
 

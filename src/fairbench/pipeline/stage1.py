@@ -3,7 +3,8 @@
 from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
-from ..dataset import TabularDataset, cache_key, cache_load, cache_store, content_key, encode, load_csv
+from ..dataset import TabularDataset, cache_key, cache_load, cache_store, encode, load_csv
+from ..dataset.cache import store_original
 from ..metrics.dataset_metrics import DatasetMetrics, dataset_metrics, remember_consistency
 from ..preproc import apply_method
 from ..errors import FairbenchError
@@ -46,18 +47,17 @@ class PreparedOriginal:
 
 def prepare_original(dataset, schema=None, cache_dir="fairbench_cache",
                      dataset_name: str = None) -> PreparedOriginal:
-    """Store `dataset`'s cache entry unless a readable one exists, and measure it.
+    """Store `dataset`'s cache entry unless one with the same bytes exists, and measure it.
 
-    An encoded TabularDataset passes through; a CSV path is loaded and encoded under `schema`.
+    An encoded TabularDataset passes through; a CSV path is loaded and encoded
+    under `schema`. An entry whose bytes differ is rewritten, with a warning.
     """
     ds = dataset
     if not isinstance(ds, TabularDataset):
         if schema is None:
             raise FairbenchError("loading from a file requires a schema")
         ds = encode(load_csv(Path(dataset), schema), schema)
-    key = content_key(ds)
-    if cache_load(key, cache_dir) is None:
-        cache_store(ds, key, cache_dir)
+    key = store_original(ds, cache_dir)
     name = dataset_name or (schema.name if schema is not None else ds.provenance or "dataset")
     return PreparedOriginal(name, key, dataset_metrics(ds))
 
@@ -70,13 +70,14 @@ def run_prep_stage(dataset, schema, method: str, params=None, seed: int = 0,
     TabularDataset (schema optional), or the PreparedOriginal of either; the
     first two are prepared here. The original is always read back from the
     cache. A warm cache short-circuits the transform: the processed dataset
-    is loaded back instead of re-fitted.
+    is loaded back instead of re-fitted; a fresh one is stored as the columns
+    and arrays that differ from the original.
     """
     params = dict(params or {})
     prepared = dataset
     if not isinstance(prepared, PreparedOriginal):
         prepared = prepare_original(dataset, schema, cache_dir, dataset_name)
-    ds = cache_load(prepared.cache_key, cache_dir)
+    ds = cache_load(prepared.cache_key, cache_dir, original=True)
     if ds is None:
         raise FairbenchError(f"original dataset {prepared.name!r} ({prepared.cache_key}) "
                              f"is no longer readable in cache {cache_dir}")
@@ -87,7 +88,7 @@ def run_prep_stage(dataset, schema, method: str, params=None, seed: int = 0,
     processed = cache_load(key_proc, cache_dir)
     if processed is None:
         processed = apply_method(method, ds, params, seed)
-        cache_store(processed, key_proc, cache_dir)
+        cache_store(processed, key_proc, cache_dir, base=(ds, prepared.cache_key))
 
     return StageOneReport(
         dataset=prepared.name,

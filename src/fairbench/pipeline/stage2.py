@@ -1,8 +1,8 @@
 """Stage 2: train on original and processed data, sweep thresholds, pick the best.
 
-Both arms consume the identical split of the original dataset (the transform is
-re-fitted on the training split only, so no information leaks from validation
-or test). The optimal threshold is selected on the validation sweep and the
+Within one job, both arms consume the identical split of the original dataset
+(the transform is re-fitted on the training split only, so no information leaks
+from validation or test). The optimal threshold is selected on the validation sweep and the
 test metrics at that threshold are reported.
 """
 
@@ -62,7 +62,7 @@ def run_bench_stage(stage1: StageOneReport, model_name: str = "logreg", model_pa
     arm must succeed.
     """
     split_spec = split_spec or SplitSpec(seed=stage1.seed)
-    original = cache_load(stage1.original_cache_key, cache_dir)
+    original = cache_load(stage1.original_cache_key, cache_dir, original=True)
     if original is None:
         raise FairbenchError(
             f"original dataset not cached under {stage1.original_cache_key} in {cache_dir}"

@@ -6,7 +6,9 @@ import multiprocessing
 import os
 import re
 import signal
+import struct
 import time
+import warnings
 from multiprocessing import get_context
 from pathlib import Path
 
@@ -66,6 +68,16 @@ class TestParse:
         bad = MINIMAL.replace("methods: [RW]", "methods:\n  - {name: RW, extra: 1}")
         with pytest.raises(SchemaError, match=r"methods\[0\]"):
             parse_batch_yaml(bad)
+
+    @pytest.mark.parametrize("old, new, message", [
+        ("methods: [RW]", "methods: [RW, SMOTE]",
+         "methods[1].name: unknown method 'SMOTE'; expected one of ['RW', 'LFR', 'DIR', 'OPP']"),
+        ("methods: [RW]", "methods: [{name: smote, params: {k: 5}}]", "methods[0].name: unknown method 'smote'"),
+        ("models: [logreg]", "models: [logreg, svm]", "models[1].name: unknown model 'svm'; expected one of ['logreg']"),
+    ])
+    def test_unknown_method_or_model_is_refused_at_parse(self, old, new, message):
+        with pytest.raises(SchemaError, match=re.escape(message)):
+            parse_batch_yaml(MINIMAL.replace(old, new))
 
     def test_two_by_two_lists_parse(self):
         spec = parse_batch_yaml(MATRIX)
@@ -409,6 +421,35 @@ class TestRun:
             assert set(first) == set(second)
             for rel in first:
                 assert filecmp.cmp(first[rel], second[rel], shallow=False), rel
+
+    @pytest.mark.parametrize("damage", ["flipped", "missing"])
+    def test_changed_original_entry_is_rewritten_before_its_jobs(self, tmp_path, damage):
+        # a flipped mantissa bit still parses: only the entry's bytes tell it from its dataset
+        text = MINIMAL.replace("n: 200", "n: 400").replace("methods: [RW]", "methods: [RW, DIR]")
+        jobs, _ = expand_jobs(parse_batch_yaml(text))
+        cache = tmp_path / "cache"
+        run_batch(jobs, parallelism=1, output_dir=tmp_path / "first", cache_dir=cache)
+        entries = {p.name: p.read_bytes() for p in cache.glob("*.fpds")}
+        summary = json.loads((tmp_path / "first" / jobs[0].job_id / "summary.json").read_text())
+        original = cache / f"{summary['stage1']['original_cache_key']}.fpds"
+        blob = bytearray(original.read_bytes())
+        if damage == "flipped":
+            (header_len,) = struct.unpack_from("<Q", blob, 8)
+            blob[16 + header_len + 6] ^= 0x08  # the highest mantissa bit of the first feature
+            original.write_bytes(bytes(blob))
+        else:
+            original.unlink()
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            report = run_batch(jobs, parallelism=1, output_dir=tmp_path / "second", cache_dir=cache)
+        named = [w for w in caught if issubclass(w.category, FairbenchWarning) and original.name in str(w.message)]
+        assert len(named) == (damage != "missing"), [str(w.message) for w in caught]
+        assert report.exit_code == 0
+        assert {p.name: p.read_bytes() for p in cache.glob("*.fpds")} == entries
+        first, second = job_files(tmp_path / "first"), job_files(tmp_path / "second")
+        assert set(first) == set(second)
+        for rel in first:
+            assert filecmp.cmp(first[rel], second[rel], shallow=False), rel
 
     @pytest.mark.parametrize("parallelism", [1, 2])
     def test_missing_csv_fails_its_jobs_with_the_ingest_error(self, tmp_path, parallelism):

@@ -175,6 +175,19 @@ def test_batch_cli_rejects_bad_numbers_in_config(tmp_path, capsys, line, key):
     assert key in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("lists, message", [
+    ("methods: [SMOTE, RW]\nmodels: [logreg]", "methods[0].name: unknown method 'SMOTE'"),
+    ("methods: [RW]\nmodels: [logreg, svm]", "models[1].name: unknown model 'svm'"),
+])
+def test_batch_cli_rejects_an_unknown_name_before_any_job_runs(tmp_path, capsys, lists, message):
+    config = tmp_path / "batch.yaml"
+    config.write_text(f"datasets:\n  - name: synth\n    synthetic: {{n: 200}}\n{lists}\nseeds: [0]\n",
+                      encoding="utf-8")
+    assert main(["batch", "--config", str(config), "--out", str(tmp_path / "o")]) == 2
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
 def test_batch_cli_failure_exit_code(tmp_path, capsys):
     config = tmp_path / "batch.yaml"
     config.write_text(

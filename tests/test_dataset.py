@@ -1,9 +1,11 @@
 """Ingestion, encoding, splitting, caching, synthetic generation."""
 
 import dataclasses
+import json
 
 import numpy as np
 import pytest
+import yaml
 
 from fairbench.dataset import (
     RawTable,
@@ -16,14 +18,19 @@ from fairbench.dataset import (
     datasets_equal,
     encode,
     load_csv,
+    load_schema,
     make_synthetic,
     schema_from_dict,
     split,
     split_indices,
 )
-from fairbench.dataset.cache import MAGIC
+from fairbench.dataset.cache import MAGIC, cache_path, dumps, loads, store_original
+from fairbench.dataset import schema as schema_module
+from fairbench.dataset.recipes import prepare_german, schema_path
+from fairbench.dataset.schema import declared_sensitive_attributes
 from fairbench.errors import DataFormatError, FairbenchError, FairbenchWarning, SchemaError
 from fairbench.metrics import statistical_parity_difference
+from fairbench.preproc import apply_method
 
 
 def simple_schema(**overrides):
@@ -114,6 +121,35 @@ class TestSchema:
     def test_block_of_the_wrong_type_names_its_key(self, override, message):
         with pytest.raises(SchemaError, match=f"<schema>: {message}"):
             simple_schema(**override)
+
+    @pytest.mark.parametrize("override, where, key", [
+        ({"label": {"column": "income", "favorable": "high", "favourable": "high"}}, "label", "favourable"),
+        ({"protected": {"column": "sex", "privileged": ["M"], "privileged_values": ["M"]}},
+         "protected", "privileged_values"),
+        ({"sensitive_options": {"sex": {"column": "sex", "privilege": ["M"]}}}, "sensitive_options.sex", "privilege"),
+        ({"features": {"numeric": ["age"], "categoric": ["city"]}}, "features", "categoric"),
+        # `drop_rows` misspelt once kept every row with a missing token
+        ({"missing": {"tokens": ["?"], "drop_row": True}}, "missing", "drop_row"),
+        ({"categories": {"cty": ["a", "b"]}}, "categories", "cty"),
+        ({"binarize": [{"column": "g", "source": "age", "rules": []}]}, r"binarize\[0\]", "source"),
+        ({"binarize": [{"column": "g", "from": "age", "rules": [{"when": "default", "value": "x", "else": "y"}]}]},
+         r"binarize\[0\].rules\[0\]", "else"),
+    ])
+    def test_unknown_key_in_a_block_names_the_block_and_key(self, override, where, key):
+        with pytest.raises(SchemaError, match=f"<schema>: {where}: unknown keys \\['{key}'\\]"):
+            simple_schema(**override)
+
+    def test_schema_file_is_parsed_once_per_content(self, tmp_path, monkeypatch):
+        path = tmp_path / "toy.yaml"
+        path.write_text("name: toy\nlabel: {column: income, favorable: high}\n"
+                        "protected: {column: sex, privileged: [M]}\nfeatures: {numeric: [age]}\n", encoding="utf-8")
+        parsed, safe_load = [], yaml.safe_load
+        monkeypatch.setattr(schema_module.yaml, "safe_load", lambda blob: parsed.append(blob) or safe_load(blob))
+        declared_sensitive_attributes(path)
+        first = load_schema(path)
+        assert load_schema(path) == first and len(parsed) == 1
+        path.write_text(path.read_text(encoding="utf-8").replace("[M]", "[F]"), encoding="utf-8")
+        assert load_schema(path).privileged_values == frozenset({"F"}) and len(parsed) == 2
 
     def test_repeated_pinned_level_is_refused_on_construction(self):
         schema = simple_schema(categories={"city": ["a", "b"]})
@@ -344,6 +380,107 @@ class TestCache:
         assert cache_key("d", "m", {"x": 2}, 0) != base
         assert cache_key("d", "m", {"x": 1}, 1) != base
         assert cache_key("d", "m", {"x": 1}, 0) == base
+
+    def test_original_is_keyed_on_its_full_entry_bytes(self, tmp_path):
+        ds = make_synthetic(seed=3, n=30, disparity=0.2)
+        key = store_original(ds, tmp_path)
+        assert key == content_key(ds)
+        assert cache_path(tmp_path, key).read_bytes() == dumps(ds)
+
+
+def german_dataset(tmp_path, n=200):
+    """An encoded German-shaped dataset read through the bundled `german.yaml`."""
+    rng = np.random.default_rng(3)
+
+    def code(prefix, count):
+        return f"{prefix}{rng.integers(1, count + 1)}"
+
+    rows = [" ".join([
+        code("A1", 4), str(rng.integers(4, 72)), f"A3{rng.integers(0, 5)}", f"A4{rng.integers(0, 10)}",
+        str(rng.integers(250, 18424)), code("A6", 5), code("A7", 5), str(rng.integers(1, 5)), code("A9", 5),
+        code("A10", 3), str(rng.integers(1, 5)), code("A12", 4), str(rng.integers(19, 75)), code("A14", 3),
+        code("A15", 3), str(rng.integers(1, 5)), code("A17", 4), str(rng.integers(1, 3)), code("A19", 2),
+        code("A20", 2), str(rng.integers(1, 3))]) for _ in range(n)]
+    raw = tmp_path / "german.data"
+    raw.write_text("\n".join(rows) + "\n", encoding="utf-8")
+    schema = load_schema(schema_path("german"))
+    return encode(load_csv(prepare_german(raw, tmp_path / "german.csv"), schema), schema)
+
+
+def _header(path):
+    blob = path.read_bytes()
+    (length,) = np.frombuffer(blob, dtype="<u8", count=1, offset=len(MAGIC))
+    return json.loads(blob[len(MAGIC) + 8:len(MAGIC) + 8 + int(length)])
+
+
+class TestDeltaEntries:
+    """A processed dataset stored as the columns and arrays that differ from its original."""
+
+    @pytest.mark.parametrize("method, params", [
+        ("RW", {}), ("DIR", {}), ("LFR", {}), ("OPP", {"columns": ["duration", "credit_amount", "age"]}),
+    ])
+    def test_each_transform_round_trips_smaller_than_in_full(self, tmp_path, method, params):
+        ds = german_dataset(tmp_path)
+        key = store_original(ds, tmp_path / "cache")
+        processed = apply_method(method, ds, params, seed=0)
+        path = cache_store(processed, "processed", tmp_path / "cache", base=(ds, key))
+        assert _header(path)["base"] == key
+        assert path.stat().st_size < len(dumps(processed))
+        assert datasets_equal(cache_load("processed", tmp_path / "cache"), processed)
+
+    def test_rw_stores_only_the_weights(self, tmp_path):
+        ds = make_synthetic(seed=4, n=60, disparity=0.4)
+        key = store_original(ds, tmp_path)
+        path = cache_store(apply_method("RW", ds), "rw", tmp_path, base=(ds, key))
+        header = _header(path)
+        assert (header["columns"], header["arrays"]) == ([], ["weights"])
+
+    def test_a_column_that_differs_only_in_the_sign_of_zero_is_stored(self, tmp_path):
+        features = make_synthetic(seed=4, n=40, disparity=0.0).features.copy()
+        features[:, 1] = 0.0
+        ds = make_synthetic(seed=4, n=40, disparity=0.0).replace(features=features)
+        signed = features.copy()
+        signed[::2, 1] = -0.0
+        processed = ds.replace(features=signed)
+        key = store_original(ds, tmp_path)
+        path = cache_store(processed, "signed", tmp_path, base=(ds, key))
+        assert (_header(path)["columns"], _header(path)["arrays"]) == ([1], [])
+        loaded = cache_load("signed", tmp_path)
+        assert datasets_equal(loaded, processed) and not datasets_equal(loaded, ds)
+        assert np.signbit(loaded.features[::2, 1]).all()
+
+    @pytest.mark.parametrize("change", ["rows", "names"])
+    def test_other_rows_or_names_are_stored_in_full(self, tmp_path, change):
+        ds = make_synthetic(seed=4, n=40, disparity=0.0)
+        key = store_original(ds, tmp_path)
+        processed = (ds.take(np.arange(30)) if change == "rows"
+                     else ds.replace(feature_names=[f"z{i}" for i in range(ds.dim)]))
+        path = cache_store(processed, "full", tmp_path, base=(ds, key))
+        assert path.read_bytes() == dumps(processed)
+        assert datasets_equal(cache_load("full", tmp_path), processed)
+
+    def test_a_delta_is_not_read_without_its_base(self, tmp_path):
+        ds = make_synthetic(seed=4, n=40, disparity=0.0)
+        blob = dumps(apply_method("RW", ds), base=(ds, content_key(ds)))
+        with pytest.raises(DataFormatError, match="without its base"):
+            loads(blob)
+
+    @pytest.mark.parametrize("damage", ["missing", "truncated", "flipped"])
+    def test_a_damaged_base_makes_the_delta_a_warned_miss(self, tmp_path, damage):
+        ds = make_synthetic(seed=4, n=40, disparity=0.3)
+        key = store_original(ds, tmp_path)
+        cache_store(apply_method("DIR", ds), "dir", tmp_path, base=(ds, key))
+        base = cache_path(tmp_path, key)
+        blob = bytearray(base.read_bytes())
+        if damage == "missing":
+            base.unlink()
+        elif damage == "truncated":
+            base.write_bytes(blob[:len(blob) // 2])
+        else:
+            blob[-8 * 3 * ds.n - 2] ^= 0x08  # a high mantissa bit of the last feature
+            base.write_bytes(bytes(blob))
+        with pytest.warns(FairbenchWarning, match=f"dir.fpds: its base entry .*{base.name}"):
+            assert cache_load("dir", tmp_path) is None
 
 
 class TestSynthetic:

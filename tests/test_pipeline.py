@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from fairbench.dataset import SplitSpec, cache_load, make_synthetic, schema_from_dict
-from fairbench.errors import FairbenchError
+from fairbench.errors import FairbenchError, FairbenchWarning
 from fairbench.metrics import classification_metrics
 from fairbench.metrics.classification import ClassificationMetrics
 from fairbench.pipeline import (
@@ -220,7 +220,7 @@ class TestPrepStage:
         import fairbench.pipeline.stage2 as stage2_mod
         loaded = []
         monkeypatch.setattr(stage2_mod, "cache_load",
-                            lambda key, root: loaded.append(cache_load(key, root)) or loaded[-1])
+                            lambda key, root, **kw: loaded.append(cache_load(key, root, **kw)) or loaded[-1])
         run_bench_stage(by_sex, split_spec=SplitSpec(seed=0), cache_dir=cache)
         assert np.array_equal(loaded[0].protected, (sex == "M").astype(np.int64))
 
@@ -283,6 +283,23 @@ class TestBenchStage:
         for arm in (bench.original, bench.processed):
             rec = next(r for r in arm.test if r.threshold == arm.optimal_threshold)
             assert rec.metrics == arm.test_at_optimal
+
+    @pytest.mark.parametrize("stage", ["prep", "bench"])
+    def test_a_changed_original_entry_is_refused_not_used(self, tmp_path, stage):
+        from fairbench.pipeline.stage1 import prepare_original
+
+        prepared = prepare_original(make_synthetic(seed=8, n=300, disparity=0.3), None, tmp_path, "syn")
+        report = run_prep_stage(prepared, None, "DIR", {}, seed=1, cache_dir=tmp_path)
+        entry = tmp_path / f"{prepared.cache_key}.fpds"
+        blob = bytearray(entry.read_bytes())
+        blob[-8 * 3 * 300 - 2] ^= 0x08  # still parses, with one feature changed
+        entry.write_bytes(bytes(blob))
+        with pytest.warns(FairbenchWarning, match=f"{entry.name}: its bytes no longer hash to its key"):
+            with pytest.raises(FairbenchError, match="no longer readable|not cached"):
+                if stage == "prep":
+                    run_prep_stage(prepared, None, "RW", {}, seed=1, cache_dir=tmp_path)
+                else:
+                    run_bench_stage(report, split_spec=SplitSpec(seed=1), cache_dir=tmp_path)
 
     def test_arm_failure_isolated(self, tmp_path, monkeypatch):
         ds = make_synthetic(seed=7, n=400, disparity=0.3)
