@@ -24,7 +24,7 @@ from pathlib import Path
 
 from ..dataset import SplitSpec, load_schema, make_synthetic
 from ..dataset.cache import remove_partial_writes
-from ..pipeline.stage1 import prepare_original, run_prep_stage
+from ..pipeline.stage1 import load_original, prepare_original, run_prep_stage
 from ..pipeline.stage2 import run_bench_stage
 from ..report.svg import write_sweep_svg
 from ..report.tables import stage1_rows, sweep_summary, write_stage1_csv, write_summary_json, write_sweep_csv
@@ -120,8 +120,9 @@ def execute_job(job: JobSpec, prepared, output_dir, cache_dir) -> JobOutcome:
     started = time.perf_counter()
     try:
         effective_seed = derive_seed(job.seed, job.job_id)
+        original = load_original(prepared, cache_dir)
         stage1 = run_prep_stage(prepared, None, job.method, job.method_params,
-                                seed=effective_seed, cache_dir=cache_dir)
+                                seed=effective_seed, cache_dir=cache_dir, original=original)
         split_spec = SplitSpec(
             train=job.split["train"], validation=job.split["validation"],
             test=job.split["test"], seed=effective_seed,
@@ -129,7 +130,7 @@ def execute_job(job: JobSpec, prepared, output_dir, cache_dir) -> JobOutcome:
         bench = run_bench_stage(
             stage1, model_name=job.model, model_params=job.model_params,
             split_spec=split_spec, selection_metric=job.selection_metric,
-            cache_dir=cache_dir,
+            cache_dir=cache_dir, original=original,
         )
 
         artifacts = write_job_artifacts(
@@ -249,9 +250,9 @@ def run_batch(jobs, parallelism: int = 1, output_dir="fairbench_out",
     """Run all jobs, at most `parallelism` at a time; failures never stop the batch.
 
     Each distinct (dataset entry, sensitive attribute) is first prepared once:
-    ingested, cached and measured. Its jobs then run from that preparation and
-    read the original back from the cache; the jobs of a preparation that
-    failed fail with its error text. Preparations and jobs run as tasks of one
+    ingested, cached and measured. Its jobs then run from that preparation;
+    each reads the original back from the cache once, for both stages. The
+    jobs of a preparation that failed fail with its error text. Preparations and jobs run as tasks of one
     process pool, at parallelism 1 too, so a dying worker never ends the batch;
     once a dead worker has broken it, the spawn pool that replaced it takes the rest.
     """

@@ -62,30 +62,38 @@ def prepare_original(dataset, schema=None, cache_dir="fairbench_cache",
     return PreparedOriginal(name, key, dataset_metrics(ds))
 
 
-def run_prep_stage(dataset, schema, method: str, params=None, seed: int = 0,
-                   cache_dir="fairbench_cache", dataset_name: str = None) -> StageOneReport:
-    """Transform the full original dataset, compute the processed metrics, cache the result.
-
-    `dataset` may be a CSV path (with `schema`), an already encoded
-    TabularDataset (schema optional), or the PreparedOriginal of either; the
-    first two are prepared here. The original is always read back from the
-    cache. A warm cache short-circuits the transform: the processed dataset
-    is loaded back instead of re-fitted; a fresh one is stored as the columns
-    and arrays that differ from the original.
-    """
-    params = dict(params or {})
-    prepared = dataset
-    if not isinstance(prepared, PreparedOriginal):
-        prepared = prepare_original(dataset, schema, cache_dir, dataset_name)
+def load_original(prepared: PreparedOriginal, cache_dir) -> TabularDataset:
+    """Read a prepared original back from the cache, checked against its content key."""
     ds = cache_load(prepared.cache_key, cache_dir, original=True)
     if ds is None:
         raise FairbenchError(f"original dataset {prepared.name!r} ({prepared.cache_key}) "
                              f"is no longer readable in cache {cache_dir}")
     # RW keeps the original's features and labels, so this is its consistency too
     remember_consistency(ds, prepared.metrics.consistency)
+    return ds
+
+
+def run_prep_stage(dataset, schema, method: str, params=None, seed: int = 0,
+                   cache_dir="fairbench_cache", dataset_name: str = None,
+                   original: TabularDataset = None) -> StageOneReport:
+    """Transform the full original dataset, compute the processed metrics, cache the result.
+
+    `dataset` may be a CSV path (with `schema`), an already encoded
+    TabularDataset (schema optional), or the PreparedOriginal of either; the
+    first two are prepared here. The original is `original`, what
+    `load_original` read for that preparation, or else read back from the
+    cache here. A warm cache short-circuits the transform: the processed
+    dataset is loaded back, rebuilt on the original, instead of re-fitted; a
+    fresh one is stored as the columns and arrays that differ from the original.
+    """
+    params = dict(params or {})
+    prepared = dataset
+    if not isinstance(prepared, PreparedOriginal):
+        prepared = prepare_original(dataset, schema, cache_dir, dataset_name)
+    ds = original if original is not None else load_original(prepared, cache_dir)
     key_proc = cache_key(prepared.cache_key, method, params, seed)
 
-    processed = cache_load(key_proc, cache_dir)
+    processed = cache_load(key_proc, cache_dir, base=(ds, prepared.cache_key))
     if processed is None:
         processed = apply_method(method, ds, params, seed)
         cache_store(processed, key_proc, cache_dir, base=(ds, prepared.cache_key))

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..dataset import SplitSpec, cache_load, split_indices
+from ..dataset import SplitSpec, TabularDataset, cache_load, split_indices
 from ..errors import FairbenchError
 from ..model import fit_model
 from ..preproc import fit_method
@@ -55,14 +55,16 @@ def _run_arm(arm, train, val, test, model_name, model_params, seed, selection_me
 
 def run_bench_stage(stage1: StageOneReport, model_name: str = "logreg", model_params=None,
                     split_spec: SplitSpec = None, selection_metric: str = "SPD",
-                    cache_dir="fairbench_cache") -> BenchStageResult:
+                    cache_dir="fairbench_cache", original: TabularDataset = None) -> BenchStageResult:
     """Benchmark the original arm against the re-fitted transform arm.
 
-    A failure in one arm is recorded and does not abort the other; at least one
-    arm must succeed.
+    `original` is the original dataset that stage 1 read; when it is None, it
+    is read back from the cache and checked against its key. A failure in one
+    arm is recorded and does not abort the other; at least one arm must succeed.
     """
     split_spec = split_spec or SplitSpec(seed=stage1.seed)
-    original = cache_load(stage1.original_cache_key, cache_dir, original=True)
+    if original is None:
+        original = cache_load(stage1.original_cache_key, cache_dir, original=True)
     if original is None:
         raise FairbenchError(
             f"original dataset not cached under {stage1.original_cache_key} in {cache_dir}"

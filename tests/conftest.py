@@ -1,6 +1,8 @@
 """Shared fixtures: tiny datasets, raw-data discovery, random fixture maker."""
 
+import json
 import os
+import struct
 import sys
 from pathlib import Path
 
@@ -72,3 +74,16 @@ def random_metric_fixture(rng, require_group_confusions=False, max_n=20):
         features = rng.normal(size=(n, int(rng.integers(1, 4))))
         scores = rng.uniform(0.0, 1.0, n)
         return features, labels, protected, weights, scores
+
+
+def flip_first_feature(entry: Path):
+    """Flip the highest mantissa bit of features[0, 0] in the full cache entry at `entry`.
+
+    The entry stores column 0 raw, so its first 8 body bytes are that one
+    value; the entry still parses, with one feature changed.
+    """
+    blob = bytearray(entry.read_bytes())
+    (header_len,) = struct.unpack_from("<Q", blob, 8)
+    assert json.loads(blob[16:16 + header_len])["tables"][0] == 0
+    blob[16 + header_len + 6] ^= 0x08
+    entry.write_bytes(bytes(blob))

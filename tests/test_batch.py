@@ -18,7 +18,11 @@ import yaml
 
 from fairbench.batch import expand_jobs, parse_batch_yaml, run_batch, runner
 from fairbench.dataset import cache_store, load_schema, make_synthetic
+from fairbench.dataset import cache as cache_module
 from fairbench.errors import FairbenchWarning, SchemaError
+
+from conftest import flip_first_feature
+from oracles import oracle_v2_entry
 
 MINIMAL = """
 datasets:
@@ -432,11 +436,8 @@ class TestRun:
         entries = {p.name: p.read_bytes() for p in cache.glob("*.fpds")}
         summary = json.loads((tmp_path / "first" / jobs[0].job_id / "summary.json").read_text())
         original = cache / f"{summary['stage1']['original_cache_key']}.fpds"
-        blob = bytearray(original.read_bytes())
         if damage == "flipped":
-            (header_len,) = struct.unpack_from("<Q", blob, 8)
-            blob[16 + header_len + 6] ^= 0x08  # the highest mantissa bit of the first feature
-            original.write_bytes(bytes(blob))
+            flip_first_feature(original)
         else:
             original.unlink()
         with warnings.catch_warnings(record=True) as caught:
@@ -450,6 +451,54 @@ class TestRun:
         assert set(first) == set(second)
         for rel in first:
             assert filecmp.cmp(first[rel], second[rel], shallow=False), rel
+
+    @pytest.mark.parametrize("parallelism", [1, 2])
+    def test_a_version_2_cache_is_upgraded_in_place(self, tmp_path, parallelism):
+        jobs, _ = expand_jobs(parse_batch_yaml(MATRIX))
+        cache = tmp_path / "cache"
+        run_batch(jobs, parallelism=parallelism, output_dir=tmp_path / "first", cache_dir=cache)
+        entries = {p.name: p.read_bytes() for p in cache.glob("*.fpds")}
+        # rewrite every entry in the format-2 layout: deltas first, while their bases still read
+        headers = {name: json.loads(blob[16:16 + struct.unpack_from("<Q", blob, 8)[0]])
+                   for name, blob in entries.items()}
+        originals = sorted(name for name, header in headers.items() if "base" not in header)
+        for name in sorted(set(entries) - set(originals)) + originals:
+            key, base_key = name[:-len(".fpds")], headers[name].get("base")
+            ds = cache_module.cache_load(key, cache, original=base_key is None)
+            base = (cache_module.cache_load(base_key, cache, original=True), base_key) if base_key else None
+            (cache / name).write_bytes(oracle_v2_entry(ds, base))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            report = run_batch(jobs, parallelism=parallelism, output_dir=tmp_path / "second", cache_dir=cache)
+        assert report.exit_code == 0
+        messages = [str(w.message) for w in caught if issubclass(w.category, FairbenchWarning)]
+        for name in originals:
+            assert sum(name in m and "format version 2 wrote it" in m for m in messages) == 1, messages
+        for name in set(entries) - set(originals):
+            assert any(name in m and "unsupported cache version 2" in m for m in messages), messages
+        assert {p.name: p.read_bytes() for p in cache.glob("*.fpds")} == entries
+        first, second = job_files(tmp_path / "first"), job_files(tmp_path / "second")
+        assert set(first) == set(second)
+        for rel in first:
+            assert filecmp.cmp(first[rel], second[rel], shallow=False), rel
+
+    def test_a_job_reads_and_checks_its_original_once(self, tmp_path, monkeypatch):
+        jobs, _ = expand_jobs(parse_batch_yaml(MINIMAL.replace("methods: [RW]", "methods: [DIR]")))
+        job, cache = jobs[0], tmp_path / "cache"
+        prepared = runner._prepare(job.dataset, job.sensitive, cache)
+        reads, checks = [], []
+        read, key = cache_module._read, cache_module.content_key
+        monkeypatch.setattr(cache_module, "_read", lambda target: reads.append(target.name) or read(target))
+        monkeypatch.setattr(cache_module, "content_key", lambda ds: checks.append(ds) or key(ds))
+        for run in ("cold", "warm"):
+            reads.clear()
+            checks.clear()
+            outcome = runner.execute_job(job, prepared, tmp_path / run, cache)
+            assert outcome.status == "ok", outcome.error
+            stage1 = json.loads((tmp_path / run / job.job_id / "summary.json").read_text())["stage1"]
+            # cold, the processed entry is absent; warm, it is rebuilt on the original the job holds
+            assert reads == [f"{prepared.cache_key}.fpds", f"{stage1['processed_cache_key']}.fpds"]
+            assert len(checks) == 1
 
     @pytest.mark.parametrize("parallelism", [1, 2])
     def test_missing_csv_fails_its_jobs_with_the_ingest_error(self, tmp_path, parallelism):

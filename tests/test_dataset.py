@@ -1,6 +1,7 @@
 """Ingestion, encoding, splitting, caching, synthetic generation."""
 
 import dataclasses
+import hashlib
 import json
 
 import numpy as np
@@ -24,13 +25,16 @@ from fairbench.dataset import (
     split,
     split_indices,
 )
-from fairbench.dataset.cache import MAGIC, cache_path, dumps, loads, store_original
+from fairbench.dataset.cache import MAGIC, VERSION, cache_path, dumps, loads, store_original
 from fairbench.dataset import schema as schema_module
 from fairbench.dataset.recipes import prepare_german, schema_path
 from fairbench.dataset.schema import declared_sensitive_attributes
 from fairbench.errors import DataFormatError, FairbenchError, FairbenchWarning, SchemaError
 from fairbench.metrics import statistical_parity_difference
 from fairbench.preproc import apply_method
+
+from conftest import flip_first_feature
+from oracles import oracle_v2_entry
 
 
 def simple_schema(**overrides):
@@ -477,10 +481,89 @@ class TestDeltaEntries:
         elif damage == "truncated":
             base.write_bytes(blob[:len(blob) // 2])
         else:
-            blob[-8 * 3 * ds.n - 2] ^= 0x08  # a high mantissa bit of the last feature
-            base.write_bytes(bytes(blob))
+            flip_first_feature(base)
         with pytest.warns(FairbenchWarning, match=f"dir.fpds: its base entry .*{base.name}"):
             assert cache_load("dir", tmp_path) is None
+
+
+def _table_dataset(n=1000):
+    """Columns: 0.0 and -0.0 mixed, constant, 256 and 257 distinct values, continuous."""
+    rng = np.random.default_rng(8)
+    signed = np.where(rng.random(n) < 0.5, 0.0, -0.0)
+    features = np.column_stack([
+        signed, np.full(n, 2.5), rng.permutation(np.arange(n) % 256) / 7.0,
+        rng.permutation(np.arange(n) % 257) * 1e-3, rng.normal(size=n),
+    ])
+    labels, protected = rng.integers(0, 2, n), rng.integers(0, 2, n)
+    return TabularDataset(features, labels, protected, rng.uniform(0.5, 2.0, n),
+                          ("signed", "constant", "d256", "d257", "normal"), "tables")
+
+
+class TestCompactEntries:
+    """Each stored array as its raw values or as its distinct values plus one narrow code per row."""
+
+    def test_each_column_round_trips_bit_exact_in_its_smaller_form(self, tmp_path):
+        ds = _table_dataset()
+        path = cache_store(ds, "tables", tmp_path)
+        header = _header(path)
+        assert header["version"] == VERSION == 3
+        # labels and protected as 2-value tables; the weights are continuous
+        assert header["tables"] == [2, 1, 256, 257, 0, 2, 2, 0]
+        n = ds.n
+        body = (8 * 2 + n) + (8 + n) + (8 * 256 + n) + (8 * 257 + 2 * n) + 8 * n + 2 * (8 * 2 + n) + 8 * n
+        assert path.stat().st_size == len(MAGIC) + 8 + len(json.dumps(header, sort_keys=True,
+                                                                       separators=(",", ":"))) + body
+        loaded = cache_load("tables", tmp_path)
+        assert datasets_equal(loaded, ds)
+        assert (np.signbit(loaded.features[:, 0]) == np.signbit(ds.features[:, 0])).all()
+        assert np.signbit(ds.features[:, 0]).any() and not np.signbit(ds.features[:, 0]).all()
+
+    def test_content_key_is_the_sha256_of_the_dense_entry(self):
+        for ds in (_table_dataset(), make_synthetic(seed=2, n=30, disparity=0.1)):
+            assert content_key(ds) == hashlib.sha256(oracle_v2_entry(ds)).hexdigest()
+
+    def test_german_original_entry_is_at_most_a_quarter_of_its_dense_size(self, tmp_path):
+        ds = german_dataset(tmp_path, n=1000)
+        assert len(dumps(ds)) * 4 <= len(oracle_v2_entry(ds))
+        assert datasets_equal(loads(dumps(ds)), ds)
+
+    @pytest.mark.parametrize("damage", ["code_past_table", "extra_byte", "missing_byte"])
+    def test_a_bad_code_or_body_length_is_a_warned_miss(self, tmp_path, damage):
+        ds = _table_dataset(n=300)
+        path = cache_store(ds, content_key(ds), tmp_path)
+        blob = bytearray(path.read_bytes())
+        if damage == "code_past_table":
+            (header_len,) = np.frombuffer(blob, dtype="<u8", count=1, offset=len(MAGIC))
+            blob[len(MAGIC) + 8 + int(header_len) + 8 * 2 + 5] = 2  # row 5 of column 0's 2-value table
+            match = "code past the end"
+        elif damage == "extra_byte":
+            blob += b"\0"
+            match = "expected"
+        else:
+            del blob[-1]
+            match = "expected"
+        path.write_bytes(bytes(blob))
+        with pytest.raises(DataFormatError, match=match):
+            loads(bytes(blob))
+        with pytest.warns(FairbenchWarning, match=f"{path.name}: .*{match}"):
+            assert cache_load(content_key(ds), tmp_path) is None
+
+    def test_an_entry_that_exists_but_cannot_be_read_is_a_warned_miss(self, tmp_path):
+        ds = make_synthetic(seed=1, n=20, disparity=0.0)
+        cache_path(tmp_path, content_key(ds)).mkdir()
+        with pytest.warns(FairbenchWarning, match=f"{content_key(ds)}.fpds: it cannot be read"):
+            assert cache_load(content_key(ds), tmp_path, original=True) is None
+
+    def test_a_version_2_original_is_rewritten_with_a_warning(self, tmp_path):
+        ds = _table_dataset(n=200)
+        path = cache_path(tmp_path, content_key(ds))
+        path.write_bytes(oracle_v2_entry(ds))
+        with pytest.warns(FairbenchWarning, match=f"{path.name}: unsupported cache version 2"):
+            assert cache_load(content_key(ds), tmp_path, original=True) is None
+        with pytest.warns(FairbenchWarning, match=f"rewriting cache entry .*{path.name}: format version 2 wrote it"):
+            assert store_original(ds, tmp_path) == content_key(ds)
+        assert path.read_bytes() == dumps(ds)
+        assert datasets_equal(cache_load(content_key(ds), tmp_path, original=True), ds)
 
 
 class TestSynthetic:

@@ -20,6 +20,8 @@ from fairbench.pipeline import (
 )
 from fairbench.pipeline.sweep import SweepRecord
 
+from conftest import flip_first_feature
+
 
 def scored_fixture(seed=0, n=200):
     rng = np.random.default_rng(seed)
@@ -291,9 +293,7 @@ class TestBenchStage:
         prepared = prepare_original(make_synthetic(seed=8, n=300, disparity=0.3), None, tmp_path, "syn")
         report = run_prep_stage(prepared, None, "DIR", {}, seed=1, cache_dir=tmp_path)
         entry = tmp_path / f"{prepared.cache_key}.fpds"
-        blob = bytearray(entry.read_bytes())
-        blob[-8 * 3 * 300 - 2] ^= 0x08  # still parses, with one feature changed
-        entry.write_bytes(bytes(blob))
+        flip_first_feature(entry)  # still parses, with one feature changed
         with pytest.warns(FairbenchWarning, match=f"{entry.name}: its bytes no longer hash to its key"):
             with pytest.raises(FairbenchError, match="no longer readable|not cached"):
                 if stage == "prep":
