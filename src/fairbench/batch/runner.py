@@ -120,7 +120,7 @@ def execute_job(job: JobSpec, prepared, output_dir, cache_dir) -> JobOutcome:
     started = time.perf_counter()
     try:
         effective_seed = derive_seed(job.seed, job.job_id)
-        original = load_original(prepared, cache_dir)
+        original = load_original(prepared.cache_key, cache_dir, prepared.name)
         stage1 = run_prep_stage(prepared, None, job.method, job.method_params,
                                 seed=effective_seed, cache_dir=cache_dir, original=original)
         split_spec = SplitSpec(

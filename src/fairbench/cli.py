@@ -15,15 +15,15 @@ from .preproc import METHOD_NAMES
 from .report import stage1_rows, write_stage1_csv
 
 
-def _parse_params(pairs):
-    """--param k=v pairs; values parsed as YAML scalars (numbers stay numbers)."""
+def _parse_params(pairs, option="--param"):
+    """`option`'s k=v pairs; values parsed as YAML scalars (numbers stay numbers)."""
     import yaml
 
     params = {}
     for pair in pairs or ():
         key, sep, value = pair.partition("=")
         if not sep or not key:
-            raise FairbenchError(f"--param expects key=value, got {pair!r}")
+            raise FairbenchError(f"{option} expects key=value, got {pair!r}")
         params[key] = yaml.safe_load(value)
     return params
 
@@ -41,8 +41,11 @@ def _parallelism(text):
 
 def _cmd_prep(args):
     params = _parse_params(args.param)
-    if args.dataset.startswith("synthetic"):
-        syn = _parse_params(args.dataset.split(":", 1)[1].split(",")) if ":" in args.dataset else {}
+    kind, colon, spec = args.dataset.partition(":")
+    if kind == "synthetic":
+        if args.csv or args.schema:
+            raise FairbenchError("--csv and --schema do not apply to a synthetic --dataset")
+        syn = _parse_params(spec.split(","), "--dataset") if colon else {}
         source = make_synthetic(**synthetic_params(syn, "synthetic", seed=args.seed))
         schema = None
     else:

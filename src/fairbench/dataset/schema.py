@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 import yaml
 
 from ..errors import SchemaError
-from ..util import listing, mapping
+from ..util import boolean, listing, mapping
 
 _PREDICATE_OPS = ("<", "<=", ">", ">=", "==", "in", "default")
 _SCHEMA_KEYS = (
@@ -222,11 +222,12 @@ def schema_from_dict(doc: dict, sensitive: str = None, source: str = "<schema>")
         drop_columns=frozenset(str(c) for c in listing(doc.get("drop"), f"{source}: drop")),
         binarize=tuple(rules),
         missing_tokens=frozenset(str(t) for t in listing(missing.get("tokens"), f"{source}: missing.tokens")),
-        drop_missing_rows=bool(missing.get("drop_rows", False)),
+        drop_missing_rows=boolean(missing.get("drop_rows", False), f"{source}: missing.drop_rows"),
         categories={
             str(k): [str(v) for v in listing(vals, f"{source}: categories.{k}")] for k, vals in categories.items()
         },
-        keep_protected_in_features=bool(doc.get("keep_protected_in_features", False)),
+        keep_protected_in_features=boolean(doc.get("keep_protected_in_features", False),
+                                           f"{source}: keep_protected_in_features"),
         sensitive_attribute=str(chosen),
     )
 

@@ -6,7 +6,6 @@ counts, and the empirical difference are deliberately unweighted — reweighing
 must move the weighted rates to parity while leaving them untouched.
 """
 
-import hashlib
 import math
 import warnings
 from dataclasses import dataclass
@@ -101,18 +100,6 @@ def empirical_difference(ds: TabularDataset) -> float:
             rates.append((n_yg + 0.5) / (n_g + 1.0))
         worst = max(worst, abs(math.log(rates[0] / rates[1])))
     return float(worst)
-
-
-# consistency value by _consistency_key; one entry per distinct (features, labels, k)
-_CONSISTENCY_MEMO = {}
-
-
-def _consistency_key(features, labels, k):
-    # TabularDataset holds C-contiguous arrays, which hashlib reads without a copy
-    h = hashlib.sha256(repr((features.shape, features.dtype.str, labels.dtype.str, k)).encode("utf-8"))
-    h.update(features)
-    h.update(labels)
-    return h.digest()
 
 
 # the screen's thresholds come from every STRIDE-th column; a row that keeps
@@ -334,35 +321,34 @@ def consistency(ds: TabularDataset, k: int = 5) -> float:
     differences, the oracle's formula; a float32 GEMM with a rigorous error
     bound only screens candidates for it, so the neighbours are exactly the
     ones that formula ranks first (see `_knn_label_means_blocked`). Rows that
-    are bitwise equal are searched once as a group. Values are memoized
-    in-process by content, so a dataset seen
-    before (the same original in every job, or RW's output, which keeps the
-    original's features and labels) costs one hash instead of a kNN pass.
+    are bitwise equal are searched once as a group.
     """
     if not 1 <= k < ds.n:
         raise UndefinedMetricError(f"consistency needs 1 <= k < n, got k={k}, n={ds.n}")
-    key = _consistency_key(ds.features, ds.labels, k)
-    if key not in _CONSISTENCY_MEMO:
-        z = standardize(ds)[0].features
-        labels = ds.labels.astype(np.float64)
-        means = _knn_label_means_blocked(z, labels, k)
-        _CONSISTENCY_MEMO[key] = float(1.0 - np.abs(labels - means).mean())
-    return _CONSISTENCY_MEMO[key]
+    z = standardize(ds)[0].features
+    labels = ds.labels.astype(np.float64)
+    means = _knn_label_means_blocked(z, labels, k)
+    return float(1.0 - np.abs(labels - means).mean())
 
 
-def remember_consistency(ds: TabularDataset, value: float, k: int = 5):
-    """Memoize a consistency value measured for `ds`'s content elsewhere, such as in another process."""
-    _CONSISTENCY_MEMO[_consistency_key(ds.features, ds.labels, k)] = value
+def dataset_metrics(ds: TabularDataset, consistency_k: int = 5, reference=None) -> DatasetMetrics:
+    """The stage-1 bundle, computed in one pass over the dataset.
 
-
-def dataset_metrics(ds: TabularDataset, consistency_k: int = 5) -> DatasetMetrics:
-    """The stage-1 bundle, computed in one pass over the dataset."""
+    `reference` is an earlier (dataset, DatasetMetrics) pair measured with the
+    same `consistency_k`. Consistency depends only on features and labels, so
+    a dataset that has the reference's labels and features bit for bit (RW's
+    output, or DIR's at repair level 0, on their original) reuses its
+    consistency instead of making a kNN pass. Labels are compared first:
+    transforms that relabel differ there.
+    """
     pos, neg = count_labels(ds)
+    same = reference is not None and np.array_equal(ds.labels, reference[0].labels) and np.array_equal(
+        ds.features.view(np.uint64), reference[0].features.view(np.uint64))
     return DatasetMetrics(
         base_rate=base_rate(ds),
         base_rate_unprivileged=base_rate(ds, group=0),
         base_rate_privileged=base_rate(ds, group=1),
-        consistency=consistency(ds, k=consistency_k),
+        consistency=reference[1].consistency if same else consistency(ds, k=consistency_k),
         disparate_impact=disparate_impact(ds),
         statistical_parity_difference=statistical_parity_difference(ds),
         num_positives=pos,

@@ -5,7 +5,7 @@ from pathlib import Path
 
 from ..dataset import TabularDataset, cache_key, cache_load, cache_store, encode, load_csv
 from ..dataset.cache import store_original
-from ..metrics.dataset_metrics import DatasetMetrics, dataset_metrics, remember_consistency
+from ..metrics.dataset_metrics import DatasetMetrics, dataset_metrics
 from ..preproc import apply_method
 from ..errors import FairbenchError
 
@@ -62,14 +62,12 @@ def prepare_original(dataset, schema=None, cache_dir="fairbench_cache",
     return PreparedOriginal(name, key, dataset_metrics(ds))
 
 
-def load_original(prepared: PreparedOriginal, cache_dir) -> TabularDataset:
-    """Read a prepared original back from the cache, checked against its content key."""
-    ds = cache_load(prepared.cache_key, cache_dir, original=True)
+def load_original(cache_key: str, cache_dir, name: str) -> TabularDataset:
+    """Read the original dataset `name` back from the cache, checked against its content key `cache_key`."""
+    ds = cache_load(cache_key, cache_dir, original=True)
     if ds is None:
-        raise FairbenchError(f"original dataset {prepared.name!r} ({prepared.cache_key}) "
-                             f"is no longer readable in cache {cache_dir}")
-    # RW keeps the original's features and labels, so this is its consistency too
-    remember_consistency(ds, prepared.metrics.consistency)
+        raise FairbenchError(f"original dataset {name!r} is not cached under {cache_key} in {cache_dir}, "
+                             f"or is no longer readable there")
     return ds
 
 
@@ -85,12 +83,14 @@ def run_prep_stage(dataset, schema, method: str, params=None, seed: int = 0,
     cache here. A warm cache short-circuits the transform: the processed
     dataset is loaded back, rebuilt on the original, instead of re-fitted; a
     fresh one is stored as the columns and arrays that differ from the original.
+    A processed dataset with the original's features and labels reuses the
+    prepared consistency (see `dataset_metrics`).
     """
     params = dict(params or {})
     prepared = dataset
     if not isinstance(prepared, PreparedOriginal):
         prepared = prepare_original(dataset, schema, cache_dir, dataset_name)
-    ds = original if original is not None else load_original(prepared, cache_dir)
+    ds = original if original is not None else load_original(prepared.cache_key, cache_dir, prepared.name)
     key_proc = cache_key(prepared.cache_key, method, params, seed)
 
     processed = cache_load(key_proc, cache_dir, base=(ds, prepared.cache_key))
@@ -104,7 +104,7 @@ def run_prep_stage(dataset, schema, method: str, params=None, seed: int = 0,
         params=params,
         seed=seed,
         original_metrics=prepared.metrics,
-        processed_metrics=dataset_metrics(processed),
+        processed_metrics=dataset_metrics(processed, reference=(ds, prepared.metrics)),
         original_cache_key=prepared.cache_key,
         processed_cache_key=key_proc,
     )

@@ -11,11 +11,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
+# stage 2 reads no cache entry itself; bench/spans.py wraps `cache_load` under this module's name
 from ..dataset import SplitSpec, TabularDataset, cache_load, split_indices
 from ..errors import FairbenchError
 from ..model import fit_model
 from ..preproc import fit_method
-from .stage1 import StageOneReport
+from .stage1 import StageOneReport, load_original
 from .sweep import SweepResult, select_optimal_threshold, sweep_thresholds
 
 
@@ -58,17 +59,15 @@ def run_bench_stage(stage1: StageOneReport, model_name: str = "logreg", model_pa
                     cache_dir="fairbench_cache", original: TabularDataset = None) -> BenchStageResult:
     """Benchmark the original arm against the re-fitted transform arm.
 
-    `original` is the original dataset that stage 1 read; when it is None, it
-    is read back from the cache and checked against its key. A failure in one
-    arm is recorded and does not abort the other; at least one arm must succeed.
+    `original` is the original dataset that stage 1 read, as a batch job
+    passes it; when it is None, as from `fairbench bench`, stage 1's
+    `load_original` reads it back from the cache and checks it against its
+    key. A failure in one arm is recorded and does not abort the other; at
+    least one arm must succeed.
     """
     split_spec = split_spec or SplitSpec(seed=stage1.seed)
     if original is None:
-        original = cache_load(stage1.original_cache_key, cache_dir, original=True)
-    if original is None:
-        raise FairbenchError(
-            f"original dataset not cached under {stage1.original_cache_key} in {cache_dir}"
-        )
+        original = load_original(stage1.original_cache_key, cache_dir, stage1.dataset)
 
     idx = split_indices(original, split_spec)
     split_hash = _hash_indices(idx)

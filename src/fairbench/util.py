@@ -74,7 +74,8 @@ def number(value, key):
     return float(value)
 
 
-def _boolean(value, key):
+def boolean(value, key):
+    """`value` if it is a YAML boolean; a quoted "false", a number or None is a SchemaError naming `key`."""
     if not isinstance(value, bool):
         raise SchemaError(f"{key} must be true or false, got {value!r}")
     return value
@@ -89,7 +90,7 @@ def _names(value, key):
 
 # a parameter's kind is its default's type; a None default is an optional
 # list of column names
-_KINDS = {bool: _boolean, int: integer, float: number, type(None): _names}
+_KINDS = {bool: boolean, int: integer, float: number, type(None): _names}
 
 
 def checked_params(params, defaults, owner):

@@ -132,6 +132,30 @@ def test_prep_on_csv_with_schema(tmp_path, capsys):
     assert "processed" in capsys.readouterr().out
 
 
+def test_a_dataset_named_like_synthetic_reads_its_csv(tmp_path):
+    # `synthetic_credit` once ran a default synthetic dataset and ignored --csv and --schema
+    from fairbench.dataset.recipes import schema_path
+
+    csv_path = tmp_path / "german.csv"
+    csv_path.write_text(GERMAN_MINI, encoding="utf-8")
+    out = tmp_path / "out"
+    code = main(["prep", "--dataset", "synthetic_credit", "--schema", str(schema_path("german")),
+                 "--csv", str(csv_path), "--method", "RW", "--out", str(out), "--cache-dir", str(tmp_path / "cache")])
+    assert code == 0
+    report = json.loads((out / "stage1_synthetic_credit_RW_0.json").read_text(encoding="utf-8"))
+    metrics = report["original_metrics"]
+    assert metrics["num_positives"] + metrics["num_negatives"] == len(GERMAN_MINI.splitlines()) - 1
+
+
+@pytest.mark.parametrize("extra", [["--csv", "x.csv"], ["--schema", "s.yaml"]])
+@pytest.mark.parametrize("dataset", ["synthetic", "synthetic:n=100"])
+def test_prep_refuses_a_file_with_a_synthetic_dataset(tmp_path, capsys, dataset, extra):
+    code = main(["prep", "--dataset", dataset, *extra, "--method", "RW",
+                 "--out", str(tmp_path), "--cache-dir", str(tmp_path)])
+    assert code == 2
+    assert "error: --csv and --schema do not apply to a synthetic --dataset" in capsys.readouterr().err
+
+
 def test_batch_cli(tmp_path, capsys):
     config = tmp_path / "batch.yaml"
     config.write_text(
@@ -213,6 +237,9 @@ seeds: [0]
     ("n=[1]", "synthetic.n must be an integer"),
     ("disparity=x", "synthetic.disparity must be a number"),
     ("size=5", "synthetic: unknown keys ['size']"),
+    # the spec, not a --param, is malformed
+    ("n=100,", "--dataset expects key=value, got ''"),
+    ("n", "--dataset expects key=value, got 'n'"),
 ])
 def test_prep_rejects_a_bad_synthetic_spec_as_a_batch_config_would(tmp_path, capsys, spec, message):
     code = main(["prep", "--dataset", f"synthetic:{spec}", "--method", "RW",

@@ -143,6 +143,25 @@ class TestSchema:
         with pytest.raises(SchemaError, match=f"<schema>: {where}: unknown keys \\['{key}'\\]"):
             simple_schema(**override)
 
+    # `bool("false")` once read both quoted strings as true
+    @pytest.mark.parametrize("override, key, value", [
+        ({"keep_protected_in_features": "false"}, "keep_protected_in_features", "'false'"),
+        ({"keep_protected_in_features": "no"}, "keep_protected_in_features", "'no'"),
+        ({"keep_protected_in_features": 1}, "keep_protected_in_features", "1"),
+        ({"missing": {"tokens": ["?"], "drop_rows": "false"}}, "missing.drop_rows", "'false'"),
+        ({"missing": {"tokens": ["?"], "drop_rows": "no"}}, "missing.drop_rows", "'no'"),
+        ({"missing": {"drop_rows": None}}, "missing.drop_rows", "None"),
+    ])
+    def test_a_flag_must_be_a_yaml_boolean(self, override, key, value):
+        with pytest.raises(SchemaError, match=f"<schema>: {key} must be true or false, got {value}$"):
+            simple_schema(**override)
+
+    def test_yaml_booleans_set_the_flags(self):
+        schema = simple_schema(keep_protected_in_features=True, missing={"drop_rows": True})
+        assert schema.keep_protected_in_features and schema.drop_missing_rows
+        schema = simple_schema(keep_protected_in_features=False, missing={"drop_rows": False})
+        assert not schema.keep_protected_in_features and not schema.drop_missing_rows
+
     def test_schema_file_is_parsed_once_per_content(self, tmp_path, monkeypatch):
         path = tmp_path / "toy.yaml"
         path.write_text("name: toy\nlabel: {column: income, favorable: high}\n"

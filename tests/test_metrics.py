@@ -1,6 +1,6 @@
 """Metric correctness against hand values and the brute-force oracles."""
 
-import importlib
+import dataclasses
 import math
 
 import numpy as np
@@ -238,29 +238,6 @@ class TestConsistency:
                 oracle_consistency(features.tolist(), labels.tolist(), k), abs=TOL
             )
 
-    def test_memo_reuses_equal_content_and_recomputes_new_labels(self, monkeypatch):
-        # the module, not the function that `fairbench.metrics` re-exports under its name
-        dm = importlib.import_module("fairbench.metrics.dataset_metrics")
-        calls = []
-        knn = dm._knn_label_means_blocked
-        monkeypatch.setattr(dm, "_CONSISTENCY_MEMO", {})
-        monkeypatch.setattr(dm, "_knn_label_means_blocked", lambda *a, **kw: calls.append(1) or knn(*a, **kw))
-        rng = np.random.default_rng(11)
-        features = rng.normal(size=(40, 3))
-        labels = rng.integers(0, 2, 40)
-        first = consistency(mk(labels, [0, 1] * 20, features=features))
-        # equal content in fresh arrays, with other groups and weights
-        again = consistency(mk(labels.copy(), [1, 0] * 20, weights=np.full(40, 2.0), features=features.copy()))
-        assert again == first
-        assert len(calls) == 1
-        flipped = 1 - labels
-        assert consistency(mk(flipped, [0, 1] * 20, features=features)) == pytest.approx(
-            oracle_consistency(features.tolist(), flipped.tolist(), 5), abs=TOL
-        )
-        assert len(calls) == 2
-        consistency(mk(labels, [0, 1] * 20, features=features), k=3)
-        assert len(calls) == 3
-
     def test_constant_feature_column_tolerated(self):
         features = np.column_stack([np.ones(8), np.arange(8.0)])
         ds = mk([1, 1, 1, 1, 0, 0, 0, 0], [0, 1] * 4, features=features)
@@ -311,12 +288,10 @@ class TestConsistency:
             for block in (None, 64):
                 assert np.array_equal(_knn_label_means_blocked(z, y, k, block=block), expected), (k, block)
 
-    def test_adult_sized_call_peaks_below_16_mib(self, monkeypatch):
+    def test_adult_sized_call_peaks_below_16_mib(self):
         # four 512-row (512, n) temporaries per block took 4 x 512 x 4000 x 8 B
         import tracemalloc
 
-        dm = importlib.import_module("fairbench.metrics.dataset_metrics")
-        monkeypatch.setattr(dm, "_CONSISTENCY_MEMO", {})
         rng = np.random.default_rng(19)
         n, d = 4000, 105
         ds = mk(rng.integers(0, 2, n), rng.integers(0, 2, n), features=rng.integers(0, 2, (n, d)).astype(float))
@@ -520,6 +495,29 @@ class TestBundles:
         assert m.disparate_impact == pytest.approx(
             m.base_rate_unprivileged / m.base_rate_privileged, abs=TOL
         )
+
+    def test_reference_consistency_is_reused_only_for_the_same_bits(self):
+        rng = np.random.default_rng(11)
+        features = rng.normal(size=(40, 3))
+        features[0, 0] = 0.0
+        labels = rng.integers(0, 2, 40)
+        original = mk(labels, [0, 1] * 20, features=features)
+        # a marker no kNN pass gives here, so a reused value shows
+        reference = (original, dataclasses.replace(dataset_metrics(original), consistency=0.125))
+
+        def measured(ds):
+            return dataset_metrics(ds, reference=reference).consistency
+
+        # equal content in fresh arrays, with other groups and weights
+        assert measured(mk(labels.copy(), [1, 0] * 20, weights=np.full(40, 2.0), features=features.copy())) == 0.125
+        flipped = mk(1 - labels, [0, 1] * 20, features=features)
+        assert measured(flipped) == consistency(flipped) != 0.125
+        moved = features.copy()
+        moved[5, 1] += 1.0
+        assert measured(mk(labels, [0, 1] * 20, features=moved)) == consistency(mk(labels, [0, 1] * 20, features=moved))
+        signed = features.copy()
+        signed[0, 0] = -0.0  # equal as a number, other bits
+        assert measured(mk(labels, [0, 1] * 20, features=signed)) != 0.125
 
     def test_perfect_scores_bundle(self):
         y = np.array([1, 0, 1, 0, 1, 0, 1, 0])

@@ -219,9 +219,10 @@ class TestPrepStage:
         assert by_sex.original_cache_key != by_age.original_cache_key
         assert by_sex.processed_cache_key != by_age.processed_cache_key
 
-        import fairbench.pipeline.stage2 as stage2_mod
+        # stage 2 reads the original through stage 1's reader
+        import fairbench.pipeline.stage1 as stage1_mod
         loaded = []
-        monkeypatch.setattr(stage2_mod, "cache_load",
+        monkeypatch.setattr(stage1_mod, "cache_load",
                             lambda key, root, **kw: loaded.append(cache_load(key, root, **kw)) or loaded[-1])
         run_bench_stage(by_sex, split_spec=SplitSpec(seed=0), cache_dir=cache)
         assert np.array_equal(loaded[0].protected, (sex == "M").astype(np.int64))
@@ -232,17 +233,29 @@ class TestPrepStage:
         # the module, not the function that `fairbench.metrics` re-exports under its name
         dm = importlib.import_module("fairbench.metrics.dataset_metrics")
         ds = make_synthetic(seed=10, n=300, disparity=0.3)
+        cases = {"RW": ("RW", {}), "DIR": ("DIR", {}), "DIR0": ("DIR", {"repair_level": 0.0})}
+        expected = {}
+        for case, (method, params) in cases.items():
+            report = run_prep_stage(ds, None, method, params, seed=1, cache_dir=tmp_path / "direct",
+                                    dataset_name="syn")
+            # a reused consistency is the one a kNN pass over the processed dataset gives
+            assert report.processed_metrics == dm.dataset_metrics(
+                cache_load(report.processed_cache_key, tmp_path / "direct"))
+            expected[case] = report
         prepared = prepare_original(ds, None, tmp_path, "syn")
-        expected = {method: run_prep_stage(ds, None, method, {}, seed=1, cache_dir=tmp_path / "direct",
-                                           dataset_name="syn") for method in ("RW", "DIR")}
-        # a fresh process: nothing memoized, and the original comes from the cache entry
-        monkeypatch.setattr(dm, "_CONSISTENCY_MEMO", {})
         knn_calls = []
         knn = dm._knn_label_means_blocked
         monkeypatch.setattr(dm, "_knn_label_means_blocked", lambda *a, **kw: knn_calls.append(1) or knn(*a, **kw))
-        assert run_prep_stage(prepared, None, "RW", {}, seed=1, cache_dir=tmp_path) == expected["RW"]
-        assert knn_calls == []  # RW keeps the original's features and labels
-        assert run_prep_stage(prepared, None, "DIR", {}, seed=1, cache_dir=tmp_path) == expected["DIR"]
+
+        def run(case):
+            method, params = cases[case]
+            return run_prep_stage(prepared, None, method, params, seed=1, cache_dir=tmp_path)
+
+        assert run("RW") == expected["RW"]
+        assert run("RW") == expected["RW"]  # warm: the processed delta is rebuilt on the original
+        assert run("DIR0") == expected["DIR0"]
+        assert knn_calls == []  # RW, and DIR at level 0, keep the original's features and labels
+        assert run("DIR") == expected["DIR"]
         assert knn_calls == [1]
 
     def test_prepared_original_needs_its_cache_entry(self, tmp_path):
