@@ -7,7 +7,7 @@ from pathlib import Path
 
 from .batch import expand_jobs, parse_batch_yaml, run_batch
 from .batch.runner import write_job_artifacts
-from .batch.spec import synthetic_params
+from .batch.spec import SYNTHETIC_ATTRIBUTE, synthetic_params
 from .dataset import SplitSpec, load_schema, make_synthetic
 from .errors import FairbenchError
 from .pipeline import FAIRNESS_METRICS, StageOneReport, run_bench_stage, run_prep_stage
@@ -45,12 +45,15 @@ def _cmd_prep(args):
     if kind == "synthetic":
         if args.csv or args.schema:
             raise FairbenchError("--csv and --schema do not apply to a synthetic --dataset")
+        if args.sensitive not in (None, SYNTHETIC_ATTRIBUTE):
+            raise FairbenchError(f"a synthetic --dataset has the one sensitive attribute {SYNTHETIC_ATTRIBUTE!r}, "
+                                 f"got --sensitive {args.sensitive!r}")
         syn = _parse_params(spec.split(","), "--dataset") if colon else {}
         source = make_synthetic(**synthetic_params(syn, "synthetic", seed=args.seed))
         schema = None
     else:
-        if not args.csv:
-            raise FairbenchError("--csv is required for file-backed datasets")
+        if not (args.csv and args.schema):
+            raise FairbenchError("--csv and --schema are required for a file-backed --dataset")
         schema = load_schema(args.schema, sensitive=args.sensitive)
         source = args.csv
 
@@ -155,7 +158,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except FairbenchError as exc:
+    except (FairbenchError, OSError) as exc:  # an input file that is missing or cannot be read, too
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -1,39 +1,33 @@
-"""Content-addressed dataset cache.
+"""Content-addressed cache of original datasets, and the stage-1 records kept beside them.
 
-Entries are binary files (`<cache_root>/<hex key>.fpds`): an 8-byte magic, the
-byte length of a JSON header, the header, then the stored arrays.
+A dataset entry (`<cache_root>/<hex key>.fpds`) is an 8-byte magic, the byte
+length of a JSON header, the header (version, n, d, feature names,
+provenance), then every feature column, labels and protected (int64) and weights (float64).
 
-Each stored array (a feature column, labels, protected or weights; n values)
-is written in whichever form is smaller: its raw little-endian values, or its
-k distinct values, sorted by their uint64 bits, followed by one code per row
-(uint8 when k <= 256, else uint16) that indexes them. The header's `tables`
-gives k for each stored array in body order, 0 for raw. Values are compared
-as bits, so 0.0 and -0.0 are distinct and a round-trip is bit-identical; a
-code at or past the end of its table makes the entry corrupt.
+Each stored array (n values) is written in whichever form is smaller: its raw
+little-endian values, or its k distinct values, sorted by their uint64 bits,
+followed by one code per row (uint8 when k <= 256, else uint16) that indexes
+them. The header's `tables` gives k for each stored array in body order, 0 for
+raw. Values are compared as bits, so 0.0 and -0.0 are distinct and a
+round-trip is bit-identical; a code at or past the end of its table makes the
+entry corrupt.
 
-A full entry's header holds the version, n, d, feature names and provenance;
-its body holds every feature column, then labels and protected (int64) and
-weights (float64). An original dataset is keyed on the sha256 of its
-canonical dense form: a version-2 full entry, which is the same header with
-version 2, then the features (n x d float64, row-major), labels, protected
-and weights as raw arrays. That form is hashed from the arrays, not written
-out. A hit therefore means the same arrays, names and provenance, the
-protected column included, and reading an original checks its decoded
-content against its key. A processed dataset is keyed on (original key,
-method, parameters, seed).
+A dataset is keyed on the sha256 of its canonical dense form: a version-2
+entry, which is the same header with version 2, then the features (n x d
+float64, row-major), labels, protected and weights as raw arrays. That form is
+hashed from the arrays, not written out. A hit therefore means the same
+arrays, names and provenance, the protected column included, and every read
+checks its decoded content against its key.
 
-A processed dataset is stored as a delta entry on its original. The header
-names the original's key as `base` and lists the feature `columns` and the
-`arrays` whose bits differ from the base; the body holds only those. A
-dataset whose n or feature names differ from the base's is stored in full.
-Loading a delta entry rebuilds it on the base dataset the caller holds, or
-else on the base entry, after checking that its content still hashes to
-`base`.
+A record (`<cache_root>/<hex key>.metrics.fpds`) is the same magic and header
+framing with no body; the header holds the version, flat fields and the
+sha256 of their canonical JSON. Stage 1 records the metrics of the dataset a
+key names there, so a processed dataset itself is never stored.
 
 Writes go to a temp file in the same directory, are fsynced and then
 atomically renamed, so concurrent batch jobs never observe a partial entry. An
-entry that exists but cannot be read back, or whose base is missing,
-unreadable or changed, is a miss with a warning.
+entry that exists but cannot be read back, is of another version, or whose
+content no longer matches its key or its sha256, is a miss with a warning.
 """
 
 import hashlib
@@ -52,7 +46,7 @@ from .tabular import TabularDataset
 
 MAGIC = b"FPDSBIN\n"
 VERSION = 3
-# the version whose full entries are the canonical dense form that keys an original
+# the version whose entries are the canonical dense form that keys an original
 _DENSE_VERSION = 2
 _HEADER_LEN = struct.Struct("<Q")
 _DTYPES = {"features": "<f8", "labels": "<i8", "protected": "<i8", "weights": "<f8"}
@@ -81,7 +75,7 @@ def _head(header) -> bytes:
 
 
 def content_key(ds: TabularDataset) -> str:
-    """sha256 of the dataset's canonical dense form; the key of an original dataset."""
+    """sha256 of the dataset's canonical dense form; the key of its entry."""
     digest = hashlib.sha256(_head(_full_header(ds, _DENSE_VERSION)))
     for name, dtype in _DTYPES.items():
         digest.update(np.ascontiguousarray(getattr(ds, name), dtype=dtype))
@@ -90,6 +84,10 @@ def content_key(ds: TabularDataset) -> str:
 
 def cache_path(cache_root, key) -> Path:
     return Path(cache_root) / f"{key}.fpds"
+
+
+def record_path(cache_root, key) -> Path:
+    return Path(cache_root) / f"{key}.metrics.fpds"
 
 
 def _bits(values):
@@ -124,64 +122,49 @@ def _compact(columns):
     return tables, parts
 
 
-def dumps(ds: TabularDataset, base=None) -> bytes:
-    """The entry bytes of `ds`: in full, or as a delta on `base=(base_ds, base_key)`
-    when `ds` has base_ds's n and feature names."""
+def dumps(ds: TabularDataset) -> bytes:
+    """The entry bytes of `ds`."""
     arrays = {name: np.ascontiguousarray(getattr(ds, name), dtype=dtype) for name, dtype in _DTYPES.items()}
     bits = _bits(arrays["features"])
-    columns, vectors = range(ds.dim), _VECTORS
-    if base is not None and base[0].n == ds.n and base[0].feature_names == ds.feature_names:
-        base_ds, base_key = base
-        columns = np.flatnonzero((bits != _bits(base_ds.features)).any(axis=0))
-        vectors = [name for name in _VECTORS if (_bits(arrays[name]) != _bits(getattr(base_ds, name))).any()]
-        header = {"version": VERSION, "n": ds.n, "provenance": ds.provenance, "base": base_key,
-                  "columns": columns.tolist(), "arrays": vectors}
-    else:
-        header = _full_header(ds, VERSION)
+    header = _full_header(ds, VERSION)
     # one column at a time, so no copy of the matrix is made
-    header["tables"], parts = _compact([*(bits[:, j] for j in columns), *(_bits(arrays[name]) for name in vectors)])
+    header["tables"], parts = _compact([*(bits[:, j] for j in range(ds.dim)),
+                                        *(_bits(arrays[name]) for name in _VECTORS)])
     return b"".join([_head(header), *parts])
 
 
-def loads(blob: bytes, base_of=None) -> TabularDataset:
-    """Parse one entry; a wrong magic, version, layout, length or code raises DataFormatError.
-
-    A delta entry is rebuilt on `base_of(base_key)`, the dataset its header
-    names; without `base_of` it is a DataFormatError.
-    """
+def _parse_head(blob: bytes):
+    """(header, body offset) of an entry or record; a wrong magic, header or version raises DataFormatError."""
     if blob[:len(MAGIC)] != MAGIC:
-        raise DataFormatError("not a binary dataset cache entry (bad magic)")
+        raise DataFormatError("not a fairbench cache entry (bad magic)")
     start = len(MAGIC) + _HEADER_LEN.size
     if len(blob) < start:
         raise DataFormatError(f"cache entry truncated at {len(blob)} bytes")
     (header_len,) = _HEADER_LEN.unpack_from(blob, len(MAGIC))
     try:
         header = json.loads(blob[start:start + header_len])
-        if header["version"] != VERSION:
-            raise DataFormatError(f"unsupported cache version {header['version']!r}")
+        version = header["version"]
+    except (KeyError, TypeError, ValueError) as exc:
+        raise DataFormatError(f"corrupt cache entry header: {exc!r}") from exc
+    if version != VERSION:
+        raise DataFormatError(f"unsupported cache version {version!r}")
+    return header, start + header_len
+
+
+def loads(blob: bytes) -> TabularDataset:
+    """Parse one dataset entry; a wrong magic, version, layout, length or code raises DataFormatError."""
+    header, offset = _parse_head(blob)
+    try:
         n, provenance = int(header["n"]), str(header["provenance"])
-        delta = "base" in header
-        if delta:
-            base_key, columns, vectors = str(header["base"]), list(header["columns"]), tuple(header["arrays"])
-        else:
-            width, names, vectors = int(header["d"]), tuple(header["feature_names"]), _VECTORS
+        width, names = int(header["d"]), tuple(header["feature_names"])
         tables = list(header["tables"])
     except (KeyError, TypeError, ValueError) as exc:
         raise DataFormatError(f"corrupt cache entry header: {exc!r}") from exc
-    if delta:
-        if base_of is None:
-            raise DataFormatError(f"delta entry on {base_key} read without its base")
-        base = base_of(base_key)
-        in_range = {c for c in columns if type(c) is int and 0 <= c < base.dim}
-        if n != base.n or columns != sorted(in_range) or vectors != tuple(v for v in _VECTORS if v in vectors):
-            raise DataFormatError(f"delta entry does not fit its base {base_key}")
-        width, names = len(columns), base.feature_names
-    kinds = ["features"] * width + list(vectors)
+    kinds = ["features"] * width + list(_VECTORS)
     if len(tables) != len(kinds) or not all(type(k) is int and 0 <= k <= _MAX_TABLE for k in tables):
         raise DataFormatError(f"corrupt cache entry header: tables {tables!r} for {len(kinds)} stored arrays")
-    offset = start + header_len
     expected = offset + sum(_stored_bytes(k, n) for k in tables)
-    if n < 1 or (width < 1 and not delta) or len(blob) != expected:
+    if n < 1 or width < 1 or len(blob) != expected:
         raise DataFormatError(f"cache entry has {len(blob)} bytes, expected {expected} for n={n}, "
                               f"{width} stored columns")
     stored = []
@@ -196,29 +179,40 @@ def loads(blob: bytes, base_of=None) -> TabularDataset:
             if codes.max() >= k:
                 raise DataFormatError(f"cache entry has a code past the end of its {k}-value table")
         stored.append((values, codes))
-    features = base.features.copy() if delta else np.empty((n, width), dtype=_DTYPES["features"])
+    features = np.empty((n, width), dtype=_DTYPES["features"])
     # each column decoded in place, so no second matrix is allocated
-    for j, (values, codes) in zip(columns if delta else range(width), stored[:width]):
+    for j, (values, codes) in enumerate(stored[:width]):
         if codes is None:
             features[:, j] = values
         else:
             np.take(values, codes, out=features[:, j], mode="clip")
     arrays = {name: values if codes is None else values[codes]
-              for name, (values, codes) in zip(vectors, stored[width:])}
-    if delta:
-        arrays = {name: arrays.get(name, getattr(base, name)) for name in _VECTORS}
+              for name, (values, codes) in zip(_VECTORS, stored[width:])}
     return TabularDataset(features, arrays["labels"], arrays["protected"], arrays["weights"], names, provenance)
+
+
+def _digest(fields) -> str:
+    return hashlib.sha256(canonical_json(fields).encode("utf-8")).hexdigest()
+
+
+def _record_fields(blob: bytes) -> dict:
+    """The fields of one record; a wrong magic, version or length, or fields off their sha256, raise DataFormatError."""
+    header, offset = _parse_head(blob)
+    if len(blob) != offset:
+        raise DataFormatError(f"record has {len(blob)} bytes, expected {offset}")
+    fields = header.get("fields")
+    if not isinstance(fields, dict) or _digest(fields) != header.get("sha256"):
+        raise DataFormatError("its fields no longer hash to its sha256")
+    return fields
 
 
 # temp files of the entries this process is writing, for remove_partial_writes
 _WRITING = set()
 
 
-def _write(blob: bytes, key: str, cache_root) -> Path:
-    root = Path(cache_root)
-    root.mkdir(parents=True, exist_ok=True)
-    target = cache_path(root, key)
-    fd, tmp = tempfile.mkstemp(dir=root, prefix=".fpds-", suffix=".tmp")
+def _write(blob: bytes, target: Path) -> Path:
+    target.parent.mkdir(parents=True, exist_ok=True)
+    fd, tmp = tempfile.mkstemp(dir=target.parent, prefix=".fpds-", suffix=".tmp")
     _WRITING.add(tmp)
     try:
         with os.fdopen(fd, "wb") as fh:
@@ -235,46 +229,6 @@ def _write(blob: bytes, key: str, cache_root) -> Path:
     return target
 
 
-def cache_store(ds: TabularDataset, key: str, cache_root, base=None) -> Path:
-    """Write atomically, as a delta on `base=(base_ds, base_key)` where `dumps` can;
-    storing twice under one key leaves a single entry (last wins)."""
-    return _write(dumps(ds, base), key, cache_root)
-
-
-def _read(target: Path):
-    """The bytes of `target`, or None when it is absent; one that exists but cannot be read is a DataFormatError."""
-    try:
-        return target.read_bytes()
-    except FileNotFoundError:
-        return None
-    except OSError as exc:
-        raise DataFormatError(f"it cannot be read: {exc}") from exc
-
-
-def store_original(ds: TabularDataset, cache_root) -> str:
-    """Key `ds` on its content and make its entry hold exactly `dumps(ds)`.
-
-    A missing entry is written; an entry whose bytes differ is rewritten, with
-    a FairbenchWarning naming the file: either format version 2 wrote it, or
-    it was changed.
-    """
-    key, blob = content_key(ds), dumps(ds)
-    target = cache_path(cache_root, key)
-    try:
-        stored = _read(target)
-        if stored == blob:
-            return key
-        if stored is not None:
-            # a version-2 entry of `ds` is its canonical dense form, which hashes to its key
-            why = ("format version 2 wrote it" if hashlib.sha256(stored).hexdigest() == key
-                   else "its bytes differ from the dataset they key")
-            warnings.warn(f"rewriting cache entry {target}: {why}", FairbenchWarning)
-    except DataFormatError as exc:
-        warnings.warn(f"rewriting cache entry {target}: {exc}", FairbenchWarning)
-    _write(blob, key, cache_root)
-    return key
-
-
 def remove_partial_writes():
     """Delete the temp files of the entries this process is writing, before it exits mid-write."""
     for tmp in list(_WRITING):
@@ -284,34 +238,53 @@ def remove_partial_writes():
             pass
 
 
-def cache_load(key: str, cache_root, original: bool = False, base=None):
-    """Return the cached dataset, or None on a miss.
-
-    An absent entry is a silent miss; an entry that exists but is unreadable,
-    truncated, corrupt or of an older format, or a delta entry whose base is
-    missing, unreadable or changed, is a miss with a FairbenchWarning naming
-    the file, so the caller recomputes and rewrites it. `original=True` says
-    `key` is the entry's content key: an entry whose decoded content no longer
-    hashes to it is such a miss too. A delta entry on `base=(base_ds, base_key)`
-    is rebuilt on base_ds; on any other base, on the base entry, read as an original.
-    """
-    def base_of(base_key):
-        if base is not None and base_key == base[1]:
-            return base[0]
-        found = cache_load(base_key, cache_root, original=True)
-        if found is None:
-            raise DataFormatError(f"its base entry {cache_path(cache_root, base_key)} is missing or unreadable")
-        return found
-
-    target = cache_path(cache_root, key)
+def _read(target: Path, parse):
+    """parse(the bytes of `target`), or None on a miss: silent when it is absent,
+    with a FairbenchWarning naming it when it cannot be read or parsed."""
     try:
-        blob = _read(target)
-        if blob is None:
-            return None
-        ds = loads(blob, base_of)
-        if original and content_key(ds) != key:
+        return parse(target.read_bytes())
+    except FileNotFoundError:
+        return None
+    except OSError as exc:
+        problem = f"it cannot be read: {exc}"
+    except FairbenchError as exc:
+        problem = exc
+    warnings.warn(f"ignoring unreadable cache entry {target}: {problem}", FairbenchWarning)
+    return None
+
+
+def cache_store(ds: TabularDataset, key: str, cache_root) -> Path:
+    """Write `ds`'s entry atomically under `key`; storing twice under one key leaves a single entry (last wins)."""
+    return _write(dumps(ds), cache_path(cache_root, key))
+
+
+def cache_load(key: str, cache_root):
+    """The dataset cached under its content key `key`, or None on a miss.
+
+    An absent entry is a silent miss; one that is unreadable, truncated,
+    corrupt or of another format version, or whose decoded content no longer
+    hashes to `key`, is a miss with a FairbenchWarning naming the file, so
+    the caller recomputes and rewrites it.
+    """
+    def checked(blob):
+        ds = loads(blob)
+        if content_key(ds) != key:
             raise DataFormatError("its bytes no longer hash to its key (read in dense form)")
         return ds
-    except FairbenchError as exc:
-        warnings.warn(f"ignoring unreadable cache entry {target}: {exc}", FairbenchWarning)
-        return None
+
+    return _read(cache_path(cache_root, key), checked)
+
+
+def record_store(fields: dict, key: str, cache_root) -> Path:
+    """Write the record of `fields`, a flat mapping of JSON scalars, atomically under `key`.
+
+    Floats are written as their shortest round-trip text, inf and nan as
+    `Infinity` and `NaN`, so each reads back bit for bit.
+    """
+    return _write(_head({"version": VERSION, "fields": fields, "sha256": _digest(fields)}),
+                  record_path(cache_root, key))
+
+
+def record_load(key: str, cache_root):
+    """The fields recorded under `key`, or None on a miss, warned as `cache_load`'s are."""
+    return _read(record_path(cache_root, key), _record_fields)

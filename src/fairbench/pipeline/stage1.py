@@ -1,10 +1,10 @@
-"""Stage 1: transform a full dataset and report data-level metrics on both versions."""
+"""Stage 1: transform a full dataset and report data-level metrics on both versions, recorded in the cache."""
 
 from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
-from ..dataset import TabularDataset, cache_key, cache_load, cache_store, encode, load_csv
-from ..dataset.cache import store_original
+from ..dataset import TabularDataset, cache_key, cache_load, cache_store, content_key, encode, load_csv
+from ..dataset.cache import record_load, record_store
 from ..metrics.dataset_metrics import DatasetMetrics, dataset_metrics
 from ..preproc import apply_method
 from ..errors import FairbenchError
@@ -34,7 +34,7 @@ class StageOneReport:
 
 @dataclass(frozen=True)
 class PreparedOriginal:
-    """An original dataset that is ingested, cached under `cache_key` and measured.
+    """An original dataset that is ingested, cached under its content key `cache_key`, and measured.
 
     Small and picklable: one preparation serves every job on the dataset, in
     any process that shares the cache directory.
@@ -45,26 +45,40 @@ class PreparedOriginal:
     metrics: DatasetMetrics
 
 
+def _recorded_metrics(key, cache_dir, measure) -> DatasetMetrics:
+    """The metrics recorded under `key`, or else `measure()`'s, recorded there."""
+    recorded = record_load(key, cache_dir)
+    if recorded is not None:
+        return DatasetMetrics(**recorded)
+    metrics = measure()
+    record_store(asdict(metrics), key, cache_dir)
+    return metrics
+
+
 def prepare_original(dataset, schema=None, cache_dir="fairbench_cache",
                      dataset_name: str = None) -> PreparedOriginal:
-    """Store `dataset`'s cache entry unless one with the same bytes exists, and measure it.
+    """Cache `dataset` under its content key unless its entry reads back, and measure it.
 
     An encoded TabularDataset passes through; a CSV path is loaded and encoded
-    under `schema`. An entry whose bytes differ is rewritten, with a warning.
+    under `schema`. An entry that is missing, or that `cache_load` warns about
+    (unreadable, of another format version, or changed), is written anew. The
+    metrics are read from the original's record, or computed and recorded.
     """
     ds = dataset
     if not isinstance(ds, TabularDataset):
         if schema is None:
             raise FairbenchError("loading from a file requires a schema")
         ds = encode(load_csv(Path(dataset), schema), schema)
-    key = store_original(ds, cache_dir)
+    key = content_key(ds)
+    if cache_load(key, cache_dir) is None:
+        cache_store(ds, key, cache_dir)
     name = dataset_name or (schema.name if schema is not None else ds.provenance or "dataset")
-    return PreparedOriginal(name, key, dataset_metrics(ds))
+    return PreparedOriginal(name, key, _recorded_metrics(key, cache_dir, lambda: dataset_metrics(ds)))
 
 
 def load_original(cache_key: str, cache_dir, name: str) -> TabularDataset:
     """Read the original dataset `name` back from the cache, checked against its content key `cache_key`."""
-    ds = cache_load(cache_key, cache_dir, original=True)
+    ds = cache_load(cache_key, cache_dir)
     if ds is None:
         raise FairbenchError(f"original dataset {name!r} is not cached under {cache_key} in {cache_dir}, "
                              f"or is no longer readable there")
@@ -74,29 +88,26 @@ def load_original(cache_key: str, cache_dir, name: str) -> TabularDataset:
 def run_prep_stage(dataset, schema, method: str, params=None, seed: int = 0,
                    cache_dir="fairbench_cache", dataset_name: str = None,
                    original: TabularDataset = None) -> StageOneReport:
-    """Transform the full original dataset, compute the processed metrics, cache the result.
+    """Report the metrics of the original dataset and of its transform by `method`.
 
     `dataset` may be a CSV path (with `schema`), an already encoded
     TabularDataset (schema optional), or the PreparedOriginal of either; the
-    first two are prepared here. The original is `original`, what
-    `load_original` read for that preparation, or else read back from the
-    cache here. A warm cache short-circuits the transform: the processed
-    dataset is loaded back, rebuilt on the original, instead of re-fitted; a
-    fresh one is stored as the columns and arrays that differ from the original.
-    A processed dataset with the original's features and labels reuses the
-    prepared consistency (see `dataset_metrics`).
+    first two are prepared here. The processed metrics are read from the
+    record under `processed_cache_key`. On a miss the full original is
+    transformed and measured, and the record written; the original is
+    `original`, what `load_original` read for that preparation, or else read
+    back from the cache here. A processed dataset with the original's
+    features and labels reuses the prepared consistency (see `dataset_metrics`).
     """
     params = dict(params or {})
     prepared = dataset
     if not isinstance(prepared, PreparedOriginal):
         prepared = prepare_original(dataset, schema, cache_dir, dataset_name)
-    ds = original if original is not None else load_original(prepared.cache_key, cache_dir, prepared.name)
     key_proc = cache_key(prepared.cache_key, method, params, seed)
 
-    processed = cache_load(key_proc, cache_dir, base=(ds, prepared.cache_key))
-    if processed is None:
-        processed = apply_method(method, ds, params, seed)
-        cache_store(processed, key_proc, cache_dir, base=(ds, prepared.cache_key))
+    def measure():
+        ds = original if original is not None else load_original(prepared.cache_key, cache_dir, prepared.name)
+        return dataset_metrics(apply_method(method, ds, params, seed), reference=(ds, prepared.metrics))
 
     return StageOneReport(
         dataset=prepared.name,
@@ -104,7 +115,7 @@ def run_prep_stage(dataset, schema, method: str, params=None, seed: int = 0,
         params=params,
         seed=seed,
         original_metrics=prepared.metrics,
-        processed_metrics=dataset_metrics(processed, reference=(ds, prepared.metrics)),
+        processed_metrics=_recorded_metrics(key_proc, cache_dir, measure),
         original_cache_key=prepared.cache_key,
         processed_cache_key=key_proc,
     )

@@ -407,7 +407,7 @@ class TestRun:
         first_report = run_batch(jobs, parallelism=1, output_dir=tmp_path / "first", cache_dir=cache)
         summary = json.loads((tmp_path / "first" / jobs[0].job_id / "summary.json").read_text())
         original = cache / f"{summary['stage1']['original_cache_key']}.fpds"
-        processed = cache / f"{summary['stage1']['processed_cache_key']}.fpds"
+        processed = cache_module.record_path(cache, summary['stage1']['processed_cache_key'])
         original_bytes, processed_bytes = original.read_bytes(), processed.read_bytes()
         first = job_files(tmp_path / "first")
 
@@ -453,29 +453,25 @@ class TestRun:
             assert filecmp.cmp(first[rel], second[rel], shallow=False), rel
 
     @pytest.mark.parametrize("parallelism", [1, 2])
-    def test_a_version_2_cache_is_upgraded_in_place(self, tmp_path, parallelism):
+    def test_a_version_2_original_is_a_warned_miss_rewritten_once(self, tmp_path, parallelism):
         jobs, _ = expand_jobs(parse_batch_yaml(MATRIX))
         cache = tmp_path / "cache"
         run_batch(jobs, parallelism=parallelism, output_dir=tmp_path / "first", cache_dir=cache)
         entries = {p.name: p.read_bytes() for p in cache.glob("*.fpds")}
-        # rewrite every entry in the format-2 layout: deltas first, while their bases still read
-        headers = {name: json.loads(blob[16:16 + struct.unpack_from("<Q", blob, 8)[0]])
-                   for name, blob in entries.items()}
-        originals = sorted(name for name, header in headers.items() if "base" not in header)
-        for name in sorted(set(entries) - set(originals)) + originals:
-            key, base_key = name[:-len(".fpds")], headers[name].get("base")
-            ds = cache_module.cache_load(key, cache, original=base_key is None)
-            base = (cache_module.cache_load(base_key, cache, original=True), base_key) if base_key else None
-            (cache / name).write_bytes(oracle_v2_entry(ds, base))
+        originals = sorted(name for name in entries if not name.endswith(".metrics.fpds"))
+        # two originals and their records, and a record per job
+        assert len(originals) == 2 and len(entries) == 4 + len(jobs)
+        for name in originals:
+            key = name[:-len(".fpds")]
+            (cache / name).write_bytes(oracle_v2_entry(cache_module.cache_load(key, cache)))
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             report = run_batch(jobs, parallelism=parallelism, output_dir=tmp_path / "second", cache_dir=cache)
         assert report.exit_code == 0
         messages = [str(w.message) for w in caught if issubclass(w.category, FairbenchWarning)]
+        assert len(messages) == len(originals), messages
         for name in originals:
-            assert sum(name in m and "format version 2 wrote it" in m for m in messages) == 1, messages
-        for name in set(entries) - set(originals):
-            assert any(name in m and "unsupported cache version 2" in m for m in messages), messages
+            assert sum(name in m and "unsupported cache version 2" in m for m in messages) == 1, messages
         assert {p.name: p.read_bytes() for p in cache.glob("*.fpds")} == entries
         first, second = job_files(tmp_path / "first"), job_files(tmp_path / "second")
         assert set(first) == set(second)
@@ -488,7 +484,8 @@ class TestRun:
         prepared = runner._prepare(job.dataset, job.sensitive, cache)
         reads, checks = [], []
         read, key = cache_module._read, cache_module.content_key
-        monkeypatch.setattr(cache_module, "_read", lambda target: reads.append(target.name) or read(target))
+        monkeypatch.setattr(cache_module, "_read",
+                            lambda target, parse: reads.append(target.name) or read(target, parse))
         monkeypatch.setattr(cache_module, "content_key", lambda ds: checks.append(ds) or key(ds))
         for run in ("cold", "warm"):
             reads.clear()
@@ -496,8 +493,8 @@ class TestRun:
             outcome = runner.execute_job(job, prepared, tmp_path / run, cache)
             assert outcome.status == "ok", outcome.error
             stage1 = json.loads((tmp_path / run / job.job_id / "summary.json").read_text())["stage1"]
-            # cold, the processed entry is absent; warm, it is rebuilt on the original the job holds
-            assert reads == [f"{prepared.cache_key}.fpds", f"{stage1['processed_cache_key']}.fpds"]
+            # cold, the processed record is absent and is written; warm, it is read instead of the transform
+            assert reads == [f"{prepared.cache_key}.fpds", f"{stage1['processed_cache_key']}.metrics.fpds"]
             assert len(checks) == 1
 
     @pytest.mark.parametrize("parallelism", [1, 2])

@@ -147,13 +147,48 @@ def test_a_dataset_named_like_synthetic_reads_its_csv(tmp_path):
     assert metrics["num_positives"] + metrics["num_negatives"] == len(GERMAN_MINI.splitlines()) - 1
 
 
-@pytest.mark.parametrize("extra", [["--csv", "x.csv"], ["--schema", "s.yaml"]])
+@pytest.mark.parametrize("extra, message", [
+    (["--csv", "x.csv"], "--csv and --schema do not apply to a synthetic --dataset"),
+    (["--schema", "s.yaml"], "--csv and --schema do not apply to a synthetic --dataset"),
+    (["--sensitive", "race"], "a synthetic --dataset has the one sensitive attribute 'group', got --sensitive 'race'"),
+])
 @pytest.mark.parametrize("dataset", ["synthetic", "synthetic:n=100"])
-def test_prep_refuses_a_file_with_a_synthetic_dataset(tmp_path, capsys, dataset, extra):
+def test_prep_refuses_a_file_with_a_synthetic_dataset(tmp_path, capsys, dataset, extra, message):
     code = main(["prep", "--dataset", dataset, *extra, "--method", "RW",
                  "--out", str(tmp_path), "--cache-dir", str(tmp_path)])
     assert code == 2
-    assert "error: --csv and --schema do not apply to a synthetic --dataset" in capsys.readouterr().err
+    assert f"error: {message}\n" == capsys.readouterr().err
+
+
+def test_prep_accepts_group_as_a_synthetic_sensitive_attribute(tmp_path):
+    assert main(["prep", "--dataset", "synthetic:n=100", "--sensitive", "group", "--method", "RW",
+                 "--out", str(tmp_path), "--cache-dir", str(tmp_path)]) == 0
+
+
+@pytest.mark.parametrize("case, message", [
+    ("no_schema", "--csv and --schema are required for a file-backed --dataset"),
+    ("missing_csv", "dataset file not found: "),
+    ("missing_schema", "No such file or directory: "),
+    ("missing_report", "No such file or directory: "),
+    ("missing_config", "No such file or directory: "),
+])
+def test_an_input_file_that_is_missing_is_an_error_line_not_a_traceback(tmp_path, capsys, case, message):
+    from fairbench.dataset.recipes import schema_path
+
+    csv_path, absent = tmp_path / "german.csv", str(tmp_path / "absent")
+    csv_path.write_text(GERMAN_MINI, encoding="utf-8")
+    prep = ["prep", "--dataset", "german", "--method", "RW", "--out", str(tmp_path), "--cache-dir", str(tmp_path)]
+    argv = {
+        "no_schema": prep + ["--csv", str(csv_path)],
+        "missing_csv": prep + ["--csv", absent, "--schema", str(schema_path("german"))],
+        "missing_schema": prep + ["--csv", str(csv_path), "--schema", absent],
+        "missing_report": ["bench", "--from", absent, "--out", str(tmp_path), "--cache-dir", str(tmp_path)],
+        "missing_config": ["batch", "--config", absent, "--out", str(tmp_path)],
+    }[case]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err and err.count("\n") == 1, err
+    assert case == "no_schema" or "absent" in err
 
 
 def test_batch_cli(tmp_path, capsys):

@@ -3,6 +3,8 @@
 import dataclasses
 import hashlib
 import json
+import math
+import struct
 
 import numpy as np
 import pytest
@@ -25,13 +27,13 @@ from fairbench.dataset import (
     split,
     split_indices,
 )
-from fairbench.dataset.cache import MAGIC, VERSION, cache_path, dumps, loads, store_original
+from fairbench.dataset.cache import MAGIC, VERSION, cache_path, dumps, loads, record_load, record_path, record_store
 from fairbench.dataset import schema as schema_module
 from fairbench.dataset.recipes import prepare_german, schema_path
 from fairbench.dataset.schema import declared_sensitive_attributes
 from fairbench.errors import DataFormatError, FairbenchError, FairbenchWarning, SchemaError
 from fairbench.metrics import statistical_parity_difference
-from fairbench.preproc import apply_method
+from fairbench.pipeline.stage1 import prepare_original
 
 from conftest import flip_first_feature
 from oracles import oracle_v2_entry
@@ -348,7 +350,7 @@ class TestCache:
         features[0, 0] = 1.0 / 3.0
         features[1, 1] = 1e-308
         ds = ds.replace(features=features, weights=ds.weights * np.pi)
-        key = cache_key("syn", "original", {}, 5)
+        key = content_key(ds)
         cache_store(ds, key, tmp_path)
         loaded = cache_load(key, tmp_path)
         assert datasets_equal(ds, loaded)
@@ -359,7 +361,7 @@ class TestCache:
     def test_same_key_single_entry_last_wins(self, tmp_path):
         a = make_synthetic(seed=1, n=20, disparity=0.0)
         b = make_synthetic(seed=2, n=20, disparity=0.0)
-        key = cache_key("syn", "original", {}, 1)
+        key = content_key(b)
         cache_store(a, key, tmp_path)
         cache_store(b, key, tmp_path)
         assert len(list(tmp_path.glob("*.fpds"))) == 1
@@ -404,11 +406,14 @@ class TestCache:
         assert cache_key("d", "m", {"x": 1}, 1) != base
         assert cache_key("d", "m", {"x": 1}, 0) == base
 
-    def test_original_is_keyed_on_its_full_entry_bytes(self, tmp_path):
+    def test_an_entry_whose_content_no_longer_hashes_to_its_key_is_a_warned_miss(self, tmp_path):
         ds = make_synthetic(seed=3, n=30, disparity=0.2)
-        key = store_original(ds, tmp_path)
-        assert key == content_key(ds)
-        assert cache_path(tmp_path, key).read_bytes() == dumps(ds)
+        path = cache_store(ds, content_key(ds), tmp_path)
+        assert path.read_bytes() == dumps(ds)
+        flip_first_feature(path)  # still parses, with one feature changed
+        loads(path.read_bytes())
+        with pytest.warns(FairbenchWarning, match=f"{path.name}: its bytes no longer hash to its key"):
+            assert cache_load(content_key(ds), tmp_path) is None
 
 
 def german_dataset(tmp_path, n=200):
@@ -436,73 +441,56 @@ def _header(path):
     return json.loads(blob[len(MAGIC) + 8:len(MAGIC) + 8 + int(length)])
 
 
-class TestDeltaEntries:
-    """A processed dataset stored as the columns and arrays that differ from its original."""
+def _metric_fields(**overrides):
+    fields = {"base_rate": 0.5, "base_rate_unprivileged": 1 / 3, "base_rate_privileged": 0.0,
+              "consistency": 0.743, "disparate_impact": 0.1 + 0.2, "statistical_parity_difference": -0.0,
+              "num_positives": 120, "num_negatives": 80, "empirical_difference": 1e-308}
+    return dict(fields, **overrides)
 
-    @pytest.mark.parametrize("method, params", [
-        ("RW", {}), ("DIR", {}), ("LFR", {}), ("OPP", {"columns": ["duration", "credit_amount", "age"]}),
-    ])
-    def test_each_transform_round_trips_smaller_than_in_full(self, tmp_path, method, params):
-        ds = german_dataset(tmp_path)
-        key = store_original(ds, tmp_path / "cache")
-        processed = apply_method(method, ds, params, seed=0)
-        path = cache_store(processed, "processed", tmp_path / "cache", base=(ds, key))
-        assert _header(path)["base"] == key
-        assert path.stat().st_size < len(dumps(processed))
-        assert datasets_equal(cache_load("processed", tmp_path / "cache"), processed)
 
-    def test_rw_stores_only_the_weights(self, tmp_path):
-        ds = make_synthetic(seed=4, n=60, disparity=0.4)
-        key = store_original(ds, tmp_path)
-        path = cache_store(apply_method("RW", ds), "rw", tmp_path, base=(ds, key))
+def _float_bits(fields):
+    return {name: struct.pack("<d", value) if isinstance(value, float) else value for name, value in fields.items()}
+
+
+class TestRecords:
+    """A stage-1 record: the version, flat fields and their sha256, beside the dataset entries."""
+
+    @pytest.mark.parametrize("disparate_impact", [math.inf, math.nan, 0.1 + 0.2])
+    def test_fields_round_trip_bit_for_bit(self, tmp_path, disparate_impact):
+        fields = _metric_fields(disparate_impact=disparate_impact)
+        path = record_store(fields, "k", tmp_path)
+        assert path == record_path(tmp_path, "k") and path.name == "k.metrics.fpds"
+        loaded = record_load("k", tmp_path)
+        assert _float_bits(loaded) == _float_bits(fields)
+        assert [type(v) for v in loaded.values()] == [type(v) for v in fields.values()]
         header = _header(path)
-        assert (header["columns"], header["arrays"]) == ([], ["weights"])
+        assert header["version"] == VERSION and set(header) == {"version", "fields", "sha256"}
+        assert path.stat().st_size == len(MAGIC) + 8 + len(json.dumps(header, sort_keys=True, separators=(",", ":")))
 
-    def test_a_column_that_differs_only_in_the_sign_of_zero_is_stored(self, tmp_path):
-        features = make_synthetic(seed=4, n=40, disparity=0.0).features.copy()
-        features[:, 1] = 0.0
-        ds = make_synthetic(seed=4, n=40, disparity=0.0).replace(features=features)
-        signed = features.copy()
-        signed[::2, 1] = -0.0
-        processed = ds.replace(features=signed)
-        key = store_original(ds, tmp_path)
-        path = cache_store(processed, "signed", tmp_path, base=(ds, key))
-        assert (_header(path)["columns"], _header(path)["arrays"]) == ([1], [])
-        loaded = cache_load("signed", tmp_path)
-        assert datasets_equal(loaded, processed) and not datasets_equal(loaded, ds)
-        assert np.signbit(loaded.features[::2, 1]).all()
+    def test_miss_is_absent_not_error(self, tmp_path):
+        record_store(_metric_fields(), "k", tmp_path)
+        assert record_load("other", tmp_path) is None
+        assert cache_load("k", tmp_path) is None  # a record is not a dataset entry
 
-    @pytest.mark.parametrize("change", ["rows", "names"])
-    def test_other_rows_or_names_are_stored_in_full(self, tmp_path, change):
-        ds = make_synthetic(seed=4, n=40, disparity=0.0)
-        key = store_original(ds, tmp_path)
-        processed = (ds.take(np.arange(30)) if change == "rows"
-                     else ds.replace(feature_names=[f"z{i}" for i in range(ds.dim)]))
-        path = cache_store(processed, "full", tmp_path, base=(ds, key))
-        assert path.read_bytes() == dumps(processed)
-        assert datasets_equal(cache_load("full", tmp_path), processed)
-
-    def test_a_delta_is_not_read_without_its_base(self, tmp_path):
-        ds = make_synthetic(seed=4, n=40, disparity=0.0)
-        blob = dumps(apply_method("RW", ds), base=(ds, content_key(ds)))
-        with pytest.raises(DataFormatError, match="without its base"):
-            loads(blob)
-
-    @pytest.mark.parametrize("damage", ["missing", "truncated", "flipped"])
-    def test_a_damaged_base_makes_the_delta_a_warned_miss(self, tmp_path, damage):
-        ds = make_synthetic(seed=4, n=40, disparity=0.3)
-        key = store_original(ds, tmp_path)
-        cache_store(apply_method("DIR", ds), "dir", tmp_path, base=(ds, key))
-        base = cache_path(tmp_path, key)
-        blob = bytearray(base.read_bytes())
-        if damage == "missing":
-            base.unlink()
+    @pytest.mark.parametrize("damage, match", [
+        ("digit", "no longer hash to its sha256"), ("truncated", "corrupt cache entry header"),
+        ("version", "unsupported cache version 4"), ("body", "record has"),
+    ])
+    def test_a_damaged_record_is_a_warned_miss(self, tmp_path, damage, match):
+        path = record_store(_metric_fields(), "k", tmp_path)
+        blob = path.read_bytes()
+        if damage == "digit":
+            at = blob.index(b'"num_positives":') + len(b'"num_positives":')
+            blob = blob[:at] + b"2" + blob[at + 1:]  # 120 -> 220, the same length
         elif damage == "truncated":
-            base.write_bytes(blob[:len(blob) // 2])
+            blob = blob[:-5]
+        elif damage == "version":
+            blob = blob.replace(b'"version":3', b'"version":4')
         else:
-            flip_first_feature(base)
-        with pytest.warns(FairbenchWarning, match=f"dir.fpds: its base entry .*{base.name}"):
-            assert cache_load("dir", tmp_path) is None
+            blob += b"\0"
+        path.write_bytes(blob)
+        with pytest.warns(FairbenchWarning, match=f"{path.name}: .*{match}"):
+            assert record_load("k", tmp_path) is None
 
 
 def _table_dataset(n=1000):
@@ -523,7 +511,7 @@ class TestCompactEntries:
 
     def test_each_column_round_trips_bit_exact_in_its_smaller_form(self, tmp_path):
         ds = _table_dataset()
-        path = cache_store(ds, "tables", tmp_path)
+        path = cache_store(ds, content_key(ds), tmp_path)
         header = _header(path)
         assert header["version"] == VERSION == 3
         # labels and protected as 2-value tables; the weights are continuous
@@ -532,7 +520,7 @@ class TestCompactEntries:
         body = (8 * 2 + n) + (8 + n) + (8 * 256 + n) + (8 * 257 + 2 * n) + 8 * n + 2 * (8 * 2 + n) + 8 * n
         assert path.stat().st_size == len(MAGIC) + 8 + len(json.dumps(header, sort_keys=True,
                                                                        separators=(",", ":"))) + body
-        loaded = cache_load("tables", tmp_path)
+        loaded = cache_load(content_key(ds), tmp_path)
         assert datasets_equal(loaded, ds)
         assert (np.signbit(loaded.features[:, 0]) == np.signbit(ds.features[:, 0])).all()
         assert np.signbit(ds.features[:, 0]).any() and not np.signbit(ds.features[:, 0]).all()
@@ -571,18 +559,16 @@ class TestCompactEntries:
         ds = make_synthetic(seed=1, n=20, disparity=0.0)
         cache_path(tmp_path, content_key(ds)).mkdir()
         with pytest.warns(FairbenchWarning, match=f"{content_key(ds)}.fpds: it cannot be read"):
-            assert cache_load(content_key(ds), tmp_path, original=True) is None
+            assert cache_load(content_key(ds), tmp_path) is None
 
-    def test_a_version_2_original_is_rewritten_with_a_warning(self, tmp_path):
+    def test_a_version_2_original_is_a_warned_miss_that_preparation_rewrites(self, tmp_path):
         ds = _table_dataset(n=200)
         path = cache_path(tmp_path, content_key(ds))
         path.write_bytes(oracle_v2_entry(ds))
         with pytest.warns(FairbenchWarning, match=f"{path.name}: unsupported cache version 2"):
-            assert cache_load(content_key(ds), tmp_path, original=True) is None
-        with pytest.warns(FairbenchWarning, match=f"rewriting cache entry .*{path.name}: format version 2 wrote it"):
-            assert store_original(ds, tmp_path) == content_key(ds)
+            assert prepare_original(ds, None, tmp_path, "tables").cache_key == content_key(ds)
         assert path.read_bytes() == dumps(ds)
-        assert datasets_equal(cache_load(content_key(ds), tmp_path, original=True), ds)
+        assert datasets_equal(cache_load(content_key(ds), tmp_path), ds)
 
 
 class TestSynthetic:

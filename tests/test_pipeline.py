@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from fairbench.dataset import SplitSpec, cache_load, make_synthetic, schema_from_dict
+from fairbench.dataset.cache import record_path
 from fairbench.errors import FairbenchError, FairbenchWarning
 from fairbench.metrics import classification_metrics
 from fairbench.metrics.classification import ClassificationMetrics
@@ -19,6 +20,7 @@ from fairbench.pipeline import (
     sweep_thresholds,
 )
 from fairbench.pipeline.sweep import SweepRecord
+from fairbench.preproc import apply_method
 
 from conftest import flip_first_feature
 
@@ -157,7 +159,7 @@ class TestPrepStage:
     def test_rw_on_balanced_synthetic_keeps_weights_one(self, tmp_path):
         ds = make_synthetic(seed=0, n=400, disparity=0.0)
         report = run_prep_stage(ds, None, "RW", {}, seed=1, cache_dir=tmp_path, dataset_name="bal")
-        processed = cache_load(report.processed_cache_key, tmp_path)
+        processed = apply_method("RW", ds, {}, 1)
         assert np.allclose(processed.weights, 1.0, atol=1e-6)
         for field in ("base_rate", "disparate_impact", "statistical_parity_difference"):
             assert getattr(report.processed_metrics, field) == pytest.approx(
@@ -182,17 +184,44 @@ class TestPrepStage:
         assert a.original_metrics == b.original_metrics
         assert a.original_cache_key == b.original_cache_key
 
-    def test_warm_cache_skips_transform(self, tmp_path, monkeypatch):
+    @pytest.mark.parametrize("method, params", [
+        ("RW", {}), ("DIR", {}), ("LFR", {"prototypes": 4, "max_iter": 100}), ("OPP", {"bins": 3, "max_iter": 100}),
+    ])
+    def test_warm_cache_skips_transform(self, tmp_path, monkeypatch, method, params):
+        from fairbench.pipeline.stage1 import prepare_original
+
         ds = make_synthetic(seed=3, n=200, disparity=0.2)
-        first = run_prep_stage(ds, None, "RW", {}, seed=0, cache_dir=tmp_path, dataset_name="syn")
+        first = run_prep_stage(ds, None, method, params, seed=0, cache_dir=tmp_path, dataset_name="syn")
 
         def boom(*args, **kwargs):
-            raise AssertionError("transform re-ran despite warm cache")
+            raise AssertionError("transform or kNN pass re-ran despite warm cache")
 
         import fairbench.pipeline.stage1 as stage1_mod
         monkeypatch.setattr(stage1_mod, "apply_method", boom)
-        second = run_prep_stage(ds, None, "RW", {}, seed=0, cache_dir=tmp_path, dataset_name="syn")
+        monkeypatch.setattr(importlib.import_module("fairbench.metrics.dataset_metrics"), "consistency", boom)
+        # the preparation reads its metrics back too, here and in a direct call
+        second = run_prep_stage(ds, None, method, params, seed=0, cache_dir=tmp_path, dataset_name="syn")
         assert second == first
+        assert prepare_original(ds, None, tmp_path, "syn").metrics == first.original_metrics
+
+    @pytest.mark.parametrize("record", ["original", "processed"])
+    @pytest.mark.parametrize("damage", ["digit", "truncated", "version"])
+    def test_a_damaged_record_is_recomputed_and_rewritten(self, tmp_path, record, damage):
+        ds = make_synthetic(seed=4, n=200, disparity=0.3)
+        first = run_prep_stage(ds, None, "DIR", {}, seed=0, cache_dir=tmp_path, dataset_name="syn")
+        path = record_path(tmp_path, getattr(first, f"{record}_cache_key"))
+        blob = path.read_bytes()
+        if damage == "digit":
+            at = blob.index(b'"num_positives":') + len(b'"num_positives":')
+            path.write_bytes(blob[:at] + (b"2" if blob[at:at + 1] != b"2" else b"3") + blob[at + 1:])
+        elif damage == "truncated":
+            path.write_bytes(blob[:len(blob) // 2])
+        else:
+            path.write_bytes(blob.replace(b'"version":3', b'"version":2'))
+        with pytest.warns(FairbenchWarning, match=f"ignoring unreadable cache entry .*{path.name}"):
+            second = run_prep_stage(ds, None, "DIR", {}, seed=0, cache_dir=tmp_path, dataset_name="syn")
+        assert second == first
+        assert path.read_bytes() == blob
 
     def test_same_name_and_seed_with_other_sensitive_attribute_do_not_collide(self, tmp_path, monkeypatch):
         rng = np.random.default_rng(0)
@@ -239,8 +268,7 @@ class TestPrepStage:
             report = run_prep_stage(ds, None, method, params, seed=1, cache_dir=tmp_path / "direct",
                                     dataset_name="syn")
             # a reused consistency is the one a kNN pass over the processed dataset gives
-            assert report.processed_metrics == dm.dataset_metrics(
-                cache_load(report.processed_cache_key, tmp_path / "direct"))
+            assert report.processed_metrics == dm.dataset_metrics(apply_method(method, ds, params, 1))
             expected[case] = report
         prepared = prepare_original(ds, None, tmp_path, "syn")
         knn_calls = []
@@ -252,7 +280,7 @@ class TestPrepStage:
             return run_prep_stage(prepared, None, method, params, seed=1, cache_dir=tmp_path)
 
         assert run("RW") == expected["RW"]
-        assert run("RW") == expected["RW"]  # warm: the processed delta is rebuilt on the original
+        assert run("RW") == expected["RW"]  # warm: read from its record
         assert run("DIR0") == expected["DIR0"]
         assert knn_calls == []  # RW, and DIR at level 0, keep the original's features and labels
         assert run("DIR") == expected["DIR"]
