@@ -58,6 +58,6 @@ print("  feature columns:", encoded.feature_names)
 print("  labels:   ", encoded.labels.tolist())
 print("  protected:", encoded.protected.tolist())
 
-m = dataset_metrics(encoded, consistency_k=3)
+m = dataset_metrics(encoded)
 print("  disparate impact ", round(m.disparate_impact, 3))
 print("  parity difference", round(m.statistical_parity_difference, 3))

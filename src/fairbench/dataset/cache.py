@@ -12,12 +12,11 @@ raw. Values are compared as bits, so 0.0 and -0.0 are distinct and a
 round-trip is bit-identical; a code at or past the end of its table makes the
 entry corrupt.
 
-A dataset is keyed on the sha256 of its canonical dense form: a version-2
-entry, which is the same header with version 2, then the features (n x d
-float64, row-major), labels, protected and weights as raw arrays. That form is
-hashed from the arrays, not written out. A hit therefore means the same
-arrays, names and provenance, the protected column included, and every read
-checks its decoded content against its key.
+A dataset is keyed on the sha256 of its entry bytes, which `dumps` makes
+canonical. A hit therefore means the same arrays, names, provenance and
+format version, and every read checks the bytes against the key before it
+parses them. A new format or `VERSION` re-keys every dataset and so every
+record and OPP's evaluation draws: an older cache is a silent miss.
 
 A record (`<cache_root>/<hex key>.metrics.fpds`) is the same magic and header
 framing with no body; the header holds the version, flat fields and the
@@ -26,8 +25,8 @@ key names there, so a processed dataset itself is never stored.
 
 Writes go to a temp file in the same directory, are fsynced and then
 atomically renamed, so concurrent batch jobs never observe a partial entry. An
-entry that exists but cannot be read back, is of another version, or whose
-content no longer matches its key or its sha256, is a miss with a warning.
+entry that exists but cannot be read, is of another version, or whose bytes
+no longer hash to its key (or fields to their sha256), is a miss with a warning.
 """
 
 import hashlib
@@ -46,8 +45,6 @@ from .tabular import TabularDataset
 
 MAGIC = b"FPDSBIN\n"
 VERSION = 3
-# the version whose entries are the canonical dense form that keys an original
-_DENSE_VERSION = 2
 _HEADER_LEN = struct.Struct("<Q")
 _DTYPES = {"features": "<f8", "labels": "<i8", "protected": "<i8", "weights": "<f8"}
 _ITEM_BYTES = 8
@@ -64,22 +61,19 @@ def cache_key(dataset_key, method_name, params, seed) -> str:
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()
 
 
-def _full_header(ds: TabularDataset, version) -> dict:
-    return {"version": version, "n": ds.n, "provenance": ds.provenance, "d": ds.dim,
-            "feature_names": list(ds.feature_names)}
-
-
 def _head(header) -> bytes:
     head = canonical_json(header).encode("utf-8")
     return MAGIC + _HEADER_LEN.pack(len(head)) + head
 
 
+def entry_key(entry: bytes) -> str:
+    """The key of the entry bytes `entry`: their sha256, hex."""
+    return hashlib.sha256(entry).hexdigest()
+
+
 def content_key(ds: TabularDataset) -> str:
-    """sha256 of the dataset's canonical dense form; the key of its entry."""
-    digest = hashlib.sha256(_head(_full_header(ds, _DENSE_VERSION)))
-    for name, dtype in _DTYPES.items():
-        digest.update(np.ascontiguousarray(getattr(ds, name), dtype=dtype))
-    return digest.hexdigest()
+    """The key of `ds`'s entry: the sha256 of `dumps(ds)`."""
+    return entry_key(dumps(ds))
 
 
 def cache_path(cache_root, key) -> Path:
@@ -126,7 +120,8 @@ def dumps(ds: TabularDataset) -> bytes:
     """The entry bytes of `ds`."""
     arrays = {name: np.ascontiguousarray(getattr(ds, name), dtype=dtype) for name, dtype in _DTYPES.items()}
     bits = _bits(arrays["features"])
-    header = _full_header(ds, VERSION)
+    header = {"version": VERSION, "n": ds.n, "provenance": ds.provenance, "d": ds.dim,
+              "feature_names": list(ds.feature_names)}
     # one column at a time, so no copy of the matrix is made
     header["tables"], parts = _compact([*(bits[:, j] for j in range(ds.dim)),
                                         *(_bits(arrays[name]) for name in _VECTORS)])
@@ -253,24 +248,22 @@ def _read(target: Path, parse):
     return None
 
 
-def cache_store(ds: TabularDataset, key: str, cache_root) -> Path:
-    """Write `ds`'s entry atomically under `key`; storing twice under one key leaves a single entry (last wins)."""
-    return _write(dumps(ds), cache_path(cache_root, key))
+def cache_store(entry: bytes, key: str, cache_root) -> Path:
+    """Write the entry bytes `entry` atomically under `key`; storing twice under one key leaves the last."""
+    return _write(entry, cache_path(cache_root, key))
 
 
 def cache_load(key: str, cache_root):
-    """The dataset cached under its content key `key`, or None on a miss.
+    """The dataset cached under `key`, or None on a miss.
 
-    An absent entry is a silent miss; one that is unreadable, truncated,
-    corrupt or of another format version, or whose decoded content no longer
-    hashes to `key`, is a miss with a FairbenchWarning naming the file, so
-    the caller recomputes and rewrites it.
+    An absent entry is a silent miss. One that is unreadable, or whose bytes
+    no longer hash to `key` (checked before they are parsed), is a miss with a
+    FairbenchWarning naming the file, so the caller recomputes and rewrites it.
     """
     def checked(blob):
-        ds = loads(blob)
-        if content_key(ds) != key:
-            raise DataFormatError("its bytes no longer hash to its key (read in dense form)")
-        return ds
+        if entry_key(blob) != key:
+            raise DataFormatError("its bytes no longer hash to its key")
+        return loads(blob)
 
     return _read(cache_path(cache_root, key), checked)
 

@@ -331,15 +331,14 @@ def consistency(ds: TabularDataset, k: int = 5) -> float:
     return float(1.0 - np.abs(labels - means).mean())
 
 
-def dataset_metrics(ds: TabularDataset, consistency_k: int = 5, reference=None) -> DatasetMetrics:
-    """The stage-1 bundle, computed in one pass over the dataset.
+def dataset_metrics(ds: TabularDataset, reference=None) -> DatasetMetrics:
+    """The stage-1 bundle, computed in one pass over the dataset; consistency with k = 5.
 
-    `reference` is an earlier (dataset, DatasetMetrics) pair measured with the
-    same `consistency_k`. Consistency depends only on features and labels, so
-    a dataset that has the reference's labels and features bit for bit (RW's
-    output, or DIR's at repair level 0, on their original) reuses its
-    consistency instead of making a kNN pass. Labels are compared first:
-    transforms that relabel differ there.
+    `reference` is an earlier (dataset, DatasetMetrics) pair. Consistency depends
+    only on features and labels, so a dataset with the reference's labels and
+    features bit for bit (RW's output, or DIR's at repair level 0, on their
+    original) reuses its consistency instead of making a kNN pass. Labels are
+    compared first: transforms that relabel differ there.
     """
     pos, neg = count_labels(ds)
     same = reference is not None and np.array_equal(ds.labels, reference[0].labels) and np.array_equal(
@@ -348,7 +347,7 @@ def dataset_metrics(ds: TabularDataset, consistency_k: int = 5, reference=None) 
         base_rate=base_rate(ds),
         base_rate_unprivileged=base_rate(ds, group=0),
         base_rate_privileged=base_rate(ds, group=1),
-        consistency=reference[1].consistency if same else consistency(ds, k=consistency_k),
+        consistency=reference[1].consistency if same else consistency(ds),
         disparate_impact=disparate_impact(ds),
         statistical_parity_difference=statistical_parity_difference(ds),
         num_positives=pos,

@@ -3,8 +3,8 @@
 from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
-from ..dataset import TabularDataset, cache_key, cache_load, cache_store, content_key, encode, load_csv
-from ..dataset.cache import record_load, record_store
+from ..dataset import TabularDataset, cache_key, cache_load, cache_store, encode, load_csv
+from ..dataset.cache import dumps, entry_key, record_load, record_store
 from ..metrics.dataset_metrics import DatasetMetrics, dataset_metrics
 from ..preproc import apply_method
 from ..errors import FairbenchError
@@ -60,18 +60,20 @@ def prepare_original(dataset, schema=None, cache_dir="fairbench_cache",
     """Cache `dataset` under its content key unless its entry reads back, and measure it.
 
     An encoded TabularDataset passes through; a CSV path is loaded and encoded
-    under `schema`. An entry that is missing, or that `cache_load` warns about
-    (unreadable, of another format version, or changed), is written anew. The
-    metrics are read from the original's record, or computed and recorded.
+    under `schema`. Its entry bytes, made once, are written when `cache_load`
+    misses (absent, unreadable, or off their sha256). The metrics are read
+    from the original's record, or computed and recorded.
     """
     ds = dataset
     if not isinstance(ds, TabularDataset):
         if schema is None:
             raise FairbenchError("loading from a file requires a schema")
         ds = encode(load_csv(Path(dataset), schema), schema)
-    key = content_key(ds)
+    entry = dumps(ds)
+    key = entry_key(entry)
     if cache_load(key, cache_dir) is None:
-        cache_store(ds, key, cache_dir)
+        cache_store(entry, key, cache_dir)
+    del entry  # freed before the kNN pass, which sets the peak memory
     name = dataset_name or (schema.name if schema is not None else ds.provenance or "dataset")
     return PreparedOriginal(name, key, _recorded_metrics(key, cache_dir, lambda: dataset_metrics(ds)))
 

@@ -685,30 +685,18 @@ def oracle_encode(table, schema):
     )
 
 
-def oracle_v2_entry(ds, base=None):
-    """The bytes of a format-2 cache entry.
+def oracle_v2_entry(ds):
+    """The bytes of a format-2 cache entry: the canonical dense form.
 
-    In full, this is the canonical dense form whose sha256 keys an original:
-    magic, header length, sorted-key JSON header with version 2, then features
+    Its sha256 keyed an original in caches written before a key became the
+    sha256 of the entry's own bytes; no key derives from it now. Magic, header length, sorted-key JSON header with version 2, then features
     (row-major float64), labels and protected (int64) and weights (float64),
-    little-endian. With `base=(base_ds, base_key)` and the same n and feature
-    names, it is a delta holding only the columns and arrays whose bits differ.
+    little-endian.
     """
     dtypes = {"features": "<f8", "labels": "<i8", "protected": "<i8", "weights": "<f8"}
-    header = {"version": 2, "n": ds.n, "provenance": ds.provenance}
-    if base is not None and base[0].n == ds.n and base[0].feature_names == ds.feature_names:
-        base_ds, header["base"] = base
-        columns = [j for j in range(ds.dim)
-                   if ds.features[:, j].astype("<f8").tobytes() != base_ds.features[:, j].astype("<f8").tobytes()]
-        arrays = [name for name in ("labels", "protected", "weights")
-                  if getattr(ds, name).astype(dtypes[name]).tobytes()
-                  != getattr(base_ds, name).astype(dtypes[name]).tobytes()]
-        header.update(columns=columns, arrays=arrays)
-        body = [ds.features[:, columns].astype("<f8").tobytes(order="C")]
-    else:
-        header.update(d=ds.dim, feature_names=list(ds.feature_names))
-        arrays = ["labels", "protected", "weights"]
-        body = [ds.features.astype("<f8").tobytes(order="C")]
-    body += [getattr(ds, name).astype(dtypes[name]).tobytes() for name in arrays]
+    header = {"version": 2, "n": ds.n, "provenance": ds.provenance, "d": ds.dim,
+              "feature_names": list(ds.feature_names)}
+    body = [ds.features.astype("<f8").tobytes(order="C")]
+    body += [getattr(ds, name).astype(dtypes[name]).tobytes() for name in ("labels", "protected", "weights")]
     head = json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")
     return b"FPDSBIN\n" + struct.pack("<Q", len(head)) + head + b"".join(body)

@@ -113,7 +113,7 @@ def test_criterion_03_adult_reproduction(tmp_path):
     """Adult stage-1 originals under the no-row-drop recipe."""
     started = time.perf_counter()
     ds = load_adult(tmp_path)
-    metrics = dataset_metrics(ds, consistency_k=5)
+    metrics = dataset_metrics(ds)
     elapsed = time.perf_counter() - started
     assert (metrics.num_positives, metrics.num_negatives) == (11687, 37155)
     assert metrics.base_rate == pytest.approx(0.239, abs=0.001)

@@ -1,6 +1,7 @@
 """Batch matrices: parsing, expansion, isolation, parallel and warm-cache determinism."""
 
 import filecmp
+import hashlib
 import json
 import multiprocessing
 import os
@@ -304,7 +305,7 @@ def _store_stalling_in_fsync(cache_dir, writing):
         time.sleep(60)
 
     os.fsync = stall
-    cache_store(make_synthetic(seed=0, n=50, disparity=0.0), "key", cache_dir)
+    cache_store(cache_module.dumps(make_synthetic(seed=0, n=50, disparity=0.0)), "key", cache_dir)
 
 
 def _record_blas_threads(job, prepared, output_dir, cache_dir):
@@ -453,26 +454,36 @@ class TestRun:
             assert filecmp.cmp(first[rel], second[rel], shallow=False), rel
 
     @pytest.mark.parametrize("parallelism", [1, 2])
-    def test_a_version_2_original_is_a_warned_miss_rewritten_once(self, tmp_path, parallelism):
+    def test_an_older_cache_is_a_silent_miss_that_leaves_its_files(self, tmp_path, parallelism):
         jobs, _ = expand_jobs(parse_batch_yaml(MATRIX))
-        cache = tmp_path / "cache"
-        run_batch(jobs, parallelism=parallelism, output_dir=tmp_path / "first", cache_dir=cache)
-        entries = {p.name: p.read_bytes() for p in cache.glob("*.fpds")}
-        originals = sorted(name for name in entries if not name.endswith(".metrics.fpds"))
+        fresh = tmp_path / "fresh"
+        run_batch(jobs, parallelism=parallelism, output_dir=tmp_path / "first", cache_dir=fresh)
+        entries = {p.name: p.read_bytes() for p in fresh.glob("*.fpds")}
+        # the same files under the names an earlier version gave them: an original under
+        # the sha256 of its dense form, and each record under a key derived from that
+        older = {}
+        for job in jobs:
+            stage1 = json.loads((tmp_path / "first" / job.job_id / "summary.json").read_text())["stage1"]
+            key, method, params, seed = (stage1[name] for name in ("original_cache_key", "method", "params", "seed"))
+            assert cache_module.cache_key(key, method, params, seed) == stage1["processed_cache_key"]
+            old = hashlib.sha256(oracle_v2_entry(cache_module.loads(entries[f"{key}.fpds"]))).hexdigest()
+            older[f"{old}.fpds"] = entries[f"{key}.fpds"]
+            older[f"{old}.metrics.fpds"] = entries[f"{key}.metrics.fpds"]
+            older[f"{cache_module.cache_key(old, method, params, seed)}.metrics.fpds"] = \
+                entries[f"{stage1['processed_cache_key']}.metrics.fpds"]
         # two originals and their records, and a record per job
-        assert len(originals) == 2 and len(entries) == 4 + len(jobs)
-        for name in originals:
-            key = name[:-len(".fpds")]
-            (cache / name).write_bytes(oracle_v2_entry(cache_module.cache_load(key, cache)))
+        assert len(older) == len(entries) == 4 + len(jobs)
+        cache = tmp_path / "cache"
+        cache.mkdir()
+        for name, blob in older.items():
+            (cache / name).write_bytes(blob)
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             report = run_batch(jobs, parallelism=parallelism, output_dir=tmp_path / "second", cache_dir=cache)
         assert report.exit_code == 0
-        messages = [str(w.message) for w in caught if issubclass(w.category, FairbenchWarning)]
-        assert len(messages) == len(originals), messages
-        for name in originals:
-            assert sum(name in m and "unsupported cache version 2" in m for m in messages) == 1, messages
-        assert {p.name: p.read_bytes() for p in cache.glob("*.fpds")} == entries
+        assert not [str(w.message) for w in caught if issubclass(w.category, FairbenchWarning)]
+        # each original and record is written once under its new key; the old files stay as they were
+        assert {p.name: p.read_bytes() for p in cache.glob("*.fpds")} == {**older, **entries}
         first, second = job_files(tmp_path / "first"), job_files(tmp_path / "second")
         assert set(first) == set(second)
         for rel in first:
@@ -482,11 +493,12 @@ class TestRun:
         jobs, _ = expand_jobs(parse_batch_yaml(MINIMAL.replace("methods: [RW]", "methods: [DIR]")))
         job, cache = jobs[0], tmp_path / "cache"
         prepared = runner._prepare(job.dataset, job.sensitive, cache)
+        entry = (cache / f"{prepared.cache_key}.fpds").read_bytes()
         reads, checks = [], []
-        read, key = cache_module._read, cache_module.content_key
+        read, key = cache_module._read, cache_module.entry_key
         monkeypatch.setattr(cache_module, "_read",
                             lambda target, parse: reads.append(target.name) or read(target, parse))
-        monkeypatch.setattr(cache_module, "content_key", lambda ds: checks.append(ds) or key(ds))
+        monkeypatch.setattr(cache_module, "entry_key", lambda blob: checks.append(blob) or key(blob))
         for run in ("cold", "warm"):
             reads.clear()
             checks.clear()
@@ -495,7 +507,8 @@ class TestRun:
             stage1 = json.loads((tmp_path / run / job.job_id / "summary.json").read_text())["stage1"]
             # cold, the processed record is absent and is written; warm, it is read instead of the transform
             assert reads == [f"{prepared.cache_key}.fpds", f"{stage1['processed_cache_key']}.metrics.fpds"]
-            assert len(checks) == 1
+            # one sha256 check, of the original's file bytes
+            assert checks == [entry]
 
     @pytest.mark.parametrize("parallelism", [1, 2])
     def test_missing_csv_fails_its_jobs_with_the_ingest_error(self, tmp_path, parallelism):

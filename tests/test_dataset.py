@@ -5,6 +5,7 @@ import hashlib
 import json
 import math
 import struct
+import warnings
 
 import numpy as np
 import pytest
@@ -27,7 +28,9 @@ from fairbench.dataset import (
     split,
     split_indices,
 )
-from fairbench.dataset.cache import MAGIC, VERSION, cache_path, dumps, loads, record_load, record_path, record_store
+from fairbench.dataset.cache import (MAGIC, VERSION, cache_path, dumps, entry_key, loads, record_load, record_path,
+                                     record_store)
+from fairbench.dataset import cache as cache_module
 from fairbench.dataset import schema as schema_module
 from fairbench.dataset.recipes import prepare_german, schema_path
 from fairbench.dataset.schema import declared_sensitive_attributes
@@ -342,6 +345,12 @@ class TestSplit:
             split_indices(ds, SplitSpec())
 
 
+def store(ds, root):
+    """Write `ds`'s entry under its content key, as preparation does; the entry's path."""
+    entry = dumps(ds)
+    return cache_store(entry, entry_key(entry), root)
+
+
 class TestCache:
     def test_round_trip_bit_identical(self, tmp_path):
         ds = make_synthetic(seed=5, n=50, disparity=0.3)
@@ -351,7 +360,7 @@ class TestCache:
         features[1, 1] = 1e-308
         ds = ds.replace(features=features, weights=ds.weights * np.pi)
         key = content_key(ds)
-        cache_store(ds, key, tmp_path)
+        cache_store(dumps(ds), key, tmp_path)
         loaded = cache_load(key, tmp_path)
         assert datasets_equal(ds, loaded)
 
@@ -362,35 +371,36 @@ class TestCache:
         a = make_synthetic(seed=1, n=20, disparity=0.0)
         b = make_synthetic(seed=2, n=20, disparity=0.0)
         key = content_key(b)
-        cache_store(a, key, tmp_path)
-        cache_store(b, key, tmp_path)
+        cache_store(dumps(a), key, tmp_path)
+        cache_store(dumps(b), key, tmp_path)
         assert len(list(tmp_path.glob("*.fpds"))) == 1
         assert datasets_equal(cache_load(key, tmp_path), b)
 
     def test_magic_header_is_eight_bytes(self, tmp_path):
         ds = make_synthetic(seed=1, n=10, disparity=0.0)
         key = cache_key("syn", "m", {}, 0)
-        path = cache_store(ds, key, tmp_path)
+        path = cache_store(dumps(ds), key, tmp_path)
         assert len(MAGIC) == 8
         assert path.read_bytes()[:8] == MAGIC
         assert path.name == f"{key}.fpds"
 
     def test_no_temp_residue(self, tmp_path):
         ds = make_synthetic(seed=1, n=10, disparity=0.0)
-        cache_store(ds, cache_key("a", "b", {}, 0), tmp_path)
+        cache_store(dumps(ds), cache_key("a", "b", {}, 0), tmp_path)
         assert not list(tmp_path.glob("*.tmp"))
 
     @pytest.mark.parametrize("damage", ["truncated", "bad_magic", "old_format"])
     def test_unreadable_entry_is_a_warned_miss(self, tmp_path, damage):
         ds = make_synthetic(seed=1, n=20, disparity=0.0)
-        path = cache_store(ds, content_key(ds), tmp_path)
+        path = store(ds, tmp_path)
         blob = path.read_bytes()
         path.write_bytes({
             "truncated": blob[:len(blob) - 8],
             "bad_magic": b"XXXXXXXX" + blob[8:],
             "old_format": b"FPDSTXT\nversion 1\nn 20\nd 2\nend\n",
         }[damage])
-        with pytest.warns(FairbenchWarning, match=path.name):
+        # rejected at the key check, before the parser sees the bytes
+        with pytest.warns(FairbenchWarning, match=f"{path.name}: its bytes no longer hash to its key"):
             assert cache_load(content_key(ds), tmp_path) is None
 
     def test_content_key_covers_the_protected_column(self):
@@ -408,7 +418,7 @@ class TestCache:
 
     def test_an_entry_whose_content_no_longer_hashes_to_its_key_is_a_warned_miss(self, tmp_path):
         ds = make_synthetic(seed=3, n=30, disparity=0.2)
-        path = cache_store(ds, content_key(ds), tmp_path)
+        path = store(ds, tmp_path)
         assert path.read_bytes() == dumps(ds)
         flip_first_feature(path)  # still parses, with one feature changed
         loads(path.read_bytes())
@@ -493,6 +503,11 @@ class TestRecords:
             assert record_load("k", tmp_path) is None
 
 
+def _array_bytes(k, n):
+    """Body bytes of one stored array: n raw values (k=0), or a k-value table and its codes."""
+    return 8 * n if k == 0 else 8 * k + (1 if k <= 256 else 2) * n
+
+
 def _table_dataset(n=1000):
     """Columns: 0.0 and -0.0 mixed, constant, 256 and 257 distinct values, continuous."""
     rng = np.random.default_rng(8)
@@ -511,7 +526,7 @@ class TestCompactEntries:
 
     def test_each_column_round_trips_bit_exact_in_its_smaller_form(self, tmp_path):
         ds = _table_dataset()
-        path = cache_store(ds, content_key(ds), tmp_path)
+        path = store(ds, tmp_path)
         header = _header(path)
         assert header["version"] == VERSION == 3
         # labels and protected as 2-value tables; the weights are continuous
@@ -525,35 +540,72 @@ class TestCompactEntries:
         assert (np.signbit(loaded.features[:, 0]) == np.signbit(ds.features[:, 0])).all()
         assert np.signbit(ds.features[:, 0]).any() and not np.signbit(ds.features[:, 0]).all()
 
-    def test_content_key_is_the_sha256_of_the_dense_entry(self):
+    def test_content_key_is_the_sha256_of_the_entry_bytes(self, tmp_path):
         for ds in (_table_dataset(), make_synthetic(seed=2, n=30, disparity=0.1)):
-            assert content_key(ds) == hashlib.sha256(oracle_v2_entry(ds)).hexdigest()
+            path = store(ds, tmp_path)
+            assert content_key(ds) == hashlib.sha256(path.read_bytes()).hexdigest() == path.stem
+            assert content_key(ds) != hashlib.sha256(oracle_v2_entry(ds)).hexdigest()
+
+    def test_equal_content_gives_equal_entry_bytes_and_key(self):
+        rng = np.random.default_rng(4)
+        features = rng.integers(-8, 9, (60, 3)) / 4.0  # every value exact in float32
+        features[0, 0] = -0.0
+        labels, protected = rng.integers(0, 2, 60), rng.integers(0, 2, 60)
+        fields = dict(labels=labels, protected=protected, weights=rng.uniform(0.5, 2.0, 60),
+                      feature_names=("a", "b", "c"), provenance="toy[sex]")
+        ds = TabularDataset(features, **fields)
+        same = [ds.replace(), TabularDataset(np.asfortranarray(features), **fields),
+                TabularDataset(features.astype(np.float32), **fields)]
+        for other in same:
+            assert dumps(other) == dumps(ds)
+            assert content_key(other) == content_key(ds)
+        changed = [ds.replace(protected=np.where(np.arange(60) == 7, 1 - protected, protected)),
+                   ds.replace(feature_names=("a", "b", "d")), ds.replace(provenance="toy[age]")]
+        keys = {content_key(other) for other in [ds, *changed]}
+        assert len(keys) == 1 + len(changed)
 
     def test_german_original_entry_is_at_most_a_quarter_of_its_dense_size(self, tmp_path):
         ds = german_dataset(tmp_path, n=1000)
         assert len(dumps(ds)) * 4 <= len(oracle_v2_entry(ds))
         assert datasets_equal(loads(dumps(ds)), ds)
 
-    @pytest.mark.parametrize("damage", ["code_past_table", "extra_byte", "missing_byte"])
-    def test_a_bad_code_or_body_length_is_a_warned_miss(self, tmp_path, damage):
-        ds = _table_dataset(n=300)
-        path = cache_store(ds, content_key(ds), tmp_path)
-        blob = bytearray(path.read_bytes())
-        if damage == "code_past_table":
+    @pytest.mark.parametrize("damage, match", [
+        ("bad_magic", "bad magic"), ("truncated", "truncated at 12 bytes"),
+        ("code_past_table", "code past the end"), ("extra_byte", "expected"), ("missing_byte", "expected"),
+    ])
+    def test_a_bad_magic_code_or_length_fails_to_parse(self, damage, match):
+        blob = bytearray(dumps(_table_dataset(n=300)))
+        if damage == "bad_magic":
+            blob[:len(MAGIC)] = b"XXXXXXXX"
+        elif damage == "truncated":
+            del blob[12:]
+        elif damage == "code_past_table":
             (header_len,) = np.frombuffer(blob, dtype="<u8", count=1, offset=len(MAGIC))
             blob[len(MAGIC) + 8 + int(header_len) + 8 * 2 + 5] = 2  # row 5 of column 0's 2-value table
-            match = "code past the end"
         elif damage == "extra_byte":
             blob += b"\0"
-            match = "expected"
         else:
             del blob[-1]
-            match = "expected"
-        path.write_bytes(bytes(blob))
         with pytest.raises(DataFormatError, match=match):
             loads(bytes(blob))
-        with pytest.warns(FairbenchWarning, match=f"{path.name}: .*{match}"):
-            assert cache_load(content_key(ds), tmp_path) is None
+
+    @pytest.mark.parametrize("where", ["header", "table", "codes", "raw"])
+    def test_a_flipped_byte_is_a_warned_miss_that_preparation_rewrites(self, tmp_path, where):
+        ds = _table_dataset(n=300)
+        path = store(ds, tmp_path)
+        blob = bytearray(path.read_bytes())
+        header = _header(path)
+        body = len(blob) - sum(_array_bytes(k, ds.n) for k in header["tables"])
+        # column 0 is a 2-value table then its uint8 codes; column 4 ("normal") is raw
+        raw = body + sum(_array_bytes(k, ds.n) for k in header["tables"][:4])
+        at = {"header": blob.index(b'"normal"') + 1, "table": body, "codes": body + 8 * 2 + 5, "raw": raw + 3}[where]
+        blob[at] ^= 0x01
+        # each still parses, as another dataset: only the key check catches it
+        assert not datasets_equal(loads(bytes(blob)), ds)
+        path.write_bytes(bytes(blob))
+        with pytest.warns(FairbenchWarning, match=f"{path.name}: its bytes no longer hash to its key"):
+            assert prepare_original(ds, None, tmp_path, "tables").cache_key == path.stem
+        assert path.read_bytes() == dumps(ds)
 
     def test_an_entry_that_exists_but_cannot_be_read_is_a_warned_miss(self, tmp_path):
         ds = make_synthetic(seed=1, n=20, disparity=0.0)
@@ -561,14 +613,26 @@ class TestCompactEntries:
         with pytest.warns(FairbenchWarning, match=f"{content_key(ds)}.fpds: it cannot be read"):
             assert cache_load(content_key(ds), tmp_path) is None
 
-    def test_a_version_2_original_is_a_warned_miss_that_preparation_rewrites(self, tmp_path):
+    def test_preparation_makes_the_entry_bytes_once(self, tmp_path, monkeypatch):
+        import fairbench.pipeline.stage1 as stage1_module
+
+        made = []
+        for module in (cache_module, stage1_module):
+            monkeypatch.setattr(module, "dumps", lambda ds: made.append(dumps(ds)) or made[-1])
+        prepared = prepare_original(_table_dataset(n=200), None, tmp_path, "tables")
+        assert made == [cache_path(tmp_path, prepared.cache_key).read_bytes()]
+
+    @pytest.mark.parametrize("old_entry", [dumps, oracle_v2_entry], ids=["version_3", "version_2"])
+    def test_an_older_cache_is_a_silent_miss_left_in_place(self, tmp_path, old_entry):
         ds = _table_dataset(n=200)
-        path = cache_path(tmp_path, content_key(ds))
-        path.write_bytes(oracle_v2_entry(ds))
-        with pytest.warns(FairbenchWarning, match=f"{path.name}: unsupported cache version 2"):
+        # earlier versions kept an original under the sha256 of its dense form
+        old = cache_path(tmp_path, hashlib.sha256(oracle_v2_entry(ds)).hexdigest())
+        old.write_bytes(old_entry(ds))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
             assert prepare_original(ds, None, tmp_path, "tables").cache_key == content_key(ds)
-        assert path.read_bytes() == dumps(ds)
-        assert datasets_equal(cache_load(content_key(ds), tmp_path), ds)
+        assert old.read_bytes() == old_entry(ds)
+        assert cache_path(tmp_path, content_key(ds)).read_bytes() == dumps(ds)
 
 
 class TestSynthetic:

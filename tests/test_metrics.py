@@ -487,7 +487,7 @@ class TestTheil:
 
 class TestBundles:
     def test_dataset_bundle_fields_cohere(self, tiny_dataset):
-        m = dataset_metrics(tiny_dataset, consistency_k=2)
+        m = dataset_metrics(tiny_dataset)
         assert m.num_positives + m.num_negatives == tiny_dataset.n
         assert m.statistical_parity_difference == pytest.approx(
             m.base_rate_unprivileged - m.base_rate_privileged, abs=TOL
