@@ -2,9 +2,9 @@
 
 Each distinct (dataset, sensitive attribute) is ingested, cached and measured
 once; each job then runs the rest of stage 1 and stage 2 and writes its
-artifacts under `<out>/<job id>/`. Per-job randomness derives from (job seed,
-job id), so results do not depend on the parallelism degree, execution order,
-or on which other jobs exist in the batch.
+artifacts under `<out>/<job id>/`. Its config seed seeds the split and every
+fit, so the jobs of one (dataset, sensitive attribute, seed) share a split, and
+results do not depend on parallelism, execution order or the other jobs.
 """
 
 import contextlib
@@ -28,7 +28,6 @@ from ..pipeline.stage1 import load_original, prepare_original, run_prep_stage
 from ..pipeline.stage2 import run_bench_stage
 from ..report.svg import write_sweep_svg
 from ..report.tables import stage1_rows, sweep_summary, write_stage1_csv, write_summary_json, write_sweep_csv
-from ..util import derive_seed
 from .spec import DatasetEntry, JobSpec
 
 
@@ -119,13 +118,12 @@ def execute_job(job: JobSpec, prepared, output_dir, cache_dir) -> JobOutcome:
     """Run one job from the PreparedOriginal of its dataset; exceptions become a failed outcome, never a crash."""
     started = time.perf_counter()
     try:
-        effective_seed = derive_seed(job.seed, job.job_id)
         original = load_original(prepared.cache_key, cache_dir, prepared.name)
         stage1 = run_prep_stage(prepared, None, job.method, job.method_params,
-                                seed=effective_seed, cache_dir=cache_dir, original=original)
+                                seed=job.seed, cache_dir=cache_dir, original=original)
         split_spec = SplitSpec(
             train=job.split["train"], validation=job.split["validation"],
-            test=job.split["test"], seed=effective_seed,
+            test=job.split["test"], seed=job.seed,
         )
         bench = run_bench_stage(
             stage1, model_name=job.model, model_params=job.model_params,

@@ -1,6 +1,6 @@
 """Ingestion, encoding, splitting, caching, and synthetic fixtures."""
 
-from .cache import cache_key, cache_load, cache_store, content_key
+from .cache import cache_key, cache_load, cache_store
 from .encode import encode
 from .schema import load_schema, schema_from_dict
 from .split import SplitSpec, split, split_indices
@@ -15,7 +15,6 @@ __all__ = [
     "cache_key",
     "cache_load",
     "cache_store",
-    "content_key",
     "datasets_equal",
     "encode",
     "load_csv",

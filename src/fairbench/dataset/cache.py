@@ -16,7 +16,7 @@ A dataset is keyed on the sha256 of its entry bytes, which `dumps` makes
 canonical. A hit therefore means the same arrays, names, provenance and
 format version, and every read checks the bytes against the key before it
 parses them. A new format or `VERSION` re-keys every dataset and so every
-record and OPP's evaluation draws: an older cache is a silent miss.
+record: an older cache is a silent miss.
 
 A record (`<cache_root>/<hex key>.metrics.fpds`) is the same magic and header
 framing with no body; the header holds the version, flat fields and the
@@ -55,9 +55,9 @@ _MAX_TABLE = 1 << 16
 
 
 def cache_key(dataset_key, method_name, params, seed) -> str:
-    """Hash of (dataset key, method, parameters, seed); hex, stable across runs."""
+    """Hash of (dataset key, method, parameters, seed); hex, stable across runs. None is no seed."""
     blob = canonical_json({"dataset": str(dataset_key), "method": str(method_name),
-                           "params": params or {}, "seed": int(seed)})
+                           "params": params or {}, "seed": None if seed is None else int(seed)})
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()
 
 
@@ -69,11 +69,6 @@ def _head(header) -> bytes:
 def entry_key(entry: bytes) -> str:
     """The key of the entry bytes `entry`: their sha256, hex."""
     return hashlib.sha256(entry).hexdigest()
-
-
-def content_key(ds: TabularDataset) -> str:
-    """The key of `ds`'s entry: the sha256 of `dumps(ds)`."""
-    return entry_key(dumps(ds))
 
 
 def cache_path(cache_root, key) -> Path:
@@ -253,6 +248,12 @@ def cache_store(entry: bytes, key: str, cache_root) -> Path:
     return _write(entry, cache_path(cache_root, key))
 
 
+def _keyed(blob: bytes, ok: bool) -> bytes:
+    if not ok:
+        raise DataFormatError("its bytes no longer hash to its key")
+    return blob
+
+
 def cache_load(key: str, cache_root):
     """The dataset cached under `key`, or None on a miss.
 
@@ -260,12 +261,14 @@ def cache_load(key: str, cache_root):
     no longer hash to `key` (checked before they are parsed), is a miss with a
     FairbenchWarning naming the file, so the caller recomputes and rewrites it.
     """
-    def checked(blob):
-        if entry_key(blob) != key:
-            raise DataFormatError("its bytes no longer hash to its key")
-        return loads(blob)
+    return _read(cache_path(cache_root, key), lambda blob: loads(_keyed(blob, entry_key(blob) == key)))
 
-    return _read(cache_path(cache_root, key), checked)
+
+def cache_holds(entry: bytes, key: str, cache_root) -> bool:
+    """Whether the file of `key`, the key of the entry bytes `entry`, holds them.
+
+    Nothing is parsed; an entry that is absent, unreadable or holds other bytes is a miss as `cache_load`'s is."""
+    return _read(cache_path(cache_root, key), lambda blob: _keyed(blob, blob == entry)) is not None
 
 
 def record_store(fields: dict, key: str, cache_root) -> Path:

@@ -126,19 +126,20 @@ def _floor(x, dtype):
 def _duplicate_groups(z):
     """Each row's group of bitwise-equal rows, groups numbered in order of their lowest row.
 
-    Rows are sorted by one fixed projection; only rows whose projections tie
-    are compared column by column, after a lexicographic sort of each tie run.
+    Rows are sorted by an exact projection of their bits, so equal rows tie; only rows whose
+    projections tie are compared bit for bit, after a lexicographic sort of each tie run.
     """
     n, d = z.shape
-    proj = z @ np.random.default_rng(0).standard_normal(d)
+    bits = z.view(np.uint64)
+    proj = bits @ (np.random.default_rng(0).integers(1 << 63, size=d, dtype=np.uint64) | 1)
     order = np.argsort(proj, kind="stable")
     tie = np.flatnonzero(proj[order[1:]] == proj[order[:-1]])
     if tie.size:
         run = np.union1d(tie, tie + 1)
         rows = order[run]
-        order[run] = rows[np.lexsort(tuple(z[rows].T[::-1]) + (proj[rows],))]
+        order[run] = rows[np.lexsort(tuple(bits[rows].T[::-1]) + (proj[rows],))]
     same = np.zeros(n - 1, dtype=bool)
-    same[tie] = (z[order[tie]] == z[order[tie + 1]]).all(axis=1)
+    same[tie] = (bits[order[tie]] == bits[order[tie + 1]]).all(axis=1)
     first = np.r_[True, ~same]
     rank = np.empty(int(first.sum()), dtype=np.intp)
     rank[np.argsort(order[first])] = np.arange(len(rank))

@@ -4,9 +4,9 @@ from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
 from ..dataset import TabularDataset, cache_key, cache_load, cache_store, encode, load_csv
-from ..dataset.cache import dumps, entry_key, record_load, record_store
+from ..dataset.cache import cache_holds, dumps, entry_key, record_load, record_store
 from ..metrics.dataset_metrics import DatasetMetrics, dataset_metrics
-from ..preproc import apply_method
+from ..preproc import SEEDED_METHODS, apply_method
 from ..errors import FairbenchError
 
 
@@ -60,9 +60,9 @@ def prepare_original(dataset, schema=None, cache_dir="fairbench_cache",
     """Cache `dataset` under its content key unless its entry reads back, and measure it.
 
     An encoded TabularDataset passes through; a CSV path is loaded and encoded
-    under `schema`. Its entry bytes, made once, are written when `cache_load`
-    misses (absent, unreadable, or off their sha256). The metrics are read
-    from the original's record, or computed and recorded.
+    under `schema`. Its entry bytes, made once, are compared with the file's,
+    not parsed, and written unless it holds them. The metrics are read from
+    the original's record, or computed and recorded.
     """
     ds = dataset
     if not isinstance(ds, TabularDataset):
@@ -71,7 +71,7 @@ def prepare_original(dataset, schema=None, cache_dir="fairbench_cache",
         ds = encode(load_csv(Path(dataset), schema), schema)
     entry = dumps(ds)
     key = entry_key(entry)
-    if cache_load(key, cache_dir) is None:
+    if not cache_holds(entry, key, cache_dir):
         cache_store(entry, key, cache_dir)
     del entry  # freed before the kNN pass, which sets the peak memory
     name = dataset_name or (schema.name if schema is not None else ds.provenance or "dataset")
@@ -95,7 +95,8 @@ def run_prep_stage(dataset, schema, method: str, params=None, seed: int = 0,
     `dataset` may be a CSV path (with `schema`), an already encoded
     TabularDataset (schema optional), or the PreparedOriginal of either; the
     first two are prepared here. The processed metrics are read from the
-    record under `processed_cache_key`. On a miss the full original is
+    record under `processed_cache_key`, which names the seed only for the
+    methods that read it (`SEEDED_METHODS`). On a miss the full original is
     transformed and measured, and the record written; the original is
     `original`, what `load_original` read for that preparation, or else read
     back from the cache here. A processed dataset with the original's
@@ -105,7 +106,7 @@ def run_prep_stage(dataset, schema, method: str, params=None, seed: int = 0,
     prepared = dataset
     if not isinstance(prepared, PreparedOriginal):
         prepared = prepare_original(dataset, schema, cache_dir, dataset_name)
-    key_proc = cache_key(prepared.cache_key, method, params, seed)
+    key_proc = cache_key(prepared.cache_key, method, params, seed if method in SEEDED_METHODS else None)
 
     def measure():
         ds = original if original is not None else load_original(prepared.cache_key, cache_dir, prepared.name)

@@ -1,9 +1,9 @@
 """Stage 2: train on original and processed data, sweep thresholds, pick the best.
 
-Within one job, both arms consume the identical split of the original dataset
-(the transform is re-fitted on the training split only, so no information leaks
-from validation or test). The optimal threshold is selected on the validation sweep and the
-test metrics at that threshold are reported.
+Both arms consume the split of the original dataset that the seed gives, one per
+(dataset, sensitive attribute, seed) across a batch; the transform is re-fitted on the
+training split only, so no information leaks. The optimal threshold is selected on the
+validation sweep and the test metrics at that threshold are reported.
 """
 
 import hashlib

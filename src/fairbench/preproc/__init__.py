@@ -5,18 +5,19 @@ is the stage-2 entry (fit on the training split, expose a feature transform
 for evaluation splits that keeps the true labels).
 """
 
+import hashlib
 from dataclasses import dataclass
 
 from ..errors import SchemaError
-from ..dataset.cache import content_key
 from ..dataset.tabular import TabularDataset, apply_standardization, standardize
-from ..util import checked_params, config_from, derive_seed
+from ..util import checked_params, config_from
 from .lfr import lfr_fit, lfr_transform
 from .opp import OppConfig, opp_fit, opp_transform
 from .repair import DirConfig, dir_repair
 from .reweigh import reweigh
 
 METHOD_NAMES = ("RW", "LFR", "DIR", "OPP")
+SEEDED_METHODS = ("LFR", "OPP")  # the methods that read the seed; RW and DIR ignore it
 
 
 @dataclass(frozen=True)
@@ -64,8 +65,11 @@ def fit_method(name: str, train: TabularDataset, params=None, seed: int = 0) -> 
         mapping = opp_fit(train, config_from(OppConfig, params, "OPP"))
 
         def eval_opp(ds, _m=mapping, _seed=seed):
-            # seeded by content: equal-sized validation and test splits must not share draws
-            out = opp_transform(_m, ds, seed=derive_seed(_seed, "opp-eval", content_key(ds)))
+            # seeded by the split's content: equal-sized validation and test splits must not share draws
+            h = hashlib.sha256(f"{_seed}/opp-eval".encode())
+            for values, dtype in ((ds.features, "<f8"), (ds.labels, "<i8"), (ds.protected, "<i8")):
+                h.update(values.astype(dtype, copy=False).tobytes())
+            out = opp_transform(_m, ds, seed=int.from_bytes(h.digest()[:8], "big"))
             return out.replace(labels=ds.labels)
 
         return FittedMethod(name, opp_transform(mapping, train, seed=seed), eval_opp)
@@ -80,6 +84,7 @@ def apply_method(name: str, ds: TabularDataset, params=None, seed: int = 0) -> T
 
 __all__ = [
     "METHOD_NAMES",
+    "SEEDED_METHODS",
     "DirConfig",
     "OppConfig",
     "apply_method",

@@ -1,7 +1,6 @@
 """Small shared helpers."""
 
 import dataclasses
-import hashlib
 import json
 
 from .errors import SchemaError
@@ -10,12 +9,6 @@ from .errors import SchemaError
 def canonical_json(obj) -> str:
     """Deterministic JSON serialization (sorted keys, no whitespace)."""
     return json.dumps(obj, sort_keys=True, separators=(",", ":"))
-
-
-def derive_seed(*parts) -> int:
-    """Stable 63-bit seed from arbitrary string/int parts."""
-    blob = "\x1f".join(str(p) for p in parts).encode("utf-8")
-    return int.from_bytes(hashlib.sha256(blob).digest()[:8], "big") >> 1
 
 
 # Every shape or kind error reads `<where> must be <kind>, got <type or value>`.

@@ -2,6 +2,7 @@
 
 import filecmp
 import hashlib
+import importlib
 import json
 import multiprocessing
 import os
@@ -21,6 +22,7 @@ from fairbench.batch import expand_jobs, parse_batch_yaml, run_batch, runner
 from fairbench.dataset import cache_store, load_schema, make_synthetic
 from fairbench.dataset import cache as cache_module
 from fairbench.errors import FairbenchWarning, SchemaError
+from fairbench.preproc import SEEDED_METHODS
 
 from conftest import flip_first_feature
 from oracles import oracle_v2_entry
@@ -168,6 +170,15 @@ class TestExpand:
         assert len(jobs) == 4  # 2 datasets x 2 methods x 1 model x 1 seed
         assert skipped == 0
         assert len({j.job_id for j in jobs}) == 4
+
+    def test_the_readme_example_expands_from_the_repository_root(self, monkeypatch):
+        root = Path(__file__).parents[1]
+        readme = (root / "README.md").read_text(encoding="utf-8")
+        example = readme.split("A batch config looks like:", 1)[1].split("```yaml\n", 1)[1].split("```", 1)[0]
+        monkeypatch.chdir(root)
+        jobs, skipped = expand_jobs(parse_batch_yaml(example))
+        # german under sex and age, synth under group; 2 methods, 3 seeds
+        assert (len(jobs), skipped) == (18, 0)
 
     def test_invalid_attribute_skipped_and_counted(self):
         spec = parse_batch_yaml(MATRIX + "\nsensitive_attributes: {synth_a: [group, nonexistent]}\n")
@@ -338,6 +349,96 @@ def caller_blas_threads():
     set_(previous)
 
 
+PAIRED = """
+datasets:
+{toy}
+methods:
+  - name: RW
+  - name: DIR
+  - name: LFR
+    params: {{prototypes: 5, max_iter: 300}}
+  - name: OPP
+    params: {{columns: [x]}}
+models: [logreg]
+seeds: [3]
+"""
+
+
+@pytest.fixture(scope="module")
+def paired_batch(tmp_path_factory):
+    """(root, jobs) of one CSV x RW, DIR, LFR and OPP x seed 3, run at parallelism 1 under `root/out`."""
+    root = tmp_path_factory.mktemp("paired")
+    jobs, _ = expand_jobs(parse_batch_yaml(PAIRED.format(toy=_toy_csv_entry(root))))
+    report = run_batch(jobs, parallelism=1, output_dir=root / "out", cache_dir=root / "cache")
+    assert report.exit_code == 0, [o.error for o in report.failures]
+    return root, jobs
+
+
+class TestJobSeed:
+    """A job's seed is its config seed: one split per (dataset, attribute, seed), and a job equals prep + bench."""
+
+    def test_the_jobs_of_one_dataset_and_seed_share_their_split_and_original_arm(self, paired_batch):
+        root, jobs = paired_batch
+        assert len(jobs) == 4
+        dirs = [root / "out" / job.job_id for job in jobs]
+        summaries = [json.loads((d / "summary.json").read_text()) for d in dirs]
+        assert {s["stage1"]["seed"] for s in summaries} == {3}
+        assert len({arm["split_hash"] for s in summaries for arm in s["arms"].values()}) == 1
+        for name in ("sweep_original_validation.csv", "sweep_original_test.csv", "sweep_original.svg"):
+            assert len({(d / name).read_bytes() for d in dirs}) == 1, name
+
+    def test_a_job_equals_prep_then_bench_at_its_seed(self, paired_batch, tmp_path):
+        from fairbench.cli import main
+
+        root, jobs = paired_batch
+        for job in jobs:
+            params = [f"{k}={json.dumps(v)}" for k, v in job.method_params.items()]
+            prep, bench = tmp_path / job.method / "prep", tmp_path / job.method / "bench"
+            assert main(["prep", "--dataset", job.dataset.name, "--schema", job.dataset.schema,
+                         "--csv", job.dataset.csv, "--sensitive", job.sensitive, "--method", job.method,
+                         *(a for p in params for a in ("--param", p)), "--seed", str(job.seed),
+                         "--out", str(prep), "--cache-dir", str(tmp_path / "cache")]) == 0
+            report_path, = prep.glob("*.json")
+            assert main(["bench", "--from", str(report_path), "--out", str(bench),
+                         "--cache-dir", str(tmp_path / "cache")]) == 0
+            job_dir = root / "out" / job.job_id
+            names = sorted(p.name for p in job_dir.iterdir())
+            assert names == sorted(p.name for p in bench.iterdir())
+            for name in names:
+                if name != "summary.json":
+                    assert (bench / name).read_bytes() == (job_dir / name).read_bytes(), (job.method, name)
+            summary = json.loads((job_dir / "summary.json").read_text())
+            assert summary.pop("job")["method"] == job.method and summary.pop("job_id") == job.job_id
+            assert json.loads((bench / "summary.json").read_text()) == summary
+
+    def test_seedless_records_are_shared_across_seeds_and_models(self, tmp_path, monkeypatch):
+        # the module, not the function that `fairbench.metrics` re-exports under its name
+        dm = importlib.import_module("fairbench.metrics.dataset_metrics")
+        jobs, _ = expand_jobs(parse_batch_yaml("""
+datasets:
+  - name: synth_a
+    synthetic: {n: 200, disparity: 0.3, seed: 11}
+methods: [DIR]
+models:
+  - name: logreg
+    params: {l2: 1.0e-4}
+  - name: logreg
+    params: {l2: 1.0e-2}
+seeds: [0, 1]
+"""))
+        assert len(jobs) == 4
+        passes, knn = [], dm._knn_label_means_blocked
+        monkeypatch.setattr(dm, "_knn_label_means_blocked", lambda *a, **kw: passes.append(1) or knn(*a, **kw))
+        cache = tmp_path / "cache"
+        # the calls a batch at parallelism 1 makes, in this process, where the passes can be counted
+        prepared = runner._prepare(jobs[0].dataset, jobs[0].sensitive, cache)
+        for job in jobs:
+            assert runner.execute_job(job, prepared, tmp_path / "out", cache).status == "ok"
+        # the original's record and one DIR record, whatever the seed or model
+        assert len(list(cache.glob("*.metrics.fpds"))) == 2
+        assert len(passes) == 2
+
+
 class TestRun:
     def test_four_jobs_with_one_failure_isolated(self, tmp_path):
         text = MATRIX.replace(
@@ -465,6 +566,7 @@ class TestRun:
         for job in jobs:
             stage1 = json.loads((tmp_path / "first" / job.job_id / "summary.json").read_text())["stage1"]
             key, method, params, seed = (stage1[name] for name in ("original_cache_key", "method", "params", "seed"))
+            seed = seed if method in SEEDED_METHODS else None  # RW and DIR records name no seed
             assert cache_module.cache_key(key, method, params, seed) == stage1["processed_cache_key"]
             old = hashlib.sha256(oracle_v2_entry(cache_module.loads(entries[f"{key}.fpds"]))).hexdigest()
             older[f"{old}.fpds"] = entries[f"{key}.fpds"]

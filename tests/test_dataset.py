@@ -18,7 +18,6 @@ from fairbench.dataset import (
     cache_key,
     cache_load,
     cache_store,
-    content_key,
     datasets_equal,
     encode,
     load_csv,
@@ -359,7 +358,7 @@ class TestCache:
         features[0, 0] = 1.0 / 3.0
         features[1, 1] = 1e-308
         ds = ds.replace(features=features, weights=ds.weights * np.pi)
-        key = content_key(ds)
+        key = entry_key(dumps(ds))
         cache_store(dumps(ds), key, tmp_path)
         loaded = cache_load(key, tmp_path)
         assert datasets_equal(ds, loaded)
@@ -370,7 +369,7 @@ class TestCache:
     def test_same_key_single_entry_last_wins(self, tmp_path):
         a = make_synthetic(seed=1, n=20, disparity=0.0)
         b = make_synthetic(seed=2, n=20, disparity=0.0)
-        key = content_key(b)
+        key = entry_key(dumps(b))
         cache_store(dumps(a), key, tmp_path)
         cache_store(dumps(b), key, tmp_path)
         assert len(list(tmp_path.glob("*.fpds"))) == 1
@@ -401,12 +400,12 @@ class TestCache:
         }[damage])
         # rejected at the key check, before the parser sees the bytes
         with pytest.warns(FairbenchWarning, match=f"{path.name}: its bytes no longer hash to its key"):
-            assert cache_load(content_key(ds), tmp_path) is None
+            assert cache_load(entry_key(dumps(ds)), tmp_path) is None
 
     def test_content_key_covers_the_protected_column(self):
         ds = make_synthetic(seed=1, n=20, disparity=0.0)
-        assert content_key(ds) == content_key(ds.replace())
-        assert content_key(ds.replace(protected=1 - ds.protected)) != content_key(ds)
+        assert entry_key(dumps(ds)) == entry_key(dumps(ds.replace()))
+        assert entry_key(dumps(ds.replace(protected=1 - ds.protected))) != entry_key(dumps(ds))
 
     def test_key_depends_on_all_parts(self):
         base = cache_key("d", "m", {"x": 1}, 0)
@@ -423,7 +422,7 @@ class TestCache:
         flip_first_feature(path)  # still parses, with one feature changed
         loads(path.read_bytes())
         with pytest.warns(FairbenchWarning, match=f"{path.name}: its bytes no longer hash to its key"):
-            assert cache_load(content_key(ds), tmp_path) is None
+            assert cache_load(entry_key(dumps(ds)), tmp_path) is None
 
 
 def german_dataset(tmp_path, n=200):
@@ -535,7 +534,7 @@ class TestCompactEntries:
         body = (8 * 2 + n) + (8 + n) + (8 * 256 + n) + (8 * 257 + 2 * n) + 8 * n + 2 * (8 * 2 + n) + 8 * n
         assert path.stat().st_size == len(MAGIC) + 8 + len(json.dumps(header, sort_keys=True,
                                                                        separators=(",", ":"))) + body
-        loaded = cache_load(content_key(ds), tmp_path)
+        loaded = cache_load(entry_key(dumps(ds)), tmp_path)
         assert datasets_equal(loaded, ds)
         assert (np.signbit(loaded.features[:, 0]) == np.signbit(ds.features[:, 0])).all()
         assert np.signbit(ds.features[:, 0]).any() and not np.signbit(ds.features[:, 0]).all()
@@ -543,8 +542,8 @@ class TestCompactEntries:
     def test_content_key_is_the_sha256_of_the_entry_bytes(self, tmp_path):
         for ds in (_table_dataset(), make_synthetic(seed=2, n=30, disparity=0.1)):
             path = store(ds, tmp_path)
-            assert content_key(ds) == hashlib.sha256(path.read_bytes()).hexdigest() == path.stem
-            assert content_key(ds) != hashlib.sha256(oracle_v2_entry(ds)).hexdigest()
+            assert entry_key(dumps(ds)) == hashlib.sha256(path.read_bytes()).hexdigest() == path.stem
+            assert entry_key(dumps(ds)) != hashlib.sha256(oracle_v2_entry(ds)).hexdigest()
 
     def test_equal_content_gives_equal_entry_bytes_and_key(self):
         rng = np.random.default_rng(4)
@@ -558,10 +557,10 @@ class TestCompactEntries:
                 TabularDataset(features.astype(np.float32), **fields)]
         for other in same:
             assert dumps(other) == dumps(ds)
-            assert content_key(other) == content_key(ds)
+            assert entry_key(dumps(other)) == entry_key(dumps(ds))
         changed = [ds.replace(protected=np.where(np.arange(60) == 7, 1 - protected, protected)),
                    ds.replace(feature_names=("a", "b", "d")), ds.replace(provenance="toy[age]")]
-        keys = {content_key(other) for other in [ds, *changed]}
+        keys = {entry_key(dumps(other)) for other in [ds, *changed]}
         assert len(keys) == 1 + len(changed)
 
     def test_german_original_entry_is_at_most_a_quarter_of_its_dense_size(self, tmp_path):
@@ -609,9 +608,21 @@ class TestCompactEntries:
 
     def test_an_entry_that_exists_but_cannot_be_read_is_a_warned_miss(self, tmp_path):
         ds = make_synthetic(seed=1, n=20, disparity=0.0)
-        cache_path(tmp_path, content_key(ds)).mkdir()
-        with pytest.warns(FairbenchWarning, match=f"{content_key(ds)}.fpds: it cannot be read"):
-            assert cache_load(content_key(ds), tmp_path) is None
+        cache_path(tmp_path, entry_key(dumps(ds))).mkdir()
+        with pytest.warns(FairbenchWarning, match=f"{entry_key(dumps(ds))}.fpds: it cannot be read"):
+            assert cache_load(entry_key(dumps(ds)), tmp_path) is None
+
+    def test_a_warm_preparation_compares_the_entry_bytes_and_parses_none(self, tmp_path, monkeypatch):
+        ds = _table_dataset(n=200)
+        path = cache_path(tmp_path, prepare_original(ds, None, tmp_path, "tables").cache_key)
+        written = path.stat().st_ino  # a rewrite renames a new file into place
+        parsed = []
+        monkeypatch.setattr(cache_module, "loads", lambda blob: parsed.append(blob) or loads(blob))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert prepare_original(ds, None, tmp_path, "tables").cache_key == path.stem
+        assert parsed == []
+        assert path.stat().st_ino == written
 
     def test_preparation_makes_the_entry_bytes_once(self, tmp_path, monkeypatch):
         import fairbench.pipeline.stage1 as stage1_module
@@ -630,9 +641,9 @@ class TestCompactEntries:
         old.write_bytes(old_entry(ds))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            assert prepare_original(ds, None, tmp_path, "tables").cache_key == content_key(ds)
+            assert prepare_original(ds, None, tmp_path, "tables").cache_key == entry_key(dumps(ds))
         assert old.read_bytes() == old_entry(ds)
-        assert cache_path(tmp_path, content_key(ds)).read_bytes() == dumps(ds)
+        assert cache_path(tmp_path, entry_key(dumps(ds))).read_bytes() == dumps(ds)
 
 
 class TestSynthetic:

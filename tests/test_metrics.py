@@ -288,6 +288,14 @@ class TestConsistency:
             for block in (None, 64):
                 assert np.array_equal(_knn_label_means_blocked(z, y, k, block=block), expected), (k, block)
 
+    def test_every_set_of_equal_rows_is_one_group_at_adult_size(self):
+        # a float projection rounds by row position, which split some of these sets in two
+        from fairbench.metrics.dataset_metrics import _duplicate_groups
+
+        rows = np.random.default_rng(0).standard_normal((50, 105))
+        group = _duplicate_groups(rows[np.arange(48842) % 50])
+        assert np.array_equal(group, np.arange(48842) % 50)
+
     def test_adult_sized_call_peaks_below_16_mib(self):
         # four 512-row (512, n) temporaries per block took 4 x 512 x 4000 x 8 B
         import tracemalloc

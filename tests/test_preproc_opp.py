@@ -1,6 +1,7 @@
 """Probabilistic pre-processing: simplex invariants, endpoints, oracle gap, direction."""
 
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ import yaml
 
 from oracles import oracle_opp_fit, oracle_opp_transform
 
+import fairbench
 from fairbench.dataset import TabularDataset
 from fairbench.errors import FairbenchWarning, FitError
 from fairbench.metrics import base_rate, disparate_impact, statistical_parity_difference
@@ -290,6 +292,33 @@ class TestTransform:
         validation = fitted.transform_eval(with_z(np.zeros(200)))
         test = fitted.transform_eval(with_z(np.ones(200)))
         assert not np.array_equal(validation.features[:, 0], test.features[:, 0])
+
+    def test_evaluation_draws_do_not_follow_the_cache_format(self, tmp_path, monkeypatch):
+        from fairbench.dataset import SplitSpec
+        from fairbench.dataset import cache as cache_module
+        from fairbench.pipeline import run_bench_stage, run_prep_stage
+
+        ds = surrogate(seed=13, n=400)
+        params = {"columns": ["x"], "epsilon": 0.1, "distortion_budget": 0.3, "bins": 3, "max_iter": 150}
+
+        def processed_sweeps(cache):
+            stage1 = run_prep_stage(ds, None, "OPP", params, seed=2, cache_dir=cache, dataset_name="s")
+            arm = run_bench_stage(stage1, split_spec=SplitSpec(seed=2), cache_dir=cache).processed
+            return stage1.original_cache_key, repr((arm.validation, arm.test))  # repr: NaN != NaN
+
+        key, sweeps = processed_sweeps(tmp_path / "now")
+        monkeypatch.setattr(cache_module, "VERSION", cache_module.VERSION + 1)
+        other_key, other_sweeps = processed_sweeps(tmp_path / "next")
+        assert other_key != key  # the new version re-keyed the original
+        assert other_sweeps == sweeps
+
+    def test_transforms_read_nothing_of_the_cache(self):
+        src = Path(fairbench.__file__).parent
+        for path in (src / "preproc").glob("*.py"):
+            imports = [line for line in path.read_text(encoding="utf-8").splitlines()
+                       if line.startswith(("from ", "import "))]
+            assert not [line for line in imports if "cache" in line], path
+        assert not [path for path in src.rglob("*.py") if "content_key" in path.read_text(encoding="utf-8")]
 
     def test_group_and_weights_preserved(self):
         ds = surrogate(seed=10)
