@@ -1,10 +1,13 @@
 """Execute expanded jobs with isolated failures and a shared atomic cache.
 
 Each distinct (dataset, sensitive attribute) is ingested, cached and measured
-once; each job then runs the rest of stage 1 and stage 2 and writes its
-artifacts under `<out>/<job id>/`. Its config seed seeds the split and every
-fit, so the jobs of one (dataset, sensitive attribute, seed) share a split, and
-results do not depend on parallelism, execution order or the other jobs.
+once. Its config seed seeds a job's split and every fit, so the jobs of one
+(dataset, sensitive attribute, seed) share a split; each original arm then
+runs and is rendered once per (dataset, sensitive attribute, split, seed,
+model, model parameters, selection metric). Each job runs the rest of stage 1
+and its processed arm, and writes its full artifact set under
+`<out>/<job id>/`. Results do not depend on parallelism, execution order or
+the other jobs.
 """
 
 import contextlib
@@ -25,10 +28,14 @@ from pathlib import Path
 from ..dataset import SplitSpec, load_schema, make_synthetic
 from ..dataset.cache import remove_partial_writes
 from ..pipeline.stage1 import load_original, prepare_original, run_prep_stage
-from ..pipeline.stage2 import run_bench_stage
-from ..report.svg import write_sweep_svg
-from ..report.tables import stage1_rows, sweep_summary, write_stage1_csv, write_summary_json, write_sweep_csv
+from ..pipeline.stage2 import run_bench_stage, run_original_arm, split_original
+from ..report.svg import render_sweep_svg, write_sweep_svg
+from ..report.tables import (render_sweep_csv, stage1_rows, sweep_summary, write_stage1_csv, write_summary_json,
+                             write_sweep_csv, write_text)
+from ..util import canonical_json
 from .spec import DatasetEntry, JobSpec
+
+_SPLITS = ("validation", "test")
 
 
 @dataclass(frozen=True)
@@ -63,6 +70,14 @@ class BatchReport:
         }
 
 
+@dataclass(frozen=True)
+class OriginalArm:
+    """An original arm run once for every job that shares it: its sweep summary and its files' texts."""
+
+    summary: dict
+    texts: tuple         # (file name, text) pairs, in the order a job writes them
+
+
 def _error_text(exc) -> str:
     return "".join(traceback.format_exception_only(type(exc), exc)).strip()
 
@@ -76,7 +91,8 @@ def write_job_artifacts(stage1, bench, job_dir, **summary_fields) -> list:
 
     `stage1.csv`, `sweep_<arm>_<split>.csv` and `sweep_<arm>.svg` per arm
     that ran, and `summary.json`, which holds `summary_fields` next to the
-    stage-1 report, the arm summaries and the arm errors.
+    stage-1 report, the arm summaries and the arm errors. An arm is a
+    SweepResult, rendered here, or an OriginalArm, rendered already.
     """
     job_dir = Path(job_dir)
     job_dir.mkdir(parents=True, exist_ok=True)
@@ -84,14 +100,16 @@ def write_job_artifacts(stage1, bench, job_dir, **summary_fields) -> list:
     arms = {}
     for arm in ("original", "processed"):
         result = getattr(bench, arm)
-        if result is None:
-            continue
-        for split_name in ("validation", "test"):
-            artifacts.append(write_sweep_csv(
-                result.records(split_name), job_dir / f"sweep_{arm}_{split_name}.csv"
-            ))
-        artifacts.append(write_sweep_svg(result, job_dir / f"sweep_{arm}.svg"))
-        arms[arm] = sweep_summary(result)
+        if isinstance(result, OriginalArm):
+            artifacts += [write_text(text, job_dir / name) for name, text in result.texts]
+            arms[arm] = result.summary
+        elif result is not None:
+            for split_name in _SPLITS:
+                artifacts.append(write_sweep_csv(
+                    result.records(split_name), job_dir / f"sweep_{arm}_{split_name}.csv"
+                ))
+            artifacts.append(write_sweep_svg(result, job_dir / f"sweep_{arm}.svg"))
+            arms[arm] = sweep_summary(result)
     summary = dict(summary_fields, stage1=stage1.to_dict(), arms=arms, arm_errors=bench.errors)
     artifacts.append(write_summary_json(summary, job_dir / "summary.json"))
     return artifacts
@@ -100,6 +118,17 @@ def write_job_artifacts(stage1, bench, job_dir, **summary_fields) -> list:
 def _original_of(job: JobSpec):
     """The (dataset entry, sensitive attribute) whose preparation the job shares."""
     return job.dataset.name, job.dataset.source_token(), job.dataset.schema, job.sensitive
+
+
+def _arm_of(job: JobSpec):
+    """What the jobs that share one original arm have in common."""
+    return (_original_of(job), canonical_json(job.split), job.seed, job.model,
+            canonical_json(job.model_params), job.selection_metric)
+
+
+def _split_spec(job: JobSpec) -> SplitSpec:
+    return SplitSpec(train=job.split["train"], validation=job.split["validation"],
+                     test=job.split["test"], seed=job.seed)
 
 
 def _prepare(dataset: DatasetEntry, sensitive, cache_dir):
@@ -114,21 +143,35 @@ def _prepare(dataset: DatasetEntry, sensitive, cache_dir):
         return _error_text(exc)
 
 
-def execute_job(job: JobSpec, prepared, output_dir, cache_dir) -> JobOutcome:
-    """Run one job from the PreparedOriginal of its dataset; exceptions become a failed outcome, never a crash."""
+def _original_arm(job: JobSpec, prepared, cache_dir):
+    """The original arm `job` shares, run and rendered: an OriginalArm, or the arm's error text."""
+    # the whole original is dropped once split, before the fit
+    split = split_original(load_original(prepared.cache_key, cache_dir, prepared.name), _split_spec(job))
+    result = run_original_arm(split, job.model, job.model_params, job.seed, job.selection_metric)
+    if isinstance(result, str):
+        return result
+    texts = [(f"sweep_original_{split_name}.csv", render_sweep_csv(result.records(split_name)))
+             for split_name in _SPLITS]
+    texts.append(("sweep_original.svg", render_sweep_svg(result)))
+    return OriginalArm(sweep_summary(result), tuple(texts))
+
+
+def execute_job(job: JobSpec, prepared, output_dir, cache_dir, original_arm=None) -> JobOutcome:
+    """Run one job from the PreparedOriginal of its dataset; exceptions become a failed outcome, never a crash.
+
+    `original_arm` is the job's OriginalArm or its error text, as `run_batch`
+    runs it once for every job that shares it; when it is None, the job runs
+    its original arm itself.
+    """
     started = time.perf_counter()
     try:
         original = load_original(prepared.cache_key, cache_dir, prepared.name)
         stage1 = run_prep_stage(prepared, None, job.method, job.method_params,
                                 seed=job.seed, cache_dir=cache_dir, original=original)
-        split_spec = SplitSpec(
-            train=job.split["train"], validation=job.split["validation"],
-            test=job.split["test"], seed=job.seed,
-        )
         bench = run_bench_stage(
             stage1, model_name=job.model, model_params=job.model_params,
-            split_spec=split_spec, selection_metric=job.selection_metric,
-            cache_dir=cache_dir, original=original,
+            split_spec=_split_spec(job), selection_metric=job.selection_metric,
+            cache_dir=cache_dir, original=original, original_arm=original_arm,
         )
 
         artifacts = write_job_artifacts(
@@ -248,11 +291,14 @@ def run_batch(jobs, parallelism: int = 1, output_dir="fairbench_out",
     """Run all jobs, at most `parallelism` at a time; failures never stop the batch.
 
     Each distinct (dataset entry, sensitive attribute) is first prepared once:
-    ingested, cached and measured. Its jobs then run from that preparation;
-    each reads the original back from the cache once, for both stages. The
-    jobs of a preparation that failed fail with its error text. Preparations and jobs run as tasks of one
-    process pool, at parallelism 1 too, so a dying worker never ends the batch;
-    once a dead worker has broken it, the spawn pool that replaced it takes the rest.
+    ingested, cached and measured. The jobs of a preparation that failed fail
+    with its error text. Then each distinct original arm (`_arm_of`) runs and
+    is rendered once, and its jobs receive its artifacts or its error text,
+    the pool's error text too when its worker died. Last, each job reads the
+    original back from the cache once, for both stages, and runs its
+    processed arm. Preparations, arms and jobs run as tasks of one process
+    pool, at parallelism 1 too, so a dying worker never ends the batch; once a
+    dead worker has broken it, the spawn pool that replaced it takes the rest.
     """
     output_dir = Path(output_dir)
     output_dir.mkdir(parents=True, exist_ok=True)
@@ -266,8 +312,12 @@ def run_batch(jobs, parallelism: int = 1, output_dir="fairbench_out",
     try:
         prepared = dict(zip(originals, _run_tasks(_prepare, list(originals.values()), pools, workers)))
         ready = [job for job in jobs if not isinstance(prepared[_original_of(job)], str)]
-        done = iter(_run_tasks(execute_job, [(job, prepared[_original_of(job)], output_dir, cache_dir)
-                                             for job in ready], pools, workers))
+        shared = {}
+        for job in ready:
+            shared.setdefault(_arm_of(job), (job, prepared[_original_of(job)], cache_dir))
+        arms = dict(zip(shared, _run_tasks(_original_arm, list(shared.values()), pools, workers)))
+        done = iter(_run_tasks(execute_job, [(job, prepared[_original_of(job)], output_dir, cache_dir,
+                                              arms[_arm_of(job)]) for job in ready], pools, workers))
     finally:
         for pool in pools:
             pool.shutdown()

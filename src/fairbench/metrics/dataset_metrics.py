@@ -123,23 +123,35 @@ def _floor(x, dtype):
     return np.where(t > x, np.nextafter(t, -np.inf), t)
 
 
+def _equal_neighbours(bits, order, at, block=256):
+    """Whether rows order[at] and order[at + 1] are bitwise equal, `block` pairs at a time to stay in cache."""
+    equal = np.empty(len(at), dtype=bool)
+    for start in range(0, len(at), block):
+        pair = at[start:start + block]
+        equal[start:start + block] = (bits[order[pair]] == bits[order[pair + 1]]).all(axis=1)
+    return equal
+
+
 def _duplicate_groups(z):
     """Each row's group of bitwise-equal rows, groups numbered in order of their lowest row.
 
     Rows are sorted by an exact projection of their bits, so equal rows tie; only rows whose
-    projections tie are compared bit for bit, after a lexicographic sort of each tie run.
+    projections tie are compared bit for bit, neighbour with neighbour. A tie run that holds
+    unequal rows is sorted lexicographically first, so that its equal rows sit together.
     """
     n, d = z.shape
     bits = z.view(np.uint64)
     proj = bits @ (np.random.default_rng(0).integers(1 << 63, size=d, dtype=np.uint64) | 1)
     order = np.argsort(proj, kind="stable")
     tie = np.flatnonzero(proj[order[1:]] == proj[order[:-1]])
-    if tie.size:
-        run = np.union1d(tie, tie + 1)
+    same = np.zeros(n - 1, dtype=bool)
+    same[tie] = _equal_neighbours(bits, order, tie)
+    mixed = proj[order[tie[~same[tie]]]]
+    if mixed.size:
+        run = np.flatnonzero(np.isin(proj[order], mixed))
         rows = order[run]
         order[run] = rows[np.lexsort(tuple(bits[rows].T[::-1]) + (proj[rows],))]
-    same = np.zeros(n - 1, dtype=bool)
-    same[tie] = (bits[order[tie]] == bits[order[tie + 1]]).all(axis=1)
+        same[tie] = _equal_neighbours(bits, order, tie)
     first = np.r_[True, ~same]
     rank = np.empty(int(first.sum()), dtype=np.intp)
     rank[np.argsort(order[first])] = np.arange(len(rank))

@@ -1,7 +1,8 @@
 """Stage 2: train on original and processed data, sweep thresholds, pick the best.
 
 Both arms consume the split of the original dataset that the seed gives, one per
-(dataset, sensitive attribute, seed) across a batch; the transform is re-fitted on the
+(dataset, sensitive attribute, seed) across a batch, which runs each original arm once
+for every job that shares it; the transform is re-fitted on the
 training split only, so no information leaks. The optimal threshold is selected on the
 validation sweep and the test metrics at that threshold are reported.
 """
@@ -22,7 +23,7 @@ from .sweep import SweepResult, select_optimal_threshold, sweep_thresholds
 
 @dataclass(frozen=True)
 class BenchStageResult:
-    original: SweepResult       # None when that arm failed
+    original: SweepResult       # None when that arm failed; what a batch passed in when it ran elsewhere
     processed: SweepResult
     errors: dict                # arm name -> message for failed arms
 
@@ -33,6 +34,20 @@ def _hash_indices(parts):
         h.update(np.ascontiguousarray(idx, dtype=np.int64).tobytes())
         h.update(b"|")
     return h.hexdigest()
+
+
+def split_original(original: TabularDataset, split_spec: SplitSpec):
+    """(split hash, (train, validation, test)): `original` split by `split_spec`, as both arms use it."""
+    idx = split_indices(original, split_spec)
+    return _hash_indices(idx), tuple(original.take(i) for i in idx)
+
+
+def _isolated(run, *args):
+    """run(*args), or "<Type>: <message>" when it raises: a failed arm does not abort the other."""
+    try:
+        return run(*args)
+    except Exception as exc:
+        return f"{type(exc).__name__}: {exc}"
 
 
 def _run_arm(arm, train, val, test, model_name, model_params, seed, selection_metric, split_hash):
@@ -54,46 +69,48 @@ def _run_arm(arm, train, val, test, model_name, model_params, seed, selection_me
     )
 
 
+def run_original_arm(split, model_name: str, model_params, seed: int, selection_metric: str):
+    """The original arm on `split`, from `split_original`: its SweepResult, or its error as "<Type>: <message>"."""
+    split_hash, parts = split
+    return _isolated(_run_arm, "original", *parts, model_name, model_params, seed, selection_metric, split_hash)
+
+
+def _run_processed_arm(stage1, split, model_name, model_params, selection_metric):
+    split_hash, (train, val, test) = split
+    fitted = fit_method(stage1.method, train, stage1.params, stage1.seed)
+    return _run_arm("processed", fitted.train, fitted.transform_eval(val), fitted.transform_eval(test),
+                    model_name, model_params, stage1.seed, selection_metric, split_hash)
+
+
 def run_bench_stage(stage1: StageOneReport, model_name: str = "logreg", model_params=None,
                     split_spec: SplitSpec = None, selection_metric: str = "SPD",
-                    cache_dir="fairbench_cache", original: TabularDataset = None) -> BenchStageResult:
+                    cache_dir="fairbench_cache", original: TabularDataset = None,
+                    original_arm=None) -> BenchStageResult:
     """Benchmark the original arm against the re-fitted transform arm.
 
     `original` is the original dataset that stage 1 read, as a batch job
     passes it; when it is None, as from `fairbench bench`, stage 1's
     `load_original` reads it back from the cache and checks it against its
-    key. A failure in one arm is recorded and does not abort the other; at
-    least one arm must succeed.
+    key. `original_arm` is the original arm's outcome when it ran elsewhere:
+    a batch runs it once per (dataset, sensitive attribute, split, seed,
+    model, model parameters, selection metric) and passes its rendered
+    artifacts, which stand in for the SweepResult, or its error text. When it
+    is None, both arms run here. A failure in one arm is recorded and does
+    not abort the other; at least one arm must succeed.
     """
     split_spec = split_spec or SplitSpec(seed=stage1.seed)
     if original is None:
         original = load_original(stage1.original_cache_key, cache_dir, stage1.dataset)
 
-    idx = split_indices(original, split_spec)
-    split_hash = _hash_indices(idx)
-    orig_train, orig_val, orig_test = (original.take(i) for i in idx)
-
-    results, errors = {}, {}
-    try:
-        results["original"] = _run_arm(
-            "original", orig_train, orig_val, orig_test, model_name, model_params,
-            stage1.seed, selection_metric, split_hash,
-        )
-    except Exception as exc:  # isolated per arm
-        results["original"] = None
-        errors["original"] = f"{type(exc).__name__}: {exc}"
-
-    try:
-        fitted = fit_method(stage1.method, orig_train, stage1.params, stage1.seed)
-        results["processed"] = _run_arm(
-            "processed", fitted.train, fitted.transform_eval(orig_val),
-            fitted.transform_eval(orig_test), model_name, model_params,
-            stage1.seed, selection_metric, split_hash,
-        )
-    except Exception as exc:
-        results["processed"] = None
-        errors["processed"] = f"{type(exc).__name__}: {exc}"
-
-    if results["original"] is None and results["processed"] is None:
+    split = split_original(original, split_spec)
+    if original_arm is None:
+        original_arm = run_original_arm(split, model_name, model_params, stage1.seed, selection_metric)
+    arms = {
+        "original": original_arm,
+        "processed": _isolated(_run_processed_arm, stage1, split, model_name, model_params, selection_metric),
+    }
+    errors = {arm: outcome for arm, outcome in arms.items() if isinstance(outcome, str)}
+    if len(errors) == len(arms):
         raise FairbenchError(f"both arms failed: {errors}")
-    return BenchStageResult(original=results["original"], processed=results["processed"], errors=errors)
+    return BenchStageResult(**{arm: None if arm in errors else outcome for arm, outcome in arms.items()},
+                            errors=errors)

@@ -121,10 +121,19 @@ def _cell_codes(ds: TabularDataset, names, kinds, edges_list):
 
 
 def _unique_rows(matrix):
-    """Lexicographically sorted distinct rows and each input row's index among them."""
-    rows, inverse = np.unique(matrix, axis=0, return_inverse=True)
-    # the inverse's shape differs across numpy 2.x releases
-    return rows, inverse.ravel()
+    """Lexicographically sorted distinct rows of an int64 matrix, and each input row's index among them.
+
+    Each row is read as one mixed-radix number, its first column the most
+    significant digit, each digit shifted by its column's minimum, so the
+    numbers sort as the rows do. The domain guard (`_MAX_DOMAIN_CELLS`)
+    keeps the product of the radices far inside int64.
+    """
+    low = matrix.min(axis=0)
+    radix = matrix.max(axis=0) - low + 1
+    place = np.ones_like(radix)  # the last column varies fastest
+    place[:-1] = np.cumprod(radix[:0:-1])[::-1]
+    _, first, inverse = np.unique((matrix - low) @ place, return_index=True, return_inverse=True)
+    return matrix[first], inverse
 
 
 def opp_fit(ds: TabularDataset, cfg: OppConfig = OppConfig()) -> OppMap:

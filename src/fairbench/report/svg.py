@@ -8,10 +8,10 @@ byte-identical output; no external resources are referenced.
 """
 
 import math
-from pathlib import Path
 
 from ..metrics.classification import FAIRNESS_FIELDS
 from ..pipeline.sweep import SweepResult
+from .tables import write_text
 
 _PANEL_W = 300
 _PANEL_H = 240
@@ -129,7 +129,4 @@ def render_sweep_svg(result: SweepResult) -> str:
 
 
 def write_sweep_svg(result: SweepResult, path):
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(render_sweep_svg(result), encoding="utf-8")
-    return path
+    return write_text(render_sweep_svg(result), path)

@@ -55,35 +55,40 @@ def write_stage1_csv(rows, path) -> Path:
     """One data row per (dataset, method, DatasetMetrics) row."""
     if not rows:
         raise FairbenchError("no stage-1 rows to write")
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(",".join(STAGE1_HEADER) + "\n")
-        for dataset, method, metrics in rows:
-            cells = (dataset, method, *map(_fmt, _STAGE1_FIELDS(metrics)))
-            fh.write(",".join(cells) + "\n")
-    return path
+    lines = [",".join(STAGE1_HEADER)]
+    for dataset, method, metrics in rows:
+        lines.append(",".join((dataset, method, *map(_fmt, _STAGE1_FIELDS(metrics)))))
+    return write_text("\n".join(lines) + "\n", path)
+
+
+def render_sweep_csv(records) -> str:
+    """One row per threshold record of a single split; returns the CSV document as a string."""
+    if not records:
+        raise FairbenchError("no sweep records to write")
+    lines = [",".join(SWEEP_HEADER)]
+    for rec in records:
+        m = rec.metrics
+        lines.append(",".join((
+            _fmt(rec.threshold, 2),
+            *map(_fmt, _SWEEP_FIELDS(m)),
+            _fmt(m.group_rates[0]["tpr"]),
+            _fmt(m.group_rates[1]["tpr"]),
+            _fmt(m.group_rates[0]["fpr"]),
+            _fmt(m.group_rates[1]["fpr"]),
+        )))
+    return "\n".join(lines) + "\n"
 
 
 def write_sweep_csv(records, path) -> Path:
-    """One row per threshold record of a single split."""
-    if not records:
-        raise FairbenchError("no sweep records to write")
+    """`render_sweep_csv(records)`, written to `path`."""
+    return write_text(render_sweep_csv(records), path)
+
+
+def write_text(text: str, path) -> Path:
+    """Write `text` to `path` as UTF-8 with its newlines as they are."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(",".join(SWEEP_HEADER) + "\n")
-        for rec in records:
-            m = rec.metrics
-            cells = (
-                _fmt(rec.threshold, 2),
-                *map(_fmt, _SWEEP_FIELDS(m)),
-                _fmt(m.group_rates[0]["tpr"]),
-                _fmt(m.group_rates[1]["tpr"]),
-                _fmt(m.group_rates[0]["fpr"]),
-                _fmt(m.group_rates[1]["fpr"]),
-            )
-            fh.write(",".join(cells) + "\n")
+    path.write_text(text, encoding="utf-8", newline="")
     return path
 
 
@@ -113,9 +118,4 @@ def write_summary_json(payload: dict, path) -> Path:
     """Versioned, deterministic JSON (sorted keys, full float precision)."""
     doc = {"schema_version": 1}
     doc.update(_jsonable(payload))
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, sort_keys=True, indent=2)
-        fh.write("\n")
-    return path
+    return write_text(json.dumps(doc, sort_keys=True, indent=2) + "\n", path)

@@ -250,11 +250,11 @@ def job_files(root: Path):
 _execute_job = runner.execute_job
 
 
-def _exit_on_synth_b_dir(job, prepared, output_dir, cache_dir):
+def _exit_on_synth_b_dir(job, prepared, output_dir, cache_dir, original_arm=None):
     """Kills the pool worker that runs the synth_b DIR job (module level, so it pickles)."""
     if job.dataset.name == "synth_b" and job.method == "DIR":
         os._exit(1)
-    return _execute_job(job, prepared, output_dir, cache_dir)
+    return _execute_job(job, prepared, output_dir, cache_dir, original_arm)
 
 
 _IMPORT_PID = os.getpid()
@@ -265,26 +265,26 @@ def _in_fork_pool():
     return os.getpid() != _IMPORT_PID
 
 
-def _exit_in_pool_on_synth_b_dir(job, prepared, output_dir, cache_dir):
+def _exit_in_pool_on_synth_b_dir(job, prepared, output_dir, cache_dir, original_arm=None):
     """Kills every pool worker, forked or spawned, that runs synth_b DIR; in the caller's own process it runs the job."""
     if multiprocessing.parent_process() is not None and job.dataset.name == "synth_b" and job.method == "DIR":
         os._exit(1)
-    return _execute_job(job, prepared, output_dir, cache_dir)
+    return _execute_job(job, prepared, output_dir, cache_dir, original_arm)
 
 
-def _exit_forked_on_synth_b_dir(job, prepared, output_dir, cache_dir):
+def _exit_forked_on_synth_b_dir(job, prepared, output_dir, cache_dir, original_arm=None):
     """Kills the fork-pool worker that runs synth_b DIR, so that job runs again in the spawn pool."""
     if _in_fork_pool() and job.dataset.name == "synth_b" and job.method == "DIR":
         os._exit(1)
-    return _execute_job(job, prepared, output_dir, cache_dir)
+    return _execute_job(job, prepared, output_dir, cache_dir, original_arm)
 
 
-def _exit_forked_deleting_toy_csv(job, prepared, output_dir, cache_dir):
+def _exit_forked_deleting_toy_csv(job, prepared, output_dir, cache_dir, original_arm=None):
     """Deletes the toy CSV in the fork-pool worker that runs toy DIR, then kills that worker."""
     if _in_fork_pool() and job.dataset.name == "toy" and job.method == "DIR":
         os.remove(job.dataset.csv)
         os._exit(1)
-    return _execute_job(job, prepared, output_dir, cache_dir)
+    return _execute_job(job, prepared, output_dir, cache_dir, original_arm)
 
 
 _prepare_original = runner.prepare_original
@@ -307,6 +307,30 @@ def _exit_preparing_synth_b(dataset, sensitive, cache_dir):
     return _prepare(dataset, sensitive, cache_dir)
 
 
+_original_arm = runner._original_arm
+
+
+def _exit_running_synth_b_original_arm(job, prepared, cache_dir):
+    """Kills every pool worker, forked or spawned, that runs synth_b's original arm."""
+    if job.dataset.name == "synth_b":
+        os._exit(1)
+    return _original_arm(job, prepared, cache_dir)
+
+
+stage2 = importlib.import_module("fairbench.pipeline.stage2")
+_run_arm = stage2._run_arm
+
+
+def _original_arm_down(arm, *args):
+    if arm == "original":
+        raise RuntimeError("original arm down")
+    return _run_arm(arm, *args)
+
+
+def _every_arm_down(arm, *args):
+    raise RuntimeError(f"{arm} arm down")
+
+
 def _store_stalling_in_fsync(cache_dir, writing):
     """A pool worker's set-up, then a cache write that stalls before its rename (runs in a forked child)."""
     runner._init_worker()
@@ -319,18 +343,18 @@ def _store_stalling_in_fsync(cache_dir, writing):
     cache_store(cache_module.dumps(make_synthetic(seed=0, n=50, disparity=0.0)), "key", cache_dir)
 
 
-def _record_blas_threads(job, prepared, output_dir, cache_dir):
+def _record_blas_threads(job, prepared, output_dir, cache_dir, original_arm=None):
     """Writes the BLAS thread count the job runs with to `<output_dir>/<job id>.threads`."""
     get, _ = runner._openblas_threads()
     (Path(output_dir) / f"{job.job_id}.threads").write_text(str(get()), encoding="utf-8")
     return runner.JobOutcome(job_id=job.job_id, status="ok", error="", wall_time_s=0.0, artifacts=())
 
 
-def _record_blas_threads_outside_fork_pool(job, prepared, output_dir, cache_dir):
+def _record_blas_threads_outside_fork_pool(job, prepared, output_dir, cache_dir, original_arm=None):
     """Kills every fork-pool worker, so each job records its count in the spawn re-run pool."""
     if _in_fork_pool():
         os._exit(1)
-    return _record_blas_threads(job, prepared, output_dir, cache_dir)
+    return _record_blas_threads(job, prepared, output_dir, cache_dir, original_arm)
 
 
 @pytest.fixture
@@ -754,6 +778,59 @@ class TestRun:
                 assert outcome.status == "ok", (job.job_id, outcome.error)
         doc = json.loads((tmp_path / "out" / "batch_report.json").read_text())
         assert [j["status"] for j in doc["jobs"]] == [o.status for o in report.outcomes]
+
+
+class TestOriginalArm:
+    """A batch runs each original arm once, in a task of its own, for every job that shares it."""
+
+    TWO_METHODS = MINIMAL.replace("methods: [RW]", "methods: [RW, DIR]")
+
+    @pytest.mark.parametrize("parallelism", [1, 2])
+    def test_a_failed_original_arm_is_recorded_by_each_of_its_jobs(self, tmp_path, monkeypatch, parallelism):
+        jobs, _ = expand_jobs(parse_batch_yaml(self.TWO_METHODS))
+        cache = tmp_path / "cache"
+        # forked pool workers inherit the patch
+        monkeypatch.setattr(stage2, "_run_arm", _original_arm_down)
+        report = run_batch(jobs, parallelism=parallelism, output_dir=tmp_path / "out", cache_dir=cache)
+        assert report.exit_code == 0, [o.error for o in report.failures]
+        prepared = runner._prepare(jobs[0].dataset, jobs[0].sensitive, cache)
+        for job in jobs:
+            job_dir = tmp_path / "out" / job.job_id
+            summary = json.loads((job_dir / "summary.json").read_text())
+            assert summary["arm_errors"] == {"original": "RuntimeError: original arm down"}
+            assert list(summary["arms"]) == ["processed"]
+            assert sorted(p.name for p in job_dir.iterdir()) == [
+                "stage1.csv", "summary.json", "sweep_processed.svg",
+                "sweep_processed_test.csv", "sweep_processed_validation.csv"]
+            # the job run alone runs its original arm itself, and records the same error
+            assert runner.execute_job(job, prepared, tmp_path / "alone", cache).status == "ok"
+            alone = json.loads((tmp_path / "alone" / job.job_id / "summary.json").read_text())
+            assert alone["arm_errors"] == summary["arm_errors"]
+
+    def test_a_job_whose_arms_both_fail_fails_as_it_does_alone(self, tmp_path, monkeypatch):
+        jobs, _ = expand_jobs(parse_batch_yaml(self.TWO_METHODS))
+        cache = tmp_path / "cache"
+        monkeypatch.setattr(stage2, "_run_arm", _every_arm_down)
+        report = run_batch(jobs, parallelism=1, output_dir=tmp_path / "out", cache_dir=cache)
+        prepared = runner._prepare(jobs[0].dataset, jobs[0].sensitive, cache)
+        for job, outcome in zip(jobs, report.outcomes):
+            assert outcome.status == "failed"
+            assert "both arms failed" in outcome.error
+            assert outcome.error == runner.execute_job(job, prepared, tmp_path / "alone", cache).error
+
+    def test_an_original_arm_whose_every_worker_dies_fails_only_that_arm(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(runner, "_original_arm", _exit_running_synth_b_original_arm)
+        jobs, _ = expand_jobs(parse_batch_yaml(MATRIX))
+        report = run_batch(jobs, parallelism=2, output_dir=tmp_path / "out", cache_dir=tmp_path / "cache")
+        assert report.exit_code == 0, [o.error for o in report.failures]
+        for job in jobs:
+            summary = json.loads((tmp_path / "out" / job.job_id / "summary.json").read_text())
+            if job.dataset.name == "synth_b":
+                assert list(summary["arms"]) == ["processed"]
+                assert "BrokenProcessPool" in summary["arm_errors"]["original"]
+            else:
+                assert list(summary["arms"]) == ["original", "processed"]
+                assert summary["arm_errors"] == {}
 
 
 class TestBlasThreads:

@@ -18,8 +18,11 @@ def _bench_module(name):
     return module
 
 
-def _traced_batch(tmp_path, draws, methods, parallelism, **matrix):
-    """(result, per-layer metrics, problems) of one traced batch over German n=200 CSVs, one per draw."""
+def _traced_batch(tmp_path, draws, methods, parallelism, method_params=None, **matrix):
+    """(result, per-layer metrics, problems) of one traced batch over German n=200 CSVs, one per draw.
+
+    `method_params` maps a method name to its parameters in the matrix.
+    """
     gen, spans = _bench_module("gen"), _bench_module("spans")
     schema = ROOT / "src" / "fairbench" / "dataset" / "schemas" / "german.yaml"
     datasets = []
@@ -29,7 +32,8 @@ def _traced_batch(tmp_path, draws, methods, parallelism, **matrix):
         datasets.append({"name": f"german-{draw}", "csv": str(csv), "schema": str(schema)})
     config = tmp_path / "batch.yaml"
     config.write_text(json.dumps({  # JSON is YAML
-        "datasets": datasets, "methods": methods, "models": ["logreg"], "seeds": [0],
+        "datasets": datasets, "models": ["logreg"], "seeds": [0],
+        "methods": [{"name": m, "params": (method_params or {}).get(m, {})} for m in methods],
         "parallelism": parallelism, **matrix,
     }), encoding="utf-8")
     result_path, span_dir = tmp_path / "result.json", tmp_path / "spans"
@@ -62,3 +66,14 @@ def test_traced_lfr_fit_reports_its_time_and_steps(tmp_path):
     assert problems == []
     assert metrics["preproc.fit_s.LFR"] > 0
     assert metrics["preproc.lfr_iterations"] > 0
+
+
+@pytest.mark.parametrize("parallelism", [1, 2])
+def test_the_jobs_of_one_original_fit_its_model_once_between_them(tmp_path, parallelism):
+    # four processed arms and the one original arm they share
+    result, metrics, problems = _traced_batch(
+        tmp_path, (0,), ["RW", "DIR", "LFR", "OPP"], parallelism,
+        method_params={"OPP": {"columns": ["duration", "credit_amount", "age"]}})
+    assert [job["status"] for job in result["jobs"]] == ["ok"] * 4, result["jobs"]
+    assert problems == []
+    assert metrics["model.fit_calls"] == 5

@@ -129,3 +129,28 @@ def test_each_package_imports_alone_in_a_fresh_interpreter(module):
     done = subprocess.run([sys.executable, "-c", f"import {module}"], env=env, capture_output=True,
                           text=True, timeout=120)
     assert done.returncode == 0, done.stderr
+
+
+def test_every_module_imports_only_the_stdlib_numpy_and_yaml():
+    """fairbench is numpy-only: importing all of it adds no other third-party module, such as scipy,
+    which would also lengthen the start of every batch."""
+    src = Path(fairbench.__file__).resolve().parents[1]
+    modules = sorted(".".join(path.relative_to(src).with_suffix("").parts).removesuffix(".__init__")
+                     for path in (src / "fairbench").rglob("*.py"))
+    code = (
+        "import sys\n"
+        "before = set(sys.modules)\n"
+        f"for name in {modules!r}:\n"
+        "    __import__(name)\n"
+        "print(' '.join(sorted(set(sys.modules) - before)))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    added = done.stdout.split()
+    assert "fairbench.cli" in added and "fairbench.batch.runner" in added
+    # multiprocessing registers `__mp_main__`; numpy's Cython extensions add `cython_runtime` and `_cython_<version>`
+    allowed = set(sys.stdlib_module_names) | {"numpy", "yaml", "fairbench", "__mp_main__", "cython_runtime"}
+    others = [name for name in added
+              if name.partition(".")[0] not in allowed and not name.startswith("_cython_")]
+    assert not others, others

@@ -296,6 +296,29 @@ class TestConsistency:
         group = _duplicate_groups(rows[np.arange(48842) % 50])
         assert np.array_equal(group, np.arange(48842) % 50)
 
+    def test_unequal_rows_that_share_a_projection_get_groups_of_their_own(self):
+        from fairbench.metrics.dataset_metrics import _duplicate_groups
+
+        d = 6
+        rng = np.random.default_rng(3)
+        # the odd multipliers of the projection: adding m[j] to column i and
+        # taking m[i] from column j leaves it unchanged, modulo 2**64
+        m = np.random.default_rng(0).integers(1 << 63, size=d, dtype=np.uint64) | 1
+        a = rng.integers(1 << 62, size=d, dtype=np.uint64)
+        b = a.copy()
+        b[1:2] += m[4:5]
+        b[4:5] -= m[1:2]
+        c = b.copy()
+        c[0:1] += m[2:3]
+        c[2:3] -= m[0:1]
+        assert a @ m == b @ m == c @ m and len({a.tobytes(), b.tobytes(), c.tobytes()}) == 3
+        others = rng.integers(1 << 62, size=(4, d), dtype=np.uint64)
+        bits = np.vstack([others, a, b, c])[rng.integers(0, 7, 60)]
+        group = _duplicate_groups(bits.view(np.float64))
+        # every set of equal rows is one group, numbered in order of its lowest row
+        _, first, inverse = np.unique(bits, axis=0, return_index=True, return_inverse=True)
+        assert np.array_equal(group, np.argsort(np.argsort(first))[inverse.ravel()])
+
     def test_adult_sized_call_peaks_below_16_mib(self):
         # four 512-row (512, n) temporaries per block took 4 x 512 x 4000 x 8 B
         import tracemalloc

@@ -167,6 +167,19 @@ class TestFit:
             fit_method("OPP", minority_fixture(), yaml.safe_load(params))
 
 
+@pytest.mark.parametrize("shape", [(1, 1), (1, 3), (6, 1), (50, 2), (400, 3), (200, 4)])
+@pytest.mark.parametrize("high", [1, 3, 12])
+def test_unique_rows_match_numpy_row_unique(shape, high):
+    from fairbench.preproc.opp import _unique_rows
+
+    matrix = np.random.default_rng(shape[0] * high).integers(-2, high, shape, dtype=np.int64)
+    rows, inverse = _unique_rows(matrix)
+    expected_rows, expected_inverse = np.unique(matrix, axis=0, return_inverse=True)
+    assert rows.dtype == np.int64
+    assert np.array_equal(rows, expected_rows)
+    assert np.array_equal(inverse, expected_inverse.ravel())
+
+
 class TestToyOracle:
     def test_label_only_problem_matches_grid_search(self):
         """4-row label transform: mirror descent reaches the 0.01-grid optimum."""
