@@ -17,7 +17,6 @@ import json
 import os
 import signal
 import time
-import traceback
 import warnings
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
@@ -27,6 +26,7 @@ from pathlib import Path
 
 from ..dataset import SplitSpec, load_schema, make_synthetic
 from ..dataset.cache import remove_partial_writes
+from ..errors import error_text
 from ..pipeline.stage1 import load_original, prepare_original, run_prep_stage
 from ..pipeline.stage2 import run_bench_stage, run_original_arm, split_original
 from ..report.svg import render_sweep_svg, write_sweep_svg
@@ -78,10 +78,6 @@ class OriginalArm:
     texts: tuple         # (file name, text) pairs, in the order a job writes them
 
 
-def _error_text(exc) -> str:
-    return "".join(traceback.format_exception_only(type(exc), exc)).strip()
-
-
 def _failed(job_id, error: str, wall_time_s=0.0) -> JobOutcome:
     return JobOutcome(job_id=job_id, status="failed", error=error, wall_time_s=wall_time_s, artifacts=())
 
@@ -104,10 +100,8 @@ def write_job_artifacts(stage1, bench, job_dir, **summary_fields) -> list:
             artifacts += [write_text(text, job_dir / name) for name, text in result.texts]
             arms[arm] = result.summary
         elif result is not None:
-            for split_name in _SPLITS:
-                artifacts.append(write_sweep_csv(
-                    result.records(split_name), job_dir / f"sweep_{arm}_{split_name}.csv"
-                ))
+            artifacts += [write_sweep_csv(getattr(result, split_name), job_dir / f"sweep_{arm}_{split_name}.csv")
+                          for split_name in _SPLITS]
             artifacts.append(write_sweep_svg(result, job_dir / f"sweep_{arm}.svg"))
             arms[arm] = sweep_summary(result)
     summary = dict(summary_fields, stage1=stage1.to_dict(), arms=arms, arm_errors=bench.errors)
@@ -140,7 +134,7 @@ def _prepare(dataset: DatasetEntry, sensitive, cache_dir):
             source, schema = dataset.csv, load_schema(dataset.schema, sensitive=sensitive)
         return prepare_original(source, schema, cache_dir, dataset.name)
     except Exception as exc:
-        return _error_text(exc)
+        return error_text(exc)
 
 
 def _original_arm(job: JobSpec, prepared, cache_dir):
@@ -150,7 +144,7 @@ def _original_arm(job: JobSpec, prepared, cache_dir):
     result = run_original_arm(split, job.model, job.model_params, job.seed, job.selection_metric)
     if isinstance(result, str):
         return result
-    texts = [(f"sweep_original_{split_name}.csv", render_sweep_csv(result.records(split_name)))
+    texts = [(f"sweep_original_{split_name}.csv", render_sweep_csv(getattr(result, split_name)))
              for split_name in _SPLITS]
     texts.append(("sweep_original.svg", render_sweep_svg(result)))
     return OriginalArm(sweep_summary(result), tuple(texts))
@@ -186,7 +180,7 @@ def execute_job(job: JobSpec, prepared, output_dir, cache_dir, original_arm=None
             artifacts=tuple(str(p) for p in artifacts),
         )
     except Exception as exc:
-        return _failed(job.job_id, _error_text(exc), time.perf_counter() - started)
+        return _failed(job.job_id, error_text(exc), time.perf_counter() - started)
 
 
 def _call(fn, args):
@@ -232,7 +226,7 @@ def _run_tasks(fn, tasks, pools, workers):
     results = []
     for future in futures:
         error = future.exception()
-        result, caught = future.result() if error is None else (_error_text(error), ())
+        result, caught = future.result() if error is None else (error_text(error), ())
         for message, category, filename, lineno in caught:
             warnings.warn_explicit(message, category, filename, lineno)
         results.append(result)

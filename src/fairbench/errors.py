@@ -23,3 +23,8 @@ class FitError(FairbenchError):
 
 class FairbenchWarning(UserWarning):
     """Non-fatal data conditions: dropped rows, unseen categories, degenerate cells."""
+
+
+def error_text(exc: BaseException) -> str:
+    """`<Type>: <message>`, the one form in which a failed preparation, arm or job is reported."""
+    return f"{type(exc).__name__}: {exc}"

@@ -1,14 +1,16 @@
 """Prediction-level utility and fairness metrics (stage 2).
 
-`classification_metrics` scores the rule y_hat = [score >= t] at one threshold
-or at a whole vector of them from a single tally. All rates follow the
-weighted convention; the Theil index is unweighted. A rate whose denominator
-mass is empty (<= 0) is carried as None, and so is every field built from it,
-so one undefined rate does not void the rest of the record.
+`classification_metrics` scores the rule y_hat = [score >= t] at a whole
+vector of thresholds from a single tally, as one ClassificationTable of
+per-threshold columns; a scalar threshold is the same computation, read back
+at its one position. All rates follow the weighted convention; the Theil index
+is unweighted. A rate whose denominator mass is empty (<= 0) is carried as
+None, and so is every field built from it, so one undefined rate does not void
+the rest of the row.
 """
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -39,8 +41,33 @@ class ClassificationMetrics:
     theil_index: float
     group_rates: dict  # group -> {tpr, fpr, tnr, fnr}; may hold None per rate
 
-    def fairness_value(self, metric: str):
-        return getattr(self, FAIRNESS_FIELDS[metric])
+
+_METRIC_FIELDS = tuple(f.name for f in fields(ClassificationMetrics) if f.name != "group_rates")
+
+
+@dataclass(frozen=True)
+class ClassificationTable:
+    """ClassificationMetrics over thresholds: each field a list with one value per threshold, in input order."""
+
+    thresholds: list
+    balanced_accuracy: list
+    statistical_parity_difference: list
+    disparate_impact: list
+    equal_opportunity_difference: list
+    average_odds_difference: list
+    theil_index: list
+    group_rates: dict  # group -> {tpr, fpr, tnr, fnr} -> list
+
+    def __len__(self):
+        return len(self.thresholds)
+
+    def at(self, k: int) -> ClassificationMetrics:
+        """The bundle at the k-th threshold."""
+        return ClassificationMetrics(
+            *(getattr(self, name)[k] for name in _METRIC_FIELDS),
+            group_rates={g: {name: column[k] for name, column in rates.items()}
+                         for g, rates in self.group_rates.items()},
+        )
 
 
 def _by_prediction(tally):
@@ -56,17 +83,13 @@ def _ratio(num, den):
     return np.divide(num, den, out=np.full(np.shape(num), np.nan), where=den > 0)
 
 
-def _carried(values):
-    """Python floats, None where a value is undefined (NaN)."""
-    return [None if v != v else v for v in values.tolist()]
-
-
 def classification_metrics(y_true, scores, threshold, protected, weights=None):
-    """The bundle under y_hat = [score >= t]; a NaN score is never positive.
+    """The metrics under y_hat = [score >= t]; a NaN score is never positive.
 
-    A float threshold gives one ClassificationMetrics; a 1-D sequence gives a
-    tuple of them in input order, all from one tally of how many thresholds
-    each record clears.
+    A 1-D sequence of thresholds gives one ClassificationTable with a column
+    per field, in input order, from one tally of how many thresholds each
+    record clears; a float threshold gives that table's one row as a
+    ClassificationMetrics.
     """
     thresholds = np.asarray(threshold)
     if (thresholds.dtype.kind not in "iuf" or thresholds.ndim > 1
@@ -85,7 +108,8 @@ def classification_metrics(y_true, scores, threshold, protected, weights=None):
     if not (np.isin(y_true, (0, 1)).all() and np.isin(protected, (0, 1)).all()):
         raise ValueError("y_true and protected must be 0/1")
 
-    grid, position = np.unique(thresholds.astype(float), return_inverse=True)
+    # 1-D first: on a 0-d input some numpy versions return a 0-d inverse
+    grid, position = np.unique(np.atleast_1d(thresholds).astype(float), return_inverse=True)
     m = len(grid)
     cleared = np.searchsorted(grid, scores, side="right")
     cleared[np.isnan(scores)] = 0
@@ -117,23 +141,19 @@ def classification_metrics(y_true, scores, threshold, protected, weights=None):
         theil = ((n - false_neg - false_pos) * (one * np.log(one)) + false_pos * (two * np.log(two))) / n
     theil = np.where(degenerate, 0.0, theil)
 
-    columns = {
-        "balanced_accuracy": _carried(0.5 * (tpr[2] + rates["tnr"][2])),
-        "statistical_parity_difference": _carried(r0 - r1),
-        "disparate_impact": [None if undefined else v
-                             for v, undefined in zip(di.tolist(), (np.isnan(r0) | np.isnan(r1)).tolist())],
-        "equal_opportunity_difference": _carried(tpr[0] - tpr[1]),
-        "average_odds_difference": _carried(0.5 * ((fpr[0] - fpr[1]) + (tpr[0] - tpr[1]))),
-        "theil_index": theil.tolist(),
-    }
-    group_rates = {(g, name): _carried(rates[name][row]) for row, g in enumerate(_GROUPS) for name in _RATE_NAMES}
-    bundles = [
-        ClassificationMetrics(
-            **{field: values[k] for field, values in columns.items()},
-            group_rates={g: {name: group_rates[g, name][k] for name in _RATE_NAMES} for g in _GROUPS},
-        )
-        for k in range(m)
-    ]
-    if thresholds.ndim == 0:
-        return bundles[0]
-    return tuple(bundles[i] for i in position)
+    def column(values):
+        """Python floats in input order, None where a value is undefined (NaN)."""
+        return [None if v != v else v for v in values[position].tolist()]
+
+    undefined_di = (np.isnan(r0) | np.isnan(r1))[position].tolist()
+    table = ClassificationTable(
+        thresholds=grid[position].tolist(),
+        balanced_accuracy=column(0.5 * (tpr[2] + rates["tnr"][2])),
+        statistical_parity_difference=column(r0 - r1),
+        disparate_impact=[None if undefined else v for v, undefined in zip(di[position].tolist(), undefined_di)],
+        equal_opportunity_difference=column(tpr[0] - tpr[1]),
+        average_odds_difference=column(0.5 * ((fpr[0] - fpr[1]) + (tpr[0] - tpr[1]))),
+        theil_index=theil[position].tolist(),
+        group_rates={g: {name: column(rates[name][row]) for name in _RATE_NAMES} for row, g in enumerate(_GROUPS)},
+    )
+    return table.at(0) if thresholds.ndim == 0 else table

@@ -14,7 +14,7 @@ import numpy as np
 
 # stage 2 reads no cache entry itself; bench/spans.py wraps `cache_load` under this module's name
 from ..dataset import SplitSpec, TabularDataset, cache_load, split_indices
-from ..errors import FairbenchError
+from ..errors import FairbenchError, error_text
 from ..model import fit_model
 from ..preproc import fit_method
 from .stage1 import StageOneReport, load_original
@@ -43,34 +43,23 @@ def split_original(original: TabularDataset, split_spec: SplitSpec):
 
 
 def _isolated(run, *args):
-    """run(*args), or "<Type>: <message>" when it raises: a failed arm does not abort the other."""
+    """run(*args), or its error text when it raises: a failed arm does not abort the other."""
     try:
         return run(*args)
     except Exception as exc:
-        return f"{type(exc).__name__}: {exc}"
+        return error_text(exc)
 
 
 def _run_arm(arm, train, val, test, model_name, model_params, seed, selection_metric, split_hash):
     scorer = fit_model(model_name, train, model_params, seed)
-    sweeps = {
-        split_name: sweep_thresholds(ds.labels, scorer.score(ds), ds.protected)
-        for split_name, ds in (("validation", val), ("test", test))
-    }
-    best_t = select_optimal_threshold(sweeps["validation"], selection_metric)
-    at_optimal = next(rec.metrics for rec in sweeps["test"] if rec.threshold == best_t)
-    return SweepResult(
-        arm=arm,
-        validation=sweeps["validation"],
-        test=sweeps["test"],
-        optimal_threshold=best_t,
-        selection_metric=selection_metric,
-        test_at_optimal=at_optimal,
-        split_hash=split_hash,
-    )
+    val_sweep, test_sweep = (sweep_thresholds(ds.labels, scorer.score(ds), ds.protected) for ds in (val, test))
+    return SweepResult(arm=arm, validation=val_sweep, test=test_sweep,
+                       optimal_threshold=select_optimal_threshold(val_sweep, selection_metric),
+                       selection_metric=selection_metric, split_hash=split_hash)
 
 
 def run_original_arm(split, model_name: str, model_params, seed: int, selection_metric: str):
-    """The original arm on `split`, from `split_original`: its SweepResult, or its error as "<Type>: <message>"."""
+    """The original arm on `split`, from `split_original`: its SweepResult, or its error text."""
     split_hash, parts = split
     return _isolated(_run_arm, "original", *parts, model_name, model_params, seed, selection_metric, split_hash)
 

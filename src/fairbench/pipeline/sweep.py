@@ -1,10 +1,14 @@
-"""Threshold sweep over the 99-point grid and composite optimal-threshold choice."""
+"""Threshold sweep over the 99-point grid and composite optimal-threshold choice.
+
+A sweep is one ClassificationTable per split: a column per metric, a row per
+grid threshold. Selection and the writers read its columns.
+"""
 
 import math
 from dataclasses import dataclass
 
 from ..errors import FairbenchError
-from ..metrics.classification import FAIRNESS_FIELDS, ClassificationMetrics, classification_metrics
+from ..metrics.classification import FAIRNESS_FIELDS, ClassificationMetrics, ClassificationTable, classification_metrics
 
 FAIRNESS_METRICS = tuple(FAIRNESS_FIELDS)
 
@@ -15,36 +19,28 @@ def default_grid():
 
 
 @dataclass(frozen=True)
-class SweepRecord:
-    threshold: float
-    metrics: ClassificationMetrics
-
-
-@dataclass(frozen=True)
 class SweepResult:
-    """Per-threshold records for the validation and test splits of one arm."""
+    """The validation and test sweeps of one arm, and the threshold chosen on validation."""
 
     arm: str
-    validation: tuple  # SweepRecords
-    test: tuple
+    validation: ClassificationTable
+    test: ClassificationTable
     optimal_threshold: float
     selection_metric: str
-    test_at_optimal: ClassificationMetrics
     split_hash: str
 
-    def records(self, split: str):
-        return {"validation": self.validation, "test": self.test}[split]
+    @property
+    def test_at_optimal(self) -> ClassificationMetrics:
+        return self.test.at(self.test.thresholds.index(self.optimal_threshold))
 
 
-def sweep_thresholds(y_true, scores, protected):
-    """One SweepRecord per grid threshold, all from one classification_metrics
-    call; undefined metrics ride along as None."""
-    grid = default_grid()
-    return tuple(map(SweepRecord, grid, classification_metrics(y_true, scores, grid, protected)))
+def sweep_thresholds(y_true, scores, protected) -> ClassificationTable:
+    """The table over the grid, from one classification_metrics call;
+    undefined metrics ride along as None."""
+    return classification_metrics(y_true, scores, default_grid(), protected)
 
 
-def _deviation(metrics: ClassificationMetrics, metric_name: str):
-    value = metrics.fairness_value(metric_name)
+def _deviation(value, metric_name: str):
     if value is None or not math.isfinite(value):
         return None
     if metric_name == "DI":
@@ -54,28 +50,27 @@ def _deviation(metrics: ClassificationMetrics, metric_name: str):
     return abs(value)
 
 
-def select_optimal_threshold(records, fairness_metric: str) -> float:
-    """Maximize balanced accuracy minus the fairness deviation over the grid.
+def select_optimal_threshold(table: ClassificationTable, fairness_metric: str) -> float:
+    """Maximize balanced accuracy minus the fairness deviation over the table's thresholds.
 
     The deviation is |value| for SPD/EOD/AOD, |1 - value| for DI, and the raw
     value for Theil, so the composite reduces to the balanced-accuracy argmax
     when the fairness series is identically zero. Thresholds with undefined
-    constituents are skipped; ties go to the lower threshold.
+    constituents are skipped; ties go to the earlier threshold.
     """
     if fairness_metric not in FAIRNESS_METRICS:
         raise FairbenchError(f"unknown selection metric {fairness_metric!r}; expected one of {FAIRNESS_METRICS}")
-    if not records:
+    if not len(table):
         raise FairbenchError("cannot select a threshold from an empty sweep")
     best_t, best_score = None, -math.inf
-    for rec in records:
-        if rec.metrics.balanced_accuracy is None:
+    fairness = getattr(table, FAIRNESS_FIELDS[fairness_metric])
+    for t, accuracy, value in zip(table.thresholds, table.balanced_accuracy, fairness):
+        dev = _deviation(value, fairness_metric)
+        if accuracy is None or dev is None:
             continue
-        dev = _deviation(rec.metrics, fairness_metric)
-        if dev is None:
-            continue
-        score = rec.metrics.balanced_accuracy - dev
+        score = accuracy - dev
         if score > best_score:
-            best_t, best_score = rec.threshold, score
+            best_t, best_score = t, score
     if best_t is None:
         raise FairbenchError("every threshold had an undefined constituent metric")
     return best_t

@@ -10,7 +10,7 @@ byte-identical output; no external resources are referenced.
 import math
 
 from ..metrics.classification import FAIRNESS_FIELDS
-from ..pipeline.sweep import SweepResult
+from ..pipeline.sweep import SweepResult, default_grid
 from .tables import write_text
 
 _PANEL_W = 300
@@ -30,42 +30,31 @@ def _finite(value):
     return value is not None and math.isfinite(value)
 
 
-def _series(records, attr):
-    pairs = []
-    for rec in records:
-        value = getattr(rec.metrics, attr)
-        pairs.append((rec.threshold, value if _finite(value) else None))
-    return pairs
-
-
-def _segments(pairs, x_of, y_of):
-    """Polyline point strings, split where a value is undefined (the gap rule)."""
+def _segments(xs, values, y_of):
+    """Polyline point strings at the formatted x coordinates `xs`, split where a value is not finite (the gap rule)."""
     segments, current = [], []
-    for t, v in pairs:
-        if v is None:
-            if current:
-                segments.append(current)
-                current = []
-            continue
-        current.append(f"{_num(x_of(t))},{_num(y_of(v))}")
+    for x, v in zip(xs, values):
+        if _finite(v):
+            current.append(f"{x},{_num(y_of(v))}")
+        elif current:
+            segments.append(current)
+            current = []
     if current:
         segments.append(current)
     return segments
 
 
-def _panel(out, index, title, attr, records, optimal_t):
+def _panel(out, index, title, attr, table, optimal_t):
     x0 = index * _PANEL_W + _MARGIN
     x1 = (index + 1) * _PANEL_W - _MARGIN // 2
     y0 = _TOP
     y1 = _PANEL_H - _BOTTOM
-    t_lo, t_hi = 0.01, 0.99
+    t_lo, *_, t_hi = default_grid()
 
     def x_of(t):
         return x0 + (t - t_lo) / (t_hi - t_lo) * (x1 - x0)
 
-    acc_pairs = _series(records, "balanced_accuracy")
-    fair_pairs = _series(records, attr)
-    finite_vals = [v for _, v in fair_pairs if v is not None]
+    finite_vals = [v for v in getattr(table, attr) if _finite(v)]
     lo = min(finite_vals) if finite_vals else -1.0
     hi = max(finite_vals) if finite_vals else 1.0
     if hi - lo < 1e-12:
@@ -80,7 +69,7 @@ def _panel(out, index, title, attr, records, optimal_t):
     out.append(f'<rect x="{x0}" y="{y0}" width="{x1 - x0}" height="{y1 - y0}" fill="none" stroke="#888"/>')
     out.append(f'<text x="{(x0 + x1) // 2}" y="{y0 - 8}" text-anchor="middle" font-size="13">{title}</text>')
     # axis ticks
-    for t in (0.01, 0.5, 0.99):
+    for t in (t_lo, 0.5, t_hi):
         out.append(f'<text x="{_num(x_of(t))}" y="{y1 + 14}" text-anchor="middle" font-size="9">{t:g}</text>')
     for v in (0.0, 0.5, 1.0):
         out.append(
@@ -98,8 +87,10 @@ def _panel(out, index, title, attr, records, optimal_t):
     out.append(
         f'<text x="{_num(x_of(optimal_t))}" y="{y1 + 26}" text-anchor="middle" font-size="9">t*={optimal_t:.2f}</text>'
     )
-    for pairs, y_of, color, cls in ((acc_pairs, y_acc, _BLUE, "accuracy"), (fair_pairs, y_fair, _RED, "fairness")):
-        for seg in _segments(pairs, x_of, y_of):
+    xs = [_num(x_of(t)) for t in table.thresholds]
+    for column, y_of, color, cls in (("balanced_accuracy", y_acc, _BLUE, "accuracy"),
+                                     (attr, y_fair, _RED, "fairness")):
+        for seg in _segments(xs, getattr(table, column), y_of):
             if len(seg) == 1:
                 cx, cy = seg[0].split(",")
                 out.append(f'<circle cx="{cx}" cy="{cy}" r="1.5" fill="{color}" class="{cls}"/>')

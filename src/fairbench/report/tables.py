@@ -1,5 +1,6 @@
 """Machine-readable outputs: stage-1 metric tables, sweep CSVs, summary JSON.
 
+A sweep CSV is one split's ClassificationTable, written column by column.
 CSV values are presented with three decimals (counts stay integers) and
 non-finite ratios render as 'undefined'; JSON keeps full float precision so a
 round-trip parse is lossless.
@@ -13,7 +14,7 @@ from pathlib import Path
 
 from ..errors import FairbenchError
 from ..pipeline.stage1 import StageOneReport
-from ..pipeline.sweep import SweepResult
+from ..pipeline.sweep import SweepResult, default_grid
 
 STAGE1_HEADER = (
     "dataset", "method", "base_rate", "consistency", "disparate_impact",
@@ -28,9 +29,10 @@ SWEEP_HEADER = (
     "tpr_unprivileged", "tpr_privileged", "fpr_unprivileged", "fpr_privileged",
 )
 
-# the header columns read from a DatasetMetrics / ClassificationMetrics by name
+# the header columns read from a DatasetMetrics / ClassificationTable by name
 _STAGE1_FIELDS = attrgetter(*STAGE1_HEADER[2:])
 _SWEEP_FIELDS = attrgetter(*SWEEP_HEADER[1:7])
+_SWEEP_RATES = ((0, "tpr"), (1, "tpr"), (0, "fpr"), (1, "fpr"))
 
 
 def _fmt(value, decimals=3):
@@ -41,6 +43,10 @@ def _fmt(value, decimals=3):
     if not math.isfinite(value):
         return "undefined"
     return f"{value:.{decimals}f}"
+
+
+# the threshold column of every sweep, formatted once
+_GRID_CELLS = {t: _fmt(t, 2) for t in default_grid()}
 
 
 def stage1_rows(report: StageOneReport):
@@ -61,27 +67,21 @@ def write_stage1_csv(rows, path) -> Path:
     return write_text("\n".join(lines) + "\n", path)
 
 
-def render_sweep_csv(records) -> str:
-    """One row per threshold record of a single split; returns the CSV document as a string."""
-    if not records:
-        raise FairbenchError("no sweep records to write")
-    lines = [",".join(SWEEP_HEADER)]
-    for rec in records:
-        m = rec.metrics
-        lines.append(",".join((
-            _fmt(rec.threshold, 2),
-            *map(_fmt, _SWEEP_FIELDS(m)),
-            _fmt(m.group_rates[0]["tpr"]),
-            _fmt(m.group_rates[1]["tpr"]),
-            _fmt(m.group_rates[0]["fpr"]),
-            _fmt(m.group_rates[1]["fpr"]),
-        )))
-    return "\n".join(lines) + "\n"
+def render_sweep_csv(table) -> str:
+    """One row per threshold of a single split's ClassificationTable; returns the CSV document as a string."""
+    if not len(table):
+        raise FairbenchError("no sweep rows to write")
+    columns = (
+        [_GRID_CELLS.get(t) or _fmt(t, 2) for t in table.thresholds],
+        *(map(_fmt, values) for values in _SWEEP_FIELDS(table)),
+        *(map(_fmt, table.group_rates[g][rate]) for g, rate in _SWEEP_RATES),
+    )
+    return "\n".join((",".join(SWEEP_HEADER), *map(",".join, zip(*columns)))) + "\n"
 
 
-def write_sweep_csv(records, path) -> Path:
-    """`render_sweep_csv(records)`, written to `path`."""
-    return write_text(render_sweep_csv(records), path)
+def write_sweep_csv(table, path) -> Path:
+    """`render_sweep_csv(table)`, written to `path`."""
+    return write_text(render_sweep_csv(table), path)
 
 
 def write_text(text: str, path) -> Path:
@@ -103,13 +103,12 @@ def _jsonable(value):
 
 
 def sweep_summary(result: SweepResult) -> dict:
-    m = result.test_at_optimal
     return {
         "arm": result.arm,
         "selection_metric": result.selection_metric,
         "optimal_threshold": result.optimal_threshold,
         "split_hash": result.split_hash,
-        "test_metrics_at_optimal": _jsonable(asdict(m)),
+        "test_metrics_at_optimal": _jsonable(asdict(result.test_at_optimal)),
         "n_thresholds": {"validation": len(result.validation), "test": len(result.test)},
     }
 

@@ -277,10 +277,9 @@ def test_criterion_08_sweep_protocol(tmp_path):
     y = rng.integers(0, 2, 300)
     protected = rng.integers(0, 2, 300)
     scores = np.clip(rng.normal(0.35 + 0.3 * y, 0.2), 0.01, 0.99)
-    records = sweep_thresholds(y, scores, protected)
-    assert len(records) == 99
-    at_half = next(r for r in records if r.threshold == 0.5)
-    assert at_half.metrics == classification_metrics(y, scores, 0.5, protected)
+    table = sweep_thresholds(y, scores, protected)
+    assert len(table) == 99
+    assert table.at(table.thresholds.index(0.5)) == classification_metrics(y, scores, 0.5, protected)
 
     ds = make_synthetic(seed=6, n=600, disparity=0.3)
     report = run_prep_stage(ds, None, "RW", {}, seed=2, cache_dir=tmp_path, dataset_name="syn")
@@ -290,20 +289,16 @@ def test_criterion_08_sweep_protocol(tmp_path):
     assert bench.original.split_hash == bench.processed.split_hash
 
     # fairness identically zero -> balanced-accuracy argmax
-    from fairbench.metrics.classification import ClassificationMetrics
-    from fairbench.pipeline.sweep import SweepRecord
+    from fairbench.metrics.classification import ClassificationTable
 
-    flat = []
-    best_t, best_acc = None, -1.0
-    for i, t in enumerate(default_grid()):
-        acc = 0.5 + 0.4 * np.sin(i / 7.0) ** 2
-        if acc > best_acc:
-            best_t, best_acc = t, acc
-        flat.append(SweepRecord(t, ClassificationMetrics(
-            balanced_accuracy=acc, statistical_parity_difference=0.0, disparate_impact=1.0,
-            equal_opportunity_difference=0.0, average_odds_difference=0.0, theil_index=0.0,
-            group_rates={},
-        )))
+    grid = list(default_grid())
+    accuracy = [0.5 + 0.4 * np.sin(i / 7.0) ** 2 for i in range(len(grid))]
+    best_t = grid[int(np.argmax(accuracy))]  # the first of any ties
+    flat = ClassificationTable(
+        thresholds=grid, balanced_accuracy=accuracy, statistical_parity_difference=[0.0] * 99,
+        disparate_impact=[1.0] * 99, equal_opportunity_difference=[0.0] * 99,
+        average_odds_difference=[0.0] * 99, theil_index=[0.0] * 99, group_rates={},
+    )
     assert select_optimal_threshold(flat, "SPD") == best_t
 
 

@@ -21,7 +21,7 @@ import yaml
 from fairbench.batch import expand_jobs, parse_batch_yaml, run_batch, runner
 from fairbench.dataset import cache_store, load_schema, make_synthetic
 from fairbench.dataset import cache as cache_module
-from fairbench.errors import FairbenchWarning, SchemaError
+from fairbench.errors import FairbenchWarning, SchemaError, error_text
 from fairbench.preproc import SEEDED_METHODS
 
 from conftest import flip_first_feature
@@ -649,6 +649,7 @@ class TestRun:
             if job.dataset.name == "missing":
                 assert outcome.status == "failed"
                 assert outcome.error == runner._prepare(job.dataset, job.sensitive, tmp_path / "alone")
+                assert outcome.error.startswith("FileNotFoundError: ")
                 assert "absent.csv" in outcome.error
             else:
                 assert outcome.status == "ok", (job.job_id, outcome.error)
@@ -674,7 +675,7 @@ class TestRun:
         assert outcome.status == "failed"
         with pytest.raises(SchemaError, match=error) as raised:
             load_schema(schema)
-        assert outcome.error == runner._error_text(raised.value)
+        assert outcome.error == error_text(raised.value)
 
     def test_dead_worker_in_preparation_fails_no_job(self, tmp_path, monkeypatch):
         jobs, _ = expand_jobs(parse_batch_yaml(MATRIX))

@@ -77,3 +77,5 @@ def test_the_jobs_of_one_original_fit_its_model_once_between_them(tmp_path, para
     assert [job["status"] for job in result["jobs"]] == ["ok"] * 4, result["jobs"]
     assert problems == []
     assert metrics["model.fit_calls"] == 5
+    # 5 arms x 2 splits, each one call through the `sweep.classification_metrics` the spans wrap
+    assert metrics["metrics.classification_calls"] == 10

@@ -30,6 +30,7 @@ from fairbench.metrics import (
     empirical_difference,
     statistical_parity_difference,
 )
+from fairbench.metrics.classification import ClassificationMetrics, ClassificationTable
 from fairbench.pipeline import default_grid
 
 TOL = 1e-12
@@ -605,10 +606,11 @@ class TestThresholdVector:
             scores = np.where(rng.uniform(size=n) < 0.5, rng.integers(1, 100, n) / 100.0, rng.uniform(size=n))
             scores[rng.choice(n, 3, replace=False)] = (math.nan, math.inf, -math.inf)
             for w in (None, weights):
-                bundles = classification_metrics(labels, scores, grid, protected, w)
-                assert len(bundles) == len(grid)
+                table = classification_metrics(labels, scores, grid, protected, w)
+                assert len(table) == len(grid) and table.thresholds == list(grid)
                 ref_weights = (np.ones(n) if w is None else w).tolist()
-                for t, ours in zip(grid, bundles):
+                for k, t in enumerate(grid):
+                    ours = table.at(k)
                     ref = oracle_classification(labels.tolist(), scores.tolist(), t, protected.tolist(), ref_weights)
                     for field in ("balanced_accuracy", "statistical_parity_difference",
                                   "equal_opportunity_difference", "average_odds_difference", "theil_index"):
@@ -630,12 +632,24 @@ class TestThresholdVector:
     def test_unsorted_duplicates_in_input_order(self):
         y, scores, protected = (np.array(v) for v in ([1, 0, 1, 0, 1, 1], [0.7, 0.2, 0.45, 0.9, 0.1, 0.2], [0, 0, 1, 1, 0, 1]))
         thresholds = [0.7, 0.2, 0.7, 0.45, 0.2, 0.05]
-        bundles = classification_metrics(y, scores, thresholds, protected)
-        assert isinstance(bundles, tuple)
-        assert list(bundles) == [classification_metrics(y, scores, t, protected) for t in thresholds]
+        table = classification_metrics(y, scores, thresholds, protected)
+        assert isinstance(table, ClassificationTable)
+        assert table.thresholds == thresholds
+        bundles = [table.at(k) for k in range(len(thresholds))]
+        assert bundles == [classification_metrics(y, scores, t, protected) for t in thresholds]
         assert bundles[0] == bundles[2] and bundles[1] == bundles[4]
         assert bundles[0] != bundles[1]
-        assert classification_metrics(y, scores, np.array(thresholds), protected) == bundles
+        assert classification_metrics(y, scores, np.array(thresholds), protected) == table
+
+    def test_scalar_shapes_give_one_bundle(self):
+        # a 0-d threshold takes the grid path too; np.unique's inverse for it is 0-d on some numpy versions
+        y, scores, protected = (np.array(v) for v in ([1, 0, 1, 0, 1, 1], [0.7, 0.2, 0.45, 0.9, 0.1, 0.2],
+                                                      [0, 0, 1, 1, 0, 1]))
+        from_float = classification_metrics(y, scores, 0.45, protected)
+        assert isinstance(from_float, ClassificationMetrics)
+        assert classification_metrics(y, scores, np.array(0.45), protected) == from_float
+        from_list = classification_metrics(y, scores, [0.45], protected)
+        assert len(from_list) == 1 and from_list.at(0) == from_float
 
 
 class TestOracleEquivalence:

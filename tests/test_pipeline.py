@@ -11,7 +11,7 @@ from fairbench.dataset import SplitSpec, cache_load, make_synthetic, schema_from
 from fairbench.dataset.cache import record_path
 from fairbench.errors import FairbenchError, FairbenchWarning
 from fairbench.metrics import classification_metrics
-from fairbench.metrics.classification import ClassificationMetrics
+from fairbench.metrics.classification import ClassificationTable
 from fairbench.pipeline import (
     default_grid,
     run_bench_stage,
@@ -19,7 +19,6 @@ from fairbench.pipeline import (
     select_optimal_threshold,
     sweep_thresholds,
 )
-from fairbench.pipeline.sweep import SweepRecord
 from fairbench.preproc import apply_method
 
 from conftest import flip_first_feature
@@ -33,14 +32,17 @@ def scored_fixture(seed=0, n=200):
     return y, scores, protected
 
 
-def mk_record(threshold, bal, fairness, metric="SPD"):
+def mk_table(rows, metric="SPD"):
+    """A table of (threshold, balanced accuracy, fairness value) rows; other fairness columns neutral."""
+    thresholds, bal, fairness = (list(column) for column in zip(*rows))
+    n = len(rows)
     fields = {
         "balanced_accuracy": bal,
-        "statistical_parity_difference": 0.0,
-        "disparate_impact": 1.0,
-        "equal_opportunity_difference": 0.0,
-        "average_odds_difference": 0.0,
-        "theil_index": 0.0,
+        "statistical_parity_difference": [0.0] * n,
+        "disparate_impact": [1.0] * n,
+        "equal_opportunity_difference": [0.0] * n,
+        "average_odds_difference": [0.0] * n,
+        "theil_index": [0.0] * n,
         "group_rates": {},
     }
     key = {
@@ -51,7 +53,7 @@ def mk_record(threshold, bal, fairness, metric="SPD"):
         "Theil": "theil_index",
     }[metric]
     fields[key] = fairness
-    return SweepRecord(threshold, ClassificationMetrics(**fields))
+    return ClassificationTable(thresholds=thresholds, **fields)
 
 
 class TestSweep:
@@ -61,24 +63,24 @@ class TestSweep:
         assert grid[0] == 0.01
         assert grid[-1] == 0.99
         y, scores, protected = scored_fixture()
-        records = sweep_thresholds(y, scores, protected)
-        assert len(records) == 99
+        table = sweep_thresholds(y, scores, protected)
+        assert len(table) == 99
 
-    def test_every_record_equals_one_shot_call(self):
+    def test_every_row_equals_one_shot_call(self):
         # bit for bit: unweighted masses are integer counts whichever way they are summed
         y, scores, protected = scored_fixture(seed=1)
-        records = sweep_thresholds(y, scores, protected)
-        assert [r.threshold for r in records] == list(default_grid())
-        for rec in records:
-            assert rec.metrics == classification_metrics(y, scores, rec.threshold, protected), rec.threshold
+        table = sweep_thresholds(y, scores, protected)
+        assert table.thresholds == list(default_grid())
+        for k, t in enumerate(table.thresholds):
+            assert table.at(k) == classification_metrics(y, scores, t, protected), t
 
     def test_weighted_grid_call_matches_one_shot_calls(self):
         # weighted masses are summed in another order, so agreement is to rounding
         y, scores, protected = scored_fixture(seed=3)
         weights = np.random.default_rng(3).uniform(0.1, 4.0, len(y))
-        bundles = classification_metrics(y, scores, default_grid(), protected, weights)
-        for t, grid_m in zip(default_grid(), bundles):
-            one_m = classification_metrics(y, scores, t, protected, weights)
+        table = classification_metrics(y, scores, default_grid(), protected, weights)
+        for k, t in enumerate(default_grid()):
+            grid_m, one_m = table.at(k), classification_metrics(y, scores, t, protected, weights)
             for field in ("balanced_accuracy", "statistical_parity_difference", "disparate_impact",
                           "equal_opportunity_difference", "average_odds_difference", "theil_index"):
                 assert getattr(grid_m, field) == pytest.approx(getattr(one_m, field), abs=1e-12), (t, field)
@@ -90,16 +92,15 @@ class TestSweep:
         y = np.array([1, 0] * 50)
         protected = np.array([0, 0, 1, 1] * 25)
         scores = np.where(y == 1, 0.9, 0.1)
-        records = sweep_thresholds(y, scores, protected)
-        for rec in records:
-            expected = 1.0 if 0.1 < rec.threshold <= 0.9 else 0.5
-            assert rec.metrics.balanced_accuracy == pytest.approx(expected, abs=1e-12), rec.threshold
+        table = sweep_thresholds(y, scores, protected)
+        for t, accuracy in zip(table.thresholds, table.balanced_accuracy):
+            expected = 1.0 if 0.1 < t <= 0.9 else 0.5
+            assert accuracy == pytest.approx(expected, abs=1e-12), t
 
     def test_tpr_fpr_nonincreasing_in_threshold(self):
         y, scores, protected = scored_fixture(seed=2)
-        records = sweep_thresholds(y, scores, protected)
-        tpr = [r.metrics.group_rates["all"]["tpr"] for r in records]
-        fpr = [r.metrics.group_rates["all"]["fpr"] for r in records]
+        rates = sweep_thresholds(y, scores, protected).group_rates["all"]
+        tpr, fpr = rates["tpr"], rates["fpr"]
         assert all(a >= b - 1e-15 for a, b in zip(tpr, tpr[1:]))
         assert all(a >= b - 1e-15 for a, b in zip(fpr, fpr[1:]))
 
@@ -108,51 +109,58 @@ class TestSweep:
         y = np.array([1, 1, 1, 1, 0, 1, 0, 1, 1, 0])
         protected = np.array([0, 0, 0, 0, 1, 1, 1, 1, 0, 1])
         scores = np.linspace(0.05, 0.95, 10)
-        records = sweep_thresholds(y, scores, protected)
-        assert len(records) == 99
-        assert all(r.metrics.group_rates[0]["fpr"] is None for r in records)
+        table = sweep_thresholds(y, scores, protected)
+        assert len(table) == 99
+        assert table.group_rates[0]["fpr"] == [None] * 99
 
 
 class TestSelectOptimal:
     def test_zero_fairness_reduces_to_accuracy_argmax(self):
-        records = [mk_record(t, bal, 0.0) for t, bal in ((0.2, 0.6), (0.4, 0.9), (0.6, 0.7))]
-        assert select_optimal_threshold(records, "SPD") == 0.4
+        table = mk_table([(0.2, 0.6, 0.0), (0.4, 0.9, 0.0), (0.6, 0.7, 0.0)])
+        assert select_optimal_threshold(table, "SPD") == 0.4
 
     def test_tie_goes_to_lower_threshold(self):
-        records = [mk_record(0.3, 0.8, 0.1), mk_record(0.6, 0.8, 0.1), mk_record(0.9, 0.5, 0.0)]
-        assert select_optimal_threshold(records, "SPD") == 0.3
+        table = mk_table([(0.3, 0.8, 0.1), (0.6, 0.8, 0.1), (0.9, 0.5, 0.0)])
+        assert select_optimal_threshold(table, "SPD") == 0.3
 
     def test_three_threshold_composite_fixture(self):
         # composite scores (0.70, 0.72, 0.69): middle wins
-        records = [
-            mk_record(0.25, 0.80, -0.10),
-            mk_record(0.50, 0.75, 0.03),
-            mk_record(0.75, 0.74, 0.05),
-        ]
+        table = mk_table([
+            (0.25, 0.80, -0.10),
+            (0.50, 0.75, 0.03),
+            (0.75, 0.74, 0.05),
+        ])
         scores = [0.80 - 0.10, 0.75 - 0.03, 0.74 - 0.05]
         assert scores == pytest.approx([0.70, 0.72, 0.69])
-        assert select_optimal_threshold(records, "SPD") == 0.50
+        assert select_optimal_threshold(table, "SPD") == 0.50
 
     def test_di_deviation_is_distance_from_one(self):
-        records = [mk_record(0.3, 0.9, 0.5, "DI"), mk_record(0.6, 0.9, 0.98, "DI")]
-        assert select_optimal_threshold(records, "DI") == 0.6
+        table = mk_table([(0.3, 0.9, 0.5), (0.6, 0.9, 0.98)], "DI")
+        assert select_optimal_threshold(table, "DI") == 0.6
 
     def test_theil_uses_raw_value(self):
-        records = [mk_record(0.3, 0.9, 0.2, "Theil"), mk_record(0.6, 0.85, 0.01, "Theil")]
-        assert select_optimal_threshold(records, "Theil") == 0.6
+        table = mk_table([(0.3, 0.9, 0.2), (0.6, 0.85, 0.01)], "Theil")
+        assert select_optimal_threshold(table, "Theil") == 0.6
 
     def test_undefined_thresholds_skipped(self):
-        records = [mk_record(0.3, 0.9, None), mk_record(0.6, 0.7, 0.0)]
-        assert select_optimal_threshold(records, "SPD") == 0.6
+        table = mk_table([(0.3, 0.9, None), (0.6, 0.7, 0.0)])
+        assert select_optimal_threshold(table, "SPD") == 0.6
 
     def test_all_undefined_errors(self):
-        records = [mk_record(0.3, 0.9, None), mk_record(0.6, 0.7, math.inf)]
+        table = mk_table([(0.3, 0.9, None), (0.6, 0.7, math.inf)])
         with pytest.raises(FairbenchError, match="undefined"):
-            select_optimal_threshold(records, "SPD")
+            select_optimal_threshold(table, "SPD")
+
+    def test_empty_sweep_rejected(self):
+        y, scores, protected = scored_fixture()
+        empty = classification_metrics(y, scores, [], protected)
+        assert len(empty) == 0
+        with pytest.raises(FairbenchError, match="empty sweep"):
+            select_optimal_threshold(empty, "SPD")
 
     def test_unknown_metric_rejected(self):
         with pytest.raises(FairbenchError, match="unknown selection metric"):
-            select_optimal_threshold([mk_record(0.3, 0.9, 0.0)], "accuracy")
+            select_optimal_threshold(mk_table([(0.3, 0.9, 0.0)]), "accuracy")
 
 
 class TestPrepStage:
@@ -319,13 +327,14 @@ class TestBenchStage:
         assert dataclasses.asdict(again.original) == dataclasses.asdict(bench.original)
         assert dataclasses.asdict(again.processed) == dataclasses.asdict(bench.processed)
 
-    def test_test_at_optimal_consistent_with_records(self, tmp_path):
+    def test_test_at_optimal_consistent_with_test_table(self, tmp_path):
         ds = make_synthetic(seed=6, n=500, disparity=0.3)
         report = run_prep_stage(ds, None, "DIR", {}, seed=1, cache_dir=tmp_path, dataset_name="syn")
         bench = run_bench_stage(report, split_spec=SplitSpec(seed=1), cache_dir=tmp_path)
         for arm in (bench.original, bench.processed):
-            rec = next(r for r in arm.test if r.threshold == arm.optimal_threshold)
-            assert rec.metrics == arm.test_at_optimal
+            k = arm.test.thresholds.index(arm.optimal_threshold)
+            assert arm.test.at(k) == arm.test_at_optimal
+            assert arm.test_at_optimal.balanced_accuracy == arm.test.balanced_accuracy[k]
 
     @pytest.mark.parametrize("stage", ["prep", "bench"])
     def test_a_changed_original_entry_is_refused_not_used(self, tmp_path, stage):

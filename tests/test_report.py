@@ -1,5 +1,7 @@
 """Emitters: CSV shape and precision, JSON round trip, SVG structure and gaps."""
 
+import dataclasses
+import hashlib
 import json
 import math
 import xml.etree.ElementTree as ET
@@ -10,7 +12,9 @@ import pytest
 from fairbench.dataset import SplitSpec, make_synthetic
 from fairbench.errors import FairbenchError
 from fairbench.metrics.dataset_metrics import DatasetMetrics
-from fairbench.pipeline import run_bench_stage, run_prep_stage, sweep_thresholds
+from fairbench.metrics import classification_metrics
+from fairbench.metrics.classification import ClassificationTable
+from fairbench.pipeline import default_grid, run_bench_stage, run_prep_stage, sweep_thresholds
 from fairbench.pipeline.sweep import SweepResult
 from fairbench.report import (
     STAGE1_HEADER,
@@ -20,6 +24,7 @@ from fairbench.report import (
     write_summary_json,
     write_sweep_csv,
 )
+from fairbench.report.tables import render_sweep_csv, sweep_summary
 
 
 @pytest.fixture(scope="module")
@@ -74,10 +79,17 @@ class TestSweepCsv:
         rng = np.random.default_rng(0)
         y = rng.integers(0, 2, 100)
         protected = rng.integers(0, 2, 100)
-        records = sweep_thresholds(y, rng.uniform(size=100), protected)
-        path = write_sweep_csv(records, tmp_path / "sweep.csv")
+        table = sweep_thresholds(y, rng.uniform(size=100), protected)
+        path = write_sweep_csv(table, tmp_path / "sweep.csv")
         lines = path.read_text().strip().split("\n")
         assert len(lines) == 100  # header + 99
+
+    def test_empty_rejected(self, tmp_path):
+        rng = np.random.default_rng(0)
+        empty = classification_metrics(rng.integers(0, 2, 10), rng.uniform(size=10), [], rng.integers(0, 2, 10))
+        with pytest.raises(FairbenchError, match="no sweep rows"):
+            write_sweep_csv(empty, tmp_path / "sweep.csv")
+        assert not (tmp_path / "sweep.csv").exists()
 
     def test_three_decimal_presentation(self, tmp_path, bench_result):
         _, bench = bench_result
@@ -150,19 +162,8 @@ class TestSvg:
         _, bench = bench_result
         result = bench.original
         # forge a result whose DI is undefined in the middle of the grid
-        import dataclasses
-        patched_test = []
-        for i, rec in enumerate(result.test):
-            metrics = rec.metrics
-            if 40 <= i < 60:
-                metrics = dataclasses.replace(metrics, disparate_impact=None)
-            patched_test.append(dataclasses.replace(rec, metrics=metrics))
-        patched = SweepResult(
-            arm=result.arm, validation=result.validation, test=tuple(patched_test),
-            optimal_threshold=result.optimal_threshold,
-            selection_metric=result.selection_metric,
-            test_at_optimal=result.test_at_optimal, split_hash=result.split_hash,
-        )
+        di = [None if 40 <= i < 60 else v for i, v in enumerate(result.test.disparate_impact)]
+        patched = dataclasses.replace(result, test=dataclasses.replace(result.test, disparate_impact=di))
         root = ET.fromstring(render_sweep_svg(patched))
         ns = "{http://www.w3.org/2000/svg}"
         fairness_polylines = [p for p in root.iter(f"{ns}polyline") if p.get("class") == "fairness"]
@@ -172,21 +173,62 @@ class TestSvg:
         assert len(fairness_polylines) >= 6
 
     def test_flat_series_renders_flat(self):
-        from fairbench.metrics.classification import ClassificationMetrics
-        from fairbench.pipeline.sweep import SweepRecord
-
-        metrics = ClassificationMetrics(
-            balanced_accuracy=0.5, statistical_parity_difference=0.0, disparate_impact=1.0,
-            equal_opportunity_difference=0.0, average_odds_difference=0.0, theil_index=0.0,
-            group_rates={0: {}, 1: {}, "all": {}},
+        table = ClassificationTable(
+            thresholds=list(default_grid()), balanced_accuracy=[0.5] * 99,
+            statistical_parity_difference=[0.0] * 99, disparate_impact=[1.0] * 99,
+            equal_opportunity_difference=[0.0] * 99, average_odds_difference=[0.0] * 99,
+            theil_index=[0.0] * 99, group_rates={0: {}, 1: {}, "all": {}},
         )
-        records = tuple(SweepRecord(t / 100.0, metrics) for t in range(1, 100))
         flat = SweepResult(
-            arm="original", validation=records, test=records, optimal_threshold=0.5,
-            selection_metric="SPD", test_at_optimal=metrics, split_hash="x",
+            arm="original", validation=table, test=table, optimal_threshold=0.5,
+            selection_metric="SPD", split_hash="x",
         )
         root = ET.fromstring(render_sweep_svg(flat))
         ns = "{http://www.w3.org/2000/svg}"
         for poly in root.iter(f"{ns}polyline"):
             ys = {point.split(",")[1] for point in poly.get("points").split()}
             assert len(ys) == 1
+
+
+def golden_table():
+    """Hand-made columns over the grid: gaps, a one-point segment, an infinite and a NaN DI, a flat
+    and an empty series, and undefined group rates."""
+    n = 99
+    accuracy = [0.5 + 0.4 * ((i * 7) % 17) / 16 for i in range(n)]
+    accuracy[10] = None
+    spd = [-0.3 + 0.006 * i for i in range(n)]
+    for i in list(range(40, 60)) + [60, 62]:
+        spd[i] = None  # a gap, then a one-point segment at 61
+    di = [0.6 + 0.01 * i for i in range(n)]
+    di[36] = math.inf
+    di[80] = math.nan
+    di[90] = None
+    rates = {
+        g: {
+            "tpr": [None if g == 0 and i > 95 else 1.0 - i / 99 / (2 + k) for i in range(n)],
+            "fpr": [0.9 - i / 120 / (1 + k) for i in range(n)],
+            "tnr": [0.1 + i / 120 / (1 + k) for i in range(n)],
+            "fnr": [None if g == 0 and i > 95 else i / 99 / (2 + k) for i in range(n)],
+        }
+        for k, g in enumerate((0, 1, "all"))
+    }
+    return ClassificationTable(
+        thresholds=list(default_grid()), balanced_accuracy=accuracy, statistical_parity_difference=spd,
+        disparate_impact=di, equal_opportunity_difference=[0.0] * n, average_odds_difference=[None] * n,
+        theil_index=[0.001 * (i % 13) ** 2 for i in range(n)], group_rates=rates,
+    )
+
+
+def test_golden_rendering_digests(tmp_path):
+    # digests of the renderers' output on these values before sweeps became tables; never re-derived
+    table = golden_table()
+    result = SweepResult(arm="original", validation=table, test=table, optimal_threshold=0.37,
+                         selection_metric="DI", split_hash="ab" * 32)
+    summary = write_summary_json(sweep_summary(result), tmp_path / "summary.json").read_bytes()
+
+    def digest(data):
+        return hashlib.sha256(data if isinstance(data, bytes) else data.encode()).hexdigest()
+
+    assert digest(render_sweep_csv(result.test)) == "b6c9762eca65e81398f5ecfe79a8c23409eba9ef793bcc82b70e867843e9338e"
+    assert digest(render_sweep_svg(result)) == "9d46ac0f66ad30012ad6dc037fc31d016c409dc8a71a8762aae084029844e728"
+    assert digest(summary) == "11d379ea59e53892d559faded72faa8df8542a403a3a4184d52c2fe1efd13ce1"
