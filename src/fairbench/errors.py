@@ -26,5 +26,7 @@ class FairbenchWarning(UserWarning):
 
 
 def error_text(exc: BaseException) -> str:
-    """`<Type>: <message>`, the one form in which a failed preparation, arm or job is reported."""
-    return f"{type(exc).__name__}: {exc}"
+    """`<Type>: <message>`, or `<Type>` when the message is empty: the one form
+    in which a failed preparation, arm or job is reported."""
+    message = str(exc)
+    return f"{type(exc).__name__}: {message}" if message else type(exc).__name__

@@ -10,7 +10,7 @@ the rest of the row.
 """
 
 import warnings
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -42,32 +42,21 @@ class ClassificationMetrics:
     group_rates: dict  # group -> {tpr, fpr, tnr, fnr}; may hold None per rate
 
 
-_METRIC_FIELDS = tuple(f.name for f in fields(ClassificationMetrics) if f.name != "group_rates")
-
-
 @dataclass(frozen=True)
-class ClassificationTable:
-    """ClassificationMetrics over thresholds: each field a list with one value per threshold, in input order."""
+class ClassificationTable(ClassificationMetrics):
+    """ClassificationMetrics over thresholds: each metric field, and each group
+    rate, a list with one value per threshold, in input order."""
 
-    thresholds: list
-    balanced_accuracy: list
-    statistical_parity_difference: list
-    disparate_impact: list
-    equal_opportunity_difference: list
-    average_odds_difference: list
-    theil_index: list
-    group_rates: dict  # group -> {tpr, fpr, tnr, fnr} -> list
+    thresholds: list = field(kw_only=True)
 
     def __len__(self):
         return len(self.thresholds)
 
     def at(self, k: int) -> ClassificationMetrics:
         """The bundle at the k-th threshold."""
-        return ClassificationMetrics(
-            *(getattr(self, name)[k] for name in _METRIC_FIELDS),
-            group_rates={g: {name: column[k] for name, column in rates.items()}
-                         for g, rates in self.group_rates.items()},
-        )
+        row = {f.name: getattr(self, f.name)[k] for f in fields(ClassificationMetrics) if f.name != "group_rates"}
+        rates = {g: {name: column[k] for name, column in columns.items()} for g, columns in self.group_rates.items()}
+        return ClassificationMetrics(**row, group_rates=rates)
 
 
 def _by_prediction(tally):

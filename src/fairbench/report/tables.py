@@ -14,7 +14,7 @@ from pathlib import Path
 
 from ..errors import FairbenchError
 from ..pipeline.stage1 import StageOneReport
-from ..pipeline.sweep import SweepResult, default_grid
+from ..pipeline.sweep import SweepResult
 
 STAGE1_HEADER = (
     "dataset", "method", "base_rate", "consistency", "disparate_impact",
@@ -45,10 +45,6 @@ def _fmt(value, decimals=3):
     return f"{value:.{decimals}f}"
 
 
-# the threshold column of every sweep, formatted once
-_GRID_CELLS = {t: _fmt(t, 2) for t in default_grid()}
-
-
 def stage1_rows(report: StageOneReport):
     """(dataset, method, metrics) rows for a report: the original, then the processed side."""
     return [
@@ -72,7 +68,7 @@ def render_sweep_csv(table) -> str:
     if not len(table):
         raise FairbenchError("no sweep rows to write")
     columns = (
-        [_GRID_CELLS.get(t) or _fmt(t, 2) for t in table.thresholds],
+        [_fmt(t, 2) for t in table.thresholds],
         *(map(_fmt, values) for values in _SWEEP_FIELDS(table)),
         *(map(_fmt, table.group_rates[g][rate]) for g, rate in _SWEEP_RATES),
     )

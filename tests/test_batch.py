@@ -21,7 +21,7 @@ import yaml
 from fairbench.batch import expand_jobs, parse_batch_yaml, run_batch, runner
 from fairbench.dataset import cache_store, load_schema, make_synthetic
 from fairbench.dataset import cache as cache_module
-from fairbench.errors import FairbenchWarning, SchemaError, error_text
+from fairbench.errors import FairbenchWarning, FitError, SchemaError, error_text
 from fairbench.preproc import SEEDED_METHODS
 
 from conftest import flip_first_feature
@@ -861,3 +861,12 @@ class TestBlasThreads:
         assert report.exit_code == 0, [o.error for o in report.failures]
         assert [(tmp_path / f"{j.job_id}.threads").read_text() for j in jobs] == ["1"] * len(jobs)
         assert caller_blas_threads() == 3
+
+
+@pytest.mark.parametrize("exc, text", [
+    (FitError("boom"), "FitError: boom"),
+    (FitError(), "FitError"),
+    (AssertionError(), "AssertionError"),
+])
+def test_error_text_is_the_type_then_any_message(exc, text):
+    assert error_text(exc) == text

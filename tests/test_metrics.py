@@ -646,7 +646,7 @@ class TestThresholdVector:
         y, scores, protected = (np.array(v) for v in ([1, 0, 1, 0, 1, 1], [0.7, 0.2, 0.45, 0.9, 0.1, 0.2],
                                                       [0, 0, 1, 1, 0, 1]))
         from_float = classification_metrics(y, scores, 0.45, protected)
-        assert isinstance(from_float, ClassificationMetrics)
+        assert type(from_float) is ClassificationMetrics
         assert classification_metrics(y, scores, np.array(0.45), protected) == from_float
         from_list = classification_metrics(y, scores, [0.45], protected)
         assert len(from_list) == 1 and from_list.at(0) == from_float

@@ -327,14 +327,21 @@ class TestBenchStage:
         assert dataclasses.asdict(again.original) == dataclasses.asdict(bench.original)
         assert dataclasses.asdict(again.processed) == dataclasses.asdict(bench.processed)
 
-    def test_test_at_optimal_consistent_with_test_table(self, tmp_path):
+    def test_test_at_optimal_equals_one_shot_call_on_test_split(self, tmp_path):
+        from fairbench.model import fit_model
+        from fairbench.pipeline.stage2 import split_original
+        from fairbench.preproc import fit_method
+
         ds = make_synthetic(seed=6, n=500, disparity=0.3)
         report = run_prep_stage(ds, None, "DIR", {}, seed=1, cache_dir=tmp_path, dataset_name="syn")
         bench = run_bench_stage(report, split_spec=SplitSpec(seed=1), cache_dir=tmp_path)
-        for arm in (bench.original, bench.processed):
-            k = arm.test.thresholds.index(arm.optimal_threshold)
-            assert arm.test.at(k) == arm.test_at_optimal
-            assert arm.test_at_optimal.balanced_accuracy == arm.test.balanced_accuracy[k]
+        _, (train, _, test) = split_original(ds, SplitSpec(seed=1))
+        fitted = fit_method("DIR", train, {}, 1)
+        arms = ((bench.original, train, test), (bench.processed, fitted.train, fitted.transform_eval(test)))
+        for arm, fit_on, scored in arms:
+            scores = fit_model("logreg", fit_on, None, 1).score(scored)
+            one_shot = classification_metrics(scored.labels, scores, arm.optimal_threshold, scored.protected)
+            assert arm.test_at_optimal == one_shot, arm.arm
 
     @pytest.mark.parametrize("stage", ["prep", "bench"])
     def test_a_changed_original_entry_is_refused_not_used(self, tmp_path, stage):
