@@ -8,6 +8,10 @@ model, model parameters, selection metric). Each job runs the rest of stage 1
 and its processed arm, and writes its full artifact set under
 `<out>/<job id>/`. Results do not depend on parallelism, execution order or
 the other jobs.
+
+Preparations, original arms and jobs are plain functions that raise. Each
+runs as a pool task through `_call`, the one place where a task's exception
+becomes its error text and where its warnings and its time are recorded.
 """
 
 import contextlib
@@ -78,10 +82,6 @@ class OriginalArm:
     texts: tuple         # (file name, text) pairs, in the order a job writes them
 
 
-def _failed(job_id, error: str, wall_time_s=0.0) -> JobOutcome:
-    return JobOutcome(job_id=job_id, status="failed", error=error, wall_time_s=wall_time_s, artifacts=())
-
-
 def write_job_artifacts(stage1, bench, job_dir, **summary_fields) -> list:
     """Write a job's artifact set under `job_dir`; returns the paths written.
 
@@ -126,15 +126,12 @@ def _split_spec(job: JobSpec) -> SplitSpec:
 
 
 def _prepare(dataset: DatasetEntry, sensitive, cache_dir):
-    """The PreparedOriginal of one (dataset entry, sensitive attribute), or the error text that fails its jobs."""
-    try:
-        if dataset.synthetic is not None:
-            source, schema = make_synthetic(**dataset.synthetic), None
-        else:
-            source, schema = dataset.csv, load_schema(dataset.schema, sensitive=sensitive)
-        return prepare_original(source, schema, cache_dir, dataset.name)
-    except Exception as exc:
-        return error_text(exc)
+    """The PreparedOriginal of one (dataset entry, sensitive attribute)."""
+    if dataset.synthetic is not None:
+        source, schema = make_synthetic(**dataset.synthetic), None
+    else:
+        source, schema = dataset.csv, load_schema(dataset.schema, sensitive=sensitive)
+    return prepare_original(source, schema, cache_dir, dataset.name)
 
 
 def _original_arm(job: JobSpec, prepared, cache_dir):
@@ -150,44 +147,38 @@ def _original_arm(job: JobSpec, prepared, cache_dir):
     return OriginalArm(sweep_summary(result), tuple(texts))
 
 
-def execute_job(job: JobSpec, prepared, output_dir, cache_dir, original_arm=None) -> JobOutcome:
-    """Run one job from the PreparedOriginal of its dataset; exceptions become a failed outcome, never a crash.
+def execute_job(job: JobSpec, prepared, output_dir, cache_dir, original_arm=None) -> list:
+    """Run one job from the PreparedOriginal of its dataset: stage 1, stage 2, then its artifacts' paths.
 
     `original_arm` is the job's OriginalArm or its error text, as `run_batch`
     runs it once for every job that shares it; when it is None, the job runs
-    its original arm itself.
+    its original arm itself. A job that fails raises; `_call` records it.
     """
-    started = time.perf_counter()
-    try:
-        original = load_original(prepared.cache_key, cache_dir, prepared.name)
-        stage1 = run_prep_stage(prepared, None, job.method, job.method_params,
-                                seed=job.seed, cache_dir=cache_dir, original=original)
-        bench = run_bench_stage(
-            stage1, model_name=job.model, model_params=job.model_params,
-            split_spec=_split_spec(job), selection_metric=job.selection_metric,
-            cache_dir=cache_dir, original=original, original_arm=original_arm,
-        )
-
-        artifacts = write_job_artifacts(
-            stage1, bench, Path(output_dir) / job.job_id,
-            job=json.loads(job.canonical()), job_id=job.job_id,
-        )
-        return JobOutcome(
-            job_id=job.job_id,
-            status="ok",
-            error="",
-            wall_time_s=time.perf_counter() - started,
-            artifacts=tuple(str(p) for p in artifacts),
-        )
-    except Exception as exc:
-        return _failed(job.job_id, error_text(exc), time.perf_counter() - started)
+    original = load_original(prepared.cache_key, cache_dir, prepared.name)
+    stage1 = run_prep_stage(prepared, None, job.method, job.method_params,
+                            seed=job.seed, cache_dir=cache_dir, original=original)
+    bench = run_bench_stage(
+        stage1, model_name=job.model, model_params=job.model_params,
+        split_spec=_split_spec(job), selection_metric=job.selection_metric,
+        cache_dir=cache_dir, original=original, original_arm=original_arm,
+    )
+    return write_job_artifacts(stage1, bench, Path(output_dir) / job.job_id,
+                               job=json.loads(job.canonical()), job_id=job.job_id)
 
 
 def _call(fn, args):
-    """A pool task: fn(*args), and each warning its worker's filters let through as (message, category, file, line)."""
+    """A pool task's outcome: (fn(*args), or the error text of the Exception it raised; each warning
+    its worker's filters let through, as (message, category, file, line); the seconds it took).
+
+    The warnings raised before a failure are kept, so a failed task's are relayed too.
+    """
+    started = time.perf_counter()
     with warnings.catch_warnings(record=True) as caught:
-        result = fn(*args)
-    return result, [(str(w.message), w.category, w.filename, w.lineno) for w in caught]
+        try:
+            result = fn(*args)
+        except Exception as exc:
+            result = error_text(exc)
+    return result, [(str(w.message), w.category, w.filename, w.lineno) for w in caught], time.perf_counter() - started
 
 
 def _spawn_pool(size):
@@ -206,13 +197,13 @@ def _broken(futures):
 
 
 def _run_tasks(fn, tasks, pools, workers):
-    """[fn(*args) for args in tasks], each run as a task of `pools[-1]`, whose workers `_init_worker` set up.
+    """(results, seconds) of `_call(fn, args)` for args in tasks, each run in `pools[-1]`, set up by `_init_worker`.
 
     A dead worker breaks the pool, which fails every unfinished task with BrokenProcessPool. Those
     run again together in a spawn pool of `workers`, appended to `pools` so that the next call's
-    tasks go to it; each that breaks it too runs alone in a one-worker spawn pool. A task that
-    raised, or whose last worker died, gives its error text. The warnings a task raised are issued
-    again in this process, task by task in order.
+    tasks go to it; each that breaks it too runs alone in a one-worker spawn pool. A task whose last
+    worker died, or whose result cannot be sent back, gives the pool's error text and 0.0 seconds.
+    The warnings a task raised, failed or not, are issued again in this process, task by task in order.
     """
     futures = [None] * len(tasks)
     _submit(pools[-1], fn, tasks, futures, range(len(tasks)))
@@ -223,14 +214,15 @@ def _run_tasks(fn, tasks, pools, workers):
         for i in _broken(futures):
             with _spawn_pool(1) as alone:
                 _submit(alone, fn, tasks, futures, [i])
-    results = []
+    results, seconds = [], []
     for future in futures:
         error = future.exception()
-        result, caught = future.result() if error is None else (error_text(error), ())
+        result, caught, took = future.result() if error is None else (error_text(error), (), 0.0)
         for message, category, filename, lineno in caught:
             warnings.warn_explicit(message, category, filename, lineno)
         results.append(result)
-    return results
+        seconds.append(took)
+    return results, seconds
 
 
 @functools.cache
@@ -304,13 +296,13 @@ def run_batch(jobs, parallelism: int = 1, output_dir="fairbench_out",
     workers = max(1, min(parallelism, len(jobs)))
     pools = [ProcessPoolExecutor(max_workers=workers, initializer=_init_worker)]
     try:
-        prepared = dict(zip(originals, _run_tasks(_prepare, list(originals.values()), pools, workers)))
+        prepared = dict(zip(originals, _run_tasks(_prepare, list(originals.values()), pools, workers)[0]))
         ready = [job for job in jobs if not isinstance(prepared[_original_of(job)], str)]
         shared = {}
         for job in ready:
             shared.setdefault(_arm_of(job), (job, prepared[_original_of(job)], cache_dir))
-        arms = dict(zip(shared, _run_tasks(_original_arm, list(shared.values()), pools, workers)))
-        done = iter(_run_tasks(execute_job, [(job, prepared[_original_of(job)], output_dir, cache_dir,
+        arms = dict(zip(shared, _run_tasks(_original_arm, list(shared.values()), pools, workers)[0]))
+        done = zip(*_run_tasks(execute_job, [(job, prepared[_original_of(job)], output_dir, cache_dir,
                                               arms[_arm_of(job)]) for job in ready], pools, workers))
     finally:
         for pool in pools:
@@ -318,14 +310,11 @@ def run_batch(jobs, parallelism: int = 1, output_dir="fairbench_out",
     outcomes = []
     for job in jobs:
         result = prepared[_original_of(job)]
-        result = result if isinstance(result, str) else next(done)
-        outcomes.append(_failed(job.job_id, result) if isinstance(result, str) else result)
-
-    report = BatchReport(
-        outcomes=tuple(outcomes),
-        output_dir=str(output_dir),
-        skipped_expansions=skipped_expansions,
-    )
+        result, seconds = (result, 0.0) if isinstance(result, str) else next(done)
+        failed = isinstance(result, str)
+        outcomes.append(JobOutcome(job.job_id, "failed" if failed else "ok", result if failed else "", seconds,
+                                   () if failed else tuple(map(str, result))))
+    report = BatchReport(tuple(outcomes), str(output_dir), skipped_expansions)
     with open(output_dir / "batch_report.json", "w", encoding="utf-8") as fh:
         json.dump(report.to_dict(), fh, indent=2, sort_keys=True)
         fh.write("\n")

@@ -112,6 +112,8 @@ def _dataset_entry(entry, where):
         raise SchemaError(f"{where}: need 'name'")
     name = str(entry["name"])
     if "synthetic" in entry:
+        if "csv" in entry or "schema" in entry:
+            raise SchemaError(f"{where}: csv and schema do not apply to a synthetic dataset")
         return DatasetEntry(name, synthetic=synthetic_params(entry["synthetic"], f"{where}.synthetic"))
     if "csv" not in entry or "schema" not in entry:
         raise SchemaError(f"{where}: need 'csv' and 'schema' (or a 'synthetic' block)")

@@ -24,7 +24,10 @@ def _parse_params(pairs, option="--param"):
         key, sep, value = pair.partition("=")
         if not sep or not key:
             raise FairbenchError(f"{option} expects key=value, got {pair!r}")
-        params[key] = yaml.safe_load(value)
+        try:
+            params[key] = yaml.safe_load(value)
+        except yaml.YAMLError:
+            raise FairbenchError(f"{option} {pair!r}: the value is not valid YAML") from None
     return params
 
 
@@ -80,7 +83,11 @@ def _cmd_prep(args):
 
 def _cmd_bench(args):
     with open(args.from_report, "r", encoding="utf-8") as fh:
-        stage1 = StageOneReport.from_dict(json.load(fh))
+        try:
+            doc = json.load(fh)
+        except ValueError as exc:  # not UTF-8 or not JSON
+            raise FairbenchError(f"{args.from_report}: not a JSON stage-1 report: {exc}") from None
+    stage1 = StageOneReport.from_dict(doc)
     split = SplitSpec(train=args.train, validation=args.validation, test=args.test,
                       seed=stage1.seed if args.split_seed is None else args.split_seed)
     bench = run_bench_stage(
@@ -100,7 +107,11 @@ def _cmd_bench(args):
 
 
 def _cmd_batch(args):
-    spec = parse_batch_yaml(Path(args.config).read_text(encoding="utf-8"))
+    try:
+        text = Path(args.config).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise FairbenchError(f"{args.config}: not UTF-8 text: {exc}") from None
+    spec = parse_batch_yaml(text)
     jobs, skipped = expand_jobs(spec)
     parallelism = args.parallelism if args.parallelism is not None else spec.parallelism
     output = args.out if args.out is not None else spec.output

@@ -26,7 +26,8 @@ key names there, so a processed dataset itself is never stored.
 Writes go to a temp file in the same directory, are fsynced and then
 atomically renamed, so concurrent batch jobs never observe a partial entry. An
 entry that exists but cannot be read, is of another version, or whose bytes
-no longer hash to its key (or fields to their sha256), is a miss with a warning.
+no longer hash to its key (or fields to their sha256, or are not the fields
+its reader takes), is a miss with a warning.
 """
 
 import hashlib
@@ -281,6 +282,8 @@ def record_store(fields: dict, key: str, cache_root) -> Path:
                   record_path(cache_root, key))
 
 
-def record_load(key: str, cache_root):
-    """The fields recorded under `key`, or None on a miss, warned as `cache_load`'s are."""
-    return _read(record_path(cache_root, key), _record_fields)
+def record_load(key: str, cache_root, make):
+    """make(the fields recorded under `key`), or None on a miss, warned as `cache_load`'s are.
+
+    A FairbenchError from `make`, such as for fields other than the ones it takes, is a miss too."""
+    return _read(record_path(cache_root, key), lambda blob: make(_record_fields(blob)))

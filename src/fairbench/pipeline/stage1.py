@@ -7,7 +7,8 @@ from ..dataset import TabularDataset, cache_key, cache_load, cache_store, encode
 from ..dataset.cache import cache_holds, dumps, entry_key, record_load, record_store
 from ..metrics.dataset_metrics import DatasetMetrics, dataset_metrics
 from ..preproc import SEEDED_METHODS, apply_method
-from ..errors import FairbenchError
+from ..errors import DataFormatError, FairbenchError
+from ..util import mapping
 
 
 @dataclass(frozen=True)
@@ -26,9 +27,14 @@ class StageOneReport:
 
     @classmethod
     def from_dict(cls, doc):
+        """The report `to_dict` gave; a document of another shape is a FairbenchError saying what is wrong."""
+        doc = mapping(doc, "stage-1 report", required=True)
         if doc.get("schema_version") != 1:
             raise FairbenchError(f"unsupported stage-1 report version {doc.get('schema_version')!r}")
-        return cls(**{f.name: DatasetMetrics(**doc[f.name]) if f.type is DatasetMetrics else doc[f.name]
+        missing = [f.name for f in fields(cls) if f.name not in doc]
+        if missing:
+            raise FairbenchError(f"stage-1 report lacks {missing}")
+        return cls(**{f.name: _metrics(doc[f.name], f.name) if f.type is DatasetMetrics else doc[f.name]
                       for f in fields(cls)})
 
 
@@ -45,11 +51,21 @@ class PreparedOriginal:
     metrics: DatasetMetrics
 
 
+def _metrics(doc, where) -> DatasetMetrics:
+    """DatasetMetrics of the mapping `doc`; other fields than DatasetMetrics's are a FairbenchError naming `where`."""
+    names = {f.name for f in fields(DatasetMetrics)}
+    doc = mapping(doc, where, required=True)
+    if set(doc) != names:
+        raise DataFormatError(f"{where} must be the DatasetMetrics fields; missing {sorted(names - set(doc))}, "
+                              f"unknown {sorted(set(doc) - names)}")
+    return DatasetMetrics(**doc)
+
+
 def _recorded_metrics(key, cache_dir, measure) -> DatasetMetrics:
     """The metrics recorded under `key`, or else `measure()`'s, recorded there."""
-    recorded = record_load(key, cache_dir)
+    recorded = record_load(key, cache_dir, lambda doc: _metrics(doc, "its fields"))
     if recorded is not None:
-        return DatasetMetrics(**recorded)
+        return recorded
     metrics = measure()
     record_store(asdict(metrics), key, cache_dir)
     return metrics

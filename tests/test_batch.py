@@ -147,6 +147,15 @@ class TestParse:
         with pytest.raises(SchemaError, match=re.escape(message)):
             parse_batch_yaml(MINIMAL.replace(old, new))
 
+    @pytest.mark.parametrize("paths", ["csv: a.csv", "schema: s.yaml", "csv: a.csv\n    schema: s.yaml"])
+    def test_a_synthetic_entry_with_a_file_is_refused(self, paths):
+        # as `fairbench prep` refuses --csv or --schema with a synthetic --dataset
+        text = MATRIX.replace("synthetic: {n: 240, disparity: 0.1, seed: 12}",
+                              f"synthetic: {{n: 240, disparity: 0.1, seed: 12}}\n    {paths}")
+        with pytest.raises(SchemaError, match=re.escape(
+                "datasets[1]: csv and schema do not apply to a synthetic dataset")):
+            parse_batch_yaml(text)
+
     def test_split_rules_are_split_specs(self):
         with pytest.raises(SchemaError, match=re.escape("split: test fraction must be in (0,1), got 0.0")):
             parse_batch_yaml(MINIMAL + "\nsplit: {train: 0.7, validation: 0.3, test: 0.0}\n")
@@ -247,6 +256,12 @@ def job_files(root: Path):
     return out
 
 
+def _alone(fn, *args):
+    """fn(*args) as a batch task gives it: its result, or the error text of the exception it raised."""
+    result, _, _ = runner._call(fn, args)
+    return result
+
+
 _execute_job = runner.execute_job
 
 
@@ -331,6 +346,11 @@ def _every_arm_down(arm, *args):
     raise RuntimeError(f"{arm} arm down")
 
 
+def _warn_then_raise(*args, **kwargs):
+    warnings.warn("a task warned before it failed", FairbenchWarning)
+    raise RuntimeError("task down")
+
+
 def _store_stalling_in_fsync(cache_dir, writing):
     """A pool worker's set-up, then a cache write that stalls before its rename (runs in a forked child)."""
     runner._init_worker()
@@ -347,7 +367,7 @@ def _record_blas_threads(job, prepared, output_dir, cache_dir, original_arm=None
     """Writes the BLAS thread count the job runs with to `<output_dir>/<job id>.threads`."""
     get, _ = runner._openblas_threads()
     (Path(output_dir) / f"{job.job_id}.threads").write_text(str(get()), encoding="utf-8")
-    return runner.JobOutcome(job_id=job.job_id, status="ok", error="", wall_time_s=0.0, artifacts=())
+    return []
 
 
 def _record_blas_threads_outside_fork_pool(job, prepared, output_dir, cache_dir, original_arm=None):
@@ -457,7 +477,8 @@ seeds: [0, 1]
         # the calls a batch at parallelism 1 makes, in this process, where the passes can be counted
         prepared = runner._prepare(jobs[0].dataset, jobs[0].sensitive, cache)
         for job in jobs:
-            assert runner.execute_job(job, prepared, tmp_path / "out", cache).status == "ok"
+            result = _alone(runner.execute_job, job, prepared, tmp_path / "out", cache)
+            assert not isinstance(result, str), result
         # the original's record and one DIR record, whatever the seed or model
         assert len(list(cache.glob("*.metrics.fpds"))) == 2
         assert len(passes) == 2
@@ -628,8 +649,8 @@ class TestRun:
         for run in ("cold", "warm"):
             reads.clear()
             checks.clear()
-            outcome = runner.execute_job(job, prepared, tmp_path / run, cache)
-            assert outcome.status == "ok", outcome.error
+            result = _alone(runner.execute_job, job, prepared, tmp_path / run, cache)
+            assert not isinstance(result, str), result
             stage1 = json.loads((tmp_path / run / job.job_id / "summary.json").read_text())["stage1"]
             # cold, the processed record is absent and is written; warm, it is read instead of the transform
             assert reads == [f"{prepared.cache_key}.fpds", f"{stage1['processed_cache_key']}.metrics.fpds"]
@@ -648,7 +669,7 @@ class TestRun:
         for job, outcome in zip(jobs, report.outcomes):
             if job.dataset.name == "missing":
                 assert outcome.status == "failed"
-                assert outcome.error == runner._prepare(job.dataset, job.sensitive, tmp_path / "alone")
+                assert outcome.error == _alone(runner._prepare, job.dataset, job.sensitive, tmp_path / "alone")
                 assert outcome.error.startswith("FileNotFoundError: ")
                 assert "absent.csv" in outcome.error
             else:
@@ -774,6 +795,7 @@ class TestRun:
             if job.dataset.name == "synth_b" and job.method == "DIR":
                 assert outcome.status == "failed"
                 assert "BrokenProcessPool" in outcome.error
+                assert outcome.wall_time_s == 0.0
             else:
                 # jobs the broken pool failed run again in a pool of their own
                 assert outcome.status == "ok", (job.job_id, outcome.error)
@@ -804,7 +826,8 @@ class TestOriginalArm:
                 "stage1.csv", "summary.json", "sweep_processed.svg",
                 "sweep_processed_test.csv", "sweep_processed_validation.csv"]
             # the job run alone runs its original arm itself, and records the same error
-            assert runner.execute_job(job, prepared, tmp_path / "alone", cache).status == "ok"
+            result = _alone(runner.execute_job, job, prepared, tmp_path / "alone", cache)
+            assert not isinstance(result, str), result
             alone = json.loads((tmp_path / "alone" / job.job_id / "summary.json").read_text())
             assert alone["arm_errors"] == summary["arm_errors"]
 
@@ -817,7 +840,7 @@ class TestOriginalArm:
         for job, outcome in zip(jobs, report.outcomes):
             assert outcome.status == "failed"
             assert "both arms failed" in outcome.error
-            assert outcome.error == runner.execute_job(job, prepared, tmp_path / "alone", cache).error
+            assert outcome.error == _alone(runner.execute_job, job, prepared, tmp_path / "alone", cache)
 
     def test_an_original_arm_whose_every_worker_dies_fails_only_that_arm(self, tmp_path, monkeypatch):
         monkeypatch.setattr(runner, "_original_arm", _exit_running_synth_b_original_arm)
@@ -832,6 +855,41 @@ class TestOriginalArm:
             else:
                 assert list(summary["arms"]) == ["original", "processed"]
                 assert summary["arm_errors"] == {}
+
+
+class TestFailedTask:
+    """A task that warns and then raises has its warnings relayed, its error text recorded and its time measured."""
+
+    @pytest.mark.parametrize("parallelism", [1, 2])
+    @pytest.mark.parametrize("task, step", [
+        ("preparation", "prepare_original"), ("original arm", "split_original"), ("job", "run_bench_stage"),
+    ])
+    def test_its_warning_is_relayed(self, tmp_path, monkeypatch, task, step, parallelism):
+        # forked pool workers inherit the patch and this process's warning filters
+        monkeypatch.setattr(runner, step, _warn_then_raise)
+        jobs, _ = expand_jobs(parse_batch_yaml(TestOriginalArm.TWO_METHODS))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            report = run_batch(jobs, parallelism=parallelism, output_dir=tmp_path / "out",
+                               cache_dir=tmp_path / "cache")
+        # one preparation and one original arm for the two jobs
+        relayed = [w for w in caught if str(w.message) == "a task warned before it failed"]
+        assert len(relayed) == (2 if task == "job" else 1)
+        assert all(issubclass(w.category, FairbenchWarning) for w in relayed)
+        doc = json.loads((tmp_path / "out" / "batch_report.json").read_text())
+        assert set(doc) == {"schema_version", "output_dir", "skipped_expansions", "jobs"}
+        assert [entry["error"] for entry in doc["jobs"]] == [o.error for o in report.outcomes]
+        for job, entry in zip(jobs, doc["jobs"]):
+            assert set(entry) == {"job_id", "status", "error", "wall_time_s", "artifacts"}
+            if task == "original arm":
+                assert entry["status"] == "ok" and entry["wall_time_s"] > 0 and len(entry["artifacts"]) == 5
+                summary = json.loads((tmp_path / "out" / job.job_id / "summary.json").read_text())
+                assert summary["arm_errors"] == {"original": "RuntimeError: task down"}
+            else:
+                assert (entry["status"], entry["error"], entry["artifacts"]) == \
+                    ("failed", "RuntimeError: task down", [])
+                # a job that ran is timed; one whose preparation failed did not run
+                assert (entry["wall_time_s"] > 0) == (task == "job")
 
 
 class TestBlasThreads:

@@ -300,3 +300,32 @@ def test_prep_rejects_a_mistyped_schema_block(tmp_path, capsys):
                  "--method", "RW", "--out", str(tmp_path / "out"), "--cache-dir", str(tmp_path / "cache")])
     assert code == 2
     assert f"error: {schema}: sensitive_options must be a mapping, got list" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("case", ["report_not_json", "report_not_utf8", "report_list", "report_without_dataset",
+                                  "report_metrics_fields", "param_not_yaml", "config_not_utf8"])
+def test_a_malformed_input_is_an_error_line_not_a_traceback(tmp_path, capsys, case):
+    common = ["--out", str(tmp_path / "out"), "--cache-dir", str(tmp_path / "cache")]
+    assert main(["prep", "--dataset", "synthetic:n=100", "--method", "RW", *common]) == 0
+    doc = json.loads(next((tmp_path / "out").glob("stage1_*.json")).read_text(encoding="utf-8"))
+    path = tmp_path / "input"
+    bench = ["bench", "--from", str(path), *common]
+    blob, argv, message = {
+        "report_not_json": (b"stage 1", bench, "input: not a JSON stage-1 report: Expecting value"),
+        "report_not_utf8": (b"\xff\xfe{}", bench, "input: not a JSON stage-1 report: 'utf-8' codec can't decode"),
+        "report_list": (b"[1]", bench, "stage-1 report must be a mapping, got list"),
+        "report_without_dataset": (json.dumps({k: v for k, v in doc.items() if k != "dataset"}).encode(), bench,
+                                   "stage-1 report lacks ['dataset']"),
+        "report_metrics_fields": (
+            json.dumps(dict(doc, original_metrics=dict(doc["original_metrics"], extra=1))).encode(), bench,
+            "original_metrics must be the DatasetMetrics fields; missing [], unknown ['extra']"),
+        "param_not_yaml": (b"", ["prep", "--dataset", "synthetic", "--method", "RW", "--param", "a=[", *common],
+                           "--param 'a=[': the value is not valid YAML"),
+        "config_not_utf8": (b"\xff\xfe", ["batch", "--config", str(path), "--out", str(tmp_path / "batch")],
+                            "input: not UTF-8 text: 'utf-8' codec can't decode"),
+    }[case]
+    path.write_bytes(blob)
+    capsys.readouterr()
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err and err.count("\n") == 1, err

@@ -469,7 +469,7 @@ class TestRecords:
         fields = _metric_fields(disparate_impact=disparate_impact)
         path = record_store(fields, "k", tmp_path)
         assert path == record_path(tmp_path, "k") and path.name == "k.metrics.fpds"
-        loaded = record_load("k", tmp_path)
+        loaded = record_load("k", tmp_path, dict)
         assert _float_bits(loaded) == _float_bits(fields)
         assert [type(v) for v in loaded.values()] == [type(v) for v in fields.values()]
         header = _header(path)
@@ -478,7 +478,7 @@ class TestRecords:
 
     def test_miss_is_absent_not_error(self, tmp_path):
         record_store(_metric_fields(), "k", tmp_path)
-        assert record_load("other", tmp_path) is None
+        assert record_load("other", tmp_path, dict) is None
         assert cache_load("k", tmp_path) is None  # a record is not a dataset entry
 
     @pytest.mark.parametrize("damage, match", [
@@ -499,7 +499,7 @@ class TestRecords:
             blob += b"\0"
         path.write_bytes(blob)
         with pytest.warns(FairbenchWarning, match=f"{path.name}: .*{match}"):
-            assert record_load("k", tmp_path) is None
+            assert record_load("k", tmp_path, dict) is None
 
 
 def _array_bytes(k, n):

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from fairbench.dataset import SplitSpec, cache_load, make_synthetic, schema_from_dict
-from fairbench.dataset.cache import record_path
+from fairbench.dataset.cache import record_load, record_path, record_store
 from fairbench.errors import FairbenchError, FairbenchWarning
 from fairbench.metrics import classification_metrics
 from fairbench.metrics.classification import ClassificationTable
@@ -230,6 +230,24 @@ class TestPrepStage:
             second = run_prep_stage(ds, None, "DIR", {}, seed=0, cache_dir=tmp_path, dataset_name="syn")
         assert second == first
         assert path.read_bytes() == blob
+
+    @pytest.mark.parametrize("record", ["original", "processed"])
+    @pytest.mark.parametrize("change, match", [
+        ("added", r"unknown \['consistency_k'\]"), ("dropped", r"missing \['consistency'\]"),
+    ], ids=["added", "dropped"])
+    def test_a_record_of_other_fields_is_recomputed_and_rewritten(self, tmp_path, record, change, match):
+        # its fields hash to its sha256, but they are not DatasetMetrics's
+        ds = make_synthetic(seed=4, n=200, disparity=0.3)
+        first = run_prep_stage(ds, None, "DIR", {}, seed=0, cache_dir=tmp_path, dataset_name="syn")
+        key = getattr(first, f"{record}_cache_key")
+        blob = record_path(tmp_path, key).read_bytes()
+        fields = record_load(key, tmp_path, dict)
+        record_store(dict(fields, consistency_k=5) if change == "added" else
+                     {k: v for k, v in fields.items() if k != "consistency"}, key, tmp_path)
+        with pytest.warns(FairbenchWarning, match=f"ignoring unreadable cache entry .*{key}.*{match}"):
+            second = run_prep_stage(ds, None, "DIR", {}, seed=0, cache_dir=tmp_path, dataset_name="syn")
+        assert second == first
+        assert record_path(tmp_path, key).read_bytes() == blob
 
     def test_same_name_and_seed_with_other_sensitive_attribute_do_not_collide(self, tmp_path, monkeypatch):
         rng = np.random.default_rng(0)

@@ -2,17 +2,21 @@
 
 import pytest
 
-from fairbench.dataset import load_csv, load_schema
+from fairbench.dataset import encode, load_csv, load_schema
 from fairbench.dataset.recipes import (
     ADULT_COLUMNS,
     GERMAN_COLUMNS,
     bundled_schemas,
     prepare_adult,
+    prepare_bank,
     prepare_compas,
     prepare_german,
+    prepare_meps,
     schema_path,
 )
+from fairbench.dataset.schema import declared_sensitive_attributes
 from fairbench.errors import SchemaError
+from fairbench.preproc import fit_method
 
 GERMAN_RAW = (
     "A11 6 A34 A43 1169 A65 A75 4 A93 A101 4 A121 67 A143 A152 2 A173 1 A192 A201 1\n"
@@ -135,3 +139,67 @@ def test_prepare_compas_applies_cohort_filter(tmp_path):
     assert table.n == 2
     races = {row[table.columns.index("race")] for row in table.rows}
     assert races == {"African-American", "Caucasian"}
+
+
+def _encodes_and_fits_by_default(csv, name):
+    """`csv` encodes under the bundled schema `name` for each attribute it declares, and RW and DIR fit it with {}."""
+    attributes = declared_sensitive_attributes(schema_path(name))
+    for attribute in attributes:
+        schema = load_schema(schema_path(name), sensitive=attribute)
+        ds = encode(load_csv(csv, schema), schema)
+        assert set(ds.protected) == {0, 1} and set(ds.labels) == {0, 1}, attribute
+        for method in ("RW", "DIR"):
+            assert fit_method(method, ds, {}).train.n == ds.n
+    return attributes
+
+
+BANK_HEADER = (
+    '"age";"job";"marital";"education";"default";"housing";"loan";"contact";"month";"day_of_week";'
+    '"duration";"campaign";"pdays";"previous";"poutcome";"emp.var.rate";"cons.price.idx";'
+    '"cons.conf.idx";"euribor3m";"nr.employed";"y"'
+)
+
+
+def test_prepare_bank_unquotes_cells_and_renames_dotted_columns(tmp_path):
+    # (age, marital, y): each age group and each marital group holds both labels
+    people = [(56, "married", "no"), (57, "married", "yes"), (22, "single", "yes"), (21, "single", "no"),
+              (37, "single", "yes"), (40, "divorced", "no"), (23, "married", "yes"), (24, "married", "no")]
+    rows = [f'{age};"services";"{marital}";"basic.4y";"no";"yes";"no";"telephone";"may";"mon";{100 + i};'
+            f'{1 + i % 3};999;0;"nonexistent";1.1;93.994;-36.4;4.857;5191;"{y}"'
+            for i, (age, marital, y) in enumerate(people)]
+    raw = tmp_path / "bank-additional-full.csv"
+    raw.write_text(BANK_HEADER + "\n" + "\n".join(rows) + "\n", encoding="utf-8")
+    out = prepare_bank(raw, tmp_path / "bank.csv")
+    lines = out.read_text(encoding="utf-8").splitlines()
+    assert lines[0].split(",")[15:20] == ["emp_var_rate", "cons_price_idx", "cons_conf_idx", "euribor3m",
+                                          "nr_employed"]
+    # quotes go, and a dot inside a value stays
+    assert lines[1] == "56,services,married,basic.4y,no,yes,no,telephone,may,mon,100,1,999,0,nonexistent," \
+                       "1.1,93.994,-36.4,4.857,5191,no"
+    assert _encodes_and_fits_by_default(out, "bank") == ["age", "marital"]
+
+
+MEPS_HEADER = ("PANEL,HISPANX,RACEV2X,SEX,AGELAST,MARRY16X,REGION16,INSCOV16,"
+               "OBTOTV16,OPTOTV16,ERTOT16,IPNGTD16,HHTOTD16")
+
+
+def test_prepare_meps_keeps_the_panel_derives_race_and_sums_visits(tmp_path):
+    rows = [
+        "21,2,1,1,30,1,2,1,6,3,1,1,1",       # White, 12 visits
+        "21,2,1,2,45,2,3,1,1,1,0,0,0",       # White, 2
+        "21,1,1,1,50,1,1,2,10,5,0,0,0",      # Hispanic white: Non-White, 15
+        "21,2,2,2,25,5,4,3,,,,,",            # non-Hispanic non-white: Non-White, blank counts are 0
+        "21,2,1,1,60,1,2,1,4,4,2,0,0",       # White, 10: high
+        "21,1,2,2,33,5,3,2,9,0,0,0,0",       # Non-White, 9: low
+        "20,2,1,1,41,1,2,1,30,0,0,0,0",      # another panel
+        "21,2,1,1,Inapplicable,1,2,1,30,0,0,0,0",  # no age
+    ]
+    raw = tmp_path / "h192.csv"
+    raw.write_text(MEPS_HEADER + "\n" + "\n".join(rows) + "\n", encoding="utf-8")
+    out = prepare_meps(raw, tmp_path / "meps.csv")
+    table = load_csv(out, load_schema(schema_path("meps")))
+    assert table.columns == ("age", "sex", "race", "marital", "region", "insurance_coverage", "utilization")
+    assert [row[2] for row in table.rows] == ["White", "White", "Non-White", "Non-White", "White", "Non-White"]
+    assert [row[1] for row in table.rows] == ["male", "female", "male", "female", "male", "female"]
+    assert [float(row[6]) for row in table.rows] == [12, 2, 15, 0, 10, 9]
+    assert _encodes_and_fits_by_default(out, "meps") == ["race"]
