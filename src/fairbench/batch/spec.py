@@ -3,15 +3,13 @@
 import hashlib
 from dataclasses import dataclass, field
 
-import yaml
-
 from ..errors import FairbenchError, SchemaError
 from ..dataset.schema import declared_sensitive_attributes
 from ..dataset.split import SplitSpec
 from ..model import model_names
 from ..preproc import METHOD_NAMES
 from ..pipeline.sweep import FAIRNESS_METRICS
-from ..util import canonical_json, integer, listing, mapping, number, string
+from ..util import canonical_json, integer, listing, mapping, number, string, yaml_document
 
 _TOP_KEYS = {
     "datasets", "sensitive_attributes", "methods", "models", "seeds",
@@ -80,12 +78,12 @@ class JobSpec:
             object.__setattr__(self, "job_id", digest)
 
 
-def synthetic_params(raw, key, seed=0):
+def synthetic_params(raw, key):
     """A `synthetic` block as make_synthetic's {n, disparity, seed}; a bad key or value is a SchemaError naming `key`."""
     raw = mapping(raw, key, ("n", "disparity", "seed"))
     return {"n": integer(raw.get("n", 1000), f"{key}.n"),
             "disparity": number(raw.get("disparity", 0.0), f"{key}.disparity"),
-            "seed": integer(raw.get("seed", seed), f"{key}.seed")}
+            "seed": integer(raw.get("seed", 0), f"{key}.seed")}
 
 
 def _named_entries(raw, key, kind, known):
@@ -105,8 +103,9 @@ def _named_entries(raw, key, kind, known):
     return tuple(out)
 
 
-def _dataset_entry(entry, where):
-    """One `datasets` entry: a name with a `synthetic` block, or with `csv` and `schema` paths."""
+def dataset_entry(entry, where):
+    """One `datasets` entry, or `fairbench prep`'s dataset: a name with a `synthetic` block, or with `csv`
+    and `schema` paths."""
     entry = mapping(entry, where, ("name", "csv", "schema", "synthetic"))
     if "name" not in entry:
         raise SchemaError(f"{where}: need 'name'")
@@ -123,12 +122,8 @@ def _dataset_entry(entry, where):
 
 def parse_batch_yaml(text: str) -> BatchSpec:
     """Parse and validate a batch document; unknown keys are rejected with their path."""
-    try:
-        doc = yaml.safe_load(text)
-    except yaml.YAMLError as exc:
-        raise SchemaError(f"invalid YAML: {exc}") from exc
-    doc = mapping(doc, "batch config", _TOP_KEYS, required=True)
-    datasets = tuple(_dataset_entry(entry, f"datasets[{i}]")
+    doc = mapping(yaml_document(text, "batch config"), "batch config", _TOP_KEYS, required=True)
+    datasets = tuple(dataset_entry(entry, f"datasets[{i}]")
                      for i, entry in enumerate(listing(doc.get("datasets"), "datasets", required=True)))
 
     sensitive = {}

@@ -6,28 +6,24 @@ import sys
 from pathlib import Path
 
 from .batch import expand_jobs, parse_batch_yaml, run_batch
-from .batch.runner import write_job_artifacts
-from .batch.spec import SYNTHETIC_ATTRIBUTE, synthetic_params
-from .dataset import SplitSpec, load_schema, make_synthetic
+from .batch.runner import _prepare, write_job_artifacts
+from .batch.spec import SYNTHETIC_ATTRIBUTE, dataset_entry
+from .dataset import SplitSpec
 from .errors import FairbenchError
 from .pipeline import FAIRNESS_METRICS, StageOneReport, run_bench_stage, run_prep_stage
 from .preproc import METHOD_NAMES
 from .report import stage1_rows, write_stage1_csv
+from .util import yaml_document
 
 
 def _parse_params(pairs, option="--param"):
     """`option`'s k=v pairs; values parsed as YAML scalars (numbers stay numbers)."""
-    import yaml
-
     params = {}
     for pair in pairs or ():
         key, sep, value = pair.partition("=")
         if not sep or not key:
             raise FairbenchError(f"{option} expects key=value, got {pair!r}")
-        try:
-            params[key] = yaml.safe_load(value)
-        except yaml.YAMLError:
-            raise FairbenchError(f"{option} {pair!r}: the value is not valid YAML") from None
+        params[key] = yaml_document(value, f"{option} {pair!r}")
     return params
 
 
@@ -44,26 +40,19 @@ def _parallelism(text):
 
 def _cmd_prep(args):
     params = _parse_params(args.param)
+    # the dataset is a batch config's `datasets` entry, checked and prepared by the batch's rules
+    entry = {key: value for key, value in (("name", args.dataset), ("csv", args.csv), ("schema", args.schema))
+             if value is not None}
     kind, colon, spec = args.dataset.partition(":")
     if kind == "synthetic":
-        if args.csv or args.schema:
-            raise FairbenchError("--csv and --schema do not apply to a synthetic --dataset")
-        if args.sensitive not in (None, SYNTHETIC_ATTRIBUTE):
-            raise FairbenchError(f"a synthetic --dataset has the one sensitive attribute {SYNTHETIC_ATTRIBUTE!r}, "
-                                 f"got --sensitive {args.sensitive!r}")
-        syn = _parse_params(spec.split(","), "--dataset") if colon else {}
-        source = make_synthetic(**synthetic_params(syn, "synthetic", seed=args.seed))
-        schema = None
-    else:
-        if not (args.csv and args.schema):
-            raise FairbenchError("--csv and --schema are required for a file-backed --dataset")
-        schema = load_schema(args.schema, sensitive=args.sensitive)
-        source = args.csv
+        entry["synthetic"] = _parse_params(spec.split(","), "--dataset") if colon else {}
+    dataset = dataset_entry(entry, "--dataset")
+    if dataset.synthetic is not None and args.sensitive not in (None, SYNTHETIC_ATTRIBUTE):
+        raise FairbenchError(f"a synthetic --dataset has the one sensitive attribute {SYNTHETIC_ATTRIBUTE!r}, "
+                             f"got --sensitive {args.sensitive!r}")
 
-    report = run_prep_stage(
-        source, schema, args.method, params, seed=args.seed,
-        cache_dir=args.cache_dir, dataset_name=args.dataset,
-    )
+    report = run_prep_stage(_prepare(dataset, args.sensitive, args.cache_dir), None, args.method, params,
+                            seed=args.seed, cache_dir=args.cache_dir)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     report_path = out / f"stage1_{args.dataset}_{args.method}_{args.seed}.json"
@@ -131,7 +120,8 @@ def build_parser():
     sub = parser.add_subparsers(dest="command", required=True)
 
     prep = sub.add_parser("prep", help="stage 1: transform a dataset and report data metrics")
-    prep.add_argument("--dataset", required=True, help="dataset name (or synthetic[:n=..,disparity=..,seed=..])")
+    prep.add_argument("--dataset", required=True,
+                      help="dataset name, or synthetic[:n=..,disparity=..,seed=..] (data seed 0 unless given)")
     prep.add_argument("--schema", help="dataset schema YAML")
     prep.add_argument("--csv", help="prepared CSV path")
     prep.add_argument("--sensitive", help="sensitive attribute option declared in the schema")

@@ -57,6 +57,16 @@ def data_dir() -> Path:
     return Path(os.environ.get("FAIRBENCH_DATA", "data"))
 
 
+def _records(raw_path, columns):
+    """The rows of a header-ed CSV as dicts; a header without one of `columns` is a DataFormatError naming them."""
+    with open(raw_path, "r", encoding="utf-8", newline="") as fh:
+        reader = csv.DictReader(fh)
+        missing = sorted(set(columns) - set(reader.fieldnames or ()))
+        if missing:
+            raise DataFormatError(f"{raw_path}: missing column(s) {missing}")
+        yield from reader
+
+
 def _write_csv(path, header, rows):
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
@@ -111,24 +121,14 @@ def prepare_compas(raw_path, out_path) -> Path:
     to African-American and Caucasian. The reference row counts for this cohort
     are a soft target; the filter is what is documented.
     """
-    with open(raw_path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.DictReader(fh)
-        rows = []
-        for rec in reader:
-            try:
-                days = float(rec["days_b_screening_arrest"])
-            except (ValueError, KeyError):
-                continue
-            if not -30 <= days <= 30:
-                continue
-            if rec.get("is_recid") == "-1":
-                continue
-            if rec.get("c_charge_degree") == "O":
-                continue
-            if rec.get("score_text") in (None, "", "N/A"):
-                continue
-            if rec.get("race") not in ("African-American", "Caucasian"):
-                continue
+    rows = []
+    for rec in _records(raw_path, COMPAS_COLUMNS + ["days_b_screening_arrest", "is_recid", "score_text"]):
+        try:
+            days = float(rec["days_b_screening_arrest"])
+        except ValueError:
+            continue
+        if (-30 <= days <= 30 and rec["is_recid"] != "-1" and rec["c_charge_degree"] != "O"
+                and rec["score_text"] not in (None, "", "N/A") and rec["race"] in ("African-American", "Caucasian")):
             rows.append([rec[c] for c in COMPAS_COLUMNS])
     return _write_csv(out_path, COMPAS_COLUMNS, rows)
 
@@ -152,26 +152,18 @@ def prepare_meps(raw_path, out_path, panel: int = 21) -> Path:
     visit counts into `utilization`; the schema binarizes it at 10. Column
     names follow the 2016 full-year codebook.
     """
-    with open(raw_path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.DictReader(fh)
-        rows = []
-        for rec in reader:
-            if rec.get("PANEL") not in (str(panel), ""):
-                continue
-            race = "White" if rec.get("HISPANX") == "2" and rec.get("RACEV2X") == "1" else "Non-White"
-            try:
-                utilization = sum(float(rec.get(c) or 0) for c in MEPS_UTILIZATION_COMPONENTS)
-                age = float(rec["AGELAST"])
-            except (ValueError, KeyError):
-                continue
-            rows.append([
-                age,
-                {"1": "male", "2": "female"}.get(rec.get("SEX"), "other"),
-                race,
-                rec.get("MARRY16X", ""),
-                rec.get("REGION16", ""),
-                rec.get("INSCOV16", ""),
-                utilization,
-            ])
+    rows = []
+    columns = ["PANEL", "HISPANX", "RACEV2X", "SEX", "AGELAST", "MARRY16X", "REGION16", "INSCOV16"]
+    for rec in _records(raw_path, columns + MEPS_UTILIZATION_COMPONENTS):
+        if rec["PANEL"] != str(panel):
+            continue
+        race = "White" if rec["HISPANX"] == "2" and rec["RACEV2X"] == "1" else "Non-White"
+        try:
+            utilization = sum(float(rec[c] or 0) for c in MEPS_UTILIZATION_COMPONENTS)
+            age = float(rec["AGELAST"])
+        except ValueError:
+            continue
+        sex = {"1": "male", "2": "female"}.get(rec["SEX"], "other")
+        rows.append([age, sex, race, rec["MARRY16X"], rec["REGION16"], rec["INSCOV16"], utilization])
     header = ["age", "sex", "race", "marital", "region", "insurance_coverage", "utilization"]
     return _write_csv(out_path, header, rows)

@@ -9,10 +9,8 @@ column and privileged value set.
 import functools
 from dataclasses import dataclass, field
 
-import yaml
-
 from ..errors import SchemaError
-from ..util import boolean, listing, mapping
+from ..util import boolean, listing, mapping, yaml_document
 
 _PREDICATE_OPS = ("<", "<=", ">", ">=", "==", "in", "default")
 _SCHEMA_KEYS = (
@@ -244,11 +242,7 @@ def _read_schema(path) -> dict:
 
 @functools.lru_cache(maxsize=64)
 def _parse_schema(path: str, blob: bytes) -> dict:
-    try:
-        doc = yaml.safe_load(blob)
-    except yaml.YAMLError as exc:
-        raise SchemaError(f"{path}: invalid YAML: {exc}") from exc
-    return mapping(doc, f"{path}: schema document", required=True)
+    return mapping(yaml_document(blob, path), f"{path}: schema document", required=True)
 
 
 def load_schema(path, sensitive: str = None) -> DatasetSchema:

@@ -10,8 +10,8 @@ from dataclasses import dataclass
 
 from ..errors import SchemaError
 from ..dataset.tabular import TabularDataset, apply_standardization, standardize
-from ..util import checked_params, config_from
-from .lfr import lfr_fit, lfr_transform
+from ..util import config_from, mapping
+from .lfr import LfrConfig, lfr_fit, lfr_transform
 from .opp import OppConfig, opp_fit, opp_transform
 from .repair import DirConfig, dir_repair
 from .reweigh import reweigh
@@ -35,7 +35,7 @@ class FittedMethod:
 
 def fit_method(name: str, train: TabularDataset, params=None, seed: int = 0) -> FittedMethod:
     if name == "RW":
-        checked_params(params, {}, "RW")
+        mapping(params, "RW", ())
         out = reweigh(train).dataset
         return FittedMethod(name, out, lambda ds: ds)
 
@@ -46,14 +46,9 @@ def fit_method(name: str, train: TabularDataset, params=None, seed: int = 0) -> 
         return FittedMethod(name, dir_repair(train, cfg), lambda ds: dir_repair(ds, cfg))
 
     if name == "LFR":
-        p = checked_params(params, {"prototypes": 10, "a_z": 50.0, "a_x": 0.01, "a_y": 1.0,
-                                    "max_iter": 5000, "tol": 1e-6}, "LFR")
+        cfg = config_from(LfrConfig, params, "LFR")
         std_train, means, scales = standardize(train)
-        model = lfr_fit(
-            std_train,
-            n_prototypes=p["prototypes"], a_z=p["a_z"], a_x=p["a_x"], a_y=p["a_y"],
-            seed=seed, max_iter=p["max_iter"], tol=p["tol"],
-        )
+        model = lfr_fit(std_train, cfg, seed)
 
         def eval_lfr(ds, _model=model, _mu=means, _sd=scales):
             out = lfr_transform(_model, apply_standardization(ds, _mu, _sd))
@@ -62,9 +57,9 @@ def fit_method(name: str, train: TabularDataset, params=None, seed: int = 0) -> 
         return FittedMethod(name, lfr_transform(model, std_train), eval_lfr)
 
     if name == "OPP":
-        mapping = opp_fit(train, config_from(OppConfig, params, "OPP"))
+        opp_map = opp_fit(train, config_from(OppConfig, params, "OPP"))
 
-        def eval_opp(ds, _m=mapping, _seed=seed):
+        def eval_opp(ds, _m=opp_map, _seed=seed):
             # seeded by the split's content: equal-sized validation and test splits must not share draws
             h = hashlib.sha256(f"{_seed}/opp-eval".encode())
             for values, dtype in ((ds.features, "<f8"), (ds.labels, "<i8"), (ds.protected, "<i8")):
@@ -72,7 +67,7 @@ def fit_method(name: str, train: TabularDataset, params=None, seed: int = 0) -> 
             out = opp_transform(_m, ds, seed=int.from_bytes(h.digest()[:8], "big"))
             return out.replace(labels=ds.labels)
 
-        return FittedMethod(name, opp_transform(mapping, train, seed=seed), eval_opp)
+        return FittedMethod(name, opp_transform(opp_map, train, seed=seed), eval_opp)
 
     raise SchemaError(f"unknown method {name!r}; expected one of {METHOD_NAMES}")
 
@@ -86,6 +81,7 @@ __all__ = [
     "METHOD_NAMES",
     "SEEDED_METHODS",
     "DirConfig",
+    "LfrConfig",
     "OppConfig",
     "apply_method",
     "dir_repair",

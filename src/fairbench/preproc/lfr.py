@@ -19,6 +19,25 @@ _PROB_CLIP = 1e-6
 
 
 @dataclass(frozen=True)
+class LfrConfig:
+    prototypes: int = 10     # K
+    a_z: float = 50.0        # parity weight
+    a_x: float = 0.01        # reconstruction weight
+    a_y: float = 1.0         # label weight
+    max_iter: int = 5000
+    tol: float = 1e-6        # stop below this relative objective decrease
+
+    def __post_init__(self):
+        # each check is written to fail on NaN, which no comparison satisfies
+        if not self.prototypes >= 2:
+            raise FitError("need at least 2 prototypes")
+        for name in ("a_z", "a_x", "a_y", "tol", "max_iter"):
+            # a negative weight makes the fit maximize its term
+            if not getattr(self, name) >= 0:
+                raise FitError(f"{name} must be non-negative, got {getattr(self, name)!r}")
+
+
+@dataclass(frozen=True)
 class LfrModel:
     prototypes: np.ndarray       # (K, d)
     label_weights: np.ndarray    # (K,) in [0, 1]
@@ -141,14 +160,12 @@ def lfr_gradients(x, y, s, prototypes, label_weights, a_z, a_x, a_y):
     return problem.gradients(state, prototypes, label_weights)
 
 
-def lfr_fit(ds: TabularDataset, n_prototypes: int = 10, a_z: float = 50.0,
-            a_x: float = 0.01, a_y: float = 1.0, seed: int = 0,
-            max_iter: int = 5000, tol: float = 1e-6) -> LfrModel:
+def lfr_fit(ds: TabularDataset, cfg: LfrConfig = LfrConfig(), seed: int = 0) -> LfrModel:
     """Projected gradient descent with backtracking; label weights clamped to [0,1].
 
     Prototypes start at K records sampled by seed. Stops when the relative
-    objective decrease falls below `tol` or after `max_iter` accepted steps;
-    the latter warns that the fit did not converge.
+    objective decrease falls below `cfg.tol` or after `cfg.max_iter` accepted
+    steps; the latter warns that the fit did not converge.
 
     The fit runs in prototype space. x enters two products per step, the
     gradient's and G x^T for the step direction G; a line-search trial at
@@ -158,25 +175,19 @@ def lfr_fit(ds: TabularDataset, n_prototypes: int = 10, a_z: float = 50.0,
     error is about eps * (|sum M P P^T M| + 2 |sum M P x^T| + ||x||^2), small
     against the loss unless K prototypes reconstruct x almost exactly.
     """
-    for name, value in (("a_z", a_z), ("a_x", a_x), ("a_y", a_y), ("tol", tol), ("max_iter", max_iter)):
-        # a negative weight makes the fit maximize its term
-        if not value >= 0:
-            raise FitError(f"{name} must be non-negative, got {value!r}")
     x = ds.features
     y = ds.labels.astype(np.float64)
     s = ds.protected
     n = x.shape[0]
-    if n_prototypes >= n:
-        raise FitError(f"need fewer prototypes than rows (K={n_prototypes}, n={n})")
-    if n_prototypes < 2:
-        raise FitError("need at least 2 prototypes")
+    if cfg.prototypes >= n:
+        raise FitError(f"need fewer prototypes than rows (K={cfg.prototypes}, n={n})")
     if not ((s == 0).any() and (s == 1).any()):
         raise FitError("both groups must be present")
 
     rng = np.random.default_rng(seed)
-    prototypes = x[rng.choice(n, size=n_prototypes, replace=False)].copy()
-    label_weights = rng.random(n_prototypes)
-    problem = _Problem(x, y, s, a_z, a_x, a_y)
+    prototypes = x[rng.choice(n, size=cfg.prototypes, replace=False)].copy()
+    label_weights = rng.random(cfg.prototypes)
+    problem = _Problem(x, y, s, cfg.a_z, cfg.a_x, cfg.a_y)
 
     obj, _, state = problem.at(prototypes, label_weights)
     if not math.isfinite(obj):
@@ -184,7 +195,7 @@ def lfr_fit(ds: TabularDataset, n_prototypes: int = 10, a_z: float = 50.0,
     trace = [float(obj)]
     step = 1.0
     rel_drop = math.inf
-    for _ in range(max_iter):
+    for _ in range(cfg.max_iter):
         grad_v, grad_w = problem.gradients(state, prototypes, label_weights)
         _, _, pxt, ppt, *_ = state
         gxt = grad_v @ x.T
@@ -210,21 +221,21 @@ def lfr_fit(ds: TabularDataset, n_prototypes: int = 10, a_z: float = 50.0,
         obj = cand_obj
         trace.append(float(obj))
         step = trial * 2.0
-        if rel_drop < tol:
+        if rel_drop < cfg.tol:
             break
     else:
         warnings.warn(
-            f"LFR did not converge in max_iter={max_iter} steps: "
-            f"last relative objective drop {rel_drop:.4g} >= tol {tol:.4g}",
+            f"LFR did not converge in max_iter={cfg.max_iter} steps: "
+            f"last relative objective drop {rel_drop:.4g} >= tol {cfg.tol:.4g}",
             FairbenchWarning,
         )
 
     return LfrModel(
         prototypes=prototypes,
         label_weights=label_weights,
-        weight_parity=a_z,
-        weight_reconstruction=a_x,
-        weight_label=a_y,
+        weight_parity=cfg.a_z,
+        weight_reconstruction=cfg.a_x,
+        weight_label=cfg.a_y,
         objective_trace=tuple(trace),
     )
 

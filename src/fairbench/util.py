@@ -3,12 +3,37 @@
 import dataclasses
 import json
 
+import yaml
+
 from .errors import SchemaError
 
 
 def canonical_json(obj) -> str:
     """Deterministic JSON serialization (sorted keys, no whitespace)."""
     return json.dumps(obj, sort_keys=True, separators=(",", ":"))
+
+
+def _at(mark):
+    return f"line {mark.line + 1}, column {mark.column + 1}"
+
+
+def yaml_document(text, where):
+    """The YAML document in `text` (str or bytes).
+
+    Invalid YAML is a one-line SchemaError, `<where>: invalid YAML: <problem>
+    at line L, column C`, then, when PyYAML gives it, what was being parsed
+    and where it began: an unclosed bracket is found at the end of the text.
+    """
+    try:
+        return yaml.safe_load(text)
+    except yaml.YAMLError as exc:
+        if getattr(exc, "problem_mark", None) is None:  # a decoding error, with no mark
+            problem = " ".join(str(exc).split())
+        else:
+            problem = f"{exc.problem} at {_at(exc.problem_mark)}"
+            if exc.context_mark is not None:
+                problem += f" ({exc.context} at {_at(exc.context_mark)})"
+        raise SchemaError(f"{where}: invalid YAML: {problem}") from None
 
 
 # Every shape or kind error reads `<where> must be <kind>, got <type or value>`.
@@ -86,18 +111,12 @@ def _names(value, key):
 _KINDS = {bool: boolean, int: integer, float: number, type(None): _names}
 
 
-def checked_params(params, defaults, owner):
-    """`defaults` updated by `params`, each value checked against its default's kind.
+def config_from(cls, params, owner):
+    """Config dataclass `cls` from `params`, each value checked against the kind of its field's default.
 
     An unknown name or a value of the wrong kind is a SchemaError naming `owner`
     and, for a value, `<owner>.<name>`.
     """
-    checked = dict(defaults)
-    for name, value in mapping(params, owner, defaults).items():
-        checked[name] = _KINDS[type(defaults[name])](value, f"{owner}.{name}")
-    return checked
-
-
-def config_from(cls, params, owner):
-    """Config dataclass `cls` from checked `params`; its field defaults give each parameter's kind."""
-    return cls(**checked_params(params, {f.name: f.default for f in dataclasses.fields(cls)}, owner))
+    defaults = {f.name: f.default for f in dataclasses.fields(cls)}
+    return cls(**{name: _KINDS[type(defaults[name])](value, f"{owner}.{name}")
+                  for name, value in mapping(params, owner, defaults).items()})

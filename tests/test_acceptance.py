@@ -53,7 +53,8 @@ from fairbench.pipeline import (
     select_optimal_threshold,
     sweep_thresholds,
 )
-from fairbench.preproc import DirConfig, OppConfig, dir_repair, lfr_fit, lfr_transform, opp_fit, opp_transform, reweigh
+from fairbench.preproc import (DirConfig, LfrConfig, OppConfig, dir_repair, lfr_fit, lfr_transform, opp_fit,
+                               opp_transform, reweigh)
 
 
 def load_german(tmp_path):
@@ -201,12 +202,12 @@ def test_criterion_06_lfr_property_suite():
         assert finite_difference_check(rng) <= 1e-4
 
     ds, _, _ = standardize(make_synthetic(seed=7, n=150, disparity=0.4))
-    model = lfr_fit(ds, n_prototypes=5, seed=1, max_iter=300, tol=1e-9)
+    model = lfr_fit(ds, LfrConfig(prototypes=5, max_iter=300, tol=1e-9), seed=1)
     trace = np.array(model.objective_trace)
     assert (np.diff(trace) <= 0).all()
 
     collapsed = lfr_transform(
-        lfr_fit(ds, n_prototypes=4, a_z=200.0, a_x=0.01, a_y=0.01, seed=2, max_iter=400), ds
+        lfr_fit(ds, LfrConfig(prototypes=4, a_z=200.0, a_x=0.01, a_y=0.01, max_iter=400), seed=2), ds
     )
     assert len(np.unique(collapsed.labels)) == 1
     assert consistency(collapsed) == 1.0

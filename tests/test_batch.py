@@ -676,7 +676,8 @@ class TestRun:
                 assert outcome.status == "ok", (job.job_id, outcome.error)
 
     @pytest.mark.parametrize("document, error", [
-        ("name: [unclosed\n", "invalid YAML"),
+        ("name: [unclosed\n", r"invalid YAML: expected ',' or '\]', but got '<stream end>' at line 2, column 1 "
+                               r"\(while parsing a flow sequence at line 1, column 7\)"),
         ("- name: toy\n", "schema document must be a mapping"),
         ("name: toy\nlabel: {column: income, favorable: high}\ndefault_sensitive: gender\n"
          "sensitive_options: {sex: {column: sex, privileged: [M]}}\nfeatures: {numeric: [x]}\n",
@@ -697,6 +698,7 @@ class TestRun:
         with pytest.raises(SchemaError, match=error) as raised:
             load_schema(schema)
         assert outcome.error == error_text(raised.value)
+        assert "\n" not in outcome.error
 
     def test_dead_worker_in_preparation_fails_no_job(self, tmp_path, monkeypatch):
         jobs, _ = expand_jobs(parse_batch_yaml(MATRIX))

@@ -62,10 +62,16 @@ def test_prep_then_bench_on_synthetic(tmp_path, capsys):
     assert summary["arms"]["original"]["n_thresholds"]["test"] == 99
 
 
-def test_bench_writes_the_artifact_set_of_a_batch_job(tmp_path):
+@pytest.mark.parametrize("synthetic, seed", [
+    ({"n": 300, "disparity": 0.3, "seed": 2}, 0),
+    # no data seed: data seed 0 in the batch and in `prep`, whatever the job's seed
+    ({"n": 300, "disparity": 0.3}, 3),
+], ids=["data-seed-2", "no-data-seed"])
+def test_bench_writes_the_artifact_set_of_a_batch_job(tmp_path, synthetic, seed):
+    dataset = "synthetic:" + ",".join(f"{key}={value}" for key, value in synthetic.items())
     cache = tmp_path / "cache"
     assert main([
-        "prep", "--dataset", "synthetic:n=300,disparity=0.3,seed=2", "--method", "DIR",
+        "prep", "--dataset", dataset, "--method", "DIR", "--seed", str(seed),
         "--out", str(tmp_path / "prep"), "--cache-dir", str(cache),
     ]) == 0
     report_path, = (tmp_path / "prep").glob("*.json")
@@ -74,14 +80,10 @@ def test_bench_writes_the_artifact_set_of_a_batch_job(tmp_path):
         "--cache-dir", str(cache),
     ]) == 0
 
-    jobs, _ = expand_jobs(parse_batch_yaml("""
-datasets:
-  - name: synth
-    synthetic: {n: 300, disparity: 0.3, seed: 2}
-methods: [DIR]
-models: [logreg]
-seeds: [0]
-"""))
+    jobs, _ = expand_jobs(parse_batch_yaml(json.dumps({
+        "datasets": [{"name": dataset, "synthetic": synthetic}],
+        "methods": ["DIR"], "models": ["logreg"], "seeds": [seed],
+    })))
     batch = run_batch(jobs, output_dir=tmp_path / "batch", cache_dir=cache)
     job_dir = tmp_path / "batch" / jobs[0].job_id
     assert batch.exit_code == 0
@@ -89,9 +91,11 @@ seeds: [0]
     cli_files = sorted(p.name for p in (tmp_path / "bench").iterdir())
     assert cli_files == sorted(p.name for p in job_dir.iterdir())
     assert "stage1.csv" in cli_files
+    for name in set(cli_files) - {"summary.json"}:
+        assert (tmp_path / "bench" / name).read_bytes() == (job_dir / name).read_bytes(), name
     cli_summary = json.loads((tmp_path / "bench" / "summary.json").read_text())
     job_summary = json.loads((job_dir / "summary.json").read_text())
-    assert set(cli_summary) == set(job_summary) - {"job", "job_id"}
+    assert cli_summary == {k: v for k, v in job_summary.items() if k not in ("job", "job_id")}
 
 
 def test_bench_split_seed_picks_the_split(tmp_path):
@@ -148,8 +152,8 @@ def test_a_dataset_named_like_synthetic_reads_its_csv(tmp_path):
 
 
 @pytest.mark.parametrize("extra, message", [
-    (["--csv", "x.csv"], "--csv and --schema do not apply to a synthetic --dataset"),
-    (["--schema", "s.yaml"], "--csv and --schema do not apply to a synthetic --dataset"),
+    (["--csv", "x.csv"], "--dataset: csv and schema do not apply to a synthetic dataset"),
+    (["--schema", "s.yaml"], "--dataset: csv and schema do not apply to a synthetic dataset"),
     (["--sensitive", "race"], "a synthetic --dataset has the one sensitive attribute 'group', got --sensitive 'race'"),
 ])
 @pytest.mark.parametrize("dataset", ["synthetic", "synthetic:n=100"])
@@ -166,7 +170,7 @@ def test_prep_accepts_group_as_a_synthetic_sensitive_attribute(tmp_path):
 
 
 @pytest.mark.parametrize("case, message", [
-    ("no_schema", "--csv and --schema are required for a file-backed --dataset"),
+    ("no_schema", "--dataset: need 'csv' and 'schema'"),
     ("missing_csv", "dataset file not found: "),
     ("missing_schema", "No such file or directory: "),
     ("missing_report", "No such file or directory: "),
@@ -267,11 +271,11 @@ seeds: [0]
 
 
 @pytest.mark.parametrize("spec, message", [
-    ("n=abc", "synthetic.n must be an integer"),
-    ("n=1.5", "synthetic.n must be an integer"),
-    ("n=[1]", "synthetic.n must be an integer"),
-    ("disparity=x", "synthetic.disparity must be a number"),
-    ("size=5", "synthetic: unknown keys ['size']"),
+    ("n=abc", "--dataset.synthetic.n must be an integer"),
+    ("n=1.5", "--dataset.synthetic.n must be an integer"),
+    ("n=[1]", "--dataset.synthetic.n must be an integer"),
+    ("disparity=x", "--dataset.synthetic.disparity must be a number"),
+    ("size=5", "--dataset.synthetic: unknown keys ['size']"),
     # the spec, not a --param, is malformed
     ("n=100,", "--dataset expects key=value, got ''"),
     ("n", "--dataset expects key=value, got 'n'"),
@@ -303,7 +307,7 @@ def test_prep_rejects_a_mistyped_schema_block(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("case", ["report_not_json", "report_not_utf8", "report_list", "report_without_dataset",
-                                  "report_metrics_fields", "param_not_yaml", "config_not_utf8"])
+                                  "report_metrics_fields", "param_not_yaml", "config_not_utf8", "config_not_yaml"])
 def test_a_malformed_input_is_an_error_line_not_a_traceback(tmp_path, capsys, case):
     common = ["--out", str(tmp_path / "out"), "--cache-dir", str(tmp_path / "cache")]
     assert main(["prep", "--dataset", "synthetic:n=100", "--method", "RW", *common]) == 0
@@ -320,9 +324,13 @@ def test_a_malformed_input_is_an_error_line_not_a_traceback(tmp_path, capsys, ca
             json.dumps(dict(doc, original_metrics=dict(doc["original_metrics"], extra=1))).encode(), bench,
             "original_metrics must be the DatasetMetrics fields; missing [], unknown ['extra']"),
         "param_not_yaml": (b"", ["prep", "--dataset", "synthetic", "--method", "RW", "--param", "a=[", *common],
-                           "--param 'a=[': the value is not valid YAML"),
+                           "--param 'a=[': invalid YAML: expected the node content, but found '<stream end>' "
+                           "at line 1, column 2"),
         "config_not_utf8": (b"\xff\xfe", ["batch", "--config", str(path), "--out", str(tmp_path / "batch")],
                             "input: not UTF-8 text: 'utf-8' codec can't decode"),
+        "config_not_yaml": (b"datasets: [unclosed", ["batch", "--config", str(path), "--out", str(tmp_path / "batch")],
+                            "batch config: invalid YAML: expected ',' or ']', but got '<stream end>' "
+                            "at line 1, column 20"),
     }[case]
     path.write_bytes(blob)
     capsys.readouterr()

@@ -9,7 +9,6 @@ import warnings
 
 import numpy as np
 import pytest
-import yaml
 
 from fairbench.dataset import (
     RawTable,
@@ -170,8 +169,9 @@ class TestSchema:
         path = tmp_path / "toy.yaml"
         path.write_text("name: toy\nlabel: {column: income, favorable: high}\n"
                         "protected: {column: sex, privileged: [M]}\nfeatures: {numeric: [age]}\n", encoding="utf-8")
-        parsed, safe_load = [], yaml.safe_load
-        monkeypatch.setattr(schema_module.yaml, "safe_load", lambda blob: parsed.append(blob) or safe_load(blob))
+        parsed, parse = [], schema_module.yaml_document
+        monkeypatch.setattr(schema_module, "yaml_document",
+                            lambda blob, where: parsed.append(blob) or parse(blob, where))
         declared_sensitive_attributes(path)
         first = load_schema(path)
         assert load_schema(path) == first and len(parsed) == 1

@@ -3,6 +3,7 @@
 import math
 import tracemalloc
 import warnings
+from dataclasses import asdict
 from functools import partial
 from types import SimpleNamespace
 
@@ -14,7 +15,7 @@ from fairbench.dataset import TabularDataset, make_synthetic, standardize
 from fairbench.errors import FairbenchWarning, FitError
 from fairbench.metrics import consistency
 from fairbench.preproc import fit_method, lfr as lfr_module, lfr_fit, lfr_transform
-from fairbench.preproc.lfr import _soft_assignments, lfr_gradients, lfr_objective
+from fairbench.preproc.lfr import LfrConfig, _soft_assignments, lfr_gradients, lfr_objective
 
 
 def std_synthetic(seed=0, n=200, disparity=0.3):
@@ -68,22 +69,22 @@ class TestGradients:
             assert finite_difference_check(rng) <= 1e-4
 
 
-# The fits of this file's tests: (dataset, lfr_fit arguments).
+# The fits of this file's tests: (dataset, config, seed).
 FITS = {
-    "non_increasing": (std_synthetic, dict(n_prototypes=5, seed=1, max_iter=300, tol=1e-9)),
+    "non_increasing": (std_synthetic, LfrConfig(prototypes=5, max_iter=300, tol=1e-9), 1),
     **{f"parity_seed{seed}": (
         partial(std_synthetic, seed=5, n=240, disparity=0.0),
-        dict(n_prototypes=5, a_z=10.0, a_x=0.05, a_y=0.5, seed=seed, max_iter=300, tol=1e-9),
+        LfrConfig(prototypes=5, a_z=10.0, a_x=0.05, a_y=0.5, max_iter=300, tol=1e-9), seed,
     ) for seed in range(5)},
-    "cost": (partial(std_synthetic, seed=3), dict(n_prototypes=5, seed=1, max_iter=100)),
-    "memory": (_memory_fixture, dict(n_prototypes=10, seed=0, max_iter=5)),
-    "max_iter": (std_synthetic, dict(n_prototypes=5, seed=1, max_iter=3)),
-    "defaults": (std_synthetic, dict(n_prototypes=5, seed=1)),
-    "deterministic": (partial(std_synthetic, seed=2, n=120), dict(n_prototypes=4, seed=3, max_iter=100)),
-    "labels_binary": (partial(std_synthetic, seed=6, n=150), dict(n_prototypes=5, seed=0, max_iter=200)),
+    "cost": (partial(std_synthetic, seed=3), LfrConfig(prototypes=5, max_iter=100), 1),
+    "memory": (_memory_fixture, LfrConfig(prototypes=10, max_iter=5), 0),
+    "max_iter": (std_synthetic, LfrConfig(prototypes=5, max_iter=3), 1),
+    "defaults": (std_synthetic, LfrConfig(prototypes=5), 1),
+    "deterministic": (partial(std_synthetic, seed=2, n=120), LfrConfig(prototypes=4, max_iter=100), 3),
+    "labels_binary": (partial(std_synthetic, seed=6, n=150), LfrConfig(prototypes=5, max_iter=200), 0),
     "label_collapse": (partial(std_synthetic, seed=7, n=150, disparity=0.4),
-                       dict(n_prototypes=4, a_z=200.0, a_x=0.01, a_y=0.01, seed=2, max_iter=400)),
-    "dimension": (partial(std_synthetic, seed=8, n=100), dict(n_prototypes=4, seed=0, max_iter=50)),
+                       LfrConfig(prototypes=4, a_z=200.0, a_x=0.01, a_y=0.01, max_iter=400), 2),
+    "dimension": (partial(std_synthetic, seed=8, n=100), LfrConfig(prototypes=4, max_iter=50), 0),
 }
 # From step 2 on, these fits' parity gap is about 1e-17, so sign(gap) in the
 # gradient is the sign of rounding noise: the two forms' paths part at step 57.
@@ -91,12 +92,14 @@ ROUNDING_SENSITIVE = ("defaults", "non_increasing")
 
 
 def _fit_and_oracle(fit):
-    make, kwargs = FITS[fit]
+    make, cfg, seed = FITS[fit]
     ds = make()
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", FairbenchWarning)
-        trace = lfr_fit(ds, **kwargs).objective_trace
-    return np.array(trace), np.array(oracle_lfr_fit(ds, **kwargs).objective_trace)
+        trace = lfr_fit(ds, cfg, seed).objective_trace
+    params = asdict(cfg)
+    oracle = oracle_lfr_fit(ds, n_prototypes=params.pop("prototypes"), seed=seed, **params)
+    return np.array(trace), np.array(oracle.objective_trace)
 
 
 class TestRecordSpaceOracle:
@@ -156,7 +159,7 @@ class TestSoftAssignments:
 
 class TestFit:
     def test_objective_trace_non_increasing(self):
-        model = lfr_fit(std_synthetic(), n_prototypes=5, seed=1, max_iter=300, tol=1e-9)
+        model = lfr_fit(std_synthetic(), LfrConfig(prototypes=5, max_iter=300, tol=1e-9), seed=1)
         trace = np.array(model.objective_trace)
         assert len(trace) >= 2
         assert (np.diff(trace) <= 0).all()
@@ -167,8 +170,8 @@ class TestFit:
         ds = std_synthetic(seed=5, n=240, disparity=0.0)
         fitted_l_z, random_l_z = [], []
         for seed in range(5):
-            model = lfr_fit(ds, n_prototypes=5, a_z=10.0, a_x=0.05, a_y=0.5,
-                            seed=seed, max_iter=300, tol=1e-9)
+            model = lfr_fit(ds, LfrConfig(prototypes=5, a_z=10.0, a_x=0.05, a_y=0.5, max_iter=300, tol=1e-9),
+                            seed=seed)
             _, (l_z_fit, _, _) = lfr_objective(
                 ds.features, ds.labels.astype(float), ds.protected,
                 model.prototypes, model.label_weights, 1.0, 1.0, 1.0,
@@ -187,7 +190,7 @@ class TestFit:
     def test_too_many_prototypes_rejected(self):
         ds = std_synthetic(n=20)
         with pytest.raises(FitError, match="fewer prototypes"):
-            lfr_fit(ds, n_prototypes=20)
+            lfr_fit(ds, LfrConfig(prototypes=20))
 
     @pytest.mark.parametrize("field, value", [
         ("a_z", -50.0), ("a_x", -1.0), ("a_y", math.nan), ("tol", -1e-6), ("max_iter", -3)])
@@ -195,7 +198,7 @@ class TestFit:
         # a negative weight would make the fit maximize its term
         ds = std_synthetic(n=60)
         with pytest.raises(FitError, match=rf"{field} must be non-negative"):
-            lfr_fit(ds, n_prototypes=4, **{field: value})
+            LfrConfig(**{field: value})
         with pytest.raises(FitError, match=rf"{field} must be non-negative"):
             fit_method("LFR", ds, {field: value})
 
@@ -226,7 +229,7 @@ class TestFit:
         monkeypatch.setattr(lfr_module._Problem, "evaluate", evaluate)
         counted = SimpleNamespace(features=plain.view(CountingFeatures), labels=ds.labels,
                                   protected=ds.protected)
-        model = lfr_fit(counted, n_prototypes=5, seed=1, max_iter=100)
+        model = lfr_fit(counted, LfrConfig(prototypes=5, max_iter=100), seed=1)
         steps = len(model.objective_trace) - 1
         assert steps > 2
         assert evaluations > steps + 1, "fixture no longer backtracks; pick another seed"
@@ -239,7 +242,7 @@ class TestFit:
         ds = _memory_fixture()
         tracemalloc.start()
         try:
-            lfr_fit(ds, n_prototypes=10, seed=0, max_iter=5)
+            lfr_fit(ds, LfrConfig(prototypes=10, max_iter=5), seed=0)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -248,16 +251,16 @@ class TestFit:
     def test_warns_when_max_iter_is_reached(self):
         ds = std_synthetic()
         with pytest.warns(FairbenchWarning, match=r"max_iter=3 steps: last relative objective drop"):
-            model = lfr_fit(ds, n_prototypes=5, seed=1, max_iter=3)
+            model = lfr_fit(ds, LfrConfig(prototypes=5, max_iter=3), seed=1)
         assert len(model.objective_trace) == 4
         with warnings.catch_warnings():
             warnings.simplefilter("error", FairbenchWarning)
-            lfr_fit(ds, n_prototypes=5, seed=1)  # converges within the default max_iter
+            lfr_fit(ds, LfrConfig(prototypes=5), seed=1)  # converges within the default max_iter
 
     def test_deterministic_given_seed(self):
         ds = std_synthetic(seed=2, n=120)
-        a = lfr_fit(ds, n_prototypes=4, seed=3, max_iter=100)
-        b = lfr_fit(ds, n_prototypes=4, seed=3, max_iter=100)
+        a = lfr_fit(ds, LfrConfig(prototypes=4, max_iter=100), seed=3)
+        b = lfr_fit(ds, LfrConfig(prototypes=4, max_iter=100), seed=3)
         assert np.array_equal(a.prototypes, b.prototypes)
         assert np.array_equal(a.label_weights, b.label_weights)
         assert a.objective_trace == b.objective_trace
@@ -286,7 +289,7 @@ class TestTransform:
 
     def test_labels_binary(self):
         ds = std_synthetic(seed=6, n=150)
-        model = lfr_fit(ds, n_prototypes=5, seed=0, max_iter=200)
+        model = lfr_fit(ds, LfrConfig(prototypes=5, max_iter=200), seed=0)
         out = lfr_transform(model, ds)
         assert set(np.unique(out.labels)) <= {0, 1}
         assert out.n == ds.n
@@ -297,15 +300,14 @@ class TestTransform:
         # aggressive parity weight with a weak label term collapses the labels;
         # whenever that happens consistency must be exactly 1
         ds = std_synthetic(seed=7, n=150, disparity=0.4)
-        model = lfr_fit(ds, n_prototypes=4, a_z=200.0, a_x=0.01, a_y=0.01,
-                        seed=2, max_iter=400)
+        model = lfr_fit(ds, LfrConfig(prototypes=4, a_z=200.0, a_x=0.01, a_y=0.01, max_iter=400), seed=2)
         out = lfr_transform(model, ds)
         assert len(np.unique(out.labels)) == 1, "fixture no longer collapses; pick another seed"
         assert consistency(out) == 1.0
 
     def test_dimension_mismatch(self):
         ds = std_synthetic(seed=8, n=100)
-        model = lfr_fit(ds, n_prototypes=4, seed=0, max_iter=50)
+        model = lfr_fit(ds, LfrConfig(prototypes=4, max_iter=50), seed=0)
         narrower = ds.replace(features=ds.features[:, :1], feature_names=("proxy",))
         with pytest.raises(FitError, match="dimension"):
             lfr_transform(model, narrower)

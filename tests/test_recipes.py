@@ -1,5 +1,7 @@
 """Dataset preparation recipes and bundled schema documents."""
 
+import re
+
 import pytest
 
 from fairbench.dataset import encode, load_csv, load_schema
@@ -15,7 +17,7 @@ from fairbench.dataset.recipes import (
     schema_path,
 )
 from fairbench.dataset.schema import declared_sensitive_attributes
-from fairbench.errors import SchemaError
+from fairbench.errors import DataFormatError, SchemaError
 from fairbench.preproc import fit_method
 
 GERMAN_RAW = (
@@ -192,6 +194,7 @@ def test_prepare_meps_keeps_the_panel_derives_race_and_sums_visits(tmp_path):
         "21,2,1,1,60,1,2,1,4,4,2,0,0",       # White, 10: high
         "21,1,2,2,33,5,3,2,9,0,0,0,0",       # Non-White, 9: low
         "20,2,1,1,41,1,2,1,30,0,0,0,0",      # another panel
+        ",2,1,1,41,1,2,1,30,0,0,0,0",        # no panel
         "21,2,1,1,Inapplicable,1,2,1,30,0,0,0,0",  # no age
     ]
     raw = tmp_path / "h192.csv"
@@ -203,3 +206,18 @@ def test_prepare_meps_keeps_the_panel_derives_race_and_sums_visits(tmp_path):
     assert [row[1] for row in table.rows] == ["male", "female", "male", "female", "male", "female"]
     assert [float(row[6]) for row in table.rows] == [12, 2, 15, 0, 10, 9]
     assert _encodes_and_fits_by_default(out, "meps") == ["race"]
+
+
+@pytest.mark.parametrize("prepare, header, row, missing", [
+    (prepare_meps, MEPS_HEADER.replace("PANEL,", ""), "2,1,1,30,1,2,1,6,3,1,1,1", "['PANEL']"),
+    (prepare_compas, "sex,age,age_cat,race,juv_fel_count,juv_misd_count,juv_other_count,priors_count,"
+                     "c_charge_degree,two_year_recid,is_recid", "Male,30,25 - 45,African-American,0,0,0,1,F,1,1",
+     "['days_b_screening_arrest', 'score_text']"),
+], ids=["meps-without-PANEL", "compas-without-screening-and-score"])
+def test_a_raw_file_without_a_column_the_recipe_reads_is_refused(tmp_path, prepare, header, row, missing):
+    # the rows of such a file were all dropped, or all kept, without a word
+    raw = tmp_path / "raw.csv"
+    raw.write_text(f"{header}\n{row}\n", encoding="utf-8")
+    with pytest.raises(DataFormatError, match=rf"raw.csv: missing column\(s\) {re.escape(missing)}"):
+        prepare(raw, tmp_path / "out.csv")
+    assert not (tmp_path / "out.csv").exists()
