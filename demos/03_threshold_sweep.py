@@ -17,7 +17,7 @@ OUT.mkdir(exist_ok=True)
 ds = make_synthetic(seed=11, n=2000, disparity=0.4)
 
 with tempfile.TemporaryDirectory() as cache:
-    stage1 = run_prep_stage(ds, None, "RW", {}, seed=0, cache_dir=cache, dataset_name="demo")
+    stage1 = run_prep_stage(ds, "RW", {}, seed=0, cache_dir=cache, dataset_name="demo")
     print("stage 1 done:")
     print("  original  DI", round(stage1.original_metrics.disparate_impact, 3),
           " SPD", round(stage1.original_metrics.statistical_parity_difference, 3))

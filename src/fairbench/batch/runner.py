@@ -3,9 +3,9 @@
 Each distinct (dataset, sensitive attribute) is ingested, cached and measured
 once. Its config seed seeds a job's split and every fit, so the jobs of one
 (dataset, sensitive attribute, seed) share a split; each original arm then
-runs and is rendered once per (dataset, sensitive attribute, split, seed,
-model, model parameters, selection metric). Each job runs the rest of stage 1
-and its processed arm, and writes its full artifact set under
+runs once per (dataset, sensitive attribute, split, seed, model, model
+parameters, selection metric). Each job runs the rest of stage 1 and its
+processed arm, and writes its full artifact set, both arms alike, under
 `<out>/<job id>/`. Results do not depend on parallelism, execution order or
 the other jobs.
 
@@ -33,9 +33,8 @@ from ..dataset.cache import remove_partial_writes
 from ..errors import error_text
 from ..pipeline.stage1 import load_original, prepare_original, run_prep_stage
 from ..pipeline.stage2 import run_bench_stage, run_original_arm, split_original
-from ..report.svg import render_sweep_svg, write_sweep_svg
-from ..report.tables import (render_sweep_csv, stage1_rows, sweep_summary, write_stage1_csv, write_summary_json,
-                             write_sweep_csv, write_text)
+from ..report.svg import write_sweep_svg
+from ..report.tables import stage1_rows, sweep_summary, write_stage1_csv, write_summary_json, write_sweep_csv
 from ..util import canonical_json
 from .spec import DatasetEntry, JobSpec
 
@@ -74,21 +73,14 @@ class BatchReport:
         }
 
 
-@dataclass(frozen=True)
-class OriginalArm:
-    """An original arm run once for every job that shares it: its sweep summary and its files' texts."""
-
-    summary: dict
-    texts: tuple         # (file name, text) pairs, in the order a job writes them
-
-
 def write_job_artifacts(stage1, bench, job_dir, **summary_fields) -> list:
     """Write a job's artifact set under `job_dir`; returns the paths written.
 
     `stage1.csv`, `sweep_<arm>_<split>.csv` and `sweep_<arm>.svg` per arm
     that ran, and `summary.json`, which holds `summary_fields` next to the
-    stage-1 report, the arm summaries and the arm errors. An arm is a
-    SweepResult, rendered here, or an OriginalArm, rendered already.
+    stage-1 report, the arm summaries and the arm errors. Both arms are
+    written by the same writers, a shared original arm too: its sweep runs
+    once, and each job that shares it renders its own copy of its files.
     """
     job_dir = Path(job_dir)
     job_dir.mkdir(parents=True, exist_ok=True)
@@ -96,10 +88,7 @@ def write_job_artifacts(stage1, bench, job_dir, **summary_fields) -> list:
     arms = {}
     for arm in ("original", "processed"):
         result = getattr(bench, arm)
-        if isinstance(result, OriginalArm):
-            artifacts += [write_text(text, job_dir / name) for name, text in result.texts]
-            arms[arm] = result.summary
-        elif result is not None:
+        if result is not None:
             artifacts += [write_sweep_csv(getattr(result, split_name), job_dir / f"sweep_{arm}_{split_name}.csv")
                           for split_name in _SPLITS]
             artifacts.append(write_sweep_svg(result, job_dir / f"sweep_{arm}.svg"))
@@ -135,27 +124,21 @@ def _prepare(dataset: DatasetEntry, sensitive, cache_dir):
 
 
 def _original_arm(job: JobSpec, prepared, cache_dir):
-    """The original arm `job` shares, run and rendered: an OriginalArm, or the arm's error text."""
+    """The original arm `job` shares: its SweepResult, or the arm's error text."""
     # the whole original is dropped once split, before the fit
     split = split_original(load_original(prepared.cache_key, cache_dir, prepared.name), _split_spec(job))
-    result = run_original_arm(split, job.model, job.model_params, job.seed, job.selection_metric)
-    if isinstance(result, str):
-        return result
-    texts = [(f"sweep_original_{split_name}.csv", render_sweep_csv(getattr(result, split_name)))
-             for split_name in _SPLITS]
-    texts.append(("sweep_original.svg", render_sweep_svg(result)))
-    return OriginalArm(sweep_summary(result), tuple(texts))
+    return run_original_arm(split, job.model, job.model_params, job.seed, job.selection_metric)
 
 
 def execute_job(job: JobSpec, prepared, output_dir, cache_dir, original_arm=None) -> list:
     """Run one job from the PreparedOriginal of its dataset: stage 1, stage 2, then its artifacts' paths.
 
-    `original_arm` is the job's OriginalArm or its error text, as `run_batch`
+    `original_arm` is the job's SweepResult or its error text, as `run_batch`
     runs it once for every job that shares it; when it is None, the job runs
     its original arm itself. A job that fails raises; `_call` records it.
     """
     original = load_original(prepared.cache_key, cache_dir, prepared.name)
-    stage1 = run_prep_stage(prepared, None, job.method, job.method_params,
+    stage1 = run_prep_stage(prepared, job.method, job.method_params,
                             seed=job.seed, cache_dir=cache_dir, original=original)
     bench = run_bench_stage(
         stage1, model_name=job.model, model_params=job.model_params,
@@ -278,8 +261,8 @@ def run_batch(jobs, parallelism: int = 1, output_dir="fairbench_out",
 
     Each distinct (dataset entry, sensitive attribute) is first prepared once:
     ingested, cached and measured. The jobs of a preparation that failed fail
-    with its error text. Then each distinct original arm (`_arm_of`) runs and
-    is rendered once, and its jobs receive its artifacts or its error text,
+    with its error text. Then each distinct original arm (`_arm_of`) runs
+    once, and its jobs receive its SweepResult or its error text,
     the pool's error text too when its worker died. Last, each job reads the
     original back from the cache once, for both stages, and runs its
     processed arm. Preparations, arms and jobs run as tasks of one process

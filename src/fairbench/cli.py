@@ -51,7 +51,7 @@ def _cmd_prep(args):
         raise FairbenchError(f"a synthetic --dataset has the one sensitive attribute {SYNTHETIC_ATTRIBUTE!r}, "
                              f"got --sensitive {args.sensitive!r}")
 
-    report = run_prep_stage(_prepare(dataset, args.sensitive, args.cache_dir), None, args.method, params,
+    report = run_prep_stage(_prepare(dataset, args.sensitive, args.cache_dir), args.method, params,
                             seed=args.seed, cache_dir=args.cache_dir)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)

@@ -58,13 +58,24 @@ def data_dir() -> Path:
 
 
 def _records(raw_path, columns):
-    """The rows of a header-ed CSV as dicts; a header without one of `columns` is a DataFormatError naming them."""
+    """The rows of a header-ed CSV as dicts, blank lines skipped.
+
+    A header without one of `columns`, or a row with more or fewer cells
+    than the header, is a DataFormatError naming them.
+    """
     with open(raw_path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.DictReader(fh)
-        missing = sorted(set(columns) - set(reader.fieldnames or ()))
+        reader = csv.reader(fh)
+        header = next(reader, [])
+        missing = sorted(set(columns) - set(header))
         if missing:
             raise DataFormatError(f"{raw_path}: missing column(s) {missing}")
-        yield from reader
+        for row in reader:
+            if not row:
+                continue
+            if len(row) != len(header):
+                raise DataFormatError(f"{raw_path}: line {reader.line_num} has {len(row)} cells, "
+                                      f"header has {len(header)}")
+            yield dict(zip(header, row))
 
 
 def _write_csv(path, header, rows):
@@ -128,7 +139,7 @@ def prepare_compas(raw_path, out_path) -> Path:
         except ValueError:
             continue
         if (-30 <= days <= 30 and rec["is_recid"] != "-1" and rec["c_charge_degree"] != "O"
-                and rec["score_text"] not in (None, "", "N/A") and rec["race"] in ("African-American", "Caucasian")):
+                and rec["score_text"] not in ("", "N/A") and rec["race"] in ("African-American", "Caucasian")):
             rows.append([rec[c] for c in COMPAS_COLUMNS])
     return _write_csv(out_path, COMPAS_COLUMNS, rows)
 

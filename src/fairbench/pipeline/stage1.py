@@ -103,16 +103,16 @@ def load_original(cache_key: str, cache_dir, name: str) -> TabularDataset:
     return ds
 
 
-def run_prep_stage(dataset, schema, method: str, params=None, seed: int = 0,
+def run_prep_stage(dataset, method: str, params=None, seed: int = 0,
                    cache_dir="fairbench_cache", dataset_name: str = None,
                    original: TabularDataset = None) -> StageOneReport:
     """Report the metrics of the original dataset and of its transform by `method`.
 
-    `dataset` may be a CSV path (with `schema`), an already encoded
-    TabularDataset (schema optional), or the PreparedOriginal of either; the
-    first two are prepared here. The processed metrics are read from the
-    record under `processed_cache_key`, which names the seed only for the
-    methods that read it (`SEEDED_METHODS`). On a miss the full original is
+    `dataset` is an encoded TabularDataset, prepared here, or the
+    PreparedOriginal of one (`prepare_original` also reads a CSV). The
+    processed metrics are read from the record under `processed_cache_key`,
+    which names the seed only for the methods that read it
+    (`SEEDED_METHODS`). On a miss the full original is
     transformed and measured, and the record written; the original is
     `original`, what `load_original` read for that preparation, or else read
     back from the cache here. A processed dataset with the original's
@@ -121,7 +121,7 @@ def run_prep_stage(dataset, schema, method: str, params=None, seed: int = 0,
     params = dict(params or {})
     prepared = dataset
     if not isinstance(prepared, PreparedOriginal):
-        prepared = prepare_original(dataset, schema, cache_dir, dataset_name)
+        prepared = prepare_original(dataset, None, cache_dir, dataset_name)
     key_proc = cache_key(prepared.cache_key, method, params, seed if method in SEEDED_METHODS else None)
 
     def measure():

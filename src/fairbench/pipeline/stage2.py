@@ -23,7 +23,7 @@ from .sweep import SweepResult, select_optimal_threshold, sweep_thresholds
 
 @dataclass(frozen=True)
 class BenchStageResult:
-    original: SweepResult       # None when that arm failed; what a batch passed in when it ran elsewhere
+    original: SweepResult       # None when that arm failed
     processed: SweepResult
     errors: dict                # arm name -> message for failed arms
 
@@ -80,12 +80,11 @@ def run_bench_stage(stage1: StageOneReport, model_name: str = "logreg", model_pa
     `original` is the original dataset that stage 1 read, as a batch job
     passes it; when it is None, as from `fairbench bench`, stage 1's
     `load_original` reads it back from the cache and checks it against its
-    key. `original_arm` is the original arm's outcome when it ran elsewhere:
-    a batch runs it once per (dataset, sensitive attribute, split, seed,
-    model, model parameters, selection metric) and passes its rendered
-    artifacts, which stand in for the SweepResult, or its error text. When it
-    is None, both arms run here. A failure in one arm is recorded and does
-    not abort the other; at least one arm must succeed.
+    key. `original_arm` is the original arm's outcome when it ran elsewhere,
+    its SweepResult or its error text: a batch runs it once per (dataset,
+    sensitive attribute, split, seed, model, model parameters, selection
+    metric). When it is None, both arms run here. A failure in one arm is
+    recorded and does not abort the other; at least one arm must succeed.
     """
     split_spec = split_spec or SplitSpec(seed=stage1.seed)
     if original is None:

@@ -283,7 +283,7 @@ def test_criterion_08_sweep_protocol(tmp_path):
     assert table.at(table.thresholds.index(0.5)) == classification_metrics(y, scores, 0.5, protected)
 
     ds = make_synthetic(seed=6, n=600, disparity=0.3)
-    report = run_prep_stage(ds, None, "RW", {}, seed=2, cache_dir=tmp_path, dataset_name="syn")
+    report = run_prep_stage(ds, "RW", {}, seed=2, cache_dir=tmp_path, dataset_name="syn")
     bench = run_bench_stage(report, split_spec=SplitSpec(seed=2), cache_dir=tmp_path)
     assert len(bench.original.validation) == len(bench.original.test) == 99
     assert len(bench.processed.validation) == len(bench.processed.test) == 99
@@ -311,7 +311,7 @@ def test_criterion_09_end_to_end_reweighing_effect(tmp_path):
     for i in range(10):
         seed = i
         ds = make_synthetic(seed=1000 + seed, n=2000, disparity=0.4)
-        report = run_prep_stage(ds, None, "RW", {}, seed=seed,
+        report = run_prep_stage(ds, "RW", {}, seed=seed,
                                 cache_dir=tmp_path, dataset_name=f"syn{seed}")
         bench = run_bench_stage(report, split_spec=SplitSpec(seed=seed),
                                 selection_metric="Theil", cache_dir=tmp_path)

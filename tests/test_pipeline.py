@@ -19,6 +19,7 @@ from fairbench.pipeline import (
     select_optimal_threshold,
     sweep_thresholds,
 )
+from fairbench.pipeline.stage1 import prepare_original
 from fairbench.preproc import apply_method
 
 from conftest import flip_first_feature
@@ -166,7 +167,7 @@ class TestSelectOptimal:
 class TestPrepStage:
     def test_rw_on_balanced_synthetic_keeps_weights_one(self, tmp_path):
         ds = make_synthetic(seed=0, n=400, disparity=0.0)
-        report = run_prep_stage(ds, None, "RW", {}, seed=1, cache_dir=tmp_path, dataset_name="bal")
+        report = run_prep_stage(ds, "RW", {}, seed=1, cache_dir=tmp_path, dataset_name="bal")
         processed = apply_method("RW", ds, {}, 1)
         assert np.allclose(processed.weights, 1.0, atol=1e-6)
         for field in ("base_rate", "disparate_impact", "statistical_parity_difference"):
@@ -176,7 +177,7 @@ class TestPrepStage:
 
     def test_dir_label_metrics_equal_original(self, tmp_path):
         ds = make_synthetic(seed=1, n=300, disparity=0.4)
-        report = run_prep_stage(ds, None, "DIR", {"repair_level": 1.0}, seed=0,
+        report = run_prep_stage(ds, "DIR", {"repair_level": 1.0}, seed=0,
                                 cache_dir=tmp_path, dataset_name="syn")
         orig, proc = report.original_metrics, report.processed_metrics
         assert proc.base_rate == orig.base_rate
@@ -187,8 +188,8 @@ class TestPrepStage:
 
     def test_original_metrics_method_independent(self, tmp_path):
         ds = make_synthetic(seed=2, n=300, disparity=0.3)
-        a = run_prep_stage(ds, None, "RW", {}, seed=5, cache_dir=tmp_path, dataset_name="syn")
-        b = run_prep_stage(ds, None, "DIR", {}, seed=5, cache_dir=tmp_path, dataset_name="syn")
+        a = run_prep_stage(ds, "RW", {}, seed=5, cache_dir=tmp_path, dataset_name="syn")
+        b = run_prep_stage(ds, "DIR", {}, seed=5, cache_dir=tmp_path, dataset_name="syn")
         assert a.original_metrics == b.original_metrics
         assert a.original_cache_key == b.original_cache_key
 
@@ -196,10 +197,8 @@ class TestPrepStage:
         ("RW", {}), ("DIR", {}), ("LFR", {"prototypes": 4, "max_iter": 100}), ("OPP", {"bins": 3, "max_iter": 100}),
     ])
     def test_warm_cache_skips_transform(self, tmp_path, monkeypatch, method, params):
-        from fairbench.pipeline.stage1 import prepare_original
-
         ds = make_synthetic(seed=3, n=200, disparity=0.2)
-        first = run_prep_stage(ds, None, method, params, seed=0, cache_dir=tmp_path, dataset_name="syn")
+        first = run_prep_stage(ds, method, params, seed=0, cache_dir=tmp_path, dataset_name="syn")
 
         def boom(*args, **kwargs):
             raise AssertionError("transform or kNN pass re-ran despite warm cache")
@@ -208,7 +207,7 @@ class TestPrepStage:
         monkeypatch.setattr(stage1_mod, "apply_method", boom)
         monkeypatch.setattr(importlib.import_module("fairbench.metrics.dataset_metrics"), "consistency", boom)
         # the preparation reads its metrics back too, here and in a direct call
-        second = run_prep_stage(ds, None, method, params, seed=0, cache_dir=tmp_path, dataset_name="syn")
+        second = run_prep_stage(ds, method, params, seed=0, cache_dir=tmp_path, dataset_name="syn")
         assert second == first
         assert prepare_original(ds, None, tmp_path, "syn").metrics == first.original_metrics
 
@@ -216,7 +215,7 @@ class TestPrepStage:
     @pytest.mark.parametrize("damage", ["digit", "truncated", "version"])
     def test_a_damaged_record_is_recomputed_and_rewritten(self, tmp_path, record, damage):
         ds = make_synthetic(seed=4, n=200, disparity=0.3)
-        first = run_prep_stage(ds, None, "DIR", {}, seed=0, cache_dir=tmp_path, dataset_name="syn")
+        first = run_prep_stage(ds, "DIR", {}, seed=0, cache_dir=tmp_path, dataset_name="syn")
         path = record_path(tmp_path, getattr(first, f"{record}_cache_key"))
         blob = path.read_bytes()
         if damage == "digit":
@@ -227,7 +226,7 @@ class TestPrepStage:
         else:
             path.write_bytes(blob.replace(b'"version":3', b'"version":2'))
         with pytest.warns(FairbenchWarning, match=f"ignoring unreadable cache entry .*{path.name}"):
-            second = run_prep_stage(ds, None, "DIR", {}, seed=0, cache_dir=tmp_path, dataset_name="syn")
+            second = run_prep_stage(ds, "DIR", {}, seed=0, cache_dir=tmp_path, dataset_name="syn")
         assert second == first
         assert path.read_bytes() == blob
 
@@ -238,14 +237,14 @@ class TestPrepStage:
     def test_a_record_of_other_fields_is_recomputed_and_rewritten(self, tmp_path, record, change, match):
         # its fields hash to its sha256, but they are not DatasetMetrics's
         ds = make_synthetic(seed=4, n=200, disparity=0.3)
-        first = run_prep_stage(ds, None, "DIR", {}, seed=0, cache_dir=tmp_path, dataset_name="syn")
+        first = run_prep_stage(ds, "DIR", {}, seed=0, cache_dir=tmp_path, dataset_name="syn")
         key = getattr(first, f"{record}_cache_key")
         blob = record_path(tmp_path, key).read_bytes()
         fields = record_load(key, tmp_path, dict)
         record_store(dict(fields, consistency_k=5) if change == "added" else
                      {k: v for k, v in fields.items() if k != "consistency"}, key, tmp_path)
         with pytest.warns(FairbenchWarning, match=f"ignoring unreadable cache entry .*{key}.*{match}"):
-            second = run_prep_stage(ds, None, "DIR", {}, seed=0, cache_dir=tmp_path, dataset_name="syn")
+            second = run_prep_stage(ds, "DIR", {}, seed=0, cache_dir=tmp_path, dataset_name="syn")
         assert second == first
         assert record_path(tmp_path, key).read_bytes() == blob
 
@@ -267,10 +266,10 @@ class TestPrepStage:
             "features": {"numeric": ["x"]},
         }
         cache = tmp_path / "cache"
-        by_sex = run_prep_stage(csv, schema_from_dict(doc, sensitive="sex"), "RW", seed=0,
-                                cache_dir=cache, dataset_name="toy")
-        by_age = run_prep_stage(csv, schema_from_dict(doc, sensitive="age"), "RW", seed=0,
-                                cache_dir=cache, dataset_name="toy")
+        by_sex, by_age = (
+            run_prep_stage(prepare_original(csv, schema_from_dict(doc, sensitive=attr), cache, "toy"), "RW",
+                           seed=0, cache_dir=cache)
+            for attr in ("sex", "age"))
         assert by_sex.original_cache_key != by_age.original_cache_key
         assert by_sex.processed_cache_key != by_age.processed_cache_key
 
@@ -283,15 +282,13 @@ class TestPrepStage:
         assert np.array_equal(loaded[0].protected, (sex == "M").astype(np.int64))
 
     def test_prepared_original_gives_the_same_report_without_a_knn_pass(self, tmp_path, monkeypatch):
-        from fairbench.pipeline.stage1 import prepare_original
-
         # the module, not the function that `fairbench.metrics` re-exports under its name
         dm = importlib.import_module("fairbench.metrics.dataset_metrics")
         ds = make_synthetic(seed=10, n=300, disparity=0.3)
         cases = {"RW": ("RW", {}), "DIR": ("DIR", {}), "DIR0": ("DIR", {"repair_level": 0.0})}
         expected = {}
         for case, (method, params) in cases.items():
-            report = run_prep_stage(ds, None, method, params, seed=1, cache_dir=tmp_path / "direct",
+            report = run_prep_stage(ds, method, params, seed=1, cache_dir=tmp_path / "direct",
                                     dataset_name="syn")
             # a reused consistency is the one a kNN pass over the processed dataset gives
             assert report.processed_metrics == dm.dataset_metrics(apply_method(method, ds, params, 1))
@@ -303,7 +300,7 @@ class TestPrepStage:
 
         def run(case):
             method, params = cases[case]
-            return run_prep_stage(prepared, None, method, params, seed=1, cache_dir=tmp_path)
+            return run_prep_stage(prepared, method, params, seed=1, cache_dir=tmp_path)
 
         assert run("RW") == expected["RW"]
         assert run("RW") == expected["RW"]  # warm: read from its record
@@ -313,20 +310,18 @@ class TestPrepStage:
         assert knn_calls == [1]
 
     def test_prepared_original_needs_its_cache_entry(self, tmp_path):
-        from fairbench.pipeline.stage1 import prepare_original
-
         prepared = prepare_original(make_synthetic(seed=11, n=100, disparity=0.2), None, tmp_path, "syn")
         with pytest.raises(FairbenchError, match="no longer readable"):
-            run_prep_stage(prepared, None, "RW", {}, cache_dir=tmp_path / "elsewhere")
+            run_prep_stage(prepared, "RW", {}, cache_dir=tmp_path / "elsewhere")
 
     def test_unknown_method_rejected(self, tmp_path):
         ds = make_synthetic(seed=0, n=50, disparity=0.0)
         with pytest.raises(FairbenchError, match="unknown method"):
-            run_prep_stage(ds, None, "SMOTE", {}, cache_dir=tmp_path)
+            run_prep_stage(ds, "SMOTE", {}, cache_dir=tmp_path)
 
     def test_report_round_trip(self, tmp_path):
         ds = make_synthetic(seed=4, n=200, disparity=0.3)
-        report = run_prep_stage(ds, None, "RW", {}, seed=2, cache_dir=tmp_path, dataset_name="syn")
+        report = run_prep_stage(ds, "RW", {}, seed=2, cache_dir=tmp_path, dataset_name="syn")
         from fairbench.pipeline import StageOneReport
         assert StageOneReport.from_dict(report.to_dict()) == report
 
@@ -334,7 +329,7 @@ class TestPrepStage:
 class TestBenchStage:
     def test_arms_share_split_indices_and_are_deterministic(self, tmp_path):
         ds = make_synthetic(seed=5, n=600, disparity=0.4)
-        report = run_prep_stage(ds, None, "RW", {}, seed=3, cache_dir=tmp_path, dataset_name="syn")
+        report = run_prep_stage(ds, "RW", {}, seed=3, cache_dir=tmp_path, dataset_name="syn")
         bench = run_bench_stage(report, split_spec=SplitSpec(seed=3), cache_dir=tmp_path)
         assert bench.original.split_hash == bench.processed.split_hash
         assert len(bench.original.validation) == 99
@@ -351,7 +346,7 @@ class TestBenchStage:
         from fairbench.preproc import fit_method
 
         ds = make_synthetic(seed=6, n=500, disparity=0.3)
-        report = run_prep_stage(ds, None, "DIR", {}, seed=1, cache_dir=tmp_path, dataset_name="syn")
+        report = run_prep_stage(ds, "DIR", {}, seed=1, cache_dir=tmp_path, dataset_name="syn")
         bench = run_bench_stage(report, split_spec=SplitSpec(seed=1), cache_dir=tmp_path)
         _, (train, _, test) = split_original(ds, SplitSpec(seed=1))
         fitted = fit_method("DIR", train, {}, 1)
@@ -363,22 +358,20 @@ class TestBenchStage:
 
     @pytest.mark.parametrize("stage", ["prep", "bench"])
     def test_a_changed_original_entry_is_refused_not_used(self, tmp_path, stage):
-        from fairbench.pipeline.stage1 import prepare_original
-
         prepared = prepare_original(make_synthetic(seed=8, n=300, disparity=0.3), None, tmp_path, "syn")
-        report = run_prep_stage(prepared, None, "DIR", {}, seed=1, cache_dir=tmp_path)
+        report = run_prep_stage(prepared, "DIR", {}, seed=1, cache_dir=tmp_path)
         entry = tmp_path / f"{prepared.cache_key}.fpds"
         flip_first_feature(entry)  # still parses, with one feature changed
         with pytest.warns(FairbenchWarning, match=f"{entry.name}: its bytes no longer hash to its key"):
             with pytest.raises(FairbenchError, match="no longer readable|not cached"):
                 if stage == "prep":
-                    run_prep_stage(prepared, None, "RW", {}, seed=1, cache_dir=tmp_path)
+                    run_prep_stage(prepared, "RW", {}, seed=1, cache_dir=tmp_path)
                 else:
                     run_bench_stage(report, split_spec=SplitSpec(seed=1), cache_dir=tmp_path)
 
     def test_arm_failure_isolated(self, tmp_path, monkeypatch):
         ds = make_synthetic(seed=7, n=400, disparity=0.3)
-        report = run_prep_stage(ds, None, "RW", {}, seed=2, cache_dir=tmp_path, dataset_name="syn")
+        report = run_prep_stage(ds, "RW", {}, seed=2, cache_dir=tmp_path, dataset_name="syn")
 
         import fairbench.pipeline.stage2 as stage2_mod
         real_fit = stage2_mod.fit_method
@@ -395,7 +388,7 @@ class TestBenchStage:
 
     def test_missing_cache_is_an_error(self, tmp_path):
         ds = make_synthetic(seed=8, n=300, disparity=0.2)
-        report = run_prep_stage(ds, None, "RW", {}, seed=0, cache_dir=tmp_path, dataset_name="syn")
+        report = run_prep_stage(ds, "RW", {}, seed=0, cache_dir=tmp_path, dataset_name="syn")
         with pytest.raises(FairbenchError, match="not cached"):
             run_bench_stage(report, cache_dir=tmp_path / "elsewhere")
 
@@ -405,7 +398,7 @@ class TestBenchStage:
     ])
     def test_feature_transforming_arms_run(self, tmp_path, method, params):
         ds = make_synthetic(seed=9, n=300, disparity=0.3)
-        report = run_prep_stage(ds, None, method, params, seed=4, cache_dir=tmp_path, dataset_name="syn")
+        report = run_prep_stage(ds, method, params, seed=4, cache_dir=tmp_path, dataset_name="syn")
         bench = run_bench_stage(report, split_spec=SplitSpec(seed=4), cache_dir=tmp_path)
         assert bench.errors == {}
         # evaluation splits keep their true labels: test-arm label distribution

@@ -315,7 +315,7 @@ class TestTransform:
         params = {"columns": ["x"], "epsilon": 0.1, "distortion_budget": 0.3, "bins": 3, "max_iter": 150}
 
         def processed_sweeps(cache):
-            stage1 = run_prep_stage(ds, None, "OPP", params, seed=2, cache_dir=cache, dataset_name="s")
+            stage1 = run_prep_stage(ds, "OPP", params, seed=2, cache_dir=cache, dataset_name="s")
             arm = run_bench_stage(stage1, split_spec=SplitSpec(seed=2), cache_dir=cache).processed
             return stage1.original_cache_key, repr((arm.validation, arm.test))  # repr: NaN != NaN
 

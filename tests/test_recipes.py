@@ -122,10 +122,12 @@ def test_german_pipeline_reproduces_reference_group_structure(tmp_path):
     assert metrics.empirical_difference == pytest.approx(0.239, abs=0.01)
 
 
+COMPAS_HEADER = ("sex,age,age_cat,race,juv_fel_count,juv_misd_count,juv_other_count,"
+                 "priors_count,c_charge_degree,two_year_recid,days_b_screening_arrest,"
+                 "is_recid,score_text")
+
+
 def test_prepare_compas_applies_cohort_filter(tmp_path):
-    header = ("sex,age,age_cat,race,juv_fel_count,juv_misd_count,juv_other_count,"
-              "priors_count,c_charge_degree,two_year_recid,days_b_screening_arrest,"
-              "is_recid,score_text")
     rows = [
         "Male,30,25 - 45,African-American,0,0,0,1,F,1,0,1,Low",       # kept
         "Male,30,25 - 45,Caucasian,0,0,0,1,F,0,40,1,Low",             # screening gap
@@ -135,7 +137,7 @@ def test_prepare_compas_applies_cohort_filter(tmp_path):
         "Female,35,25 - 45,Caucasian,0,1,0,2,M,0,5,0,Medium",         # kept
     ]
     raw = tmp_path / "compas-scores-two-years.csv"
-    raw.write_text(header + "\n" + "\n".join(rows) + "\n", encoding="utf-8")
+    raw.write_text(COMPAS_HEADER + "\n" + "\n".join(rows) + "\n", encoding="utf-8")
     out = prepare_compas(raw, tmp_path / "compas.csv")
     table = load_csv(out, load_schema(schema_path("compas")))
     assert table.n == 2
@@ -219,5 +221,20 @@ def test_a_raw_file_without_a_column_the_recipe_reads_is_refused(tmp_path, prepa
     raw = tmp_path / "raw.csv"
     raw.write_text(f"{header}\n{row}\n", encoding="utf-8")
     with pytest.raises(DataFormatError, match=rf"raw.csv: missing column\(s\) {re.escape(missing)}"):
+        prepare(raw, tmp_path / "out.csv")
+    assert not (tmp_path / "out.csv").exists()
+
+
+@pytest.mark.parametrize("prepare, header, row, cells", [
+    (prepare_compas, COMPAS_HEADER, "Male,30", 2),
+    (prepare_meps, MEPS_HEADER, "21,2,1,1,40", 5),
+    (prepare_compas, COMPAS_HEADER, "Male,30,25 - 45,Caucasian,0,0,0,1,F,1,0,1,Low,extra", 14),
+], ids=["compas-short-row", "meps-short-row", "compas-long-row"])
+def test_a_raw_row_with_other_than_the_header_cell_count_is_refused(tmp_path, prepare, header, row, cells):
+    # a row read by column name must have every cell: a missing one is no empty cell
+    raw = tmp_path / "raw.csv"
+    # line 2 is blank: skipped, but counted in the line number
+    raw.write_text(f"{header}\n\n{row}\n", encoding="utf-8")
+    with pytest.raises(DataFormatError, match=rf"raw.csv: line 3 has {cells} cells, header has 13$"):
         prepare(raw, tmp_path / "out.csv")
     assert not (tmp_path / "out.csv").exists()

@@ -31,7 +31,7 @@ from fairbench.report.tables import render_sweep_csv, sweep_summary
 def bench_result(tmp_path_factory):
     cache = tmp_path_factory.mktemp("cache")
     ds = make_synthetic(seed=0, n=500, disparity=0.4)
-    report = run_prep_stage(ds, None, "RW", {}, seed=0, cache_dir=cache, dataset_name="syn")
+    report = run_prep_stage(ds, "RW", {}, seed=0, cache_dir=cache, dataset_name="syn")
     bench = run_bench_stage(report, split_spec=SplitSpec(seed=0), cache_dir=cache)
     return report, bench
 
