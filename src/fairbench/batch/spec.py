@@ -9,7 +9,7 @@ from ..dataset.split import SplitSpec
 from ..model import model_names
 from ..preproc import METHOD_NAMES
 from ..pipeline.sweep import FAIRNESS_METRICS
-from ..util import canonical_json, integer, listing, mapping, number, string, yaml_document
+from ..util import canonical_json, integer, listing, mapping, number, seed_value, string, yaml_document
 
 _TOP_KEYS = {
     "datasets", "sensitive_attributes", "methods", "models", "seeds",
@@ -83,7 +83,7 @@ def synthetic_params(raw, key):
     raw = mapping(raw, key, ("n", "disparity", "seed"))
     return {"n": integer(raw.get("n", 1000), f"{key}.n"),
             "disparity": number(raw.get("disparity", 0.0), f"{key}.disparity"),
-            "seed": integer(raw.get("seed", 0), f"{key}.seed")}
+            "seed": seed_value(raw.get("seed", 0), f"{key}.seed")}
 
 
 def _named_entries(raw, key, kind, known):
@@ -93,9 +93,8 @@ def _named_entries(raw, key, kind, known):
     """
     out = []
     for i, entry in enumerate(listing(raw, key, required=True)):
-        entry = mapping({"name": entry} if isinstance(entry, str) else entry, f"{key}[{i}]", ("name", "params"))
-        if "name" not in entry:
-            raise SchemaError(f"{key}[{i}]: need a name (string or mapping with 'name')")
+        entry = mapping({"name": entry} if isinstance(entry, str) else entry, f"{key}[{i}]", ("name", "params"),
+                        needs=("name",))
         name = str(entry["name"])
         if name not in known:
             raise SchemaError(f"{key}[{i}].name: unknown {kind} {name!r}; expected one of {list(known)}")
@@ -106,9 +105,7 @@ def _named_entries(raw, key, kind, known):
 def dataset_entry(entry, where):
     """One `datasets` entry, or `fairbench prep`'s dataset: a name with a `synthetic` block, or with `csv`
     and `schema` paths."""
-    entry = mapping(entry, where, ("name", "csv", "schema", "synthetic"))
-    if "name" not in entry:
-        raise SchemaError(f"{where}: need 'name'")
+    entry = mapping(entry, where, ("name", "csv", "schema", "synthetic"), needs=("name",))
     name = str(entry["name"])
     if "synthetic" in entry:
         if "csv" in entry or "schema" in entry:
@@ -141,15 +138,13 @@ def parse_batch_yaml(text: str) -> BatchSpec:
     except FairbenchError as exc:
         raise SchemaError(f"split: {exc}") from exc
 
-    seeds = tuple(integer(s, f"seeds[{i}]") for i, s in enumerate(listing(doc.get("seeds"), "seeds", required=True)))
+    seeds = tuple(seed_value(s, f"seeds[{i}]") for i, s in enumerate(listing(doc.get("seeds"), "seeds", required=True)))
 
     selection = str(doc.get("selection_metric", "SPD"))
     if selection not in FAIRNESS_METRICS:
         raise SchemaError(f"selection_metric: {selection!r} not in {FAIRNESS_METRICS}")
 
-    parallelism = integer(doc.get("parallelism", 1), "parallelism")
-    if parallelism < 1:
-        raise SchemaError(f"parallelism must be >= 1, got {parallelism}")
+    parallelism = integer(doc.get("parallelism", 1), "parallelism", least=1)
 
     return BatchSpec(
         datasets=datasets,

@@ -3,17 +3,18 @@
 import argparse
 import json
 import sys
+from functools import partial
 from pathlib import Path
 
 from .batch import expand_jobs, parse_batch_yaml, run_batch
 from .batch.runner import _prepare, write_job_artifacts
 from .batch.spec import SYNTHETIC_ATTRIBUTE, dataset_entry
 from .dataset import SplitSpec
-from .errors import FairbenchError
+from .errors import FairbenchError, SchemaError
 from .pipeline import FAIRNESS_METRICS, StageOneReport, run_bench_stage, run_prep_stage
 from .preproc import METHOD_NAMES
 from .report import stage1_rows, write_stage1_csv
-from .util import yaml_document
+from .util import integer, seed_value, yaml_document
 
 
 def _parse_params(pairs, option="--param"):
@@ -27,18 +28,22 @@ def _parse_params(pairs, option="--param"):
     return params
 
 
-def _parallelism(text):
-    """--parallelism: an integer >= 1, as a batch config's `parallelism` must be."""
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"must be an integer, got {text!r}") from None
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
-    return value
+def _integer_option(check, key):
+    """An argparse type: the option's integer, checked by `check` as a batch config's `key` is."""
+    def parse(text):
+        try:
+            return check(int(text), key)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"must be an integer, got {text!r}") from None
+        except SchemaError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
+    return parse
 
 
 def _cmd_prep(args):
+    stem = f"stage1_{args.dataset}_{args.method}_{args.seed}"  # the report's file name, checked before any work
+    if Path(stem).name != stem:
+        raise FairbenchError(f"--dataset names the report file, so it cannot hold a path separator: {args.dataset!r}")
     params = _parse_params(args.param)
     # the dataset is a batch config's `datasets` entry, checked and prepared by the batch's rules
     entry = {key: value for key, value in (("name", args.dataset), ("csv", args.csv), ("schema", args.schema))
@@ -55,11 +60,11 @@ def _cmd_prep(args):
                             seed=args.seed, cache_dir=args.cache_dir)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    report_path = out / f"stage1_{args.dataset}_{args.method}_{args.seed}.json"
+    report_path = out / f"{stem}.json"
     with open(report_path, "w", encoding="utf-8") as fh:
         json.dump(report.to_dict(), fh, indent=2, sort_keys=True)
         fh.write("\n")
-    write_stage1_csv(stage1_rows(report), out / f"stage1_{args.dataset}_{args.method}_{args.seed}.csv")
+    write_stage1_csv(stage1_rows(report), out / f"{stem}.csv")
     print(f"stage-1 report: {report_path}")
     for label, metrics in (("original", report.original_metrics), ("processed", report.processed_metrics)):
         print(
@@ -127,7 +132,7 @@ def build_parser():
     prep.add_argument("--sensitive", help="sensitive attribute option declared in the schema")
     prep.add_argument("--method", required=True, choices=METHOD_NAMES)
     prep.add_argument("--param", action="append", metavar="k=v", help="method parameter")
-    prep.add_argument("--seed", type=int, default=0)
+    prep.add_argument("--seed", type=_integer_option(seed_value, "seed"), default=0)
     prep.add_argument("--out", default="fairbench_out")
     prep.add_argument("--cache-dir", default="fairbench_cache")
     prep.set_defaults(func=_cmd_prep)
@@ -140,14 +145,14 @@ def build_parser():
     bench.add_argument("--train", type=float, default=SplitSpec.train)
     bench.add_argument("--validation", type=float, default=SplitSpec.validation)
     bench.add_argument("--test", type=float, default=SplitSpec.test)
-    bench.add_argument("--split-seed", type=int, default=None)
+    bench.add_argument("--split-seed", type=_integer_option(seed_value, "seed"), default=None)
     bench.add_argument("--out", default="fairbench_out")
     bench.add_argument("--cache-dir", default="fairbench_cache")
     bench.set_defaults(func=_cmd_bench)
 
     batch = sub.add_parser("batch", help="run a YAML experiment matrix")
     batch.add_argument("--config", required=True)
-    batch.add_argument("--parallelism", type=_parallelism, default=None)
+    batch.add_argument("--parallelism", type=_integer_option(partial(integer, least=1), "parallelism"), default=None)
     batch.add_argument("--out", default=None)
     batch.add_argument("--cache-dir", default=None)
     batch.set_defaults(func=_cmd_batch)

@@ -6,6 +6,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..errors import FairbenchError, FairbenchWarning
+from ..util import seed_value
 from .tabular import TabularDataset
 
 
@@ -17,6 +18,7 @@ class SplitSpec:
     seed: int = 0
 
     def __post_init__(self):
+        seed_value(self.seed, "seed")
         for name, f in (("train", self.train), ("validation", self.validation), ("test", self.test)):
             if not 0.0 < f < 1.0:
                 raise FairbenchError(f"{name} fraction must be in (0,1), got {f}")

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..errors import FairbenchWarning, UndefinedMetricError
+from ..errors import DataFormatError, FairbenchWarning, UndefinedMetricError
 from ..dataset.tabular import TabularDataset, standardize
 
 @dataclass(frozen=True)
@@ -31,9 +31,9 @@ class DatasetMetrics:
 
     def __post_init__(self):
         if self.num_positives < 0 or self.num_negatives < 0:
-            raise ValueError("label counts must be non-negative")
+            raise DataFormatError("label counts must be non-negative")
         if not 0.0 <= self.consistency <= 1.0 + 1e-12:
-            raise ValueError(f"consistency out of [0,1]: {self.consistency}")
+            raise DataFormatError(f"consistency out of [0,1]: {self.consistency}")
 
 
 def base_rate(ds: TabularDataset, group=None) -> float:

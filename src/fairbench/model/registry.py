@@ -5,7 +5,7 @@ a `score(ds) -> array in [0,1]` method.
 """
 
 from ..errors import SchemaError
-from ..util import config_from
+from ..util import from_mapping
 from .logreg import LogRegConfig, TrainedModel, predict_scores, train_logreg
 
 _REGISTRY = {}
@@ -37,7 +37,7 @@ class _LogRegScorer:
 
 
 def _logreg_factory(train, params, seed):
-    return _LogRegScorer(train_logreg(train, config_from(LogRegConfig, params, "logreg")))
+    return _LogRegScorer(train_logreg(train, from_mapping(LogRegConfig, params, "logreg")))
 
 
 register_model("logreg", _logreg_factory)

@@ -1,14 +1,14 @@
 """Stage 1: transform a full dataset and report data-level metrics on both versions, recorded in the cache."""
 
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 from ..dataset import TabularDataset, cache_key, cache_load, cache_store, encode, load_csv
 from ..dataset.cache import cache_holds, dumps, entry_key, record_load, record_store
 from ..metrics.dataset_metrics import DatasetMetrics, dataset_metrics
 from ..preproc import SEEDED_METHODS, apply_method
-from ..errors import DataFormatError, FairbenchError
-from ..util import mapping
+from ..errors import FairbenchError
+from ..util import from_mapping, mapping
 
 
 @dataclass(frozen=True)
@@ -28,14 +28,10 @@ class StageOneReport:
     @classmethod
     def from_dict(cls, doc):
         """The report `to_dict` gave; a document of another shape is a FairbenchError saying what is wrong."""
-        doc = mapping(doc, "stage-1 report", required=True)
-        if doc.get("schema_version") != 1:
-            raise FairbenchError(f"unsupported stage-1 report version {doc.get('schema_version')!r}")
-        missing = [f.name for f in fields(cls) if f.name not in doc]
-        if missing:
-            raise FairbenchError(f"stage-1 report lacks {missing}")
-        return cls(**{f.name: _metrics(doc[f.name], f.name) if f.type is DatasetMetrics else doc[f.name]
-                      for f in fields(cls)})
+        doc = dict(mapping(doc, "stage-1 report", required=True))
+        if (version := doc.pop("schema_version", None)) != 1:
+            raise FairbenchError(f"unsupported stage-1 report version {version!r}")
+        return from_mapping(cls, doc, "stage-1 report")
 
 
 @dataclass(frozen=True)
@@ -51,19 +47,9 @@ class PreparedOriginal:
     metrics: DatasetMetrics
 
 
-def _metrics(doc, where) -> DatasetMetrics:
-    """DatasetMetrics of the mapping `doc`; other fields than DatasetMetrics's are a FairbenchError naming `where`."""
-    names = {f.name for f in fields(DatasetMetrics)}
-    doc = mapping(doc, where, required=True)
-    if set(doc) != names:
-        raise DataFormatError(f"{where} must be the DatasetMetrics fields; missing {sorted(names - set(doc))}, "
-                              f"unknown {sorted(set(doc) - names)}")
-    return DatasetMetrics(**doc)
-
-
 def _recorded_metrics(key, cache_dir, measure) -> DatasetMetrics:
     """The metrics recorded under `key`, or else `measure()`'s, recorded there."""
-    recorded = record_load(key, cache_dir, lambda doc: _metrics(doc, "its fields"))
+    recorded = record_load(key, cache_dir, lambda doc: from_mapping(DatasetMetrics, doc, "its fields"))
     if recorded is not None:
         return recorded
     metrics = measure()

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 from ..errors import SchemaError
 from ..dataset.tabular import TabularDataset, apply_standardization, standardize
-from ..util import config_from, mapping
+from ..util import from_mapping, mapping
 from .lfr import LfrConfig, lfr_fit, lfr_transform
 from .opp import OppConfig, opp_fit, opp_transform
 from .repair import DirConfig, dir_repair
@@ -40,13 +40,13 @@ def fit_method(name: str, train: TabularDataset, params=None, seed: int = 0) -> 
         return FittedMethod(name, out, lambda ds: ds)
 
     if name == "DIR":
-        cfg = config_from(DirConfig, params, "DIR")
+        cfg = from_mapping(DirConfig, params, "DIR")
         # the repair has no train/apply separation: each split is repaired
         # against its own group distributions
         return FittedMethod(name, dir_repair(train, cfg), lambda ds: dir_repair(ds, cfg))
 
     if name == "LFR":
-        cfg = config_from(LfrConfig, params, "LFR")
+        cfg = from_mapping(LfrConfig, params, "LFR")
         std_train, means, scales = standardize(train)
         model = lfr_fit(std_train, cfg, seed)
 
@@ -57,7 +57,7 @@ def fit_method(name: str, train: TabularDataset, params=None, seed: int = 0) -> 
         return FittedMethod(name, lfr_transform(model, std_train), eval_lfr)
 
     if name == "OPP":
-        opp_map = opp_fit(train, config_from(OppConfig, params, "OPP"))
+        opp_map = opp_fit(train, from_mapping(OppConfig, params, "OPP"))
 
         def eval_opp(ds, _m=opp_map, _seed=seed):
             # seeded by the split's content: equal-sized validation and test splits must not share draws

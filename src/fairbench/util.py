@@ -44,18 +44,21 @@ def _got(value):
     return type(value).__name__ if value else repr(value)
 
 
-def mapping(value, where, keys=None, required=False):
+def mapping(value, where, keys=None, required=False, needs=()):
     """`value` as a mapping, {} when absent unless `required`.
 
-    Another YAML type, or a key outside `keys`, is a SchemaError naming `where`.
+    Another YAML type, a key outside `keys`, or a lack of a key of `needs`, is a SchemaError naming `where`.
     """
     if value is None and not required:
-        return {}
+        value = {}
     if not isinstance(value, dict):
         raise SchemaError(f"{where} must be a mapping, got {_got(value)}")
     if keys is not None and not set(value) <= set(keys):
         unknown = sorted(set(value) - set(keys), key=str)  # YAML keys may mix strings and numbers
         raise SchemaError(f"{where}: unknown keys {unknown} (accepts {sorted(keys)})")
+    missing = [key for key in needs if key not in value]
+    if missing:
+        raise SchemaError(f"{where} lacks {missing}")
     return value
 
 
@@ -78,10 +81,12 @@ def string(value, where):
     return value
 
 
-def integer(value, key):
-    """`value` if it is an integer; YAML booleans, floats and strings are a SchemaError naming `key`."""
+def integer(value, key, least=None):
+    """`value` if an integer (>= `least` if given); YAML booleans, floats and strings are a SchemaError naming `key`."""
     if isinstance(value, bool) or not isinstance(value, int):
         raise SchemaError(f"{key} must be an integer, got {value!r}")
+    if least is not None and value < least:
+        raise SchemaError(f"{key} must be >= {least}, got {value}")
     return value
 
 
@@ -106,17 +111,23 @@ def _names(value, key):
     return None if value is None else tuple(value)
 
 
-# a parameter's kind is its default's type; a None default is an optional
-# list of column names
-_KINDS = {bool: boolean, int: integer, float: number, type(None): _names}
+def seed_value(value, key):
+    """`value` if it is a seed: an integer >= 0, as numpy's generators take; else a SchemaError naming `key`."""
+    return integer(value, key, least=0)
 
 
-def config_from(cls, params, owner):
-    """Config dataclass `cls` from `params`, each value checked against the kind of its field's default.
+# a field's kind is its type; a tuple field is an optional list of column names
+_KINDS = {bool: boolean, int: integer, float: number, str: string, dict: mapping, tuple: _names}
 
-    An unknown name or a value of the wrong kind is a SchemaError naming `owner`
-    and, for a value, `<owner>.<name>`.
+
+def from_mapping(cls, doc, where):
+    """Frozen dataclass `cls` from the mapping `doc`, each value checked by its field's type.
+
+    A field whose type is a dataclass is read the same way. An unknown key, a missing field without a
+    default, or a value of the wrong kind is a SchemaError naming `where` and, for a value, `<where>.<name>`.
     """
-    defaults = {f.name: f.default for f in dataclasses.fields(cls)}
-    return cls(**{name: _KINDS[type(defaults[name])](value, f"{owner}.{name}")
-                  for name, value in mapping(params, owner, defaults).items()})
+    fields = dataclasses.fields(cls)
+    doc = mapping(doc, where, [f.name for f in fields],
+                  needs=[f.name for f in fields if f.default is f.default_factory is dataclasses.MISSING])
+    return cls(**{f.name: from_mapping(f.type, doc[f.name], f"{where}.{f.name}") if dataclasses.is_dataclass(f.type)
+                  else _KINDS[f.type](doc[f.name], f"{where}.{f.name}") for f in fields if f.name in doc})

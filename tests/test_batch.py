@@ -100,6 +100,7 @@ class TestParse:
         ("seeds: [0]\nparallelism: 2.9", "parallelism"),
         ("seeds: [0]\nparallelism: true", "parallelism"),
         ("seeds: [0, x]", r"seeds\[1\]"),
+        ("seeds: [0, -1]", r"seeds\[1\] must be >= 0, got -1"),
     ])
     def test_non_integer_rejected_with_its_key(self, lines, key):
         with pytest.raises(SchemaError, match=key):
@@ -110,6 +111,7 @@ class TestParse:
         ("n: 200", "n: 200.7", r"datasets\[0\]\.synthetic\.n"),
         ("n: 200", "n: true", r"datasets\[0\]\.synthetic\.n"),
         ("seed: 11", "seed: 1.5", r"datasets\[0\]\.synthetic\.seed"),
+        ("seed: 11", "seed: -3", r"datasets\[0\]\.synthetic\.seed must be >= 0, got -3"),
         ("disparity: 0.3", "disparity: high", r"datasets\[0\]\.synthetic\.disparity"),
         ("disparity: 0.3", "disparity: false", r"datasets\[0\]\.synthetic\.disparity"),
         ("{n: 200, disparity: 0.3, seed: 11}", "[200]", r"datasets\[0\]\.synthetic"),

@@ -151,6 +151,23 @@ def test_a_dataset_named_like_synthetic_reads_its_csv(tmp_path):
     assert metrics["num_positives"] + metrics["num_negatives"] == len(GERMAN_MINI.splitlines()) - 1
 
 
+def test_prep_refuses_a_dataset_name_with_a_path_separator_before_any_work(tmp_path, capsys):
+    # the name is part of the report's file name; it was once refused only after ingest, caching and measuring
+    from fairbench.dataset.recipes import schema_path
+
+    csv_path = tmp_path / "german.csv"
+    csv_path.write_text(GERMAN_MINI, encoding="utf-8")
+    cache = tmp_path / "cache"
+    cache.mkdir()
+    capsys.readouterr()
+    code = main(["prep", "--dataset", "a/b", "--schema", str(schema_path("german")), "--csv", str(csv_path),
+                 "--method", "RW", "--out", str(tmp_path / "out"), "--cache-dir", str(cache)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err == "error: --dataset names the report file, so it cannot hold a path separator: 'a/b'\n", err
+    assert not any(cache.iterdir())
+
+
 @pytest.mark.parametrize("extra, message", [
     (["--csv", "x.csv"], "--dataset: csv and schema do not apply to a synthetic dataset"),
     (["--schema", "s.yaml"], "--dataset: csv and schema do not apply to a synthetic dataset"),
@@ -222,6 +239,18 @@ def test_batch_cli_rejects_bad_parallelism(tmp_path, capsys, value):
         main(["batch", "--config", str(tmp_path / "unread.yaml"), "--parallelism", value])
     assert exc.value.code == 2
     assert "--parallelism" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, option", [
+    (["prep", "--dataset", "synthetic", "--method", "LFR", "--seed", "-1"], "--seed"),
+    (["bench", "--from", "unread.json", "--split-seed", "-1"], "--split-seed"),
+])
+def test_a_negative_seed_is_refused_by_its_option(tmp_path, capsys, argv, option):
+    # numpy's generators take no negative seed; it once failed deep in a fit as a traceback
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--out", str(tmp_path / "out"), "--cache-dir", str(tmp_path / "cache")])
+    assert exc.value.code == 2
+    assert f"argument {option}: seed must be >= 0, got -1" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("line, key", [
@@ -306,29 +335,52 @@ def test_prep_rejects_a_mistyped_schema_block(tmp_path, capsys):
     assert f"error: {schema}: sensitive_options must be a mapping, got list" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("case", ["report_not_json", "report_not_utf8", "report_list", "report_without_dataset",
-                                  "report_metrics_fields", "param_not_yaml", "config_not_utf8", "config_not_yaml"])
+@pytest.mark.parametrize("case", [
+    "report_not_json", "report_not_utf8", "report_list", "report_without_dataset", "report_metrics_fields",
+    "report_seed_text", "report_seed_fraction", "report_seed_negative", "report_dataset_null", "report_method_number",
+    "report_consistency_range", "report_count_text", "report_unknown_key", "report_params_list",
+    "param_not_yaml", "synthetic_seed_negative", "config_not_utf8", "config_not_yaml", "config_seed_negative"])
 def test_a_malformed_input_is_an_error_line_not_a_traceback(tmp_path, capsys, case):
     common = ["--out", str(tmp_path / "out"), "--cache-dir", str(tmp_path / "cache")]
     assert main(["prep", "--dataset", "synthetic:n=100", "--method", "RW", *common]) == 0
     doc = json.loads(next((tmp_path / "out").glob("stage1_*.json")).read_text(encoding="utf-8"))
     path = tmp_path / "input"
     bench = ["bench", "--from", str(path), *common]
+    batch = ["batch", "--config", str(path), "--out", str(tmp_path / "batch")]
+
+    def report(**changes):
+        return json.dumps(dict(doc, **changes)).encode()
+
+    def metrics(**changes):
+        return report(original_metrics=dict(doc["original_metrics"], **changes))
+
     blob, argv, message = {
         "report_not_json": (b"stage 1", bench, "input: not a JSON stage-1 report: Expecting value"),
         "report_not_utf8": (b"\xff\xfe{}", bench, "input: not a JSON stage-1 report: 'utf-8' codec can't decode"),
         "report_list": (b"[1]", bench, "stage-1 report must be a mapping, got list"),
         "report_without_dataset": (json.dumps({k: v for k, v in doc.items() if k != "dataset"}).encode(), bench,
                                    "stage-1 report lacks ['dataset']"),
-        "report_metrics_fields": (
-            json.dumps(dict(doc, original_metrics=dict(doc["original_metrics"], extra=1))).encode(), bench,
-            "original_metrics must be the DatasetMetrics fields; missing [], unknown ['extra']"),
+        "report_metrics_fields": (metrics(extra=1), bench,
+                                  "stage-1 report.original_metrics: unknown keys ['extra'] (accepts ['base_rate', "),
+        "report_seed_text": (report(seed="3"), bench, "stage-1 report.seed must be an integer, got '3'"),
+        "report_seed_fraction": (report(seed=1.5), bench, "stage-1 report.seed must be an integer, got 1.5"),
+        "report_seed_negative": (report(seed=-1), bench, "error: seed must be >= 0, got -1"),
+        "report_dataset_null": (report(dataset=None), bench, "stage-1 report.dataset must be a string, got None"),
+        "report_method_number": (report(method=5), bench, "stage-1 report.method must be a string, got int"),
+        "report_consistency_range": (metrics(consistency=2.0), bench, "consistency out of [0,1]: 2.0"),
+        "report_count_text": (metrics(num_positives="12"), bench,
+                              "stage-1 report.original_metrics.num_positives must be an integer, got '12'"),
+        "report_unknown_key": (report(extra=1), bench, "stage-1 report: unknown keys ['extra'] (accepts ['dataset', "),
+        "report_params_list": (report(params=[1]), bench, "stage-1 report.params must be a mapping, got list"),
+        "synthetic_seed_negative": (b"", ["prep", "--dataset", "synthetic:seed=-3", "--method", "RW", *common],
+                                    "--dataset.synthetic.seed must be >= 0, got -3"),
+        "config_seed_negative": (b"datasets: [{name: s, synthetic: {n: 100}}]\nmethods: [RW]\nmodels: [logreg]\n"
+                                 b"seeds: [-1]\n", batch, "seeds[0] must be >= 0, got -1"),
         "param_not_yaml": (b"", ["prep", "--dataset", "synthetic", "--method", "RW", "--param", "a=[", *common],
                            "--param 'a=[': invalid YAML: expected the node content, but found '<stream end>' "
                            "at line 1, column 2"),
-        "config_not_utf8": (b"\xff\xfe", ["batch", "--config", str(path), "--out", str(tmp_path / "batch")],
-                            "input: not UTF-8 text: 'utf-8' codec can't decode"),
-        "config_not_yaml": (b"datasets: [unclosed", ["batch", "--config", str(path), "--out", str(tmp_path / "batch")],
+        "config_not_utf8": (b"\xff\xfe", batch, "input: not UTF-8 text: 'utf-8' codec can't decode"),
+        "config_not_yaml": (b"datasets: [unclosed", batch,
                             "batch config: invalid YAML: expected ',' or ']', but got '<stream end>' "
                             "at line 1, column 20"),
     }[case]

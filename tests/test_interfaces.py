@@ -17,7 +17,7 @@ from fairbench.dataset import make_synthetic
 from fairbench.errors import SchemaError
 from fairbench.model import LogRegConfig, fit_model, model_names, register_model
 from fairbench.preproc import DirConfig, OppConfig, fit_method
-from fairbench.util import config_from
+from fairbench.util import from_mapping
 
 
 class TestModelRegistry:
@@ -66,11 +66,11 @@ class TestParameters:
             fit(name, ds, params)
 
     def test_valid_values_build_the_config_they_name(self):
-        assert config_from(DirConfig, {"repair_level": 1, "grid_size": 50, "columns": ["x0"]}, "DIR") == \
+        assert from_mapping(DirConfig, {"repair_level": 1, "grid_size": 50, "columns": ["x0"]}, "DIR") == \
             DirConfig(repair_level=1.0, grid_size=50, columns=("x0",))
-        assert config_from(OppConfig, {"epsilon": 1, "bins": 3, "columns": None}, "OPP") == \
+        assert from_mapping(OppConfig, {"epsilon": 1, "bins": 3, "columns": None}, "OPP") == \
             OppConfig(epsilon=1.0, bins=3)
-        assert config_from(LogRegConfig, {"l2": 0, "standardize": False}, "logreg") == \
+        assert from_mapping(LogRegConfig, {"l2": 0, "standardize": False}, "logreg") == \
             LogRegConfig(l2=0.0, standardize=False)
 
 

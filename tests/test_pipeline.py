@@ -232,8 +232,10 @@ class TestPrepStage:
 
     @pytest.mark.parametrize("record", ["original", "processed"])
     @pytest.mark.parametrize("change, match", [
-        ("added", r"unknown \['consistency_k'\]"), ("dropped", r"missing \['consistency'\]"),
-    ], ids=["added", "dropped"])
+        ("added", r"its fields: unknown keys \['consistency_k'\]"),
+        ("dropped", r"its fields lacks \['consistency'\]"),
+        ("mistyped", r"its fields\.num_positives must be an integer, got '12'"),
+    ], ids=["added", "dropped", "mistyped"])
     def test_a_record_of_other_fields_is_recomputed_and_rewritten(self, tmp_path, record, change, match):
         # its fields hash to its sha256, but they are not DatasetMetrics's
         ds = make_synthetic(seed=4, n=200, disparity=0.3)
@@ -241,8 +243,9 @@ class TestPrepStage:
         key = getattr(first, f"{record}_cache_key")
         blob = record_path(tmp_path, key).read_bytes()
         fields = record_load(key, tmp_path, dict)
-        record_store(dict(fields, consistency_k=5) if change == "added" else
-                     {k: v for k, v in fields.items() if k != "consistency"}, key, tmp_path)
+        record_store({"added": dict(fields, consistency_k=5),
+                      "dropped": {k: v for k, v in fields.items() if k != "consistency"},
+                      "mistyped": dict(fields, num_positives="12")}[change], key, tmp_path)
         with pytest.warns(FairbenchWarning, match=f"ignoring unreadable cache entry .*{key}.*{match}"):
             second = run_prep_stage(ds, "DIR", {}, seed=0, cache_dir=tmp_path, dataset_name="syn")
         assert second == first
