@@ -8,7 +8,7 @@ from ..dataset.cache import cache_holds, dumps, entry_key, record_load, record_s
 from ..metrics.dataset_metrics import DatasetMetrics, dataset_metrics
 from ..preproc import SEEDED_METHODS, apply_method
 from ..errors import FairbenchError
-from ..util import from_mapping, mapping
+from ..util import from_mapping, mapping, seed_value
 
 
 @dataclass(frozen=True)
@@ -31,7 +31,9 @@ class StageOneReport:
         doc = dict(mapping(doc, "stage-1 report", required=True))
         if (version := doc.pop("schema_version", None)) != 1:
             raise FairbenchError(f"unsupported stage-1 report version {version!r}")
-        return from_mapping(cls, doc, "stage-1 report")
+        report = from_mapping(cls, doc, "stage-1 report")
+        seed_value(report.seed, "stage-1 report.seed")  # --split-seed replaces it in the split, not in the transform
+        return report
 
 
 @dataclass(frozen=True)

@@ -7,13 +7,13 @@ pipeline standardizes before fitting).
 """
 
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
-from ..errors import FairbenchWarning, FitError
+from ..errors import FitError
 from ..dataset.tabular import TabularDataset
+from .descent import descend
 
 _PROB_CLIP = 1e-6
 
@@ -146,6 +146,29 @@ class _Problem:
         grad_w = self.a_y * (m @ dldy)
         return grad_v, grad_w
 
+    def direction(self, point):
+        """`descend`'s trials from `point` = (P, label weights, state) along -G, the gradient; weights clamp to [0, 1].
+
+        x enters two products, the gradient's and G x^T. A trial at length t takes P x^T - t G x^T and
+        P P^T - t (P G^T + G P^T) + t^2 G G^T, so it costs O(K n + K^2 n), and the state it reaches gives
+        the next gradient. A non-finite objective is a FitError.
+        """
+        prototypes, label_weights, state = point
+        grad_v, grad_w = self.gradients(state, prototypes, label_weights)
+        _, _, pxt, ppt, *_ = state
+        gxt = grad_v @ self.x.T
+        pgt = prototypes @ grad_v.T
+        cross = pgt + pgt.T
+        ggt = grad_v @ grad_v.T
+
+        def trial(t):
+            cand_w = np.clip(label_weights - t * grad_w, 0.0, 1.0)
+            cand_obj, _, cand_state = self.evaluate(pxt - t * gxt, ppt - t * cross + (t * t) * ggt, cand_w)
+            if not math.isfinite(cand_obj):
+                raise FitError(f"non-finite objective during fit: {cand_obj}")
+            return cand_obj, (prototypes - t * grad_v, cand_w, cand_state)
+        return trial
+
 
 def lfr_objective(x, y, s, prototypes, label_weights, a_z, a_x, a_y):
     """Objective value and its three components at the given parameters."""
@@ -161,19 +184,11 @@ def lfr_gradients(x, y, s, prototypes, label_weights, a_z, a_x, a_y):
 
 
 def lfr_fit(ds: TabularDataset, cfg: LfrConfig = LfrConfig(), seed: int = 0) -> LfrModel:
-    """Projected gradient descent with backtracking; label weights clamped to [0,1].
+    """Projected gradient descent by `descend`: relative-drop tolerance `cfg.tol`, at most `cfg.max_iter` steps.
 
-    Prototypes start at K records sampled by seed. Stops when the relative
-    objective decrease falls below `cfg.tol` or after `cfg.max_iter` accepted
-    steps; the latter warns that the fit did not converge.
-
-    The fit runs in prototype space. x enters two products per step, the
-    gradient's and G x^T for the step direction G; a line-search trial at
-    length t takes P x^T - t G x^T and P P^T - t (P G^T + G P^T) + t^2 G G^T,
-    so it costs O(K n + K^2 n) and the accepted one's state gives the next
-    gradient. The Gram form of the reconstruction loss cancels: its rounding
-    error is about eps * (|sum M P P^T M| + 2 |sum M P x^T| + ||x||^2), small
-    against the loss unless K prototypes reconstruct x almost exactly.
+    Prototypes start at K records sampled by seed. The fit runs in prototype space (`_Problem.direction`).
+    The Gram form of the reconstruction loss cancels: its rounding error is about
+    eps * (|sum M P P^T M| + 2 |sum M P x^T| + ||x||^2), small unless K prototypes reconstruct x almost exactly.
     """
     x = ds.features
     y = ds.labels.astype(np.float64)
@@ -190,45 +205,9 @@ def lfr_fit(ds: TabularDataset, cfg: LfrConfig = LfrConfig(), seed: int = 0) -> 
     problem = _Problem(x, y, s, cfg.a_z, cfg.a_x, cfg.a_y)
 
     obj, _, state = problem.at(prototypes, label_weights)
-    if not math.isfinite(obj):
-        raise FitError(f"non-finite objective at initialization: {obj}")
-    trace = [float(obj)]
-    step = 1.0
-    rel_drop = math.inf
-    for _ in range(cfg.max_iter):
-        grad_v, grad_w = problem.gradients(state, prototypes, label_weights)
-        _, _, pxt, ppt, *_ = state
-        gxt = grad_v @ x.T
-        pgt = prototypes @ grad_v.T
-        cross = pgt + pgt.T
-        ggt = grad_v @ grad_v.T
-        accepted = False
-        trial = step
-        for _ in range(60):
-            cand_w = np.clip(label_weights - trial * grad_w, 0.0, 1.0)
-            cand_obj, _, cand_state = problem.evaluate(
-                pxt - trial * gxt, ppt - trial * cross + (trial * trial) * ggt, cand_w)
-            if not math.isfinite(cand_obj):
-                raise FitError(f"non-finite objective during fit: {cand_obj}")
-            if cand_obj < obj:
-                accepted = True
-                break
-            trial *= 0.5
-        if not accepted:
-            break
-        prototypes, label_weights, state = prototypes - trial * grad_v, cand_w, cand_state
-        rel_drop = (obj - cand_obj) / max(abs(obj), 1e-30)
-        obj = cand_obj
-        trace.append(float(obj))
-        step = trial * 2.0
-        if rel_drop < cfg.tol:
-            break
-    else:
-        warnings.warn(
-            f"LFR did not converge in max_iter={cfg.max_iter} steps: "
-            f"last relative objective drop {rel_drop:.4g} >= tol {cfg.tol:.4g}",
-            FairbenchWarning,
-        )
+    (prototypes, label_weights, _), trace, _ = descend(
+        "LFR", obj, (prototypes, label_weights, state), problem.direction, cfg.max_iter, cfg.tol,
+        floor=1e-30, cap=math.inf)
 
     return LfrModel(
         prototypes=prototypes,
@@ -236,7 +215,7 @@ def lfr_fit(ds: TabularDataset, cfg: LfrConfig = LfrConfig(), seed: int = 0) -> 
         weight_parity=cfg.a_z,
         weight_reconstruction=cfg.a_x,
         weight_label=cfg.a_y,
-        objective_trace=tuple(trace),
+        objective_trace=trace,
     )
 
 

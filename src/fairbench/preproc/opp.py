@@ -19,6 +19,7 @@ import numpy as np
 
 from ..errors import FairbenchWarning, FitError
 from ..dataset.tabular import TabularDataset
+from .descent import descend
 
 _MAX_DOMAIN_CELLS = 10_000
 
@@ -146,11 +147,10 @@ def opp_fit(ds: TabularDataset, cfg: OppConfig = OppConfig()) -> OppMap:
     carries the scalar c, the target vector u and A_0, A_1; the table is
     built once, at the end. A trial step costs a few products with one
     (cells, cells) kernel, not passes over the (rows, targets) table, and
-    halves when a row's Z_r is not positive. The penalty trace is
-    non-increasing by construction. The fit stops on a relative objective
-    drop below 1e-12, when the line search finds no lower objective, or after
-    `max_iter` steps, which warns. If no table drives both penalties to zero
-    the best-effort table is returned with the residuals recorded.
+    has no point when a row's Z_r is not positive. The steps are `descend`'s,
+    with relative-drop tolerance 1e-12 and at most `max_iter` steps. If no
+    table drives both penalties to zero the best-effort table is returned
+    with the residuals recorded.
     """
     names, kinds, edges, values = _discretize_columns(ds, cfg)
     domain = 1
@@ -226,53 +226,33 @@ def opp_fit(ds: TabularDataset, cfg: OppConfig = OppConfig()) -> OppMap:
         hinges = np.maximum(0.0, np.abs(ratios - 1.0) - cfg.epsilon)
         dist_hinge = max(0.0, expected - cfg.distortion_budget)
         j = kl + cfg.rho_fair * float(hinges.sum()) + cfg.rho_dist * dist_hinge
-        return j, logs, ratios, hinges, expected, dist_hinge, weights, z
+        return j, logs, ratios, hinges, dist_hinge, weights, z
 
-    c, u, a = 4.0, np.zeros(len(y1)), np.zeros(2)
-    kern = kernels(c)
-    state = evaluate(c, u, a, kern)
-    obj, logs, ratios, hinges, expected, dist_hinge = state[:6]
-    if not math.isfinite(obj):
-        raise FitError(f"non-finite objective at initialization: {obj}")
-    trace = [float(obj)]
-    rel_drop = math.inf
-    eta = 1.0
-    for _ in range(cfg.max_iter):
+    def direction(point):
+        """`descend`'s trial steps from `point` = (c, u, A, kernels, terms) along the mirror step."""
+        c, u, a, kern, (_, logs, ratios, hinges, dist_hinge, *_) = point
         # the gradient's group part (favorable targets only) and distortion part;
         # its per-target part is logs, the +1 cancelling in Z
         step_a = np.where(hinges > 0, cfg.rho_fair * np.sign(ratios - 1.0) / (p_group * target_rate), 0.0)
         step_c = cfg.rho_dist if dist_hinge > 0 else 0.0
 
-        trial = eta
-        for _ in range(60):
-            cand_c = c + trial * step_c
+        def trial(t):
+            cand_c = c + t * step_c
             cand_kern = kern if cand_c == c else kernels(cand_c)
-            cand_u, cand_a = u + trial * logs, a + trial * step_a
+            cand_u, cand_a = u + t * logs, a + t * step_a
             cand = evaluate(cand_c, cand_u, cand_a, cand_kern)
-            if cand is not None and math.isfinite(cand[0]) and cand[0] < obj:
-                break
-            trial *= 0.5
-        else:
-            break
-        c, u, a, kern, state = cand_c, cand_u, cand_a, cand_kern, cand
-        rel_drop = (obj - state[0]) / max(abs(obj), 1.0)
-        obj, logs, ratios, hinges, expected, dist_hinge = state[:6]
-        trace.append(float(obj))
-        eta = min(trial * 2.0, 1000.0)
-        if rel_drop < 1e-12:
-            break
-    else:
-        warnings.warn(
-            f"optimized pre-processing stopped at max_iter={cfg.max_iter} steps: "
-            f"last relative objective drop {rel_drop:.4g} >= 1e-12",
-            FairbenchWarning,
-        )
+            return None if cand is None else (cand[0], (cand_c, cand_u, cand_a, cand_kern, cand))
+        return trial
 
-    weights, z = state[6:]
+    c, u, a = 4.0, np.zeros(len(y1)), np.zeros(2)
+    kern = kernels(c)
+    start = evaluate(c, u, a, kern)
+    (*_, kern, terms), trace, _ = descend("optimized pre-processing", start[0], (c, u, a, kern, start),
+                                         direction, cfg.max_iter, tol=1e-12, floor=1.0, cap=1000.0)
+
+    _, _, _, hinges, dist_residual, weights, z = terms
     table = kern[0][row_cell][:, target_cell] * weights[row_block] / z[:, None]
-
-    fair_residual = float(np.maximum(0.0, np.abs(ratios - 1.0) - cfg.epsilon).max())
-    dist_residual = float(max(0.0, expected - cfg.distortion_budget))
+    fair_residual = float(hinges.max())
     if fair_residual > 1e-3 or dist_residual > 1e-3:
         warnings.warn(
             "optimized pre-processing could not satisfy both constraints: "
@@ -291,7 +271,7 @@ def opp_fit(ds: TabularDataset, cfg: OppConfig = OppConfig()) -> OppMap:
         table=table,
         epsilon=cfg.epsilon,
         distortion_budget=cfg.distortion_budget,
-        penalty_trace=tuple(trace),
+        penalty_trace=trace,
         fairness_residual=fair_residual,
         distortion_residual=dist_residual,
         row_sum_drift=float(np.abs(table.sum(axis=1) - 1.0).max()),

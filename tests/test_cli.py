@@ -337,8 +337,9 @@ def test_prep_rejects_a_mistyped_schema_block(tmp_path, capsys):
 
 @pytest.mark.parametrize("case", [
     "report_not_json", "report_not_utf8", "report_list", "report_without_dataset", "report_metrics_fields",
-    "report_seed_text", "report_seed_fraction", "report_seed_negative", "report_dataset_null", "report_method_number",
-    "report_consistency_range", "report_count_text", "report_unknown_key", "report_params_list",
+    "report_seed_text", "report_seed_fraction", "report_seed_negative", "report_seed_negative_split_seed",
+    "report_dataset_null", "report_method_number", "report_consistency_range", "report_count_text",
+    "report_unknown_key", "report_params_list",
     "param_not_yaml", "synthetic_seed_negative", "config_not_utf8", "config_not_yaml", "config_seed_negative"])
 def test_a_malformed_input_is_an_error_line_not_a_traceback(tmp_path, capsys, case):
     common = ["--out", str(tmp_path / "out"), "--cache-dir", str(tmp_path / "cache")]
@@ -364,7 +365,9 @@ def test_a_malformed_input_is_an_error_line_not_a_traceback(tmp_path, capsys, ca
                                   "stage-1 report.original_metrics: unknown keys ['extra'] (accepts ['base_rate', "),
         "report_seed_text": (report(seed="3"), bench, "stage-1 report.seed must be an integer, got '3'"),
         "report_seed_fraction": (report(seed=1.5), bench, "stage-1 report.seed must be an integer, got 1.5"),
-        "report_seed_negative": (report(seed=-1), bench, "error: seed must be >= 0, got -1"),
+        "report_seed_negative": (report(seed=-1), bench, "stage-1 report.seed must be >= 0, got -1"),
+        "report_seed_negative_split_seed": (report(seed=-1), [*bench, "--split-seed", "0"],
+                                            "stage-1 report.seed must be >= 0, got -1"),
         "report_dataset_null": (report(dataset=None), bench, "stage-1 report.dataset must be a string, got None"),
         "report_method_number": (report(method=5), bench, "stage-1 report.method must be a string, got int"),
         "report_consistency_range": (metrics(consistency=2.0), bench, "consistency out of [0,1]: 2.0"),
