@@ -34,7 +34,8 @@ from ..errors import error_text
 from ..pipeline.stage1 import load_original, prepare_original, run_prep_stage
 from ..pipeline.stage2 import run_bench_stage, run_original_arm, split_original
 from ..report.svg import write_sweep_svg
-from ..report.tables import stage1_rows, sweep_summary, write_stage1_csv, write_summary_json, write_sweep_csv
+from ..report.tables import (stage1_rows, sweep_summary, write_json, write_stage1_csv, write_summary_json,
+                             write_sweep_csv)
 from ..util import canonical_json
 from .spec import DatasetEntry, JobSpec
 
@@ -298,7 +299,5 @@ def run_batch(jobs, parallelism: int = 1, output_dir="fairbench_out",
         outcomes.append(JobOutcome(job.job_id, "failed" if failed else "ok", result if failed else "", seconds,
                                    () if failed else tuple(map(str, result))))
     report = BatchReport(tuple(outcomes), str(output_dir), skipped_expansions)
-    with open(output_dir / "batch_report.json", "w", encoding="utf-8") as fh:
-        json.dump(report.to_dict(), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(report.to_dict(), output_dir / "batch_report.json")
     return report

@@ -107,6 +107,8 @@ def dataset_entry(entry, where):
     and `schema` paths."""
     entry = mapping(entry, where, ("name", "csv", "schema", "synthetic"), needs=("name",))
     name = str(entry["name"])
+    if not name.isprintable():  # a bare "\r" would split its stage-1 CSV row, as `write_csv` does not quote it
+        raise SchemaError(f"{where}.name: {name!r} holds a character that does not print")
     if "synthetic" in entry:
         if "csv" in entry or "schema" in entry:
             raise SchemaError(f"{where}: csv and schema do not apply to a synthetic dataset")

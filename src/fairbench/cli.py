@@ -14,6 +14,7 @@ from .errors import FairbenchError, SchemaError
 from .pipeline import FAIRNESS_METRICS, StageOneReport, run_bench_stage, run_prep_stage
 from .preproc import METHOD_NAMES
 from .report import stage1_rows, write_stage1_csv
+from .report.tables import write_json
 from .util import integer, seed_value, yaml_document
 
 
@@ -58,13 +59,8 @@ def _cmd_prep(args):
 
     report = run_prep_stage(_prepare(dataset, args.sensitive, args.cache_dir), args.method, params,
                             seed=args.seed, cache_dir=args.cache_dir)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    report_path = out / f"{stem}.json"
-    with open(report_path, "w", encoding="utf-8") as fh:
-        json.dump(report.to_dict(), fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    write_stage1_csv(stage1_rows(report), out / f"{stem}.csv")
+    report_path = write_json(report.to_dict(), Path(args.out) / f"{stem}.json")
+    write_stage1_csv(stage1_rows(report), report_path.with_suffix(".csv"))
     print(f"stage-1 report: {report_path}")
     for label, metrics in (("original", report.original_metrics), ("processed", report.processed_metrics)):
         print(

@@ -52,14 +52,13 @@ def encode(table: RawTable, schema: DatasetSchema) -> TabularDataset:
         for cell in dict.fromkeys(cells):
             output[cell] = next((rule.output for rule in rules if rule.matches(cell)), None)
             if output[cell] is None:
-                raise DataFormatError(
-                    f"row {cells.index(cell) + 2}, column {source!r}: value {cell!r} matches no binarization rule"
-                )
+                raise DataFormatError(f"row {table.lines[cells.index(cell)]}, column {source!r}: "
+                                      f"value {cell!r} matches no binarization rule")
         cols[target] = tuple(map(output.__getitem__, cells))
         if target not in names:
             names.append(target)
 
-    file_rows = range(2, len(table.rows) + 2)  # each kept row's line in the file, for error texts
+    file_rows = table.lines  # each kept row's line in the file, for error texts
     if schema.drop_missing_rows and schema.missing_tokens:
         is_token = schema.missing_tokens.__contains__
         missing = np.any([_per_value(cells, is_token, bool) for cells in cols.values()], axis=0)

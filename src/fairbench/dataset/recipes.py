@@ -10,12 +10,12 @@ adult.data + adult.test, compas-scores-two-years.csv, bank-additional-full.csv,
 h192.csv).
 """
 
-import csv
 import os
 from importlib import resources
 from pathlib import Path
 
 from ..errors import DataFormatError
+from .table import read_csv, write_csv
 
 GERMAN_COLUMNS = [
     "checking_status", "duration", "credit_history", "purpose", "credit_amount",
@@ -58,48 +58,27 @@ def data_dir() -> Path:
 
 
 def _records(raw_path, columns):
-    """The rows of a header-ed CSV as dicts, blank lines skipped.
-
-    A header without one of `columns`, or a row with more or fewer cells
-    than the header, is a DataFormatError naming them.
-    """
-    with open(raw_path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, [])
-        missing = sorted(set(columns) - set(header))
-        if missing:
-            raise DataFormatError(f"{raw_path}: missing column(s) {missing}")
-        for row in reader:
-            if not row:
-                continue
-            if len(row) != len(header):
-                raise DataFormatError(f"{raw_path}: line {reader.line_num} has {len(row)} cells, "
-                                      f"header has {len(header)}")
+    """The data rows of the CSV file `raw_path`, read by `read_csv` with `columns` needed, as dicts."""
+    with read_csv(raw_path, columns) as (header, rows):
+        for _, row in rows:
             yield dict(zip(header, row))
 
 
-def _write_csv(path, header, rows):
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows(rows)
-    return path
+def _fields(path, width, split):
+    """The `split` fields of each line of the headerless raw file `path`, blank and `|` comment lines skipped;
+    a line of other than `width` fields is a DataFormatError naming it."""
+    with open(path, "r", encoding="utf-8") as fh:
+        for i, line in enumerate(fh):
+            if line.strip() and not line.startswith("|"):
+                cells = split(line)
+                if len(cells) != width:
+                    raise DataFormatError(f"{path}: line {i + 1} has {len(cells)} fields, expected {width}")
+                yield cells
 
 
 def prepare_german(raw_path, out_path) -> Path:
     """german.data (space-separated, no header) -> named CSV; values untouched."""
-    rows = []
-    with open(raw_path, "r", encoding="utf-8") as fh:
-        for i, line in enumerate(fh):
-            cells = line.split()
-            if not cells:
-                continue
-            if len(cells) != len(GERMAN_COLUMNS):
-                raise DataFormatError(f"{raw_path}: line {i + 1} has {len(cells)} fields, expected {len(GERMAN_COLUMNS)}")
-            rows.append(cells)
-    return _write_csv(out_path, GERMAN_COLUMNS, rows)
+    return write_csv(out_path, GERMAN_COLUMNS, list(_fields(raw_path, len(GERMAN_COLUMNS), str.split)))
 
 
 def prepare_adult(data_path, out_path, test_path=None) -> Path:
@@ -108,20 +87,9 @@ def prepare_adult(data_path, out_path, test_path=None) -> Path:
     The test part's comment line is skipped and the trailing period on its
     labels is removed; no rows are dropped.
     """
-    rows = []
-    parts = [data_path] + ([test_path] if test_path else [])
-    for part in parts:
-        with open(part, "r", encoding="utf-8") as fh:
-            for line in fh:
-                line = line.strip()
-                if not line or line.startswith("|"):
-                    continue
-                cells = [c.strip() for c in line.split(",")]
-                if len(cells) != len(ADULT_COLUMNS):
-                    raise DataFormatError(f"{part}: record with {len(cells)} fields, expected {len(ADULT_COLUMNS)}")
-                cells[-1] = cells[-1].rstrip(".")
-                rows.append(cells)
-    return _write_csv(out_path, ADULT_COLUMNS, rows)
+    rows = [cells[:-1] + [cells[-1].rstrip(".")] for part in [data_path] + ([test_path] if test_path else [])
+            for cells in _fields(part, len(ADULT_COLUMNS), lambda line: [c.strip() for c in line.split(",")])]
+    return write_csv(out_path, ADULT_COLUMNS, rows)
 
 
 def prepare_compas(raw_path, out_path) -> Path:
@@ -141,7 +109,7 @@ def prepare_compas(raw_path, out_path) -> Path:
         if (-30 <= days <= 30 and rec["is_recid"] != "-1" and rec["c_charge_degree"] != "O"
                 and rec["score_text"] not in ("", "N/A") and rec["race"] in ("African-American", "Caucasian")):
             rows.append([rec[c] for c in COMPAS_COLUMNS])
-    return _write_csv(out_path, COMPAS_COLUMNS, rows)
+    return write_csv(out_path, COMPAS_COLUMNS, rows)
 
 
 def prepare_bank(raw_path, out_path) -> Path:
@@ -149,11 +117,9 @@ def prepare_bank(raw_path, out_path) -> Path:
 
     Dotted column names are rewritten with underscores to match the schema.
     """
-    with open(raw_path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh, delimiter=";")
-        header = [c.strip().strip('"').replace(".", "_") for c in next(reader)]
-        rows = [[c.strip().strip('"') for c in row] for row in reader if row]
-    return _write_csv(out_path, header, rows)
+    with read_csv(raw_path, delimiter=";") as (header, rows):
+        header = [c.strip('"').replace(".", "_") for c in header]
+        return write_csv(out_path, header, [[c.strip().strip('"') for c in row] for _, row in rows])
 
 
 def prepare_meps(raw_path, out_path, panel: int = 21) -> Path:
@@ -177,4 +143,4 @@ def prepare_meps(raw_path, out_path, panel: int = 21) -> Path:
         sex = {"1": "male", "2": "female"}.get(rec["SEX"], "other")
         rows.append([age, sex, race, rec["MARRY16X"], rec["REGION16"], rec["INSCOV16"], utilization])
     header = ["age", "sex", "race", "marital", "region", "insurance_coverage", "utilization"]
-    return _write_csv(out_path, header, rows)
+    return write_csv(out_path, header, rows)

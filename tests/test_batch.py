@@ -158,6 +158,13 @@ class TestParse:
                 "datasets[1]: csv and schema do not apply to a synthetic dataset")):
             parse_batch_yaml(text)
 
+    @pytest.mark.parametrize("name", [r"a\rb", r"a\nb", r"a\tb"])
+    def test_a_dataset_name_that_does_not_print_is_refused(self, name):
+        # a "\r" in a name once split the name's stage-1 CSV row in two
+        with pytest.raises(SchemaError, match=re.escape(f"datasets[0].name: '{name}' holds a character that "
+                                                        "does not print")):
+            parse_batch_yaml(MINIMAL.replace("name: synth_a", f'name: "{name}"'))
+
     def test_split_rules_are_split_specs(self):
         with pytest.raises(SchemaError, match=re.escape("split: test fraction must be in (0,1), got 0.0")):
             parse_batch_yaml(MINIMAL + "\nsplit: {train: 0.7, validation: 0.3, test: 0.0}\n")

@@ -1,5 +1,6 @@
 """The three CLI surfaces, exercised end to end on synthetic and file data."""
 
+import csv
 import json
 
 import pytest
@@ -48,6 +49,11 @@ def test_prep_then_bench_on_synthetic(tmp_path, capsys):
     assert report_path.is_file()
     doc = json.loads(report_path.read_text())
     assert doc["processed_metrics"]["disparate_impact"] == pytest.approx(1.0, abs=1e-9)
+    # the commas in the name once gave each data row a cell more than the header
+    with open(report_path.with_suffix(".csv"), encoding="utf-8", newline="") as fh:
+        rows = list(csv.reader(fh))
+    assert [len(row) for row in rows] == [9, 9, 9]
+    assert rows[1][0] == "synthetic:n=400,disparity=0.4,seed=5"
 
     code = main([
         "bench", "--from", str(report_path), "--model", "logreg",

@@ -75,7 +75,13 @@ class TestLoadCsv:
 
     def test_ragged_row_position(self, tmp_path):
         path = write(tmp_path, "age,sex,income,city\n30,M,high,x\n40,F\n")
-        with pytest.raises(DataFormatError, match="row 3"):
+        with pytest.raises(DataFormatError, match="data.csv: line 3 has 2 cells, header has 4$"):
+            load_csv(path, simple_schema())
+
+    def test_a_file_that_is_not_utf8_is_named(self, tmp_path):
+        path = tmp_path / "data.csv"
+        path.write_bytes("age,sex,income,city\n30,M,high,Montr\u00e9al\n".encode("latin-1"))
+        with pytest.raises(DataFormatError, match="data.csv: 'utf-8' codec can't decode byte 0xe9 in position"):
             load_csv(path, simple_schema())
 
     def test_quoted_cells(self, tmp_path):
@@ -101,6 +107,16 @@ class TestLoadCsv:
             load_csv(path, simple_schema())
         with pytest.raises(DataFormatError, match="column 'age' appears twice"):
             RawTable(columns=("age", "income", " age"), rows=(("30", "high", "20"),))
+
+    def test_a_column_named_twice_with_equal_cells_is_read(self, tmp_path):
+        # as in ProPublica's COMPAS file, whose two `priors_count` columns agree
+        path = write(tmp_path, "age,sex,income,city,age\n30,M,high,x, 30\n\n40,F,low,y,40\n")
+        table = load_csv(path, simple_schema())
+        assert table.columns == ("age", "sex", "income", "city", "age")
+        assert table.lines == (2, 4)
+        with pytest.raises(DataFormatError, match="data.csv: column 'age' appears twice in the header and holds "
+                                                  "'50' and '5' on line 3$"):
+            load_csv(write(tmp_path, "age,sex,income,city,age\n30,M,high,x,30\n50,F,low,y,5\n"), simple_schema())
 
 
 class TestSchema:

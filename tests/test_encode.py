@@ -178,6 +178,20 @@ def test_raw_table_with_padded_and_non_string_cells_matches_oracle():
     assert isinstance(result, bytes), result
 
 
+@pytest.mark.parametrize("drop_rows", [False, True], ids=["keep-missing", "drop-missing"])
+@pytest.mark.parametrize("overrides, age, message", [
+    (EDGE_CASES["rule-matches-nothing"][0], "25", "value '25' matches no binarization rule"),
+    ({}, "x", "non-numeric cell 'x' in a numeric column"),
+], ids=["binarization-miss", "non-numeric-cell"])
+def test_error_texts_name_the_file_line_below_a_blank_line(tmp_path, overrides, age, message, drop_rows):
+    # line 3 is blank and line 4 is dropped as missing where asked; the bad cell sits on line 5
+    path = tmp_path / "data.csv"
+    path.write_text(f"age,sex,income,city\n30,M,high,a\n\n41,F,low,?\n{age},F,low,b\n", encoding="utf-8")
+    schema = schema_from_dict({**TOY, **overrides, "missing": {"tokens": ["?"], "drop_rows": drop_rows}})
+    result, _ = outcome(encode, load_csv(path, schema), schema)
+    assert result == f"DataFormatError: row 5, column 'age': {message}"
+
+
 def test_error_texts_name_the_row():
     """The cases above compare error texts; these pin what they say."""
     schema = schema_from_dict({**TOY, **EDGE_CASES["rule-matches-nothing"][0]})

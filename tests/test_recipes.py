@@ -7,6 +7,7 @@ import pytest
 from fairbench.dataset import encode, load_csv, load_schema
 from fairbench.dataset.recipes import (
     ADULT_COLUMNS,
+    COMPAS_COLUMNS,
     GERMAN_COLUMNS,
     bundled_schemas,
     prepare_adult,
@@ -229,12 +230,87 @@ def test_a_raw_file_without_a_column_the_recipe_reads_is_refused(tmp_path, prepa
     (prepare_compas, COMPAS_HEADER, "Male,30", 2),
     (prepare_meps, MEPS_HEADER, "21,2,1,1,40", 5),
     (prepare_compas, COMPAS_HEADER, "Male,30,25 - 45,Caucasian,0,0,0,1,F,1,0,1,Low,extra", 14),
-], ids=["compas-short-row", "meps-short-row", "compas-long-row"])
+    # bank once copied such a row into its CSV
+    (prepare_bank, BANK_HEADER, '56;"services";"married"', 3),
+], ids=["compas-short-row", "meps-short-row", "compas-long-row", "bank-short-row"])
 def test_a_raw_row_with_other_than_the_header_cell_count_is_refused(tmp_path, prepare, header, row, cells):
     # a row read by column name must have every cell: a missing one is no empty cell
     raw = tmp_path / "raw.csv"
     # line 2 is blank: skipped, but counted in the line number
     raw.write_text(f"{header}\n\n{row}\n", encoding="utf-8")
-    with pytest.raises(DataFormatError, match=rf"raw.csv: line 3 has {cells} cells, header has 13$"):
+    width = len(re.split("[,;]", header))
+    with pytest.raises(DataFormatError, match=rf"raw.csv: line 3 has {cells} cells, header has {width}$"):
         prepare(raw, tmp_path / "out.csv")
+    assert not (tmp_path / "out.csv").exists()
+
+
+BANK_ROW = ('56;"services";"married";"basic.4y";"no";"yes";"no";"telephone";"may";"mon";100;1;999;0;'
+            '"nonexistent";1.1;93.994;-36.4;4.857;5191;"no"')
+
+
+@pytest.mark.parametrize("prepare, header, row, column, cells", [
+    (prepare_compas, COMPAS_HEADER + ",race", "Male,30,25 - 45,Caucasian,0,0,0,1,F,1,0,1,Low,African-American",
+     "race", "'Caucasian' and 'African-American'"),
+    (prepare_meps, MEPS_HEADER + ",PANEL", "21,2,1,1,30,1,2,1,6,3,1,1,1,20", "PANEL", "'21' and '20'"),
+    (prepare_bank, BANK_HEADER + ';"y"', BANK_ROW + ';"yes"', "y", "'no' and 'yes'"),
+], ids=["compas", "meps", "bank"])
+def test_a_column_named_twice_with_two_cells_in_a_row_is_refused(tmp_path, prepare, header, row, column, cells):
+    # COMPAS once read such a file by the last `race` column, without a word
+    raw = tmp_path / "raw.csv"
+    raw.write_text(f"{header}\n\n{row}\n", encoding="utf-8")
+    with pytest.raises(DataFormatError, match=f"raw.csv: column '{column}' appears twice in the header "
+                                              f"and holds {cells} on line 3$"):
+        prepare(raw, tmp_path / "out.csv")
+    assert not (tmp_path / "out.csv").exists()
+
+
+# the header of ProPublica's compas-scores-two-years.csv, which names decile_score and priors_count twice
+PROPUBLICA_COMPAS_HEADER = (
+    "id,name,first,last,compas_screening_date,sex,dob,age,age_cat,race,juv_fel_count,decile_score,"
+    "juv_misd_count,juv_other_count,priors_count,days_b_screening_arrest,c_jail_in,c_jail_out,c_case_number,"
+    "c_offense_date,c_arrest_date,c_days_from_compas,c_charge_degree,c_charge_desc,is_recid,r_case_number,"
+    "r_charge_degree,r_days_from_arrest,r_offense_date,r_charge_desc,r_jail_in,r_jail_out,violent_recid,"
+    "is_violent_recid,vr_case_number,vr_charge_degree,vr_offense_date,vr_charge_desc,type_of_assessment,"
+    "decile_score,score_text,screening_date,v_type_of_assessment,v_decile_score,v_score_text,v_screening_date,"
+    "in_custody,out_custody,priors_count,start,end,event,two_year_recid"
+).split(",")
+
+
+def test_prepare_compas_reads_the_propublica_header(tmp_path):
+    # a column named twice holds the same cell in both places, so the file is read as before
+    assert len(PROPUBLICA_COMPAS_HEADER) == 53
+    people = [
+        {"sex": "Male", "age": "34", "age_cat": "25 - 45", "race": "African-American", "priors_count": "0",
+         "decile_score": "3", "c_charge_degree": "F", "days_b_screening_arrest": "-1", "is_recid": "1",
+         "score_text": "Low", "two_year_recid": "1"},
+        {"sex": "Female", "age": "24", "age_cat": "Less than 25", "race": "Caucasian", "priors_count": "4",
+         "decile_score": "8", "c_charge_degree": "M", "days_b_screening_arrest": "0", "is_recid": "0",
+         "score_text": "High", "two_year_recid": "0"},
+        {"sex": "Male", "age": "69", "age_cat": "Greater than 45", "race": "Other", "priors_count": "0",
+         "decile_score": "1", "c_charge_degree": "F", "days_b_screening_arrest": "-1", "is_recid": "0",
+         "score_text": "Low", "two_year_recid": "0"},
+    ]
+    rows = [[{"juv_fel_count": "0", "juv_misd_count": "0", "juv_other_count": "0", **person}.get(name, "")
+             for name in PROPUBLICA_COMPAS_HEADER] for person in people]
+    raw = tmp_path / "compas-scores-two-years.csv"
+    raw.write_text("\n".join(map(",".join, [PROPUBLICA_COMPAS_HEADER, *rows])) + "\n", encoding="utf-8")
+    out = prepare_compas(raw, tmp_path / "compas.csv")
+    assert out.read_text(encoding="utf-8").splitlines() == [
+        ",".join(COMPAS_COLUMNS),
+        "Male,34,25 - 45,African-American,0,0,0,0,F,1",
+        "Female,24,Less than 25,Caucasian,0,0,0,4,M,0",
+    ]
+
+
+@pytest.mark.parametrize("prepare, raw, message", [
+    (prepare_german, GERMAN_RAW + "\nA11 6 A34\n", "german.data: line 4 has 3 fields, expected 21"),
+    # adult's message once had no line
+    (prepare_adult, ADULT_RAW + "\n39, State-gov, 77516, Bachelors, 13\n",
+     "adult.data: line 4 has 5 fields, expected 15"),
+], ids=["german", "adult"])
+def test_a_malformed_record_names_its_line(tmp_path, prepare, raw, message):
+    path = tmp_path / message.split(":")[0]
+    path.write_text(raw, encoding="utf-8")
+    with pytest.raises(DataFormatError, match=f"{message}$"):
+        prepare(path, tmp_path / "out.csv")
     assert not (tmp_path / "out.csv").exists()

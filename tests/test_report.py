@@ -1,5 +1,6 @@
 """Emitters: CSV shape and precision, JSON round trip, SVG structure and gaps."""
 
+import csv
 import dataclasses
 import hashlib
 import json
@@ -72,6 +73,14 @@ class TestStage1Csv:
     def test_empty_rejected(self, tmp_path):
         with pytest.raises(FairbenchError):
             write_stage1_csv([], tmp_path / "s1.csv")
+
+    @pytest.mark.parametrize("name", ["synthetic:n=200,disparity=0.3", '"toy" set', 'a,"b'])
+    def test_a_name_that_needs_quoting_reads_back_whole(self, tmp_path, name):
+        path = write_stage1_csv([(name, "RW", sample_metrics())], tmp_path / "s1.csv")
+        with open(path, encoding="utf-8", newline="") as fh:
+            rows = list(csv.reader(fh))
+        assert [len(row) for row in rows] == [9, 9]
+        assert rows[1][:2] == [name, "RW"]
 
 
 class TestSweepCsv:
