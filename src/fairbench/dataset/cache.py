@@ -2,21 +2,21 @@
 
 A dataset entry (`<cache_root>/<hex key>.fpds`) is an 8-byte magic, the byte
 length of a JSON header, the header (version, n, d, feature names,
-provenance), then every feature column, labels and protected (int64) and weights (float64).
+provenance), then one zlib stream, written at level 1, of the features
+(row-major float64), labels and protected (int64) and weights (float64),
+little-endian: n * (d + 3) * 8 bytes once decompressed.
 
-Each stored array (n values) is written in whichever form is smaller: its raw
-little-endian values, or its k distinct values, sorted by their uint64 bits,
-followed by one code per row (uint8 when k <= 256, else uint16) that indexes
-them. The header's `tables` gives k for each stored array in body order, 0 for
-raw. Values are compared as bits, so 0.0 and -0.0 are distinct and a
-round-trip is bit-identical; a code at or past the end of its table makes the
-entry corrupt.
-
-A dataset is keyed on the sha256 of its entry bytes, which `dumps` makes
-canonical. A hit therefore means the same arrays, names, provenance and
-format version, and every read checks the bytes against the key before it
-parses them. A new format or `VERSION` re-keys every dataset and so every
-record: an older cache is a silent miss.
+A dataset is keyed on the sha256 of its header bytes and its uncompressed
+arrays, which `dumps` computes as it compresses them. A hit therefore means
+the same arrays, names, provenance and format version, whichever zlib build
+wrote the stream. Every read decompresses the stream in bounded chunks into
+one buffer, hashing as it goes, and refuses a corrupt stream, a body of
+other than n * (d + 3) * 8 bytes, data after the stream's end, a header whose
+sizes no stream of the entry's length could hold, and a hash other than the
+key, before it builds any array. Preparation compares its entry bytes with
+the file's and reads the file only when they differ, so another zlib build's
+stream of the same arrays is a hit. A new `VERSION` re-keys every dataset and
+so every record: an older cache, version 3 included, is a silent miss.
 
 A record (`<cache_root>/<hex key>.metrics.fpds`) is the same magic and header
 framing with no body; the header holds the version, flat fields and the
@@ -25,8 +25,8 @@ key names there, so a processed dataset itself is never stored.
 
 Writes go to a temp file in the same directory, are fsynced and then
 atomically renamed, so concurrent batch jobs never observe a partial entry. An
-entry that exists but cannot be read, is of another version, or whose bytes
-no longer hash to its key (or fields to their sha256, or are not the fields
+entry that exists but cannot be read, is of another version, or whose content
+no longer hashes to its key (or fields to their sha256, or are not the fields
 its reader takes), is a miss with a warning.
 """
 
@@ -36,6 +36,7 @@ import os
 import struct
 import tempfile
 import warnings
+import zlib
 from pathlib import Path
 
 import numpy as np
@@ -45,14 +46,11 @@ from ..util import canonical_json
 from .tabular import TabularDataset
 
 MAGIC = b"FPDSBIN\n"
-VERSION = 3
+VERSION = 4
 _HEADER_LEN = struct.Struct("<Q")
 _DTYPES = {"features": "<f8", "labels": "<i8", "protected": "<i8", "weights": "<f8"}
-_ITEM_BYTES = 8
-_VECTORS = ("labels", "protected", "weights")
-# a table of k values is indexed by uint8 codes up to k = 256, by uint16 codes up to _MAX_TABLE
-_CODES = (np.dtype("<u1"), np.dtype("<u2"))
-_MAX_TABLE = 1 << 16
+_CHUNK = 1 << 20  # the most bytes a read decompresses at a time
+_MAX_RATIO = 1032  # deflate stores at most 1032 bytes in each byte of its stream
 
 
 def cache_key(dataset_key, method_name, params, seed) -> str:
@@ -67,11 +65,6 @@ def _head(header) -> bytes:
     return MAGIC + _HEADER_LEN.pack(len(head)) + head
 
 
-def entry_key(entry: bytes) -> str:
-    """The key of the entry bytes `entry`: their sha256, hex."""
-    return hashlib.sha256(entry).hexdigest()
-
-
 def cache_path(cache_root, key) -> Path:
     return Path(cache_root) / f"{key}.fpds"
 
@@ -80,48 +73,18 @@ def record_path(cache_root, key) -> Path:
     return Path(cache_root) / f"{key}.metrics.fpds"
 
 
-def _bits(values):
-    return np.ascontiguousarray(values).view("<u8")
-
-
-def _code_dtype(k):
-    return _CODES[k > 256]
-
-
-def _stored_bytes(k, n):
-    """Body bytes of n values stored raw (k=0) or as a table of k values and their codes."""
-    return _ITEM_BYTES * n if k == 0 else _ITEM_BYTES * k + _code_dtype(k).itemsize * n
-
-
-def _compact(columns):
-    """(tables, parts): each uint64 array of `columns`, one stored array, in its smaller form.
-
-    tables[j] is the array's table size, 0 when it is stored raw; parts are the body bytes.
-    """
-    tables, parts = [], []
-    for column in columns:
-        ordered = np.sort(column)
-        table = ordered[np.concatenate([[True], ordered[1:] != ordered[:-1]])]
-        k = len(table)
-        if k > _MAX_TABLE or _stored_bytes(k, len(column)) >= _stored_bytes(0, len(column)):
-            tables.append(0)
-            parts.append(column.tobytes())
-        else:
-            tables.append(k)
-            parts += [table.tobytes(), np.searchsorted(table, column).astype(_code_dtype(k)).tobytes()]
-    return tables, parts
-
-
-def dumps(ds: TabularDataset) -> bytes:
-    """The entry bytes of `ds`."""
-    arrays = {name: np.ascontiguousarray(getattr(ds, name), dtype=dtype) for name, dtype in _DTYPES.items()}
-    bits = _bits(arrays["features"])
-    header = {"version": VERSION, "n": ds.n, "provenance": ds.provenance, "d": ds.dim,
-              "feature_names": list(ds.feature_names)}
-    # one column at a time, so no copy of the matrix is made
-    header["tables"], parts = _compact([*(bits[:, j] for j in range(ds.dim)),
-                                        *(_bits(arrays[name]) for name in _VECTORS)])
-    return b"".join([_head(header), *parts])
+def dumps(ds: TabularDataset):
+    """(key, entry bytes) of `ds`: the key is the sha256 of the header and the uncompressed arrays, hex."""
+    head = _head({"version": VERSION, "n": ds.n, "provenance": ds.provenance, "d": ds.dim,
+                  "feature_names": list(ds.feature_names)})
+    digest, stream, parts = hashlib.sha256(head), zlib.compressobj(1), [head]
+    for name, dtype in _DTYPES.items():
+        # hashed and compressed through a view, so no joined copy of the arrays is made
+        data = memoryview(np.ascontiguousarray(getattr(ds, name), dtype=dtype)).cast("B")
+        digest.update(data)
+        parts.append(stream.compress(data))
+    parts.append(stream.flush())
+    return digest.hexdigest(), b"".join(parts)
 
 
 def _parse_head(blob: bytes):
@@ -142,44 +105,56 @@ def _parse_head(blob: bytes):
     return header, start + header_len
 
 
-def loads(blob: bytes) -> TabularDataset:
-    """Parse one dataset entry; a wrong magic, version, layout, length or code raises DataFormatError."""
+def _inflate(blob, offset, size, digest):
+    """The n * (d + 3) * 8 = `size` body bytes of the stream at `offset`, as uint8, hashed into `digest`.
+
+    A corrupt stream, a body of another length or data after the stream raises DataFormatError."""
+    body, stream = np.empty(size, dtype=np.uint8), zlib.decompressobj()
+    filled, pending = 0, memoryview(blob)[offset:]
+    try:
+        while not stream.eof:
+            chunk = stream.decompress(pending, _CHUNK)
+            pending = stream.unconsumed_tail
+            if not chunk and not pending:
+                raise DataFormatError("cache entry stream ends early")
+            if len(chunk) > size - filled:
+                raise DataFormatError(f"cache entry body runs past the {size} bytes its header gives")
+            body[filled:filled + len(chunk)] = np.frombuffer(chunk, dtype=np.uint8)
+            digest.update(chunk)
+            filled += len(chunk)
+    except zlib.error as exc:
+        raise DataFormatError(f"corrupt cache entry stream: {exc}") from exc
+    if filled != size:
+        raise DataFormatError(f"cache entry body has {filled} bytes, expected the {size} its header gives")
+    if stream.unused_data:
+        raise DataFormatError(f"cache entry has {len(stream.unused_data)} bytes after its stream")
+    return body
+
+
+def loads(blob: bytes, key: str) -> TabularDataset:
+    """Parse one dataset entry whose key is `key`.
+
+    A wrong magic, version or header, a stream that is corrupt, of another
+    length or followed by data, or content that does not hash to `key`
+    raises DataFormatError before any array is built.
+    """
     header, offset = _parse_head(blob)
     try:
         n, provenance = int(header["n"]), str(header["provenance"])
         width, names = int(header["d"]), tuple(header["feature_names"])
-        tables = list(header["tables"])
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise DataFormatError(f"corrupt cache entry header: {exc!r}") from exc
-    kinds = ["features"] * width + list(_VECTORS)
-    if len(tables) != len(kinds) or not all(type(k) is int and 0 <= k <= _MAX_TABLE for k in tables):
-        raise DataFormatError(f"corrupt cache entry header: tables {tables!r} for {len(kinds)} stored arrays")
-    expected = offset + sum(_stored_bytes(k, n) for k in tables)
-    if n < 1 or width < 1 or len(blob) != expected:
-        raise DataFormatError(f"cache entry has {len(blob)} bytes, expected {expected} for n={n}, "
-                              f"{width} stored columns")
-    stored = []
-    for k, kind in zip(tables, kinds):
-        values = np.frombuffer(blob, dtype=_DTYPES[kind], count=k or n, offset=offset)
-        offset += values.nbytes
-        codes = None
-        if k:
-            values = values.copy()  # aligned, for the lookups
-            codes = np.frombuffer(blob, dtype=_code_dtype(k), count=n, offset=offset)
-            offset += codes.nbytes
-            if codes.max() >= k:
-                raise DataFormatError(f"cache entry has a code past the end of its {k}-value table")
-        stored.append((values, codes))
-    features = np.empty((n, width), dtype=_DTYPES["features"])
-    # each column decoded in place, so no second matrix is allocated
-    for j, (values, codes) in enumerate(stored[:width]):
-        if codes is None:
-            features[:, j] = values
-        else:
-            np.take(values, codes, out=features[:, j], mode="clip")
-    arrays = {name: values if codes is None else values[codes]
-              for name, (values, codes) in zip(_VECTORS, stored[width:])}
-    return TabularDataset(features, arrays["labels"], arrays["protected"], arrays["weights"], names, provenance)
+    size = n * (width + len(_DTYPES) - 1) * 8
+    if n < 1 or width < 1 or size > _MAX_RATIO * (len(blob) - offset):
+        raise DataFormatError(f"cache entry header gives n={n}, d={width}, which its "
+                              f"{len(blob) - offset}-byte stream cannot hold")
+    digest = hashlib.sha256(blob[:offset])
+    body = _inflate(blob, offset, size, digest)
+    if digest.hexdigest() != key:
+        raise DataFormatError("its content no longer hashes to its key")
+    features, labels, protected, weights = (part.view(dtype) for part, dtype in zip(
+        np.split(body, np.cumsum([8 * n * width, 8 * n, 8 * n])), _DTYPES.values()))
+    return TabularDataset(features.reshape(n, width), labels, protected, weights, names, provenance)
 
 
 def _digest(fields) -> str:
@@ -249,27 +224,23 @@ def cache_store(entry: bytes, key: str, cache_root) -> Path:
     return _write(entry, cache_path(cache_root, key))
 
 
-def _keyed(blob: bytes, ok: bool) -> bytes:
-    if not ok:
-        raise DataFormatError("its bytes no longer hash to its key")
-    return blob
-
-
 def cache_load(key: str, cache_root):
     """The dataset cached under `key`, or None on a miss.
 
-    An absent entry is a silent miss. One that is unreadable, or whose bytes
-    no longer hash to `key` (checked before they are parsed), is a miss with a
-    FairbenchWarning naming the file, so the caller recomputes and rewrites it.
+    An absent entry is a silent miss. One that is unreadable, or that `loads`
+    refuses, such as one whose content no longer hashes to `key`, is a miss
+    with a FairbenchWarning naming the file, so the caller recomputes and rewrites it.
     """
-    return _read(cache_path(cache_root, key), lambda blob: loads(_keyed(blob, entry_key(blob) == key)))
+    return _read(cache_path(cache_root, key), lambda blob: loads(blob, key))
 
 
 def cache_holds(entry: bytes, key: str, cache_root) -> bool:
-    """Whether the file of `key`, the key of the entry bytes `entry`, holds them.
+    """Whether the file of `key`, the key of the entry bytes `entry`, holds its dataset.
 
-    Nothing is parsed; an entry that is absent, unreadable or holds other bytes is a miss as `cache_load`'s is."""
-    return _read(cache_path(cache_root, key), lambda blob: _keyed(blob, blob == entry)) is not None
+    Equal bytes are a hit with nothing parsed. Other bytes are read as
+    `cache_load` reads them: the same arrays compressed by another zlib build
+    are a hit, left in place, and anything `loads` refuses is a warned miss."""
+    return _read(cache_path(cache_root, key), lambda blob: blob == entry or loads(blob, key)) is not None
 
 
 def record_store(fields: dict, key: str, cache_root) -> Path:

@@ -1,6 +1,7 @@
 """The one CSV reader and writer (RFC-4180 quoting, UTF-8, header required) and the raw table they fill."""
 
 import csv
+from array import array
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from itertools import chain, count
@@ -73,7 +74,7 @@ class RawTable:
 
     columns: tuple
     rows: tuple
-    lines: tuple = field(init=False)
+    lines: array = field(init=False)  # int64, 8 bytes a row where a tuple of ints holds about 36
 
     def __post_init__(self):
         columns = _header_names(self.columns)
@@ -86,13 +87,13 @@ class RawTable:
 
 def _fill(table, columns, numbered):
     """`table` holding `columns` and, read in one pass, the stripped cells and the lines of `numbered`'s pairs."""
-    lines, rows = [], []
+    lines, rows = array("q"), []
     for line, row in numbered:
         lines.append(line)
         rows.append(_text(row))
     if not rows:
         raise DataFormatError("table has no data rows")
-    for name, value in (("columns", columns), ("rows", tuple(rows)), ("lines", tuple(lines))):
+    for name, value in (("columns", columns), ("rows", tuple(rows)), ("lines", lines)):
         object.__setattr__(table, name, value)
     return table
 

@@ -4,7 +4,7 @@ from dataclasses import asdict, dataclass
 from pathlib import Path
 
 from ..dataset import TabularDataset, cache_key, cache_load, cache_store, encode, load_csv
-from ..dataset.cache import cache_holds, dumps, entry_key, record_load, record_store
+from ..dataset.cache import cache_holds, dumps, record_load, record_store
 from ..metrics.dataset_metrics import DatasetMetrics, dataset_metrics
 from ..preproc import SEEDED_METHODS, apply_method
 from ..errors import FairbenchError
@@ -64,17 +64,17 @@ def prepare_original(dataset, schema=None, cache_dir="fairbench_cache",
     """Cache `dataset` under its content key unless its entry reads back, and measure it.
 
     An encoded TabularDataset passes through; a CSV path is loaded and encoded
-    under `schema`. Its entry bytes, made once, are compared with the file's,
-    not parsed, and written unless it holds them. The metrics are read from
-    the original's record, or computed and recorded.
+    under `schema`. Its key and entry bytes, made once, are compared with the
+    file's, which are parsed only when they differ, and written unless the
+    file holds the same dataset. The metrics are read
+    from the original's record, or computed and recorded.
     """
     ds = dataset
     if not isinstance(ds, TabularDataset):
         if schema is None:
             raise FairbenchError("loading from a file requires a schema")
         ds = encode(load_csv(Path(dataset), schema), schema)
-    entry = dumps(ds)
-    key = entry_key(entry)
+    key, entry = dumps(ds)
     if not cache_holds(entry, key, cache_dir):
         cache_store(entry, key, cache_dir)
     del entry  # freed before the kNN pass, which sets the peak memory

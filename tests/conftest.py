@@ -1,9 +1,9 @@
 """Shared fixtures: tiny datasets, raw-data discovery, random fixture maker."""
 
-import json
 import os
 import struct
 import sys
+import zlib
 from pathlib import Path
 
 import numpy as np
@@ -79,11 +79,12 @@ def random_metric_fixture(rng, require_group_confusions=False, max_n=20):
 def flip_first_feature(entry: Path):
     """Flip the highest mantissa bit of features[0, 0] in the full cache entry at `entry`.
 
-    The entry stores column 0 raw, so its first 8 body bytes are that one
-    value; the entry still parses, with one feature changed.
+    The stream is decompressed, changed and compressed again, so the entry
+    still parses to a dataset of the right size: only its key tells it from
+    the dataset it held.
     """
-    blob = bytearray(entry.read_bytes())
+    blob = entry.read_bytes()
     (header_len,) = struct.unpack_from("<Q", blob, 8)
-    assert json.loads(blob[16:16 + header_len])["tables"][0] == 0
-    blob[16 + header_len + 6] ^= 0x08
-    entry.write_bytes(bytes(blob))
+    body = bytearray(zlib.decompress(blob[16 + header_len:]))
+    body[6] ^= 0x08
+    entry.write_bytes(blob[:16 + header_len] + zlib.compress(bytes(body), 1))

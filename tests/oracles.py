@@ -685,18 +685,36 @@ def oracle_encode(table, schema):
     )
 
 
-def oracle_v2_entry(ds):
-    """The bytes of a format-2 cache entry: the canonical dense form.
-
-    Its sha256 keyed an original in caches written before a key became the
-    sha256 of the entry's own bytes; no key derives from it now. Magic, header length, sorted-key JSON header with version 2, then features
-    (row-major float64), labels and protected (int64) and weights (float64),
-    little-endian.
-    """
-    dtypes = {"features": "<f8", "labels": "<i8", "protected": "<i8", "weights": "<f8"}
-    header = {"version": 2, "n": ds.n, "provenance": ds.provenance, "d": ds.dim,
-              "feature_names": list(ds.feature_names)}
-    body = [ds.features.astype("<f8").tobytes(order="C")]
-    body += [getattr(ds, name).astype(dtypes[name]).tobytes() for name in ("labels", "protected", "weights")]
+def _oracle_entry(header, body):
     head = json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")
     return b"FPDSBIN\n" + struct.pack("<Q", len(head)) + head + b"".join(body)
+
+
+def _raw_vectors(ds):
+    return [ds.labels.astype("<i8").tobytes(), ds.protected.astype("<i8").tobytes(), ds.weights.astype("<f8").tobytes()]
+
+
+def oracle_dense_entry(ds, version=2):
+    """The canonical dense form of `ds` under format `version`.
+
+    Magic, header length, sorted-key JSON header (version, n, d, feature
+    names, provenance), then features (row-major float64), labels and
+    protected (int64) and weights (float64), little-endian. At version 2 these
+    were a cache entry's bytes and their sha256 its key. At version 4 their
+    sha256 is the key, and the entry holds the same arrays as one zlib stream.
+    """
+    header = {"version": version, "n": ds.n, "provenance": ds.provenance, "d": ds.dim,
+              "feature_names": list(ds.feature_names)}
+    return _oracle_entry(header, [ds.features.astype("<f8").tobytes(order="C"), *_raw_vectors(ds)])
+
+
+def oracle_v3_entry(ds):
+    """The bytes of a format-3 cache entry with every array stored raw, keyed on their sha256.
+
+    Version 3 stored each feature column, then labels, protected and weights,
+    raw or as a table of distinct values plus codes; `tables` gave each
+    array's table size, 0 for raw, and its reader took an all-raw entry.
+    """
+    header = {"version": 3, "n": ds.n, "provenance": ds.provenance, "d": ds.dim,
+              "feature_names": list(ds.feature_names), "tables": [0] * (ds.dim + 3)}
+    return _oracle_entry(header, [ds.features.astype("<f8").tobytes(order="F"), *_raw_vectors(ds)])

@@ -25,7 +25,7 @@ from fairbench.errors import FairbenchWarning, FitError, SchemaError, error_text
 from fairbench.preproc import SEEDED_METHODS
 
 from conftest import flip_first_feature
-from oracles import oracle_v2_entry
+from oracles import oracle_v3_entry
 
 MINIMAL = """
 datasets:
@@ -369,7 +369,7 @@ def _store_stalling_in_fsync(cache_dir, writing):
         time.sleep(60)
 
     os.fsync = stall
-    cache_store(cache_module.dumps(make_synthetic(seed=0, n=50, disparity=0.0)), "key", cache_dir)
+    cache_store(cache_module.dumps(make_synthetic(seed=0, n=50, disparity=0.0))[1], "key", cache_dir)
 
 
 def _record_blas_threads(job, prepared, output_dir, cache_dir, original_arm=None):
@@ -584,7 +584,7 @@ class TestRun:
 
     @pytest.mark.parametrize("damage", ["flipped", "missing"])
     def test_changed_original_entry_is_rewritten_before_its_jobs(self, tmp_path, damage):
-        # a flipped mantissa bit still parses: only the entry's bytes tell it from its dataset
+        # a flipped mantissa bit, compressed again, still parses: only its key tells it from its dataset
         text = MINIMAL.replace("n: 200", "n: 400").replace("methods: [RW]", "methods: [RW, DIR]")
         jobs, _ = expand_jobs(parse_batch_yaml(text))
         cache = tmp_path / "cache"
@@ -614,19 +614,24 @@ class TestRun:
         fresh = tmp_path / "fresh"
         run_batch(jobs, parallelism=parallelism, output_dir=tmp_path / "first", cache_dir=fresh)
         entries = {p.name: p.read_bytes() for p in fresh.glob("*.fpds")}
-        # the same files under the names an earlier version gave them: an original under
-        # the sha256 of its dense form, and each record under a key derived from that
+        # the files version 3 wrote: each original as a version-3 entry under the sha256 of its
+        # bytes, and each record, of version 3, under a key derived from that
         older = {}
+
+        def v3_record(key):
+            return entries[f"{key}.metrics.fpds"].replace(f'"version":{cache_module.VERSION}'.encode(), b'"version":3')
+
         for job in jobs:
             stage1 = json.loads((tmp_path / "first" / job.job_id / "summary.json").read_text())["stage1"]
             key, method, params, seed = (stage1[name] for name in ("original_cache_key", "method", "params", "seed"))
             seed = seed if method in SEEDED_METHODS else None  # RW and DIR records name no seed
             assert cache_module.cache_key(key, method, params, seed) == stage1["processed_cache_key"]
-            old = hashlib.sha256(oracle_v2_entry(cache_module.loads(entries[f"{key}.fpds"]))).hexdigest()
-            older[f"{old}.fpds"] = entries[f"{key}.fpds"]
-            older[f"{old}.metrics.fpds"] = entries[f"{key}.metrics.fpds"]
+            entry = oracle_v3_entry(cache_module.loads(entries[f"{key}.fpds"], key))
+            old = hashlib.sha256(entry).hexdigest()
+            older[f"{old}.fpds"] = entry
+            older[f"{old}.metrics.fpds"] = v3_record(key)
             older[f"{cache_module.cache_key(old, method, params, seed)}.metrics.fpds"] = \
-                entries[f"{stage1['processed_cache_key']}.metrics.fpds"]
+                v3_record(stage1["processed_cache_key"])
         # two originals and their records, and a record per job
         assert len(older) == len(entries) == 4 + len(jobs)
         cache = tmp_path / "cache"
@@ -651,10 +656,10 @@ class TestRun:
         prepared = runner._prepare(job.dataset, job.sensitive, cache)
         entry = (cache / f"{prepared.cache_key}.fpds").read_bytes()
         reads, checks = [], []
-        read, key = cache_module._read, cache_module.entry_key
+        read, loads = cache_module._read, cache_module.loads
         monkeypatch.setattr(cache_module, "_read",
                             lambda target, parse: reads.append(target.name) or read(target, parse))
-        monkeypatch.setattr(cache_module, "entry_key", lambda blob: checks.append(blob) or key(blob))
+        monkeypatch.setattr(cache_module, "loads", lambda blob, key: checks.append((blob, key)) or loads(blob, key))
         for run in ("cold", "warm"):
             reads.clear()
             checks.clear()
@@ -663,8 +668,8 @@ class TestRun:
             stage1 = json.loads((tmp_path / run / job.job_id / "summary.json").read_text())["stage1"]
             # cold, the processed record is absent and is written; warm, it is read instead of the transform
             assert reads == [f"{prepared.cache_key}.fpds", f"{stage1['processed_cache_key']}.metrics.fpds"]
-            # one sha256 check, of the original's file bytes
-            assert checks == [entry]
+            # one parse, checked against its key, of the original's file bytes
+            assert checks == [(entry, prepared.cache_key)]
 
     @pytest.mark.parametrize("parallelism", [1, 2])
     def test_missing_csv_fails_its_jobs_with_the_ingest_error(self, tmp_path, parallelism):

@@ -4,8 +4,10 @@ import dataclasses
 import hashlib
 import json
 import math
+import re
 import struct
 import warnings
+import zlib
 
 import numpy as np
 import pytest
@@ -26,8 +28,7 @@ from fairbench.dataset import (
     split,
     split_indices,
 )
-from fairbench.dataset.cache import (MAGIC, VERSION, cache_path, dumps, entry_key, loads, record_load, record_path,
-                                     record_store)
+from fairbench.dataset.cache import MAGIC, VERSION, cache_path, dumps, loads, record_load, record_path, record_store
 from fairbench.dataset import cache as cache_module
 from fairbench.dataset import schema as schema_module
 from fairbench.dataset.recipes import prepare_german, schema_path
@@ -37,7 +38,7 @@ from fairbench.metrics import statistical_parity_difference
 from fairbench.pipeline.stage1 import prepare_original
 
 from conftest import flip_first_feature
-from oracles import oracle_v2_entry
+from oracles import oracle_dense_entry, oracle_v3_entry
 
 
 def simple_schema(**overrides):
@@ -113,7 +114,7 @@ class TestLoadCsv:
         path = write(tmp_path, "age,sex,income,city,age\n30,M,high,x, 30\n\n40,F,low,y,40\n")
         table = load_csv(path, simple_schema())
         assert table.columns == ("age", "sex", "income", "city", "age")
-        assert table.lines == (2, 4)
+        assert table.lines.tolist() == [2, 4]
         with pytest.raises(DataFormatError, match="data.csv: column 'age' appears twice in the header and holds "
                                                   "'50' and '5' on line 3$"):
             load_csv(write(tmp_path, "age,sex,income,city,age\n30,M,high,x,30\n50,F,low,y,5\n"), simple_schema())
@@ -362,8 +363,8 @@ class TestSplit:
 
 def store(ds, root):
     """Write `ds`'s entry under its content key, as preparation does; the entry's path."""
-    entry = dumps(ds)
-    return cache_store(entry, entry_key(entry), root)
+    key, entry = dumps(ds)
+    return cache_store(entry, key, root)
 
 
 class TestCache:
@@ -374,8 +375,8 @@ class TestCache:
         features[0, 0] = 1.0 / 3.0
         features[1, 1] = 1e-308
         ds = ds.replace(features=features, weights=ds.weights * np.pi)
-        key = entry_key(dumps(ds))
-        cache_store(dumps(ds), key, tmp_path)
+        key, entry = dumps(ds)
+        cache_store(entry, key, tmp_path)
         loaded = cache_load(key, tmp_path)
         assert datasets_equal(ds, loaded)
 
@@ -385,27 +386,29 @@ class TestCache:
     def test_same_key_single_entry_last_wins(self, tmp_path):
         a = make_synthetic(seed=1, n=20, disparity=0.0)
         b = make_synthetic(seed=2, n=20, disparity=0.0)
-        key = entry_key(dumps(b))
-        cache_store(dumps(a), key, tmp_path)
-        cache_store(dumps(b), key, tmp_path)
+        key, entry = dumps(b)
+        cache_store(dumps(a)[1], key, tmp_path)
+        cache_store(entry, key, tmp_path)
         assert len(list(tmp_path.glob("*.fpds"))) == 1
         assert datasets_equal(cache_load(key, tmp_path), b)
 
     def test_magic_header_is_eight_bytes(self, tmp_path):
         ds = make_synthetic(seed=1, n=10, disparity=0.0)
         key = cache_key("syn", "m", {}, 0)
-        path = cache_store(dumps(ds), key, tmp_path)
+        path = cache_store(dumps(ds)[1], key, tmp_path)
         assert len(MAGIC) == 8
         assert path.read_bytes()[:8] == MAGIC
         assert path.name == f"{key}.fpds"
 
     def test_no_temp_residue(self, tmp_path):
         ds = make_synthetic(seed=1, n=10, disparity=0.0)
-        cache_store(dumps(ds), cache_key("a", "b", {}, 0), tmp_path)
+        cache_store(dumps(ds)[1], cache_key("a", "b", {}, 0), tmp_path)
         assert not list(tmp_path.glob("*.tmp"))
 
-    @pytest.mark.parametrize("damage", ["truncated", "bad_magic", "old_format"])
-    def test_unreadable_entry_is_a_warned_miss(self, tmp_path, damage):
+    @pytest.mark.parametrize("damage, match", [
+        ("truncated", "stream ends early"), ("bad_magic", "bad magic"), ("old_format", "bad magic"),
+    ])
+    def test_unreadable_entry_is_a_warned_miss(self, tmp_path, damage, match):
         ds = make_synthetic(seed=1, n=20, disparity=0.0)
         path = store(ds, tmp_path)
         blob = path.read_bytes()
@@ -414,14 +417,13 @@ class TestCache:
             "bad_magic": b"XXXXXXXX" + blob[8:],
             "old_format": b"FPDSTXT\nversion 1\nn 20\nd 2\nend\n",
         }[damage])
-        # rejected at the key check, before the parser sees the bytes
-        with pytest.warns(FairbenchWarning, match=f"{path.name}: its bytes no longer hash to its key"):
-            assert cache_load(entry_key(dumps(ds)), tmp_path) is None
+        with pytest.warns(FairbenchWarning, match=f"{path.name}: .*{match}"):
+            assert cache_load(dumps(ds)[0], tmp_path) is None
 
     def test_content_key_covers_the_protected_column(self):
         ds = make_synthetic(seed=1, n=20, disparity=0.0)
-        assert entry_key(dumps(ds)) == entry_key(dumps(ds.replace()))
-        assert entry_key(dumps(ds.replace(protected=1 - ds.protected))) != entry_key(dumps(ds))
+        assert dumps(ds)[0] == dumps(ds.replace())[0]
+        assert dumps(ds.replace(protected=1 - ds.protected))[0] != dumps(ds)[0]
 
     def test_key_depends_on_all_parts(self):
         base = cache_key("d", "m", {"x": 1}, 0)
@@ -434,11 +436,15 @@ class TestCache:
     def test_an_entry_whose_content_no_longer_hashes_to_its_key_is_a_warned_miss(self, tmp_path):
         ds = make_synthetic(seed=3, n=30, disparity=0.2)
         path = store(ds, tmp_path)
-        assert path.read_bytes() == dumps(ds)
-        flip_first_feature(path)  # still parses, with one feature changed
-        loads(path.read_bytes())
-        with pytest.warns(FairbenchWarning, match=f"{path.name}: its bytes no longer hash to its key"):
-            assert cache_load(entry_key(dumps(ds)), tmp_path) is None
+        assert path.read_bytes() == dumps(ds)[1]
+        flip_first_feature(path)
+        # it still parses, under the key of its changed content, as ds with one feature changed
+        blob = path.read_bytes()
+        at = _head_len(blob)
+        flipped = loads(blob, hashlib.sha256(blob[:at] + zlib.decompress(blob[at:])).hexdigest())
+        assert (flipped.features != ds.features).sum() == 1 and flipped.features[0, 0] != ds.features[0, 0]
+        with pytest.warns(FairbenchWarning, match=f"{path.name}: its content no longer hashes to its key"):
+            assert cache_load(dumps(ds)[0], tmp_path) is None
 
 
 def german_dataset(tmp_path, n=200):
@@ -460,10 +466,15 @@ def german_dataset(tmp_path, n=200):
     return encode(load_csv(prepare_german(raw, tmp_path / "german.csv"), schema), schema)
 
 
+def _head_len(blob):
+    """The byte length of an entry's magic, header length and header."""
+    (length,) = struct.unpack_from("<Q", blob, len(MAGIC))
+    return len(MAGIC) + 8 + length
+
+
 def _header(path):
     blob = path.read_bytes()
-    (length,) = np.frombuffer(blob, dtype="<u8", count=1, offset=len(MAGIC))
-    return json.loads(blob[len(MAGIC) + 8:len(MAGIC) + 8 + int(length)])
+    return json.loads(blob[len(MAGIC) + 8:_head_len(blob)])
 
 
 def _metric_fields(**overrides):
@@ -499,7 +510,7 @@ class TestRecords:
 
     @pytest.mark.parametrize("damage, match", [
         ("digit", "no longer hash to its sha256"), ("truncated", "corrupt cache entry header"),
-        ("version", "unsupported cache version 4"), ("body", "record has"),
+        ("version", f"unsupported cache version {VERSION + 1}"), ("body", "record has"),
     ])
     def test_a_damaged_record_is_a_warned_miss(self, tmp_path, damage, match):
         path = record_store(_metric_fields(), "k", tmp_path)
@@ -510,7 +521,7 @@ class TestRecords:
         elif damage == "truncated":
             blob = blob[:-5]
         elif damage == "version":
-            blob = blob.replace(b'"version":3', b'"version":4')
+            blob = blob.replace(f'"version":{VERSION}'.encode(), f'"version":{VERSION + 1}'.encode())
         else:
             blob += b"\0"
         path.write_bytes(blob)
@@ -518,48 +529,73 @@ class TestRecords:
             assert record_load("k", tmp_path, dict) is None
 
 
-def _array_bytes(k, n):
-    """Body bytes of one stored array: n raw values (k=0), or a k-value table and its codes."""
-    return 8 * n if k == 0 else 8 * k + (1 if k <= 256 else 2) * n
-
-
-def _table_dataset(n=1000):
-    """Columns: 0.0 and -0.0 mixed, constant, 256 and 257 distinct values, continuous."""
+def _mixed_dataset(n=1000):
+    """Columns: 0.0 and -0.0 mixed, constant, 1e-308 among ones, 257 distinct values, continuous;
+    weights scaled by pi."""
     rng = np.random.default_rng(8)
     signed = np.where(rng.random(n) < 0.5, 0.0, -0.0)
     features = np.column_stack([
-        signed, np.full(n, 2.5), rng.permutation(np.arange(n) % 256) / 7.0,
+        signed, np.full(n, 2.5), np.where(rng.random(n) < 0.5, 1e-308, 1.0),
         rng.permutation(np.arange(n) % 257) * 1e-3, rng.normal(size=n),
     ])
     labels, protected = rng.integers(0, 2, n), rng.integers(0, 2, n)
-    return TabularDataset(features, labels, protected, rng.uniform(0.5, 2.0, n),
-                          ("signed", "constant", "d256", "d257", "normal"), "tables")
+    return TabularDataset(features, labels, protected, rng.uniform(0.5, 2.0, n) * np.pi,
+                          ("signed", "constant", "tiny", "d257", "normal"), "mixed")
 
 
-class TestCompactEntries:
-    """Each stored array as its raw values or as its distinct values plus one narrow code per row."""
+def _entry(ds, body=None, level=1, **header):
+    """Entry bytes of `ds` written by hand: its header with `header`'s changes, then `body`
+    (by default its raw arrays) as one zlib stream at `level`."""
+    dense = oracle_dense_entry(ds, VERSION)
+    head = json.loads(dense[len(MAGIC) + 8:_head_len(dense)])
+    head = json.dumps({**head, **header}, sort_keys=True, separators=(",", ":")).encode("utf-8")
+    body = dense[_head_len(dense):] if body is None else body
+    return MAGIC + struct.pack("<Q", len(head)) + head + zlib.compress(body, level)
 
-    def test_each_column_round_trips_bit_exact_in_its_smaller_form(self, tmp_path):
-        ds = _table_dataset()
+
+class TestEntries:
+    """An original's entry: its header, then one zlib stream of its raw arrays, keyed on them uncompressed."""
+
+    def test_an_entry_is_its_header_and_one_level_1_stream_of_its_raw_arrays(self, tmp_path):
+        ds = _mixed_dataset()
         path = store(ds, tmp_path)
-        header = _header(path)
-        assert header["version"] == VERSION == 3
-        # labels and protected as 2-value tables; the weights are continuous
-        assert header["tables"] == [2, 1, 256, 257, 0, 2, 2, 0]
-        n = ds.n
-        body = (8 * 2 + n) + (8 + n) + (8 * 256 + n) + (8 * 257 + 2 * n) + 8 * n + 2 * (8 * 2 + n) + 8 * n
-        assert path.stat().st_size == len(MAGIC) + 8 + len(json.dumps(header, sort_keys=True,
-                                                                       separators=(",", ":"))) + body
-        loaded = cache_load(entry_key(dumps(ds)), tmp_path)
+        assert VERSION == 4
+        assert _header(path) == {"version": VERSION, "n": ds.n, "d": ds.dim, "provenance": "mixed",
+                                 "feature_names": list(ds.feature_names)}
+        blob, dense = path.read_bytes(), oracle_dense_entry(ds, VERSION)
+        at = _head_len(blob)
+        assert blob[:at] == dense[:at]
+        assert blob[at:at + 2] == b"\x78\x01"  # a zlib stream written at level 1
+        stream = zlib.decompressobj()
+        assert stream.decompress(blob[at:]) == dense[at:] and stream.eof and not stream.unused_data
+
+    def test_a_round_trip_is_bit_exact(self, tmp_path):
+        ds = _mixed_dataset()
+        loaded = cache_load(store(ds, tmp_path).stem, tmp_path)
         assert datasets_equal(loaded, ds)
         assert (np.signbit(loaded.features[:, 0]) == np.signbit(ds.features[:, 0])).all()
         assert np.signbit(ds.features[:, 0]).any() and not np.signbit(ds.features[:, 0]).all()
+        assert (loaded.features[:, 2] == 1e-308).any()
+        assert loaded.weights.tobytes() == ds.weights.tobytes()
 
-    def test_content_key_is_the_sha256_of_the_entry_bytes(self, tmp_path):
-        for ds in (_table_dataset(), make_synthetic(seed=2, n=30, disparity=0.1)):
+    def test_the_key_is_the_sha256_of_the_header_and_the_uncompressed_arrays(self, tmp_path):
+        for ds in (_mixed_dataset(), make_synthetic(seed=2, n=30, disparity=0.1)):
             path = store(ds, tmp_path)
-            assert entry_key(dumps(ds)) == hashlib.sha256(path.read_bytes()).hexdigest() == path.stem
-            assert entry_key(dumps(ds)) != hashlib.sha256(oracle_v2_entry(ds)).hexdigest()
+            assert dumps(ds)[0] == hashlib.sha256(oracle_dense_entry(ds, VERSION)).hexdigest() == path.stem
+            assert path.stem != hashlib.sha256(path.read_bytes()).hexdigest()
+
+    def test_a_stream_written_at_another_level_reads_back_under_the_same_key(self, tmp_path):
+        ds = _mixed_dataset(n=300)
+        key, entry = dumps(ds)
+        other = _entry(ds, level=9)
+        assert other != entry
+        path = cache_store(other, key, tmp_path)
+        assert datasets_equal(cache_load(key, tmp_path), ds)
+        # as another zlib build's bytes would be: preparation reads them, keeps them and warns of nothing
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert prepare_original(ds, None, tmp_path, "mixed").cache_key == key
+        assert path.read_bytes() == other
 
     def test_equal_content_gives_equal_entry_bytes_and_key(self):
         rng = np.random.default_rng(4)
@@ -573,93 +609,131 @@ class TestCompactEntries:
                 TabularDataset(features.astype(np.float32), **fields)]
         for other in same:
             assert dumps(other) == dumps(ds)
-            assert entry_key(dumps(other)) == entry_key(dumps(ds))
         changed = [ds.replace(protected=np.where(np.arange(60) == 7, 1 - protected, protected)),
                    ds.replace(feature_names=("a", "b", "d")), ds.replace(provenance="toy[age]")]
-        keys = {entry_key(dumps(other)) for other in [ds, *changed]}
+        keys = {dumps(other)[0] for other in [ds, *changed]}
         assert len(keys) == 1 + len(changed)
 
     def test_german_original_entry_is_at_most_a_quarter_of_its_dense_size(self, tmp_path):
         ds = german_dataset(tmp_path, n=1000)
-        assert len(dumps(ds)) * 4 <= len(oracle_v2_entry(ds))
-        assert datasets_equal(loads(dumps(ds)), ds)
+        key, entry = dumps(ds)
+        assert len(entry) * 4 <= len(oracle_dense_entry(ds))
+        assert datasets_equal(loads(entry, key), ds)
+
+    def test_an_adult_sized_entry_is_made_and_read_without_a_second_copy_of_its_arrays(self):
+        import tracemalloc
+
+        rng = np.random.default_rng(0)
+        n, d = 48842, 105  # full Adult's shape: one-hot columns and a few numeric ones
+        features = np.zeros((n, d))
+        features[np.arange(n)[:, None], rng.integers(0, d - 5, (n, 8))] = 1.0
+        features[:, -5:] = rng.integers(17, 90, (n, 5))
+        ds = TabularDataset(features, rng.integers(0, 2, n), rng.integers(0, 2, n), np.ones(n),
+                            tuple(f"f{j}" for j in range(d)), "adult-shaped")
+        body = n * (d + 3) * 8
+        tracemalloc.start()
+        try:
+            key, entry = dumps(ds)
+            made = tracemalloc.get_traced_memory()[1]
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            loaded = loads(entry, key)
+            read = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert datasets_equal(loaded, ds)
+        assert made < body / 4  # the arrays are hashed and compressed in place
+        assert read < 1.25 * body  # one buffer, filled a chunk at a time: a second copy would double it
 
     @pytest.mark.parametrize("damage, match", [
         ("bad_magic", "bad magic"), ("truncated", "truncated at 12 bytes"),
-        ("code_past_table", "code past the end"), ("extra_byte", "expected"), ("missing_byte", "expected"),
+        ("corrupt_stream", "corrupt cache entry stream"), ("cut_stream", "stream ends early"),
+        ("data_after_stream", "1 bytes after its stream"), ("longer_body", "runs past the 4800 bytes"),
+        ("shorter_body", "has 4792 bytes, expected the 4800"), ("absurd_n", "n=10{30}, d=5, which its"),
+        ("absurd_d", "n=75, d=10{30}, which its"), ("infinite_n", "corrupt cache entry header"),
+        ("other_key", "its content no longer hashes to its key"),
     ])
-    def test_a_bad_magic_code_or_length_fails_to_parse(self, damage, match):
-        blob = bytearray(dumps(_table_dataset(n=300)))
+    def test_a_bad_header_stream_length_or_hash_fails_to_parse(self, damage, match):
+        ds = _mixed_dataset(n=75)  # 75 rows of 5 + 3 values: 4800 body bytes
+        key, blob = dumps(ds)
+        body = oracle_dense_entry(ds, VERSION)[_head_len(blob):]
         if damage == "bad_magic":
-            blob[:len(MAGIC)] = b"XXXXXXXX"
+            blob = b"XXXXXXXX" + blob[8:]
         elif damage == "truncated":
-            del blob[12:]
-        elif damage == "code_past_table":
-            (header_len,) = np.frombuffer(blob, dtype="<u8", count=1, offset=len(MAGIC))
-            blob[len(MAGIC) + 8 + int(header_len) + 8 * 2 + 5] = 2  # row 5 of column 0's 2-value table
-        elif damage == "extra_byte":
+            blob = blob[:12]
+        elif damage == "corrupt_stream":
+            blob = blob[:_head_len(blob) + 1] + b"\xff" + blob[_head_len(blob) + 2:]  # fails the zlib header check
+        elif damage == "cut_stream":
+            blob = blob[:-5]
+        elif damage == "data_after_stream":
             blob += b"\0"
+        elif damage in ("longer_body", "shorter_body"):
+            blob = _entry(ds, body + b"\0" if damage == "longer_body" else body[:-8])
+        elif damage.startswith("absurd"):
+            blob = _entry(ds, **{damage[-1]: 10 ** 30})
+        elif damage == "infinite_n":
+            blob = _entry(ds, n=math.inf)  # written as Infinity
         else:
-            del blob[-1]
+            key = dumps(ds.replace(weights=ds.weights * 2))[0]
         with pytest.raises(DataFormatError, match=match):
-            loads(bytes(blob))
+            loads(blob, key)
 
-    @pytest.mark.parametrize("where", ["header", "table", "codes", "raw"])
-    def test_a_flipped_byte_is_a_warned_miss_that_preparation_rewrites(self, tmp_path, where):
-        ds = _table_dataset(n=300)
+    @pytest.mark.parametrize("where", ["header", "stream", "content"])
+    def test_a_changed_entry_is_refused_and_preparation_rewrites_it(self, tmp_path, where):
+        ds = _mixed_dataset(n=300)
         path = store(ds, tmp_path)
         blob = bytearray(path.read_bytes())
-        header = _header(path)
-        body = len(blob) - sum(_array_bytes(k, ds.n) for k in header["tables"])
-        # column 0 is a 2-value table then its uint8 codes; column 4 ("normal") is raw
-        raw = body + sum(_array_bytes(k, ds.n) for k in header["tables"][:4])
-        at = {"header": blob.index(b'"normal"') + 1, "table": body, "codes": body + 8 * 2 + 5, "raw": raw + 3}[where]
-        blob[at] ^= 0x01
-        # each still parses, as another dataset: only the key check catches it
-        assert not datasets_equal(loads(bytes(blob)), ds)
-        path.write_bytes(bytes(blob))
-        with pytest.warns(FairbenchWarning, match=f"{path.name}: its bytes no longer hash to its key"):
-            assert prepare_original(ds, None, tmp_path, "tables").cache_key == path.stem
-        assert path.read_bytes() == dumps(ds)
+        if where == "content":
+            flip_first_feature(path)  # a valid stream, of other content
+        else:
+            blob[blob.index(b'"normal"') + 1 if where == "header" else (_head_len(blob) + len(blob)) // 2] ^= 0x01
+            path.write_bytes(bytes(blob))
+        with pytest.raises(DataFormatError) as refused:
+            loads(path.read_bytes(), path.stem)
+        with pytest.warns(FairbenchWarning, match=f"{path.name}: {re.escape(str(refused.value))}"):
+            assert prepare_original(ds, None, tmp_path, "mixed").cache_key == path.stem
+        assert path.read_bytes() == dumps(ds)[1]
 
     def test_an_entry_that_exists_but_cannot_be_read_is_a_warned_miss(self, tmp_path):
-        ds = make_synthetic(seed=1, n=20, disparity=0.0)
-        cache_path(tmp_path, entry_key(dumps(ds))).mkdir()
-        with pytest.warns(FairbenchWarning, match=f"{entry_key(dumps(ds))}.fpds: it cannot be read"):
-            assert cache_load(entry_key(dumps(ds)), tmp_path) is None
+        key = dumps(make_synthetic(seed=1, n=20, disparity=0.0))[0]
+        cache_path(tmp_path, key).mkdir()
+        with pytest.warns(FairbenchWarning, match=f"{key}.fpds: it cannot be read"):
+            assert cache_load(key, tmp_path) is None
 
     def test_a_warm_preparation_compares_the_entry_bytes_and_parses_none(self, tmp_path, monkeypatch):
-        ds = _table_dataset(n=200)
-        path = cache_path(tmp_path, prepare_original(ds, None, tmp_path, "tables").cache_key)
+        ds = _mixed_dataset(n=200)
+        path = cache_path(tmp_path, prepare_original(ds, None, tmp_path, "mixed").cache_key)
         written = path.stat().st_ino  # a rewrite renames a new file into place
         parsed = []
-        monkeypatch.setattr(cache_module, "loads", lambda blob: parsed.append(blob) or loads(blob))
+        monkeypatch.setattr(cache_module, "loads", lambda blob, key: parsed.append(blob) or loads(blob, key))
+        monkeypatch.setattr(cache_module.zlib, "decompressobj", lambda: parsed.append("stream"))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            assert prepare_original(ds, None, tmp_path, "tables").cache_key == path.stem
+            assert prepare_original(ds, None, tmp_path, "mixed").cache_key == path.stem
         assert parsed == []
         assert path.stat().st_ino == written
 
-    def test_preparation_makes_the_entry_bytes_once(self, tmp_path, monkeypatch):
+    def test_preparation_makes_the_entry_once(self, tmp_path, monkeypatch):
         import fairbench.pipeline.stage1 as stage1_module
 
         made = []
         for module in (cache_module, stage1_module):
             monkeypatch.setattr(module, "dumps", lambda ds: made.append(dumps(ds)) or made[-1])
-        prepared = prepare_original(_table_dataset(n=200), None, tmp_path, "tables")
-        assert made == [cache_path(tmp_path, prepared.cache_key).read_bytes()]
+        prepared = prepare_original(_mixed_dataset(n=200), None, tmp_path, "mixed")
+        assert made == [(prepared.cache_key, cache_path(tmp_path, prepared.cache_key).read_bytes())]
 
-    @pytest.mark.parametrize("old_entry", [dumps, oracle_v2_entry], ids=["version_3", "version_2"])
+    @pytest.mark.parametrize("old_entry", [oracle_v3_entry, oracle_dense_entry], ids=["version_3", "version_2"])
     def test_an_older_cache_is_a_silent_miss_left_in_place(self, tmp_path, old_entry):
-        ds = _table_dataset(n=200)
-        # earlier versions kept an original under the sha256 of its dense form
-        old = cache_path(tmp_path, hashlib.sha256(oracle_v2_entry(ds)).hexdigest())
+        ds = _mixed_dataset(n=200)
+        # earlier versions kept an original under the sha256 of the bytes they wrote
+        old = cache_path(tmp_path, hashlib.sha256(old_entry(ds)).hexdigest())
         old.write_bytes(old_entry(ds))
+        key, entry = dumps(ds)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            assert prepare_original(ds, None, tmp_path, "tables").cache_key == entry_key(dumps(ds))
+            assert prepare_original(ds, None, tmp_path, "mixed").cache_key == key
         assert old.read_bytes() == old_entry(ds)
-        assert cache_path(tmp_path, entry_key(dumps(ds))).read_bytes() == dumps(ds)
+        assert cache_path(tmp_path, key).read_bytes() == entry
 
 
 class TestSynthetic:

@@ -1,5 +1,5 @@
 """`encode` (column by column) against `oracle_encode` (row by row): the same
-dataset bytes under `cache.dumps`, the same warnings and the same error texts."""
+entry bytes under `cache.dumps`, the same warnings and the same error texts."""
 
 import importlib.util
 import warnings
@@ -21,11 +21,11 @@ BUNDLED = ("adult", "bank", "compas", "german", "meps")
 
 
 def outcome(fn, table, schema):
-    """(dataset bytes or error text, warnings in order) of one encoding."""
+    """(entry bytes or error text, warnings in order) of one encoding."""
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         try:
-            result = dumps(fn(table, schema))
+            result = dumps(fn(table, schema))[1]
         except (FairbenchError, KeyError, ValueError) as exc:
             result = f"{type(exc).__name__}: {exc}"
     return result, [(w.category, str(w.message)) for w in caught]

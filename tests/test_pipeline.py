@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from fairbench.dataset import SplitSpec, cache_load, make_synthetic, schema_from_dict
-from fairbench.dataset.cache import record_load, record_path, record_store
+from fairbench.dataset.cache import VERSION, record_load, record_path, record_store
 from fairbench.errors import FairbenchError, FairbenchWarning
 from fairbench.metrics import classification_metrics
 from fairbench.metrics.classification import ClassificationTable
@@ -224,7 +224,7 @@ class TestPrepStage:
         elif damage == "truncated":
             path.write_bytes(blob[:len(blob) // 2])
         else:
-            path.write_bytes(blob.replace(b'"version":3', b'"version":2'))
+            path.write_bytes(blob.replace(f'"version":{VERSION}'.encode(), f'"version":{VERSION - 1}'.encode()))
         with pytest.warns(FairbenchWarning, match=f"ignoring unreadable cache entry .*{path.name}"):
             second = run_prep_stage(ds, "DIR", {}, seed=0, cache_dir=tmp_path, dataset_name="syn")
         assert second == first
@@ -365,7 +365,7 @@ class TestBenchStage:
         report = run_prep_stage(prepared, "DIR", {}, seed=1, cache_dir=tmp_path)
         entry = tmp_path / f"{prepared.cache_key}.fpds"
         flip_first_feature(entry)  # still parses, with one feature changed
-        with pytest.warns(FairbenchWarning, match=f"{entry.name}: its bytes no longer hash to its key"):
+        with pytest.warns(FairbenchWarning, match=f"{entry.name}: its content no longer hashes to its key"):
             with pytest.raises(FairbenchError, match="no longer readable|not cached"):
                 if stage == "prep":
                     run_prep_stage(prepared, "RW", {}, seed=1, cache_dir=tmp_path)
