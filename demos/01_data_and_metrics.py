@@ -43,7 +43,7 @@ csv_text = """age,sex,income,city
 schema = schema_from_dict({
     "name": "toy_income",
     "label": {"column": "income", "favorable": "high"},
-    "protected": {"column": "sex", "privileged": ["M"]},
+    "sensitive_options": {"sex": {"column": "sex", "privileged": ["M"]}},
     "features": {"numeric": ["age"], "categorical": ["city"]},
 })
 

@@ -9,14 +9,15 @@ little-endian: n * (d + 3) * 8 bytes once decompressed.
 A dataset is keyed on the sha256 of its header bytes and its uncompressed
 arrays, which `dumps` computes as it compresses them. A hit therefore means
 the same arrays, names, provenance and format version, whichever zlib build
-wrote the stream. Every read decompresses the stream in bounded chunks into
-one buffer, hashing as it goes, and refuses a corrupt stream, a body of
-other than n * (d + 3) * 8 bytes, data after the stream's end, a header whose
-sizes no stream of the entry's length could hold, and a hash other than the
-key, before it builds any array. Preparation compares its entry bytes with
-the file's and reads the file only when they differ, so another zlib build's
-stream of the same arrays is a hit. A new `VERSION` re-keys every dataset and
-so every record: an older cache, version 3 included, is a silent miss.
+wrote the stream. Every read feeds zlib bounded slices of the stream and
+decompresses bounded chunks into one buffer, hashing as it goes. It refuses
+a corrupt stream, a body of other than n * (d + 3) * 8 bytes, data after the
+stream's end, a header whose sizes no stream of the entry's length could
+hold, and a hash other than the key, before it builds any array.
+Preparation compares its entry bytes with the file's and reads the file only
+when they differ, so another zlib build's stream of the same arrays is a hit.
+A new `VERSION` re-keys every dataset and so every record: an older cache,
+version 3 included, is a silent miss.
 
 A record (`<cache_root>/<hex key>.metrics.fpds`) is the same magic and header
 framing with no body; the header holds the version, flat fields and the
@@ -50,6 +51,7 @@ VERSION = 4
 _HEADER_LEN = struct.Struct("<Q")
 _DTYPES = {"features": "<f8", "labels": "<i8", "protected": "<i8", "weights": "<f8"}
 _CHUNK = 1 << 20  # the most bytes a read decompresses at a time
+_SLICE = 1 << 16  # the most stream bytes a read feeds zlib at a time, so no unconsumed tail copies the rest
 _MAX_RATIO = 1032  # deflate stores at most 1032 bytes in each byte of its stream
 
 
@@ -110,12 +112,14 @@ def _inflate(blob, offset, size, digest):
 
     A corrupt stream, a body of another length or data after the stream raises DataFormatError."""
     body, stream = np.empty(size, dtype=np.uint8), zlib.decompressobj()
-    filled, pending = 0, memoryview(blob)[offset:]
+    view, filled, pending = memoryview(blob), 0, b""
     try:
         while not stream.eof:
+            if not pending:
+                pending, offset = view[offset:offset + _SLICE], min(offset + _SLICE, len(blob))
             chunk = stream.decompress(pending, _CHUNK)
             pending = stream.unconsumed_tail
-            if not chunk and not pending:
+            if not (chunk or pending or stream.eof) and offset == len(blob):
                 raise DataFormatError("cache entry stream ends early")
             if len(chunk) > size - filled:
                 raise DataFormatError(f"cache entry body runs past the {size} bytes its header gives")
@@ -126,8 +130,9 @@ def _inflate(blob, offset, size, digest):
         raise DataFormatError(f"corrupt cache entry stream: {exc}") from exc
     if filled != size:
         raise DataFormatError(f"cache entry body has {filled} bytes, expected the {size} its header gives")
-    if stream.unused_data:
-        raise DataFormatError(f"cache entry has {len(stream.unused_data)} bytes after its stream")
+    after = len(stream.unused_data) + len(blob) - offset
+    if after:
+        raise DataFormatError(f"cache entry has {after} bytes after its stream")
     return body
 
 

@@ -1,20 +1,26 @@
 """Dataset schema: column roles, label/protected mappings, binarization rules.
 
-A schema YAML document describes one dataset (see `load_schema`). It may
-declare several named sensitive-attribute options; materializing the schema
-picks exactly one, so every `DatasetSchema` instance has a single protected
-column and privileged value set.
+A schema YAML document describes one dataset (see `load_schema`). Its
+`sensitive_options` block declares each sensitive attribute as
+`<attribute>: {column, privileged: [...]}`; the default attribute is
+`default_sensitive`, else the first declared, and must be declared.
+Materializing the schema picks exactly one attribute, so every
+`DatasetSchema` instance has a single protected column and privileged value
+set. A block that lacks a key it needs is a SchemaError reading
+`<where> lacks [...]`.
 """
 
 import functools
+import operator
 from dataclasses import dataclass, field
 
 from ..errors import SchemaError
 from ..util import boolean, listing, mapping, yaml_document
 
-_PREDICATE_OPS = ("<", "<=", ">", ">=", "==", "in", "default")
+_COMPARISONS = {"<": operator.lt, "<=": operator.le, ">": operator.gt, ">=": operator.ge}
+_PREDICATE_OPS = (*_COMPARISONS, "==", "in", "default")
 _SCHEMA_KEYS = (
-    "name", "label", "protected", "sensitive_options", "default_sensitive",
+    "name", "label", "sensitive_options", "default_sensitive",
     "features", "drop", "binarize", "missing", "categories",
     "keep_protected_in_features",
 )
@@ -57,16 +63,7 @@ class BinarizationRule:
         if self.op == "==":
             return cells_match(cell, self.value)
         key = _cell_key(cell)
-        if not isinstance(key, float):
-            return False
-        ref = float(self.value)
-        if self.op == "<":
-            return key < ref
-        if self.op == "<=":
-            return key <= ref
-        if self.op == ">":
-            return key > ref
-        return key >= ref
+        return isinstance(key, float) and _COMPARISONS[self.op](key, float(self.value))
 
 
 @dataclass(frozen=True)
@@ -87,6 +84,8 @@ class DatasetSchema:
     sensitive_attribute: str = ""
 
     def __post_init__(self):
+        if not self.name:
+            raise SchemaError("schema name missing")
         if not self.label_column:
             raise SchemaError(f"{self.name}: label column missing")
         if not self.protected_column:
@@ -125,9 +124,7 @@ class DatasetSchema:
 def _parse_rules(column, source, raw_rules, where):
     rules = []
     for i, entry in enumerate(raw_rules):
-        entry = mapping(entry, f"{where}[{i}]", ("when", "value"))
-        if "when" not in entry or "value" not in entry:
-            raise SchemaError(f"{where}[{i}]: rule needs 'when' and 'value'")
+        entry = mapping(entry, f"{where}[{i}]", ("when", "value"), needs=("when", "value"))
         when, output = str(entry["when"]).strip(), str(entry["value"]).strip()
         if when == "default":
             rules.append(BinarizationRule(column, source, "default", None, output))
@@ -148,48 +145,46 @@ def _parse_rules(column, source, raw_rules, where):
     return rules
 
 
-def _sensitive_options(doc: dict, source: str) -> dict:
-    """Declared sensitive attribute name -> its block: `protected` first, then `sensitive_options`."""
-    options = {}
-    blk = mapping(doc.get("protected"), f"{source}: protected", ("attribute", "column", "privileged"))
-    if blk:
-        options[str(blk.get("attribute", blk.get("column", "")))] = blk
-    for attr, blk in mapping(doc.get("sensitive_options"), f"{source}: sensitive_options").items():
-        options[str(attr)] = mapping(blk, f"{source}: sensitive_options.{attr}", ("column", "privileged"))
-    return options
+def _attributes(doc: dict, source: str) -> dict:
+    """Declared attribute -> (column, privileged values), the default attribute first.
+
+    The default is `default_sensitive`, else the first declared attribute;
+    an absent or empty `sensitive_options`, an option that lacks `column` or
+    `privileged`, or a default that names no declared attribute is a SchemaError.
+    """
+    options = mapping(doc.get("sensitive_options"), f"{source}: sensitive_options")
+    if not options:
+        raise SchemaError(f"{source}: sensitive_options declares no attribute")
+    declared = {}
+    for attr, blk in options.items():
+        where = f"{source}: sensitive_options.{attr}"
+        blk = mapping(blk, where, ("column", "privileged"), needs=("column", "privileged"))
+        declared[str(attr)] = (str(blk["column"]),
+                               frozenset(str(v) for v in listing(blk["privileged"], f"{where}.privileged")))
+    default = str(doc.get("default_sensitive") or next(iter(declared)))
+    if default not in declared:
+        raise SchemaError(f"{source}: default_sensitive {default!r} not declared (have {sorted(declared)})")
+    return {default: declared[default], **declared}
 
 
 def schema_from_dict(doc: dict, sensitive: str = None, source: str = "<schema>") -> DatasetSchema:
     """Materialize a DatasetSchema from a parsed YAML document.
 
-    `sensitive` picks one entry of `sensitive_options`; default is the
-    document's `protected` block (or its `default_sensitive` name).
+    `sensitive` picks one attribute of `sensitive_options`; the default is
+    the document's `default_sensitive`, else its first declared attribute.
+    The default is checked on every path, so a `default_sensitive` that names
+    no declared attribute is a SchemaError even when `sensitive` is given.
     """
-    doc = mapping(doc, source, _SCHEMA_KEYS, required=True)
+    doc = mapping(doc, source, _SCHEMA_KEYS, required=True, needs=("name",))
+    label = mapping(doc.get("label"), f"{source}: label", ("column", "favorable"), needs=("column", "favorable"))
 
-    name = doc.get("name")
-    if not name:
-        raise SchemaError(f"{source}: 'name' is required")
-
-    label = mapping(doc.get("label"), f"{source}: label", ("column", "favorable"))
-    if "column" not in label or "favorable" not in label:
-        raise SchemaError(f"{source}: label needs 'column' and 'favorable'")
-
-    options = _sensitive_options(doc, source)
-    if not options:
-        raise SchemaError(f"{source}: no protected attribute declared")
-
-    chosen = sensitive or doc.get("default_sensitive") or next(iter(options))
+    options = _attributes(doc, source)
+    chosen = sensitive or next(iter(options))
     if chosen not in options:
         raise SchemaError(
             f"{source}: sensitive attribute {chosen!r} not declared (have {sorted(options)})"
         )
-    blk = options[chosen]
-    if "column" not in blk or "privileged" not in blk:
-        raise SchemaError(f"{source}: protected option {chosen!r} needs 'column' and 'privileged'")
-    privileged = blk["privileged"]
-    if not isinstance(privileged, (list, tuple)):
-        privileged = [privileged]
+    protected_column, privileged = options[chosen]
 
     features = mapping(doc.get("features"), f"{source}: features", ("numeric", "categorical"))
     numeric = frozenset(str(c) for c in listing(features.get("numeric"), f"{source}: features.numeric"))
@@ -197,10 +192,8 @@ def schema_from_dict(doc: dict, sensitive: str = None, source: str = "<schema>")
 
     rules = []
     for j, blk_rule in enumerate(listing(doc.get("binarize"), f"{source}: binarize")):
-        blk_rule = mapping(blk_rule, f"{source}: binarize[{j}]", ("column", "from", "rules"))
-        col = blk_rule.get("column")
-        if not col:
-            raise SchemaError(f"{source}: binarize[{j}] needs 'column'")
+        blk_rule = mapping(blk_rule, f"{source}: binarize[{j}]", ("column", "from", "rules"), needs=("column",))
+        col = blk_rule["column"]
         src = str(blk_rule.get("from", col))
         where = f"{source}: binarize[{j}].rules"
         rules.extend(_parse_rules(str(col), src, listing(blk_rule.get("rules"), where), where))
@@ -210,11 +203,11 @@ def schema_from_dict(doc: dict, sensitive: str = None, source: str = "<schema>")
     categories = mapping(doc.get("categories"), f"{source}: categories", categorical)
 
     return DatasetSchema(
-        name=str(name),
+        name=str(doc["name"]),
         label_column=str(label["column"]),
         favorable_value=label["favorable"],
-        protected_column=str(blk["column"]),
-        privileged_values=frozenset(str(v) for v in privileged),
+        protected_column=protected_column,
+        privileged_values=privileged,
         numeric_columns=numeric,
         categorical_columns=categorical,
         drop_columns=frozenset(str(c) for c in listing(doc.get("drop"), f"{source}: drop")),
@@ -226,7 +219,7 @@ def schema_from_dict(doc: dict, sensitive: str = None, source: str = "<schema>")
         },
         keep_protected_in_features=boolean(doc.get("keep_protected_in_features", False),
                                            f"{source}: keep_protected_in_features"),
-        sensitive_attribute=str(chosen),
+        sensitive_attribute=chosen,
     )
 
 
@@ -253,13 +246,7 @@ def load_schema(path, sensitive: str = None) -> DatasetSchema:
 def declared_sensitive_attributes(path):
     """Attribute names a schema file declares, the one `load_schema` picks by default first.
 
-    A schema that `load_schema` rejects for its YAML, its document type, a
-    mistyped attribute block or a `default_sensitive` that names no declared
-    attribute is a SchemaError here too.
+    A schema whose YAML, document type or attribute declarations `load_schema`
+    rejects is a SchemaError here too, with the same message.
     """
-    doc = _read_schema(path)
-    names = [name for name in _sensitive_options(doc, str(path)) if name]
-    default = doc.get("default_sensitive")
-    if default and default not in names:
-        raise SchemaError(f"{path}: default_sensitive {default!r} not declared (have {sorted(names)})")
-    return sorted(names, key=lambda name: name != default)
+    return list(_attributes(_read_schema(path), str(path)))

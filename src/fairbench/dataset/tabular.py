@@ -40,7 +40,7 @@ class TabularDataset:
             raise FairbenchError("labels must be 0/1")
         if not np.isin(protected, (0, 1)).all():
             raise FairbenchError("protected must be 0/1")
-        if not np.isfinite(feats).all():
+        if not np.isfinite([feats.min(), feats.max()]).all():  # NaN and +-inf reach the min or max; no n x d mask
             raise FairbenchError("features must be finite")
         if (weights < 0).any() or not np.isfinite(weights).all() or weights.sum() <= 0:
             raise FairbenchError("weights must be non-negative and finite with positive total")

@@ -695,7 +695,7 @@ class TestRun:
         ("- name: toy\n", "schema document must be a mapping"),
         ("name: toy\nlabel: {column: income, favorable: high}\ndefault_sensitive: gender\n"
          "sensitive_options: {sex: {column: sex, privileged: [M]}}\nfeatures: {numeric: [x]}\n",
-         "sensitive attribute 'gender' not declared"),
+         "default_sensitive 'gender' not declared"),
         ("name: toy\nlabel: {column: income, favorable: high}\nsensitive_options: [sex, age]\n"
          "features: {numeric: [x]}\n", "sensitive_options must be a mapping, got list"),
     ], ids=["invalid-yaml", "list-document", "undeclared-default", "list-valued-options"])
@@ -713,6 +713,22 @@ class TestRun:
             load_schema(schema)
         assert outcome.error == error_text(raised.value)
         assert "\n" not in outcome.error
+
+    def test_an_undeclared_default_fails_the_jobs_of_an_attribute_listed_explicitly(self, tmp_path):
+        # a named attribute once skipped the default's check, so these jobs ran
+        schema = tmp_path / "bad.yaml"
+        schema.write_text("name: toy\nlabel: {column: income, favorable: high}\ndefault_sensitive: gender\n"
+                          "sensitive_options: {sex: {column: sex, privileged: [M]}, age: {column: age, "
+                          "privileged: [old]}}\nfeatures: {numeric: [x]}\n", encoding="utf-8")
+        (tmp_path / "toy.csv").write_text("x,sex,age,income\n1,M,old,high\n2,F,young,low\n", encoding="utf-8")
+        text = MINIMAL.replace("    synthetic: {n: 200, disparity: 0.3, seed: 11}",
+                               f"    csv: {tmp_path / 'toy.csv'}\n    schema: {schema}")
+        jobs, _ = expand_jobs(parse_batch_yaml(text + "sensitive_attributes: {synth_a: [sex, age]}\n"))
+        assert sorted(job.sensitive for job in jobs) == ["age", "sex"]
+        report = run_batch(jobs, parallelism=1, output_dir=tmp_path / "out")
+        with pytest.raises(SchemaError, match="default_sensitive 'gender' not declared") as raised:
+            load_schema(schema, sensitive="sex")
+        assert [(o.status, o.error) for o in report.outcomes] == [("failed", error_text(raised.value))] * 2
 
     def test_dead_worker_in_preparation_fails_no_job(self, tmp_path, monkeypatch):
         jobs, _ = expand_jobs(parse_batch_yaml(MATRIX))

@@ -11,6 +11,7 @@ import zlib
 
 import numpy as np
 import pytest
+import yaml
 
 from fairbench.dataset import (
     RawTable,
@@ -41,15 +42,17 @@ from conftest import flip_first_feature
 from oracles import oracle_dense_entry, oracle_v3_entry
 
 
+TOY = {
+    "name": "toy",
+    "label": {"column": "income", "favorable": "high"},
+    "sensitive_options": {"sex": {"column": "sex", "privileged": ["M"]}},
+    "features": {"numeric": ["age"], "categorical": ["city"]},
+}
+
+
 def simple_schema(**overrides):
-    doc = {
-        "name": "toy",
-        "label": {"column": "income", "favorable": "high"},
-        "protected": {"column": "sex", "privileged": ["M"]},
-        "features": {"numeric": ["age"], "categorical": ["city"]},
-    }
-    doc.update(overrides)
-    return schema_from_dict(doc)
+    """The toy schema with `overrides`; an override of None removes its key."""
+    return schema_from_dict({key: value for key, value in {**TOY, **overrides}.items() if value is not None})
 
 
 def write(tmp_path, text, name="data.csv"):
@@ -122,7 +125,9 @@ class TestLoadCsv:
 
 class TestSchema:
     @pytest.mark.parametrize("override, message", [
-        ({"protected": ["sex"]}, "protected must be a mapping, got list"),
+        ({"sensitive_options": {"sex": ["sex"]}}, "sensitive_options.sex must be a mapping, got list"),
+        ({"sensitive_options": {"sex": {"column": "sex", "privileged": "M"}}},
+         "sensitive_options.sex.privileged must be a list, got str"),
         ({"sensitive_options": ["sex", "age"]}, "sensitive_options must be a mapping, got list"),
         ({"sensitive_options": {"sex": "M"}}, "sensitive_options.sex must be a mapping, got str"),
         ({"label": "income"}, "label must be a mapping, got str"),
@@ -148,8 +153,8 @@ class TestSchema:
 
     @pytest.mark.parametrize("override, where, key", [
         ({"label": {"column": "income", "favorable": "high", "favourable": "high"}}, "label", "favourable"),
-        ({"protected": {"column": "sex", "privileged": ["M"], "privileged_values": ["M"]}},
-         "protected", "privileged_values"),
+        ({"sensitive_options": {"sex": {"column": "sex", "privileged": ["M"], "privileged_values": ["M"]}}},
+         "sensitive_options.sex", "privileged_values"),
         ({"sensitive_options": {"sex": {"column": "sex", "privilege": ["M"]}}}, "sensitive_options.sex", "privilege"),
         ({"features": {"numeric": ["age"], "categoric": ["city"]}}, "features", "categoric"),
         # `drop_rows` misspelt once kept every row with a missing token
@@ -162,6 +167,48 @@ class TestSchema:
     def test_unknown_key_in_a_block_names_the_block_and_key(self, override, where, key):
         with pytest.raises(SchemaError, match=f"<schema>: {where}: unknown keys \\['{key}'\\]"):
             simple_schema(**override)
+
+    @pytest.mark.parametrize("override, where, lacking", [
+        ({"name": None}, "", "'name'"),
+        ({"label": {"column": "income"}}, ": label", "'favorable'"),
+        ({"label": None}, ": label", "'column', 'favorable'"),
+        ({"sensitive_options": {"sex": {"privileged": ["M"]}}}, ": sensitive_options.sex", "'column'"),
+        ({"sensitive_options": {"sex": None}}, ": sensitive_options.sex", "'column', 'privileged'"),
+        ({"binarize": [{"from": "age", "rules": []}]}, r": binarize\[0\]", "'column'"),
+        ({"binarize": [{"column": "g", "from": "age", "rules": [{"value": "x"}]}]}, r": binarize\[0\].rules\[0\]",
+         "'when'"),
+    ])
+    def test_a_block_that_lacks_a_key_names_the_block_and_key(self, override, where, lacking):
+        with pytest.raises(SchemaError, match=f"^<schema>{where} lacks \\[{lacking}\\]$"):
+            simple_schema(**override)
+
+    def test_an_empty_name_is_refused(self):
+        with pytest.raises(SchemaError, match="^schema name missing$"):
+            simple_schema(name="")
+
+    @pytest.mark.parametrize("options", [None, {}])
+    def test_a_schema_must_declare_an_attribute(self, options):
+        with pytest.raises(SchemaError, match="^<schema>: sensitive_options declares no attribute$"):
+            simple_schema(sensitive_options=options)
+
+    def test_a_protected_block_is_an_unknown_key(self):
+        with pytest.raises(SchemaError, match=r"^<schema>: unknown keys \['protected'\]"):
+            simple_schema(sensitive_options=None, protected={"column": "sex", "privileged": ["M"]})
+
+    def test_the_default_attribute_comes_first_and_is_checked_on_every_path(self, tmp_path):
+        options = {"sex": {"column": "sex", "privileged": ["M"]}, "city": {"column": "city", "privileged": ["x"]}}
+        assert simple_schema(sensitive_options=options).sensitive_attribute == "sex"
+        assert simple_schema(sensitive_options=options, default_sensitive="city").protected_column == "city"
+        path = tmp_path / "toy.yaml"
+        path.write_text(yaml.safe_dump({**TOY, "sensitive_options": options,
+                                        "default_sensitive": "city"}), encoding="utf-8")
+        assert declared_sensitive_attributes(path) == ["city", "sex"]
+        path.write_text(yaml.safe_dump({**TOY, "sensitive_options": options,
+                                        "default_sensitive": "gender"}), encoding="utf-8")
+        undeclared = "default_sensitive 'gender' not declared \\(have \\['city', 'sex'\\]\\)$"
+        for read in (declared_sensitive_attributes, load_schema, lambda p: load_schema(p, sensitive="city")):
+            with pytest.raises(SchemaError, match=f"^{re.escape(str(path))}: {undeclared}"):
+                read(path)
 
     # `bool("false")` once read both quoted strings as true
     @pytest.mark.parametrize("override, key, value", [
@@ -185,7 +232,8 @@ class TestSchema:
     def test_schema_file_is_parsed_once_per_content(self, tmp_path, monkeypatch):
         path = tmp_path / "toy.yaml"
         path.write_text("name: toy\nlabel: {column: income, favorable: high}\n"
-                        "protected: {column: sex, privileged: [M]}\nfeatures: {numeric: [age]}\n", encoding="utf-8")
+                        "sensitive_options: {sex: {column: sex, privileged: [M]}}\nfeatures: {numeric: [age]}\n",
+                        encoding="utf-8")
         parsed, parse = [], schema_module.yaml_document
         monkeypatch.setattr(schema_module, "yaml_document",
                             lambda blob, where: parsed.append(blob) or parse(blob, where))
@@ -199,6 +247,22 @@ class TestSchema:
         schema = simple_schema(categories={"city": ["a", "b"]})
         with pytest.raises(SchemaError, match="toy: categories.city repeats the level 'b'"):
             dataclasses.replace(schema, categories={"city": ("b", "a", "b", "b")})
+
+    CELLS = ("24.9", "25", "25.1", " 25 ", "25.0", "abc")
+
+    @pytest.mark.parametrize("when, expected", [
+        ("< 25", (True, False, False, False, False, False)),
+        ("<= 25", (True, True, False, True, True, False)),
+        ("> 25", (False, False, True, False, False, False)),
+        (">= 25", (False, True, True, True, True, False)),
+        ("== 25", (False, True, False, True, True, False)),
+        ("in [25, abc]", (False, True, False, True, True, True)),
+        ("default", (True, True, True, True, True, True)),
+    ])
+    def test_each_predicate_on_cells_at_and_around_its_bound(self, when, expected):
+        rules = [{"when": when, "value": "x"}]
+        [rule] = simple_schema(binarize=[{"column": "g", "from": "age", "rules": rules}]).binarize
+        assert tuple(rule.matches(cell) for cell in self.CELLS) == expected
 
     def test_comparison_rule_needs_a_number(self):
         rules = [{"when": "> abc", "value": "old"}]
@@ -219,7 +283,7 @@ class TestEncode:
         schema = schema_from_dict({
             "name": "meps_mini",
             "label": {"column": "utilization_high", "favorable": "1"},
-            "protected": {"column": "race", "privileged": ["W"]},
+            "sensitive_options": {"race": {"column": "race", "privileged": ["W"]}},
             "features": {"numeric": ["age"]},
             "binarize": [{
                 "column": "utilization_high",
@@ -643,17 +707,21 @@ class TestEntries:
             tracemalloc.stop()
         assert datasets_equal(loaded, ds)
         assert made < body / 4  # the arrays are hashed and compressed in place
-        assert read < 1.25 * body  # one buffer, filled a chunk at a time: a second copy would double it
+        assert read < body + 4 * 2 ** 20  # one buffer, filled a chunk at a time from bounded slices of the stream
 
     @pytest.mark.parametrize("damage, match", [
         ("bad_magic", "bad magic"), ("truncated", "truncated at 12 bytes"),
         ("corrupt_stream", "corrupt cache entry stream"), ("cut_stream", "stream ends early"),
-        ("data_after_stream", "1 bytes after its stream"), ("longer_body", "runs past the 4800 bytes"),
+        ("data_after_stream", "1 bytes after its stream"), ("more_data_after_stream", "20 bytes after its stream"),
+        ("longer_body", "runs past the 4800 bytes"),
         ("shorter_body", "has 4792 bytes, expected the 4800"), ("absurd_n", "n=10{30}, d=5, which its"),
         ("absurd_d", "n=75, d=10{30}, which its"), ("infinite_n", "corrupt cache entry header"),
         ("other_key", "its content no longer hashes to its key"),
     ])
-    def test_a_bad_header_stream_length_or_hash_fails_to_parse(self, damage, match):
+    @pytest.mark.parametrize("fed", [None, 7], ids=["64KiB-slices", "7-byte-slices"])
+    def test_a_bad_header_stream_length_or_hash_fails_to_parse(self, damage, match, fed, monkeypatch):
+        if fed:  # the stream spans many slices, so data after its end also sits in later ones
+            monkeypatch.setattr(cache_module, "_SLICE", fed)
         ds = _mixed_dataset(n=75)  # 75 rows of 5 + 3 values: 4800 body bytes
         key, blob = dumps(ds)
         body = oracle_dense_entry(ds, VERSION)[_head_len(blob):]
@@ -667,6 +735,8 @@ class TestEntries:
             blob = blob[:-5]
         elif damage == "data_after_stream":
             blob += b"\0"
+        elif damage == "more_data_after_stream":
+            blob += b"\0" * 20
         elif damage in ("longer_body", "shorter_body"):
             blob = _entry(ds, body + b"\0" if damage == "longer_body" else body[:-8])
         elif damage.startswith("absurd"):
@@ -770,6 +840,13 @@ class TestTabularDataset:
             TabularDataset(np.ones((2, 1)), [1, 0], [0, 1], [-1, 1], ("a",))
         with pytest.raises(FairbenchError, match="feature names"):
             TabularDataset(np.ones((2, 2)), [1, 0], [0, 1], [1, 1], ("a",))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_a_feature_that_is_not_finite_is_refused(self, bad):
+        features = np.ones((3, 2))
+        features[1, 0] = bad
+        with pytest.raises(FairbenchError, match="^features must be finite$"):
+            TabularDataset(features, [1, 0, 1], [0, 1, 1], [1, 1, 1], ("a", "b"))
 
     def test_immutable_arrays(self):
         ds = make_synthetic(seed=0, n=10, disparity=0.0)

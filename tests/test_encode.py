@@ -103,7 +103,7 @@ def test_benchmark_csv_matches_oracle(tmp_path, name, sensitive):
 TOY = {
     "name": "toy",
     "label": {"column": "income", "favorable": "high"},
-    "protected": {"column": "sex", "privileged": ["M"]},
+    "sensitive_options": {"sex": {"column": "sex", "privileged": ["M"]}},
     "features": {"numeric": ["age"], "categorical": ["city"]},
 }
 COLUMNS = ("age", "sex", "income", "city")
@@ -135,7 +135,7 @@ EDGE_CASES = {
     "padded-rule-output": ({"binarize": [{"column": "age_group", "from": "age", "rules": [
         {"when": "> 25", "value": " old "}, {"when": "default", "value": "young "}]}],
         "features": {"numeric": ["age"], "categorical": ["age_group"]}}, table(ROWS[:3] + ROWS[4:])),
-    "derived-group": ({"protected": {"column": "age_group", "privileged": ["old"]},
+    "derived-group": ({"sensitive_options": {"age_group": {"column": "age_group", "privileged": ["old"]}},
                        "binarize": BINARIZE_AGE}, table(ROWS[:3] + ROWS[4:])),
     "chained-binarization": ({"binarize": BINARIZE_AGE + [{"column": "age_group", "rules": [
         {"when": "== old", "value": "1"}, {"when": "== young", "value": "0"}]}],

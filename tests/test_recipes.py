@@ -1,8 +1,10 @@
 """Dataset preparation recipes and bundled schema documents."""
 
 import re
+from pathlib import Path
 
 import pytest
+import yaml
 
 from fairbench.dataset import encode, load_csv, load_schema
 from fairbench.dataset.recipes import (
@@ -55,6 +57,12 @@ def test_german_schema_sensitive_options():
     assert age.protected_column == "age_group"
     with pytest.raises(SchemaError, match="not declared"):
         load_schema(schema_path("german"), sensitive="height")
+
+
+def test_the_readme_schema_example_is_germans():
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    example = readme.split("## Schema files", 1)[1].split("```yaml\n", 1)[1].split("```", 1)[0]
+    assert yaml.safe_load(example) == yaml.safe_load(schema_path("german").read_text(encoding="utf-8"))
 
 
 def test_prepare_german_adds_header(tmp_path):
