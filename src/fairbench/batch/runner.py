@@ -111,14 +111,13 @@ def _arm_of(job: JobSpec):
 
 
 def _split_spec(job: JobSpec) -> SplitSpec:
-    return SplitSpec(train=job.split["train"], validation=job.split["validation"],
-                     test=job.split["test"], seed=job.seed)
+    return SplitSpec(**job.split, seed=job.seed)
 
 
 def _prepare(dataset: DatasetEntry, sensitive, cache_dir):
     """The PreparedOriginal of one (dataset entry, sensitive attribute)."""
     if dataset.synthetic is not None:
-        source, schema = make_synthetic(**dataset.synthetic), None
+        source, schema = make_synthetic(**asdict(dataset.synthetic)), None
     else:
         source, schema = dataset.csv, load_schema(dataset.schema, sensitive=sensitive)
     return prepare_original(source, schema, cache_dir, dataset.name)

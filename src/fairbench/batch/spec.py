@@ -1,15 +1,16 @@
 """Batch experiment matrices: YAML parsing and Cartesian job expansion."""
 
 import hashlib
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
-from ..errors import FairbenchError, SchemaError
+from ..errors import SchemaError
 from ..dataset.schema import declared_sensitive_attributes
 from ..dataset.split import SplitSpec
+from ..dataset.synthetic import SyntheticSpec
 from ..model import model_names
-from ..preproc import METHOD_NAMES
+from ..preproc import METHOD_CONFIGS, METHOD_NAMES
 from ..pipeline.sweep import FAIRNESS_METRICS
-from ..util import canonical_json, integer, listing, mapping, number, seed_value, string, yaml_document
+from ..util import canonical_json, from_mapping, integer, listing, mapping, seed_value, string, yaml_document
 
 _TOP_KEYS = {
     "datasets", "sensitive_attributes", "methods", "models", "seeds",
@@ -24,10 +25,10 @@ class DatasetEntry:
     name: str
     csv: str = None
     schema: str = None
-    synthetic: dict = None  # {n, disparity, seed}
+    synthetic: SyntheticSpec = None
 
     def source_token(self):
-        return self.csv if self.csv else canonical_json(self.synthetic)
+        return self.csv if self.csv else canonical_json(asdict(self.synthetic))
 
 
 @dataclass(frozen=True)
@@ -78,14 +79,6 @@ class JobSpec:
             object.__setattr__(self, "job_id", digest)
 
 
-def synthetic_params(raw, key):
-    """A `synthetic` block as make_synthetic's {n, disparity, seed}; a bad key or value is a SchemaError naming `key`."""
-    raw = mapping(raw, key, ("n", "disparity", "seed"))
-    return {"n": integer(raw.get("n", 1000), f"{key}.n"),
-            "disparity": number(raw.get("disparity", 0.0), f"{key}.disparity"),
-            "seed": seed_value(raw.get("seed", 0), f"{key}.seed")}
-
-
 def _named_entries(raw, key, kind, known):
     """Normalize 'RW' / {name: RW} / {name: RW, params: {...}} into (name, params).
 
@@ -112,7 +105,7 @@ def dataset_entry(entry, where):
     if "synthetic" in entry:
         if "csv" in entry or "schema" in entry:
             raise SchemaError(f"{where}: csv and schema do not apply to a synthetic dataset")
-        return DatasetEntry(name, synthetic=synthetic_params(entry["synthetic"], f"{where}.synthetic"))
+        return DatasetEntry(name, synthetic=from_mapping(SyntheticSpec, entry["synthetic"], f"{where}.synthetic"))
     if "csv" not in entry or "schema" not in entry:
         raise SchemaError(f"{where}: need 'csv' and 'schema' (or a 'synthetic' block)")
     return DatasetEntry(name, csv=string(entry["csv"], f"{where}.csv"),
@@ -133,12 +126,7 @@ def parse_batch_yaml(text: str) -> BatchSpec:
             raise SchemaError(f"{where}: no dataset of that name in datasets")
         sensitive[str(ds_name)] = [str(a) for a in listing(attrs, where, required=True)]
 
-    split = {k: getattr(SplitSpec, k) for k in _SPLIT_KEYS}
-    split.update({k: number(v, f"split.{k}") for k, v in mapping(doc.get("split"), "split", _SPLIT_KEYS).items()})
-    try:
-        SplitSpec(**split)
-    except FairbenchError as exc:
-        raise SchemaError(f"split: {exc}") from exc
+    split = from_mapping(SplitSpec, mapping(doc.get("split"), "split", _SPLIT_KEYS), "split")
 
     seeds = tuple(seed_value(s, f"seeds[{i}]") for i, s in enumerate(listing(doc.get("seeds"), "seeds", required=True)))
 
@@ -148,13 +136,17 @@ def parse_batch_yaml(text: str) -> BatchSpec:
 
     parallelism = integer(doc.get("parallelism", 1), "parallelism", least=1)
 
+    methods = _named_entries(doc.get("methods"), "methods", "method", METHOD_NAMES)
+    for i, (name, params) in enumerate(methods):  # read now, so a bad value stops the batch before any work
+        from_mapping(METHOD_CONFIGS[name], params, f"methods[{i}].params")
+
     return BatchSpec(
         datasets=datasets,
         sensitive_attributes=sensitive,
-        methods=_named_entries(doc.get("methods"), "methods", "method", METHOD_NAMES),
+        methods=methods,
         models=_named_entries(doc.get("models"), "models", "model", model_names()),
         seeds=seeds,
-        split=split,
+        split={k: getattr(split, k) for k in _SPLIT_KEYS},
         selection_metric=selection,
         output=string(doc.get("output", "fairbench_out"), "output"),
         parallelism=parallelism,

@@ -12,10 +12,10 @@ from .batch.spec import SYNTHETIC_ATTRIBUTE, dataset_entry
 from .dataset import SplitSpec
 from .errors import FairbenchError, SchemaError
 from .pipeline import FAIRNESS_METRICS, StageOneReport, run_bench_stage, run_prep_stage
-from .preproc import METHOD_NAMES
+from .preproc import METHOD_CONFIGS, METHOD_NAMES
 from .report import stage1_rows, write_stage1_csv
 from .report.tables import write_json
-from .util import integer, seed_value, yaml_document
+from .util import from_mapping, integer, seed_value, yaml_document
 
 
 def _parse_params(pairs, option="--param"):
@@ -46,6 +46,7 @@ def _cmd_prep(args):
     if Path(stem).name != stem:
         raise FairbenchError(f"--dataset names the report file, so it cannot hold a path separator: {args.dataset!r}")
     params = _parse_params(args.param)
+    from_mapping(METHOD_CONFIGS[args.method], params, "--param")  # read before any work, as a batch's params are
     # the dataset is a batch config's `datasets` entry, checked and prepared by the batch's rules
     entry = {key: value for key, value in (("name", args.dataset), ("csv", args.csv), ("schema", args.schema))
              if value is not None}

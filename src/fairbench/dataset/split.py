@@ -5,27 +5,23 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..errors import FairbenchError, FairbenchWarning
-from ..util import seed_value
+from ..errors import FairbenchError, FairbenchWarning, SchemaError
+from ..util import Settings, integer, setting
 from .tabular import TabularDataset
 
 
 @dataclass(frozen=True)
-class SplitSpec:
-    train: float = 0.70
-    validation: float = 0.15
-    test: float = 0.15
-    seed: int = 0
+class SplitSpec(Settings):
+    train: float = setting(0.70, above=0, below=1)
+    validation: float = setting(0.15, above=0, below=1)
+    test: float = setting(0.15, above=0, below=1)
+    seed: int = setting(0, least=0)
 
     def __post_init__(self):
-        seed_value(self.seed, "seed")
-        for name, f in (("train", self.train), ("validation", self.validation), ("test", self.test)):
-            if not 0.0 < f < 1.0:
-                raise FairbenchError(f"{name} fraction must be in (0,1), got {f}")
+        integer(self.seed, "seed")  # numpy's generators take no float or bool seed
+        super().__post_init__()
         if abs(self.train + self.validation + self.test - 1.0) > 1e-9:
-            raise FairbenchError(
-                f"fractions must sum to 1 (got {self.train + self.validation + self.test})"
-            )
+            raise SchemaError(f"split fractions must sum to 1, got {self.train + self.validation + self.test}")
 
 
 def _round_half_up(x):

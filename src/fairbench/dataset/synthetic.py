@@ -1,14 +1,25 @@
 """Seeded synthetic fixture with a controllable group disparity."""
 
+from dataclasses import dataclass
+
 import numpy as np
 
-from ..errors import FairbenchError
+from ..util import Settings, setting
 from .tabular import TabularDataset
 
 # feature construction: one pure group proxy and one pure label signal; the
 # proxy is what an unweighted model exploits and reweighing neutralizes
 _SIGNAL_SHIFT = 2.0
 _PROXY_SHIFT = 2.0
+
+
+@dataclass(frozen=True)
+class SyntheticSpec(Settings):
+    """A `synthetic` dataset block: `make_synthetic`'s arguments."""
+
+    n: int = setting(1000, least=8)
+    disparity: float = setting(0.0, least=0, most=1)
+    seed: int = setting(0, least=0)
 
 
 def make_synthetic(seed: int, n: int, disparity: float) -> TabularDataset:
@@ -21,10 +32,7 @@ def make_synthetic(seed: int, n: int, disparity: float) -> TabularDataset:
     independence of group and label. The first feature shifts with the group
     (a proxy), the second with the label. Deterministic for a given seed.
     """
-    if n < 8:
-        raise FairbenchError(f"need n >= 8, got {n}")
-    if not 0.0 <= disparity <= 1.0:
-        raise FairbenchError(f"disparity must be in [0,1], got {disparity}")
+    SyntheticSpec(n=n, disparity=disparity, seed=seed)  # each argument within its bound
     rng = np.random.default_rng(seed)
 
     protected = np.zeros(n, dtype=np.int64)

@@ -14,26 +14,22 @@ import numpy as np
 
 from ..errors import DataFormatError, FairbenchWarning, UndefinedMetricError
 from ..dataset.tabular import TabularDataset, standardize
+from ..util import Settings, setting
 
 @dataclass(frozen=True)
-class DatasetMetrics:
+class DatasetMetrics(Settings):
     """The seven data-level metrics in reporting order."""
 
+    bound_error = DataFormatError
     base_rate: float
     base_rate_unprivileged: float
     base_rate_privileged: float
-    consistency: float
+    consistency: float = setting(least=0, most=1)
     disparate_impact: float
     statistical_parity_difference: float
-    num_positives: int
-    num_negatives: int
+    num_positives: int = setting(least=0)
+    num_negatives: int = setting(least=0)
     empirical_difference: float
-
-    def __post_init__(self):
-        if self.num_positives < 0 or self.num_negatives < 0:
-            raise DataFormatError("label counts must be non-negative")
-        if not 0.0 <= self.consistency <= 1.0 + 1e-12:
-            raise DataFormatError(f"consistency out of [0,1]: {self.consistency}")
 
 
 def base_rate(ds: TabularDataset, group=None) -> float:

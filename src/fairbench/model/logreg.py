@@ -15,24 +15,19 @@ import numpy as np
 
 from ..errors import FairbenchWarning, FitError
 from ..dataset.tabular import TabularDataset
+from ..util import Settings, setting
 
 _SCORE_CLIP = 1e-15
 _LOSS_ROUNDING = 16 * np.finfo(np.float64).eps
 
 
 @dataclass(frozen=True)
-class LogRegConfig:
-    l2: float = 1e-4
-    max_iter: int = 5000
-    tol: float = 1e-6
+class LogRegConfig(Settings):
+    bound_error = FitError
+    l2: float = setting(1e-4, least=0, below=math.inf)
+    max_iter: int = setting(5000, least=0)
+    tol: float = setting(1e-6, above=0, below=math.inf)
     standardize: bool = True
-
-    def __post_init__(self):
-        # written to fail on NaN, which no comparison satisfies
-        if not 0 <= self.l2 < math.inf:
-            raise FitError(f"l2 must be non-negative and finite, got {self.l2!r}")
-        if not 0 < self.tol < math.inf:
-            raise FitError(f"tol must be positive and finite, got {self.tol!r}")
 
 
 @dataclass(frozen=True)

@@ -8,15 +8,15 @@ from ..dataset.cache import cache_holds, dumps, record_load, record_store
 from ..metrics.dataset_metrics import DatasetMetrics, dataset_metrics
 from ..preproc import SEEDED_METHODS, apply_method
 from ..errors import FairbenchError
-from ..util import from_mapping, mapping, seed_value
+from ..util import Settings, from_mapping, mapping, setting
 
 
 @dataclass(frozen=True)
-class StageOneReport:
+class StageOneReport(Settings):
     dataset: str
     method: str
     params: dict
-    seed: int
+    seed: int = setting(least=0)  # checked with --split-seed too: it seeds the transform, not only the split
     original_metrics: DatasetMetrics
     processed_metrics: DatasetMetrics
     original_cache_key: str
@@ -31,9 +31,7 @@ class StageOneReport:
         doc = dict(mapping(doc, "stage-1 report", required=True))
         if (version := doc.pop("schema_version", None)) != 1:
             raise FairbenchError(f"unsupported stage-1 report version {version!r}")
-        report = from_mapping(cls, doc, "stage-1 report")
-        seed_value(report.seed, "stage-1 report.seed")  # --split-seed replaces it in the split, not in the transform
-        return report
+        return from_mapping(cls, doc, "stage-1 report")
 
 
 @dataclass(frozen=True)

@@ -6,17 +6,19 @@ for evaluation splits that keeps the true labels).
 """
 
 import hashlib
-from dataclasses import dataclass
+from dataclasses import dataclass, make_dataclass
 
 from ..errors import SchemaError
 from ..dataset.tabular import TabularDataset, apply_standardization, standardize
-from ..util import from_mapping, mapping
+from ..util import from_mapping
 from .lfr import LfrConfig, lfr_fit, lfr_transform
 from .opp import OppConfig, opp_fit, opp_transform
 from .repair import DirConfig, dir_repair
 from .reweigh import reweigh
 
-METHOD_NAMES = ("RW", "LFR", "DIR", "OPP")
+# each method's parameters are the fields of its config; RW takes none
+METHOD_CONFIGS = {"RW": make_dataclass("RwConfig", (), frozen=True), "LFR": LfrConfig, "DIR": DirConfig, "OPP": OppConfig}
+METHOD_NAMES = tuple(METHOD_CONFIGS)
 SEEDED_METHODS = ("LFR", "OPP")  # the methods that read the seed; RW and DIR ignore it
 
 
@@ -34,19 +36,18 @@ class FittedMethod:
 
 
 def fit_method(name: str, train: TabularDataset, params=None, seed: int = 0) -> FittedMethod:
+    if name not in METHOD_CONFIGS:
+        raise SchemaError(f"unknown method {name!r}; expected one of {METHOD_NAMES}")
+    cfg = from_mapping(METHOD_CONFIGS[name], params, name)
     if name == "RW":
-        mapping(params, "RW", ())
-        out = reweigh(train).dataset
-        return FittedMethod(name, out, lambda ds: ds)
+        return FittedMethod(name, reweigh(train).dataset, lambda ds: ds)
 
     if name == "DIR":
-        cfg = from_mapping(DirConfig, params, "DIR")
         # the repair has no train/apply separation: each split is repaired
         # against its own group distributions
         return FittedMethod(name, dir_repair(train, cfg), lambda ds: dir_repair(ds, cfg))
 
     if name == "LFR":
-        cfg = from_mapping(LfrConfig, params, "LFR")
         std_train, means, scales = standardize(train)
         model = lfr_fit(std_train, cfg, seed)
 
@@ -56,20 +57,17 @@ def fit_method(name: str, train: TabularDataset, params=None, seed: int = 0) -> 
 
         return FittedMethod(name, lfr_transform(model, std_train), eval_lfr)
 
-    if name == "OPP":
-        opp_map = opp_fit(train, from_mapping(OppConfig, params, "OPP"))
+    opp_map = opp_fit(train, cfg)
 
-        def eval_opp(ds, _m=opp_map, _seed=seed):
-            # seeded by the split's content: equal-sized validation and test splits must not share draws
-            h = hashlib.sha256(f"{_seed}/opp-eval".encode())
-            for values, dtype in ((ds.features, "<f8"), (ds.labels, "<i8"), (ds.protected, "<i8")):
-                h.update(values.astype(dtype, copy=False).tobytes())
-            out = opp_transform(_m, ds, seed=int.from_bytes(h.digest()[:8], "big"))
-            return out.replace(labels=ds.labels)
+    def eval_opp(ds, _m=opp_map, _seed=seed):
+        # seeded by the split's content: equal-sized validation and test splits must not share draws
+        h = hashlib.sha256(f"{_seed}/opp-eval".encode())
+        for values, dtype in ((ds.features, "<f8"), (ds.labels, "<i8"), (ds.protected, "<i8")):
+            h.update(values.astype(dtype, copy=False).tobytes())
+        out = opp_transform(_m, ds, seed=int.from_bytes(h.digest()[:8], "big"))
+        return out.replace(labels=ds.labels)
 
-        return FittedMethod(name, opp_transform(opp_map, train, seed=seed), eval_opp)
-
-    raise SchemaError(f"unknown method {name!r}; expected one of {METHOD_NAMES}")
+    return FittedMethod(name, opp_transform(opp_map, train, seed=seed), eval_opp)
 
 
 def apply_method(name: str, ds: TabularDataset, params=None, seed: int = 0) -> TabularDataset:
@@ -78,6 +76,7 @@ def apply_method(name: str, ds: TabularDataset, params=None, seed: int = 0) -> T
 
 
 __all__ = [
+    "METHOD_CONFIGS",
     "METHOD_NAMES",
     "SEEDED_METHODS",
     "DirConfig",

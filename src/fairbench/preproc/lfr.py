@@ -13,28 +13,22 @@ import numpy as np
 
 from ..errors import FitError
 from ..dataset.tabular import TabularDataset
+from ..util import Settings, setting
 from .descent import descend
 
 _PROB_CLIP = 1e-6
 
 
 @dataclass(frozen=True)
-class LfrConfig:
-    prototypes: int = 10     # K
-    a_z: float = 50.0        # parity weight
-    a_x: float = 0.01        # reconstruction weight
-    a_y: float = 1.0         # label weight
-    max_iter: int = 5000
-    tol: float = 1e-6        # stop below this relative objective decrease
-
-    def __post_init__(self):
-        # each check is written to fail on NaN, which no comparison satisfies
-        if not self.prototypes >= 2:
-            raise FitError("need at least 2 prototypes")
-        for name in ("a_z", "a_x", "a_y", "tol", "max_iter"):
-            # a negative weight makes the fit maximize its term
-            if not getattr(self, name) >= 0:
-                raise FitError(f"{name} must be non-negative, got {getattr(self, name)!r}")
+class LfrConfig(Settings):
+    bound_error = FitError
+    # a negative weight makes the fit maximize its term, and an infinite one its objective non-finite
+    prototypes: int = setting(10, least=2)               # K
+    a_z: float = setting(50.0, least=0, below=math.inf)  # parity weight
+    a_x: float = setting(0.01, least=0, below=math.inf)  # reconstruction weight
+    a_y: float = setting(1.0, least=0, below=math.inf)   # label weight
+    max_iter: int = setting(5000, least=0)
+    tol: float = setting(1e-6, least=0)  # stop below this relative objective decrease
 
 
 @dataclass(frozen=True)

@@ -19,35 +19,25 @@ import numpy as np
 
 from ..errors import FairbenchWarning, FitError
 from ..dataset.tabular import TabularDataset
+from ..util import Settings, setting
 from .descent import descend
 
 _MAX_DOMAIN_CELLS = 10_000
 
 
 @dataclass(frozen=True)
-class OppConfig:
-    epsilon: float = 0.05          # allowed relative deviation of group rates from target
-    distortion_budget: float = 0.25
-    bins: int = 5
-    max_iter: int = 500
-    rho_fair: float = 100.0
-    rho_dist: float = 100.0
-    label_flip_cost: float = 1.0
-    columns: tuple = None          # None = every feature column
-
-    def __post_init__(self):
-        # each check is written to fail on NaN, which no comparison satisfies
-        if not self.epsilon > 0:
-            raise FitError(f"epsilon must be positive, got {self.epsilon!r}")
-        if not self.distortion_budget >= 0:
-            raise FitError(f"distortion_budget must be non-negative, got {self.distortion_budget!r}")
-        if self.bins < 2:
-            raise FitError("need at least 2 bins")
-        for name in ("max_iter", "rho_fair", "rho_dist", "label_flip_cost"):
-            # a negative flip cost or distortion weight would let exp(-c * dist) grow without bound,
-            # and an infinite one makes the objective non-finite
-            if not 0 <= getattr(self, name) < math.inf:
-                raise FitError(f"{name} must be non-negative and finite, got {getattr(self, name)!r}")
+class OppConfig(Settings):
+    bound_error = FitError
+    epsilon: float = setting(0.05, above=0)  # allowed relative deviation of group rates from target
+    distortion_budget: float = setting(0.25, least=0)
+    bins: int = setting(5, least=2)
+    max_iter: int = setting(500, least=0)
+    # a negative flip cost or distortion weight would let exp(-c * dist) grow without bound,
+    # and an infinite one makes the objective non-finite
+    rho_fair: float = setting(100.0, least=0, below=math.inf)
+    rho_dist: float = setting(100.0, least=0, below=math.inf)
+    label_flip_cost: float = setting(1.0, least=0, below=math.inf)
+    columns: tuple = None  # None = every feature column
 
 
 @dataclass(frozen=True)

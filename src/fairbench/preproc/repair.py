@@ -13,19 +13,15 @@ import numpy as np
 
 from ..errors import FairbenchWarning, FitError
 from ..dataset.tabular import TabularDataset
+from ..util import Settings, setting
 
 
 @dataclass(frozen=True)
-class DirConfig:
-    repair_level: float = 1.0
-    grid_size: int = 100
+class DirConfig(Settings):
+    bound_error = FitError
+    repair_level: float = setting(1.0, least=0, most=1)
+    grid_size: int = setting(100, least=2)
     columns: tuple = None  # explicit feature names; None = every non-binary column
-
-    def __post_init__(self):
-        if not 0.0 <= self.repair_level <= 1.0:
-            raise FitError(f"repair level must be in [0,1], got {self.repair_level}")
-        if self.grid_size < 2:
-            raise FitError("grid size must be at least 2")
 
 
 def _midrank_quantiles(values, order):

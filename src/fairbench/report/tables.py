@@ -62,8 +62,8 @@ def write_stage1_csv(rows, path) -> Path:
                      [(dataset, method, *map(_fmt, _STAGE1_FIELDS(metrics))) for dataset, method, metrics in rows])
 
 
-def render_sweep_csv(table) -> str:
-    """One row per threshold of a single split's ClassificationTable; returns the CSV document as a string."""
+def write_sweep_csv(table, path) -> Path:
+    """One row per threshold of a single split's ClassificationTable."""
     if not len(table):
         raise FairbenchError("no sweep rows to write")
     columns = (
@@ -71,14 +71,7 @@ def render_sweep_csv(table) -> str:
         *(map(_fmt, values) for values in _SWEEP_FIELDS(table)),
         *(map(_fmt, table.group_rates[g][rate]) for g, rate in _SWEEP_RATES),
     )
-    # joined, not `write_csv`: a formatted number or 'undefined' never needs quoting, and the join is
-    # several times faster than `write_csv`'s writer on the four 99-row sweeps a job writes
-    return "\n".join((",".join(SWEEP_HEADER), *map(",".join, zip(*columns)))) + "\n"
-
-
-def write_sweep_csv(table, path) -> Path:
-    """`render_sweep_csv(table)`, written to `path`."""
-    return write_text(render_sweep_csv(table), path)
+    return write_csv(path, SWEEP_HEADER, zip(*columns))
 
 
 def write_text(text: str, path) -> Path:

@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import math
 
 import yaml
 
@@ -85,9 +86,7 @@ def integer(value, key, least=None):
     """`value` if an integer (>= `least` if given); YAML booleans, floats and strings are a SchemaError naming `key`."""
     if isinstance(value, bool) or not isinstance(value, int):
         raise SchemaError(f"{key} must be an integer, got {value!r}")
-    if least is not None and value < least:
-        raise SchemaError(f"{key} must be >= {least}, got {value}")
-    return value
+    return value if least is None else within(value, key, least=least)
 
 
 def number(value, key):
@@ -116,18 +115,61 @@ def seed_value(value, key):
     return integer(value, key, least=0)
 
 
+def _interval(least, above, most, below):
+    """`within`'s interval in words: `>= 2`, `positive`, `non-negative and finite`, `in [0,1]`, `in (0,1)`."""
+    if most is None and below in (None, math.inf):
+        low = f">= {least}" if above is None else f"> {above}"
+        return {">= 0": "non-negative", "> 0": "positive"}.get(low, low) + (" and finite" if below else "")
+    opening, low = ("[", least) if above is None else ("(", above)
+    closing, high = ("]", most) if below is None else (")", below)
+    return f"in {opening}{low},{high}{closing}"
+
+
+def within(value, key, error=SchemaError, least=None, above=None, most=None, below=None):
+    """`value` if it lies within the inclusive ends `least` and `most` and the exclusive ends `above` and `below`
+    (`below=math.inf`: finite), as NaN never does; else an `error` reading `<key> must be <interval>, got <value>`."""
+    if ((least is None or value >= least) and (above is None or value > above)
+            and (most is None or value <= most) and (below is None or value < below)):
+        return value
+    raise error(f"{key} must be {_interval(least, above, most, below)}, got {value!r}")
+
+
+def setting(default=dataclasses.MISSING, **bound):
+    """A `Settings` field: its default, if any, and the interval, in `within`'s terms, that its value lies in."""
+    return dataclasses.field(default=default, metadata={"bound": bound})
+
+
+def _bounded(cls, values, prefix):
+    """`values`, each of a `setting` field of `cls` checked by `within` under the key `<prefix><name>`."""
+    for f in dataclasses.fields(cls):
+        if "bound" in f.metadata and f.name in values:
+            within(values[f.name], prefix + f.name, cls.bound_error, **f.metadata["bound"])
+    return values
+
+
+class Settings:
+    """Base of a frozen dataclass whose `setting` fields are checked on construction, and by `from_mapping`
+    under their key paths; a value out of its interval raises the class's `bound_error`."""
+
+    bound_error = SchemaError
+
+    def __post_init__(self):
+        _bounded(type(self), vars(self), "")
+
+
 # a field's kind is its type; a tuple field is an optional list of column names
 _KINDS = {bool: boolean, int: integer, float: number, str: string, dict: mapping, tuple: _names}
 
 
 def from_mapping(cls, doc, where):
-    """Frozen dataclass `cls` from the mapping `doc`, each value checked by its field's type.
+    """Frozen dataclass `cls` from the mapping `doc`, each value checked by its field's type and bound.
 
-    A field whose type is a dataclass is read the same way. An unknown key, a missing field without a
-    default, or a value of the wrong kind is a SchemaError naming `where` and, for a value, `<where>.<name>`.
-    """
+    A field whose type is a dataclass is read the same way. An unknown key, a missing field without a default,
+    or a value of the wrong kind is a SchemaError naming `where` and, for a value, `<where>.<name>`, as a value
+    out of its `setting` interval is a `cls.bound_error`."""
     fields = dataclasses.fields(cls)
     doc = mapping(doc, where, [f.name for f in fields],
                   needs=[f.name for f in fields if f.default is f.default_factory is dataclasses.MISSING])
-    return cls(**{f.name: from_mapping(f.type, doc[f.name], f"{where}.{f.name}") if dataclasses.is_dataclass(f.type)
-                  else _KINDS[f.type](doc[f.name], f"{where}.{f.name}") for f in fields if f.name in doc})
+    values = {f.name: from_mapping(f.type, doc[f.name], f"{where}.{f.name}") if dataclasses.is_dataclass(f.type)
+              else _KINDS[f.type](doc[f.name], f"{where}.{f.name}") for f in fields if f.name in doc}
+    return cls(**_bounded(cls, values, f"{where}."))

@@ -100,7 +100,7 @@ class TestParse:
         ("seeds: [0]\nparallelism: 2.9", "parallelism"),
         ("seeds: [0]\nparallelism: true", "parallelism"),
         ("seeds: [0, x]", r"seeds\[1\]"),
-        ("seeds: [0, -1]", r"seeds\[1\] must be >= 0, got -1"),
+        ("seeds: [0, -1]", r"seeds\[1\] must be non-negative, got -1"),
     ])
     def test_non_integer_rejected_with_its_key(self, lines, key):
         with pytest.raises(SchemaError, match=key):
@@ -111,7 +111,7 @@ class TestParse:
         ("n: 200", "n: 200.7", r"datasets\[0\]\.synthetic\.n"),
         ("n: 200", "n: true", r"datasets\[0\]\.synthetic\.n"),
         ("seed: 11", "seed: 1.5", r"datasets\[0\]\.synthetic\.seed"),
-        ("seed: 11", "seed: -3", r"datasets\[0\]\.synthetic\.seed must be >= 0, got -3"),
+        ("seed: 11", "seed: -3", r"datasets\[0\]\.synthetic\.seed must be non-negative, got -3"),
         ("disparity: 0.3", "disparity: high", r"datasets\[0\]\.synthetic\.disparity"),
         ("disparity: 0.3", "disparity: false", r"datasets\[0\]\.synthetic\.disparity"),
         ("{n: 200, disparity: 0.3, seed: 11}", "[200]", r"datasets\[0\]\.synthetic"),
@@ -149,6 +149,25 @@ class TestParse:
         with pytest.raises(SchemaError, match=re.escape(message)):
             parse_batch_yaml(MINIMAL.replace(old, new))
 
+    @pytest.mark.parametrize("old, new, error, message", [
+        ("{n: 200, disparity: 0.3, seed: 11}", "{n: 5}", SchemaError, "datasets[0].synthetic.n must be >= 8, got 5"),
+        ("disparity: 0.3", "disparity: 1.5", SchemaError,
+         "datasets[0].synthetic.disparity must be in [0,1], got 1.5"),
+        ("methods: [RW]", "methods: [{name: DIR, params: {repair_lvl: 1}}]", SchemaError,
+         "methods[0].params: unknown keys ['repair_lvl'] (accepts ['columns', 'grid_size', 'repair_level'])"),
+        ("methods: [RW]", "methods: [RW, {name: RW, params: {k: 5}}]", SchemaError,
+         "methods[1].params: unknown keys ['k'] (accepts [])"),
+        # a bound error is of its config's class, as when the method fits
+        ("methods: [RW]", "methods: [{name: DIR, params: {repair_level: 2}}]", FitError,
+         "methods[0].params.repair_level must be in [0,1], got 2.0"),
+        ("methods: [RW]", "methods: [{name: LFR, params: {a_z: .inf}}]", FitError,
+         "methods[0].params.a_z must be non-negative and finite, got inf"),
+    ])
+    def test_a_setting_is_read_at_parse(self, old, new, error, message):
+        # each once parsed, and every job it reached then failed at its preparation or fit
+        with pytest.raises(error, match=re.escape(message)):
+            parse_batch_yaml(MINIMAL.replace(old, new))
+
     @pytest.mark.parametrize("paths", ["csv: a.csv", "schema: s.yaml", "csv: a.csv\n    schema: s.yaml"])
     def test_a_synthetic_entry_with_a_file_is_refused(self, paths):
         # as `fairbench prep` refuses --csv or --schema with a synthetic --dataset
@@ -166,7 +185,7 @@ class TestParse:
             parse_batch_yaml(MINIMAL.replace("name: synth_a", f'name: "{name}"'))
 
     def test_split_rules_are_split_specs(self):
-        with pytest.raises(SchemaError, match=re.escape("split: test fraction must be in (0,1), got 0.0")):
+        with pytest.raises(SchemaError, match=re.escape("split.test must be in (0,1), got 0.0")):
             parse_batch_yaml(MINIMAL + "\nsplit: {train: 0.7, validation: 0.3, test: 0.0}\n")
 
     def test_csv_dataset_requires_schema(self):

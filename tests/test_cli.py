@@ -256,7 +256,7 @@ def test_a_negative_seed_is_refused_by_its_option(tmp_path, capsys, argv, option
     with pytest.raises(SystemExit) as exc:
         main([*argv, "--out", str(tmp_path / "out"), "--cache-dir", str(tmp_path / "cache")])
     assert exc.value.code == 2
-    assert f"argument {option}: seed must be >= 0, got -1" in capsys.readouterr().err
+    assert f"argument {option}: seed must be non-negative, got -1" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("line, key", [
@@ -322,6 +322,20 @@ def test_prep_rejects_a_bad_synthetic_spec_as_a_batch_config_would(tmp_path, cap
     assert f"error: {message}" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("param, message", [
+    ("repair_lvl=1", "--param: unknown keys ['repair_lvl'] (accepts ['columns', 'grid_size', 'repair_level'])"),
+    ("repair_level=2", "--param.repair_level must be in [0,1], got 2.0"),
+])
+def test_prep_reads_its_params_before_any_work(tmp_path, capsys, param, message):
+    # a bad parameter was once refused only after the original was cached and measured
+    out, cache = tmp_path / "out", tmp_path / "cache"
+    code = main(["prep", "--dataset", "synthetic:n=100", "--method", "DIR", "--param", param,
+                 "--out", str(out), "--cache-dir", str(cache)])
+    assert code == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists() and not cache.exists()
+
+
 def test_error_reported_not_raised(tmp_path, capsys):
     code = main(["prep", "--dataset", "german", "--method", "RW",
                  "--out", str(tmp_path), "--cache-dir", str(tmp_path)])
@@ -346,7 +360,8 @@ def test_prep_rejects_a_mistyped_schema_block(tmp_path, capsys):
     "report_seed_text", "report_seed_fraction", "report_seed_negative", "report_seed_negative_split_seed",
     "report_dataset_null", "report_method_number", "report_consistency_range", "report_count_text",
     "report_unknown_key", "report_params_list",
-    "param_not_yaml", "synthetic_seed_negative", "config_not_utf8", "config_not_yaml", "config_seed_negative"])
+    "param_not_yaml", "synthetic_seed_negative", "config_not_utf8", "config_not_yaml", "config_seed_negative",
+    "config_synthetic_small", "config_method_param"])
 def test_a_malformed_input_is_an_error_line_not_a_traceback(tmp_path, capsys, case):
     common = ["--out", str(tmp_path / "out"), "--cache-dir", str(tmp_path / "cache")]
     assert main(["prep", "--dataset", "synthetic:n=100", "--method", "RW", *common]) == 0
@@ -371,20 +386,27 @@ def test_a_malformed_input_is_an_error_line_not_a_traceback(tmp_path, capsys, ca
                                   "stage-1 report.original_metrics: unknown keys ['extra'] (accepts ['base_rate', "),
         "report_seed_text": (report(seed="3"), bench, "stage-1 report.seed must be an integer, got '3'"),
         "report_seed_fraction": (report(seed=1.5), bench, "stage-1 report.seed must be an integer, got 1.5"),
-        "report_seed_negative": (report(seed=-1), bench, "stage-1 report.seed must be >= 0, got -1"),
+        "report_seed_negative": (report(seed=-1), bench, "stage-1 report.seed must be non-negative, got -1"),
         "report_seed_negative_split_seed": (report(seed=-1), [*bench, "--split-seed", "0"],
-                                            "stage-1 report.seed must be >= 0, got -1"),
+                                            "stage-1 report.seed must be non-negative, got -1"),
         "report_dataset_null": (report(dataset=None), bench, "stage-1 report.dataset must be a string, got None"),
         "report_method_number": (report(method=5), bench, "stage-1 report.method must be a string, got int"),
-        "report_consistency_range": (metrics(consistency=2.0), bench, "consistency out of [0,1]: 2.0"),
+        "report_consistency_range": (metrics(consistency=2.0), bench,
+                                     "stage-1 report.original_metrics.consistency must be in [0,1], got 2.0"),
         "report_count_text": (metrics(num_positives="12"), bench,
                               "stage-1 report.original_metrics.num_positives must be an integer, got '12'"),
         "report_unknown_key": (report(extra=1), bench, "stage-1 report: unknown keys ['extra'] (accepts ['dataset', "),
         "report_params_list": (report(params=[1]), bench, "stage-1 report.params must be a mapping, got list"),
         "synthetic_seed_negative": (b"", ["prep", "--dataset", "synthetic:seed=-3", "--method", "RW", *common],
-                                    "--dataset.synthetic.seed must be >= 0, got -3"),
+                                    "--dataset.synthetic.seed must be non-negative, got -3"),
         "config_seed_negative": (b"datasets: [{name: s, synthetic: {n: 100}}]\nmethods: [RW]\nmodels: [logreg]\n"
-                                 b"seeds: [-1]\n", batch, "seeds[0] must be >= 0, got -1"),
+                                 b"seeds: [-1]\n", batch, "seeds[0] must be non-negative, got -1"),
+        # these two once ran every job to a failure, and the batch exited 1
+        "config_synthetic_small": (b"datasets: [{name: s, synthetic: {n: 5}}]\nmethods: [RW]\nmodels: [logreg]\n"
+                                   b"seeds: [0]\n", batch, "datasets[0].synthetic.n must be >= 8, got 5"),
+        "config_method_param": (b"datasets: [{name: s, synthetic: {n: 100}}]\nmethods: [{name: DIR, params: "
+                                b"{repair_lvl: 1}}]\nmodels: [logreg]\nseeds: [0]\n", batch,
+                                "methods[0].params: unknown keys ['repair_lvl']"),
         "param_not_yaml": (b"", ["prep", "--dataset", "synthetic", "--method", "RW", "--param", "a=[", *common],
                            "--param 'a=[': invalid YAML: expected the node content, but found '<stream end>' "
                            "at line 1, column 2"),

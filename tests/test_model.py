@@ -186,6 +186,8 @@ class TestTraining:
         ("{tol: .inf}", "tol must be positive and finite, got inf"),
         ("{l2: .nan}", "l2 must be non-negative and finite, got nan"),
         ("{l2: .inf}", "l2 must be non-negative and finite, got inf"),
+        # once 0 Newton steps, zero coefficients and a job reported ok
+        ("{max_iter: -1}", "logreg.max_iter must be non-negative, got -1"),
     ])
     def test_non_finite_parameter_is_refused_by_its_config(self, params, message):
         # a NaN tol once ran 0 Newton steps and returned zero coefficients

@@ -193,7 +193,7 @@ class TestFit:
             lfr_fit(ds, LfrConfig(prototypes=20))
 
     @pytest.mark.parametrize("field, value", [
-        ("a_z", -50.0), ("a_x", -1.0), ("a_y", math.nan), ("tol", -1e-6), ("max_iter", -3)])
+        ("a_z", -50.0), ("a_x", -1.0), ("a_y", math.nan), ("tol", -1e-6), ("max_iter", -3), ("a_z", math.inf)])
     def test_parameter_that_cannot_fit_is_rejected(self, field, value):
         # a negative weight would make the fit maximize its term
         ds = std_synthetic(n=60)

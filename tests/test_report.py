@@ -25,7 +25,7 @@ from fairbench.report import (
     write_summary_json,
     write_sweep_csv,
 )
-from fairbench.report.tables import render_sweep_csv, sweep_summary
+from fairbench.report.tables import sweep_summary
 
 
 @pytest.fixture(scope="module")
@@ -238,6 +238,7 @@ def test_golden_rendering_digests(tmp_path):
     def digest(data):
         return hashlib.sha256(data if isinstance(data, bytes) else data.encode()).hexdigest()
 
-    assert digest(render_sweep_csv(result.test)) == "b6c9762eca65e81398f5ecfe79a8c23409eba9ef793bcc82b70e867843e9338e"
+    sweep_csv = write_sweep_csv(result.test, tmp_path / "sweep.csv").read_bytes()
+    assert digest(sweep_csv) == "b6c9762eca65e81398f5ecfe79a8c23409eba9ef793bcc82b70e867843e9338e"
     assert digest(render_sweep_svg(result)) == "9d46ac0f66ad30012ad6dc037fc31d016c409dc8a71a8762aae084029844e728"
     assert digest(summary) == "11d379ea59e53892d559faded72faa8df8542a403a3a4184d52c2fe1efd13ce1"
