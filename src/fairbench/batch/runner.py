@@ -5,13 +5,15 @@ once. Its config seed seeds a job's split and every fit, so the jobs of one
 (dataset, sensitive attribute, seed) share a split; each original arm then
 runs once per (dataset, sensitive attribute, split, seed, model, model
 parameters, selection metric). Each job runs the rest of stage 1 and its
-processed arm, and writes its full artifact set, both arms alike, under
-`<out>/<job id>/`. Results do not depend on parallelism, execution order or
-the other jobs.
+processed arm; the calling process writes its full artifact set, both arms
+alike, under `<out>/<job id>/`. Results do not depend on parallelism,
+execution order or the other jobs.
 
 Preparations, original arms and jobs are plain functions that raise. Each
 runs as a pool task through `_call`, the one place where a task's exception
 becomes its error text and where its warnings and its time are recorded.
+A job's artifacts are written in the calling process by `_write_job`, which
+does the same for the write.
 """
 
 import contextlib
@@ -130,23 +132,33 @@ def _original_arm(job: JobSpec, prepared, cache_dir):
     return run_original_arm(split, job.model, job.model_params, job.seed, job.selection_metric)
 
 
-def execute_job(job: JobSpec, prepared, output_dir, cache_dir, original_arm=None) -> list:
-    """Run one job from the PreparedOriginal of its dataset: stage 1, stage 2, then its artifacts' paths.
+def execute_job(job: JobSpec, prepared, cache_dir, original_arm=None):
+    """Run one job from the PreparedOriginal of its dataset: (its StageOneReport, its BenchStageResult).
 
     `original_arm` is the job's SweepResult or its error text, as `run_batch`
     runs it once for every job that shares it; when it is None, the job runs
-    its original arm itself. A job that fails raises; `_call` records it.
+    its original arm itself. A job that fails raises; `_call` records it. It
+    writes no file: `run_batch` writes its artifacts in the calling process.
     """
     original = load_original(prepared.cache_key, cache_dir, prepared.name)
     stage1 = run_prep_stage(prepared, job.method, job.method_params,
                             seed=job.seed, cache_dir=cache_dir, original=original)
-    bench = run_bench_stage(
+    return stage1, run_bench_stage(
         stage1, model_name=job.model, model_params=job.model_params,
         split_spec=_split_spec(job), selection_metric=job.selection_metric,
         cache_dir=cache_dir, original=original, original_arm=original_arm,
     )
-    return write_job_artifacts(stage1, bench, Path(output_dir) / job.job_id,
-                               job=json.loads(job.canonical()), job_id=job.job_id)
+
+
+def _write_job(job: JobSpec, result, output_dir):
+    """(the artifacts' paths, or the error text of the Exception writing them raised; the seconds it took)."""
+    started = time.perf_counter()
+    try:
+        written = tuple(map(str, write_job_artifacts(*result, output_dir / job.job_id,
+                                                     job=json.loads(job.canonical()), job_id=job.job_id)))
+    except Exception as exc:
+        written = error_text(exc)
+    return written, time.perf_counter() - started
 
 
 def _call(fn, args):
@@ -175,37 +187,39 @@ def _submit(pool, fn, tasks, futures, indices):
             futures[i] = pool.submit(_call, fn, tasks[i])
 
 
-def _broken(futures):
-    return [i for i, f in enumerate(futures) if f is None or isinstance(f.exception(), BrokenProcessPool)]
+def _broken(future):
+    return future is None or isinstance(future.exception(), BrokenProcessPool)
 
 
 def _run_tasks(fn, tasks, pools, workers):
-    """(results, seconds) of `_call(fn, args)` for args in tasks, each run in `pools[-1]`, set up by `_init_worker`.
+    """(result, seconds) of `_call(fn, args)` for each args in tasks, each run in `pools[-1]`, set up by
+    `_init_worker`; yielded in task order, each as soon as it and every earlier task have finished.
 
-    A dead worker breaks the pool, which fails every unfinished task with BrokenProcessPool. Those
-    run again together in a spawn pool of `workers`, appended to `pools` so that the next call's
-    tasks go to it; each that breaks it too runs alone in a one-worker spawn pool. A task whose last
-    worker died, or whose result cannot be sent back, gives the pool's error text and 0.0 seconds.
-    The warnings a task raised, failed or not, are issued again in this process, task by task in order.
+    A dead worker breaks the pool, which fails every unfinished task with BrokenProcessPool. When the
+    first such task is reached, those still ahead run again together in a spawn pool of `workers`,
+    appended to `pools` so that the next call's tasks go to it; each that breaks it too runs alone in
+    a one-worker spawn pool when it is reached. A task whose last worker died, or whose result cannot
+    be sent back, gives the pool's error text and 0.0 seconds. The warnings a task raised, failed or
+    not, are issued again in this process as it is yielded, so in task order. A yielded result is held
+    by no Future, so it is freed once its consumer drops it.
     """
     futures = [None] * len(tasks)
     _submit(pools[-1], fn, tasks, futures, range(len(tasks)))
-    again = _broken(futures)
-    if again:
-        pools.append(_spawn_pool(workers))
-        _submit(pools[-1], fn, tasks, futures, again)
-        for i in _broken(futures):
+    rerun = False
+    for i in range(len(tasks)):
+        if not rerun and _broken(futures[i]):
+            rerun = True
+            pools.append(_spawn_pool(workers))
+            _submit(pools[-1], fn, tasks, futures, [j for j in range(i, len(tasks)) if _broken(futures[j])])
+        if rerun and _broken(futures[i]):
             with _spawn_pool(1) as alone:
                 _submit(alone, fn, tasks, futures, [i])
-    results, seconds = [], []
-    for future in futures:
+        future, futures[i] = futures[i], None
         error = future.exception()
         result, caught, took = future.result() if error is None else (error_text(error), (), 0.0)
         for message, category, filename, lineno in caught:
             warnings.warn_explicit(message, category, filename, lineno)
-        results.append(result)
-        seconds.append(took)
-    return results, seconds
+        yield result, took
 
 
 @functools.cache
@@ -268,6 +282,10 @@ def run_batch(jobs, parallelism: int = 1, output_dir="fairbench_out",
     processed arm. Preparations, arms and jobs run as tasks of one process
     pool, at parallelism 1 too, so a dying worker never ends the batch; once a
     dead worker has broken it, the spawn pool that replaced it takes the rest.
+    This process writes each job's artifacts with `write_job_artifacts`, in
+    job order, while the pool runs the jobs after it; a write that raises
+    fails its job with its error text. A job's `wall_time_s` is its task's
+    seconds plus its write's.
     """
     output_dir = Path(output_dir)
     output_dir.mkdir(parents=True, exist_ok=True)
@@ -278,25 +296,31 @@ def run_batch(jobs, parallelism: int = 1, output_dir="fairbench_out",
 
     workers = max(1, min(parallelism, len(jobs)))
     pools = [ProcessPoolExecutor(max_workers=workers, initializer=_init_worker)]
+    outcomes = []
     try:
-        prepared = dict(zip(originals, _run_tasks(_prepare, list(originals.values()), pools, workers)[0]))
+        prepared = dict(zip(originals, (result for result, _ in
+                                        _run_tasks(_prepare, list(originals.values()), pools, workers))))
         ready = [job for job in jobs if not isinstance(prepared[_original_of(job)], str)]
         shared = {}
         for job in ready:
             shared.setdefault(_arm_of(job), (job, prepared[_original_of(job)], cache_dir))
-        arms = dict(zip(shared, _run_tasks(_original_arm, list(shared.values()), pools, workers)[0]))
-        done = zip(*_run_tasks(execute_job, [(job, prepared[_original_of(job)], output_dir, cache_dir,
-                                              arms[_arm_of(job)]) for job in ready], pools, workers))
+        arms = dict(zip(shared, (result for result, _ in
+                                 _run_tasks(_original_arm, list(shared.values()), pools, workers))))
+        done = _run_tasks(execute_job, [(job, prepared[_original_of(job)], cache_dir, arms[_arm_of(job)])
+                                        for job in ready], pools, workers)
+        for job in jobs:
+            result, seconds = prepared[_original_of(job)], 0.0
+            if not isinstance(result, str):
+                result, seconds = next(done)
+            if not isinstance(result, str):
+                result, writing = _write_job(job, result, output_dir)
+                seconds += writing
+            failed = isinstance(result, str)
+            outcomes.append(JobOutcome(job.job_id, "failed" if failed else "ok", result if failed else "",
+                                       seconds, () if failed else result))
     finally:
         for pool in pools:
             pool.shutdown()
-    outcomes = []
-    for job in jobs:
-        result = prepared[_original_of(job)]
-        result, seconds = (result, 0.0) if isinstance(result, str) else next(done)
-        failed = isinstance(result, str)
-        outcomes.append(JobOutcome(job.job_id, "failed" if failed else "ok", result if failed else "", seconds,
-                                   () if failed else tuple(map(str, result))))
     report = BatchReport(tuple(outcomes), str(output_dir), skipped_expansions)
     write_json(report.to_dict(), output_dir / "batch_report.json")
     return report

@@ -7,7 +7,7 @@ from ..errors import SchemaError
 from ..dataset.schema import declared_sensitive_attributes
 from ..dataset.split import SplitSpec
 from ..dataset.synthetic import SyntheticSpec
-from ..model import model_names
+from ..model import model_names, model_params
 from ..preproc import METHOD_CONFIGS, METHOD_NAMES
 from ..pipeline.sweep import FAIRNESS_METRICS
 from ..util import canonical_json, from_mapping, integer, listing, mapping, seed_value, string, yaml_document
@@ -139,12 +139,15 @@ def parse_batch_yaml(text: str) -> BatchSpec:
     methods = _named_entries(doc.get("methods"), "methods", "method", METHOD_NAMES)
     for i, (name, params) in enumerate(methods):  # read now, so a bad value stops the batch before any work
         from_mapping(METHOD_CONFIGS[name], params, f"methods[{i}].params")
+    models = _named_entries(doc.get("models"), "models", "model", model_names())
+    for i, (name, params) in enumerate(models):
+        model_params(name, params, f"models[{i}].params")
 
     return BatchSpec(
         datasets=datasets,
         sensitive_attributes=sensitive,
         methods=methods,
-        models=_named_entries(doc.get("models"), "models", "model", model_names()),
+        models=models,
         seeds=seeds,
         split={k: getattr(split, k) for k in _SPLIT_KEYS},
         selection_metric=selection,

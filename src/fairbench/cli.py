@@ -11,6 +11,7 @@ from .batch.runner import _prepare, write_job_artifacts
 from .batch.spec import SYNTHETIC_ATTRIBUTE, dataset_entry
 from .dataset import SplitSpec
 from .errors import FairbenchError, SchemaError
+from .model import model_params
 from .pipeline import FAIRNESS_METRICS, StageOneReport, run_bench_stage, run_prep_stage
 from .preproc import METHOD_CONFIGS, METHOD_NAMES
 from .report import stage1_rows, write_stage1_csv
@@ -79,10 +80,12 @@ def _cmd_bench(args):
         except ValueError as exc:  # not UTF-8 or not JSON
             raise FairbenchError(f"{args.from_report}: not a JSON stage-1 report: {exc}") from None
     stage1 = StageOneReport.from_dict(doc)
+    params = _parse_params(args.param)
+    model_params(args.model, params, "--param")  # read before any work, as a batch's params are
     split = SplitSpec(train=args.train, validation=args.validation, test=args.test,
                       seed=stage1.seed if args.split_seed is None else args.split_seed)
     bench = run_bench_stage(
-        stage1, model_name=args.model, model_params=_parse_params(args.param),
+        stage1, model_name=args.model, model_params=params,
         split_spec=split, selection_metric=args.select_metric, cache_dir=args.cache_dir,
     )
     write_job_artifacts(stage1, bench, args.out)

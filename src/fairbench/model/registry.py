@@ -8,24 +8,36 @@ from ..errors import SchemaError
 from ..util import from_mapping
 from .logreg import LogRegConfig, TrainedModel, predict_scores, train_logreg
 
-_REGISTRY = {}
+_REGISTRY = {}  # name -> (factory, the config its params are read through, or None)
 
 
-def register_model(name: str, factory):
-    """Register an adapter; `factory(train, params, seed) -> scorer`."""
-    _REGISTRY[name] = factory
+def register_model(name: str, factory, config=None):
+    """Register an adapter; `factory(train, params, seed) -> scorer`.
+
+    With `config`, a frozen dataclass that `util.from_mapping` reads, the factory receives its params as
+    that config, read before any work by a batch or `fairbench bench`; without, as a dict.
+    """
+    _REGISTRY[name] = (factory, config)
 
 
 def model_names():
     return sorted(_REGISTRY)
 
 
-def fit_model(name: str, train, params=None, seed: int = 0):
+def model_params(name: str, params, where):
+    """`params` as model `name`'s factory receives them; an unknown name or a bad value is a
+    FairbenchError, naming a value as `<where>.<key>`."""
     try:
-        factory = _REGISTRY[name]
+        _, config = _REGISTRY[name]
     except KeyError:
         raise SchemaError(f"unknown model {name!r}; registered: {model_names()}") from None
-    return factory(train, dict(params or {}), seed)
+    return dict(params or {}) if config is None else from_mapping(config, params, where)
+
+
+def fit_model(name: str, train, params=None, seed: int = 0):
+    params = model_params(name, params, name)
+    factory, _ = _REGISTRY[name]
+    return factory(train, params, seed)
 
 
 class _LogRegScorer:
@@ -36,8 +48,8 @@ class _LogRegScorer:
         return predict_scores(self.model, ds)
 
 
-def _logreg_factory(train, params, seed):
-    return _LogRegScorer(train_logreg(train, from_mapping(LogRegConfig, params, "logreg")))
+def _logreg_factory(train, config, seed):
+    return _LogRegScorer(train_logreg(train, config))
 
 
-register_model("logreg", _logreg_factory)
+register_model("logreg", _logreg_factory, LogRegConfig)

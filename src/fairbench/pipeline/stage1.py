@@ -6,8 +6,8 @@ from pathlib import Path
 from ..dataset import TabularDataset, cache_key, cache_load, cache_store, encode, load_csv
 from ..dataset.cache import cache_holds, dumps, record_load, record_store
 from ..metrics.dataset_metrics import DatasetMetrics, dataset_metrics
-from ..preproc import SEEDED_METHODS, apply_method
-from ..errors import FairbenchError
+from ..preproc import METHOD_CONFIGS, METHOD_NAMES, SEEDED_METHODS, apply_method
+from ..errors import FairbenchError, SchemaError
 from ..util import Settings, from_mapping, mapping, setting
 
 
@@ -27,11 +27,17 @@ class StageOneReport(Settings):
 
     @classmethod
     def from_dict(cls, doc):
-        """The report `to_dict` gave; a document of another shape is a FairbenchError saying what is wrong."""
+        """The report `to_dict` gave; a document of another shape, or a method or params that `prep` would refuse,
+        is a FairbenchError saying what is wrong."""
         doc = dict(mapping(doc, "stage-1 report", required=True))
         if (version := doc.pop("schema_version", None)) != 1:
             raise FairbenchError(f"unsupported stage-1 report version {version!r}")
-        return from_mapping(cls, doc, "stage-1 report")
+        report = from_mapping(cls, doc, "stage-1 report")
+        if report.method not in METHOD_CONFIGS:
+            raise SchemaError(f"stage-1 report.method: unknown method {report.method!r}; "
+                              f"expected one of {list(METHOD_NAMES)}")
+        from_mapping(METHOD_CONFIGS[report.method], report.params, "stage-1 report.params")
+        return report
 
 
 @dataclass(frozen=True)

@@ -162,6 +162,11 @@ class TestParse:
          "methods[0].params.repair_level must be in [0,1], got 2.0"),
         ("methods: [RW]", "methods: [{name: LFR, params: {a_z: .inf}}]", FitError,
          "methods[0].params.a_z must be non-negative and finite, got inf"),
+        # a model's too, read through the config it is registered with
+        ("models: [logreg]", "models: [{name: logreg, params: {max_iter: -1}}]", FitError,
+         "models[0].params.max_iter must be non-negative, got -1"),
+        ("models: [logreg]", "models: [logreg, {name: logreg, params: {penalty: l1}}]", SchemaError,
+         "models[1].params: unknown keys ['penalty'] (accepts ['l2', 'max_iter', 'standardize', 'tol'])"),
     ])
     def test_a_setting_is_read_at_parse(self, old, new, error, message):
         # each once parsed, and every job it reached then failed at its preparation or fit
@@ -293,11 +298,11 @@ def _alone(fn, *args):
 _execute_job = runner.execute_job
 
 
-def _exit_on_synth_b_dir(job, prepared, output_dir, cache_dir, original_arm=None):
+def _exit_on_synth_b_dir(job, prepared, cache_dir, original_arm=None):
     """Kills the pool worker that runs the synth_b DIR job (module level, so it pickles)."""
     if job.dataset.name == "synth_b" and job.method == "DIR":
         os._exit(1)
-    return _execute_job(job, prepared, output_dir, cache_dir, original_arm)
+    return _execute_job(job, prepared, cache_dir, original_arm)
 
 
 _IMPORT_PID = os.getpid()
@@ -308,26 +313,26 @@ def _in_fork_pool():
     return os.getpid() != _IMPORT_PID
 
 
-def _exit_in_pool_on_synth_b_dir(job, prepared, output_dir, cache_dir, original_arm=None):
+def _exit_in_pool_on_synth_b_dir(job, prepared, cache_dir, original_arm=None):
     """Kills every pool worker, forked or spawned, that runs synth_b DIR; in the caller's own process it runs the job."""
     if multiprocessing.parent_process() is not None and job.dataset.name == "synth_b" and job.method == "DIR":
         os._exit(1)
-    return _execute_job(job, prepared, output_dir, cache_dir, original_arm)
+    return _execute_job(job, prepared, cache_dir, original_arm)
 
 
-def _exit_forked_on_synth_b_dir(job, prepared, output_dir, cache_dir, original_arm=None):
+def _exit_forked_on_synth_b_dir(job, prepared, cache_dir, original_arm=None):
     """Kills the fork-pool worker that runs synth_b DIR, so that job runs again in the spawn pool."""
     if _in_fork_pool() and job.dataset.name == "synth_b" and job.method == "DIR":
         os._exit(1)
-    return _execute_job(job, prepared, output_dir, cache_dir, original_arm)
+    return _execute_job(job, prepared, cache_dir, original_arm)
 
 
-def _exit_forked_deleting_toy_csv(job, prepared, output_dir, cache_dir, original_arm=None):
+def _exit_forked_deleting_toy_csv(job, prepared, cache_dir, original_arm=None):
     """Deletes the toy CSV in the fork-pool worker that runs toy DIR, then kills that worker."""
     if _in_fork_pool() and job.dataset.name == "toy" and job.method == "DIR":
         os.remove(job.dataset.csv)
         os._exit(1)
-    return _execute_job(job, prepared, output_dir, cache_dir, original_arm)
+    return _execute_job(job, prepared, cache_dir, original_arm)
 
 
 _prepare_original = runner.prepare_original
@@ -391,18 +396,18 @@ def _store_stalling_in_fsync(cache_dir, writing):
     cache_store(cache_module.dumps(make_synthetic(seed=0, n=50, disparity=0.0))[1], "key", cache_dir)
 
 
-def _record_blas_threads(job, prepared, output_dir, cache_dir, original_arm=None):
-    """Writes the BLAS thread count the job runs with to `<output_dir>/<job id>.threads`."""
+def _record_blas_threads(job, prepared, cache_dir, original_arm=None):
+    """Writes the BLAS thread count the job runs with to `<cache_dir>/<job id>.threads`, then runs it."""
     get, _ = runner._openblas_threads()
-    (Path(output_dir) / f"{job.job_id}.threads").write_text(str(get()), encoding="utf-8")
-    return []
+    (Path(cache_dir) / f"{job.job_id}.threads").write_text(str(get()), encoding="utf-8")
+    return _execute_job(job, prepared, cache_dir, original_arm)
 
 
-def _record_blas_threads_outside_fork_pool(job, prepared, output_dir, cache_dir, original_arm=None):
+def _record_blas_threads_outside_fork_pool(job, prepared, cache_dir, original_arm=None):
     """Kills every fork-pool worker, so each job records its count in the spawn re-run pool."""
     if _in_fork_pool():
         os._exit(1)
-    return _record_blas_threads(job, prepared, output_dir, cache_dir, original_arm)
+    return _record_blas_threads(job, prepared, cache_dir, original_arm)
 
 
 @pytest.fixture
@@ -505,7 +510,7 @@ seeds: [0, 1]
         # the calls a batch at parallelism 1 makes, in this process, where the passes can be counted
         prepared = runner._prepare(jobs[0].dataset, jobs[0].sensitive, cache)
         for job in jobs:
-            result = _alone(runner.execute_job, job, prepared, tmp_path / "out", cache)
+            result = _alone(runner.execute_job, job, prepared, cache)
             assert not isinstance(result, str), result
         # the original's record and one DIR record, whatever the seed or model
         assert len(list(cache.glob("*.metrics.fpds"))) == 2
@@ -575,6 +580,45 @@ class TestRun:
         assert report.exit_code == 0
         doc = yaml.safe_load((tmp_path / "out" / "batch_report.json").read_text())
         assert doc["jobs"][0]["status"] == "ok"
+
+    @pytest.mark.parametrize("parallelism", [1, 2])
+    def test_the_calling_process_writes_every_jobs_artifacts(self, tmp_path, monkeypatch, parallelism):
+        writers, write = [], runner.write_job_artifacts
+
+        def recording(*args, **kwargs):
+            writers.append(os.getpid())  # a pool worker would append to its own copy of the list
+            return write(*args, **kwargs)
+
+        monkeypatch.setattr(runner, "write_job_artifacts", recording)
+        jobs, _ = expand_jobs(parse_batch_yaml(MATRIX))
+        report = run_batch(jobs, parallelism=parallelism, output_dir=tmp_path / "out")
+        assert report.exit_code == 0, [o.error for o in report.failures]
+        assert writers == [os.getpid()] * len(jobs)
+        for outcome in report.outcomes:
+            assert len(outcome.artifacts) == 8
+            assert all(Path(path).is_file() for path in outcome.artifacts)
+
+    @pytest.mark.parametrize("parallelism", [1, 2])
+    def test_a_job_whose_directory_is_a_file_fails_alone(self, tmp_path, parallelism):
+        jobs, _ = expand_jobs(parse_batch_yaml(MATRIX))
+        out = tmp_path / "out"
+        blocked = out / jobs[1].job_id
+        out.mkdir()
+        blocked.write_text("not a directory\n", encoding="utf-8")
+        report = run_batch(jobs, parallelism=parallelism, output_dir=out, cache_dir=tmp_path / "cache")
+        with pytest.raises(OSError) as raised:
+            blocked.mkdir(parents=True, exist_ok=True)
+        for job, outcome in zip(jobs, report.outcomes):
+            if job.job_id == blocked.name:
+                assert (outcome.status, outcome.error, outcome.artifacts) == ("failed", error_text(raised.value), ())
+                assert outcome.wall_time_s > 0  # its task ran
+            else:
+                assert outcome.status == "ok", (job.job_id, outcome.error)
+                assert sorted(Path(path).name for path in outcome.artifacts) == sorted(
+                    path.name for path in (out / job.job_id).iterdir())
+        doc = json.loads((out / "batch_report.json").read_text())
+        assert [(j["status"], j["error"]) for j in doc["jobs"]] == [(o.status, o.error) for o in report.outcomes]
+        assert blocked.read_text(encoding="utf-8") == "not a directory\n"
 
     def test_damaged_cache_entries_are_recomputed(self, tmp_path):
         jobs, _ = expand_jobs(parse_batch_yaml(MATRIX))
@@ -682,11 +726,11 @@ class TestRun:
         for run in ("cold", "warm"):
             reads.clear()
             checks.clear()
-            result = _alone(runner.execute_job, job, prepared, tmp_path / run, cache)
+            result = _alone(runner.execute_job, job, prepared, cache)
             assert not isinstance(result, str), result
-            stage1 = json.loads((tmp_path / run / job.job_id / "summary.json").read_text())["stage1"]
+            stage1, _ = result
             # cold, the processed record is absent and is written; warm, it is read instead of the transform
-            assert reads == [f"{prepared.cache_key}.fpds", f"{stage1['processed_cache_key']}.metrics.fpds"]
+            assert reads == [f"{prepared.cache_key}.fpds", f"{stage1.processed_cache_key}.metrics.fpds"]
             # one parse, checked against its key, of the original's file bytes
             assert checks == [(entry, prepared.cache_key)]
 
@@ -877,10 +921,10 @@ class TestOriginalArm:
                 "stage1.csv", "summary.json", "sweep_processed.svg",
                 "sweep_processed_test.csv", "sweep_processed_validation.csv"]
             # the job run alone runs its original arm itself, and records the same error
-            result = _alone(runner.execute_job, job, prepared, tmp_path / "alone", cache)
+            result = _alone(runner.execute_job, job, prepared, cache)
             assert not isinstance(result, str), result
-            alone = json.loads((tmp_path / "alone" / job.job_id / "summary.json").read_text())
-            assert alone["arm_errors"] == summary["arm_errors"]
+            _, bench = result
+            assert bench.errors == summary["arm_errors"]
 
     def test_a_job_whose_arms_both_fail_fails_as_it_does_alone(self, tmp_path, monkeypatch):
         jobs, _ = expand_jobs(parse_batch_yaml(self.TWO_METHODS))
@@ -891,7 +935,7 @@ class TestOriginalArm:
         for job, outcome in zip(jobs, report.outcomes):
             assert outcome.status == "failed"
             assert "both arms failed" in outcome.error
-            assert outcome.error == _alone(runner.execute_job, job, prepared, tmp_path / "alone", cache)
+            assert outcome.error == _alone(runner.execute_job, job, prepared, cache)
 
     def test_an_original_arm_whose_every_worker_dies_fails_only_that_arm(self, tmp_path, monkeypatch):
         monkeypatch.setattr(runner, "_original_arm", _exit_running_synth_b_original_arm)
@@ -957,7 +1001,7 @@ class TestBlasThreads:
         jobs, _ = expand_jobs(parse_batch_yaml(MATRIX))
         report = run_batch(jobs, parallelism=parallelism, output_dir=tmp_path)
         assert report.exit_code == 0, [o.error for o in report.failures]
-        assert [(tmp_path / f"{j.job_id}.threads").read_text() for j in jobs] == ["1"] * len(jobs)
+        assert [(tmp_path / "cache" / f"{j.job_id}.threads").read_text() for j in jobs] == ["1"] * len(jobs)
         assert caller_blas_threads() == 3
 
     def test_spawn_rerun_pool_runs_with_one_thread(self, tmp_path, monkeypatch, caller_blas_threads):
@@ -968,7 +1012,7 @@ class TestBlasThreads:
         jobs, _ = expand_jobs(parse_batch_yaml(MATRIX))
         report = run_batch(jobs, parallelism=2, output_dir=tmp_path)
         assert report.exit_code == 0, [o.error for o in report.failures]
-        assert [(tmp_path / f"{j.job_id}.threads").read_text() for j in jobs] == ["1"] * len(jobs)
+        assert [(tmp_path / "cache" / f"{j.job_id}.threads").read_text() for j in jobs] == ["1"] * len(jobs)
         assert caller_blas_threads() == 3
 
 

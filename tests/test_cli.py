@@ -336,6 +336,58 @@ def test_prep_reads_its_params_before_any_work(tmp_path, capsys, param, message)
     assert not out.exists() and not cache.exists()
 
 
+def _stage1_report(tmp_path, method):
+    """The path of the stage-1 report `prep` writes for synthetic n=100 under `method`, cached in tmp_path/cache."""
+    assert main(["prep", "--dataset", "synthetic:n=100", "--method", method, "--out", str(tmp_path / "prep"),
+                 "--cache-dir", str(tmp_path / "cache")]) == 0
+    report_path, = (tmp_path / "prep").glob("*.json")
+    return report_path
+
+
+@pytest.mark.parametrize("change, message", [
+    ({"params": {"repair_lvl": 1}},
+     "stage-1 report.params: unknown keys ['repair_lvl'] (accepts ['columns', 'grid_size', 'repair_level'])"),
+    ({"params": {"repair_level": 2}}, "stage-1 report.params.repair_level must be in [0,1], got 2.0"),
+    ({"method": "XYZ"}, "stage-1 report.method: unknown method 'XYZ'; expected one of ['RW', 'LFR', 'DIR', 'OPP']"),
+])
+def test_bench_reads_the_reports_method_and_params_before_any_work(tmp_path, capsys, change, message):
+    # these were once refused by the processed arm, after the original arm was fitted and its files written
+    report = tmp_path / "report.json"
+    report.write_text(json.dumps(dict(json.loads(_stage1_report(tmp_path, "DIR").read_text()), **change)))
+    capsys.readouterr()
+    out = tmp_path / "out"
+    assert main(["bench", "--from", str(report), "--out", str(out), "--cache-dir", str(tmp_path / "cache")]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("options, message", [
+    (["--param", "max_iter=-1"], "--param.max_iter must be non-negative, got -1"),
+    (["--param", "penalty=l1"], "--param: unknown keys ['penalty'] (accepts ['l2', 'max_iter', 'standardize', 'tol'])"),
+    (["--model", "forest"], "unknown model 'forest'; registered: ['logreg']"),
+])
+def test_bench_reads_its_model_and_params_before_any_work(tmp_path, capsys, options, message):
+    # both arms once fitted to the same refusal, which ended the command as "both arms failed"
+    report = _stage1_report(tmp_path, "RW")
+    capsys.readouterr()
+    out = tmp_path / "out"
+    assert main(["bench", "--from", str(report), "--out", str(out), "--cache-dir", str(tmp_path / "cache"),
+                 *options]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
+def test_batch_reads_its_model_params_before_any_work(tmp_path, capsys):
+    # this once prepared and cached the dataset, then failed both arms of every job, and exited 1
+    config = tmp_path / "batch.yaml"
+    config.write_text("datasets: [{name: s, synthetic: {n: 100}}]\nmethods: [RW]\n"
+                      "models: [{name: logreg, params: {max_iter: -1}}]\nseeds: [0]\n", encoding="utf-8")
+    out, cache = tmp_path / "out", tmp_path / "cache"
+    assert main(["batch", "--config", str(config), "--out", str(out), "--cache-dir", str(cache)]) == 2
+    assert capsys.readouterr().err == "error: models[0].params.max_iter must be non-negative, got -1\n"
+    assert not out.exists() and not cache.exists()
+
+
 def test_error_reported_not_raised(tmp_path, capsys):
     code = main(["prep", "--dataset", "german", "--method", "RW",
                  "--out", str(tmp_path), "--cache-dir", str(tmp_path)])
