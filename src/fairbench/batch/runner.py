@@ -5,15 +5,14 @@ once. Its config seed seeds a job's split and every fit, so the jobs of one
 (dataset, sensitive attribute, seed) share a split; each original arm then
 runs once per (dataset, sensitive attribute, split, seed, model, model
 parameters, selection metric). Each job runs the rest of stage 1 and its
-processed arm; the calling process writes its full artifact set, both arms
-alike, under `<out>/<job id>/`. Results do not depend on parallelism,
-execution order or the other jobs.
+processed arm, and its full artifact set, both arms alike, is written under
+`<out>/<job id>/`: by the calling process when the pool has one worker, else
+by the job's worker. Results do not depend on parallelism, execution order
+or the other jobs.
 
-Preparations, original arms and jobs are plain functions that raise. Each
-runs as a pool task through `_call`, the one place where a task's exception
-becomes its error text and where its warnings and its time are recorded.
-A job's artifacts are written in the calling process by `_write_job`, which
-does the same for the write.
+Preparations, original arms, jobs and the calling process's writes are plain
+functions that raise. Each runs through `_call`, the one place where an
+exception becomes its error text and where warnings and time are recorded.
 """
 
 import contextlib
@@ -132,38 +131,40 @@ def _original_arm(job: JobSpec, prepared, cache_dir):
     return run_original_arm(split, job.model, job.model_params, job.seed, job.selection_metric)
 
 
-def execute_job(job: JobSpec, prepared, cache_dir, original_arm=None):
-    """Run one job from the PreparedOriginal of its dataset: (its StageOneReport, its BenchStageResult).
+def execute_job(job: JobSpec, prepared, cache_dir, original_arm=None, output_dir=None):
+    """Run one job from the PreparedOriginal of its dataset: (its StageOneReport, its BenchStageResult),
+    or, given `output_dir`, the paths `_write_job` writes from them under it.
 
     `original_arm` is the job's SweepResult or its error text, as `run_batch`
     runs it once for every job that shares it; when it is None, the job runs
-    its original arm itself. A job that fails raises; `_call` records it. It
-    writes no file: `run_batch` writes its artifacts in the calling process.
+    its original arm itself. A job that fails raises; `_call` records it.
     """
     original = load_original(prepared.cache_key, cache_dir, prepared.name)
     stage1 = run_prep_stage(prepared, job.method, job.method_params,
                             seed=job.seed, cache_dir=cache_dir, original=original)
-    return stage1, run_bench_stage(
+    result = stage1, run_bench_stage(
         stage1, model_name=job.model, model_params=job.model_params,
         split_spec=_split_spec(job), selection_metric=job.selection_metric,
         cache_dir=cache_dir, original=original, original_arm=original_arm,
     )
+    return result if output_dir is None else _write_job(job, result, output_dir)
 
 
 def _write_job(job: JobSpec, result, output_dir):
-    """(the artifacts' paths, or the error text of the Exception writing them raised; the seconds it took)."""
-    started = time.perf_counter()
-    try:
-        written = tuple(map(str, write_job_artifacts(*result, output_dir / job.job_id,
-                                                     job=json.loads(job.canonical()), job_id=job.job_id)))
-    except Exception as exc:
-        written = error_text(exc)
-    return written, time.perf_counter() - started
+    """The paths, as text, of the artifacts `write_job_artifacts` writes from the job's (StageOneReport,
+    BenchStageResult) under `<output_dir>/<job id>`."""
+    return tuple(map(str, write_job_artifacts(*result, Path(output_dir) / job.job_id,
+                                              job=json.loads(job.canonical()), job_id=job.job_id)))
+
+
+def _cores():
+    """The number of cores this process may run on."""
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
 
 
 def _call(fn, args):
-    """A pool task's outcome: (fn(*args), or the error text of the Exception it raised; each warning
-    its worker's filters let through, as (message, category, file, line); the seconds it took).
+    """A task's outcome: (fn(*args), or the error text of the Exception it raised; each warning
+    its process's filters let through, as (message, category, file, line); the seconds it took).
 
     The warnings raised before a failure are kept, so a failed task's are relayed too.
     """
@@ -217,9 +218,14 @@ def _run_tasks(fn, tasks, pools, workers):
         future, futures[i] = futures[i], None
         error = future.exception()
         result, caught, took = future.result() if error is None else (error_text(error), (), 0.0)
-        for message, category, filename, lineno in caught:
-            warnings.warn_explicit(message, category, filename, lineno)
+        _warn_again(caught)
         yield result, took
+
+
+def _warn_again(caught):
+    """Issue in this process the warnings `_call` recorded."""
+    for message, category, filename, lineno in caught:
+        warnings.warn_explicit(message, category, filename, lineno)
 
 
 @functools.cache
@@ -282,10 +288,12 @@ def run_batch(jobs, parallelism: int = 1, output_dir="fairbench_out",
     processed arm. Preparations, arms and jobs run as tasks of one process
     pool, at parallelism 1 too, so a dying worker never ends the batch; once a
     dead worker has broken it, the spawn pool that replaced it takes the rest.
-    This process writes each job's artifacts with `write_job_artifacts`, in
-    job order, while the pool runs the jobs after it; a write that raises
-    fails its job with its error text. A job's `wall_time_s` is its task's
-    seconds plus its write's.
+    With one worker and a core to spare, this process writes each job's
+    artifacts, in job order, while the worker runs the jobs after it; with
+    more workers, the writes of all of them would queue on this one process,
+    so each worker writes its own job's. A write that raises fails its job
+    with its error text. A job's `wall_time_s` is its task's seconds plus,
+    when this process writes, its write's.
     """
     output_dir = Path(output_dir)
     output_dir.mkdir(parents=True, exist_ok=True)
@@ -306,14 +314,16 @@ def run_batch(jobs, parallelism: int = 1, output_dir="fairbench_out",
             shared.setdefault(_arm_of(job), (job, prepared[_original_of(job)], cache_dir))
         arms = dict(zip(shared, (result for result, _ in
                                  _run_tasks(_original_arm, list(shared.values()), pools, workers))))
-        done = _run_tasks(execute_job, [(job, prepared[_original_of(job)], cache_dir, arms[_arm_of(job)])
-                                        for job in ready], pools, workers)
+        writes_here = workers == 1 < _cores()
+        done = _run_tasks(execute_job, [(job, prepared[_original_of(job)], cache_dir, arms[_arm_of(job)],
+                                       None if writes_here else output_dir) for job in ready], pools, workers)
         for job in jobs:
             result, seconds = prepared[_original_of(job)], 0.0
             if not isinstance(result, str):
                 result, seconds = next(done)
-            if not isinstance(result, str):
-                result, writing = _write_job(job, result, output_dir)
+            if writes_here and not isinstance(result, str):
+                result, caught, writing = _call(_write_job, (job, result, output_dir))
+                _warn_again(caught)
                 seconds += writing
             failed = isinstance(result, str)
             outcomes.append(JobOutcome(job.job_id, "failed" if failed else "ok", result if failed else "",

@@ -8,7 +8,7 @@ from ..dataset.schema import declared_sensitive_attributes
 from ..dataset.split import SplitSpec
 from ..dataset.synthetic import SyntheticSpec
 from ..model import model_names, model_params
-from ..preproc import METHOD_CONFIGS, METHOD_NAMES
+from ..preproc import METHOD_NAMES, method_params
 from ..pipeline.sweep import FAIRNESS_METRICS
 from ..util import canonical_json, from_mapping, integer, listing, mapping, seed_value, string, yaml_document
 
@@ -138,7 +138,7 @@ def parse_batch_yaml(text: str) -> BatchSpec:
 
     methods = _named_entries(doc.get("methods"), "methods", "method", METHOD_NAMES)
     for i, (name, params) in enumerate(methods):  # read now, so a bad value stops the batch before any work
-        from_mapping(METHOD_CONFIGS[name], params, f"methods[{i}].params")
+        method_params(name, params, f"methods[{i}].params")
     models = _named_entries(doc.get("models"), "models", "model", model_names())
     for i, (name, params) in enumerate(models):
         model_params(name, params, f"models[{i}].params")

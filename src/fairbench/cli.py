@@ -13,10 +13,10 @@ from .dataset import SplitSpec
 from .errors import FairbenchError, SchemaError
 from .model import model_params
 from .pipeline import FAIRNESS_METRICS, StageOneReport, run_bench_stage, run_prep_stage
-from .preproc import METHOD_CONFIGS, METHOD_NAMES
+from .preproc import METHOD_NAMES, method_params
 from .report import stage1_rows, write_stage1_csv
 from .report.tables import write_json
-from .util import from_mapping, integer, seed_value, yaml_document
+from .util import integer, seed_value, yaml_document
 
 
 def _parse_params(pairs, option="--param"):
@@ -47,7 +47,7 @@ def _cmd_prep(args):
     if Path(stem).name != stem:
         raise FairbenchError(f"--dataset names the report file, so it cannot hold a path separator: {args.dataset!r}")
     params = _parse_params(args.param)
-    from_mapping(METHOD_CONFIGS[args.method], params, "--param")  # read before any work, as a batch's params are
+    method_params(args.method, params, "--param")  # read before any work, as a batch's params are
     # the dataset is a batch config's `datasets` entry, checked and prepared by the batch's rules
     entry = {key: value for key, value in (("name", args.dataset), ("csv", args.csv), ("schema", args.schema))
              if value is not None}

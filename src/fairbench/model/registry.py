@@ -8,14 +8,14 @@ from ..errors import SchemaError
 from ..util import from_mapping
 from .logreg import LogRegConfig, TrainedModel, predict_scores, train_logreg
 
-_REGISTRY = {}  # name -> (factory, the config its params are read through, or None)
+_REGISTRY = {}  # name -> (factory, the config its params are checked through, or None)
 
 
 def register_model(name: str, factory, config=None):
-    """Register an adapter; `factory(train, params, seed) -> scorer`.
+    """Register an adapter; `factory(train, params dict, seed) -> scorer`.
 
-    With `config`, a frozen dataclass that `util.from_mapping` reads, the factory receives its params as
-    that config, read before any work by a batch or `fairbench bench`; without, as a dict.
+    With `config`, a frozen dataclass that `util.from_mapping` reads, the params are checked through it
+    before any work by a batch or `fairbench bench`, and before each fit; without, only by the factory.
     """
     _REGISTRY[name] = (factory, config)
 
@@ -25,13 +25,15 @@ def model_names():
 
 
 def model_params(name: str, params, where):
-    """`params` as model `name`'s factory receives them; an unknown name or a bad value is a
-    FairbenchError, naming a value as `<where>.<key>`."""
+    """`params` as a dict, as model `name`'s factory receives them; an unknown name, or a value its
+    registered config refuses, is a FairbenchError, naming a value as `<where>.<key>`."""
     try:
         _, config = _REGISTRY[name]
     except KeyError:
         raise SchemaError(f"unknown model {name!r}; registered: {model_names()}") from None
-    return dict(params or {}) if config is None else from_mapping(config, params, where)
+    if config is not None:
+        from_mapping(config, params, where)
+    return dict(params or {})
 
 
 def fit_model(name: str, train, params=None, seed: int = 0):
@@ -48,8 +50,8 @@ class _LogRegScorer:
         return predict_scores(self.model, ds)
 
 
-def _logreg_factory(train, config, seed):
-    return _LogRegScorer(train_logreg(train, config))
+def _logreg_factory(train, params, seed):
+    return _LogRegScorer(train_logreg(train, from_mapping(LogRegConfig, params, "logreg")))
 
 
 register_model("logreg", _logreg_factory, LogRegConfig)

@@ -6,8 +6,8 @@ from pathlib import Path
 from ..dataset import TabularDataset, cache_key, cache_load, cache_store, encode, load_csv
 from ..dataset.cache import cache_holds, dumps, record_load, record_store
 from ..metrics.dataset_metrics import DatasetMetrics, dataset_metrics
-from ..preproc import METHOD_CONFIGS, METHOD_NAMES, SEEDED_METHODS, apply_method
-from ..errors import FairbenchError, SchemaError
+from ..preproc import SEEDED_METHODS, apply_method, method_params
+from ..errors import FairbenchError
 from ..util import Settings, from_mapping, mapping, setting
 
 
@@ -33,10 +33,7 @@ class StageOneReport(Settings):
         if (version := doc.pop("schema_version", None)) != 1:
             raise FairbenchError(f"unsupported stage-1 report version {version!r}")
         report = from_mapping(cls, doc, "stage-1 report")
-        if report.method not in METHOD_CONFIGS:
-            raise SchemaError(f"stage-1 report.method: unknown method {report.method!r}; "
-                              f"expected one of {list(METHOD_NAMES)}")
-        from_mapping(METHOD_CONFIGS[report.method], report.params, "stage-1 report.params")
+        method_params(report.method, report.params, "stage-1 report.params")
         return report
 
 

@@ -35,10 +35,16 @@ class FittedMethod:
         return self._eval_transform(ds)
 
 
-def fit_method(name: str, train: TabularDataset, params=None, seed: int = 0) -> FittedMethod:
+def method_params(name: str, params, where):
+    """Method `name`'s config read from `params`; an unknown name or a bad value is a FairbenchError,
+    naming a value as `<where>.<key>`."""
     if name not in METHOD_CONFIGS:
-        raise SchemaError(f"unknown method {name!r}; expected one of {METHOD_NAMES}")
-    cfg = from_mapping(METHOD_CONFIGS[name], params, name)
+        raise SchemaError(f"unknown method {name!r}; expected one of {list(METHOD_NAMES)}")
+    return from_mapping(METHOD_CONFIGS[name], params, where)
+
+
+def fit_method(name: str, train: TabularDataset, params=None, seed: int = 0) -> FittedMethod:
+    cfg = method_params(name, params, name)
     if name == "RW":
         return FittedMethod(name, reweigh(train).dataset, lambda ds: ds)
 
@@ -76,7 +82,6 @@ def apply_method(name: str, ds: TabularDataset, params=None, seed: int = 0) -> T
 
 
 __all__ = [
-    "METHOD_CONFIGS",
     "METHOD_NAMES",
     "SEEDED_METHODS",
     "DirConfig",
@@ -87,6 +92,7 @@ __all__ = [
     "fit_method",
     "lfr_fit",
     "lfr_transform",
+    "method_params",
     "opp_fit",
     "opp_transform",
     "reweigh",

@@ -31,15 +31,11 @@ def _finite(value):
 
 
 def _segments(xs, values, y_of):
-    """Polyline point strings at the formatted x coordinates `xs`, split where a value is not finite (the gap rule).
-
-    The points are formatted in one pass, a gap as None, and cut at the gaps after.
-    """
-    points = [f"{x},{y_of(v):.2f}" if _finite(v) else None for x, v in zip(xs, values)]
+    """Polyline point strings at the formatted x coordinates `xs`, split where a value is not finite (the gap rule)."""
     segments, current = [], []
-    for point in points:
-        if point is not None:
-            current.append(point)
+    for x, v in zip(xs, values):
+        if _finite(v):
+            current.append(f"{x},{_num(y_of(v))}")
         elif current:
             segments.append(current)
             current = []
@@ -91,7 +87,7 @@ def _panel(out, index, title, attr, table, optimal_t):
     out.append(
         f'<text x="{_num(x_of(optimal_t))}" y="{y1 + 26}" text-anchor="middle" font-size="9">t*={optimal_t:.2f}</text>'
     )
-    xs = [f"{x_of(t):.2f}" for t in table.thresholds]
+    xs = [_num(x_of(t)) for t in table.thresholds]
     for column, y_of, color, cls in (("balanced_accuracy", y_acc, _BLUE, "accuracy"),
                                      (attr, y_fair, _RED, "fairness")):
         for seg in _segments(xs, getattr(table, column), y_of):

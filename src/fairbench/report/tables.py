@@ -46,13 +46,6 @@ def _fmt(value, decimals=3):
     return f"{value:.{decimals}f}"
 
 
-def _fmt_column(values, decimals=3):
-    """`_fmt` of each value, in one pass: a finite float, nearly every cell, is formatted without its checks
-    (`v - v` is NaN for NaN and the infinities)."""
-    spec = f".{decimals}f"
-    return [format(v, spec) if type(v) is float and v - v == 0.0 else _fmt(v, decimals) for v in values]
-
-
 def stage1_rows(report: StageOneReport):
     """(dataset, method, metrics) rows for a report: the original, then the processed side."""
     return [
@@ -74,9 +67,9 @@ def write_sweep_csv(table, path) -> Path:
     if not len(table):
         raise FairbenchError("no sweep rows to write")
     columns = (
-        _fmt_column(table.thresholds, 2),
-        *map(_fmt_column, _SWEEP_FIELDS(table)),
-        *(_fmt_column(table.group_rates[g][rate]) for g, rate in _SWEEP_RATES),
+        [_fmt(t, 2) for t in table.thresholds],
+        *(map(_fmt, values) for values in _SWEEP_FIELDS(table)),
+        *(map(_fmt, table.group_rates[g][rate]) for g, rate in _SWEEP_RATES),
     )
     return write_csv(path, SWEEP_HEADER, zip(*columns))
 

@@ -298,11 +298,11 @@ def _alone(fn, *args):
 _execute_job = runner.execute_job
 
 
-def _exit_on_synth_b_dir(job, prepared, cache_dir, original_arm=None):
+def _exit_on_synth_b_dir(job, prepared, cache_dir, original_arm=None, output_dir=None):
     """Kills the pool worker that runs the synth_b DIR job (module level, so it pickles)."""
     if job.dataset.name == "synth_b" and job.method == "DIR":
         os._exit(1)
-    return _execute_job(job, prepared, cache_dir, original_arm)
+    return _execute_job(job, prepared, cache_dir, original_arm, output_dir)
 
 
 _IMPORT_PID = os.getpid()
@@ -313,26 +313,26 @@ def _in_fork_pool():
     return os.getpid() != _IMPORT_PID
 
 
-def _exit_in_pool_on_synth_b_dir(job, prepared, cache_dir, original_arm=None):
+def _exit_in_pool_on_synth_b_dir(job, prepared, cache_dir, original_arm=None, output_dir=None):
     """Kills every pool worker, forked or spawned, that runs synth_b DIR; in the caller's own process it runs the job."""
     if multiprocessing.parent_process() is not None and job.dataset.name == "synth_b" and job.method == "DIR":
         os._exit(1)
-    return _execute_job(job, prepared, cache_dir, original_arm)
+    return _execute_job(job, prepared, cache_dir, original_arm, output_dir)
 
 
-def _exit_forked_on_synth_b_dir(job, prepared, cache_dir, original_arm=None):
+def _exit_forked_on_synth_b_dir(job, prepared, cache_dir, original_arm=None, output_dir=None):
     """Kills the fork-pool worker that runs synth_b DIR, so that job runs again in the spawn pool."""
     if _in_fork_pool() and job.dataset.name == "synth_b" and job.method == "DIR":
         os._exit(1)
-    return _execute_job(job, prepared, cache_dir, original_arm)
+    return _execute_job(job, prepared, cache_dir, original_arm, output_dir)
 
 
-def _exit_forked_deleting_toy_csv(job, prepared, cache_dir, original_arm=None):
+def _exit_forked_deleting_toy_csv(job, prepared, cache_dir, original_arm=None, output_dir=None):
     """Deletes the toy CSV in the fork-pool worker that runs toy DIR, then kills that worker."""
     if _in_fork_pool() and job.dataset.name == "toy" and job.method == "DIR":
         os.remove(job.dataset.csv)
         os._exit(1)
-    return _execute_job(job, prepared, cache_dir, original_arm)
+    return _execute_job(job, prepared, cache_dir, original_arm, output_dir)
 
 
 _prepare_original = runner.prepare_original
@@ -396,18 +396,18 @@ def _store_stalling_in_fsync(cache_dir, writing):
     cache_store(cache_module.dumps(make_synthetic(seed=0, n=50, disparity=0.0))[1], "key", cache_dir)
 
 
-def _record_blas_threads(job, prepared, cache_dir, original_arm=None):
+def _record_blas_threads(job, prepared, cache_dir, original_arm=None, output_dir=None):
     """Writes the BLAS thread count the job runs with to `<cache_dir>/<job id>.threads`, then runs it."""
     get, _ = runner._openblas_threads()
     (Path(cache_dir) / f"{job.job_id}.threads").write_text(str(get()), encoding="utf-8")
-    return _execute_job(job, prepared, cache_dir, original_arm)
+    return _execute_job(job, prepared, cache_dir, original_arm, output_dir)
 
 
-def _record_blas_threads_outside_fork_pool(job, prepared, cache_dir, original_arm=None):
+def _record_blas_threads_outside_fork_pool(job, prepared, cache_dir, original_arm=None, output_dir=None):
     """Kills every fork-pool worker, so each job records its count in the spawn re-run pool."""
     if _in_fork_pool():
         os._exit(1)
-    return _record_blas_threads(job, prepared, cache_dir, original_arm)
+    return _record_blas_threads(job, prepared, cache_dir, original_arm, output_dir)
 
 
 @pytest.fixture
@@ -581,25 +581,31 @@ class TestRun:
         doc = yaml.safe_load((tmp_path / "out" / "batch_report.json").read_text())
         assert doc["jobs"][0]["status"] == "ok"
 
-    @pytest.mark.parametrize("parallelism", [1, 2])
-    def test_the_calling_process_writes_every_jobs_artifacts(self, tmp_path, monkeypatch, parallelism):
-        writers, write = [], runner.write_job_artifacts
+    @pytest.mark.parametrize("parallelism, cores, by_caller", [(1, 2, True), (1, 1, False), (2, 2, False), (2, 8, False)])
+    def test_the_caller_writes_the_artifacts_when_one_worker_leaves_it_a_core(
+            self, tmp_path, monkeypatch, parallelism, cores, by_caller):
+        writers, write = tmp_path / "writers", runner.write_job_artifacts
 
         def recording(*args, **kwargs):
-            writers.append(os.getpid())  # a pool worker would append to its own copy of the list
+            with open(writers, "a", encoding="utf-8") as fh:
+                fh.write(f"{os.getpid()}\n")
             return write(*args, **kwargs)
 
         monkeypatch.setattr(runner, "write_job_artifacts", recording)
+        monkeypatch.setattr(runner, "_cores", lambda: cores)
         jobs, _ = expand_jobs(parse_batch_yaml(MATRIX))
         report = run_batch(jobs, parallelism=parallelism, output_dir=tmp_path / "out")
         assert report.exit_code == 0, [o.error for o in report.failures]
-        assert writers == [os.getpid()] * len(jobs)
+        pids = [int(line) for line in writers.read_text(encoding="utf-8").split()]
+        assert len(pids) == len(jobs)
+        assert all((pid == os.getpid()) == by_caller for pid in pids)
         for outcome in report.outcomes:
             assert len(outcome.artifacts) == 8
             assert all(Path(path).is_file() for path in outcome.artifacts)
 
     @pytest.mark.parametrize("parallelism", [1, 2])
-    def test_a_job_whose_directory_is_a_file_fails_alone(self, tmp_path, parallelism):
+    def test_a_job_whose_directory_is_a_file_fails_alone(self, tmp_path, monkeypatch, parallelism):
+        monkeypatch.setattr(runner, "_cores", lambda: 2)  # written by the calling process at 1, by a worker at 2
         jobs, _ = expand_jobs(parse_batch_yaml(MATRIX))
         out = tmp_path / "out"
         blocked = out / jobs[1].job_id

@@ -348,7 +348,7 @@ def _stage1_report(tmp_path, method):
     ({"params": {"repair_lvl": 1}},
      "stage-1 report.params: unknown keys ['repair_lvl'] (accepts ['columns', 'grid_size', 'repair_level'])"),
     ({"params": {"repair_level": 2}}, "stage-1 report.params.repair_level must be in [0,1], got 2.0"),
-    ({"method": "XYZ"}, "stage-1 report.method: unknown method 'XYZ'; expected one of ['RW', 'LFR', 'DIR', 'OPP']"),
+    ({"method": "XYZ"}, "unknown method 'XYZ'; expected one of ['RW', 'LFR', 'DIR', 'OPP']"),
 ])
 def test_bench_reads_the_reports_method_and_params_before_any_work(tmp_path, capsys, change, message):
     # these were once refused by the processed arm, after the original arm was fitted and its files written
