@@ -1,6 +1,7 @@
 """Metric correctness against hand values and the brute-force oracles."""
 
 import dataclasses
+import importlib
 import math
 
 import numpy as np
@@ -402,6 +403,62 @@ class TestConsistency:
             assert self._blocked_consistency(features[:200], labels[:200], k, block=None) == pytest.approx(
                 oracle_consistency(features[:200].tolist(), labels[:200].tolist(), k), abs=TOL
             )
+
+    def test_first_threshold_allows_for_far_sampled_columns(self):
+        # rows on a line from the origin: the 75 nearest of a row near it reach rows about
+        # 0.8 away, whose keys carry error bounds far above the row's own norm, so its first
+        # threshold must allow for how far its sampled columns can lie
+        from fairbench.metrics.dataset_metrics import _knn_label_means_blocked
+
+        for seed in range(4):
+            rng = np.random.default_rng(seed)
+            z = np.zeros((94, 39))
+            z[:, 0] = np.arange(94) / 94 + 1e-9 * rng.uniform(-1.0, 1.0, 94)
+            y = rng.integers(0, 2, 94).astype(float)
+            assert np.array_equal(_knn_label_means_blocked(z, y, 75), self._float64_reference_means(z, y, 75)), seed
+
+    def test_decided_and_ranked_rows_rank_like_float64(self, monkeypatch):
+        # well-separated rows leave the screen with exactly k + 1 single rows and skip the
+        # ranking; a star whose eight arms tie exactly at the centre's (k + 1)-th distance,
+        # and a group of seven equal rows with rows near it, are ranked
+        dm = importlib.import_module("fairbench.metrics.dataset_metrics")
+        rng = np.random.default_rng(37)
+        star = np.vstack([np.zeros(4), np.eye(4), -np.eye(4)]) + 100.0
+        group = np.vstack([np.full((7, 4), -100.0), -100.0 + 0.5 * np.eye(4)])
+        z = np.vstack([8.0 * rng.normal(size=(240, 4)), star, group])[rng.permutation(260)]
+        labels = rng.integers(0, 2, 260).astype(float)
+        centre = np.flatnonzero((z == 100.0).all(axis=1))[0]
+        ranked = []
+        rank = dm._ranked
+        monkeypatch.setattr(dm, "_ranked", lambda z, rows, *a: ranked.extend(rows) or rank(z, rows, *a))
+        for k in (1, 5):
+            for block in (None, 64):
+                ranked.clear()
+                got = dm._knn_label_means_blocked(z, labels, k, block=block)
+                assert np.array_equal(got, self._float64_reference_means(z, labels, k)), (k, block)
+                assert centre in ranked and 0 < len(set(ranked)) < 100, (k, block, len(set(ranked)))
+
+    def test_lfr_like_near_duplicate_clusters_rank_like_float64(self, monkeypatch):
+        # LFR can collapse its output into a few clusters of distinct rows whose squared
+        # distances run from 1e-35 to 1e-8, with exact duplicates among them: float32 cannot
+        # resolve a cluster, so its rows are heavy, screened again in local float64 frames,
+        # and carry candidates from the tiles of earlier blocks
+        dm = importlib.import_module("fairbench.metrics.dataset_metrics")
+        rng = np.random.default_rng(41)
+        n, d = 900, 62
+        sizes = 1.0 / np.arange(1, 7)
+        z = rng.normal(size=(6, d))[rng.choice(6, n, p=sizes / sizes.sum())]
+        z += rng.normal(size=(n, d)) / math.sqrt(d) * 10.0 ** rng.uniform(-17.5, -4.0, (n, 1))
+        copies = rng.random(n) < 0.2
+        z[copies] = z[rng.integers(0, n, copies.sum())]
+        labels = rng.integers(0, 2, n).astype(float)
+        frames = []
+        frame = dm._Frame
+        monkeypatch.setattr(dm, "_Frame", lambda y, index, dtype, q: frames.append(dtype) or frame(y, index, dtype, q))
+        for k in (1, 5):
+            assert np.array_equal(dm._knn_label_means_blocked(z, labels, k),
+                                  self._float64_reference_means(z, labels, k)), k
+        assert np.float64 in frames
 
 
 class TestGroupConfusion:
