@@ -1,7 +1,7 @@
 """Batch experiment matrices: YAML parsing and Cartesian job expansion."""
 
 import hashlib
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 
 from ..errors import SchemaError
 from ..dataset.schema import declared_sensitive_attributes
@@ -12,10 +12,6 @@ from ..preproc import METHOD_NAMES, method_params
 from ..pipeline.sweep import FAIRNESS_METRICS
 from ..util import canonical_json, from_mapping, integer, listing, mapping, seed_value, string, yaml_document
 
-_TOP_KEYS = {
-    "datasets", "sensitive_attributes", "methods", "models", "seeds",
-    "split", "selection_metric", "output", "parallelism",
-}
 _SPLIT_KEYS = ("train", "validation", "test")
 SYNTHETIC_ATTRIBUTE = "group"
 
@@ -114,7 +110,8 @@ def dataset_entry(entry, where):
 
 def parse_batch_yaml(text: str) -> BatchSpec:
     """Parse and validate a batch document; unknown keys are rejected with their path."""
-    doc = mapping(yaml_document(text, "batch config"), "batch config", _TOP_KEYS, required=True)
+    doc = mapping(yaml_document(text, "batch config"), "batch config", [f.name for f in fields(BatchSpec)],
+                  required=True)
     datasets = tuple(dataset_entry(entry, f"datasets[{i}]")
                      for i, entry in enumerate(listing(doc.get("datasets"), "datasets", required=True)))
 

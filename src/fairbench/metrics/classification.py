@@ -9,6 +9,7 @@ None, and so is every field built from it, so one undefined rate does not void
 the rest of the row.
 """
 
+import math
 import warnings
 from dataclasses import dataclass, field, fields
 
@@ -72,6 +73,18 @@ def _ratio(num, den):
     return np.divide(num, den, out=np.full(np.shape(num), np.nan), where=den > 0)
 
 
+def disparate_impact_ratio(r0, r1):
+    """Unprivileged rate r0 over privileged rate r1, with the sentinel for an empty privileged rate:
+    x / 0 is inf and 0 / 0 is nan."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(r1 == 0.0, np.where(r0 == 0.0, np.nan, np.inf), np.divide(r0, r1))
+
+
+def undefined(value) -> bool:
+    """Whether a metric value is undefined: None, or not finite (the DI sentinel among them)."""
+    return value is None or not math.isfinite(value)
+
+
 def classification_metrics(y_true, scores, threshold, protected, weights=None):
     """The metrics under y_hat = [score >= t]; a NaN score is never positive.
 
@@ -115,8 +128,7 @@ def classification_metrics(y_true, scores, threshold, protected, weights=None):
              "tnr": _ratio(tn, fp + tn), "fnr": _ratio(fn, tp + fn)}
     tpr, fpr = rates["tpr"], rates["fpr"]
     r0, r1 = _ratio(tp + fp, tp + fp + tn + fn)[:2]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        di = np.where(r1 == 0.0, np.where(r0 == 0.0, np.nan, np.inf), r0 / r1)
+    di = disparate_impact_ratio(r0, r1)
 
     # Theil over the unweighted benefits b = y_hat - y + 1: 0 on a false
     # negative, 2 on a false positive, 1 elsewhere
@@ -134,12 +146,12 @@ def classification_metrics(y_true, scores, threshold, protected, weights=None):
         """Python floats in input order, None where a value is undefined (NaN)."""
         return [None if v != v else v for v in values[position].tolist()]
 
-    undefined_di = (np.isnan(r0) | np.isnan(r1))[position].tolist()
+    rate_missing = (np.isnan(r0) | np.isnan(r1))[position].tolist()
     table = ClassificationTable(
         thresholds=grid[position].tolist(),
         balanced_accuracy=column(0.5 * (tpr[2] + rates["tnr"][2])),
         statistical_parity_difference=column(r0 - r1),
-        disparate_impact=[None if undefined else v for v, undefined in zip(di[position].tolist(), undefined_di)],
+        disparate_impact=[None if missing else v for v, missing in zip(di[position].tolist(), rate_missing)],
         equal_opportunity_difference=column(tpr[0] - tpr[1]),
         average_odds_difference=column(0.5 * ((fpr[0] - fpr[1]) + (tpr[0] - tpr[1]))),
         theil_index=theil[position].tolist(),

@@ -15,6 +15,7 @@ import numpy as np
 from ..errors import DataFormatError, FairbenchWarning, UndefinedMetricError
 from ..dataset.tabular import TabularDataset, standardize
 from ..util import Settings, setting
+from .classification import disparate_impact_ratio
 
 @dataclass(frozen=True)
 class DatasetMetrics(Settings):
@@ -60,8 +61,7 @@ def disparate_impact(ds: TabularDataset) -> float:
     r0, r1 = _group_rates(ds)
     if r1 == 0.0:
         warnings.warn("disparate impact undefined: privileged favorable rate is 0", FairbenchWarning)
-        return math.nan if r0 == 0.0 else math.inf
-    return float(r0 / r1)
+    return float(disparate_impact_ratio(r0, r1))
 
 
 def statistical_parity_difference(ds: TabularDataset) -> float:
@@ -386,23 +386,23 @@ def _ranked(z, rows, r, c, members, start, count, q):
 def _knn_label_means_blocked(z, labels, k, block=None):
     """Mean label of each row's k nearest other rows: screen in float32, rank in float64.
 
-    Rank is by the difference form sum_c (z_ic - z_jc)^2, the oracle's
-    formula, with ties broken toward the lowest row index. Bitwise-equal rows
-    are grouped first and the search runs over one row per group, `block`
-    rows at a time. A float32 GEMM screen with a rigorous error bound keeps a
-    superset of each row's k + 1 nearest (the row itself included): each
-    row's first threshold comes from one GEMM against every STRIDE-th group,
-    run block by block before the screen, and the screen itself runs only the
-    upper-triangle tiles, each serving both its rows and its columns. A row
-    the screen leaves with exactly k + 1 groups of one row each, its own among
-    them, has exactly those as its k + 1 nearest, since a tie at the
-    (k + 1)-th distance would have kept more; it skips the ranking. The other
-    rows' survivors are ranked exactly, and each surviving group stands for
-    its k + 1 lowest rows. A row's neighbours are then its group's k + 1
-    nearest rows without itself, or the first k of them when it is not among
-    them. The float32 key block takes about 1 MiB (at least 128 rows), and
-    serves both the sampled GEMM and the tiles; the candidates carried to
-    later blocks take 12 bytes each.
+    Rank is by the difference form sum_c (z_ic - z_jc)^2, its terms added in
+    `np.einsum("ij,ij->i")` order, with ties broken toward the lowest row
+    index. Bitwise-equal rows are grouped first and the search runs over one
+    row per group, `block` rows at a time. A float32 GEMM screen with a
+    rigorous error bound keeps a superset of each row's k + 1 nearest (the row
+    itself included): each row's first threshold comes from one GEMM against
+    every STRIDE-th group, run block by block before the screen, and the
+    screen itself runs only the upper-triangle tiles, each serving both its
+    rows and its columns. A row the screen leaves with exactly k + 1 groups of
+    one row each, its own among them, has exactly those as its k + 1 nearest,
+    since a tie at the (k + 1)-th distance would have kept more; it skips the
+    ranking. The other rows' survivors are ranked exactly, and each surviving
+    group stands for its k + 1 lowest rows. A row's neighbours are then its
+    group's k + 1 nearest rows without itself, or the first k of them when it
+    is not among them. The float32 key block takes about 1 MiB (at least 128
+    rows), and serves both the sampled GEMM and the tiles; the candidates
+    carried to later blocks take 12 bytes each.
     """
     n = len(z)
     q = k + 1
@@ -450,9 +450,9 @@ def consistency(ds: TabularDataset, k: int = 5) -> float:
     1 - mean |y_i - mean(y of kNN(i))| with Euclidean distance on z-scored
     features, self excluded, distance ties broken toward the lowest row index.
     Unweighted. The squared distance is the float64 sum of squared coordinate
-    differences, the oracle's formula; a float32 GEMM with a rigorous error
-    bound only screens candidates for it, so the neighbours are exactly the
-    ones that formula ranks first (see `_knn_label_means_blocked`). The
+    differences, added in `np.einsum("ij,ij->i")` order; a float32 GEMM with a
+    rigorous error bound only screens candidates for it, so the neighbours are
+    exactly the ones that sum ranks first (see `_knn_label_means_blocked`). The
     screen takes each row's first threshold from a GEMM against every
     STRIDE-th row and computes only the upper-triangle tiles of the key
     matrix; a row it leaves with exactly k + 1 single rows, itself among

@@ -52,7 +52,8 @@ def _isolated(run, *args):
 
 def _run_arm(arm, train, val, test, model_name, model_params, seed, selection_metric, split_hash):
     scorer = fit_model(model_name, train, model_params, seed)
-    val_sweep, test_sweep = (sweep_thresholds(ds.labels, scorer.score(ds), ds.protected) for ds in (val, test))
+    val_sweep, test_sweep = (sweep_thresholds(ds.labels, scorer.score(ds), ds.protected, ds.weights)
+                             for ds in (val, test))
     return SweepResult(arm=arm, validation=val_sweep, test=test_sweep,
                        optimal_threshold=select_optimal_threshold(val_sweep, selection_metric),
                        selection_metric=selection_metric, split_hash=split_hash)

@@ -8,7 +8,8 @@ import math
 from dataclasses import dataclass
 
 from ..errors import FairbenchError
-from ..metrics.classification import FAIRNESS_FIELDS, ClassificationMetrics, ClassificationTable, classification_metrics
+from ..metrics.classification import (
+    FAIRNESS_FIELDS, ClassificationMetrics, ClassificationTable, classification_metrics, undefined)
 
 FAIRNESS_METRICS = tuple(FAIRNESS_FIELDS)
 
@@ -34,14 +35,14 @@ class SweepResult:
         return self.test.at(self.test.thresholds.index(self.optimal_threshold))
 
 
-def sweep_thresholds(y_true, scores, protected) -> ClassificationTable:
-    """The table over the grid, from one classification_metrics call;
+def sweep_thresholds(y_true, scores, protected, weights=None) -> ClassificationTable:
+    """The table over the grid, from one classification_metrics call, its rates weighted by `weights`;
     undefined metrics ride along as None."""
-    return classification_metrics(y_true, scores, default_grid(), protected)
+    return classification_metrics(y_true, scores, default_grid(), protected, weights)
 
 
 def _deviation(value, metric_name: str):
-    if value is None or not math.isfinite(value):
+    if undefined(value):
         return None
     if metric_name == "DI":
         return abs(1.0 - value)

@@ -31,8 +31,8 @@ class FittedMethod:
     _eval_transform: object
 
     def transform_eval(self, ds: TabularDataset) -> TabularDataset:
-        """Transform an evaluation split's features; true labels are kept."""
-        return self._eval_transform(ds)
+        """Transform an evaluation split; its true labels are kept, whatever the transform makes of them."""
+        return self._eval_transform(ds).replace(labels=ds.labels)
 
 
 def method_params(name: str, params, where):
@@ -56,22 +56,17 @@ def fit_method(name: str, train: TabularDataset, params=None, seed: int = 0) -> 
     if name == "LFR":
         std_train, means, scales = standardize(train)
         model = lfr_fit(std_train, cfg, seed)
-
-        def eval_lfr(ds, _model=model, _mu=means, _sd=scales):
-            out = lfr_transform(_model, apply_standardization(ds, _mu, _sd))
-            return out.replace(labels=ds.labels)
-
-        return FittedMethod(name, lfr_transform(model, std_train), eval_lfr)
+        return FittedMethod(name, lfr_transform(model, std_train),
+                            lambda ds: lfr_transform(model, apply_standardization(ds, means, scales)))
 
     opp_map = opp_fit(train, cfg)
 
-    def eval_opp(ds, _m=opp_map, _seed=seed):
+    def eval_opp(ds):
         # seeded by the split's content: equal-sized validation and test splits must not share draws
-        h = hashlib.sha256(f"{_seed}/opp-eval".encode())
+        h = hashlib.sha256(f"{seed}/opp-eval".encode())
         for values, dtype in ((ds.features, "<f8"), (ds.labels, "<i8"), (ds.protected, "<i8")):
             h.update(values.astype(dtype, copy=False).tobytes())
-        out = opp_transform(_m, ds, seed=int.from_bytes(h.digest()[:8], "big"))
-        return out.replace(labels=ds.labels)
+        return opp_transform(opp_map, ds, seed=int.from_bytes(h.digest()[:8], "big"))
 
     return FittedMethod(name, opp_transform(opp_map, train, seed=seed), eval_opp)
 

@@ -35,9 +35,6 @@ class LfrConfig(Settings):
 class LfrModel:
     prototypes: np.ndarray       # (K, d)
     label_weights: np.ndarray    # (K,) in [0, 1]
-    weight_parity: float         # A_z
-    weight_reconstruction: float # A_x
-    weight_label: float          # A_y
     objective_trace: tuple
 
     def __post_init__(self):
@@ -47,28 +44,15 @@ class LfrModel:
             raise FitError("objective trace increased; fit is invalid")
 
 
-def _soft_assignments(x, prototypes):
-    """Softmax over -||x - v_k||^2, row-wise, numerically stabilized.
-
-    -||x - v||^2 = 2 x.v - ||x||^2 - ||v||^2 comes from one (n, d) x (d, K)
-    matmul, without the (n, K, d) difference tensor. ||x||^2 is the same for
-    every prototype of a row and the softmax is shift-invariant per row, so it
-    is left out. The cancellation error is about 1e-16 * (||x|| + ||v||)^2,
-    small on the z-scored features the pipeline passes in.
-    """
-    a = x @ prototypes.T
-    a *= 2.0
-    a -= (prototypes * prototypes).sum(axis=1)
-    a -= a.max(axis=1, keepdims=True)
-    e = np.exp(a, out=a)
-    return e / e.sum(axis=1, keepdims=True)
-
-
 def _assignments(pxt, sq_norms):
     """(K, n) soft assignments from P x^T and the prototypes' squared norms: a softmax down each column.
 
-    The same softmax as `_soft_assignments`, with each record's logits in one
-    column, so the max and the sum reduce over K contiguous rows.
+    Record x's column is the softmax over -||x - v_k||^2 = 2 x.v_k - ||x||^2 - ||v_k||^2,
+    numerically stabilized, with no (n, K, d) difference tensor. ||x||^2 is the same for
+    every prototype of a record and the softmax is shift-invariant, so it is left out. The
+    cancellation error is about 1e-16 * (||x|| + ||v||)^2, small on the z-scored features
+    the pipeline passes in. Each record's logits lie in one column, so the max and the sum
+    reduce over K contiguous rows.
     """
     a = pxt * 2.0
     a -= sq_norms[:, None]
@@ -164,19 +148,6 @@ class _Problem:
         return trial
 
 
-def lfr_objective(x, y, s, prototypes, label_weights, a_z, a_x, a_y):
-    """Objective value and its three components at the given parameters."""
-    objective, parts, _ = _Problem(x, y, s, a_z, a_x, a_y).at(prototypes, label_weights)
-    return objective, parts
-
-
-def lfr_gradients(x, y, s, prototypes, label_weights, a_z, a_x, a_y):
-    """Analytic gradients of the objective w.r.t. prototypes and label weights."""
-    problem = _Problem(x, y, s, a_z, a_x, a_y)
-    *_, state = problem.at(prototypes, label_weights)
-    return problem.gradients(state, prototypes, label_weights)
-
-
 def lfr_fit(ds: TabularDataset, cfg: LfrConfig = LfrConfig(), seed: int = 0) -> LfrModel:
     """Projected gradient descent by `descend`: relative-drop tolerance `cfg.tol`, at most `cfg.max_iter` steps.
 
@@ -203,14 +174,7 @@ def lfr_fit(ds: TabularDataset, cfg: LfrConfig = LfrConfig(), seed: int = 0) -> 
         "LFR", obj, (prototypes, label_weights, state), problem.direction, cfg.max_iter, cfg.tol,
         floor=1e-30, cap=math.inf)
 
-    return LfrModel(
-        prototypes=prototypes,
-        label_weights=label_weights,
-        weight_parity=cfg.a_z,
-        weight_reconstruction=cfg.a_x,
-        weight_label=cfg.a_y,
-        objective_trace=trace,
-    )
+    return LfrModel(prototypes=prototypes, label_weights=label_weights, objective_trace=trace)
 
 
 def lfr_transform(model: LfrModel, ds: TabularDataset) -> TabularDataset:
@@ -219,9 +183,9 @@ def lfr_transform(model: LfrModel, ds: TabularDataset) -> TabularDataset:
         raise FitError(
             f"dimension mismatch: model fitted on d={model.prototypes.shape[1]}, dataset has d={ds.dim}"
         )
-    m = _soft_assignments(ds.features, model.prototypes)
-    yhat = m @ model.label_weights
+    p = model.prototypes
+    m = _assignments(p @ ds.features.T, (p * p).sum(axis=1))
     return ds.replace(
-        features=m @ model.prototypes,
-        labels=(yhat >= 0.5).astype(np.int64),
+        features=m.T @ p,
+        labels=(model.label_weights @ m >= 0.5).astype(np.int64),
     ).with_provenance_step("lfr")

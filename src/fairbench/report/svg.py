@@ -7,9 +7,7 @@ threshold. Undefined points leave a visible gap. Identical inputs produce
 byte-identical output; no external resources are referenced.
 """
 
-import math
-
-from ..metrics.classification import FAIRNESS_FIELDS
+from ..metrics.classification import FAIRNESS_FIELDS, undefined
 from ..pipeline.sweep import SweepResult, default_grid
 from .tables import write_text
 
@@ -26,15 +24,11 @@ def _num(x):
     return f"{x:.2f}"
 
 
-def _finite(value):
-    return value is not None and math.isfinite(value)
-
-
 def _segments(xs, values, y_of):
-    """Polyline point strings at the formatted x coordinates `xs`, split where a value is not finite (the gap rule)."""
+    """Polyline point strings at the formatted x coordinates `xs`, split where a value is undefined (the gap rule)."""
     segments, current = [], []
     for x, v in zip(xs, values):
-        if _finite(v):
+        if not undefined(v):
             current.append(f"{x},{_num(y_of(v))}")
         elif current:
             segments.append(current)
@@ -54,7 +48,7 @@ def _panel(out, index, title, attr, table, optimal_t):
     def x_of(t):
         return x0 + (t - t_lo) / (t_hi - t_lo) * (x1 - x0)
 
-    finite_vals = [v for v in getattr(table, attr) if _finite(v)]
+    finite_vals = [v for v in getattr(table, attr) if not undefined(v)]
     lo = min(finite_vals) if finite_vals else -1.0
     hi = max(finite_vals) if finite_vals else 1.0
     if hi - lo < 1e-12:

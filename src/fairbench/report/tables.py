@@ -14,6 +14,7 @@ from pathlib import Path
 
 from ..dataset.table import write_csv
 from ..errors import FairbenchError
+from ..metrics.classification import undefined
 from ..pipeline.stage1 import StageOneReport
 from ..pipeline.sweep import SweepResult
 
@@ -37,11 +38,9 @@ _SWEEP_RATES = ((0, "tpr"), (1, "tpr"), (0, "fpr"), (1, "fpr"))
 
 
 def _fmt(value, decimals=3):
-    if value is None:
-        return "undefined"
     if isinstance(value, int):
         return str(value)
-    if not math.isfinite(value):
+    if undefined(value):
         return "undefined"
     return f"{value:.{decimals}f}"
 

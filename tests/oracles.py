@@ -411,6 +411,20 @@ def _lfr_groups(s):
     return (s == 1)[:, None], np.flatnonzero(s == 1), np.flatnonzero(s == 0)
 
 
+def _lfr_soft_assignments(x, prototypes):
+    """(n, K) row-wise softmax over -||x - v_k||^2, from one (n, d) x (d, K) product.
+
+    ||x||^2 is the same for every prototype of a row and the softmax is
+    shift-invariant per row, so it is left out.
+    """
+    a = x @ prototypes.T
+    a *= 2.0
+    a -= (prototypes * prototypes).sum(axis=1)
+    a -= a.max(axis=1, keepdims=True)
+    e = np.exp(a, out=a)
+    return e / e.sum(axis=1, keepdims=True)
+
+
 def _lfr_forward(x, y, groups, prototypes, label_weights, a_z, a_x, a_y):
     """Objective, its three components, and the intermediates its gradient needs.
 
@@ -419,11 +433,11 @@ def _lfr_forward(x, y, groups, prototypes, label_weights, a_z, a_x, a_y):
     """
     import numpy as np
 
-    from fairbench.preproc.lfr import _PROB_CLIP, _soft_assignments
+    from fairbench.preproc.lfr import _PROB_CLIP
 
     _, rows1, rows0 = groups
     n = x.shape[0]
-    m = _soft_assignments(x, prototypes)
+    m = _lfr_soft_assignments(x, prototypes)
     gap = m[rows1].mean(axis=0) - m[rows0].mean(axis=0)
     resid = m @ prototypes
     resid -= x
@@ -526,14 +540,7 @@ def oracle_lfr_fit(ds, n_prototypes=10, a_z=50.0, a_x=0.01, a_y=1.0, seed=0, max
         if rel_drop < tol:
             break
 
-    return LfrModel(
-        prototypes=prototypes,
-        label_weights=label_weights,
-        weight_parity=a_z,
-        weight_reconstruction=a_x,
-        weight_label=a_y,
-        objective_trace=tuple(trace),
-    )
+    return LfrModel(prototypes=prototypes, label_weights=label_weights, objective_trace=tuple(trace))
 
 
 def _apply_binarization(columns, rows, schema):

@@ -337,12 +337,15 @@ class TestConsistency:
         assert peak < 16 * 2**20, peak
 
     @staticmethod
-    def _float64_reference_means(z, labels, k):
-        """Each row's k nearest other rows by the float64 difference form, ties toward the lowest index."""
+    def _float64_reference_means(z, labels, k, add=lambda diff: np.einsum("ij,ij->i", diff, diff)):
+        """Each row's k nearest other rows by the float64 difference form, ties toward the lowest index.
+
+        `add` sums each row's squared differences; by default in the kNN's `np.einsum("ij,ij->i")` order.
+        """
         n = len(z)
         means = np.empty(n)
         for i in range(n):
-            d2 = ((z - z[i]) ** 2).sum(axis=1)
+            d2 = add(z - z[i])
             d2[i] = np.inf
             means[i] = labels[np.lexsort((np.arange(n), d2))[:k]].mean()
         return means
@@ -459,6 +462,41 @@ class TestConsistency:
             assert np.array_equal(dm._knn_label_means_blocked(z, labels, k),
                                   self._float64_reference_means(z, labels, k)), k
         assert np.float64 in frames
+
+
+    def test_ranking_adds_the_squares_in_einsum_order(self):
+        # five centres of a few decimals, 15% of the entries redrawn: many pairs tie in exact
+        # arithmetic and part at the last bit, where the order of the sum sets the rank
+        from fairbench.metrics.dataset_metrics import _knn_label_means_blocked
+
+        n, d, k = 87, 28, 80
+        parted = []
+        for seed in (9, 58):
+            rng = np.random.default_rng(seed)
+            z = rng.choice([0.1, 0.3, 1.7], size=(5, d))[rng.integers(0, 5, n)]
+            redrawn = rng.random((n, d)) < 0.15
+            z[redrawn] = 0.1 * rng.integers(1, 9, redrawn.sum())
+            y = rng.integers(0, 2, n).astype(float)
+            got = _knn_label_means_blocked(z, y, k)
+            assert np.array_equal(got, self._float64_reference_means(z, y, k)), seed
+            pairwise = self._float64_reference_means(z, y, k, lambda diff: (diff ** 2).sum(axis=1))
+            parted.append(not np.array_equal(got, pairwise))
+        assert any(parted), "fixture no longer tells the two orders apart; pick other seeds"
+
+    def test_rows_all_at_one_distance_drop_every_local_frame_and_take_their_union(self, monkeypatch):
+        # 140 one-hot rows, every pair at one distance: every row keeps every column, no float64
+        # frame removes a candidate, so each is dropped, and the rows still heavy after
+        # LOCAL_FRAMES frames are paired with their whole union
+        dm = importlib.import_module("fairbench.metrics.dataset_metrics")
+        frames = []
+        frame = dm._Frame
+        monkeypatch.setattr(dm, "_Frame", lambda y, index, dtype, q: frames.append(dtype) or frame(y, index, dtype, q))
+        n = 140
+        features = np.eye(n)
+        labels = np.random.default_rng(43).integers(0, 2, n)
+        got = consistency(mk(labels, np.zeros(n), features=features), k=5)
+        assert frames.count(np.float64) == dm.LOCAL_FRAMES
+        assert got == pytest.approx(oracle_consistency(features.tolist(), labels.tolist(), 5), abs=1e-15)
 
 
 class TestGroupConfusion:

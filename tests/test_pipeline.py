@@ -3,6 +3,7 @@
 import dataclasses
 import importlib
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -359,6 +360,30 @@ class TestBenchStage:
             one_shot = classification_metrics(scored.labels, scores, arm.optimal_threshold, scored.protected)
             assert arm.test_at_optimal == one_shot, arm.arm
 
+    def test_sweeps_weigh_each_split_by_its_weights(self, tmp_path):
+        # rates follow the weighted convention in stage 2 as in stage 1
+        from fairbench.model import fit_model
+        from fairbench.pipeline.stage2 import split_original
+        from fairbench.preproc import fit_method
+
+        ds = make_synthetic(seed=6, n=500, disparity=0.3)
+        ds = ds.replace(weights=np.random.default_rng(2).uniform(0.2, 5.0, ds.n))
+        report = run_prep_stage(ds, "DIR", {}, seed=1, cache_dir=tmp_path, dataset_name="syn")
+        bench = run_bench_stage(report, split_spec=SplitSpec(seed=1), cache_dir=tmp_path)
+        _, (train, validation, test) = split_original(ds, SplitSpec(seed=1))
+        fitted = fit_method("DIR", train, {}, 1)
+        for arm, fit_on, transform in ((bench.original, train, lambda split: split),
+                                       (bench.processed, fitted.train, fitted.transform_eval)):
+            scorer = fit_model("logreg", fit_on, None, 1)
+            for split, table in ((validation, arm.validation), (test, arm.test)):
+                split = transform(split)
+                scores = scorer.score(split)
+                # compared as reprs, in which DI's 0/0 sentinel (nan) equals itself
+                weighted, unweighted = (repr(classification_metrics(split.labels, scores, default_grid(),
+                                                                    split.protected, w))
+                                        for w in (split.weights, None))
+                assert repr(table) == weighted != unweighted, arm.arm
+
     @pytest.mark.parametrize("stage", ["prep", "bench"])
     def test_a_changed_original_entry_is_refused_not_used(self, tmp_path, stage):
         prepared = prepare_original(make_synthetic(seed=8, n=300, disparity=0.3), None, tmp_path, "syn")
@@ -407,3 +432,17 @@ class TestBenchStage:
         # evaluation splits keep their true labels: test-arm label distribution
         # must match the original test split regardless of the transform
         assert bench.processed.test_at_optimal is not None
+
+    @pytest.mark.parametrize("method,params", [
+        ("RW", {}), ("DIR", {}), ("LFR", {"prototypes": 4, "max_iter": 150}), ("OPP", {"bins": 3, "max_iter": 150}),
+    ])
+    def test_evaluation_splits_keep_their_true_labels(self, method, params):
+        from fairbench.preproc import fit_method
+
+        train, split = (make_synthetic(seed=seed, n=300, disparity=0.3) for seed in (9, 10))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", FairbenchWarning)
+            fitted = fit_method(method, train, params, seed=4)
+            out = fitted.transform_eval(split)
+        assert np.array_equal(out.labels, split.labels)
+        assert np.array_equal(out.protected, split.protected)

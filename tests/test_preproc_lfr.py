@@ -15,7 +15,7 @@ from fairbench.dataset import TabularDataset, make_synthetic, standardize
 from fairbench.errors import FairbenchWarning, FitError
 from fairbench.metrics import consistency
 from fairbench.preproc import fit_method, lfr as lfr_module, lfr_fit, lfr_transform
-from fairbench.preproc.lfr import LfrConfig, _soft_assignments, lfr_gradients, lfr_objective
+from fairbench.preproc.lfr import LfrConfig, LfrModel, _assignments, _Problem
 
 
 def std_synthetic(seed=0, n=200, disparity=0.3):
@@ -28,28 +28,28 @@ def finite_difference_check(rng, n=30, d=3, k=4, eps=1e-6):
     y = rng.integers(0, 2, n).astype(float)
     s = np.zeros(n, dtype=int)
     s[rng.permutation(n)[: n // 2]] = 1
-    a_z, a_x, a_y = 7.0, 0.3, 1.0
+    problem = _Problem(x, y, s, 7.0, 0.3, 1.0)
     prototypes = rng.normal(size=(k, d))
     weights = rng.uniform(0.1, 0.9, k)
 
-    grad_v, grad_w = lfr_gradients(x, y, s, prototypes, weights, a_z, a_x, a_y)
+    def objective(v, w):
+        return problem.at(v, w)[0]
+
+    *_, state = problem.at(prototypes, weights)
+    grad_v, grad_w = problem.gradients(state, prototypes, weights)
     num_v = np.zeros_like(prototypes)
     for i in range(k):
         for j in range(d):
             up, down = prototypes.copy(), prototypes.copy()
             up[i, j] += eps
             down[i, j] -= eps
-            f_up, _ = lfr_objective(x, y, s, up, weights, a_z, a_x, a_y)
-            f_down, _ = lfr_objective(x, y, s, down, weights, a_z, a_x, a_y)
-            num_v[i, j] = (f_up - f_down) / (2 * eps)
+            num_v[i, j] = (objective(up, weights) - objective(down, weights)) / (2 * eps)
     num_w = np.zeros_like(weights)
     for i in range(k):
         up, down = weights.copy(), weights.copy()
         up[i] += eps
         down[i] -= eps
-        f_up, _ = lfr_objective(x, y, s, prototypes, up, a_z, a_x, a_y)
-        f_down, _ = lfr_objective(x, y, s, prototypes, down, a_z, a_x, a_y)
-        num_w[i] = (f_up - f_down) / (2 * eps)
+        num_w[i] = (objective(prototypes, up) - objective(prototypes, down)) / (2 * eps)
     rel_v = np.abs(grad_v - num_v).max() / max(np.abs(num_v).max(), 1e-12)
     rel_w = np.abs(grad_w - num_w).max() / max(np.abs(num_w).max(), 1e-12)
     return max(rel_v, rel_w)
@@ -113,8 +113,10 @@ class TestRecordSpaceOracle:
             s = np.zeros(n, dtype=int)
             s[rng.permutation(n)[: rng.integers(20, n - 20)]] = 1
             point = (x, y, s, rng.normal(size=(k, d)), rng.random(k), *rng.uniform(0.1, 10.0, 3))
-            objective, parts = lfr_objective(*point)
-            got = (objective, *parts, *lfr_gradients(*point))
+            prototypes, weights = point[3:5]
+            problem = _Problem(x, y, s, *point[5:])
+            objective, parts, state = problem.at(prototypes, weights)
+            got = (objective, *parts, *problem.gradients(state, prototypes, weights))
             want_objective, want_parts, *want_grads = oracle_lfr_point(*point)
             for value, expected in zip(got, (want_objective, *want_parts, *want_grads)):
                 assert np.all(np.abs(value - expected) <= 1e-12 * np.maximum(np.abs(expected), 1.0))
@@ -152,7 +154,7 @@ class TestSoftAssignments:
             # prototypes hundreds of units apart push every row to one-hot
             prototypes = np.array([[0.0, 0.0, 0.0], [300.0, 0.0, 0.0], [0.0, -300.0, 0.0]])
             x = prototypes[rng.integers(0, 3, 12)] + rng.normal(size=(12, 3))
-        got = _soft_assignments(x, prototypes)
+        got = _assignments(prototypes @ x.T, (prototypes * prototypes).sum(axis=1)).T
         want = np.array(oracle_soft_assignments(x.tolist(), prototypes.tolist()))
         assert np.abs(got - want).max() <= 1e-12
 
@@ -168,21 +170,16 @@ class TestFit:
     def test_parity_term_below_random_baseline(self):
         # fitted prototypes separate groups less than random prototypes do
         ds = std_synthetic(seed=5, n=240, disparity=0.0)
+        problem = _Problem(ds.features, ds.labels.astype(float), ds.protected, 1.0, 1.0, 1.0)
         fitted_l_z, random_l_z = [], []
         for seed in range(5):
             model = lfr_fit(ds, LfrConfig(prototypes=5, a_z=10.0, a_x=0.05, a_y=0.5, max_iter=300, tol=1e-9),
                             seed=seed)
-            _, (l_z_fit, _, _) = lfr_objective(
-                ds.features, ds.labels.astype(float), ds.protected,
-                model.prototypes, model.label_weights, 1.0, 1.0, 1.0,
-            )
+            _, (l_z_fit, _, _), _ = problem.at(model.prototypes, model.label_weights)
             rng = np.random.default_rng(1000 + seed)
             rand_v = rng.normal(size=model.prototypes.shape)
             rand_w = rng.random(len(model.label_weights))
-            _, (l_z_rand, _, _) = lfr_objective(
-                ds.features, ds.labels.astype(float), ds.protected,
-                rand_v, rand_w, 1.0, 1.0, 1.0,
-            )
+            _, (l_z_rand, _, _), _ = problem.at(rand_v, rand_w)
             fitted_l_z.append(l_z_fit)
             random_l_z.append(l_z_rand)
         assert np.mean(fitted_l_z) < np.mean(random_l_z)
@@ -273,13 +270,8 @@ class TestTransform:
         rng = np.random.default_rng(4)
         d = 3
         prototypes = np.array([[0.0] * d, [10.0] * d, [-10.0] * d, [20.0] + [0.0] * (d - 1)])
-        from fairbench.preproc.lfr import LfrModel
-        model = LfrModel(
-            prototypes=prototypes,
-            label_weights=np.array([0.9, 0.1, 0.5, 0.7]),
-            weight_parity=1.0, weight_reconstruction=1.0, weight_label=1.0,
-            objective_trace=(1.0, 0.5),
-        )
+        model = LfrModel(prototypes=prototypes, label_weights=np.array([0.9, 0.1, 0.5, 0.7]),
+                         objective_trace=(1.0, 0.5))
         from fairbench.dataset import TabularDataset
         features = prototypes.copy() + rng.normal(scale=1e-9, size=prototypes.shape)
         ds = TabularDataset(features, [1, 0, 1, 0], [0, 1, 0, 1], np.ones(4),

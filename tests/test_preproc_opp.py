@@ -155,6 +155,15 @@ class TestFit:
             OppConfig(**{field: -1})
 
 
+    def test_unknown_column_is_refused(self):
+        with pytest.raises(FitError, match=r"unknown OPP column\(s\): \['y'\]"):
+            opp_fit(surrogate(seed=2, n=200), OppConfig(columns=("x", "y")))
+
+    def test_no_favorable_label_is_refused(self):
+        ds = surrogate(seed=2, n=200, rate0=0.0, rate1=0.0)
+        with pytest.raises(FitError, match="no favorable labels"):
+            opp_fit(ds, OppConfig(bins=3))
+
     @pytest.mark.parametrize("params, message", [
         ("{distortion_budget: .nan}", "distortion_budget must be non-negative, got nan"),
         ("{epsilon: .nan}", "epsilon must be positive, got nan"),
@@ -290,6 +299,30 @@ class TestTransform:
                     out = opp_transform(mapping, ds, seed)
                 assert np.array_equal(out.features, features)
                 assert np.array_equal(out.labels, labels)
+
+    def test_key_whose_group_lacks_its_label_falls_back_to_the_group(self):
+        # group 0 trains on label 0 alone, so a group-0 record with label 1 matches no
+        # training row of its label and group: it takes the nearest row of its group
+        train = surrogate(seed=4, n=400, rate0=0.0, rate1=0.6)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", FairbenchWarning)
+            mapping = opp_fit(train, OppConfig(epsilon=0.1, distortion_budget=0.3, bins=3, max_iter=150))
+        assert not any(label == 1 and group == 0 for _, label, group in mapping.row_keys)
+        evaluation = surrogate(seed=5, n=200, rate0=0.5, rate1=0.5)
+        for seed in (0, 1, 2):
+            features, labels, paths = oracle_opp_transform(mapping, evaluation, seed)
+            assert paths["unseen_key"] == ((evaluation.protected == 0) & (evaluation.labels == 1)).sum()
+            with pytest.warns(FairbenchWarning, match="snapped"):
+                out = opp_transform(mapping, evaluation, seed)
+            assert np.array_equal(out.features, features)
+            assert np.array_equal(out.labels, labels)
+
+    def test_dataset_without_a_fitted_column_is_refused(self):
+        ds = surrogate(seed=9, n=300)
+        mapping = opp_fit(ds, OppConfig(epsilon=0.1, distortion_budget=0.3, bins=3, max_iter=50))
+        renamed = ds.replace(feature_names=("z",))
+        with pytest.raises(FitError, match="dataset lacks fitted column 'x'"):
+            opp_transform(mapping, renamed, seed=0)
 
     def test_equal_sized_eval_splits_draw_apart(self):
         # the splits differ only in a column OPP does not discretize
